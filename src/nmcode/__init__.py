@@ -23,7 +23,6 @@ from .core import (
     Symbol,
     confidence_radius,
     copy_symbol,
-    empirical_dist,
     hamming_distance,
     push_copy,
     statistical_distance,
@@ -42,10 +41,8 @@ from .perm import PermSpec, Permutation, derive_permutation, test_lwise_dependen
 from .tamper import (
     BitTamperFn,
     SplitStateTamperFn,
-    apply_tamper,
     canonical_adversaries,
     enumerate_bit_tampers,
-    partition_actions,
     random_split_tamper,
     random_tamper,
 )
@@ -64,7 +61,6 @@ from .nmext import (
     check_extraction,
     check_relaxed_nm,
     check_strict_nm,
-    extractor_to_code,
     sample_random_extractor,
     verify_reduction,
 )

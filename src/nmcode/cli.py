@@ -55,6 +55,9 @@ OPERATIONS = (
 )
 
 
+DEFAULT_SEED = "1"
+
+
 class ConfigError(NmcodeError):
     pass
 
@@ -94,6 +97,9 @@ def validate_config(config: dict) -> dict:
     jobs = config.get("jobs", 1)
     if not isinstance(jobs, int) or jobs < 1:
         raise ConfigError("jobs must be a positive integer")
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        config = config | {"jobs": cpus}
     guards = config.get("guards", {})
     if not isinstance(guards, dict) or not all(
         isinstance(v, int) for v in guards.values()
@@ -424,21 +430,32 @@ def run_config(config: dict, outdir: Optional[str] = None) -> dict:
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags(suppress: bool) -> argparse.ArgumentParser:
+    """Flags accepted both before and after the subcommand.
+
+    After it they default to SUPPRESS, so a subparser leaves a value given
+    before the subcommand in place instead of overwriting it.
+    """
+
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment config JSON (file-first mode)")
-    common.add_argument("--seed", default="1", help="seed (int or hex), overrides config")
-    common.add_argument("--jobs", type=int, default=1, help="worker pool size")
-    common.add_argument("--out", default=None, help="report output directory")
-    common.add_argument(
-        "--guard-override",
-        action="store_true",
-        help="opt in to sweeps past the default size guards",
-    )
+    common.add_argument("--config", default=default(None),
+                        help="experiment config JSON (file-first mode)")
+    common.add_argument("--seed", default=default(None),
+                        help=f"seed (int or hex), overrides config; default {DEFAULT_SEED}")
+    common.add_argument("--jobs", type=int, default=default(1), help="worker pool size")
+    common.add_argument("--out", default=default(None), help="report output directory")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_flags(suppress=True)
     parser = argparse.ArgumentParser(
         prog="nmcode",
         description="Tamper-resilient coding toolkit: sample, verify, attack.",
-        parents=[common],
+        parents=[_common_flags(suppress=False)],
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -616,13 +633,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.config:
             with open(args.config) as fp:
                 config = json.load(fp)
-            if args.seed != "1":
+            if args.seed is not None:
                 config["seed"] = args.seed
             config.setdefault("jobs", args.jobs)
         else:
             if not args.command:
                 parser.print_help()
                 return 2
+            if args.seed is None:
+                args.seed = DEFAULT_SEED
             direct = _direct_command(args)
             if direct is not None:
                 return direct

@@ -28,7 +28,6 @@ from .core import (
     FiniteDist,
     InfeasibleParams,
     RngSeed,
-    Symbol,
 )
 from .inner import InnerCode, InnerParams, plan_inner_params, sample_inner_code
 from .lecss import LecssCode, build_lecss_bits
@@ -425,7 +424,7 @@ def toy_concat_plan(t_block: int = 4, t_seed: int = 2) -> ConcatPlan:
     return ConcatPlan(gamma0=0.5, inner=inner, c1=c1, lecss=lecss, ell=0)
 
 
-class ConcatCode:
+class ConcatCode(schemes.BitWordCodec):
     """Materialized instance; immutable and usable as a coding scheme."""
 
     def __init__(
@@ -562,17 +561,6 @@ class ConcatCode:
                         for i, (blk, c) in enumerate(zip(blocks, choice)):
                             payload |= block_words[blk][c] << (i * plan.block_out)
                         yield seed_word | (perm.apply_int(payload) << shift)
-
-    def encode(self, s: BitWord, rng: random.Random) -> BitWord:
-        if len(s) != self.message_bits:
-            raise ValueError("message length mismatch")
-        return BitWord(self.encode_int(s.value, rng), self.block_bits)
-
-    def decode(self, w: BitWord) -> Symbol:
-        if len(w) != self.block_bits:
-            raise ValueError("block length mismatch")
-        d = self.decode_int(w.value)
-        return BOTTOM if d is None else BitWord(d, self.message_bits)
 
     # -- exact experiments ------------------------------------------------
 

@@ -16,8 +16,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import log, sqrt
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 
 class NmcodeError(Exception):
@@ -398,8 +399,47 @@ def push_copy(d: FiniteDist, s: BitWord) -> FiniteDist:
     return FiniteDist(probs, kind=d.kind, samples=d.samples)
 
 
-def empirical_dist(samples: Sequence[Symbol]) -> FiniteDist:
-    return FiniteDist.from_samples(samples)
+def uniform_distance(counts: Iterable[int], total: int, outcomes: int) -> Fraction:
+    """Exact distance of a counted marginal from uniform on `outcomes` cells.
+
+    `counts` holds the integer counts of the cells that occurred, out of
+    `total` draws; cells missing from it count 0. Returns
+    1/2 * sum over all cells of |c/total - 1/outcomes|, summed in integers
+    as |c*outcomes - total| with one Fraction built at the end.
+    """
+    acc = 0
+    seen = 0
+    for c in counts:
+        acc += abs(c * outcomes - total)
+        seen += 1
+    acc += (outcomes - seen) * total
+    return Fraction(acc, 2 * total * outcomes)
+
+
+def worst_marginal(
+    words: Sequence[int], n: int, ell: int
+) -> Tuple[Fraction, Optional[Tuple[int, ...]]]:
+    """Worst `uniform_distance` of the n-bit words' marginals, uniform over
+    the list, over every index set of size 1..ell.
+
+    Returns (distance, index set); ties keep the first set in size, then
+    `combinations`, order, and (0, None) when every marginal is uniform.
+    """
+    worst = Fraction(0)
+    witness = None
+    for size in range(1, ell + 1):
+        for idxs in combinations(range(n), size):
+            counts: dict = {}
+            for w in words:
+                v = 0
+                for j, i in enumerate(idxs):
+                    v |= ((w >> i) & 1) << j
+                counts[v] = counts.get(v, 0) + 1
+            dist = uniform_distance(counts.values(), len(words), 1 << size)
+            if dist > worst:
+                worst = dist
+                witness = idxs
+    return worst, witness
 
 
 def confidence_radius(samples: int, eta: float = 1e-6) -> float:

@@ -121,27 +121,6 @@ def field(m: int) -> GF2m:
     return _FIELDS[m]
 
 
-def solve_linear(fld: GF2m, matrix, rhs):
-    """Solve a small square system over the field by Gaussian elimination.
-
-    Returns the solution vector or None when the matrix is singular.
-    """
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = fld.inv(aug[col][col])
-        aug[col] = [fld.mul(v, inv) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a ^ fld.mul(factor, b) for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def invert_matrix(fld: GF2m, matrix):
     """Inverse of a small square matrix over the field, or None if singular."""
     n = len(matrix)

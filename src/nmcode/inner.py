@@ -23,15 +23,14 @@ from math import ceil, comb, log2
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
-    BOTTOM,
-    BitWord,
     GuardExceeded,
     InfeasibleParams,
     PropertyReport,
     RngSeed,
-    Symbol,
     hamming_ball_volume,
+    worst_marginal,
 )
+from .schemes import BitWordCodec
 from .tamper import BitTamperFn, enumerate_bit_tampers
 
 REJECTION_BUDGET = 1 << 16
@@ -169,7 +168,7 @@ def plan_inner_params(
     )
 
 
-class InnerCode:
+class InnerCode(BitWordCodec):
     """Sampled lookup-table code; immutable once built."""
 
     def __init__(
@@ -203,17 +202,6 @@ class InnerCode:
 
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         return self.codebook[s]
-
-    def encode(self, s: BitWord, rng: random.Random) -> BitWord:
-        if len(s) != self.params.k:
-            raise ValueError("message length mismatch")
-        return BitWord(self.encode_int(s.value, rng), self.params.n)
-
-    def decode(self, w: BitWord) -> Symbol:
-        if len(w) != self.params.n:
-            raise ValueError("block length mismatch")
-        d = self.decode_int(w.value)
-        return BOTTOM if d is None else BitWord(d, self.params.k)
 
     def min_pairwise_distance(self) -> int:
         words = [w for ws in self.codebook for w in ws]
@@ -375,7 +363,7 @@ def verify_bounded_independence(
 ) -> PropertyReport:
     """Marginals of every encoding on every index set of size <= ell are
     within eps of uniform; distances are exact frequency arithmetic."""
-    n, t = code.params.n, code.params.t
+    n = code.params.n
     if ell < 0 or ell > n:
         raise ValueError("need 0 <= ell <= n")
     work = sum(comb(n, j) * (1 << j) for j in range(1, ell + 1)) * (
@@ -387,25 +375,10 @@ def verify_bounded_independence(
     witness = None
     eps_frac = Fraction(eps).limit_denominator(10**9) if isinstance(eps, float) else Fraction(eps)
     for s, words in enumerate(code.codebook):
-        for size in range(1, ell + 1):
-            unif = Fraction(1, 1 << size)
-            for idxs in combinations(range(n), size):
-                counts: Dict[int, int] = {}
-                for w in words:
-                    v = 0
-                    for j, i in enumerate(idxs):
-                        v |= ((w >> i) & 1) << j
-                    counts[v] = counts.get(v, 0) + 1
-                acc = Fraction(0)
-                seen = 0
-                for v, c in counts.items():
-                    acc += abs(Fraction(c, t) - unif)
-                    seen += 1
-                acc += ((1 << size) - seen) * unif
-                dist = acc / 2
-                if dist > worst:
-                    worst = dist
-                    witness = (s, idxs)
+        dist, idxs = worst_marginal(words, n, ell)
+        if dist > worst:
+            worst = dist
+            witness = (s, idxs)
     passed = worst <= eps_frac
     counterexample = None
     if not passed and witness is not None:

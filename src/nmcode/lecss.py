@@ -17,24 +17,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import product
+from typing import Iterable, List, Optional, Sequence
 
-from .core import (
-    BOTTOM,
-    BitWord,
-    GuardExceeded,
-    InfeasibleParams,
-    PropertyReport,
-    RngSeed,
-    Symbol,
-)
+from .core import GuardExceeded, InfeasibleParams, PropertyReport, RngSeed, worst_marginal
 from .gf import GF2m, field, invert_matrix
+from .schemes import BitWordCodec
 
 DEFAULT_RANDOMNESS_GUARD = 1 << 20
 
 
-class LecssCode:
+class LecssCode(BitWordCodec):
     def __init__(self, m: int, n: int, k: int, k0: int):
         if not 1 <= k0 < k <= n:
             raise InfeasibleParams("need 1 <= k0 < k <= n")
@@ -141,17 +134,6 @@ class LecssCode:
             )
         for randomness in product(range(self.q), repeat=self.k0):
             yield self.encode_with(s, randomness)
-
-    def encode(self, s: BitWord, rng: random.Random) -> BitWord:
-        if len(s) != self.message_bits:
-            raise ValueError("message length mismatch")
-        return BitWord(self.encode_int(s.value, rng), self.block_bits)
-
-    def decode(self, w: BitWord) -> Symbol:
-        if len(w) != self.block_bits:
-            raise ValueError("block length mismatch")
-        d = self.decode_int(w.value)
-        return BOTTOM if d is None else BitWord(d, self.message_bits)
 
     def descriptor(self) -> dict:
         return {
@@ -263,31 +245,14 @@ def verify_lecss(
         )
 
     # (b) bounded independence: every bit-index set of size <= k0 exactly uniform
-    nbits = code.block_bits
     worst_indep = Fraction(0)
     msgs = [0]
     if code.message_bits:
         msgs.append(rng.getrandbits(code.message_bits))
     for s in msgs:
         words = list(code.iter_encodings_int(s))
-        r = len(words)
-        for size in range(1, code.independent_bits + 1):
-            unif = Fraction(1, 1 << size)
-            for idxs in combinations(range(nbits), size):
-                counts: Dict[int, int] = {}
-                for w in words:
-                    v = 0
-                    for j, i in enumerate(idxs):
-                        v |= ((w >> i) & 1) << j
-                    counts[v] = counts.get(v, 0) + 1
-                acc = sum(
-                    (abs(Fraction(c, r) - unif) for c in counts.values()),
-                    Fraction(0),
-                )
-                acc += ((1 << size) - len(counts)) * unif
-                dist = acc / 2
-                if dist > worst_indep:
-                    worst_indep = dist
+        dist, _ = worst_marginal(words, code.block_bits, code.independent_bits)
+        worst_indep = max(worst_indep, dist)
     if worst_indep != 0:
         failures.append({"check": "independence", "distance": float(worst_indep)})
 

@@ -158,6 +158,49 @@ def copy_distance(
     return acc / 2
 
 
+def same_minimax(
+    groups: Sequence[Sequence[Tuple[int, Fraction, Fraction, bool]]],
+    outputs: int,
+) -> Tuple[Fraction, List[Fraction]]:
+    """Reference distribution over `outputs` values plus SAME that minimizes
+    the worst group distance; the one LP behind both SAME-marker minimaxes.
+
+    A cell (o, w, p, same) asks that its mass p be explained by
+    w * (d[o] + [same] * d[SAME]); a group's distance is half its summed
+    cell errors. The LP minimizes t subject to sum_group e <= 2t,
+    |p - w * (d_o + [same] * d_same)| <= e, d >= 0 and sum d + d_same = 1.
+    Returns (t, [d_0, ..., d_{outputs-1}, d_same]).
+    """
+    # Variables: d[0..outputs-1], d_same, t, then one error e per cell.
+    nd = outputs + 1
+    nvars = nd + 1 + sum(len(g) for g in groups)
+    c = [_ZERO] * nvars
+    c[nd] = _ONE
+    a_ub: List[List[Fraction]] = []
+    b_ub: List[Fraction] = []
+    col = nd + 1
+    for group in groups:
+        row = [_ZERO] * nvars
+        row[col : col + len(group)] = [_ONE] * len(group)
+        row[nd] = Fraction(-2)
+        a_ub.append(row)
+        b_ub.append(_ZERO)
+        for o, w, p, same in group:
+            # w*(d_o + [same]*d_same) - e <= p and its mirror >= p.
+            for sign in (-1, 1):
+                row = [_ZERO] * nvars
+                row[col] = -_ONE
+                row[o] = sign * w
+                if same:
+                    row[outputs] = sign * w
+                a_ub.append(row)
+                b_ub.append(sign * p)
+            col += 1
+    a_eq = [[_ONE] * nd + [_ZERO] * (nvars - nd)]
+    value, x = solve_lp(c, a_ub, b_ub, a_eq, [_ONE])
+    return value, x[:nd]
+
+
 def min_copy_distance(
     joint: Mapping[Tuple[int, int], Fraction],
     marginal: Mapping[int, Fraction],
@@ -165,46 +208,19 @@ def min_copy_distance(
 ) -> Tuple[Fraction, Dict[object, Fraction]]:
     """Exact minimizer of `copy_distance` over all reference distributions.
 
-    Solved as a rational LP; exact for any output alphabet size, but meant
-    for toy scales (the LP has O(|A|*|outputs|) variables).
+    One `same_minimax` group holding every (a, b) cell with weight p_a;
+    exact for any output alphabet size, but meant for toy scales (the LP
+    has O(|A|*|outputs|) variables).
     """
-    support = [a for a, pa in marginal.items() if pa > 0]
-    nb = len(outputs)
-    # Variables: d[b] (nb), d_same, e[a][b] (len(support)*nb)
-    nd = nb + 1
-    nvars = nd + len(support) * nb
-    idx_e = lambda ai, bi: nd + ai * nb + bi
-
-    c = [_ZERO] * nvars
-    for ai in range(len(support)):
-        for bi in range(nb):
-            c[idx_e(ai, bi)] = Fraction(1, 2)
-    a_ub: List[List[Fraction]] = []
-    b_ub: List[Fraction] = []
-    for ai, a in enumerate(support):
-        pa = Fraction(marginal[a])
-        for bi, b in enumerate(outputs):
-            j = Fraction(joint.get((a, b), _ZERO))
-            row = [_ZERO] * nvars
-            # p_a*d_b + p_a*[a==b]*d_same + e >= j
-            row[bi] = -pa
-            if a == b:
-                row[nb] = -pa
-            row[idx_e(ai, bi)] = -_ONE
-            a_ub.append(row)
-            b_ub.append(-j)
-            row2 = [_ZERO] * nvars
-            row2[bi] = pa
-            if a == b:
-                row2[nb] = pa
-            row2[idx_e(ai, bi)] = -_ONE
-            a_ub.append(row2)
-            b_ub.append(j)
-    a_eq = [[_ONE if i < nd else _ZERO for i in range(nvars)]]
-    b_eq = [_ONE]
-    value, x = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    cells = [
+        (bi, Fraction(pa), Fraction(joint.get((a, b), _ZERO)), a == b)
+        for a, pa in marginal.items()
+        if pa > 0
+        for bi, b in enumerate(outputs)
+    ]
+    value, x = same_minimax([cells], len(outputs))
     d: Dict[object, Fraction] = {b: x[bi] for bi, b in enumerate(outputs)}
-    d[SAME] = x[nb]
+    d[SAME] = x[len(outputs)]
     return value, d
 
 

@@ -25,13 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    BitWord,
-    GuardExceeded,
-    InfeasibleParams,
-    RngSeed,
-    Symbol,
-)
+from .core import GuardExceeded, InfeasibleParams, RngSeed, uniform_distance
 from .lp import min_copy_distance, min_copy_distance_m1
 from .tamper import SplitStateTamperFn
 from . import schemes
@@ -177,24 +171,15 @@ def repair_fixed_points(table: Sequence[int], size: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def output_dist(ext: ExtractorTable, src: FlatSourcePair) -> Dict[int, Fraction]:
+def check_extraction(ext: ExtractorTable, src: FlatSourcePair) -> Fraction:
+    """Exact distance of the output distribution from uniform."""
     counts: Dict[int, int] = {}
     for x in src.xs:
         base = x << ext.n
         for y in src.ys:
             v = ext.entries[base | y]
             counts[v] = counts.get(v, 0) + 1
-    total = src.pairs
-    return {v: Fraction(c, total) for v, c in counts.items()}
-
-
-def check_extraction(ext: ExtractorTable, src: FlatSourcePair) -> Fraction:
-    """Exact distance of the output distribution from uniform."""
-    dist = output_dist(ext, src)
-    unif = Fraction(1, 1 << ext.m)
-    acc = sum((abs(p - unif) for p in dist.values()), Fraction(0))
-    acc += ((1 << ext.m) - len(dist)) * unif
-    return acc / 2
+    return uniform_distance(counts.values(), src.pairs, 1 << ext.m)
 
 
 def joint_output_dist(
@@ -352,7 +337,7 @@ def check_strict_nm(
 # ---------------------------------------------------------------------------
 
 
-class ExtractorCode:
+class ExtractorCode(schemes.BitWordCodec):
     """Split-state scheme whose decoder is the extractor table."""
 
     def __init__(self, ext: ExtractorTable):
@@ -383,28 +368,15 @@ class ExtractorCode:
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         return self.buckets[s]
 
-    def encode(self, s: BitWord, rng: random.Random) -> BitWord:
-        return BitWord(self.encode_int(s.value, rng), self.block_bits)
-
-    def decode(self, w: BitWord) -> Symbol:
-        return BitWord(self.decode_int(w.value), self.message_bits)
-
     def encoding_bias(self) -> Fraction:
         """Exact distance of the encoding of a uniform message from uniform.
 
         Equals the extraction distance of the table on full-entropy
         sources, coordinate for coordinate.
         """
-        total = 1 << self.block_bits
-        k = self.message_bits
-        acc = Fraction(0)
-        for bucket in self.buckets:
-            acc += abs(Fraction(1, 1 << k) - Fraction(len(bucket), total))
-        return acc / 2
-
-
-def extractor_to_code(ext: ExtractorTable) -> ExtractorCode:
-    return ExtractorCode(ext)
+        return uniform_distance(
+            (len(b) for b in self.buckets), 1 << self.block_bits, 1 << self.message_bits
+        )
 
 
 @dataclass
@@ -451,7 +423,7 @@ def verify_reduction(
     """
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream("nmext.reduction")
-    code = extractor_to_code(ext)
+    code = ExtractorCode(ext)
     full = FlatSourcePair.full(ext.n)
     eps_ext = check_extraction(ext, full)
     size = 1 << ext.n
@@ -560,8 +532,7 @@ def relaxed_error_sweep(
             a = a_rows[:, ys]
             total = a.size
             ones = int(a.sum())
-            ext_dist = abs(Fraction(ones, total) - Fraction(1, 2))
-            local = ext_dist
+            local = uniform_distance((ones, total - ones), total, 2)
             local_pat = "extraction"
             for name, t in p_rows.items():
                 b = t[:, ys]

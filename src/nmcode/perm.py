@@ -27,6 +27,7 @@ from .core import (
     PropertyReport,
     RngSeed,
     confidence_radius,
+    uniform_distance,
 )
 
 PRF_SHUFFLE = "prf-shuffle"
@@ -182,14 +183,6 @@ def derive_permutation(spec: PermSpec, seed) -> Permutation:
     return Permutation(arr)
 
 
-def apply_perm(p: Permutation, x: BitWord) -> BitWord:
-    return p.apply(x)
-
-
-def invert_perm(p: Permutation, x: BitWord) -> BitWord:
-    return p.invert(x)
-
-
 def uniform_tuple_probability(n: int, size: int) -> Fraction:
     """Chance a uniform permutation maps a fixed ordered index set to a
     fixed ordered tuple of distinct positions."""
@@ -224,7 +217,7 @@ def test_lwise_dependence(
     n = spec.n
     space = spec.seed_space()
     exhaustive = space <= trials
-    target = uniform_tuple_probability(n, ell)
+    cells = uniform_tuple_probability(n, ell).denominator  # ordered image tuples
 
     from itertools import combinations
 
@@ -250,14 +243,7 @@ def test_lwise_dependence(
                 perm = derive(spec, spec.sample_seed(rng))
                 key = tuple(perm.forward[t] for t in t_set)
                 counts[key] = counts.get(key, 0) + 1
-        acc = sum(
-            (abs(Fraction(c, total) - target) for c in counts.values()), Fraction(0)
-        )
-        ntuples = 1
-        for i in range(ell):
-            ntuples *= n - i
-        acc += (ntuples - len(counts)) * target
-        dist = acc / 2
+        dist = uniform_distance(counts.values(), total, cells)
         if dist > worst:
             worst = dist
             witness = t_set

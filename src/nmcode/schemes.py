@@ -28,6 +28,7 @@ from .core import (
     SAME,
     BitWord,
     FiniteDist,
+    Symbol,
     confidence_radius,
     push_copy,
     statistical_distance,
@@ -44,6 +45,26 @@ class CodingScheme(Protocol):
     def decode_int(self, w: int) -> Optional[int]: ...
 
     def iter_encodings_int(self, s: int) -> Iterable[int]: ...
+
+
+class BitWordCodec:
+    """BitWord-level encode/decode on top of the int-level interface.
+
+    Subclasses provide message_bits, block_bits, encode_int and decode_int;
+    a word of the wrong length raises ValueError, and decoder failure
+    decodes to BOTTOM.
+    """
+
+    def encode(self, s: BitWord, rng: random.Random) -> BitWord:
+        if len(s) != self.message_bits:
+            raise ValueError("message length mismatch")
+        return BitWord(self.encode_int(s.value, rng), self.block_bits)
+
+    def decode(self, w: BitWord) -> Symbol:
+        if len(w) != self.block_bits:
+            raise ValueError("block length mismatch")
+        d = self.decode_int(w.value)
+        return BOTTOM if d is None else BitWord(d, self.message_bits)
 
 
 def _outcome(scheme, tampered: int, s: int, k: int):
@@ -168,67 +189,18 @@ def optimal_nm_error(
     """
     k = scheme.message_bits
     if messages is None:
-        messages = list(range(1 << k))
-    else:
-        messages = list(messages)
-    dists = {s: tampered_output_dist(scheme, f, s) for s in messages}
-
-    outcomes = list(range(1 << k)) + [None]  # None stands for decoder failure
-
-    def pval(s: int, o) -> Fraction:
-        d = dists[s]
-        if o is None:
-            return d.prob(BOTTOM)
-        return d.prob(BitWord(o, k))
-
-    nb = len(outcomes)
-    nd = nb + 1  # + SAME
-    nmsg = len(messages)
-    # Variables: d[0..nb-1], d_same, t, e[s][o]
-    idx_t = nd
-    idx_e = lambda si, oi: nd + 1 + si * nb + oi
-    nvars = nd + 1 + nmsg * nb
-
-    zero = Fraction(0)
-    one = Fraction(1)
-    c = [zero] * nvars
-    c[idx_t] = one
-    a_ub = []
-    b_ub = []
-    for si, s in enumerate(messages):
-        row = [zero] * nvars
-        for oi in range(nb):
-            row[idx_e(si, oi)] = one
-        row[idx_t] = Fraction(-2)
-        a_ub.append(row)
-        b_ub.append(zero)
-        for oi, o in enumerate(outcomes):
-            target = pval(s, o)
-            same_hits = o == s
-            row1 = [zero] * nvars
-            row1[idx_e(si, oi)] = -one
-            row1[oi] = -one
-            if same_hits:
-                row1[nb] = -one
-            a_ub.append(row1)
-            b_ub.append(-target)
-            row2 = [zero] * nvars
-            row2[idx_e(si, oi)] = -one
-            row2[oi] = one
-            if same_hits:
-                row2[nb] = one
-            a_ub.append(row2)
-            b_ub.append(target)
-    a_eq = [[one if i < nd else zero for i in range(nvars)]]
-    b_eq = [one]
-    value, x = lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    probs: Dict[object, Fraction] = {}
-    for oi, o in enumerate(outcomes):
-        if x[oi] > 0:
-            probs[BOTTOM if o is None else BitWord(o, k)] = x[oi]
-    if x[nb] > 0:
-        probs[SAME] = x[nb]
-    return value, FiniteDist(probs)
+        messages = range(1 << k)
+    nmsg = 1 << k
+    # Outcome index o < nmsg is message o; index nmsg is decoder failure.
+    groups = []
+    for s in messages:
+        dist = tampered_output_dist(scheme, f, s)
+        cells = [(o, 1, dist.prob(BitWord(o, k)), o == s) for o in range(nmsg)]
+        cells.append((nmsg, 1, dist.prob(BOTTOM), False))
+        groups.append(cells)
+    value, x = lp.same_minimax(groups, nmsg + 1)
+    symbols = [BitWord(o, k) for o in range(nmsg)] + [BOTTOM, SAME]
+    return value, FiniteDist({sym: p for sym, p in zip(symbols, x) if p > 0})
 
 
 def roundtrip_exhaustive(scheme) -> bool:

@@ -103,14 +103,6 @@ class BitTamperFn:
         return f"BitTamperFn('{self.to_str()}')"
 
 
-def apply_tamper(f, x: BitWord) -> BitWord:
-    return f.apply(x)
-
-
-def partition_actions(f: BitTamperFn):
-    return f.partition()
-
-
 def enumerate_bit_tampers(n: int, guard: int = 4**10) -> Iterator[BitTamperFn]:
     """All 4^n per-bit adversaries in base-4 counting order."""
     total = 4**n

@@ -1,8 +1,16 @@
 import json
+import os
 
 import pytest
 
-from nmcode.cli import ConfigError, main, parse_seed, run_config, validate_config
+from nmcode.cli import (
+    ConfigError,
+    build_parser,
+    main,
+    parse_seed,
+    run_config,
+    validate_config,
+)
 from nmcode.core import RngSeed
 
 
@@ -18,6 +26,12 @@ class TestConfigValidation:
     def test_bad_jobs(self):
         with pytest.raises(ConfigError):
             validate_config({"operation": "concat-roundtrip", "seed": 1, "jobs": 0})
+
+    def test_jobs_capped_at_cpu_count(self):
+        config = {"operation": "concat-roundtrip", "seed": 1, "jobs": 10**6}
+        assert validate_config(config)["jobs"] == (os.cpu_count() or 1)
+        assert config["jobs"] == 10**6
+        assert validate_config({"operation": "concat-roundtrip", "seed": 1, "jobs": 1})["jobs"] == 1
 
     def test_seed_forms(self):
         assert parse_seed(7) == RngSeed.from_int(7)
@@ -122,6 +136,27 @@ class TestMainEntry:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_shared_flags_before_subcommand_are_kept(self):
+        args = build_parser().parse_args(["--seed", "5", "--jobs", "3", "concat", "plan"])
+        assert (args.seed, args.jobs) == ("5", 3)
+        args = build_parser().parse_args(["concat", "plan", "--seed", "7", "--jobs", "2"])
+        assert (args.seed, args.jobs) == ("7", 2)
+        args = build_parser().parse_args(["concat", "plan"])
+        assert (args.seed, args.jobs, args.config, args.out) == (None, 1, None, None)
+
+    def test_explicit_seed_one_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12, "params": {"toy": True}}))
+        assert main(["--config", str(cfg), "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == "1"
+        assert main(["--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 12
+
+    def test_guard_override_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--guard-override", "concat", "plan", "--toy"])
+        assert exc.value.code == 2
 
     def test_subcommand_plan(self, capsys):
         assert main(["concat", "plan", "--toy"]) == 0

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,12 @@ from nmcode.core import (
     RngSeed,
     confidence_radius,
     copy_symbol,
-    empirical_dist,
     hamming_ball_volume,
     hamming_distance,
     push_copy,
     statistical_distance,
+    uniform_distance,
+    worst_marginal,
 )
 
 
@@ -189,28 +191,74 @@ class TestPushCopy:
 class TestEmpiricalDist:
     def test_point_mass(self):
         s = bw("1")
-        d = empirical_dist([s, s, s])
+        d = FiniteDist.from_samples([s, s, s])
         assert d.kind == "empirical" and d.samples == 3
         assert d.prob(s) == 1
 
     def test_half_half(self):
         s = bw("1")
-        d = empirical_dist([s, BOTTOM])
+        d = FiniteDist.from_samples([s, BOTTOM])
         assert d.prob(s) == Fraction(1, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_dist([])
+            FiniteDist.from_samples([])
 
     def test_large_fair_coin_sample_near_uniform(self):
         # Independent concentration check: 1e5 draws land within the
         # 1e-6-confidence radius (~0.0085) of uniform, below 0.01.
         rng = RngSeed.from_int(7).stream("coin")
         draws = [BitWord(rng.getrandbits(1), 1) for _ in range(100_000)]
-        d = empirical_dist(draws)
+        d = FiniteDist.from_samples(draws)
         gap = statistical_distance(d, FiniteDist.uniform_messages(1))
         assert float(gap) < 0.01
         assert confidence_radius(100_000) < 0.01
+
+
+class TestUniformDistance:
+    def test_matches_fraction_formula_on_random_counts(self):
+        # Zero counts and cells missing from the counts are both exercised.
+        rng = random.Random(0)
+        for _ in range(300):
+            outcomes = rng.randint(1, 12)
+            present = rng.sample(range(outcomes), rng.randint(1, outcomes))
+            counts = {cell: rng.randint(0, 9) for cell in present}
+            counts[present[0]] += 1
+            total = sum(counts.values())
+            expected = sum(
+                (abs(Fraction(counts.get(cell, 0), total) - Fraction(1, outcomes))
+                 for cell in range(outcomes)),
+                Fraction(0),
+            ) / 2
+            assert uniform_distance(counts.values(), total, outcomes) == expected
+
+    def test_examples(self):
+        assert uniform_distance([2, 2, 2, 2], 8, 4) == 0
+        assert uniform_distance([5], 5, 4) == Fraction(3, 4)
+        assert uniform_distance([3, 1], 4, 2) == Fraction(1, 4)
+
+
+class TestWorstMarginal:
+    def test_full_cube_is_uniform_everywhere(self):
+        assert worst_marginal(list(range(8)), 3, 3) == (0, None)
+
+    def test_first_strict_maximum_wins(self):
+        # Bits 0 and 1 are constant, bit 2 is uniform.
+        words = [0b000, 0b100]
+        assert worst_marginal(words, 3, 1) == (Fraction(1, 2), (0,))
+        assert worst_marginal(words, 3, 2) == (Fraction(3, 4), (0, 1))
+
+    def test_matches_restriction_counts(self):
+        rng = random.Random(1)
+        words = [rng.getrandbits(5) for _ in range(12)]
+        worst = Fraction(0)
+        for idxs in [(i,) for i in range(5)] + [(i, j) for i in range(5) for j in range(i + 1, 5)]:
+            counts = {}
+            for w in words:
+                key = BitWord(w, 5).restrict(idxs).value
+                counts[key] = counts.get(key, 0) + 1
+            worst = max(worst, uniform_distance(counts.values(), len(words), 1 << len(idxs)))
+        assert worst_marginal(words, 5, 2)[0] == worst
 
 
 class TestFiniteDistValidation:
@@ -241,7 +289,7 @@ class TestFiniteDistValidation:
         assert set(back.support()) == set(d.support())
 
     def test_empirical_json_round_trip_exact(self):
-        d = empirical_dist([BOTTOM, SAME, BOTTOM, bw("01")])
+        d = FiniteDist.from_samples([BOTTOM, SAME, BOTTOM, bw("01")])
         back = FiniteDist.from_json(d.to_json())
         assert back == d and back.samples == 4
 

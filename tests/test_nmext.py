@@ -13,14 +13,14 @@ from nmcode.core import (
     InfeasibleParams,
     RngSeed,
 )
-from nmcode.lp import copy_distance
+from nmcode.lp import copy_distance, min_copy_distance
 from nmcode.nmext import (
+    ExtractorCode,
     ExtractorTable,
     FlatSourcePair,
     check_extraction,
     check_relaxed_nm,
     check_strict_nm,
-    extractor_to_code,
     inner_product_table,
     joint_output_dist,
     parity_table,
@@ -241,7 +241,7 @@ class TestStrict:
 
 class TestCodeReduction:
     def test_parity_buckets_and_bias(self):
-        code = extractor_to_code(parity_table(3))
+        code = ExtractorCode(parity_table(3))
         assert all(len(b) == 32 for b in code.buckets)
         assert schemes.roundtrip_exhaustive(code)
         assert code.encoding_bias() == 0
@@ -249,29 +249,38 @@ class TestCodeReduction:
     def test_encoding_bias_equals_extraction_distance(self):
         for i in range(5):
             table = sample_random_extractor(3, 1, RngSeed.from_int(30 + i))
-            code = extractor_to_code(table)
+            code = ExtractorCode(table)
             assert code.encoding_bias() == check_extraction(
                 table, FlatSourcePair.full(3)
             )
 
     def test_empty_preimage_rejected(self):
         with pytest.raises(InfeasibleParams):
-            extractor_to_code(ExtractorTable(2, 1, [0] * 16))
+            ExtractorCode(ExtractorTable(2, 1, [0] * 16))
 
     def test_identity_adversary_has_zero_code_error(self):
-        code = extractor_to_code(parity_table(2))
+        code = ExtractorCode(parity_table(2))
         ident = list(range(4))
         err, ref = schemes.optimal_nm_error(code, SplitStateTamperFn(ident, ident))
         assert err == 0 and ref.prob(SAME) == 1
 
     def test_constant_to_codeword_adversary_within_bound(self):
         table = sample_random_extractor(3, 1, RngSeed.from_int(40))
-        code = extractor_to_code(table)
+        code = ExtractorCode(table)
         f1, f2 = [6] * 8, [1] * 8
         err, _ = schemes.optimal_nm_error(code, SplitStateTamperFn(f1, f2))
         verdict = check_strict_nm(table, FlatSourcePair.full(3), f1, f2)
         eps = max(verdict.extraction_distance, verdict.nm_distances["both"])
         assert err <= eps * 3
+
+    def test_codec_checks_lengths(self):
+        code = ExtractorCode(parity_table(2))
+        rng = random.Random(0)
+        with pytest.raises(ValueError):
+            code.encode(BitWord(0, 2), rng)
+        with pytest.raises(ValueError):
+            code.decode(BitWord(0, 3))
+        assert code.decode(code.encode(BitWord(1, 1), rng)) == BitWord(1, 1)
 
     def test_reduction_report(self):
         table = sample_random_extractor(3, 1, RngSeed.from_int(41))
@@ -333,3 +342,41 @@ class TestRandomTableBudget:
             if max(verdict.nm_distances.values()) <= Fraction(1, 4):
                 within += 1
         assert within >= 7
+
+
+class TestPinnedOptima:
+    """Exact optima of the SAME-marker minimax on fixed seeds, pinned from
+    the two LP builders that preceded the shared one."""
+
+    @staticmethod
+    def _adversary(seed: int):
+        rng = random.Random(seed)
+        return [rng.randrange(8) for _ in range(8)], [rng.randrange(8) for _ in range(8)]
+
+    @pytest.mark.parametrize(
+        "m, i, value",
+        [(1, 2, Fraction(6, 247)), (2, 0, Fraction(11, 84)),
+         (2, 1, Fraction(37, 264)), (2, 2, Fraction(29, 112))],
+    )
+    def test_optimal_nm_error(self, m, i, value):
+        table = sample_random_extractor(3, m, RngSeed.from_int(70 + 10 * m + i))
+        f1, f2 = self._adversary(80 + 10 * m + i)
+        err, ref = schemes.optimal_nm_error(ExtractorCode(table), SplitStateTamperFn(f1, f2))
+        assert err == value
+        assert sum(p for _, p in ref.items()) == 1
+
+    @pytest.mark.parametrize(
+        "i, value",
+        [(0, Fraction(127, 1344)), (1, Fraction(29, 224)),
+         (2, Fraction(243, 2240)), (3, Fraction(93, 544))],
+    )
+    def test_min_copy_distance_two_bits(self, i, value):
+        table = sample_random_extractor(3, 2, RngSeed.from_int(90 + i))
+        f1, f2 = self._adversary(95 + i)
+        joint = joint_output_dist(table, FlatSourcePair.full(3), f1, f2)
+        marg = {}
+        for (a, _), p in joint.items():
+            marg[a] = marg.get(a, Fraction(0)) + p
+        v, d = min_copy_distance(joint, marg, [0, 1, 2, 3])
+        assert v == value
+        assert copy_distance(joint, marg, d, [0, 1, 2, 3]) == value

@@ -11,9 +11,7 @@ from nmcode.perm import (
     PRF_SHUFFLE,
     PermSpec,
     Permutation,
-    apply_perm,
     derive_permutation,
-    invert_perm,
     uniform_tuple_probability,
 )
 from nmcode.perm import test_lwise_dependence as lwise_dependence_report
@@ -26,9 +24,9 @@ class TestPermutation:
 
     def test_identity_and_swap(self):
         ident = Permutation([0, 1])
-        assert apply_perm(ident, BitWord.from_str("10")).to01() == "10"
+        assert ident.apply(BitWord.from_str("10")).to01() == "10"
         swap = Permutation([1, 0])
-        assert apply_perm(swap, BitWord.from_str("10")).to01() == "01"
+        assert swap.apply(BitWord.from_str("10")).to01() == "01"
 
     def test_forward_moves_bit_to_position(self):
         p = Permutation([2, 0, 1])
@@ -42,7 +40,7 @@ class TestPermutation:
             for _ in range(50):
                 p = derive_permutation(spec, rng.getrandbits(32))
                 x = BitWord.random(n, rng)
-                assert invert_perm(p, apply_perm(p, x)) == x
+                assert p.invert(p.apply(x)) == x
                 assert p.apply_int(p.invert_int(x.value)) == x.value
 
     def test_length_mismatch(self):

@@ -11,9 +11,7 @@ from nmcode.tamper import (
     SET1,
     BitTamperFn,
     SplitStateTamperFn,
-    apply_tamper,
     enumerate_bit_tampers,
-    partition_actions,
     random_split_tamper,
     random_tamper,
 )
@@ -24,10 +22,10 @@ actions_strategy = st.lists(st.integers(0, 3), min_size=1, max_size=12)
 class TestBitTamperFn:
     def test_keep_flip_set_basics(self):
         x = BitWord.from_str("0101")
-        assert apply_tamper(BitTamperFn.identity(4), x) == x
-        assert apply_tamper(BitTamperFn.complement(4), x).to01() == "1010"
-        assert apply_tamper(BitTamperFn([SET0] * 4), x).to01() == "0000"
-        assert apply_tamper(BitTamperFn([SET1] * 4), x).to01() == "1111"
+        assert BitTamperFn.identity(4).apply(x) == x
+        assert BitTamperFn.complement(4).apply(x).to01() == "1010"
+        assert BitTamperFn([SET0] * 4).apply(x).to01() == "0000"
+        assert BitTamperFn([SET1] * 4).apply(x).to01() == "1111"
 
     def test_mixed_actions(self):
         f = BitTamperFn([KEEP, FLIP, SET0, SET1])
@@ -48,7 +46,7 @@ class TestBitTamperFn:
     @settings(max_examples=50)
     def test_partition_is_disjoint_cover(self, actions):
         f = BitTamperFn(actions)
-        fr, fl, idn = partition_actions(f)
+        fr, fl, idn = f.partition()
         combined = sorted(fr + fl + idn)
         assert combined == list(range(f.n))
         assert len(fr) + len(fl) + len(idn) == f.n
