@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import sys
 import time
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from .core import BitWord, NmcodeError, RngSeed, dumps_report
@@ -31,6 +32,7 @@ from .lecss import LecssCode, build_lecss, verify_lecss
 from .perm import PermSpec, derive_permutation, test_lwise_dependence
 from .concat import (
     AttackReport,
+    ConcatCode,
     attack_experiment,
     build_concat,
     plan_concat,
@@ -56,6 +58,7 @@ OPERATIONS = (
 
 
 DEFAULT_SEED = "1"
+DEFAULT_JOBS = 1
 
 
 class ConfigError(NmcodeError):
@@ -292,11 +295,17 @@ def _op_concat_roundtrip(config: dict, seed: RngSeed, outdir: Optional[str]) -> 
     }
 
 
+@lru_cache(maxsize=1)
+def _attack_code(seed: RngSeed) -> ConcatCode:
+    """The attacked toy-plan code; every adversary of one run attacks the
+    same code, so each process builds it (and its batch tables) once."""
+    return build_concat(toy_concat_plan(), seed)
+
+
 def _attack_one(args) -> dict:
     adv_json, samples, seed_json, adv_id, messages = args
     seed = RngSeed.from_json(seed_json)
-    plan = toy_concat_plan()
-    code = build_concat(plan, seed.child(0))
+    code = _attack_code(seed.child(0))
     f = BitTamperFn.from_str(adv_json["actions"])
     rng = seed.stream(f"cli.attack.pick.{adv_id}")
     msgs = [rng.getrandbits(code.message_bits) for _ in range(messages)] if messages else None
@@ -313,8 +322,7 @@ def _op_concat_attack(config: dict, seed: RngSeed, outdir: Optional[str]) -> dic
     messages = params.get("messages", 16)
     threshold = params.get("eps_threshold", 0.25)
     jobs = config.get("jobs", 1)
-    plan = toy_concat_plan()
-    code = build_concat(plan, seed.child(0))
+    code = _attack_code(seed.child(0))
     gen_rng = seed.stream("cli.attack.generate")
     advs: List[tuple] = []
     for name, f in canonical_adversaries(code, gen_rng):
@@ -445,7 +453,8 @@ def _common_flags(suppress: bool) -> argparse.ArgumentParser:
                         help="experiment config JSON (file-first mode)")
     common.add_argument("--seed", default=default(None),
                         help=f"seed (int or hex), overrides config; default {DEFAULT_SEED}")
-    common.add_argument("--jobs", type=int, default=default(1), help="worker pool size")
+    common.add_argument("--jobs", type=int, default=default(None),
+                        help=f"worker pool size, overrides config; default {DEFAULT_JOBS}")
     common.add_argument("--out", default=default(None), help="report output directory")
     return common
 
@@ -635,13 +644,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 config = json.load(fp)
             if args.seed is not None:
                 config["seed"] = args.seed
-            config.setdefault("jobs", args.jobs)
+            if args.jobs is not None:
+                config["jobs"] = args.jobs
+            config.setdefault("jobs", DEFAULT_JOBS)
         else:
             if not args.command:
                 parser.print_help()
                 return 2
             if args.seed is None:
                 args.seed = DEFAULT_SEED
+            if args.jobs is None:
+                args.jobs = DEFAULT_JOBS
             direct = _direct_command(args)
             if direct is not None:
                 return direct

@@ -22,10 +22,13 @@ from fractions import Fraction
 from math import ceil
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import (
     BOTTOM,
     BitWord,
     FiniteDist,
+    GuardExceeded,
     InfeasibleParams,
     RngSeed,
 )
@@ -34,6 +37,9 @@ from .lecss import LecssCode, build_lecss_bits
 from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_permutation
 from .tamper import KEEP, SET0, SET1, BitTamperFn
 from . import schemes
+
+#: Most entries of the per-seed byte-scatter tables the batch kernels hold.
+DEFAULT_PERM_TABLE_GUARD = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -451,6 +457,7 @@ class ConcatCode(schemes.BitWordCodec):
         # outer decodes keyed by the reassembled sharing. Both are exact.
         self._sharing_cache: Dict[Tuple[int, int], int] = {}
         self._outer_cache: Dict[int, Optional[int]] = {}
+        self._scatter: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- layout helpers ---------------------------------------------------
 
@@ -530,6 +537,61 @@ class ConcatCode(schemes.BitWordCodec):
             return cache[sharing]
         out = self.lecss.decode_int(sharing)
         cache[sharing] = out
+        return out
+
+    # -- batch kernels ------------------------------------------------------
+
+    def _scatter_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Forward and inverse byte-scatter tables of every seed's
+        permutation, built on the first batch call. Row j of each is byte
+        j's table for every seed in turn: entry (z << 8) | byte."""
+        if self._scatter is None:
+            seeds = 1 << self.plan.seed_message_bits
+            nbytes = (self.payload_bits + 7) // 8
+            if seeds * nbytes * 256 > DEFAULT_PERM_TABLE_GUARD:
+                raise GuardExceeded(
+                    f"{seeds} seeds x {nbytes} bytes of permutation tables exceed guard {DEFAULT_PERM_TABLE_GUARD}"
+                )
+            fwd, inv = zip(*(self.perm_for(z).scatter_tables() for z in range(seeds)))
+            self._scatter = tuple(
+                np.array(t, dtype=np.uint64).transpose(1, 0, 2).reshape(nbytes, seeds * 256)
+                for t in (fwd, inv)
+            )
+        return self._scatter
+
+    @staticmethod
+    def _permute_many(tables: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        base = z.astype(np.uint64) << 8
+        acc = tables[0][base | (x & 0xFF)]
+        for j in range(1, len(tables)):
+            acc |= tables[j][base | ((x >> (8 * j)) & 0xFF)]
+        return acc
+
+    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        plan = self.plan
+        z = gen.integers(0, 1 << plan.seed_message_bits, size=len(msgs))
+        seed_words = self.seed_code.encode_many(z, gen)
+        sharing = self.lecss.encode_many(msgs, gen)
+        payload = np.zeros(len(msgs), dtype=np.uint64)
+        for i in range(plan.block_count):
+            blocks = (sharing >> (i * plan.block_in)) & self._in_mask
+            payload |= self.block_code.encode_many(blocks, gen) << (i * plan.block_out)
+        permuted = self._permute_many(self._scatter_tables()[0], z, payload)
+        return seed_words | (permuted << plan.seed_bits)
+
+    def decode_many(self, words: np.ndarray) -> np.ndarray:
+        plan = self.plan
+        z = self.seed_code.decode_many(words & self._seed_mask)
+        z[z < 0] = 0  # failed seed segments are identified with the zero seed
+        payload = self._permute_many(self._scatter_tables()[1], z, words >> plan.seed_bits)
+        sharing = np.zeros(len(words), dtype=np.uint64)
+        failed = np.zeros(len(words), dtype=bool)
+        for i in range(plan.block_count):
+            d = self.block_code.decode_many((payload >> (i * plan.block_out)) & self._block_mask)
+            failed |= d < 0
+            sharing |= (d & self._in_mask).astype(np.uint64) << (i * plan.block_in)
+        out = self.lecss.decode_many(sharing)
+        out[failed] = -1
         return out
 
     def encoding_count(self, s: int) -> int:

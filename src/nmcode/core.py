@@ -271,18 +271,24 @@ class FiniteDist:
         return cls({sym: Fraction(1)})
 
     @classmethod
-    def from_samples(cls, samples: Sequence[Symbol]) -> "FiniteDist":
-        if not samples:
-            raise ValueError("empty sample list")
-        counts: dict = {}
-        for sym in samples:
-            counts[sym] = counts.get(sym, 0) + 1
-        n = len(samples)
+    def from_counts(cls, counts: Mapping[Symbol, int]) -> "FiniteDist":
+        """Empirical distribution of integer outcome counts; the sample
+        count is their sum and zero counts are dropped."""
+        n = sum(counts.values())
+        if n <= 0:
+            raise ValueError("no samples counted")
         return cls(
             {sym: Fraction(c, n) for sym, c in counts.items()},
             kind="empirical",
             samples=n,
         )
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[Symbol]) -> "FiniteDist":
+        counts: dict = {}
+        for sym in samples:
+            counts[sym] = counts.get(sym, 0) + 1
+        return cls.from_counts(counts)
 
     @classmethod
     def uniform_messages(cls, k: int) -> "FiniteDist":

@@ -22,6 +22,8 @@ from itertools import combinations
 from math import ceil, comb, log2
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import (
     GuardExceeded,
     InfeasibleParams,
@@ -37,6 +39,7 @@ REJECTION_BUDGET = 1 << 16
 DEFAULT_CUBE_GUARD = 1 << 36
 DEFAULT_DETECTION_GUARD = 1 << 26
 DEFAULT_INDEP_GUARD = 1 << 24
+DEFAULT_DECODE_TABLE_GUARD = 1 << 20
 _REMOVED_SET_GUARD = 1 << 26
 
 
@@ -191,6 +194,7 @@ class InnerCode(BitWordCodec):
                     raise ValueError("duplicate codeword in codebook")
                 decode[w] = s
         self._decode = decode
+        self._tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- scheme interface ---------------------------------------------------
 
@@ -202,6 +206,27 @@ class InnerCode(BitWordCodec):
 
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         return self.codebook[s]
+
+    def _batch_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The codebook as a (2^k, t) uint64 array and the decode table
+        (message of every n-bit word, -1 off the code); built on first use."""
+        if self._tables is None:
+            if 1 << self.block_bits > DEFAULT_DECODE_TABLE_GUARD:
+                raise GuardExceeded(
+                    f"2^{self.block_bits}-entry decode table exceeds guard {DEFAULT_DECODE_TABLE_GUARD}"
+                )
+            book = np.array(self.codebook, dtype=np.uint64)
+            decode = np.full(1 << self.block_bits, -1, dtype=np.int64)
+            decode[book] = np.arange(len(book), dtype=np.int64)[:, None]
+            self._tables = (book, decode)
+        return self._tables
+
+    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        book, _ = self._batch_tables()
+        return book[msgs, gen.integers(0, self.params.t, size=len(msgs))]
+
+    def decode_many(self, words: np.ndarray) -> np.ndarray:
+        return self._batch_tables()[1][words]
 
     def min_pairwise_distance(self) -> int:
         words = [w for ws in self.codebook for w in ws]

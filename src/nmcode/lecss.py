@@ -18,13 +18,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import GuardExceeded, InfeasibleParams, PropertyReport, RngSeed, worst_marginal
 from .gf import GF2m, field, invert_matrix
 from .schemes import BitWordCodec
 
 DEFAULT_RANDOMNESS_GUARD = 1 << 20
+DEFAULT_CODEWORD_GUARD = 1 << 20
 
 
 class LecssCode(BitWordCodec):
@@ -53,6 +56,7 @@ class LecssCode(BitWordCodec):
         self.block_bits = n * m
         self.message_bits = (k - k0) * m
         self.randomness_count = self.q**k0
+        self._tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- derived parameters --------------------------------------------------
 
@@ -126,6 +130,43 @@ class LecssCode(BitWordCodec):
         for j, sym in enumerate(coeffs[self.k0 :]):
             msg |= sym << (j * self.m)
         return msg
+
+    def _codeword_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every codeword as a uint64 array, and the index of the codeword
+        through each value of the first k symbols; built on first use.
+
+        Entry v is the codeword whose coefficient vector has base-q digits
+        v (randomness symbols low, message symbols high), so entry
+        r + s*q^k0 is encode_with(s, digits of r); by linearity it is the
+        XOR over rows i of row i scaled by digit i. The code is MDS, so its
+        first k symbols determine a codeword, as in decode_int.
+        """
+        if self._tables is None:
+            total = self.q**self.k
+            if total > DEFAULT_CODEWORD_GUARD:
+                raise GuardExceeded(f"q^k = {total} codewords exceed guard {DEFAULT_CODEWORD_GUARD}")
+            index = np.arange(total, dtype=np.int64)
+            words = np.zeros(total, dtype=np.uint64)
+            for i, row in enumerate(self.generator):
+                scaled = [self.pack([self.field.mul(c, g) for g in row]) for c in range(self.q)]
+                digit = (index >> (i * self.m)) & (self.q - 1)
+                words ^= np.array(scaled, dtype=np.uint64)[digit]
+            by_prefix = np.empty(total, dtype=np.int64)
+            by_prefix[words & (total - 1)] = index
+            self._tables = (words, by_prefix)
+        return self._tables
+
+    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        words, _ = self._codeword_tables()
+        randomness = gen.integers(0, self.randomness_count, size=len(msgs))
+        return words[(msgs << (self.k0 * self.m)) | randomness]
+
+    def decode_many(self, words: np.ndarray) -> np.ndarray:
+        """Look up the codeword through the first k symbols; accept it when
+        the whole word matches (membership testing, as decode_int)."""
+        table, by_prefix = self._codeword_tables()
+        v = by_prefix[words & (len(table) - 1)]
+        return np.where(table[v] == words, v >> (self.k0 * self.m), -1)
 
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         if self.randomness_count > DEFAULT_RANDOMNESS_GUARD:

@@ -354,6 +354,7 @@ class ExtractorCode(schemes.BitWordCodec):
             if not bucket:
                 raise InfeasibleParams(f"output {s} has an empty preimage")
         self.buckets = [tuple(b) for b in buckets]
+        self._tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
 
     def encode_int(self, s: int, rng: random.Random) -> int:
         bucket = self.buckets[s]
@@ -367,6 +368,26 @@ class ExtractorCode(schemes.BitWordCodec):
 
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         return self.buckets[s]
+
+    def _batch_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(buckets laid end to end, bucket starts, bucket sizes, output of
+        every word) as numpy arrays; built on first use."""
+        if self._tables is None:
+            sizes = np.array([len(b) for b in self.buckets], dtype=np.int64)
+            starts = np.cumsum(sizes) - sizes
+            flat = np.array([w for b in self.buckets for w in b], dtype=np.uint64)
+            n = self.ext.n
+            w = np.arange(1 << self.block_bits, dtype=np.int64)
+            by_word = np.array(self.ext.entries, dtype=np.int64)[((w & ((1 << n) - 1)) << n) | (w >> n)]
+            self._tables = (flat, starts, sizes, by_word)
+        return self._tables
+
+    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        flat, starts, sizes, _ = self._batch_tables()
+        return flat[starts[msgs] + gen.integers(0, sizes[msgs])]
+
+    def decode_many(self, words: np.ndarray) -> np.ndarray:
+        return self._batch_tables()[3][words]
 
     def encoding_bias(self) -> Fraction:
         """Exact distance of the encoding of a uniform message from uniform.

@@ -120,6 +120,15 @@ class Permutation:
             x >>= 8
         return acc
 
+    def scatter_tables(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """The (forward, inverse) byte-scatter tables; table j maps byte j
+        of a word to the bits it lands on."""
+        if self._fwd_tables is None:
+            self._fwd_tables = self._build_tables(self.forward)
+        if self._inv_tables is None:
+            self._inv_tables = self._build_tables(self.inverse)
+        return self._fwd_tables, self._inv_tables
+
     def apply_int(self, x: int) -> int:
         if self._fwd_tables is None:
             self._fwd_tables = self._build_tables(self.forward)

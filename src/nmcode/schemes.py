@@ -7,6 +7,8 @@ through these experiments:
     encode_int(s, rng) -> int
     decode_int(w) -> int | None        (None encodes decoder failure)
     iter_encodings_int(s) -> iterable  (uniform support; exact mode only)
+    encode_many(msgs, gen) -> words    (sampled mode only)
+    decode_many(words) -> msgs         (-1 encodes decoder failure)
 
 The reference distribution for an adversary is built by the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
@@ -14,6 +16,12 @@ the decoder returns the original message, else the decoded value. The
 scheme's tampering error for the adversary is the worst statistical
 distance, over messages, between the tampered-decode distribution and the
 reference with SAME resolved to the message at hand.
+
+Exact mode enumerates encodings one Python int at a time. Sampled mode
+runs encode -> tamper -> decode on whole numpy arrays: words are uint64
+(so at most 64 bits wide), messages int64, and outcomes are counted with
+`np.bincount` into exact integer counts. Its randomness is one numpy
+generator per distribution, seeded with 128 bits of the caller's stream.
 """
 
 from __future__ import annotations
@@ -23,17 +31,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Protocol, Tuple
 
+import numpy as np
+
 from .core import (
     BOTTOM,
     SAME,
     BitWord,
     FiniteDist,
+    GuardExceeded,
     Symbol,
     confidence_radius,
     push_copy,
     statistical_distance,
 )
 from . import lp
+
+#: Widest word the batch kernels hold (one uint64 per word).
+MAX_WORD_BITS = 64
+#: Most samples encoded, tampered and decoded in one pass of the batch kernel.
+BATCH_ROWS = 1 << 16
 
 
 class CodingScheme(Protocol):
@@ -46,13 +62,19 @@ class CodingScheme(Protocol):
 
     def iter_encodings_int(self, s: int) -> Iterable[int]: ...
 
+    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray: ...
+
+    def decode_many(self, words: np.ndarray) -> np.ndarray: ...
+
 
 class BitWordCodec:
     """BitWord-level encode/decode on top of the int-level interface.
 
-    Subclasses provide message_bits, block_bits, encode_int and decode_int;
-    a word of the wrong length raises ValueError, and decoder failure
-    decodes to BOTTOM.
+    Subclasses provide message_bits, block_bits, encode_int and decode_int,
+    and the batch pair encode_many (int64 messages to uint64 words) and
+    decode_many (uint64 words to int64 messages, -1 on failure); a word of
+    the wrong length raises ValueError, and decoder failure decodes to
+    BOTTOM.
     """
 
     def encode(self, s: BitWord, rng: random.Random) -> BitWord:
@@ -74,6 +96,44 @@ def _outcome(scheme, tampered: int, s: int, k: int):
     if d == s:
         return SAME
     return BitWord(d, k)
+
+
+def _sampled_dist(
+    scheme, f, samples: int, rng: Optional[random.Random], message: Optional[int]
+) -> FiniteDist:
+    """`samples` runs of decode(f(encode(s))) through the batch kernels.
+
+    With message=None, s is drawn uniformly per run and a decode to the
+    drawn message counts as SAME; otherwise s is fixed and nothing is
+    marked. Count cells: 0 failure, 1 + m message m, 2^k + 1 SAME.
+    """
+    if rng is None:
+        raise ValueError("sampled mode needs an rng")
+    if scheme.block_bits > MAX_WORD_BITS:
+        raise GuardExceeded(
+            f"{scheme.block_bits}-bit words exceed the {MAX_WORD_BITS}-bit batch kernels"
+        )
+    k = scheme.message_bits
+    nmsg = 1 << k
+    gen = np.random.default_rng(rng.getrandbits(128))
+    counts = np.zeros(nmsg + 2, dtype=np.int64)
+    for done in range(0, samples, BATCH_ROWS):
+        rows = min(BATCH_ROWS, samples - done)
+        if message is None:
+            msgs = gen.integers(0, nmsg, size=rows)
+        else:
+            msgs = np.full(rows, message, dtype=np.int64)
+        cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, gen))) + 1
+        if message is None:
+            cells[cells == msgs + 1] = nmsg + 1
+        counts += np.bincount(cells, minlength=nmsg + 2)
+
+    def symbol(cell: int) -> Symbol:
+        return BOTTOM if cell == 0 else SAME if cell > nmsg else BitWord(cell - 1, k)
+
+    return FiniteDist.from_counts(
+        {symbol(int(i)): int(counts[i]) for i in np.flatnonzero(counts)}
+    )
 
 
 def reference_dist(
@@ -98,14 +158,7 @@ def reference_dist(
                 sym = _outcome(scheme, f.apply_int(w), s, k)
                 weights[sym] = weights.get(sym, Fraction(0)) + share
         return FiniteDist(weights)
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    draws = []
-    for _ in range(samples):
-        s = rng.getrandbits(k) if k else 0
-        w = scheme.encode_int(s, rng)
-        draws.append(_outcome(scheme, f.apply_int(w), s, k))
-    return FiniteDist.from_samples(draws)
+    return _sampled_dist(scheme, f, samples, rng, message=None)
 
 
 def tampered_output_dist(
@@ -116,25 +169,17 @@ def tampered_output_dist(
     rng: Optional[random.Random] = None,
 ) -> FiniteDist:
     """Distribution of decode(f(encode(s))); no SAME marking."""
+    if samples is not None:
+        return _sampled_dist(scheme, f, samples, rng, message=s)
     k = scheme.message_bits
-
-    def sym_of(w: int):
+    words = list(scheme.iter_encodings_int(s))
+    share = Fraction(1, len(words))
+    weights: Dict[object, Fraction] = {}
+    for w in words:
         d = scheme.decode_int(f.apply_int(w))
-        return BOTTOM if d is None else BitWord(d, k)
-
-    if samples is None:
-        words = list(scheme.iter_encodings_int(s))
-        share = Fraction(1, len(words))
-        weights: Dict[object, Fraction] = {}
-        for w in words:
-            sym = sym_of(w)
-            weights[sym] = weights.get(sym, Fraction(0)) + share
-        return FiniteDist(weights)
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    return FiniteDist.from_samples(
-        [sym_of(scheme.encode_int(s, rng)) for _ in range(samples)]
-    )
+        sym = BOTTOM if d is None else BitWord(d, k)
+        weights[sym] = weights.get(sym, Fraction(0)) + share
+    return FiniteDist(weights)
 
 
 @dataclass

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from .core import BitWord, GuardExceeded
 
 KEEP, FLIP, SET0, SET1 = 0, 1, 2, 3
@@ -68,6 +70,11 @@ class BitTamperFn:
 
     def apply_int(self, x: int) -> int:
         return ((x ^ self._flip) & self._keepflip) | self._set1
+
+    def apply_many(self, words: np.ndarray) -> np.ndarray:
+        """apply_int on a uint64 array of words (n <= 64)."""
+        keepflip = np.uint64(self._keepflip & ((1 << self.n) - 1))
+        return ((words ^ np.uint64(self._flip)) & keepflip) | np.uint64(self._set1)
 
     def apply(self, x: BitWord) -> BitWord:
         if len(x) != self.n:
@@ -145,7 +152,7 @@ def random_tamper(
 class SplitStateTamperFn:
     """Two arbitrary lookup tables, one per half of the word."""
 
-    __slots__ = ("n", "half", "f1", "f2", "fixed_point_free")
+    __slots__ = ("n", "half", "f1", "f2", "fixed_point_free", "_arrays")
 
     def __init__(
         self,
@@ -177,12 +184,22 @@ class SplitStateTamperFn:
         self.f1 = tuple(f1)
         self.f2 = tuple(f2)
         self.fixed_point_free = fixed_point_free
+        self._arrays = None
 
     def apply_int(self, x: int) -> int:
         mask = (1 << self.half) - 1
         lo = self.f1[x & mask]
         hi = self.f2[(x >> self.half) & mask]
         return lo | (hi << self.half)
+
+    def apply_many(self, words: np.ndarray) -> np.ndarray:
+        """apply_int on a uint64 array of words; the two tables become
+        numpy arrays on first use."""
+        if self._arrays is None:
+            self._arrays = (np.array(self.f1, dtype=np.uint64), np.array(self.f2, dtype=np.uint64))
+        t1, t2 = self._arrays
+        mask = np.uint64((1 << self.half) - 1)
+        return t1[words & mask] | (t2[(words >> self.half) & mask] << self.half)
 
     def apply(self, x: BitWord) -> BitWord:
         if len(x) != self.n:

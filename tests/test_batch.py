@@ -1,0 +1,210 @@
+"""Batch kernels of the sampled experiments against the per-word path.
+
+Every `encode_many`/`decode_many`/`apply_many` must agree exactly with
+`encode_int`/`decode_int`/`apply_int`; the sampled distributions built on
+them must sit within a Hoeffding union bound of the exact ones.
+"""
+
+import random
+from math import log, sqrt
+
+import numpy as np
+import pytest
+
+from nmcode import schemes
+from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
+from nmcode.core import BOTTOM, SAME, BitWord, GuardExceeded, RngSeed
+from nmcode.inner import InnerCode, InnerParams, sample_inner_code
+from nmcode.lecss import LecssCode
+from nmcode.nmext import ExtractorCode, sample_random_extractor
+from nmcode.tamper import (
+    BitTamperFn,
+    case1_family,
+    random_split_tamper,
+    random_tamper,
+)
+
+KEEP_HEAVY = (0.92, 0.0, 0.08)
+
+
+def _as_ints(decoded):
+    return [-1 if d is None else d for d in decoded]
+
+
+def _check_codec(code, messages, words):
+    """decode_many == decode_int on `words`; encode_many draws lie in
+    iter_encodings_int and decode back."""
+    words = np.asarray(words, dtype=np.uint64)
+    assert code.decode_many(words).tolist() == _as_ints(code.decode_int(int(w)) for w in words)
+    gen = np.random.default_rng(7)
+    msgs = np.asarray(messages, dtype=np.int64)
+    drawn = code.encode_many(msgs, gen)
+    assert drawn.dtype == np.uint64
+    assert (code.decode_many(drawn) == msgs).all()
+    support = {s: set(code.iter_encodings_int(s)) for s in set(messages)}
+    assert all(int(w) in support[int(s)] for w, s in zip(drawn, msgs))
+
+
+@pytest.fixture(scope="module")
+def concat_code():
+    return build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4100))
+
+
+@pytest.fixture(scope="module")
+def concat_encodings(concat_code):
+    """Every encoding of every message, as one uint64 array per message."""
+    return [
+        np.fromiter(concat_code.iter_encodings_int(s), dtype=np.uint64)
+        for s in range(1 << concat_code.message_bits)
+    ]
+
+
+@pytest.fixture(scope="module")
+def adversaries(concat_code):
+    rng = random.Random(4101)
+    case1 = [f for _, f in case1_family(concat_code, 4, rng)]
+    keep = [random_tamper(concat_code.block_bits, KEEP_HEAVY, rng) for _ in range(4)]
+    return case1 + keep
+
+
+class TestConcatKernels:
+    def test_decode_many_matches_decode_int_on_encodings_and_images(
+        self, concat_code, concat_encodings, adversaries
+    ):
+        words = np.concatenate(concat_encodings)
+        memo = {}
+
+        def reference(ws):
+            out = []
+            for w in ws.tolist():
+                if w not in memo:
+                    memo[w] = concat_code.decode_int(w)
+                out.append(memo[w])
+            return _as_ints(out)
+
+        assert concat_code.decode_many(words).tolist() == reference(words)
+        for f in adversaries:
+            images = np.unique(f.apply_many(words))
+            assert concat_code.decode_many(images).tolist() == reference(images), f
+
+    def test_decode_many_matches_decode_int_on_uniform_words(self, concat_code):
+        gen = np.random.default_rng(4102)
+        words = gen.integers(0, 1 << concat_code.block_bits, size=100_000, dtype=np.uint64)
+        expected = _as_ints(concat_code.decode_int(int(w)) for w in words)
+        assert concat_code.decode_many(words).tolist() == expected
+
+    def test_bincount_of_encodings_equals_exact_outcome_dist(
+        self, concat_code, concat_encodings, adversaries
+    ):
+        k = concat_code.message_bits
+        for f in adversaries:
+            for s in (0, 91, 200):
+                words = concat_encodings[s]
+                counts = np.bincount(concat_code.decode_many(f.apply_many(words)) + 1,
+                                     minlength=(1 << k) + 1)
+                exact = concat_code.exact_outcome_dist(f, s)
+                for cell in range((1 << k) + 1):
+                    sym = BOTTOM if cell == 0 else BitWord(cell - 1, k)
+                    assert exact.prob(sym) * len(words) == counts[cell], (f, s, cell)
+
+    def test_encode_many_draws_encodings_of_the_message(self, concat_code, concat_encodings):
+        gen = np.random.default_rng(4103)
+        msgs = gen.integers(0, 1 << concat_code.message_bits, size=5000)
+        drawn = concat_code.encode_many(msgs, gen)
+        assert (concat_code.decode_many(drawn) == msgs).all()
+        support = [set(e.tolist()) for e in concat_encodings]
+        assert all(w in support[s] for w, s in zip(drawn.tolist(), msgs.tolist()))
+        # The randomness reaches every encoder choice of a message.
+        many = concat_code.encode_many(np.zeros(40_000, dtype=np.int64), gen)
+        assert len(set(many.tolist())) == len(support[0])
+
+
+class TestComponentKernels:
+    def test_inner_code(self):
+        code = sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4110))
+        _check_codec(code, list(range(8)) * 50, range(1 << 8))
+
+    def test_lecss_code(self):
+        code = LecssCode(m=4, n=4, k=3, k0=1)
+        rng = random.Random(4111)
+        _check_codec(code, [rng.getrandbits(8) for _ in range(2000)], range(1 << 16))
+        sharing = [code.encode_int(rng.getrandbits(8), rng) for _ in range(1000)]
+        _check_codec(code, [0], sharing)
+
+    def test_extractor_code(self):
+        code = ExtractorCode(sample_random_extractor(4, 2, RngSeed.from_int(4112)))
+        _check_codec(code, list(range(4)) * 100, range(1 << 8))
+
+    def test_bit_tamper_apply_many(self):
+        rng = random.Random(4113)
+        words = [rng.getrandbits(40) for _ in range(2000)]
+        for profile in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.4, 0.3, 0.3)):
+            f = random_tamper(40, profile, rng)
+            got = f.apply_many(np.array(words, dtype=np.uint64)).tolist()
+            assert got == [f.apply_int(w) for w in words]
+        f = random_tamper(64, (0.4, 0.3, 0.3), rng)
+        wide = [rng.getrandbits(64) for _ in range(2000)]
+        assert f.apply_many(np.array(wide, dtype=np.uint64)).tolist() == [f.apply_int(w) for w in wide]
+
+    def test_split_tamper_apply_many(self):
+        rng = random.Random(4114)
+        for fpf in (False, True):
+            f = random_split_tamper(8, fpf, rng)
+            words = np.arange(1 << 8, dtype=np.uint64)
+            assert f.apply_many(words).tolist() == [f.apply_int(w) for w in range(1 << 8)]
+
+
+class TestSampledMode:
+    def test_sampled_reference_within_hoeffding_union_bound(self, concat_code, adversaries):
+        samples, eta = 20_000, 1e-6
+        k = concat_code.message_bits
+        cells = [BOTTOM, SAME] + [BitWord(m, k) for m in range(1 << k)]
+        # Each cell's frequency is within this of its probability except
+        # with chance eta / len(cells); a union over the cells gives 1 - eta.
+        bound = sqrt(log(2 * len(cells) / eta) / (2 * samples))
+        for i, f in enumerate((adversaries[0], adversaries[4], adversaries[5])):
+            exact = schemes.reference_dist(concat_code, f)
+            sampled = schemes.reference_dist(
+                concat_code, f, samples=samples, rng=RngSeed.from_int(4120 + i).stream()
+            )
+            assert sampled.samples == samples
+            worst = max(abs(float(sampled.prob(c) - exact.prob(c))) for c in cells)
+            assert worst <= bound, (f, worst, bound)
+
+    def test_same_seed_same_report_and_id_selects_stream(self, concat_code, adversaries):
+        f = adversaries[5]
+
+        def run(adversary_id):
+            return attack_experiment(
+                concat_code, f, messages=[3, 77], samples=500,
+                seed=RngSeed.from_int(4130), adversary_id=adversary_id,
+            )
+
+        assert run("a") == run("a")
+        assert run("a").reference != run("b").reference
+
+    def test_words_over_64_bits_raise_before_sampling(self):
+        code = InnerCode(InnerParams(n=65, k=1, t=1), [[0], [1]])
+        rng = RngSeed.from_int(4140).stream()
+        state = rng.getstate()
+        with pytest.raises(GuardExceeded, match="65-bit"):
+            schemes.reference_dist(code, BitTamperFn.identity(65), samples=10, rng=rng)
+        with pytest.raises(GuardExceeded, match="65-bit"):
+            schemes.tampered_output_dist(code, BitTamperFn.identity(65), 0, samples=10, rng=rng)
+        assert rng.getstate() == state
+
+    def test_oversized_tables_raise(self):
+        wide_inner = InnerCode(InnerParams(n=21, k=1, t=1), [[0], [1]])
+        with pytest.raises(GuardExceeded):
+            wide_inner.decode_many(np.zeros(1, dtype=np.uint64))
+        big_lecss = LecssCode(m=5, n=6, k=5, k0=1)  # 32^5 = 2^25 codewords
+        with pytest.raises(GuardExceeded):
+            big_lecss.decode_many(np.zeros(1, dtype=np.uint64))
+
+    def test_samples_beyond_one_pass_are_chunked(self, monkeypatch):
+        code = sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4150))
+        f = BitTamperFn.from_str("KKF0KKK1")
+        monkeypatch.setattr(schemes, "BATCH_ROWS", 64)
+        dist = schemes.reference_dist(code, f, samples=1000, rng=RngSeed.from_int(4151).stream())
+        assert dist.samples == 1000
+        assert sum(p for _, p in dist.items()) == 1

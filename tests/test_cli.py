@@ -11,6 +11,7 @@ from nmcode.cli import (
     run_config,
     validate_config,
 )
+from nmcode.concat import build_concat
 from nmcode.core import RngSeed
 
 
@@ -96,6 +97,28 @@ class TestRunConfig:
         assert len(csv) == 3
         assert report["results"]["rows"][0]["samples"] == 300
 
+    def test_attack_builds_the_code_once(self, monkeypatch):
+        from nmcode import cli
+
+        built = []
+
+        def counting_build(plan, seed):
+            built.append(seed)
+            return build_concat(plan, seed)
+
+        monkeypatch.setattr(cli, "build_concat", counting_build)
+        cli._attack_code.cache_clear()
+        config = {
+            "operation": "concat-attack",
+            "seed": 5,
+            "params": {"adversaries": 4, "messages": 2},
+            "samples": 200,
+        }
+        first = run_config(config)
+        assert built == [RngSeed.from_int(5).child(0)]
+        cli._attack_code.cache_clear()
+        assert run_config(config)["results"] == first["results"]
+
     def test_parallel_jobs_agree_with_serial(self):
         config = {
             "operation": "inner-verify",
@@ -143,7 +166,7 @@ class TestMainEntry:
         args = build_parser().parse_args(["concat", "plan", "--seed", "7", "--jobs", "2"])
         assert (args.seed, args.jobs) == ("7", 2)
         args = build_parser().parse_args(["concat", "plan"])
-        assert (args.seed, args.jobs, args.config, args.out) == (None, 1, None, None)
+        assert (args.seed, args.jobs, args.config, args.out) == (None, None, None, None)
 
     def test_explicit_seed_one_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -152,6 +175,18 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == "1"
         assert main(["--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 12
+
+    def test_explicit_jobs_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12, "jobs": 2,
+                                   "params": {"toy": True}}))
+        assert main(["--config", str(cfg), "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 1
+        assert main(["--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["jobs"] == min(2, os.cpu_count() or 1)
+        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12, "params": {"toy": True}}))
+        assert main(["--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 1
 
     def test_guard_override_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -203,6 +203,14 @@ class TestEmpiricalDist:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             FiniteDist.from_samples([])
+        with pytest.raises(ValueError):
+            FiniteDist.from_counts({BOTTOM: 0})
+
+    def test_from_counts_matches_from_samples(self):
+        s = bw("1")
+        d = FiniteDist.from_counts({s: 3, BOTTOM: 1, SAME: 0})
+        assert d == FiniteDist.from_samples([s, BOTTOM, s, s])
+        assert d.samples == 4 and set(d.support()) == {s, BOTTOM}
 
     def test_large_fair_coin_sample_near_uniform(self):
         # Independent concentration check: 1e5 draws land within the
