@@ -12,6 +12,7 @@ simplex solver and a brute-force grid in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .core import SAME, NmcodeError
@@ -24,41 +25,61 @@ class LpInfeasible(NmcodeError):
     pass
 
 
-def _pivot(tab: List[List[Fraction]], basis: List[int], row: int, col: int) -> None:
-    piv = tab[row][col]
-    inv = _ONE / piv
-    tab[row] = [v * inv for v in tab[row]]
+def _pivot(tab: List[List[int]], basis: List[int], row: int, col: int, det: int) -> int:
+    """Integer-preserving pivot; returns the new basis determinant.
+
+    Every row r stands for the rational row tab[r] / det. Pivoting keeps
+    the pivot row as it is, makes its pivot entry p the new determinant,
+    and sets each other row to (p*a - f*b) // det, a division that is
+    exact because every entry is a minor of the integer input matrix
+    (Edmonds 1967; Bareiss 1968). The pivot must be positive.
+    """
     prow = tab[row]
+    p = prow[col]
     for r, line in enumerate(tab):
-        if r != row and line[col] != 0:
-            f = line[col]
-            tab[r] = [a - f * b for a, b in zip(line, prow)]
+        if r == row:
+            continue
+        f = line[col]
+        if f:
+            tab[r] = [(p * a - f * b) // det for a, b in zip(line, prow)]
+        elif p != det:
+            tab[r] = [p * a // det for a in line]
     basis[row] = col
+    return p
 
 
-def _simplex(tab: List[List[Fraction]], basis: List[int], ncols: int) -> None:
-    # Bland's rule on both choices: guaranteed termination.
+def _simplex(tab: List[List[int]], basis: List[int], ncols: int, det: int) -> int:
+    # Bland's rule on both choices: guaranteed termination. The common
+    # positive denominator det cancels from every sign test and ratio.
     while True:
         obj = tab[-1]
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
-            return
+            return det
         best_row = None
-        best_ratio = None
         for r in range(len(tab) - 1):
             a = tab[r][col]
             if a > 0:
-                ratio = tab[r][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[best_row])
-                ):
-                    best_ratio = ratio
+                if best_row is None:
+                    best_row = r
+                    continue
+                # ratio tab[r][-1] / a against the best, cross-multiplied.
+                lhs = tab[r][-1] * tab[best_row][col]
+                rhs = tab[best_row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
                     best_row = r
         if best_row is None:
             raise LpInfeasible("objective unbounded below")
-        _pivot(tab, basis, best_row, col)
+        det = _pivot(tab, basis, best_row, col, det)
+
+
+def _lcm_of_denominators(values) -> int:
+    return lcm(*{v.denominator for v in values})
+
+
+def _scaled(values, scale: int) -> List[int]:
+    """Rationals times `scale`, a multiple of each denominator, as ints."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve_lp(
@@ -70,20 +91,23 @@ def solve_lp(
 ) -> Tuple[Fraction, List[Fraction]]:
     """Minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
 
-    Two-phase simplex over Fractions. Returns (optimal value, solution).
+    Two-phase simplex with Bland's rule on an integer tableau: every
+    constraint row is scaled by one common lcm of denominators, the
+    artificial columns stay at 1 so the basis determinant starts at 1, and
+    pivots are fraction-free. Returns (optimal value, solution) as exact
+    Fractions, built once at the end.
     """
     n = len(c)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
     nslack = len(a_ub)
+    scale = _lcm_of_denominators([v for row in (*a_ub, *a_eq) for v in row] + [*b_ub, *b_eq])
+    rows: List[List[int]] = []
     for i, row in enumerate(a_ub):
-        line = [Fraction(v) for v in row] + [_ZERO] * nslack
-        line[n + i] = _ONE
+        line = _scaled(row, scale) + [0] * nslack
+        line[n + i] = scale
         rows.append(line)
-        rhs.append(Fraction(b_ub[i]))
-    for i, row in enumerate(a_eq):
-        rows.append([Fraction(v) for v in row] + [_ZERO] * nslack)
-        rhs.append(Fraction(b_eq[i]))
+    for row in a_eq:
+        rows.append(_scaled(row, scale) + [0] * nslack)
+    rhs = _scaled([*b_ub, *b_eq], scale)
     m = len(rows)
     total = n + nslack
     # Normalize to nonnegative rhs, then add artificials for phase 1.
@@ -91,22 +115,19 @@ def solve_lp(
         if rhs[i] < 0:
             rows[i] = [-v for v in rows[i]]
             rhs[i] = -rhs[i]
-    width = total + m + 1
-    tab: List[List[Fraction]] = []
+    tab: List[List[int]] = []
     basis: List[int] = []
     for i in range(m):
-        line = rows[i] + [_ZERO] * m + [rhs[i]]
-        line[total + i] = _ONE
+        line = rows[i] + [0] * m + [rhs[i]]
+        line[total + i] = 1
         tab.append(line)
         basis.append(total + i)
-    phase1 = [_ZERO] * width
+    # Phase-1 cost 1 per artificial, reduced against the artificial basis.
+    phase1 = [-sum(col) for col in zip([0] * (total + m + 1), *tab)]
     for i in range(m):
-        phase1 = [a - b for a, b in zip(phase1, tab[i])]
-    # Artificial columns contribute cost 1 each; cancel them in the objective row.
-    for i in range(m):
-        phase1[total + i] += _ONE
+        phase1[total + i] = 0
     tab.append(phase1)
-    _simplex(tab, basis, total)
+    det = _simplex(tab, basis, total, 1)
     # Objective-row invariant: last entry holds minus the current value.
     if tab[-1][-1] < 0:
         raise LpInfeasible("no feasible point")
@@ -115,22 +136,27 @@ def solve_lp(
         if basis[r] >= total:
             col = next((j for j in range(total) if tab[r][j] != 0), None)
             if col is not None:
-                _pivot(tab, basis, r, col)
+                if tab[r][col] < 0:
+                    # Negating the row keeps the determinant positive; the
+                    # pivot divides the row by its pivot entry either way.
+                    tab[r] = [-v for v in tab[r]]
+                det = _pivot(tab, basis, r, col, det)
     tab.pop()
-    obj = [Fraction(v) for v in c] + [_ZERO] * (nslack + m) + [_ZERO]
+    cost_scale = _lcm_of_denominators(c)
+    cost = _scaled(c, cost_scale) + [0] * (nslack + m)
     # Express the objective in terms of the nonbasic variables.
+    obj = [det * v for v in cost] + [0]
     for r in range(m):
-        j = basis[r]
-        if obj[j] != 0:
-            f = obj[j]
+        f = cost[basis[r]]
+        if f:
             obj = [a - f * b for a, b in zip(obj, tab[r])]
     tab.append(obj)
-    _simplex(tab, basis, total)
+    det = _simplex(tab, basis, total, det)
     solution = [_ZERO] * n
     for r in range(m):
         if basis[r] < n:
-            solution[basis[r]] = tab[r][-1]
-    return -tab[-1][-1], solution
+            solution[basis[r]] = Fraction(tab[r][-1], det)
+    return Fraction(-tab[-1][-1], det * cost_scale), solution
 
 
 # ---------------------------------------------------------------------------

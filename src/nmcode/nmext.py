@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import log2
+from math import comb, log2
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +32,10 @@ from . import schemes
 
 EXTRACTION_GUARD_N = 8
 STRICT_GUARD_N = 6
+# Flat source pairs one relaxed_error_sweep may visit.
+DEFAULT_SWEEP_GUARD = 1 << 20
+# (x, y) cells per chunk of relaxed_error_sweep.
+_SWEEP_CHUNK_CELLS = 1 << 16
 
 PATTERNS = ("first-only", "second-only", "both")
 
@@ -446,7 +450,9 @@ def verify_reduction(
     rng = seed.stream("nmext.reduction")
     code = ExtractorCode(ext)
     full = FlatSourcePair.full(ext.n)
-    eps_ext = check_extraction(ext, full)
+    # Taken from the first strict verdict, which computes it anyway;
+    # computed here only when there are no adversaries.
+    eps_ext: Optional[Fraction] = None
     size = 1 << ext.n
     blowup = (1 << ext.m) + 1
     rows: List[ReductionRow] = []
@@ -454,6 +460,8 @@ def verify_reduction(
         f1 = [rng.randrange(size) for _ in range(size)]
         f2 = [rng.randrange(size) for _ in range(size)]
         verdict = check_strict_nm(ext, full, f1, f2)
+        if eps_ext is None:
+            eps_ext = verdict.extraction_distance
         eps_f = max(eps_ext, verdict.nm_distances["both"])
         adv = SplitStateTamperFn(f1, f2)
         code_err, _ = schemes.optimal_nm_error(code, adv)
@@ -465,6 +473,8 @@ def verify_reduction(
                 bound=eps_f * blowup,
             )
         )
+    if eps_ext is None:
+        eps_ext = check_extraction(ext, full)
     return ReductionReport(extraction_distance=eps_ext, rows=rows)
 
 
@@ -515,6 +525,45 @@ def _supports_of_min_size(n: int, min_size: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _max_fraction(num: np.ndarray, den: np.ndarray) -> Tuple[int, int]:
+    """Exact maximum of num/den (den > 0) over flat int64 arrays: a
+    pairwise tournament of cross-multiplied comparisons."""
+    while num.size > 1:
+        half = num.size // 2
+        a_n, a_d, b_n, b_d = num[:half], den[:half], num[half : 2 * half], den[half : 2 * half]
+        take = b_n * a_d > a_n * b_d
+        num = np.concatenate([np.where(take, b_n, a_n), num[2 * half :]])
+        den = np.concatenate([np.where(take, b_d, a_d), den[2 * half :]])
+    return int(num[0]), int(den[0])
+
+
+def _copy_distance_m1(c01, c11, r0, r1, total):
+    """`min_copy_distance_m1` on (x, y) cell counts, elementwise: returns
+    (numerator, denominator) int64 arrays of the exact distance.
+
+    c01 and c11 count pairs whose tampered output is 1 with output 0 and
+    1; r0 and r1 count output 0 and 1. The distance is 0 when either
+    output is missing or c10*r0 + c01*r1 <= r0*r1, and otherwise the least
+    of the objective at the four breakpoints v = 0, 1, c01/r0 and
+    1 - c10/r1.
+    """
+    c00 = r0 - c01
+    c10 = r1 - c11
+    cands = [
+        (c01 + c11, total),
+        (c00 + c10, total),
+        (np.abs(r1 * c01 - c11 * r0), total * r0),
+        (np.abs(r0 * c10 - c00 * r1), total * r1),
+    ]
+    num, den = cands[0]
+    for n, d in cands[1:]:
+        take = n * den < num * d
+        num = np.where(take, n, num)
+        den = np.where(take, d, den)
+    zero = (r0 == 0) | (r1 == 0) | (c10 * r0 + c01 * r1 <= r0 * r1)
+    return np.where(zero, 0, num), np.where(zero, 1, den)
+
+
 def relaxed_error_sweep(
     ext: ExtractorTable,
     f1: Sequence[int],
@@ -525,58 +574,72 @@ def relaxed_error_sweep(
     max(extraction distance, per-pattern optimal reference distance),
     for the fixed-point-free tamperings (f1, f2).
 
-    Exhaustive over source pairs; exact (integer counts feed exact
-    arithmetic). Only m = 1 tables are supported, which keeps the
-    per-pair minimization in closed form.
+    Exhaustive over source pairs and exact. With S the 0/1 incidence
+    matrix of the supports, every (x-support, y-support) cell count is an
+    entry of S @ M @ S.T for a 0/1 table M; the closed form of
+    `min_copy_distance_m1` runs on those int64 counts and values are
+    compared by cross-multiplication (every product stays below 2^50 at
+    n <= 6), so one Fraction is built, for the maximum. x-supports run in
+    chunks of rows, so memory does not grow with the support count. The
+    witness is the first pair in (x, y) order reaching the maximum, with
+    the first kind reaching the pair's value in the order extraction,
+    first-only, second-only, both; it is empty when the maximum is 0.
+    Only m = 1 tables are supported, which keeps the per-pair
+    minimization in closed form.
     """
     if ext.m != 1:
         raise GuardExceeded("sweep supports single-bit outputs only")
     if ext.n > STRICT_GUARD_N:
         raise GuardExceeded(f"sweep guard is n <= {STRICT_GUARD_N}")
+    if min_support < 1:
+        raise ValueError("min_support must be at least 1")
     size = 1 << ext.n
+    count = sum(comb(size, k) for k in range(min_support, size + 1))
+    if count * count > DEFAULT_SWEEP_GUARD:
+        raise GuardExceeded(
+            f"{count * count} support pairs exceed sweep guard {DEFAULT_SWEEP_GUARD}"
+        )
+    if count == 0:
+        return Fraction(0), {}
+    supports = _supports_of_min_size(ext.n, min_support)
+    incidence = np.zeros((len(supports), size), dtype=np.int64)
+    for i, s in enumerate(supports):
+        incidence[i, list(s)] = 1
     table = ext.as_array()
     f1a = np.asarray(f1, dtype=np.int64)
     f2a = np.asarray(f2, dtype=np.int64)
-    pattern_tables = {
-        "first-only": table[f1a, :],
-        "second-only": table[:, f2a],
-        "both": table[f1a, :][:, f2a],
-    }
-    supports = _supports_of_min_size(ext.n, min_support)
-    idx = [np.asarray(s, dtype=np.int64) for s in supports]
-    worst = Fraction(0)
+    # Right factors M @ S.T: the output, then per pattern the cells with
+    # tampered output 1 under output 0 and under output 1.
+    right = [table @ incidence.T]
+    for tampered in (table[f1a, :], table[:, f2a], table[f1a, :][:, f2a]):
+        right += [((1 - table) * tampered) @ incidence.T, (table * tampered) @ incidence.T]
+    sizes = incidence.sum(axis=1)
+    kinds = ("extraction",) + PATTERNS
+    rows = max(1, _SWEEP_CHUNK_CELLS // len(supports))
+    worst_num, worst_den = 0, 1
     witness: dict = {}
-    for xi, xs in enumerate(idx):
-        a_rows = table[xs, :]
-        p_rows = {name: t[xs, :] for name, t in pattern_tables.items()}
-        for yi, ys in enumerate(idx):
-            a = a_rows[:, ys]
-            total = a.size
-            ones = int(a.sum())
-            local = uniform_distance((ones, total - ones), total, 2)
-            local_pat = "extraction"
-            for name, t in p_rows.items():
-                b = t[:, ys]
-                cells = np.bincount((a * 2 + b).ravel(), minlength=4)
-                joint = {
-                    (0, 0): Fraction(int(cells[0]), total),
-                    (0, 1): Fraction(int(cells[1]), total),
-                    (1, 0): Fraction(int(cells[2]), total),
-                    (1, 1): Fraction(int(cells[3]), total),
-                }
-                marg = {
-                    0: joint[(0, 0)] + joint[(0, 1)],
-                    1: joint[(1, 0)] + joint[(1, 1)],
-                }
-                val, _ = min_copy_distance_m1(joint, marg)
-                if val > local:
-                    local = val
-                    local_pat = name
-            if local > worst:
-                worst = local
-                witness = {
-                    "x_support": supports[xi],
-                    "y_support": supports[yi],
-                    "pattern": local_pat,
-                }
-    return worst, witness
+    for lo in range(0, len(supports), rows):
+        chunk = incidence[lo : lo + rows]
+        ones, *cells = (chunk @ r for r in right)
+        total = np.outer(sizes[lo : lo + rows], sizes)
+        r0 = total - ones
+        best_num, best_den = np.abs(2 * ones - total), 2 * total
+        best_kind = np.zeros(ones.shape, dtype=np.int64)
+        for k in range(len(PATTERNS)):
+            num, den = _copy_distance_m1(cells[2 * k], cells[2 * k + 1], r0, ones, total)
+            better = num * best_den > best_num * den
+            best_num = np.where(better, num, best_num)
+            best_den = np.where(better, den, best_den)
+            best_kind = np.where(better, k + 1, best_kind)
+        best_num, best_den = best_num.ravel(), best_den.ravel()
+        num, den = _max_fraction(best_num, best_den)
+        if num * worst_den > worst_num * den:
+            worst_num, worst_den = num, den
+            first = int(np.argmax(best_num * den == num * best_den))
+            xi, yi = divmod(first, len(supports))
+            witness = {
+                "x_support": supports[lo + xi],
+                "y_support": supports[yi],
+                "pattern": kinds[int(best_kind.ravel()[first])],
+            }
+    return Fraction(worst_num, worst_den), witness

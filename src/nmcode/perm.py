@@ -236,22 +236,28 @@ def test_lwise_dependence(
     else:
         chosen = all_sets
 
+    tallies: List[Dict[Tuple[int, ...], int]] = [{} for _ in chosen]
+
+    def tally(perm: Permutation, counts: Dict[Tuple[int, ...], int], t_set) -> None:
+        key = tuple(perm.forward[t] for t in t_set)
+        counts[key] = counts.get(key, 0) + 1
+
+    if exhaustive:
+        # One derivation per seed serves every index set.
+        total = space
+        for z in range(space):
+            perm = derive(spec, z)
+            for counts, t_set in zip(tallies, chosen):
+                tally(perm, counts, t_set)
+    else:
+        # Fresh seeds per index set, drawn set by set.
+        total = trials
+        for counts, t_set in zip(tallies, chosen):
+            for _ in range(trials):
+                tally(derive(spec, spec.sample_seed(rng)), counts, t_set)
     worst = Fraction(0)
     witness: Optional[Tuple[int, ...]] = None
-    for t_set in chosen:
-        counts: Dict[Tuple[int, ...], int] = {}
-        if exhaustive:
-            total = space
-            for z in range(space):
-                perm = derive(spec, z)
-                key = tuple(perm.forward[t] for t in t_set)
-                counts[key] = counts.get(key, 0) + 1
-        else:
-            total = trials
-            for _ in range(trials):
-                perm = derive(spec, spec.sample_seed(rng))
-                key = tuple(perm.forward[t] for t in t_set)
-                counts[key] = counts.get(key, 0) + 1
+    for counts, t_set in zip(tallies, chosen):
         dist = uniform_distance(counts.values(), total, cells)
         if dist > worst:
             worst = dist

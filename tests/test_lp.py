@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nmcode.core import SAME
+from nmcode import lp, nmext
+from nmcode.core import SAME, RngSeed
 from nmcode.lp import (
     LpInfeasible,
     copy_distance,
@@ -15,6 +16,157 @@ from nmcode.lp import (
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the two-phase Fraction simplex that solve_lp replaced.
+# Same tableau layout, phases, drive-out step and Bland's rule, one
+# Fraction per cell; solve_lp must return identical (value, solution).
+# ---------------------------------------------------------------------------
+
+
+def _oracle_pivot(tab, basis, row, col):
+    inv = 1 / tab[row][col]
+    tab[row] = [v * inv for v in tab[row]]
+    prow = tab[row]
+    for r, line in enumerate(tab):
+        if r != row and line[col] != 0:
+            f = line[col]
+            tab[r] = [a - f * b for a, b in zip(line, prow)]
+    basis[row] = col
+
+
+def _oracle_simplex(tab, basis, ncols):
+    while True:
+        obj = tab[-1]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return
+        best_row = best_ratio = None
+        for r in range(len(tab) - 1):
+            a = tab[r][col]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[best_row])
+                ):
+                    best_ratio, best_row = ratio, r
+        if best_row is None:
+            raise LpInfeasible("objective unbounded below")
+        _oracle_pivot(tab, basis, best_row, col)
+
+
+def oracle_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    n, nslack = len(c), len(a_ub)
+    rows, rhs = [], []
+    for i, row in enumerate(a_ub):
+        line = [F(v) for v in row] + [F(0)] * nslack
+        line[n + i] = F(1)
+        rows.append(line)
+        rhs.append(F(b_ub[i]))
+    for i, row in enumerate(a_eq):
+        rows.append([F(v) for v in row] + [F(0)] * nslack)
+        rhs.append(F(b_eq[i]))
+    m, total = len(rows), n + nslack
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    tab, basis = [], []
+    for i in range(m):
+        line = rows[i] + [F(0)] * m + [rhs[i]]
+        line[total + i] = F(1)
+        tab.append(line)
+        basis.append(total + i)
+    phase1 = [F(0)] * (total + m + 1)
+    for i in range(m):
+        phase1 = [a - b for a, b in zip(phase1, tab[i])]
+    for i in range(m):
+        phase1[total + i] += 1
+    tab.append(phase1)
+    _oracle_simplex(tab, basis, total)
+    if tab[-1][-1] < 0:
+        raise LpInfeasible("no feasible point")
+    for r in range(m):
+        if basis[r] >= total:
+            col = next((j for j in range(total) if tab[r][j] != 0), None)
+            if col is not None:
+                _oracle_pivot(tab, basis, r, col)
+    tab.pop()
+    obj = [F(v) for v in c] + [F(0)] * (nslack + m + 1)
+    for r in range(m):
+        f = obj[basis[r]]
+        if f != 0:
+            obj = [a - f * b for a, b in zip(obj, tab[r])]
+    tab.append(obj)
+    _oracle_simplex(tab, basis, total)
+    solution = [F(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            solution[basis[r]] = tab[r][-1]
+    return -tab[-1][-1], solution
+
+
+def _solve_both(args):
+    """(solve_lp result, oracle result), or the exception type each raised."""
+    out = []
+    for fn in (solve_lp, oracle_solve_lp):
+        try:
+            out.append(fn(*args))
+        except LpInfeasible:
+            out.append(LpInfeasible)
+    return out
+
+
+def _random_lp(rng):
+    """A small LP with rational entries; most are feasible by construction
+    (the right-hand sides are taken at a random point x >= 0), and some
+    repeat an equality, which leaves an artificial basic after phase 1."""
+    nv, nub, neq = rng.randint(1, 6), rng.randint(0, 5), rng.randint(0, 3)
+
+    def q():
+        return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+
+    c = [q() for _ in range(nv)]
+    a_ub = [[q() for _ in range(nv)] for _ in range(nub)]
+    a_eq = [[q() for _ in range(nv)] for _ in range(neq)]
+    if rng.random() < 0.8:
+        x = [abs(q()) for _ in range(nv)]
+        b_ub = [sum(a * v for a, v in zip(row, x)) + abs(q()) for row in a_ub]
+        b_eq = [sum(a * v for a, v in zip(row, x)) for row in a_eq]
+    else:
+        b_ub = [q() for _ in range(nub)]
+        b_eq = [q() for _ in range(neq)]
+    if a_eq and rng.random() < 0.3:
+        k = rng.choice([-2, -1, F(1, 2), 3])
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    if rng.random() < 0.7:
+        a_ub.append([F(1)] * nv)
+        b_ub.append(F(rng.randint(1, 12)))
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def _reduction_lps(n, m, tables, adversaries):
+    """Every solve_lp call of verify_reduction (the same_minimax LPs of
+    optimal_nm_error, and of min_copy_distance at m >= 2)."""
+    seen = []
+    original = lp.solve_lp
+
+    def record(*args):
+        seen.append(args)
+        return original(*args)
+
+    lp.solve_lp = record
+    try:
+        for i in range(tables):
+            table = nmext.sample_random_extractor(n, m, RngSeed.from_int(300 + 10 * n + i))
+            nmext.verify_reduction(table, adversaries, RngSeed.from_int(400 + 10 * m + i))
+    finally:
+        lp.solve_lp = original
+    return seen
 
 
 class TestSimplex:
@@ -66,6 +218,37 @@ class TestSimplex:
             )
             assert ref.success
             assert abs(float(v) - ref.fun) < 1e-9
+
+
+class TestOracle:
+    def test_random_lps_match_fraction_simplex(self):
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(200):
+            args = _random_lp(rng)
+            got, want = _solve_both(args)
+            assert got == want, args
+            outcomes.add(want if want is LpInfeasible else "optimal")
+        assert outcomes == {LpInfeasible, "optimal"}
+
+    @pytest.mark.parametrize("n, m, tables, adversaries", [
+        (3, 1, 4, 4), (3, 2, 2, 1), (4, 1, 4, 3), (4, 2, 2, 1),
+    ])
+    def test_reduction_lps_match_fraction_simplex(self, n, m, tables, adversaries):
+        instances = _reduction_lps(n, m, tables, adversaries)
+        assert len(instances) >= tables * adversaries
+        for args in instances:
+            got, want = _solve_both(args)
+            assert got == want
+
+    def test_negative_drive_out_pivot(self):
+        # -x0 - x1 = 0: phase 1 ends with that row's artificial basic at 0
+        # and entry -1 under x0, so the drive-out step pivots on a negative
+        # entry; phase 2 then still has to pivot on x1 and keep x2 at 3.
+        args = ([F(2), F(-2), F(-1)], [[F(0), F(0), F(1)]], [F(3)],
+                [[F(-1), F(-1), F(0)]], [F(0)])
+        got, want = _solve_both(args)
+        assert got == want == (F(-3), [F(0), F(0), F(3)])
 
 
 def random_joint(rng, m=1):

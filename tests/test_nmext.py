@@ -1,7 +1,9 @@
 import io
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from nmcode.core import (
@@ -12,9 +14,11 @@ from nmcode.core import (
     GuardExceeded,
     InfeasibleParams,
     RngSeed,
+    uniform_distance,
 )
-from nmcode.lp import copy_distance, min_copy_distance
+from nmcode.lp import copy_distance, min_copy_distance, min_copy_distance_m1
 from nmcode.nmext import (
+    DEFAULT_SWEEP_GUARD,
     ExtractorCode,
     ExtractorTable,
     FlatSourcePair,
@@ -31,7 +35,49 @@ from nmcode.nmext import (
     verify_reduction,
 )
 from nmcode.tamper import SplitStateTamperFn
+from nmcode import nmext as nmext_module
 from nmcode import schemes
+
+
+def oracle_relaxed_error_sweep(ext, f1, f2, min_support):
+    """The per-pair Fraction loop that relaxed_error_sweep replaced: one
+    bincount and one min_copy_distance_m1 call per (pair, pattern)."""
+    table = ext.as_array()
+    f1a, f2a = np.asarray(f1), np.asarray(f2)
+    pattern_tables = {
+        "first-only": table[f1a, :],
+        "second-only": table[:, f2a],
+        "both": table[f1a, :][:, f2a],
+    }
+    space = range(1 << ext.n)
+    supports = [s for k in range(min_support, (1 << ext.n) + 1) for s in combinations(space, k)]
+    idx = [np.asarray(s) for s in supports]
+    worst = Fraction(0)
+    witness = {}
+    for xi, xs in enumerate(idx):
+        a_rows = table[xs, :]
+        p_rows = {name: t[xs, :] for name, t in pattern_tables.items()}
+        for yi, ys in enumerate(idx):
+            a = a_rows[:, ys]
+            total = a.size
+            ones = int(a.sum())
+            local = uniform_distance((ones, total - ones), total, 2)
+            local_pat = "extraction"
+            for name, t in p_rows.items():
+                cells = np.bincount((a * 2 + t[:, ys]).ravel(), minlength=4)
+                joint = {(i >> 1, i & 1): Fraction(int(cells[i]), total) for i in range(4)}
+                marg = {0: joint[(0, 0)] + joint[(0, 1)], 1: joint[(1, 0)] + joint[(1, 1)]}
+                val, _ = min_copy_distance_m1(joint, marg)
+                if val > local:
+                    local, local_pat = val, name
+            if local > worst:
+                worst = local
+                witness = {
+                    "x_support": supports[xi],
+                    "y_support": supports[yi],
+                    "pattern": local_pat,
+                }
+    return worst, witness
 
 
 def oracle_extraction_distance(table, src):
@@ -309,6 +355,70 @@ class TestSweep:
         with pytest.raises(GuardExceeded):
             relaxed_error_sweep(table, [0] * 8, [0] * 8, min_support=4)
 
+    def test_support_pair_guard(self):
+        # n=4: 697 supports of size >= 13 fit under the guard, the 2517 of
+        # size >= 12 do not, and the sweep refuses them before building.
+        assert 697**2 <= DEFAULT_SWEEP_GUARD < 2517**2
+        table = sample_random_extractor(4, 1, RngSeed.from_int(53))
+        fpf = [(x + 1) % 16 for x in range(16)]
+        worst, witness = relaxed_error_sweep(table, fpf, fpf, min_support=13)
+        assert 0 < worst <= 1 and len(witness["x_support"]) >= 13
+        with pytest.raises(GuardExceeded, match="6335289 support pairs"):
+            relaxed_error_sweep(table, fpf, fpf, min_support=12)
+
+    def test_support_bounds(self):
+        table = sample_random_extractor(3, 1, RngSeed.from_int(54))
+        fpf = [(x + 1) % 8 for x in range(8)]
+        assert relaxed_error_sweep(table, fpf, fpf, min_support=9) == (0, {})
+        with pytest.raises(ValueError):
+            relaxed_error_sweep(table, fpf, fpf, min_support=0)
+
+    @staticmethod
+    def _inputs(n, seed):
+        size = 1 << n
+        rng = random.Random(seed)
+        table = sample_random_extractor(n, 1, RngSeed.from_int(seed))
+        f1 = repair_fixed_points([rng.randrange(size) for _ in range(size)], size)
+        f2 = repair_fixed_points([rng.randrange(size) for _ in range(size)], size)
+        return table, f1, f2
+
+    @pytest.mark.parametrize("n, min_support, seeds", [
+        (3, 1, [55]), (3, 4, [56]), (3, 6, range(58, 66)),
+        (3, 8, range(66, 74)), (4, 14, [74]),
+    ])
+    def test_matches_fraction_oracle(self, n, min_support, seeds):
+        for seed in seeds:
+            table, f1, f2 = self._inputs(n, seed)
+            got = relaxed_error_sweep(table, f1, f2, min_support)
+            assert got == oracle_relaxed_error_sweep(table, f1, f2, min_support)
+
+    def test_tied_kinds_keep_the_first(self):
+        # A symmetric table with f1 == f2 gives the full pair identical
+        # first-only and second-only counts; the witness names the first.
+        rng = random.Random(1)
+        bits = {}
+        entries = [
+            bits.setdefault((min(x, y), max(x, y)), rng.getrandbits(1))
+            for x in range(8) for y in range(8)
+        ]
+        table = ExtractorTable(3, 1, entries)
+        f = repair_fixed_points([rng.randrange(8) for _ in range(8)], 8)
+        opt = check_relaxed_nm(table, FlatSourcePair.full(3), f, f).optimal_distances
+        assert opt["first-only"] == opt["second-only"]
+        worst, witness = relaxed_error_sweep(table, f, f, min_support=8)
+        assert (worst, witness["pattern"]) == (Fraction(29, 192), "first-only")
+        assert (worst, witness) == oracle_relaxed_error_sweep(table, f, f, 8)
+
+    def test_chunks_give_the_same_result(self, monkeypatch):
+        # Chunks of 1 and of 7 x-supports (37 supports at min_support 6)
+        # against the single chunk; witnesses must agree too.
+        table, f1, f2 = self._inputs(3, 75)
+        whole = relaxed_error_sweep(table, f1, f2, min_support=6)
+        assert whole[1]
+        for cells in (1, 7 * 37):
+            monkeypatch.setattr(nmext_module, "_SWEEP_CHUNK_CELLS", cells)
+            assert relaxed_error_sweep(table, f1, f2, min_support=6) == whole
+
 
 class TestRateTargetPlan:
     def test_inequality_chain_validated(self):
@@ -361,6 +471,21 @@ class TestPinnedOptima:
     def test_optimal_nm_error(self, m, i, value):
         table = sample_random_extractor(3, m, RngSeed.from_int(70 + 10 * m + i))
         f1, f2 = self._adversary(80 + 10 * m + i)
+        err, ref = schemes.optimal_nm_error(ExtractorCode(table), SplitStateTamperFn(f1, f2))
+        assert err == value
+        assert sum(p for _, p in ref.items()) == 1
+
+    @pytest.mark.parametrize(
+        "m, i, value",
+        [(1, 1, Fraction(601, 16359)), (1, 2, Fraction(659, 32670)),
+         (2, 0, Fraction(31, 324)), (2, 1, Fraction(23, 236)),
+         (2, 2, Fraction(60379, 908208))],
+    )
+    def test_optimal_nm_error_n4(self, m, i, value):
+        # Pinned from the Fraction simplex that preceded the integer one.
+        table = sample_random_extractor(4, m, RngSeed.from_int(170 + 10 * m + i))
+        rng = random.Random(180 + 10 * m + i)
+        f1, f2 = [rng.randrange(16) for _ in range(16)], [rng.randrange(16) for _ in range(16)]
         err, ref = schemes.optimal_nm_error(ExtractorCode(table), SplitStateTamperFn(f1, f2))
         assert err == value
         assert sum(p for _, p in ref.items()) == 1
