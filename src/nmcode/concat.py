@@ -24,14 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    BOTTOM,
-    BitWord,
-    FiniteDist,
-    GuardExceeded,
-    InfeasibleParams,
-    RngSeed,
-)
+from .core import FiniteDist, GuardExceeded, InfeasibleParams, RngSeed
 from .inner import InnerCode, InnerParams, plan_inner_params, sample_inner_code
 from .lecss import LecssCode, build_lecss_bits
 from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_permutation
@@ -453,10 +446,6 @@ class ConcatCode(schemes.BitWordCodec):
         self._seed_mask = (1 << plan.seed_bits) - 1
         self._block_mask = (1 << plan.block_out) - 1
         self._in_mask = (1 << plan.block_in) - 1
-        # Hot-path caches: sharings keyed by (message, randomness index) and
-        # outer decodes keyed by the reassembled sharing. Both are exact.
-        self._sharing_cache: Dict[Tuple[int, int], int] = {}
-        self._outer_cache: Dict[int, Optional[int]] = {}
         self._scatter: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- layout helpers ---------------------------------------------------
@@ -492,25 +481,13 @@ class ConcatCode(schemes.BitWordCodec):
 
     # -- scheme interface --------------------------------------------------
 
-    def _sharing_for(self, s: int, ridx: int) -> int:
-        key = (s, ridx)
-        sharing = self._sharing_cache.get(key)
-        if sharing is None:
-            q = self.lecss.q
-            randomness = []
-            r = ridx
-            for _ in range(self.lecss.k0):
-                randomness.append(r % q)
-                r //= q
-            sharing = self.lecss.encode_with(s, randomness)
-            self._sharing_cache[key] = sharing
-        return sharing
-
     def encode_int(self, s: int, rng: random.Random) -> int:
         plan = self.plan
         z = rng.getrandbits(plan.seed_message_bits)
         seed_word = self.seed_code.encode_int(z, rng)
-        sharing = self._sharing_for(s, rng.randrange(self.lecss.randomness_count))
+        q = self.lecss.q
+        r = rng.randrange(self.lecss.randomness_count)
+        sharing = self.lecss.encode_with(s, [r // q**i % q for i in range(self.lecss.k0)])
         payload = 0
         for i in range(plan.block_count):
             block = (sharing >> (i * plan.block_in)) & self._in_mask
@@ -532,12 +509,7 @@ class ConcatCode(schemes.BitWordCodec):
             if d is None:
                 return None
             sharing |= d << (i * plan.block_in)
-        cache = self._outer_cache
-        if sharing in cache:
-            return cache[sharing]
-        out = self.lecss.decode_int(sharing)
-        cache[sharing] = out
-        return out
+        return self.lecss.decode_int(sharing)
 
     # -- batch kernels ------------------------------------------------------
 
@@ -603,6 +575,26 @@ class ConcatCode(schemes.BitWordCodec):
             * plan.inner.t**plan.block_count
         )
 
+    def encodings_many(self, s: int) -> np.ndarray:
+        """Every encoding of s in iter_encodings_int order (seeds, seed
+        codewords, sharings, then block-codeword choices with the first
+        block slowest), built from the component tables."""
+        plan = self.plan
+        book = self.block_code._batch_tables()[0]
+        sharings = self.lecss.encodings_many(s)
+        choices = np.unravel_index(
+            np.arange(plan.inner.t**plan.block_count), (plan.inner.t,) * plan.block_count
+        )
+        payload = np.zeros((len(sharings), len(choices[0])), dtype=np.uint64)
+        for i, c in enumerate(choices):
+            blocks = (sharings >> (i * plan.block_in)) & self._in_mask
+            payload |= book[blocks[:, None], c] << (i * plan.block_out)
+        seeds = 1 << plan.seed_message_bits
+        z = np.repeat(np.arange(seeds), payload.size)
+        permuted = self._permute_many(self._scatter_tables()[0], z, np.tile(payload.ravel(), seeds))
+        seed_words = self.seed_code._batch_tables()[0]
+        return (seed_words[:, :, None] | (permuted.reshape(seeds, 1, -1) << plan.seed_bits)).ravel()
+
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         plan = self.plan
         from itertools import product
@@ -627,26 +619,8 @@ class ConcatCode(schemes.BitWordCodec):
     # -- exact experiments ------------------------------------------------
 
     def exact_outcome_dist(self, f, s: int) -> FiniteDist:
-        """Exact distribution of decode(tamper(encode(s))) by enumerating
-        every encoder choice; tampered decodes are memoized."""
-        memo: Dict[int, Optional[int]] = {}
-        counts: Dict[Optional[int], int] = {}
-        total = 0
-        for w in self.iter_encodings_int(s):
-            tw = f.apply_int(w)
-            if tw in memo:
-                out = memo[tw]
-            else:
-                out = self.decode_int(tw)
-                memo[tw] = out
-            counts[out] = counts.get(out, 0) + 1
-            total += 1
-        k = self.message_bits
-        probs: Dict[object, Fraction] = {}
-        for out, c in counts.items():
-            sym = BOTTOM if out is None else BitWord(out, k)
-            probs[sym] = Fraction(c, total)
-        return FiniteDist(probs)
+        """Exact distribution of decode(tamper(encode(s))) over every encoder choice."""
+        return schemes.tampered_output_dist(self, f, s)
 
 
 def build_concat(plan: ConcatPlan, seed: RngSeed) -> ConcatCode:

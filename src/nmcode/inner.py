@@ -33,7 +33,7 @@ from .core import (
     worst_marginal,
 )
 from .schemes import BitWordCodec
-from .tamper import BitTamperFn, enumerate_bit_tampers
+from .tamper import FLIP, KEEP, SET0, SET1, BitTamperFn
 
 REJECTION_BUDGET = 1 << 16
 DEFAULT_CUBE_GUARD = 1 << 36
@@ -41,6 +41,8 @@ DEFAULT_DETECTION_GUARD = 1 << 26
 DEFAULT_INDEP_GUARD = 1 << 24
 DEFAULT_DECODE_TABLE_GUARD = 1 << 20
 _REMOVED_SET_GUARD = 1 << 26
+#: Most count cells one chunk of the cube and detection sweeps holds.
+_CHUNK_CELLS = 1 << 16
 
 
 def binary_entropy(p: float) -> float:
@@ -207,6 +209,12 @@ class InnerCode(BitWordCodec):
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         return self.codebook[s]
 
+    def encoding_count(self, s: int) -> int:
+        return self.params.t
+
+    def encodings_many(self, s: int) -> np.ndarray:
+        return self._batch_tables()[0][s]
+
     def _batch_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """The codebook as a (2^k, t) uint64 array and the decode table
         (message of every n-bit word, -1 off the code); built on first use."""
@@ -338,37 +346,47 @@ def verify_cube_property(
 
     A sub-cube freezes a subset of coordinates to fixed bits and leaves the
     rest uniform. Only cubes containing at least one codeword can violate
-    the bound, so the sweep walks (codeword, frozen-subset) pairs instead
-    of all 3^n cubes; the count is exact either way.
+    the bound, so the sweep counts, for each chunk of frozen masks, the
+    codewords in every (mask, frozen values) cube with one bincount. A cube
+    of size 2^(n - |mask|) holding h codewords fails with fraction
+    1 - (h << |mask|) / 2^n, so the worst cube has the largest h << |mask|,
+    compared as integers. Ties go to the cube the codeword order reaches
+    first: the least codeword index it holds, then the least mask.
     """
     n = code.params.n
     if (3**n) * (1 << n) > guard:
         raise GuardExceeded(
             f"3^{n} * 2^{n} exceeds guard {guard}; use a sampled check instead"
         )
-    counts: Dict[Tuple[int, int], int] = {}
-    words = [w for ws in code.codebook for w in ws]
-    for w in words:
-        for frozen_mask in range(1 << n):
-            key = (frozen_mask, w & frozen_mask)
-            counts[key] = counts.get(key, 0) + 1
-    worst: Fraction = Fraction(1)
-    witness: Optional[Tuple[int, int]] = None
+    words = np.array([w for ws in code.codebook for w in ws], dtype=np.int64)
     full = (1 << n) - 1
-    for (mask, vals), hits in counts.items():
-        if mask == full:
-            continue  # single-point cube, size < 2
-        size = 1 << (n - mask.bit_count())
-        bottom_frac = Fraction(size - hits, size)
-        if bottom_frac < worst:
-            worst = bottom_frac
-            witness = (mask, vals)
+    per_chunk = max(1, _CHUNK_CELLS >> n)
+    best = 0  # largest h << |mask| so far
+    witness: Optional[Tuple[int, int]] = None  # (codeword index, mask)
+    # The full mask freezes single points (size < 2) and is skipped.
+    for lo in range(0, full, per_chunk):
+        masks = np.arange(lo, min(lo + per_chunk, full), dtype=np.int64)
+        vals = words[None, :] & masks[:, None]
+        keys = (np.arange(len(masks))[:, None] << n) | vals
+        hits = np.bincount(keys.ravel(), minlength=len(masks) << n).reshape(len(masks), -1)
+        popcount = sum((masks >> b) & 1 for b in range(n))
+        score = hits << popcount[:, None]
+        top = int(score.max())
+        if top < best:
+            continue
+        in_top = np.take_along_axis(score, vals, axis=1) == top
+        i = int(in_top.any(axis=0).argmax())
+        first = (i, int(masks[in_top[:, i].argmax()]))
+        if top > best or first < witness:
+            best, witness = top, first
+    worst = Fraction(full + 1 - best, full + 1)
     passed = worst >= Fraction(1, 2)
     counterexample = None
-    if not passed and witness is not None:
+    if not passed:
+        i, mask = witness
         counterexample = {
-            "frozen_mask": witness[0],
-            "frozen_values": witness[1],
+            "frozen_mask": mask,
+            "frozen_values": int(words[i]) & mask,
             "bottom_fraction": float(worst),
         }
     return PropertyReport(
@@ -422,6 +440,20 @@ def verify_bounded_independence(
     )
 
 
+def _detection_misses(code: InnerCode, acts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Decoder failures per (adversary, message) over every codeword of the
+    message, for per-bit adversaries given as rows of actions, and which
+    rows are neither the identity nor constant."""
+    book, decode = code._batch_tables()
+    bits = 1 << np.arange(code.params.n, dtype=np.int64)
+    flip, set0, set1 = (((acts == a) * bits).sum(axis=1) for a in (FLIP, SET0, SET1))
+    words = book.ravel().astype(np.int64)
+    tampered = ((words ^ flip[:, None]) & ~(set0 | set1)[:, None]) | set1[:, None]
+    misses = (decode[tampered] < 0).reshape(len(acts), *book.shape).sum(axis=2)
+    tested = (acts != KEEP).any(axis=1) & ~(acts >= SET0).all(axis=1)
+    return misses, tested
+
+
 def verify_error_detection(
     code: InnerCode,
     sample_fns: Optional[int] = None,
@@ -432,20 +464,29 @@ def verify_error_detection(
     message to decoder failure with probability >= 1/3.
 
     The probability is exact over the encoder's uniform codeword choice.
-    Exhaustive over all 4^n adversaries by default; `sample_fns` switches
-    to uniformly sampled adversaries when the sweep would exceed the guard.
+    Exhaustive over all 4^n adversaries by default, in base-4 counting
+    order; `sample_fns` switches to uniformly sampled adversaries when the
+    sweep would exceed the guard. Adversaries run in chunks through the
+    dense decode table; the witness is the first strict minimum in
+    (adversary, message) order.
     """
     p = code.params
     threshold = Fraction(1, 3)
+    per_chunk = max(1, _CHUNK_CELLS // p.codeword_count)
 
-    def fns() -> Iterable[BitTamperFn]:
+    def chunks() -> Iterable[np.ndarray]:
         if sample_fns is None:
-            yield from enumerate_bit_tampers(p.n, guard=guard * 4)
+            shifts = 2 * np.arange(p.n, dtype=np.int64)
+            for lo in range(0, 4**p.n, per_chunk):
+                codes = np.arange(lo, min(lo + per_chunk, 4**p.n), dtype=np.int64)
+                yield (codes[:, None] >> shifts) & 3
         else:
-            if rng is None:
-                raise ValueError("sampled mode needs an rng")
-            for _ in range(sample_fns):
-                yield BitTamperFn([rng.randrange(4) for _ in range(p.n)])
+            for lo in range(0, sample_fns, per_chunk):
+                rows = min(per_chunk, sample_fns - lo)
+                yield np.array(
+                    [[rng.randrange(4) for _ in range(p.n)] for _ in range(rows)],
+                    dtype=np.int64,
+                )
 
     if sample_fns is None:
         work = (4**p.n) * p.codeword_count
@@ -454,26 +495,24 @@ def verify_error_detection(
                 f"exhaustive sweep size {work} exceeds guard {guard}; "
                 "pass sample_fns for the sampled fallback"
             )
+    elif rng is None:
+        raise ValueError("sampled mode needs an rng")
 
-    worst = Fraction(1)
+    fewest = p.t  # failure probability 1 until a tested pair falls below it
     witness = None
     tested = 0
-    for f in fns():
-        if f.is_identity() or f.is_constant():
-            continue
-        tested += 1
-        for s, words in enumerate(code.codebook):
-            misses = 0
-            for w in words:
-                if code.decode_int(f.apply_int(w)) is None:
-                    misses += 1
-            frac = Fraction(misses, p.t)
-            if frac < worst:
-                worst = frac
-                witness = (f.to_str(), s)
+    for acts in chunks():
+        misses, ok = _detection_misses(code, acts)
+        tested += int(ok.sum())
+        misses[~ok] = p.t
+        row, s = divmod(int(misses.argmin()), misses.shape[1])
+        if misses[row, s] < fewest:
+            fewest = int(misses[row, s])
+            witness = (BitTamperFn(acts[row].tolist()).to_str(), s)
+    worst = Fraction(fewest, p.t)
     passed = worst >= threshold
     counterexample = None
-    if not passed and witness is not None:
+    if not passed:
         counterexample = {
             "adversary": witness[0],
             "message": witness[1],

@@ -168,6 +168,18 @@ class LecssCode(BitWordCodec):
         v = by_prefix[words & (len(table) - 1)]
         return np.where(table[v] == words, v >> (self.k0 * self.m), -1)
 
+    def encoding_count(self, s: int) -> int:
+        return self.randomness_count
+
+    def encodings_many(self, s: int) -> np.ndarray:
+        """Every encoding of s in iter_encodings_int order: rows s*q^k0 + r
+        of the codeword table, the randomness digits of r in product order
+        (first symbol slowest)."""
+        words, _ = self._codeword_tables()
+        digits = np.unravel_index(np.arange(self.randomness_count), (self.q,) * self.k0)
+        r = sum(d << (i * self.m) for i, d in enumerate(digits))
+        return words[(s << (self.k0 * self.m)) | r]
+
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         if self.randomness_count > DEFAULT_RANDOMNESS_GUARD:
             raise GuardExceeded(

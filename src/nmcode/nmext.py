@@ -373,6 +373,13 @@ class ExtractorCode(schemes.BitWordCodec):
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         return self.buckets[s]
 
+    def encoding_count(self, s: int) -> int:
+        return len(self.buckets[s])
+
+    def encodings_many(self, s: int) -> np.ndarray:
+        flat, starts, sizes, _ = self._batch_tables()
+        return flat[starts[s] : starts[s] + sizes[s]]
+
     def _batch_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(buckets laid end to end, bucket starts, bucket sizes, output of
         every word) as numpy arrays; built on first use."""

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     BitWord,
@@ -217,6 +217,8 @@ def test_lwise_dependence(
     uniform-permutation marginal. When the backend's accepted seed space
     is small enough the sweep enumerates it and the distance is exact;
     otherwise `trials` seeds are drawn and a confidence radius is attached.
+    Either way each seed's permutation is derived once and tallied for
+    every index set.
     `derive_fn` substitutes a custom derivation (degenerate controls in
     tests).
     """
@@ -243,18 +245,15 @@ def test_lwise_dependence(
         counts[key] = counts.get(key, 0) + 1
 
     if exhaustive:
-        # One derivation per seed serves every index set.
         total = space
-        for z in range(space):
-            perm = derive(spec, z)
-            for counts, t_set in zip(tallies, chosen):
-                tally(perm, counts, t_set)
+        seeds: Iterable[int] = range(space)
     else:
-        # Fresh seeds per index set, drawn set by set.
         total = trials
+        seeds = (spec.sample_seed(rng) for _ in range(trials))
+    for z in seeds:
+        perm = derive(spec, z)
         for counts, t_set in zip(tallies, chosen):
-            for _ in range(trials):
-                tally(derive(spec, spec.sample_seed(rng)), counts, t_set)
+            tally(perm, counts, t_set)
     worst = Fraction(0)
     witness: Optional[Tuple[int, ...]] = None
     for counts, t_set in zip(tallies, chosen):

@@ -1,14 +1,18 @@
 """Scheme-generic tamper experiments.
 
-Any coding scheme exposing the small int-level interface below can be run
-through these experiments:
+Any coding scheme exposing the small interface below can be run through
+these experiments:
 
     message_bits, block_bits : int
     encode_int(s, rng) -> int
     decode_int(w) -> int | None        (None encodes decoder failure)
-    iter_encodings_int(s) -> iterable  (uniform support; exact mode only)
-    encode_many(msgs, gen) -> words    (sampled mode only)
+    encode_many(msgs, gen) -> words    (sampled mode)
     decode_many(words) -> msgs         (-1 encodes decoder failure)
+    encoding_count(s) -> int           (exact mode: size of the support)
+    encodings_many(s) -> words         (exact mode: every encoding of s)
+
+`iter_encodings_int(s)` yields the words of `encodings_many(s)` one Python
+int at a time; the tests use it as the reference for `encodings_many`.
 
 The reference distribution for an adversary is built by the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
@@ -17,15 +21,18 @@ scheme's tampering error for the adversary is the worst statistical
 distance, over messages, between the tampered-decode distribution and the
 reference with SAME resolved to the message at hand.
 
-Exact mode enumerates encodings one Python int at a time. Sampled mode
-runs encode -> tamper -> decode on whole numpy arrays: words are uint64
-(so at most 64 bits wide), messages int64, and outcomes are counted with
-`np.bincount` into exact integer counts. Its randomness is one numpy
-generator per distribution, seeded with 128 bits of the caller's stream.
+Both modes run encode -> tamper -> decode on whole numpy arrays: words are
+uint64 (so at most 64 bits wide), messages int64, and outcomes are counted
+with `np.bincount` into exact integer counts; `Fraction`s are built once,
+from the counts. Exact mode enumerates every encoding of every message
+through `encodings_many` and weighs each message by 1/2^k. Sampled mode
+draws its runs with one numpy generator per distribution, seeded with 128
+bits of the caller's stream.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,12 +51,15 @@ from .core import (
     push_copy,
     statistical_distance,
 )
+from .tamper import BitTamperFn
 from . import lp
 
 #: Widest word the batch kernels hold (one uint64 per word).
 MAX_WORD_BITS = 64
 #: Most samples encoded, tampered and decoded in one pass of the batch kernel.
 BATCH_ROWS = 1 << 16
+#: Most encodings of one message that exact mode enumerates.
+MAX_EXACT_ENCODINGS = 1 << 20
 
 
 class CodingScheme(Protocol):
@@ -60,11 +70,13 @@ class CodingScheme(Protocol):
 
     def decode_int(self, w: int) -> Optional[int]: ...
 
-    def iter_encodings_int(self, s: int) -> Iterable[int]: ...
-
     def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray: ...
 
     def decode_many(self, words: np.ndarray) -> np.ndarray: ...
+
+    def encoding_count(self, s: int) -> int: ...
+
+    def encodings_many(self, s: int) -> np.ndarray: ...
 
 
 class BitWordCodec:
@@ -89,13 +101,16 @@ class BitWordCodec:
         return BOTTOM if d is None else BitWord(d, self.message_bits)
 
 
-def _outcome(scheme, tampered: int, s: int, k: int):
-    d = scheme.decode_int(tampered)
-    if d is None:
-        return BOTTOM
-    if d == s:
-        return SAME
-    return BitWord(d, k)
+def _check_word_bits(scheme) -> None:
+    if scheme.block_bits > MAX_WORD_BITS:
+        raise GuardExceeded(
+            f"{scheme.block_bits}-bit words exceed the {MAX_WORD_BITS}-bit batch kernels"
+        )
+
+
+def _symbol(cell: int, k: int) -> Symbol:
+    """Outcome of a count cell: 0 failure, 1 + m message m, 2^k + 1 SAME."""
+    return BOTTOM if cell == 0 else SAME if cell > 1 << k else BitWord(cell - 1, k)
 
 
 def _sampled_dist(
@@ -105,14 +120,11 @@ def _sampled_dist(
 
     With message=None, s is drawn uniformly per run and a decode to the
     drawn message counts as SAME; otherwise s is fixed and nothing is
-    marked. Count cells: 0 failure, 1 + m message m, 2^k + 1 SAME.
+    marked.
     """
     if rng is None:
         raise ValueError("sampled mode needs an rng")
-    if scheme.block_bits > MAX_WORD_BITS:
-        raise GuardExceeded(
-            f"{scheme.block_bits}-bit words exceed the {MAX_WORD_BITS}-bit batch kernels"
-        )
+    _check_word_bits(scheme)
     k = scheme.message_bits
     nmsg = 1 << k
     gen = np.random.default_rng(rng.getrandbits(128))
@@ -127,12 +139,47 @@ def _sampled_dist(
         if message is None:
             cells[cells == msgs + 1] = nmsg + 1
         counts += np.bincount(cells, minlength=nmsg + 2)
-
-    def symbol(cell: int) -> Symbol:
-        return BOTTOM if cell == 0 else SAME if cell > nmsg else BitWord(cell - 1, k)
-
     return FiniteDist.from_counts(
-        {symbol(int(i)): int(counts[i]) for i in np.flatnonzero(counts)}
+        {_symbol(int(i), k): int(counts[i]) for i in np.flatnonzero(counts)}
+    )
+
+
+def _exact_dist(scheme, f, message: Optional[int]) -> FiniteDist:
+    """Exact distribution of decode(f(encode(s))) over every encoder choice.
+
+    With message=None, s runs over every message at weight 1/2^k and a
+    decode to s counts as SAME; otherwise s is fixed and nothing is marked.
+    Each encoding of s carries weight 1/encoding_count(s). Outcomes are
+    counted per encoding count and the counts are combined over the lcm of
+    the encoding counts, so the probabilities are exact.
+    """
+    _check_word_bits(scheme)
+    k = scheme.message_bits
+    nmsg = 1 << k
+    messages = range(nmsg) if message is None else (message,)
+    sizes = [scheme.encoding_count(s) for s in messages]
+    if max(sizes) > MAX_EXACT_ENCODINGS:
+        raise GuardExceeded(
+            f"{max(sizes)} encodings of one message exceed guard {MAX_EXACT_ENCODINGS}"
+        )
+    counts: Dict[int, np.ndarray] = {}  # encoding count -> outcome counts
+    for s, size in zip(messages, sizes):
+        words = scheme.encodings_many(s)
+        acc = counts.setdefault(size, np.zeros(nmsg + 2, dtype=np.int64))
+        for lo in range(0, size, BATCH_ROWS):
+            cells = scheme.decode_many(f.apply_many(words[lo : lo + BATCH_ROWS])) + 1
+            if message is None:
+                cells[cells == s + 1] = nmsg + 1
+            acc += np.bincount(cells, minlength=nmsg + 2)
+    lcm = math.lcm(*counts)
+    denom = lcm * len(messages)
+    return FiniteDist(
+        {
+            _symbol(int(i), k): Fraction(
+                sum(int(acc[i]) * (lcm // size) for size, acc in counts.items()), denom
+            )
+            for i in np.flatnonzero(sum(counts.values()))
+        }
     )
 
 
@@ -147,17 +194,8 @@ def reference_dist(
     Exact mode (samples=None) enumerates every message and every encoder
     choice; sampled mode draws `samples` runs of the experiment.
     """
-    k = scheme.message_bits
     if samples is None:
-        weights: Dict[object, Fraction] = {}
-        nmsg = 1 << k
-        for s in range(nmsg):
-            words = list(scheme.iter_encodings_int(s))
-            share = Fraction(1, nmsg * len(words))
-            for w in words:
-                sym = _outcome(scheme, f.apply_int(w), s, k)
-                weights[sym] = weights.get(sym, Fraction(0)) + share
-        return FiniteDist(weights)
+        return _exact_dist(scheme, f, message=None)
     return _sampled_dist(scheme, f, samples, rng, message=None)
 
 
@@ -169,17 +207,9 @@ def tampered_output_dist(
     rng: Optional[random.Random] = None,
 ) -> FiniteDist:
     """Distribution of decode(f(encode(s))); no SAME marking."""
-    if samples is not None:
-        return _sampled_dist(scheme, f, samples, rng, message=s)
-    k = scheme.message_bits
-    words = list(scheme.iter_encodings_int(s))
-    share = Fraction(1, len(words))
-    weights: Dict[object, Fraction] = {}
-    for w in words:
-        d = scheme.decode_int(f.apply_int(w))
-        sym = BOTTOM if d is None else BitWord(d, k)
-        weights[sym] = weights.get(sym, Fraction(0)) + share
-    return FiniteDist(weights)
+    if samples is None:
+        return _exact_dist(scheme, f, message=s)
+    return _sampled_dist(scheme, f, samples, rng, message=s)
 
 
 @dataclass
@@ -249,9 +279,7 @@ def optimal_nm_error(
 
 
 def roundtrip_exhaustive(scheme) -> bool:
-    """decode(encode(s)) == s over every message and every encoder choice."""
-    for s in range(1 << scheme.message_bits):
-        for w in scheme.iter_encodings_int(s):
-            if scheme.decode_int(w) != s:
-                return False
-    return True
+    """decode(encode(s)) == s over every message and every encoder choice:
+    the exact reference of the identity adversary is SAME with certainty."""
+    identity = BitTamperFn.identity(scheme.block_bits)
+    return _exact_dist(scheme, identity, message=None) == FiniteDist.point_mass(SAME)

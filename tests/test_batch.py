@@ -1,11 +1,14 @@
-"""Batch kernels of the sampled experiments against the per-word path.
+"""Batch kernels of the sampled and exact experiments against the per-word path.
 
-Every `encode_many`/`decode_many`/`apply_many` must agree exactly with
-`encode_int`/`decode_int`/`apply_int`; the sampled distributions built on
-them must sit within a Hoeffding union bound of the exact ones.
+Every `encode_many`/`decode_many`/`apply_many`/`encodings_many` must agree
+exactly with `encode_int`/`decode_int`/`apply_int`/`iter_encodings_int`;
+exact distributions must equal the scalar loop `oracle_exact_dist`, and the
+sampled distributions must sit within a Hoeffding union bound of the exact
+ones.
 """
 
 import random
+from fractions import Fraction
 from math import log, sqrt
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 
 from nmcode import schemes
 from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
-from nmcode.core import BOTTOM, SAME, BitWord, GuardExceeded, RngSeed
+from nmcode.core import BOTTOM, SAME, BitWord, FiniteDist, GuardExceeded, RngSeed
 from nmcode.inner import InnerCode, InnerParams, sample_inner_code
 from nmcode.lecss import LecssCode
 from nmcode.nmext import ExtractorCode, sample_random_extractor
@@ -29,6 +32,52 @@ KEEP_HEAVY = (0.92, 0.0, 0.08)
 
 def _as_ints(decoded):
     return [-1 if d is None else d for d in decoded]
+
+
+def oracle_exact_dist(scheme, f, message=None):
+    """The scalar exact loop: every encoding of every message through
+    iter_encodings_int, apply_int and decode_int. With message=None it is
+    the reference (uniform message, a decode to it counts as SAME);
+    otherwise the distribution of decode(f(encode(message)))."""
+    k = scheme.message_bits
+    messages = range(1 << k) if message is None else [message]
+    weights = {}
+    for s in messages:
+        counts = {}
+        words = list(scheme.iter_encodings_int(s))
+        for w in words:
+            d = scheme.decode_int(f.apply_int(w))
+            if d is None:
+                sym = BOTTOM
+            elif d == s and message is None:
+                sym = SAME
+            else:
+                sym = BitWord(d, k)
+            counts[sym] = counts.get(sym, 0) + 1
+        for sym, c in counts.items():
+            weights[sym] = weights.get(sym, 0) + Fraction(c, len(messages) * len(words))
+    return FiniteDist(weights)
+
+
+class _Memo:
+    """A scheme's per-word calls memoized: each encoding list and each
+    decode is computed once per test module."""
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+        self.message_bits = scheme.message_bits
+        self._encodings = {}
+        self._decoded = {}
+
+    def iter_encodings_int(self, s):
+        if s not in self._encodings:
+            self._encodings[s] = list(self.scheme.iter_encodings_int(s))
+        return self._encodings[s]
+
+    def decode_int(self, w):
+        if w not in self._decoded:
+            self._decoded[w] = self.scheme.decode_int(w)
+        return self._decoded[w]
 
 
 def _check_codec(code, messages, words):
@@ -51,10 +100,15 @@ def concat_code():
 
 
 @pytest.fixture(scope="module")
-def concat_encodings(concat_code):
+def concat_memo(concat_code):
+    return _Memo(concat_code)
+
+
+@pytest.fixture(scope="module")
+def concat_encodings(concat_code, concat_memo):
     """Every encoding of every message, as one uint64 array per message."""
     return [
-        np.fromiter(concat_code.iter_encodings_int(s), dtype=np.uint64)
+        np.array(concat_memo.iter_encodings_int(s), dtype=np.uint64)
         for s in range(1 << concat_code.message_bits)
     ]
 
@@ -69,18 +123,12 @@ def adversaries(concat_code):
 
 class TestConcatKernels:
     def test_decode_many_matches_decode_int_on_encodings_and_images(
-        self, concat_code, concat_encodings, adversaries
+        self, concat_code, concat_memo, concat_encodings, adversaries
     ):
         words = np.concatenate(concat_encodings)
-        memo = {}
 
         def reference(ws):
-            out = []
-            for w in ws.tolist():
-                if w not in memo:
-                    memo[w] = concat_code.decode_int(w)
-                out.append(memo[w])
-            return _as_ints(out)
+            return _as_ints(concat_memo.decode_int(w) for w in ws.tolist())
 
         assert concat_code.decode_many(words).tolist() == reference(words)
         for f in adversaries:
@@ -208,3 +256,111 @@ class TestSampledMode:
         dist = schemes.reference_dist(code, f, samples=1000, rng=RngSeed.from_int(4151).stream())
         assert dist.samples == 1000
         assert sum(p for _, p in dist.items()) == 1
+
+
+@pytest.fixture(scope="module")
+def oracle_adversaries(concat_code, adversaries):
+    """8 case1 and 8 keep-heavy adversaries: the 4 + 4 above and 4 + 4 more."""
+    rng = random.Random(4160)
+    case1 = adversaries[:4] + [f for _, f in case1_family(concat_code, 4, rng)]
+    keep = adversaries[4:] + [
+        random_tamper(concat_code.block_bits, KEEP_HEAVY, rng) for _ in range(4)
+    ]
+    return case1 + keep
+
+
+def _split_codes():
+    for n in (3, 4):
+        for m in (1, 2):
+            yield ExtractorCode(sample_random_extractor(n, m, RngSeed.from_int(4170 + 10 * n + m)))
+
+
+class TestExactOracle:
+    def test_encodings_many_equals_iter_encodings_int(self, concat_code, concat_encodings):
+        codes = [
+            sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4161)),
+            LecssCode(m=4, n=4, k=3, k0=1),
+            LecssCode(m=3, n=6, k=4, k0=2),
+            build_concat(toy_concat_plan(t_block=1), RngSeed.from_int(4162)),
+            *_split_codes(),
+        ]
+        for code in codes:
+            for s in range(1 << code.message_bits):
+                words = code.encodings_many(s)
+                assert words.dtype == np.uint64
+                assert words.tolist() == list(code.iter_encodings_int(s)), (code, s)
+        for s, words in enumerate(concat_encodings):
+            assert concat_code.encodings_many(s).tolist() == words.tolist(), s
+
+    def test_concat_reference_and_per_message_equal_oracle(
+        self, concat_code, concat_memo, oracle_adversaries
+    ):
+        for f in oracle_adversaries:
+            assert schemes.reference_dist(concat_code, f) == oracle_exact_dist(concat_memo, f), f
+            for s in (0, 91, 200, 255):
+                oracle = oracle_exact_dist(concat_memo, f, s)
+                assert schemes.tampered_output_dist(concat_code, f, s) == oracle, (f, s)
+                assert concat_code.exact_outcome_dist(f, s) == oracle, (f, s)
+
+    def test_inner_and_lecss_under_bit_tampering(self):
+        rng = random.Random(4163)
+        codes = [
+            sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4164)),
+            sample_inner_code(InnerParams(n=6, k=2, t=4, delta=0.17), RngSeed.from_int(4165)),
+            LecssCode(m=4, n=4, k=3, k0=1),
+            LecssCode(m=3, n=6, k=4, k0=2),
+        ]
+        profiles = ((0.92, 0.0, 0.08), (0.5, 0.25, 0.25), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        for code in codes:
+            fs = [BitTamperFn.identity(code.block_bits)]
+            fs += [random_tamper(code.block_bits, p, rng) for p in profiles for _ in range(2)]
+            for f in fs:
+                assert schemes.reference_dist(code, f) == oracle_exact_dist(code, f), (code, f)
+                for s in range(0, 1 << code.message_bits, 5):
+                    assert schemes.tampered_output_dist(code, f, s) == oracle_exact_dist(code, f, s)
+
+    def test_extractor_code_under_split_state_tampering(self):
+        rng = random.Random(4166)
+        for code in _split_codes():
+            sizes = {code.encoding_count(s) for s in range(1 << code.message_bits)}
+            assert len(sizes) > 1  # unequal buckets: the lcm combination runs
+            for fpf in (False, True, False):
+                f = random_split_tamper(code.block_bits, fpf, rng)
+                assert schemes.reference_dist(code, f) == oracle_exact_dist(code, f), code
+                for s in range(1 << code.message_bits):
+                    assert schemes.tampered_output_dist(code, f, s) == oracle_exact_dist(code, f, s)
+
+    def test_roundtrip_exhaustive_catches_a_wrong_decode(self):
+        code = sample_inner_code(InnerParams(n=6, k=2, t=4), RngSeed.from_int(4167))
+        assert schemes.roundtrip_exhaustive(code)
+        book = [list(ws) for ws in code.codebook]
+        book[1][3], book[2][0] = book[2][0], book[1][3]
+        swapped = InnerCode(code.params, book)
+        # Encode with the swapped codebook, decode with the original table.
+        swapped._tables = (np.array(book, dtype=np.uint64), code._batch_tables()[1])
+        assert not schemes.roundtrip_exhaustive(swapped)
+
+    def test_guards_raise_before_any_table_is_built(self, monkeypatch):
+        code = build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4168))
+        f = BitTamperFn.identity(code.block_bits)
+        monkeypatch.setattr(schemes, "MAX_EXACT_ENCODINGS", code.encoding_count(0) - 1)
+        for run in (
+            lambda: schemes.reference_dist(code, f),
+            lambda: schemes.tampered_output_dist(code, f, 3),
+            lambda: code.exact_outcome_dist(f, 3),
+            lambda: schemes.roundtrip_exhaustive(code),
+        ):
+            with pytest.raises(GuardExceeded, match="encodings of one message"):
+                run()
+        assert code._scatter is None
+        assert code.block_code._tables is None and code.seed_code._tables is None
+        assert code.lecss._tables is None
+        wide = InnerCode(InnerParams(n=65, k=1, t=1), [[0], [1]])
+        for run in (
+            lambda: schemes.reference_dist(wide, BitTamperFn.identity(65)),
+            lambda: schemes.tampered_output_dist(wide, BitTamperFn.identity(65), 0),
+            lambda: schemes.roundtrip_exhaustive(wide),
+        ):
+            with pytest.raises(GuardExceeded, match="65-bit"):
+                run()
+        assert wide._tables is None

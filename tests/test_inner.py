@@ -6,6 +6,7 @@ import pytest
 
 from nmcode.core import (
     BOTTOM,
+    PropertyReport,
     SAME,
     BitWord,
     FiniteDist,
@@ -14,6 +15,7 @@ from nmcode.core import (
     RngSeed,
     statistical_distance,
 )
+from nmcode import inner
 from nmcode.inner import (
     InnerCode,
     InnerParams,
@@ -25,7 +27,7 @@ from nmcode.inner import (
     verify_cube_property,
     verify_error_detection,
 )
-from nmcode.tamper import BitTamperFn
+from nmcode.tamper import BitTamperFn, enumerate_bit_tampers
 from nmcode import schemes
 
 
@@ -411,3 +413,137 @@ class TestSanityAnchors:
         rng = RngSeed.from_int(41).stream()
         outs = {code.encode_int(2, rng) for _ in range(50)}
         assert outs == {code.codebook[2][0]}
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles of the cube and detection sweeps
+# ---------------------------------------------------------------------------
+
+
+def oracle_cube_property(code):
+    """The dict loop: count codewords per (frozen mask, frozen values) cube
+    in (codeword, mask) order, then take the first strict minimum of the
+    failure fraction in insertion order."""
+    n = code.params.n
+    counts = {}
+    for w in (w for ws in code.codebook for w in ws):
+        for frozen_mask in range(1 << n):
+            key = (frozen_mask, w & frozen_mask)
+            counts[key] = counts.get(key, 0) + 1
+    worst = Fraction(1)
+    witness = None
+    full = (1 << n) - 1
+    for (mask, vals), hits in counts.items():
+        if mask == full:
+            continue
+        size = 1 << (n - mask.bit_count())
+        bottom_frac = Fraction(size - hits, size)
+        if bottom_frac < worst:
+            worst = bottom_frac
+            witness = (mask, vals)
+    passed = worst >= Fraction(1, 2)
+    counterexample = None
+    if not passed and witness is not None:
+        counterexample = {
+            "frozen_mask": witness[0],
+            "frozen_values": witness[1],
+            "bottom_fraction": float(worst),
+        }
+    return PropertyReport(
+        name="cube-property",
+        passed=passed,
+        worst_case=f"min over sub-cubes of failure fraction = {worst}",
+        worst_value=worst,
+        counterexample=counterexample,
+    )
+
+
+def oracle_error_detection(code, sample_fns=None, rng=None):
+    """The per-adversary loop through apply_int and decode_int; the first
+    strict minimum in (adversary, message) order is the witness."""
+    p = code.params
+    if sample_fns is None:
+        fns = enumerate_bit_tampers(p.n, guard=4**p.n)
+    else:
+        fns = (BitTamperFn([rng.randrange(4) for _ in range(p.n)]) for _ in range(sample_fns))
+    worst = Fraction(1)
+    witness = None
+    tested = 0
+    for f in fns:
+        if f.is_identity() or f.is_constant():
+            continue
+        tested += 1
+        for s, words in enumerate(code.codebook):
+            misses = sum(code.decode_int(f.apply_int(w)) is None for w in words)
+            frac = Fraction(misses, p.t)
+            if frac < worst:
+                worst = frac
+                witness = (f.to_str(), s)
+    passed = worst >= Fraction(1, 3)
+    counterexample = None
+    if not passed and witness is not None:
+        counterexample = {
+            "adversary": witness[0],
+            "message": witness[1],
+            "bottom_probability": float(worst),
+        }
+    return PropertyReport(
+        name="error-detection",
+        passed=passed,
+        worst_case=f"min over (adversary, message) of failure probability = {worst}",
+        worst_value=worst,
+        counterexample=counterexample,
+        details={"adversaries_tested": tested, "mode": "exhaustive" if sample_fns is None else "sampled"},
+    )
+
+
+def _sweep_codes():
+    """Sampled and handmade codes, passing, failing and tie-heavy."""
+    for i, (n, k, t, delta) in enumerate(
+        [(6, 2, 4, 0.17), (6, 2, 4, 0.0), (5, 1, 2, 0.0), (6, 3, 8, 0.0), (4, 4, 1, 0.0),
+         (4, 1, 2, 0.0), (7, 1, 4, 0.15), (5, 2, 2, 0.2), (3, 1, 2, 0.0), (6, 4, 2, 0.0)]
+    ):
+        yield sample_inner_code(InnerParams(n=n, k=k, t=t, delta=delta), RngSeed.from_int(4200 + i))
+    yield InnerCode(InnerParams(n=3, k=3, t=1), [[s] for s in range(8)])  # total decoder
+    yield InnerCode(InnerParams(n=3, k=1, t=1), [[0b000], [0b011]])
+    yield InnerCode(InnerParams(n=4, k=1, t=2), [[0b0000, 0b1111], [0b0011, 0b1100]])
+
+
+class TestSweepOracles:
+    def test_cube_reports_equal_oracle(self):
+        reports = []
+        for code in _sweep_codes():
+            rep = verify_cube_property(code)
+            assert rep == oracle_cube_property(code), code.codebook
+            reports.append(rep)
+        big = sample_inner_code(InnerParams(n=10, k=3, t=64), RngSeed.from_int(4220))
+        assert verify_cube_property(big) == oracle_cube_property(big)
+        assert {r.passed for r in reports} == {True, False}
+
+    def test_detection_reports_equal_oracle(self):
+        reports = []
+        for code in _sweep_codes():
+            rep = verify_error_detection(code)
+            assert rep == oracle_error_detection(code), code.codebook
+            reports.append(rep)
+        # Every code has a zero-failure pair, so the tie-break decides the witness.
+        assert len({r.counterexample["adversary"] for r in reports}) > 5
+
+    def test_sampled_detection_keeps_the_draw_order(self):
+        values = set()
+        for i, code in enumerate(_sweep_codes()):
+            for draws in (3, 300):
+                new = verify_error_detection(code, sample_fns=draws, rng=random.Random(4230 + i))
+                old = oracle_error_detection(code, sample_fns=draws, rng=random.Random(4230 + i))
+                assert new == old, code.codebook
+                values.add(new.worst_value)
+        assert len(values) > 2
+
+    def test_chunks_of_one_mask_and_one_adversary(self, monkeypatch):
+        monkeypatch.setattr(inner, "_CHUNK_CELLS", 1)
+        for code in list(_sweep_codes())[:4] + list(_sweep_codes())[-3:]:
+            assert verify_cube_property(code) == oracle_cube_property(code), code.codebook
+            assert verify_error_detection(code) == oracle_error_detection(code), code.codebook
+            assert verify_error_detection(
+                code, sample_fns=40, rng=random.Random(4240)
+            ) == oracle_error_detection(code, sample_fns=40, rng=random.Random(4240))
