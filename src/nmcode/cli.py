@@ -1,7 +1,9 @@
 """Batch front door: seeded, config-driven experiments with JSON reports.
 
-Every run is deterministic given (config, seed): reports from two runs of
-the same config differ only in wall time. Exit codes: 0 all asserted
+One table, OPERATIONS, builds the subcommands and their flags, validates
+configs and gives `run_config`, the only executor, its handlers. Every
+run is deterministic given (config, seed): reports from two runs of the
+same config differ only in wall time. Exit codes: 0 all asserted
 properties hold, 1 a property failed (witness in the report), 2 invalid
 configuration or usage.
 """
@@ -9,6 +11,7 @@ configuration or usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -16,11 +19,12 @@ import os
 import sys
 import time
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .core import BitWord, NmcodeError, RngSeed, dumps_report
 from .inner import (
-    InnerCode,
     InnerParams,
     plan_inner_params,
     sample_inner_code,
@@ -28,7 +32,7 @@ from .inner import (
     verify_cube_property,
     verify_error_detection,
 )
-from .lecss import LecssCode, build_lecss, verify_lecss
+from .lecss import build_lecss, verify_lecss
 from .perm import PermSpec, derive_permutation, test_lwise_dependence
 from .concat import (
     AttackReport,
@@ -38,39 +42,59 @@ from .concat import (
     plan_concat,
     toy_concat_plan,
 )
-from .nmext import sample_random_extractor, verify_reduction
+from .nmext import FlatSourcePair, check_extraction, sample_random_extractor, verify_reduction
 from .tamper import BitTamperFn, canonical_adversaries, random_tamper
 from . import schemes
 
-OPERATIONS = (
-    "inner-sample",
-    "inner-verify",
-    "lecss-build",
-    "lecss-verify",
-    "perm-derive",
-    "perm-test",
-    "concat-plan",
-    "concat-roundtrip",
-    "concat-attack",
-    "nmext-sample",
-    "nmext-reduce",
-)
-
-
 DEFAULT_SEED = "1"
 DEFAULT_JOBS = 1
+
+#: The checks `inner verify` knows; all but roundtrip take a sweep guard.
+INNER_CHECKS = ("roundtrip", "cube", "independence", "detection")
 
 
 class ConfigError(NmcodeError):
     pass
 
 
-def _require(config: dict, key: str, types) -> object:
-    if key not in config:
-        raise ConfigError(f"missing required key {key!r}")
-    if not isinstance(config[key], types):
-        raise ConfigError(f"key {key!r} has type {type(config[key]).__name__}")
-    return config[key]
+#: Default of a param that every run must give.
+REQUIRED = object()
+
+
+@dataclasses.dataclass(frozen=True)
+class Param:
+    """One input of an operation.
+
+    `key` is its place in a config: "params.n" lives in the "params"
+    object, "samples" at the top level. A default of None leaves the key
+    out unless it is given. `flag` is None for config-only params; `parse`
+    reads the flag text when it differs from the JSON type. A count that
+    sizes a check has minimum 1, so a PASS always rests on checked cases.
+    """
+
+    key: str
+    type: type
+    default: object = None
+    flag: Optional[str] = None
+    parse: Optional[Callable[[str], object]] = None
+    help: Optional[str] = None
+    minimum: Optional[int] = None
+
+    @property
+    def name(self) -> str:
+        return self.key.rpartition(".")[2]
+
+
+@dataclasses.dataclass(frozen=True)
+class Operation:
+    command: str
+    verb: str
+    handler: Callable[[dict, RngSeed, int, Optional[str]], dict]
+    params: Tuple[Param, ...]
+
+    @property
+    def name(self) -> str:
+        return f"{self.command}-{self.verb}"
 
 
 def parse_seed(raw) -> RngSeed:
@@ -89,79 +113,117 @@ def parse_seed(raw) -> RngSeed:
     raise ConfigError("seed must be an int or a hex string")
 
 
-def validate_config(config: dict) -> dict:
-    op = _require(config, "operation", str)
-    if op not in OPERATIONS:
-        raise ConfigError(f"unknown operation {op!r}; known: {', '.join(OPERATIONS)}")
-    _require(config, "seed", (int, str))
+def _is(kind: type, value) -> bool:
+    """Whether a JSON value has a param's type: ints count as floats, bools
+    only as bools, lists hold strings and objects map to integers."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if kind is dict:
+        return isinstance(value, dict) and all(_is(int, v) for v in value.values())
+    return isinstance(value, kind)
+
+
+def _given(config: dict) -> dict:
+    """The operation inputs of a config, by param key."""
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    jobs = config.get("jobs", 1)
-    if not isinstance(jobs, int) or jobs < 1:
+    top = {k: v for k, v in config.items() if k not in ("operation", "seed", "jobs", "params")}
+    return top | {f"params.{k}": v for k, v in params.items()}
+
+
+def validate_config(config: dict) -> dict:
+    """Check a config against its operation's table entry.
+
+    Raises ConfigError on a missing, mistyped or unknown key and returns
+    the config with jobs capped at the machine's CPU count.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError("a config must be a JSON object")
+    name = config.get("operation")
+    if not isinstance(name, str) or name not in OPERATIONS:
+        raise ConfigError(f"unknown operation {name!r}; known: {', '.join(OPERATIONS)}")
+    if "seed" not in config:
+        raise ConfigError("missing required key 'seed'")
+    parse_seed(config["seed"])
+    given = _given(config)
+    params = OPERATIONS[name].params
+    unknown = sorted(set(given) - {p.key for p in params})
+    if unknown:
+        raise ConfigError(f"unknown key(s) for {name}: {', '.join(unknown)}")
+    for p in params:
+        if p.key not in given:
+            if p.default is REQUIRED:
+                raise ConfigError(f"missing required key {p.key!r}")
+        elif not _is(p.type, given[p.key]):
+            raise ConfigError(f"key {p.key!r} must be of type {p.type.__name__}")
+        elif p.minimum is not None and given[p.key] < p.minimum:
+            raise ConfigError(f"key {p.key!r} must be at least {p.minimum}")
+    jobs = config.get("jobs", DEFAULT_JOBS)
+    if not _is(int, jobs) or jobs < 1:
         raise ConfigError("jobs must be a positive integer")
     cpus = os.cpu_count() or 1
     if jobs > cpus:
         config = config | {"jobs": cpus}
-    guards = config.get("guards", {})
-    if not isinstance(guards, dict) or not all(
-        isinstance(v, int) for v in guards.values()
-    ):
-        raise ConfigError("guards must map check names to integer limits")
     return config
 
 
-def _hash_artifact(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _map(fn, work: list, jobs: int) -> list:
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            return pool.map(fn, work)
+    return [fn(w) for w in work]
 
 
-def _inner_from_params(params: dict, seed: RngSeed) -> InnerCode:
-    p = InnerParams(
-        n=params["n"],
-        k=params["k"],
-        t=params["t"],
-        delta=params.get("delta", 0.0),
-    )
-    return sample_inner_code(p, seed)
+def _save_artifact(obj, outdir: str, name: str) -> dict:
+    path = os.path.join(outdir, name)
+    with open(path, "wb") as fp:
+        obj.save(fp)
+    with open(path, "rb") as fp:
+        return {"path": path, "sha256": hashlib.sha256(fp.read()).hexdigest()}
 
 
-def _op_inner_sample(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    if "alpha" in params:
-        plan = plan_inner_params(params["alpha"], params["n"], params.get("t"))
+def _encode(code, message: str, rng) -> dict:
+    word = code.encode(BitWord(int(message, 16), code.message_bits), rng)
+    return {"word": word.to_hex(), "pass": True}
+
+
+def _decode(code, word: str) -> dict:
+    sym = code.decode(BitWord(int(word, 16), code.block_bits))
+    return {"decoded": sym.to_hex() if isinstance(sym, BitWord) else "bottom", "pass": True}
+
+
+# -- handlers: (params by name, seed, jobs, outdir) -> results --------------
+
+
+def _inner_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Sample a block code from n, k, t (and delta), or plan it from alpha."""
+    if p["alpha"] is not None:
+        if p["k"] is not None or p["delta"] is not None:
+            raise ConfigError("alpha plans k and delta itself; give only n, alpha and t")
+        plan = plan_inner_params(p["alpha"], p["n"], p["t"])
         code = sample_inner_code(plan.params, seed)
-        planning = {
-            "epsilon": plan.epsilon,
-            "delta": plan.delta,
-            "delta_effective": plan.delta_effective,
-            "t_cap": plan.t_cap,
-        }
+        planning = {k: getattr(plan, k) for k in ("epsilon", "delta", "delta_effective", "t_cap")}
+    elif p["k"] is None or p["t"] is None:
+        raise ConfigError("inner-sample needs k and t, or alpha")
     else:
-        code = _inner_from_params(params, seed)
+        delta = {} if p["delta"] is None else {"delta": p["delta"]}
+        code = sample_inner_code(InnerParams(p["n"], p["k"], p["t"], **delta), seed)
         planning = None
-    result = {
-        "params": {
-            "n": code.params.n,
-            "k": code.params.k,
-            "t": code.params.t,
-            "delta": code.params.delta,
-        },
-        "planning": planning,
-        "pass": True,
-    }
+    result = {"params": dataclasses.asdict(code.params), "planning": planning, "pass": True}
     if outdir:
-        path = os.path.join(outdir, "inner_code.bin")
-        with open(path, "wb") as fp:
-            code.save(fp)
-        with open(path, "rb") as fp:
-            result["artifact"] = {"path": path, "sha256": _hash_artifact(fp.read())}
+        result["artifact"] = _save_artifact(code, outdir, "inner_code.bin")
     return result
 
 
 def _verify_one_inner(args) -> dict:
-    params, seed_json, checks, ell, eps, guards = args
+    inner, seed_json, checks, ell, eps, guards = args
     seed = RngSeed.from_json(seed_json)
-    code = _inner_from_params(params, seed)
+    code = sample_inner_code(InnerParams(*inner), seed)
     reports: Dict[str, dict] = {}
     if "cube" in checks:
         kw = {"guard": guards["cube"]} if "cube" in guards else {}
@@ -180,41 +242,34 @@ def _verify_one_inner(args) -> dict:
     return {"stream_id": seed.stream_id, "reports": reports}
 
 
-def _op_inner_verify(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    checks = config.get("checks", ["roundtrip", "cube", "independence", "detection"])
-    ell = config.get("ell", 2)
-    eps = config.get("eps", 0.15)
-    nseeds = config.get("seeds", 1)
-    jobs = config.get("jobs", 1)
-    guards = config.get("guards", {})
+def _inner_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Verify sampled block codes exhaustively, one code per seed."""
+    checks, guards = p["checks"], p["guards"] or {}
+    if not checks or not set(checks) <= set(INNER_CHECKS):
+        raise ConfigError(f"checks must be a nonempty subset of {', '.join(INNER_CHECKS)}")
+    if not set(guards) <= set(INNER_CHECKS[1:]):
+        raise ConfigError(f"guards apply only to {', '.join(INNER_CHECKS[1:])}")
+    inner = (p["n"], p["k"], p["t"], p["delta"])
     work = [
-        (params, seed.child(i).to_json(), checks, ell, eps, guards)
-        for i in range(nseeds)
+        (inner, seed.child(i).to_json(), checks, p["ell"], p["eps"], guards)
+        for i in range(p["seeds"])
     ]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_verify_one_inner, work)
-    else:
-        rows = [_verify_one_inner(w) for w in work]
+    rows = _map(_verify_one_inner, work, jobs)
     per_check_pass: Dict[str, int] = {}
     for row in rows:
         for name, rep in row["reports"].items():
             per_check_pass[name] = per_check_pass.get(name, 0) + bool(rep["passed"])
-    overall = all(
-        rep["passed"] for row in rows for rep in row["reports"].values()
-    )
     return {
-        "seeds": nseeds,
+        "seeds": p["seeds"],
         "per_check_pass_counts": per_check_pass,
         "rows": rows,
-        "pass": overall,
+        "pass": all(count == len(rows) for count in per_check_pass.values()),
     }
 
 
-def _op_lecss_build(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    code = build_lecss(params["n"], params["alpha"])
+def _lecss_build(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Instantiate the secret-sharing code for n symbols and rate slack alpha."""
+    code = build_lecss(p["n"], p["alpha"])
     result = {"descriptor": code.descriptor(), "message_bits": code.message_bits,
               "block_bits": code.block_bits, "pass": True}
     if outdir:
@@ -225,68 +280,73 @@ def _op_lecss_build(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
     return result
 
 
-def _op_lecss_verify(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    code = LecssCode(params["m"], params["n"], params["k"], params["k0"])
-    report = verify_lecss(code, trials=config.get("samples", 1000), seed=seed)
+def _lecss_encode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Encode a hex message."""
+    code = build_lecss(p["n"], p["alpha"])
+    return _encode(code, p["message"], seed.stream("cli.lecss.encode"))
+
+
+def _lecss_decode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Decode a hex word."""
+    return _decode(build_lecss(p["n"], p["alpha"]), p["word"])
+
+
+def _lecss_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Check distance, secrecy and linearity of the secret-sharing code."""
+    report = verify_lecss(build_lecss(p["n"], p["alpha"]), trials=p["samples"], seed=seed)
     return {"report": report.to_json(), "pass": report.passed}
 
 
-def _op_perm_derive(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    spec = PermSpec(
-        n=params["n"],
-        ell=params.get("ell", 1),
-        seed_bits=params.get("seed_bits", 128),
-        backend=params.get("backend", "prf-shuffle"),
-    )
-    perm = derive_permutation(spec, params.get("z", 0))
+def _perm_spec(p: dict) -> PermSpec:
+    return PermSpec(n=p["n"], ell=p["ell"], seed_bits=p["seed_bits"], backend=p["backend"])
+
+
+def _perm_derive(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Derive the permutation of seed value z."""
+    perm = derive_permutation(_perm_spec(p), p["z"])
     return {"forward": list(perm.forward), "pass": True}
 
 
-def _op_perm_test(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    spec = PermSpec(
-        n=params["n"],
-        ell=params.get("ell", 1),
-        seed_bits=params.get("seed_bits", 128),
-        backend=params.get("backend", "prf-shuffle"),
-    )
-    report = test_lwise_dependence(
-        spec, trials=config.get("samples", 10000), seed=seed
-    )
+def _perm_test(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Test ell-wise independence of the derived permutations."""
+    report = test_lwise_dependence(_perm_spec(p), trials=p["samples"], seed=seed)
     return {"report": report.to_json(), "pass": report.passed}
 
 
-def _op_concat_plan(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    if params.get("toy"):
-        plan = toy_concat_plan(
-            t_block=params.get("t_block", 4), t_seed=params.get("t_seed", 2)
-        )
+def _concat_plan(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Plan the scheme for total_bits and gamma0, or give the toy plan."""
+    toy = p["total_bits"] is None
+    if toy != (p["gamma0"] is None) or (p["toy"] and not toy):
+        raise ConfigError("give total_bits and gamma0 for a planned layout, or neither (toy)")
+    if toy:
+        plan = toy_concat_plan(t_block=p["t_block"], t_seed=p["t_seed"])
     else:
-        plan = plan_concat(
-            params["total_bits"],
-            params["gamma0"],
-            strict=params.get("strict", True),
-        )
+        plan = plan_concat(p["total_bits"], p["gamma0"], strict=p["strict"])
     violated = [c.name for c in plan.violated()]
-    return {"plan": plan.to_json(), "violated": violated, "pass": not violated or bool(params.get("toy"))}
+    return {"plan": plan.to_json(), "violated": violated, "pass": not violated or toy}
 
 
-def _op_concat_roundtrip(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    plan = toy_concat_plan(
-        t_block=params.get("t_block", 4), t_seed=params.get("t_seed", 2)
-    )
-    code = build_concat(plan, seed)
-    draws = config.get("samples", 100)
-    rng = seed.stream("cli.concat.roundtrip")
+def _concat_encode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Encode a hex message under the toy-plan code of the seed."""
+    code = build_concat(toy_concat_plan(), seed)
+    return _encode(code, p["message"], seed.stream("cli.concat.encode"))
+
+
+def _concat_decode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Decode a hex word under the toy-plan code of the seed."""
+    return _decode(build_concat(toy_concat_plan(), seed), p["word"])
+
+
+def _concat_roundtrip(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Encode and decode every message `samples` times."""
+    code = build_concat(toy_concat_plan(t_block=p["t_block"], t_seed=p["t_seed"]), seed)
+    draws = p["samples"]
+    gen = np.random.default_rng(seed.stream("cli.concat.roundtrip").getrandbits(128))
+    msgs = np.repeat(np.arange(1 << code.message_bits, dtype=np.int64), draws)
     failures = 0
-    for s in range(1 << code.message_bits):
-        for _ in range(draws):
-            if code.decode_int(code.encode_int(s, rng)) != s:
-                failures += 1
+    for lo in range(0, len(msgs), schemes.BATCH_ROWS):
+        chunk = msgs[lo : lo + schemes.BATCH_ROWS]
+        failures += int(np.count_nonzero(code.decode_many(code.encode_many(chunk, gen)) != chunk))
     return {
         "messages": 1 << code.message_bits,
         "draws_per_message": draws,
@@ -315,37 +375,27 @@ def _attack_one(args) -> dict:
     return report.to_json() | {"csv": report.csv_row()}
 
 
-def _op_concat_attack(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    samples = config.get("samples", 10000)
-    count = params.get("adversaries", 20)
-    messages = params.get("messages", 16)
-    threshold = params.get("eps_threshold", 0.25)
-    jobs = config.get("jobs", 1)
+def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Fuzz the toy-plan code with canonical and random bit adversaries."""
+    samples, count, threshold = p["samples"], p["adversaries"], p["eps_threshold"]
     code = _attack_code(seed.child(0))
     gen_rng = seed.stream("cli.attack.generate")
-    advs: List[tuple] = []
-    for name, f in canonical_adversaries(code, gen_rng):
-        advs.append((name, f))
+    advs = list(canonical_adversaries(code, gen_rng))
     i = 0
     while len(advs) < count:
         profile = gen_rng.random(), gen_rng.random(), gen_rng.random()
         total = sum(profile)
-        f = random_tamper(code.block_bits, tuple(p / total for p in profile), gen_rng)
+        f = random_tamper(code.block_bits, tuple(x / total for x in profile), gen_rng)
         advs.append((f"random-{i}", f))
         i += 1
     advs = advs[:count]
     work = [
-        (f.to_json(), samples, seed.child(1000 + j).to_json(), name, messages)
+        (f.to_json(), samples, seed.child(1000 + j).to_json(), name, p["messages"])
         for j, (name, f) in enumerate(advs)
     ]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_attack_one, work)
-    else:
-        rows = [_attack_one(w) for w in work]
-    radius = rows[0]["radius"] if rows else 0.0
-    worst = max((r["eps_hat"] for r in rows), default=0.0)
+    rows = _map(_attack_one, work, jobs)
+    radius = rows[0]["radius"]
+    worst = max(r["eps_hat"] for r in rows)
     result = {
         "adversaries": len(rows),
         "samples": samples,
@@ -365,25 +415,26 @@ def _op_concat_attack(config: dict, seed: RngSeed, outdir: Optional[str]) -> dic
     return result
 
 
-def _op_nmext_sample(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    table = sample_random_extractor(params["n"], params["m"], seed)
+def _nmext_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Sample a random two-source extractor table."""
+    table = sample_random_extractor(p["n"], p["m"], seed)
     result = {"n": table.n, "m": table.m, "pass": True}
     if outdir:
-        path = os.path.join(outdir, "extractor.bin")
-        with open(path, "wb") as fp:
-            table.save(fp)
-        with open(path, "rb") as fp:
-            result["artifact"] = {"path": path, "sha256": _hash_artifact(fp.read())}
+        result["artifact"] = _save_artifact(table, outdir, "extractor.bin")
     return result
 
 
-def _op_nmext_reduce(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict:
-    params = config["params"]
-    table = sample_random_extractor(params["n"], params["m"], seed.child(1))
-    report = verify_reduction(
-        table, adversaries=params.get("adversaries", 100), seed=seed.child(2)
-    )
+def _nmext_check(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Exact extraction distance of a sampled table on the full sources."""
+    table = sample_random_extractor(p["n"], p["m"], seed)
+    return {"extraction_distance": float(check_extraction(table, FlatSourcePair.full(p["n"]))),
+            "pass": True}
+
+
+def _nmext_reduce(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+    """Check the extractor-to-code reduction against split-state adversaries."""
+    table = sample_random_extractor(p["n"], p["m"], seed.child(1))
+    report = verify_reduction(table, adversaries=p["adversaries"], seed=seed.child(2))
     worst = report.worst
     return {
         "extraction_distance": float(report.extraction_distance),
@@ -399,18 +450,89 @@ def _op_nmext_reduce(config: dict, seed: RngSeed, outdir: Optional[str]) -> dict
     }
 
 
-_HANDLERS = {
-    "inner-sample": _op_inner_sample,
-    "inner-verify": _op_inner_verify,
-    "lecss-build": _op_lecss_build,
-    "lecss-verify": _op_lecss_verify,
-    "perm-derive": _op_perm_derive,
-    "perm-test": _op_perm_test,
-    "concat-plan": _op_concat_plan,
-    "concat-roundtrip": _op_concat_roundtrip,
-    "concat-attack": _op_concat_attack,
-    "nmext-sample": _op_nmext_sample,
-    "nmext-reduce": _op_nmext_reduce,
+# -- the table ----------------------------------------------------------------
+
+
+def _flagged(key: str, kind: type, default, flag: Optional[str] = None, **kw) -> Param:
+    """A param whose flag is --<name> unless named otherwise."""
+    return Param(key, kind, default, flag or "--" + key.rpartition(".")[2], **kw)
+
+
+def _all_guards(text: str) -> dict:
+    return dict.fromkeys(INNER_CHECKS[1:], int(text))
+
+
+_LECSS = (_flagged("params.n", int, 8), _flagged("params.alpha", float, 0.5))
+_PERM = (
+    _flagged("params.n", int, 8),
+    _flagged("params.ell", int, 1),
+    _flagged("params.seed_bits", int, 128, "--seed-bits"),
+    _flagged("params.backend", str, "prf-shuffle"),
+)
+_NMEXT = (_flagged("params.n", int, 4), _flagged("params.m", int, 1))
+_TOY = (Param("params.t_block", int, 4), Param("params.t_seed", int, 2))
+_MESSAGE = _flagged("params.message", str, REQUIRED, help="hex message")
+_WORD = _flagged("params.word", str, REQUIRED, help="hex word")
+
+COMMANDS = {
+    "inner": "lookup-table block codes",
+    "lecss": "secret-sharing outer code",
+    "perm": "seed-derived permutations",
+    "concat": "concatenated scheme",
+    "nmext": "two-source extractor experiments",
+}
+
+OPERATIONS: Dict[str, Operation] = {
+    op.name: op
+    for op in (
+        Operation("inner", "sample", _inner_sample, (
+            _flagged("params.n", int, 10),
+            _flagged("params.k", int, None),
+            _flagged("params.t", int, None),
+            _flagged("params.delta", float, None),
+            _flagged("params.alpha", float, None),
+        )),
+        Operation("inner", "verify", _inner_verify, (
+            _flagged("params.n", int, 10),
+            _flagged("params.k", int, 4),
+            _flagged("params.t", int, 8),
+            _flagged("params.delta", float, 0.0),
+            _flagged("checks", list, list(INNER_CHECKS), parse=lambda s: s.split(",")),
+            _flagged("ell", int, 2),
+            _flagged("eps", float, 0.15),
+            _flagged("seeds", int, 1, minimum=1),
+            _flagged("guards", dict, None, "--guard", parse=_all_guards,
+                     help="sweep size limit for all checks"),
+        )),
+        Operation("lecss", "build", _lecss_build, _LECSS),
+        Operation("lecss", "encode", _lecss_encode, _LECSS + (_MESSAGE,)),
+        Operation("lecss", "decode", _lecss_decode, _LECSS + (_WORD,)),
+        Operation("lecss", "verify", _lecss_verify,
+                  _LECSS + (_flagged("samples", int, 1000, "--trials", minimum=1),)),
+        Operation("perm", "derive", _perm_derive, _PERM + (_flagged("params.z", int, 0),)),
+        Operation("perm", "test", _perm_test,
+                  _PERM + (_flagged("samples", int, 10000, "--trials", minimum=1),)),
+        Operation("concat", "plan", _concat_plan, (
+            _flagged("params.toy", bool, False),
+            _flagged("params.total_bits", int, None, "--bits"),
+            _flagged("params.gamma0", float, None),
+            Param("params.strict", bool, True),
+        ) + _TOY),
+        Operation("concat", "encode", _concat_encode, (_MESSAGE,)),
+        Operation("concat", "decode", _concat_decode, (_WORD,)),
+        Operation("concat", "roundtrip", _concat_roundtrip,
+                  _TOY + (_flagged("samples", int, 100, minimum=1),)),
+        Operation("concat", "attack", _concat_attack, (
+            _flagged("params.adversaries", int, 20, minimum=1),
+            _flagged("params.messages", int, 16, minimum=0),
+            Param("params.eps_threshold", float, 0.25),
+            _flagged("samples", int, 10000, minimum=1),
+        )),
+        Operation("nmext", "sample", _nmext_sample, _NMEXT),
+        Operation("nmext", "check", _nmext_check, _NMEXT),
+        Operation("nmext", "reduce", _nmext_reduce,
+                  _NMEXT + (_flagged("params.adversaries", int, 100, minimum=1),)),
+    )
 }
 
 
@@ -418,21 +540,26 @@ def run_config(config: dict, outdir: Optional[str] = None) -> dict:
     """Execute one experiment config; returns the full report object."""
     config = validate_config(config)
     seed = parse_seed(config["seed"])
+    op = OPERATIONS[config["operation"]]
+    given = _given(config)
+    values = {p.name: given.get(p.key, p.default) for p in op.params}
     if outdir:
         os.makedirs(outdir, exist_ok=True)
     start = time.monotonic()
-    result = _HANDLERS[config["operation"]](config, seed, outdir)
+    try:
+        result = op.handler(values, seed, config.get("jobs", DEFAULT_JOBS), outdir)
+    except ValueError as e:
+        # The library's constructors reject out-of-range inputs this way.
+        raise ConfigError(str(e)) from e
     wall = time.monotonic() - start
-    echo = {k: v for k, v in config.items()}
     report = {
-        "config": echo,
-        "operation": config["operation"],
+        "config": config,
+        "operation": op.name,
         "results": result,
-        "pass": bool(result.get("pass", True)),
+        "pass": bool(result["pass"]),
         "wall_time_s": round(wall, 3),
     }
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "report.json"), "w") as fp:
             fp.write(dumps_report(report))
     return report
@@ -449,8 +576,6 @@ def _common_flags(suppress: bool) -> argparse.ArgumentParser:
         return argparse.SUPPRESS if suppress else value
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=default(None),
-                        help="experiment config JSON (file-first mode)")
     common.add_argument("--seed", default=default(None),
                         help=f"seed (int or hex), overrides config; default {DEFAULT_SEED}")
     common.add_argument("--jobs", type=int, default=default(None),
@@ -460,210 +585,80 @@ def _common_flags(suppress: bool) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command and one sub-subcommand per verb, with the
+    flags of the verb's operation."""
     common = _common_flags(suppress=True)
     parser = argparse.ArgumentParser(
         prog="nmcode",
         description="Tamper-resilient coding toolkit: sample, verify, attack.",
         parents=[_common_flags(suppress=False)],
     )
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("inner", help="lookup-table block codes", parents=[common])
-    p.add_argument("verb", choices=["sample", "verify"])
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--t", type=int, default=8)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--checks", default="roundtrip,cube,independence,detection")
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--eps", type=float, default=0.15)
-    p.add_argument("--guard", type=int, default=None, help="sweep size limit for all checks")
-
-    p = sub.add_parser("lecss", help="secret-sharing outer code", parents=[common])
-    p.add_argument("verb", choices=["build", "encode", "decode", "verify"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--message", default=None, help="hex message (encode)")
-    p.add_argument("--word", default=None, help="hex word (decode)")
-    p.add_argument("--trials", type=int, default=1000)
-
-    p = sub.add_parser("perm", help="seed-derived permutations", parents=[common])
-    p.add_argument("verb", choices=["derive", "test"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--seed-bits", type=int, default=16, dest="seed_bits")
-    p.add_argument("--backend", default="prf-shuffle")
-    p.add_argument("--z", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10000)
-
-    p = sub.add_parser("concat", help="concatenated scheme", parents=[common])
-    p.add_argument("verb", choices=["plan", "encode", "decode", "attack"])
-    p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--gamma0", type=float, default=0.5)
-    p.add_argument("--toy", action="store_true")
-    p.add_argument("--message", default=None)
-    p.add_argument("--word", default=None)
-    p.add_argument("--adversaries", type=int, default=20)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--messages", type=int, default=16)
-
-    p = sub.add_parser("nmext", help="two-source extractor experiments", parents=[common])
-    p.add_argument("verb", choices=["sample", "check", "reduce"])
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--adversaries", type=int, default=100)
+    parser.add_argument("--config", help="experiment config JSON, instead of a subcommand")
+    parser.set_defaults(op=None)
+    commands = parser.add_subparsers(dest="command")
+    verbs = {
+        name: commands.add_parser(name, help=text, parents=[common]).add_subparsers(
+            dest="verb", required=True
+        )
+        for name, text in COMMANDS.items()
+    }
+    for op in OPERATIONS.values():
+        sub = verbs[op.command].add_parser(
+            op.verb,
+            help=op.handler.__doc__,
+            parents=[common],
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        sub.set_defaults(op=op)
+        for p in op.params:
+            if p.flag is None:
+                continue
+            text = f"{p.help}; key {p.key}" if p.help else f"key {p.key}"
+            if p.type is bool:
+                sub.add_argument(p.flag, dest=p.name, action="store_true", help=text)
+            else:
+                sub.add_argument(
+                    p.flag,
+                    dest=p.name,
+                    type=p.parse or p.type,
+                    default=None if p.default is REQUIRED else p.default,
+                    required=p.default is REQUIRED,
+                    help=text,
+                )
     return parser
 
 
-def _config_from_args(args) -> dict:
-    cmd, verb = args.command, args.verb
-    base = {"seed": args.seed, "jobs": args.jobs}
-    if cmd == "inner":
-        params = {"n": args.n, "k": args.k, "t": args.t, "delta": args.delta}
-        if args.alpha is not None:
-            params["alpha"] = args.alpha
-        if verb == "sample":
-            return base | {"operation": "inner-sample", "params": params}
-        config = base | {
-            "operation": "inner-verify",
-            "params": params,
-            "checks": args.checks.split(","),
-            "ell": args.ell,
-            "eps": args.eps,
-            "seeds": args.seeds,
-        }
-        if args.guard is not None:
-            config["guards"] = {
-                name: args.guard for name in ("cube", "independence", "detection")
-            }
-        return config
-    if cmd == "lecss":
-        if verb == "build":
-            return base | {
-                "operation": "lecss-build",
-                "params": {"n": args.n, "alpha": args.alpha},
-            }
-        if verb == "verify":
-            code = build_lecss(args.n, args.alpha)
-            return base | {
-                "operation": "lecss-verify",
-                "params": {"m": code.m, "n": code.n, "k": code.k, "k0": code.k0},
-                "samples": args.trials,
-            }
-        raise ConfigError("lecss encode/decode are direct commands; see --help")
-    if cmd == "perm":
-        op = "perm-derive" if verb == "derive" else "perm-test"
-        return base | {
-            "operation": op,
-            "params": {
-                "n": args.n,
-                "ell": args.ell,
-                "seed_bits": args.seed_bits,
-                "backend": args.backend,
-                "z": args.z,
-            },
-            "samples": args.trials,
-        }
-    if cmd == "concat":
-        if verb == "plan":
-            params = (
-                {"toy": True}
-                if args.toy or args.bits is None
-                else {"total_bits": args.bits, "gamma0": args.gamma0}
-            )
-            return base | {"operation": "concat-plan", "params": params}
-        if verb == "attack":
-            return base | {
-                "operation": "concat-attack",
-                "params": {"adversaries": args.adversaries, "messages": args.messages},
-                "samples": args.samples,
-            }
-        raise ConfigError("concat encode/decode are direct commands; see --help")
-    if cmd == "nmext":
-        if verb == "sample":
-            return base | {"operation": "nmext-sample", "params": {"n": args.n, "m": args.m}}
-        if verb == "reduce":
-            return base | {
-                "operation": "nmext-reduce",
-                "params": {"n": args.n, "m": args.m, "adversaries": args.adversaries},
-            }
-        raise ConfigError("nmext check is a direct command; see --help")
-    raise ConfigError("no operation selected; pass --config or a subcommand")
-
-
-def _direct_command(args) -> Optional[int]:
-    """Small stateless verbs that print a value instead of a report."""
-    if args.command == "lecss" and args.verb in ("encode", "decode"):
-        code = build_lecss(args.n, args.alpha)
-        if args.verb == "encode":
-            if args.message is None:
-                raise ConfigError("--message required")
-            rng = parse_seed(args.seed).stream("cli.lecss.encode")
-            word = code.encode(
-                BitWord(int(args.message, 16), code.message_bits), rng
-            )
-            print(word.to_hex())
-            return 0
-        if args.word is None:
-            raise ConfigError("--word required")
-        sym = code.decode(BitWord(int(args.word, 16), code.block_bits))
-        print("bottom" if not isinstance(sym, BitWord) else sym.to_hex())
-        return 0
-    if args.command == "concat" and args.verb in ("encode", "decode"):
-        plan = toy_concat_plan()
-        code = build_concat(plan, parse_seed(args.seed))
-        if args.verb == "encode":
-            if args.message is None:
-                raise ConfigError("--message required")
-            rng = parse_seed(args.seed).stream("cli.concat.encode")
-            word = code.encode(BitWord(int(args.message, 16), code.message_bits), rng)
-            print(word.to_hex())
-            return 0
-        if args.word is None:
-            raise ConfigError("--word required")
-        sym = code.decode(BitWord(int(args.word, 16), code.block_bits))
-        print("bottom" if not isinstance(sym, BitWord) else sym.to_hex())
-        return 0
-    if args.command == "nmext" and args.verb == "check":
-        from .nmext import FlatSourcePair, check_extraction
-
-        table = sample_random_extractor(args.n, args.m, parse_seed(args.seed))
-        print(float(check_extraction(table, FlatSourcePair.full(args.n))))
-        return 0
-    return None
+def read_config(args: argparse.Namespace) -> dict:
+    """The config a parsed command line asks for: a --config file or the
+    flags of a subcommand, with --seed and --jobs applied."""
+    if args.config and args.op:
+        raise ConfigError("give --config or a subcommand, not both")
+    if args.config:
+        with open(args.config) as fp:
+            config = json.load(fp)
+        if not isinstance(config, dict):
+            raise ConfigError("a config file must hold one JSON object")
+    elif args.op:
+        config = {"operation": args.op.name, "seed": DEFAULT_SEED}
+        for p in args.op.params:
+            value = getattr(args, p.name) if p.flag else None
+            if value is None:
+                continue
+            if p.key.startswith("params."):
+                config.setdefault("params", {})[p.name] = value
+            else:
+                config[p.key] = value
+    else:
+        raise ConfigError("no operation selected; pass --config or a subcommand (see --help)")
+    overrides = {"seed": args.seed, "jobs": args.jobs}
+    return {"jobs": DEFAULT_JOBS} | config | {k: v for k, v in overrides.items() if v is not None}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            with open(args.config) as fp:
-                config = json.load(fp)
-            if args.seed is not None:
-                config["seed"] = args.seed
-            if args.jobs is not None:
-                config["jobs"] = args.jobs
-            config.setdefault("jobs", DEFAULT_JOBS)
-        else:
-            if not args.command:
-                parser.print_help()
-                return 2
-            if args.seed is None:
-                args.seed = DEFAULT_SEED
-            if args.jobs is None:
-                args.jobs = DEFAULT_JOBS
-            direct = _direct_command(args)
-            if direct is not None:
-                return direct
-            config = _config_from_args(args)
-        report = run_config(config, outdir=args.out)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as e:
+        report = run_config(read_config(args), outdir=args.out)
+    except (ConfigError, json.JSONDecodeError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NmcodeError as e:

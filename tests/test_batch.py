@@ -142,14 +142,14 @@ class TestConcatKernels:
         assert concat_code.decode_many(words).tolist() == expected
 
     def test_bincount_of_encodings_equals_exact_outcome_dist(
-        self, concat_code, concat_encodings, adversaries
+        self, concat_code, concat_memo, concat_encodings, adversaries
     ):
         k = concat_code.message_bits
         for f in adversaries:
             for s in (0, 91, 200):
                 words = concat_encodings[s]
-                counts = np.bincount(concat_code.decode_many(f.apply_many(words)) + 1,
-                                     minlength=(1 << k) + 1)
+                decoded = _as_ints(concat_memo.decode_int(f.apply_int(w)) for w in words.tolist())
+                counts = np.bincount(np.array(decoded) + 1, minlength=(1 << k) + 1)
                 exact = concat_code.exact_outcome_dist(f, s)
                 for cell in range((1 << k) + 1):
                     sym = BOTTOM if cell == 0 else BitWord(cell - 1, k)

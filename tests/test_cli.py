@@ -1,18 +1,34 @@
+import dataclasses
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from nmcode.cli import (
+    OPERATIONS,
     ConfigError,
     build_parser,
     main,
     parse_seed,
+    read_config,
     run_config,
     validate_config,
 )
 from nmcode.concat import build_concat
 from nmcode.core import RngSeed
+from nmcode.inner import plan_inner_params
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse rejects usage errors itself
+        return e.code
 
 
 class TestConfigValidation:
@@ -200,9 +216,9 @@ class TestMainEntry:
 
     def test_direct_encode_decode_round_trip(self, capsys):
         assert main(["lecss", "encode", "--n", "8", "--alpha", "0.5", "--message", "abc", "--seed", "9"]) == 0
-        word = capsys.readouterr().out.strip()
+        word = json.loads(capsys.readouterr().out)["results"]["word"]
         assert main(["lecss", "decode", "--n", "8", "--alpha", "0.5", "--word", word]) == 0
-        assert capsys.readouterr().out.strip() == "abc"
+        assert json.loads(capsys.readouterr().out)["results"]["decoded"] == "abc"
 
     def test_failing_property_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -238,3 +254,119 @@ class TestGuardsConfig:
             validate_config(
                 {"operation": "concat-roundtrip", "seed": 1, "guards": {"cube": "x"}}
             )
+
+
+# A flag run for every operation in the table, at small sizes.
+FLAG_RUNS = {
+    "inner-sample": ["inner", "sample", "--n", "8", "--k", "3", "--t", "4"],
+    "inner-verify": ["inner", "verify", "--n", "6", "--k", "2", "--t", "2", "--seeds", "2",
+                     "--checks", "roundtrip,cube", "--guard", "100000"],
+    "lecss-build": ["lecss", "build"],
+    "lecss-encode": ["lecss", "encode", "--message", "abc", "--seed", "9"],
+    "lecss-decode": ["lecss", "decode", "--word", "b798a4"],
+    "lecss-verify": ["lecss", "verify", "--trials", "50"],
+    "perm-derive": ["perm", "derive", "--z", "3"],
+    "perm-test": ["perm", "test", "--n", "5", "--trials", "200"],
+    "concat-plan": ["concat", "plan", "--toy"],
+    "concat-encode": ["concat", "encode", "--message", "5a", "--seed", "4"],
+    "concat-decode": ["concat", "decode", "--word", "ffcde345fc", "--seed", "4"],
+    "concat-roundtrip": ["concat", "roundtrip", "--samples", "2"],
+    "concat-attack": ["concat", "attack", "--adversaries", "2", "--messages", "2", "--samples", "200"],
+    "nmext-sample": ["nmext", "sample", "--n", "3"],
+    "nmext-check": ["nmext", "check", "--n", "3"],
+    "nmext-reduce": ["nmext", "reduce", "--n", "3", "--adversaries", "3"],
+}
+
+
+class TestOperationTable:
+    def test_every_operation_has_a_flag_run(self):
+        assert set(FLAG_RUNS) == set(OPERATIONS)
+
+    @pytest.mark.parametrize("name", sorted(FLAG_RUNS))
+    def test_flag_run_equals_config_run_of_its_echo(self, name, tmp_path, capsys):
+        code = main(FLAG_RUNS[name])
+        by_flags = json.loads(capsys.readouterr().out)
+        assert by_flags["operation"] == name
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps(by_flags["config"]))
+        assert main(["--config", str(cfg)]) == code
+        by_config = json.loads(capsys.readouterr().out)
+        by_flags.pop("wall_time_s")
+        by_config.pop("wall_time_s")
+        assert by_flags == by_config
+
+    def test_alpha_mode_samples_the_planned_params(self, capsys):
+        assert main(["inner", "sample", "--n", "16", "--alpha", "0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        planned = dataclasses.asdict(plan_inner_params(0.5, 16).params)
+        assert report["results"]["params"] == planned
+        assert report["config"]["params"] == {"n": 16, "alpha": 0.5}
+
+    def test_readme_commands_parse_and_validate(self, tmp_path, monkeypatch):
+        text = README.read_text()
+        cli = text[text.index("## CLI"):text.index("## Library quick start")]
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", cli, flags=re.M)
+        listed = {(command, verb) for command, verbs in rows for verb in re.findall(r"`(\w+)`", verbs)}
+        assert listed == {(op.command, op.verb) for op in OPERATIONS.values()}
+        example = re.search(r"```json\n(.*?)```", cli, flags=re.S).group(1)
+        (tmp_path / "experiment.json").write_text(example)
+        monkeypatch.chdir(tmp_path)
+        lines = [ln for ln in cli.splitlines() if ln.startswith("nmcode ")]
+        assert len(lines) >= len(rows)
+        for line in lines:
+            config = read_config(build_parser().parse_args(shlex.split(line)[1:]))
+            validate_config(config)
+
+
+BAD_CONFIGS = {
+    "params-missing": {"operation": "inner-sample", "seed": 1},
+    "seeds-mistyped": {"operation": "inner-verify", "seed": 1, "seeds": "2"},
+    "top-level-array": [{"operation": "concat-plan", "seed": 1}],
+    "unknown-key": {"operation": "concat-roundtrip", "seed": 1, "sample": 5},
+    "guards-mistyped": {"operation": "inner-verify", "seed": 1, "guards": {"cube": "x"}},
+    "unknown-guard": {"operation": "inner-verify", "seed": 1, "guards": {"cubes": 10}},
+    "required-word-missing": {"operation": "lecss-decode", "seed": 1},
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lecss", "encode", "--message", "zz"],
+            ["concat", "encode", "--message", "1ff"],
+            ["inner", "sample", "--n", "0", "--k", "3", "--t", "4"],
+            # The range check needs a narrow seed: 2^128 admits this z.
+            ["perm", "derive", "--n", "8", "--seed-bits", "16", "--z", "99999999"],
+            ["inner", "verify", "--checks", "bogus"],
+            ["inner", "verify", "--checks", ""],
+            ["inner", "verify", "--seeds", "0"],
+            ["nmext", "reduce", "--n", "3", "--adversaries", "0"],
+            ["concat", "attack", "--messages", "-1"],
+            ["perm", "test", "--trials", "0"],
+            ["inner", "sample", "--n", "16", "--alpha", "0.5", "--k", "3"],
+            ["inner", "sample", "--n", "16"],
+            ["concat", "plan", "--bits", "64"],
+            ["concat", "plan", "--gamma0", "0.3"],
+            ["concat", "plan", "--toy", "--bits", "64", "--gamma0", "0.5"],
+            ["perm", "test", "--z", "3"],
+            ["lecss", "encode"],
+            ["inner"],
+            [],
+            ["--config", "experiment.json", "concat", "plan"],
+            *(["--config", name] for name in BAD_CONFIGS),
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_exits_2_without_a_report(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "experiment.json").write_text(json.dumps({"operation": "concat-plan", "seed": 1}))
+        for name, config in BAD_CONFIGS.items():
+            (tmp_path / name).write_text(json.dumps(config))
+        assert _exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("checks", [["bogus"], [""], []])
+    def test_unknown_or_empty_checks_rejected(self, checks):
+        with pytest.raises(ConfigError):
+            run_config({"operation": "inner-verify", "seed": 1, "checks": checks})

@@ -19,6 +19,8 @@ from nmcode.perm import Permutation
 from nmcode.tamper import BitTamperFn, canonical_adversaries, case1_family
 from nmcode import schemes
 
+from test_batch import oracle_exact_dist
+
 
 class TestPlanArithmetic:
     def test_toy_layout(self):
@@ -196,7 +198,7 @@ class TestCodec:
             f = BitTamperFn.from_str(pattern)
             for s in (0, 77):
                 a = code.exact_outcome_dist(f, s)
-                b = schemes.tampered_output_dist(code, f, s)
+                b = oracle_exact_dist(code, f, s)
                 assert a == b
 
     def test_exhaustive_roundtrip_small(self):
