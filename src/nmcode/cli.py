@@ -318,10 +318,12 @@ def _concat_plan(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> di
     toy = p["total_bits"] is None
     if toy != (p["gamma0"] is None) or (p["toy"] and not toy):
         raise ConfigError("give total_bits and gamma0 for a planned layout, or neither (toy)")
-    if toy:
-        plan = toy_concat_plan(t_block=p["t_block"], t_seed=p["t_seed"])
-    else:
-        plan = plan_concat(p["total_bits"], p["gamma0"], strict=p["strict"])
+    # strict belongs to a planned layout, t_block and t_seed to the toy plan.
+    given = {k: p[k] for k in ("strict", "t_block", "t_seed") if p[k] is not None}
+    foreign = [k for k in given if (k == "strict") == toy]
+    if foreign:
+        raise ConfigError(f"key(s) {', '.join(foreign)} do not apply to the {'toy' if toy else 'planned'} plan")
+    plan = toy_concat_plan(**given) if toy else plan_concat(p["total_bits"], p["gamma0"], **given)
     violated = [c.name for c in plan.violated()]
     return {"plan": plan.to_json(), "violated": violated, "pass": not violated or toy}
 
@@ -516,8 +518,12 @@ OPERATIONS: Dict[str, Operation] = {
             _flagged("params.toy", bool, False),
             _flagged("params.total_bits", int, None, "--bits"),
             _flagged("params.gamma0", float, None),
-            Param("params.strict", bool, True),
-        ) + _TOY),
+            # Config-only keys of one mode each; absent unless given, so
+            # that a key given in the other mode is rejected.
+            Param("params.strict", bool),
+            Param("params.t_block", int),
+            Param("params.t_seed", int),
+        )),
         Operation("concat", "encode", _concat_encode, (_MESSAGE,)),
         Operation("concat", "decode", _concat_decode, (_WORD,)),
         Operation("concat", "roundtrip", _concat_roundtrip,

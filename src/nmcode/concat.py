@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import FiniteDist, GuardExceeded, InfeasibleParams, RngSeed
 from .inner import InnerCode, InnerParams, plan_inner_params, sample_inner_code
-from .lecss import LecssCode, build_lecss_bits
+from .lecss import LecssCode, LecssParams
 from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_permutation
 from .tamper import KEEP, SET0, SET1, BitTamperFn
 from . import schemes
@@ -51,33 +51,6 @@ class ConstraintCheck:
             "lhs": self.lhs,
             "rhs": self.rhs,
         }
-
-
-@dataclass(frozen=True)
-class LecssParams:
-    m: int
-    n: int
-    k: int
-    k0: int
-
-    def build(self) -> LecssCode:
-        return LecssCode(self.m, self.n, self.k, self.k0)
-
-    @property
-    def block_bits(self) -> int:
-        return self.n * self.m
-
-    @property
-    def message_bits(self) -> int:
-        return (self.k - self.k0) * self.m
-
-    @property
-    def independent_bits(self) -> int:
-        return self.k0
-
-    @property
-    def distance_bits_bound(self) -> int:
-        return self.n - self.k
 
 
 @dataclass(frozen=True)
@@ -378,7 +351,7 @@ def plan_concat(
         if n1 < 2:
             continue
         try:
-            lecss = build_lecss_bits(n2, gamma0)
+            lecss = LecssParams.for_bits(n2, gamma0)
         except InfeasibleParams:
             continue
         k1 = max(1, int(seed_code_rate * n1))
@@ -386,13 +359,12 @@ def plan_concat(
             c1 = InnerParams(n=n1, k=k1, t=t_seed, delta=0.0)
         except InfeasibleParams:
             continue
-        lp = LecssParams(lecss.m, lecss.n, lecss.k, lecss.k0)
         ell_cap = int(
             Fraction(min(lecss.distance_bits_bound, lecss.independent_bits), 2 * b)
         )
         ell = max(0, min(ell_cap, n // 2))
         plan = ConcatPlan(
-            gamma0=gamma0, inner=inner, c1=c1, lecss=lp, ell=ell
+            gamma0=gamma0, inner=inner, c1=c1, lecss=lecss, ell=ell
         )
         if not plan.violated():
             return plan
@@ -442,7 +414,12 @@ class ConcatCode(schemes.BitWordCodec):
         self.message_bits = plan.message_bits
         self.block_bits = plan.total_bits
         self._spec = plan.perm_spec()
-        self._perms: Dict[int, Permutation] = {}
+        self._table_entries = (1 << plan.seed_message_bits) * ((plan.payload_bits + 7) // 8) * 256
+        # None when the seeds' byte-scatter tables exceed the guard: then
+        # permutations are not cached and the batch kernels refuse to run.
+        self._perms: Optional[Dict[int, Permutation]] = (
+            {} if self._table_entries <= DEFAULT_PERM_TABLE_GUARD else None
+        )
         self._seed_mask = (1 << plan.seed_bits) - 1
         self._block_mask = (1 << plan.block_out) - 1
         self._in_mask = (1 << plan.block_in) - 1
@@ -450,31 +427,16 @@ class ConcatCode(schemes.BitWordCodec):
 
     # -- layout helpers ---------------------------------------------------
 
-    @property
-    def seed_bits(self) -> int:
-        return self.plan.seed_bits
-
-    @property
-    def payload_bits(self) -> int:
-        return self.plan.payload_bits
-
-    @property
-    def case1_freeze_bits(self) -> int:
-        return self.plan.case1_freeze_bits
-
-    @property
-    def case21_keep_bits(self) -> int:
-        return self.plan.case21_keep_bits
-
     def perm_for(self, z: int) -> Permutation:
+        """Seed z's permutation, cached while every seed's scatter tables
+        fit DEFAULT_PERM_TABLE_GUARD and derived on each call otherwise."""
+        if self._perms is None:
+            return derive_permutation(self._spec, z)
         perm = self._perms.get(z)
         if perm is None:
             perm = derive_permutation(self._spec, z)
             self._perms[z] = perm
         return perm
-
-    def fixed_seed_codeword(self) -> int:
-        return self.seed_code.codebook[0][0]
 
     def fixed_full_codeword(self) -> int:
         return self.encode_int(0, self.seed.stream("concat.fixed-codeword"))
@@ -518,15 +480,14 @@ class ConcatCode(schemes.BitWordCodec):
         permutation, built on the first batch call. Row j of each is byte
         j's table for every seed in turn: entry (z << 8) | byte."""
         if self._scatter is None:
-            seeds = 1 << self.plan.seed_message_bits
-            nbytes = (self.payload_bits + 7) // 8
-            if seeds * nbytes * 256 > DEFAULT_PERM_TABLE_GUARD:
+            if self._perms is None:
                 raise GuardExceeded(
-                    f"{seeds} seeds x {nbytes} bytes of permutation tables exceed guard {DEFAULT_PERM_TABLE_GUARD}"
+                    f"{self._table_entries} permutation-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}"
                 )
+            seeds = 1 << self.plan.seed_message_bits
             fwd, inv = zip(*(self.perm_for(z).scatter_tables() for z in range(seeds)))
             self._scatter = tuple(
-                np.array(t, dtype=np.uint64).transpose(1, 0, 2).reshape(nbytes, seeds * 256)
+                np.array(t, dtype=np.uint64).transpose(1, 0, 2).reshape(-1, seeds * 256)
                 for t in (fwd, inv)
             )
         return self._scatter
@@ -626,8 +587,7 @@ class ConcatCode(schemes.BitWordCodec):
 def build_concat(plan: ConcatPlan, seed: RngSeed) -> ConcatCode:
     block_code = sample_inner_code(plan.inner, seed.child(101))
     seed_code = sample_inner_code(plan.c1, seed.child(102))
-    lecss = plan.lecss.build()
-    return ConcatCode(plan, block_code, seed_code, lecss, seed)
+    return ConcatCode(plan, block_code, seed_code, plan.lecss.build(), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,6 @@ def _marker_by_name(name: str) -> "_Marker":
 Symbol = Union[BitWord, _Marker]
 
 
-def is_message(sym: Symbol) -> bool:
-    return isinstance(sym, BitWord)
-
-
 def copy_symbol(x: Symbol, y: Symbol) -> Symbol:
     """Return y if x is the SAME marker, else x. y itself must not be SAME."""
     if y is SAME:

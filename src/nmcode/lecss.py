@@ -16,27 +16,86 @@ coordinate order.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import GuardExceeded, InfeasibleParams, PropertyReport, RngSeed, worst_marginal
 from .gf import GF2m, field, invert_matrix
+from .inner import DEFAULT_INDEP_GUARD
 from .schemes import BitWordCodec
 
 DEFAULT_RANDOMNESS_GUARD = 1 << 20
 DEFAULT_CODEWORD_GUARD = 1 << 20
+#: Most coefficient vectors verify_lecss scans for the exact distance.
+EXHAUSTIVE_DISTANCE_GUARD = 1 << 16
+
+
+@dataclass(frozen=True)
+class LecssParams:
+    """Symbol width m (q = 2^m), length n, dimension k and k0 randomness
+    symbols of a Reed-Solomon LECSS, with the sizes they fix; planning
+    reads these without building the code."""
+
+    m: int
+    n: int
+    k: int
+    k0: int
+
+    def __post_init__(self):
+        if not 1 <= self.k0 < self.k <= self.n:
+            raise InfeasibleParams(f"need 1 <= k0 < k <= n, got k0 = {self.k0}, k = {self.k}, n = {self.n}")
+        if self.n > 1 << self.m:
+            raise InfeasibleParams(f"n = {self.n} exceeds field size q = {1 << self.m}")
+
+    @classmethod
+    def for_rate(cls, m: int, n: int, alpha: float) -> "LecssParams":
+        """The rate rule: k = ceil(n(1-alpha/2)), k0 = floor(alpha*n/2)."""
+        k = int(-((-n * (2 - alpha)) // 2))
+        return cls(m=m, n=n, k=k, k0=int(n * alpha / 2))
+
+    @classmethod
+    def for_bits(cls, block_bits: int, alpha: float) -> "LecssParams":
+        """The rate rule at the smallest m with n*m = block_bits that fits;
+        raises when no factorization fits."""
+        for m in range(1, 13):
+            if block_bits % m == 0:
+                try:
+                    return cls.for_rate(m, block_bits // m, alpha)
+                except InfeasibleParams:
+                    continue
+        raise InfeasibleParams(f"no (m, n) factorization of {block_bits} bits fits")
+
+    def build(self) -> "LecssCode":
+        return LecssCode(self.m, self.n, self.k, self.k0)
+
+    @property
+    def block_bits(self) -> int:
+        return self.n * self.m
+
+    @property
+    def message_bits(self) -> int:
+        return (self.k - self.k0) * self.m
+
+    @property
+    def independent_bits(self) -> int:
+        """Any this-many codeword bits are exactly uniform."""
+        return self.k0
+
+    @property
+    def distance_bits_bound(self) -> int:
+        """Conservative bit-distance parameter used by the outer planner."""
+        return self.n - self.k
 
 
 class LecssCode(BitWordCodec):
     def __init__(self, m: int, n: int, k: int, k0: int):
-        if not 1 <= k0 < k <= n:
-            raise InfeasibleParams("need 1 <= k0 < k <= n")
+        self.params = LecssParams(m, n, k, k0)
         fld = field(m)
-        if n > fld.q:
-            raise InfeasibleParams(f"n = {n} exceeds field size q = {fld.q}")
         self.field: GF2m = fld
         self.m = m
         self.q = fld.q
@@ -53,35 +112,15 @@ class LecssCode(BitWordCodec):
         if vinv is None:
             raise InfeasibleParams("interpolation matrix singular")
         self._vinv = vinv
-        self.block_bits = n * m
-        self.message_bits = (k - k0) * m
+        self.block_bits = self.params.block_bits
+        self.message_bits = self.params.message_bits
         self.randomness_count = self.q**k0
         self._tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    # -- derived parameters --------------------------------------------------
 
     @property
     def symbol_distance(self) -> int:
         """Exact minimum symbol distance (the code is MDS)."""
         return self.n - self.k + 1
-
-    @property
-    def distance_bits_bound(self) -> int:
-        """Conservative bit-distance parameter used by the outer planner."""
-        return self.n - self.k
-
-    @property
-    def independent_bits(self) -> int:
-        """Any this-many codeword bits are exactly uniform."""
-        return self.k0
-
-    @property
-    def delta(self) -> Fraction:
-        return Fraction(self.symbol_distance, self.n)
-
-    @property
-    def tau(self) -> Fraction:
-        return Fraction(self.k0, self.n)
 
     # -- symbol/bit packing ----------------------------------------------
 
@@ -210,39 +249,18 @@ class LecssCode(BitWordCodec):
 
 
 def build_lecss(n: int, alpha: float) -> LecssCode:
-    """Standard instantiation: q the least power of two >= n,
-    k = ceil(n(1-alpha/2)), k0 = floor(alpha*n/2)."""
+    """Standard instantiation: q the least power of two >= n and the rate
+    rule of LecssParams.for_rate."""
     if not 0.0 < alpha < 1.0:
         raise InfeasibleParams("alpha must lie in (0, 1)")
     if n < 2:
         raise InfeasibleParams("need n >= 2")
-    m = max(1, (n - 1).bit_length())
-    k = -((-n * (2 - alpha)) // 2)  # ceil(n*(1-alpha/2))
-    k = int(k)
-    k0 = int(n * alpha / 2)
-    if k0 < 1:
-        raise InfeasibleParams("k0 = 0: no secrecy randomness at this n, alpha")
-    if k0 >= k:
-        raise InfeasibleParams(f"k0 = {k0} >= k = {k}")
-    return LecssCode(m=m, n=n, k=k, k0=k0)
+    return LecssParams.for_rate(max(1, (n - 1).bit_length()), n, alpha).build()
 
 
 def build_lecss_bits(block_bits: int, alpha: float) -> LecssCode:
-    """Pick (m, n) with n*m = block_bits, n <= 2^m, then instantiate.
-
-    Smallest workable m wins; raises when no factorization fits.
-    """
-    for m in range(1, 13):
-        if block_bits % m:
-            continue
-        n = block_bits // m
-        if n < 2 or n > (1 << m):
-            continue
-        k = int(-((-n * (2 - alpha)) // 2))
-        k0 = int(n * alpha / 2)
-        if 1 <= k0 < k <= n:
-            return LecssCode(m=m, n=n, k=k, k0=k0)
-    raise InfeasibleParams(f"no (m, n) factorization of {block_bits} bits fits")
+    """The code of LecssParams.for_bits: n*m = block_bits, smallest m."""
+    return LecssParams.for_bits(block_bits, alpha).build()
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +276,21 @@ def verify_lecss(
     code: LecssCode,
     trials: int = 1000,
     seed: Optional[RngSeed] = None,
-    exhaustive_guard: int = 1 << 16,
 ) -> PropertyReport:
     """Distance, bounded independence, and linearity checks.
 
-    Distance scans all q^k coefficient vectors when that count is under the
-    guard, else `trials` random nonzero vectors (a one-sided check).
-    Independence enumerates all q^k0 randomness vectors and asserts exactly
-    uniform marginals on every bit-index set of size <= k0. Linearity
-    checks decode(w + w') = decode(w) + decode(w') on sampled codeword pairs.
+    Distance scans all q^k coefficient vectors when that count is under
+    EXHAUSTIVE_DISTANCE_GUARD, else `trials` random nonzero vectors (a
+    one-sided check). Independence enumerates all q^k0 randomness vectors
+    of two messages and asserts exactly uniform marginals on every
+    bit-index set of size <= k0; raises GuardExceeded when that sweep
+    exceeds DEFAULT_INDEP_GUARD. Linearity checks
+    decode(w + w') = decode(w) + decode(w') on sampled codeword pairs.
     """
+    ell = code.params.independent_bits
+    work = 2 * code.randomness_count * sum(comb(code.block_bits, j) for j in range(1, ell + 1))
+    if work > DEFAULT_INDEP_GUARD:
+        raise GuardExceeded(f"independence sweep size {work} exceeds guard {DEFAULT_INDEP_GUARD}")
     rng = (seed or RngSeed.from_int(0)).stream("lecss.verify")
     fld = code.field
     failures = []
@@ -275,7 +298,7 @@ def verify_lecss(
     # (a) distance
     total = code.q**code.k
     min_weight = code.n + 1
-    if total <= exhaustive_guard:
+    if total <= EXHAUSTIVE_DISTANCE_GUARD:
         for coeffs in product(range(code.q), repeat=code.k):
             if not any(coeffs):
                 continue
@@ -304,7 +327,7 @@ def verify_lecss(
         msgs.append(rng.getrandbits(code.message_bits))
     for s in msgs:
         words = list(code.iter_encodings_int(s))
-        dist, _ = worst_marginal(words, code.block_bits, code.independent_bits)
+        dist, _ = worst_marginal(words, code.block_bits, ell)
         worst_indep = max(worst_indep, dist)
     if worst_indep != 0:
         failures.append({"check": "independence", "distance": float(worst_indep)})

@@ -341,64 +341,56 @@ def check_strict_nm(
 # ---------------------------------------------------------------------------
 
 
+def _swap_halves(t, n: int):
+    """Table index (x << n) | y to word x | (y << n), and back; works on
+    ints and integer arrays alike."""
+    return ((t & ((1 << n) - 1)) << n) | (t >> n)
+
+
 class ExtractorCode(schemes.BitWordCodec):
-    """Split-state scheme whose decoder is the extractor table."""
+    """Split-state scheme whose decoder is the extractor table.
+
+    Codeword layout: first source in the low half, so word x | (y << n)
+    decodes to entries[(x << n) | y]. The encodings of every output lie
+    end to end in `flat`, output s at `starts[s]` with `sizes[s]` words in
+    table order; `by_word` is the output of every word.
+    """
 
     def __init__(self, ext: ExtractorTable):
         self.ext = ext
         self.message_bits = ext.m
         self.block_bits = 2 * ext.n
-        buckets: List[List[int]] = [[] for _ in range(1 << ext.m)]
         n = ext.n
-        for x in range(1 << n):
-            for y in range(1 << n):
-                # Codeword layout: first source in the low half.
-                buckets[ext.entries[(x << n) | y]].append(x | (y << n))
-        for s, bucket in enumerate(buckets):
-            if not bucket:
-                raise InfeasibleParams(f"output {s} has an empty preimage")
-        self.buckets = [tuple(b) for b in buckets]
-        self._tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+        entries = np.asarray(ext.entries, dtype=np.int64)
+        self.sizes = np.bincount(entries, minlength=1 << ext.m)
+        if not self.sizes.all():
+            raise InfeasibleParams(f"output {int(np.argmin(self.sizes))} has an empty preimage")
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.flat = _swap_halves(np.argsort(entries, kind="stable"), n).astype(np.uint64)
+        self.by_word = entries[_swap_halves(np.arange(1 << self.block_bits, dtype=np.int64), n)]
 
     def encode_int(self, s: int, rng: random.Random) -> int:
-        bucket = self.buckets[s]
-        return bucket[rng.randrange(len(bucket))]
+        return int(self.flat[self.starts[s] + rng.randrange(int(self.sizes[s]))])
 
     def decode_int(self, w: int) -> Optional[int]:
-        n = self.ext.n
-        x = w & ((1 << n) - 1)
-        y = w >> n
-        return self.ext.entries[(x << n) | y]
+        return self.ext.entries[_swap_halves(w, self.ext.n)]
 
     def iter_encodings_int(self, s: int) -> Iterable[int]:
-        return self.buckets[s]
+        for t, out in enumerate(self.ext.entries):
+            if out == s:
+                yield _swap_halves(t, self.ext.n)
 
     def encoding_count(self, s: int) -> int:
-        return len(self.buckets[s])
+        return int(self.sizes[s])
 
     def encodings_many(self, s: int) -> np.ndarray:
-        flat, starts, sizes, _ = self._batch_tables()
-        return flat[starts[s] : starts[s] + sizes[s]]
-
-    def _batch_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(buckets laid end to end, bucket starts, bucket sizes, output of
-        every word) as numpy arrays; built on first use."""
-        if self._tables is None:
-            sizes = np.array([len(b) for b in self.buckets], dtype=np.int64)
-            starts = np.cumsum(sizes) - sizes
-            flat = np.array([w for b in self.buckets for w in b], dtype=np.uint64)
-            n = self.ext.n
-            w = np.arange(1 << self.block_bits, dtype=np.int64)
-            by_word = np.array(self.ext.entries, dtype=np.int64)[((w & ((1 << n) - 1)) << n) | (w >> n)]
-            self._tables = (flat, starts, sizes, by_word)
-        return self._tables
+        return self.flat[self.starts[s] : self.starts[s] + self.sizes[s]]
 
     def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        flat, starts, sizes, _ = self._batch_tables()
-        return flat[starts[msgs] + gen.integers(0, sizes[msgs])]
+        return self.flat[self.starts[msgs] + gen.integers(0, self.sizes[msgs])]
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
-        return self._batch_tables()[3][words]
+        return self.by_word[words]
 
     def encoding_bias(self) -> Fraction:
         """Exact distance of the encoding of a uniform message from uniform.
@@ -406,9 +398,7 @@ class ExtractorCode(schemes.BitWordCodec):
         Equals the extraction distance of the table on full-entropy
         sources, coordinate for coordinate.
         """
-        return uniform_distance(
-            (len(b) for b in self.buckets), 1 << self.block_bits, 1 << self.message_bits
-        )
+        return uniform_distance(self.sizes.tolist(), 1 << self.block_bits, 1 << self.message_bits)
 
 
 @dataclass

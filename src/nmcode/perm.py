@@ -18,7 +18,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import comb, factorial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -32,6 +33,8 @@ from .core import (
 
 PRF_SHUFFLE = "prf-shuffle"
 EXACT_TINY = "exact-tiny"
+#: Index sets test_lwise_dependence checks when there are more to pick from.
+LWISE_INDEX_SETS = 8
 
 
 @dataclass(frozen=True)
@@ -201,12 +204,35 @@ def uniform_tuple_probability(n: int, size: int) -> Fraction:
     return Fraction(1, denom)
 
 
+def _unrank_combination(n: int, ell: int, rank: int) -> Tuple[int, ...]:
+    """The combination of `combinations(range(n), ell)` at index `rank`."""
+    out = []
+    x = 0
+    for left in range(ell, 0, -1):
+        while rank >= comb(n - x - 1, left - 1):
+            rank -= comb(n - x - 1, left - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def _choose_index_sets(n: int, ell: int, rng: random.Random) -> List[Tuple[int, ...]]:
+    """Every ell-subset of range(n) when there are at most LWISE_INDEX_SETS,
+    else that many drawn without replacement. `rng.sample` draws the same
+    indices from a range as from the list of all subsets, so the subsets
+    are unranked instead of listed."""
+    total = comb(n, ell)
+    if total <= LWISE_INDEX_SETS:
+        return list(combinations(range(n), ell))
+    return [_unrank_combination(n, ell, r) for r in rng.sample(range(total), LWISE_INDEX_SETS)]
+
+
 def test_lwise_dependence(
     spec: PermSpec,
     ell: Optional[int] = None,
     trials: int = 10000,
     seed: Optional[RngSeed] = None,
-    sets: int = 8,
     derive_fn: Optional[Callable[[PermSpec, int], Permutation]] = None,
     eta: float = 1e-6,
 ) -> PropertyReport:
@@ -229,15 +255,7 @@ def test_lwise_dependence(
     space = spec.seed_space()
     exhaustive = space <= trials
     cells = uniform_tuple_probability(n, ell).denominator  # ordered image tuples
-
-    from itertools import combinations
-
-    all_sets = list(combinations(range(n), ell)) if ell else [()]
-    if len(all_sets) > sets:
-        chosen = rng.sample(all_sets, sets)
-    else:
-        chosen = all_sets
-
+    chosen = _choose_index_sets(n, ell, rng)
     tallies: List[Dict[Tuple[int, ...], int]] = [{} for _ in chosen]
 
     def tally(perm: Permutation, counts: Dict[Tuple[int, ...], int], t_set) -> None:

@@ -19,6 +19,9 @@ KEEP, FLIP, SET0, SET1 = 0, 1, 2, 3
 _ACTION_CHARS = "KF01"
 _CHAR_TO_ACTION = {c: i for i, c in enumerate(_ACTION_CHARS)}
 
+#: Widest half a split-state adversary's lookup tables may index.
+MAX_SPLIT_HALF_BITS = 20
+
 
 class BitTamperFn:
     """Per-bit adversary; precomputes masks so application is three int ops."""
@@ -150,16 +153,16 @@ def random_tamper(
 
 
 class SplitStateTamperFn:
-    """Two arbitrary lookup tables, one per half of the word."""
+    """Two arbitrary lookup tables, one per half of the word, held as
+    uint64 arrays `f1` (low half) and `f2` (high half)."""
 
-    __slots__ = ("n", "half", "f1", "f2", "fixed_point_free", "_arrays")
+    __slots__ = ("n", "half", "f1", "f2", "fixed_point_free")
 
     def __init__(
         self,
         f1: Sequence[int],
         f2: Sequence[int],
         fixed_point_free: Tuple[bool, bool] = (False, False),
-        max_half_bits: int = 20,
     ):
         if len(f1) != len(f2):
             raise ValueError("halves must have equal table sizes")
@@ -167,39 +170,30 @@ class SplitStateTamperFn:
         half = size.bit_length() - 1
         if size != 1 << half:
             raise ValueError("table size must be a power of two")
-        if half > max_half_bits:
-            raise GuardExceeded(f"half width {half} exceeds guard {max_half_bits}")
-        for t in (f1, f2):
-            for v in t:
-                if not 0 <= v < size:
-                    raise ValueError("table entry out of range")
-        for claimed, table, name in (
-            (fixed_point_free[0], f1, "f1"),
-            (fixed_point_free[1], f2, "f2"),
-        ):
-            if claimed and any(table[x] == x for x in range(size)):
+        if half > MAX_SPLIT_HALF_BITS:
+            raise GuardExceeded(f"half width {half} exceeds guard {MAX_SPLIT_HALF_BITS}")
+        tables = np.array([f1, f2], dtype=np.int64)
+        if ((tables < 0) | (tables >= size)).any():
+            raise ValueError("table entry out of range")
+        fixed = tables == np.arange(size)
+        for claimed, has_fixed, name in zip(fixed_point_free, fixed.any(axis=1), ("f1", "f2")):
+            if claimed and has_fixed:
                 raise ValueError(f"{name} claimed fixed-point-free but has a fixed point")
         self.n = 2 * half
         self.half = half
-        self.f1 = tuple(f1)
-        self.f2 = tuple(f2)
+        self.f1, self.f2 = tables.astype(np.uint64)
         self.fixed_point_free = fixed_point_free
-        self._arrays = None
 
     def apply_int(self, x: int) -> int:
         mask = (1 << self.half) - 1
-        lo = self.f1[x & mask]
-        hi = self.f2[(x >> self.half) & mask]
+        lo = int(self.f1[x & mask])
+        hi = int(self.f2[(x >> self.half) & mask])
         return lo | (hi << self.half)
 
     def apply_many(self, words: np.ndarray) -> np.ndarray:
-        """apply_int on a uint64 array of words; the two tables become
-        numpy arrays on first use."""
-        if self._arrays is None:
-            self._arrays = (np.array(self.f1, dtype=np.uint64), np.array(self.f2, dtype=np.uint64))
-        t1, t2 = self._arrays
+        """apply_int on a uint64 array of words."""
         mask = np.uint64((1 << self.half) - 1)
-        return t1[words & mask] | (t2[(words >> self.half) & mask] << self.half)
+        return self.f1[words & mask] | (self.f2[(words >> self.half) & mask] << self.half)
 
     def apply(self, x: BitWord) -> BitWord:
         if len(x) != self.n:
@@ -207,7 +201,7 @@ class SplitStateTamperFn:
         return BitWord(self.apply_int(x.value), self.n)
 
     def to_json(self) -> dict:
-        return {"type": "split", "f1": list(self.f1), "f2": list(self.f2)}
+        return {"type": "split", "f1": self.f1.tolist(), "f2": self.f2.tolist()}
 
     def __repr__(self):
         return f"SplitStateTamperFn(half={self.half})"
@@ -247,13 +241,15 @@ def _freeze_actions_for(word_bits: int, value: int) -> List[int]:
     return [SET1 if (value >> i) & 1 else SET0 for i in range(word_bits)]
 
 
-def canonical_adversaries(plan, rng: random.Random):
-    """Named adversaries that sit on the analysis case boundaries of `plan`.
+def canonical_adversaries(code, rng: random.Random):
+    """Named adversaries that sit on the analysis case boundaries of a
+    concatenated code's plan.
 
-    `plan` only needs the layout fields (seed_bits/payload_bits and the
-    thresholds case1_freeze_bits and case21_keep_bits); any concatenation
-    plan object provides them.
+    `code` is a ConcatCode: the layout and the case1 threshold come from
+    `code.plan`, the frozen seed segment from its seed code, and the
+    constant adversary from its fixed full codeword.
     """
+    plan = code.plan
     n1 = plan.seed_bits
     n = plan.payload_bits
     total = n1 + n
@@ -280,7 +276,7 @@ def canonical_adversaries(plan, rng: random.Random):
         out.append((label, BitTamperFn(acts)))
 
     # Freeze the seed segment to a fixed valid seed codeword, payload arbitrary.
-    seed_word = plan.fixed_seed_codeword()
+    seed_word = code.seed_code.codebook[0][0]
     acts = _freeze_actions_for(n1, seed_word) + [KEEP] * n
     out.append(("case3-freeze-seed-keep-payload", BitTamperFn(acts)))
     acts = _freeze_actions_for(n1, seed_word) + [
@@ -291,17 +287,19 @@ def canonical_adversaries(plan, rng: random.Random):
     out.append(("single-bit-flip", BitTamperFn([FLIP] + [KEEP] * (total - 1))))
     out.append(("complement", BitTamperFn.complement(total)))
 
-    cw = plan.fixed_full_codeword()
+    cw = code.fixed_full_codeword()
     out.append(("constant-valid-codeword", BitTamperFn.constant(BitWord(cw, total))))
     return out
 
 
-def case1_family(plan, count: int, rng: random.Random):
-    """`count` adversaries freezing at least case1_freeze_bits of the payload.
+def case1_family(code, count: int, rng: random.Random):
+    """`count` adversaries freezing at least case1_freeze_bits of the
+    payload of a ConcatCode's plan.
 
     Frozen patterns and seed-segment actions vary so the family exercises
     distinct outcome distributions; all land in the many-frozen-bits case.
     """
+    plan = code.plan
     n1 = plan.seed_bits
     n = plan.payload_bits
     boundary = plan.case1_freeze_bits

@@ -326,6 +326,15 @@ BAD_CONFIGS = {
     "guards-mistyped": {"operation": "inner-verify", "seed": 1, "guards": {"cube": "x"}},
     "unknown-guard": {"operation": "inner-verify", "seed": 1, "guards": {"cubes": 10}},
     "required-word-missing": {"operation": "lecss-decode", "seed": 1},
+    "strict-on-toy-plan": {"operation": "concat-plan", "seed": 1, "params": {"strict": False}},
+    "t-block-on-planned-layout": {
+        "operation": "concat-plan", "seed": 1,
+        "params": {"total_bits": 1024, "gamma0": 0.5, "t_block": 2},
+    },
+    "t-seed-on-planned-layout": {
+        "operation": "concat-plan", "seed": 1,
+        "params": {"total_bits": 1024, "gamma0": 0.5, "t_seed": 2},
+    },
 }
 
 
@@ -349,6 +358,7 @@ class TestBadInput:
             ["concat", "plan", "--bits", "64"],
             ["concat", "plan", "--gamma0", "0.3"],
             ["concat", "plan", "--toy", "--bits", "64", "--gamma0", "0.5"],
+            ["lecss", "verify", "--n", "16", "--alpha", "0.5"],
             ["perm", "test", "--z", "3"],
             ["lecss", "encode"],
             ["inner"],

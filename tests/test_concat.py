@@ -1,12 +1,13 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from nmcode.core import BOTTOM, SAME, BitWord, InfeasibleParams, RngSeed
+from nmcode.core import BOTTOM, SAME, BitWord, GuardExceeded, InfeasibleParams, RngSeed
 from nmcode.concat import (
     ConcatPlan,
-    LecssParams,
     attack_experiment,
     build_concat,
     case1_outcome_dists,
@@ -15,6 +16,7 @@ from nmcode.concat import (
     toy_concat_plan,
 )
 from nmcode.inner import InnerParams
+from nmcode.lecss import LecssCode, LecssParams
 from nmcode.perm import Permutation
 from nmcode.tamper import BitTamperFn, canonical_adversaries, case1_family
 from nmcode import schemes
@@ -91,6 +93,29 @@ class TestPlanArithmetic:
             "total_upper_bound",
         }
 
+    @pytest.mark.parametrize("args, lecss, digest", [
+        (None, (16, 4, 3, 1), "1fe9203bb6ce9b7dc0619d7634f1e77a4e66889bc245aa38dc7b3a8d97acd997"),
+        ((1024, 0.5), (256, 51, 39, 12), "f15db0f33fec4d71547d34968de3f7b8f4b3669f2670fa01a0cf967356794cef"),
+        ((2048, 0.25), (512, 151, 133, 18), "b72b9e844c29904184afb9f21b66c34f75b18ac3c5f4f56f8985559d3dd8e083"),
+        ((4096, 0.5), (512, 182, 137, 45), "d859bbf8519e4a89eca54c8b3b79721adac35245625092e7526f1e6d4a85a7ad"),
+        ((5200, 0.5), (1024, 208, 156, 52), "2754413a0beb9985ec23b46899b8342ee21882f4132721d38716c343dc060a08"),
+    ])
+    def test_plan_json_pinned(self, args, lecss, digest):
+        """The toy plan and four planned layouts, pinned by the SHA-256 of
+        their sorted-key JSON."""
+        obj = (toy_concat_plan() if args is None else plan_concat(*args)).to_json()
+        assert tuple(obj["lecss"][key] for key in ("q", "n", "k", "k0")) == lecss
+        assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
+
+    def test_planning_builds_no_lecss_code(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("planning built a LecssCode")
+
+        monkeypatch.setattr(LecssCode, "__init__", refuse)
+        toy_concat_plan()
+        for args in ((1024, 0.5), (5200, 0.5)):
+            plan_concat(*args)
+
     def test_plan_json_embeds_components(self):
         obj = toy_concat_plan().to_json()
         assert obj["layout"]["N"] == 40
@@ -131,6 +156,20 @@ class TestCodec:
             assert d is not None  # block i is a direct block-code word
             sharing |= d << (4 * i)
         assert code.lecss.decode_int(sharing) == s
+
+    def test_permutations_cached_only_within_the_table_guard(self):
+        code = self.code()
+        code.decode_int(code.encode_int(0x3C, random.Random(3)))
+        assert len(code._perms) == 1
+        # 2^10 seeds of 816-bit permutations exceed the table guard.
+        big = build_concat(plan_concat(1024, 0.5, seed_code_rate=0.05), RngSeed.from_int(4))
+        assert big._perms is None
+        rng = random.Random(5)
+        for _ in range(3):
+            s = rng.getrandbits(big.message_bits)
+            assert big.decode_int(big.encode_int(s, rng)) == s
+        with pytest.raises(GuardExceeded):
+            big._scatter_tables()
 
     def test_tampered_block_fails(self):
         code = self.code()
@@ -230,7 +269,7 @@ class TestClassification:
         frozen_payload = sum(
             1 for a in case1.actions[8:] if a in (2, 3)
         )
-        assert frozen_payload >= code.case1_freeze_bits
+        assert frozen_payload >= code.plan.case1_freeze_bits
         case3 = by_name["case3-freeze-seed-keep-payload"]
         outs = {case3.apply_int(random.Random(11).getrandbits(40)) & 0xFF for _ in range(20)}
         assert len(outs) == 1  # seed segment frozen to one value

@@ -4,9 +4,9 @@ from itertools import combinations, product
 
 import pytest
 
-from nmcode.core import BOTTOM, BitWord, InfeasibleParams, RngSeed
+from nmcode.core import BOTTOM, BitWord, GuardExceeded, InfeasibleParams, RngSeed
 from nmcode.gf import GF2m, IRREDUCIBLE_POLY, field, invert_matrix
-from nmcode.lecss import LecssCode, build_lecss, build_lecss_bits, verify_lecss
+from nmcode.lecss import LecssCode, LecssParams, build_lecss, build_lecss_bits, verify_lecss
 
 
 class TestFieldAxioms:
@@ -69,7 +69,7 @@ class TestBuild:
         code = build_lecss(8, 0.5)
         assert (code.q, code.n, code.k, code.k0) == (8, 8, 6, 2)
         assert code.symbol_distance == 3
-        assert code.independent_bits == 2
+        assert code.params.independent_bits == 2
         assert code.message_bits == 12 and code.block_bits == 24
 
     def test_rate_meets_slack_bound(self):
@@ -87,6 +87,46 @@ class TestBuild:
         assert code.block_bits == 16 and code.message_bits == 8
         with pytest.raises(InfeasibleParams):
             build_lecss_bits(7, 0.5)
+
+    # (k, k0) of build_lecss(n, alpha) for n = 2..19; None where infeasible.
+    RATE_RULE = {
+        0.25: [None] * 6 + [(7, 1), (8, 1), (9, 1), (10, 1), (11, 1), (12, 1), (13, 1),
+                            (14, 1), (14, 2), (15, 2), (16, 2), (17, 2)],
+        0.5: [None, None, (3, 1), (4, 1), (5, 1), (6, 1), (6, 2), (7, 2), (8, 2), (9, 2),
+              (9, 3), (10, 3), (11, 3), (12, 3), (12, 4), (13, 4), (14, 4), (15, 4)],
+        0.75: [None, (2, 1), (3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (7, 4),
+               (8, 4), (9, 4), (9, 5), (10, 5), (10, 6), (11, 6), (12, 6), (12, 7)],
+    }
+    # (m, n, k, k0) of build_lecss_bits(bits, alpha) for bits = 4, 8, ..., 64.
+    BITS_RULE = {
+        0.25: [None] * 5 + [(3, 8, 7, 1), None, (4, 8, 7, 1), (4, 9, 8, 1), (4, 10, 9, 1),
+                            (4, 11, 10, 1), (4, 12, 11, 1), (4, 13, 12, 1), (4, 14, 13, 1),
+                            (4, 15, 14, 1), (4, 16, 14, 2)],
+        0.5: [None, (2, 4, 3, 1), (3, 4, 3, 1), (4, 4, 3, 1), (4, 5, 4, 1), (3, 8, 6, 2),
+              (4, 7, 6, 1), (4, 8, 6, 2), (4, 9, 7, 2), (4, 10, 8, 2), (4, 11, 9, 2),
+              (4, 12, 9, 3), (4, 13, 10, 3), (4, 14, 11, 3), (4, 15, 12, 3), (4, 16, 12, 4)],
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(RATE_RULE))
+    def test_rate_rule_grid(self, alpha):
+        for n, want in zip(range(2, 20), self.RATE_RULE[alpha]):
+            if want is None:
+                with pytest.raises(InfeasibleParams):
+                    build_lecss(n, alpha)
+            else:
+                code = build_lecss(n, alpha)
+                assert (code.m, code.n, code.k, code.k0) == ((n - 1).bit_length(), n) + want
+
+    @pytest.mark.parametrize("alpha", sorted(BITS_RULE))
+    def test_bits_rule_grid(self, alpha):
+        for bits, want in zip(range(4, 68, 4), self.BITS_RULE[alpha]):
+            if want is None:
+                with pytest.raises(InfeasibleParams):
+                    build_lecss_bits(bits, alpha)
+            else:
+                code = build_lecss_bits(bits, alpha)
+                assert (code.m, code.n, code.k, code.k0) == want
+                assert code.params == LecssParams.for_bits(bits, alpha)
 
     def test_vandermonde_square_minors_invertible(self):
         # Any k0 columns of the first-k0-row block stay independent.
@@ -186,3 +226,8 @@ class TestVerify:
     def test_toy_concat_outer_code_passes(self):
         rep = verify_lecss(build_lecss_bits(16, 0.5), trials=300, seed=RngSeed.from_int(6))
         assert rep.passed
+
+    def test_independence_sweep_guarded(self):
+        # 16^4 encodings per message over C(64, <=4) index sets.
+        with pytest.raises(GuardExceeded, match="independence sweep"):
+            verify_lecss(build_lecss(16, 0.5))

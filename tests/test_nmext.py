@@ -288,7 +288,7 @@ class TestStrict:
 class TestCodeReduction:
     def test_parity_buckets_and_bias(self):
         code = ExtractorCode(parity_table(3))
-        assert all(len(b) == 32 for b in code.buckets)
+        assert all(size == 32 for size in code.sizes)
         assert schemes.roundtrip_exhaustive(code)
         assert code.encoding_bias() == 0
 

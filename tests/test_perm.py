@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from math import factorial
 
@@ -8,9 +9,11 @@ import pytest
 from nmcode.core import BitWord, InfeasibleParams, RngSeed
 from nmcode.perm import (
     EXACT_TINY,
+    LWISE_INDEX_SETS,
     PRF_SHUFFLE,
     PermSpec,
     Permutation,
+    _choose_index_sets,
     derive_permutation,
     uniform_tuple_probability,
 )
@@ -87,6 +90,15 @@ class TestDerivation:
 
 
 class TestLimitedIndependence:
+    @pytest.mark.parametrize("n, ell", [(4, 0), (4, 1), (4, 2), (5, 3), (9, 1), (12, 2), (30, 3), (40, 4)])
+    def test_index_sets_match_the_listed_draw(self, n, ell):
+        for seed in range(4):
+            rng, listed = random.Random(seed), random.Random(seed)
+            every = list(combinations(range(n), ell))
+            want = listed.sample(every, LWISE_INDEX_SETS) if len(every) > LWISE_INDEX_SETS else every
+            assert _choose_index_sets(n, ell, rng) == want
+            assert rng.getstate() == listed.getstate()
+
     def test_factorial_backend_exactly_uniform(self):
         spec = PermSpec(n=4, ell=2, seed_bits=12, backend=EXACT_TINY)
         rep = lwise_dependence_report(spec, trials=10**6, seed=RngSeed.from_int(1))
