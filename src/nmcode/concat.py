@@ -27,7 +27,7 @@ import numpy as np
 from .core import FiniteDist, GuardExceeded, InfeasibleParams, RngSeed
 from .inner import InnerCode, InnerParams, plan_inner_params, sample_inner_code
 from .lecss import LecssCode, LecssParams
-from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_permutation
+from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_forwards, derive_permutation
 from .tamper import KEEP, SET0, SET1, BitTamperFn
 from . import schemes
 
@@ -485,7 +485,11 @@ class ConcatCode(schemes.BitWordCodec):
                     f"{self._table_entries} permutation-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}"
                 )
             seeds = 1 << self.plan.seed_message_bits
-            fwd, inv = zip(*(self.perm_for(z).scatter_tables() for z in range(seeds)))
+            forwards = derive_forwards(self._spec, range(seeds)).tolist()
+            fwd, inv = zip(*(
+                self._perms.setdefault(z, Permutation(row)).scatter_tables()
+                for z, row in enumerate(forwards)
+            ))
             self._scatter = tuple(
                 np.array(t, dtype=np.uint64).transpose(1, 0, 2).reshape(-1, seeds * 256)
                 for t in (fwd, inv)
@@ -501,6 +505,7 @@ class ConcatCode(schemes.BitWordCodec):
         return acc
 
     def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        schemes.check_word_bits(self)
         plan = self.plan
         z = gen.integers(0, 1 << plan.seed_message_bits, size=len(msgs))
         seed_words = self.seed_code.encode_many(z, gen)
@@ -513,6 +518,7 @@ class ConcatCode(schemes.BitWordCodec):
         return seed_words | (permuted << plan.seed_bits)
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
+        schemes.check_word_bits(self)
         plan = self.plan
         z = self.seed_code.decode_many(words & self._seed_mask)
         z[z < 0] = 0  # failed seed segments are identified with the zero seed
@@ -540,6 +546,7 @@ class ConcatCode(schemes.BitWordCodec):
         """Every encoding of s in iter_encodings_int order (seeds, seed
         codewords, sharings, then block-codeword choices with the first
         block slowest), built from the component tables."""
+        schemes.check_word_bits(self)
         plan = self.plan
         book = self.block_code._batch_tables()[0]
         sharings = self.lecss.encodings_many(s)

@@ -7,6 +7,14 @@ assumption and is reported as such. "exact-tiny" (n <= 8) unranks the seed
 into the factorial table; over its accepted seed range every permutation
 is hit equally often, so uniformity is exact and testable by enumeration.
 
+`derive_forwards` is the one derivation kernel: it maps a batch of seeds
+to their forward maps as one array. For the shuffle backend it seeds one
+Mersenne Twister per seed, pulls each seed's raw 32-bit outputs in one
+`getrandbits` call, and replays CPython's `randrange` rejection sampling
+and the Fisher-Yates swaps across all seeds at once in numpy, so its rows
+equal what `random.Random.randrange` would shuffle. `derive_permutation`
+is its one-row call.
+
 Applying a permutation moves input bit i to output position forward[i].
 Applications run through per-byte scatter tables, so a 64-bit word costs
 eight lookups instead of 64 bit moves.
@@ -20,10 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     BitWord,
+    GuardExceeded,
     InfeasibleParams,
     PropertyReport,
     RngSeed,
@@ -35,6 +46,8 @@ PRF_SHUFFLE = "prf-shuffle"
 EXACT_TINY = "exact-tiny"
 #: Index sets test_lwise_dependence checks when there are more to pick from.
 LWISE_INDEX_SETS = 8
+#: Most seeds x n forward-map cells test_lwise_dependence derives in one pass.
+LWISE_PASS_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -176,6 +189,85 @@ def _unrank(index: int, n: int) -> List[int]:
     return [pool.pop(d) for d in digits]
 
 
+def _word_budget(n: int) -> int:
+    """32-bit outputs drawn per seed before the shuffle replay; a seed that
+    needs more is drawn again with twice as many."""
+    return 3 * n // 2 + 16
+
+
+def _mt_words(spec: PermSpec, seeds: Sequence[int], budget: int) -> np.ndarray:
+    """Each seed's first `budget` Mersenne Twister outputs, one row per
+    seed, followed by n zero words.
+
+    The generator is seeded with the SHA-256 of the spec and the seed.
+    `getrandbits(32 * budget)` returns the outputs with the first one in
+    the lowest 32 bits, so the little-endian bytes are the outputs in
+    order. A zero word is accepted by every randrange draw, so a row that
+    runs past its budget ends inside the padding instead of past the array.
+    """
+    head = b"nmcode.perm.prf:%d:%d:" % (spec.n, spec.seed_bits)
+    width = (spec.seed_bits + 7) // 8
+    row = 4 * (budget + spec.n)
+    raw = bytearray(row * len(seeds))
+    gen = random.Random()
+    for r, z in enumerate(seeds):
+        gen.seed(int.from_bytes(hashlib.sha256(head + z.to_bytes(width, "little")).digest(), "big"))
+        raw[r * row : r * row + 4 * budget] = gen.getrandbits(32 * budget).to_bytes(4 * budget, "little")
+    return np.frombuffer(raw, dtype="<u4").reshape(len(seeds), budget + spec.n)
+
+
+def _replay_shuffle(words: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Fisher-Yates over every row of `words` at once.
+
+    For i = n-1 .. 1, CPython's randrange(i + 1) takes the top k bits of
+    the next output, k = (i + 1).bit_length(), and draws again while they
+    exceed i; then positions i and j swap. Returns the forward maps and
+    the number of outputs each row used.
+    """
+    count, width = words.shape
+    flat = words.ravel()
+    start = np.arange(count, dtype=np.int64) * width
+    pos = start.copy()  # each row's next output in `flat`
+    forward = np.tile(np.arange(n, dtype=np.int32), (count, 1))
+    cells = forward.ravel()
+    base = np.arange(count, dtype=np.int64) * n
+    for i in range(n - 1, 0, -1):
+        shift = 32 - (i + 1).bit_length()
+        j = flat[pos] >> shift
+        redo = (j > i).nonzero()[0]
+        while redo.size:
+            again = pos[redo] + 1
+            pos[redo] = again
+            drawn = flat[again] >> shift
+            j[redo] = drawn
+            redo = redo[drawn > i]
+        pos += 1
+        at = base + j
+        picked = cells[at]
+        cells[at] = forward[:, i]
+        forward[:, i] = picked
+    return forward, pos - start
+
+
+def _shuffle_forwards(spec: PermSpec, seeds: Sequence[int], budget: int) -> np.ndarray:
+    """The shuffle backend's rows, `budget` outputs per seed; rows that
+    ran past it are derived again with twice the budget."""
+    forward, used = _replay_shuffle(_mt_words(spec, seeds, budget), spec.n)
+    short = np.flatnonzero(used > budget)
+    if short.size:
+        forward[short] = _shuffle_forwards(spec, [seeds[r] for r in short], 2 * budget)
+    return forward
+
+
+def derive_forwards(spec: PermSpec, seeds: Sequence[int]) -> np.ndarray:
+    """Forward maps of the seeds' permutations, one int32 row of length n
+    per seed; the seeds are Python ints in [0, 2^seed_bits)."""
+    if spec.backend == EXACT_TINY:
+        f = factorial(spec.n)
+        return np.array([_unrank(z % f, spec.n) for z in seeds], dtype=np.int32).reshape(len(seeds), spec.n)
+    return _shuffle_forwards(spec, seeds, _word_budget(spec.n))
+
+
 def derive_permutation(spec: PermSpec, seed) -> Permutation:
     """Deterministic permutation from a seed value (int or BitWord)."""
     z = seed.value if isinstance(seed, BitWord) else int(seed)
@@ -183,16 +275,7 @@ def derive_permutation(spec: PermSpec, seed) -> Permutation:
         raise ValueError("seed width mismatch")
     if not 0 <= z < (1 << spec.seed_bits):
         raise ValueError("seed out of range")
-    if spec.backend == EXACT_TINY:
-        return Permutation(_unrank(z % factorial(spec.n), spec.n))
-    material = b"nmcode.perm.prf:%d:%d:" % (spec.n, spec.seed_bits)
-    material += z.to_bytes((spec.seed_bits + 7) // 8, "little")
-    rng = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
-    arr = list(range(spec.n))
-    for i in range(spec.n - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        arr[i], arr[j] = arr[j], arr[i]
-    return Permutation(arr)
+    return Permutation(derive_forwards(spec, [z])[0].tolist())
 
 
 def uniform_tuple_probability(n: int, size: int) -> Fraction:
@@ -228,59 +311,69 @@ def _choose_index_sets(n: int, ell: int, rng: random.Random) -> List[Tuple[int, 
     return [_unrank_combination(n, ell, r) for r in rng.sample(range(total), LWISE_INDEX_SETS)]
 
 
+def _add_counts(keys: np.ndarray, counts: np.ndarray, new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Add the occurrences of `new` to the sorted, distinct `keys` and
+    their `counts`."""
+    found, found_counts = np.unique(new, return_counts=True)
+    if not keys.size:
+        return found, found_counts
+    merged, where = np.unique(np.concatenate([keys, found]), return_inverse=True)
+    total = np.zeros(len(merged), dtype=np.int64)
+    total[where[: len(keys)]] = counts
+    total[where[len(keys) :]] += found_counts
+    return merged, total
+
+
 def test_lwise_dependence(
     spec: PermSpec,
-    ell: Optional[int] = None,
     trials: int = 10000,
     seed: Optional[RngSeed] = None,
-    derive_fn: Optional[Callable[[PermSpec, int], Permutation]] = None,
-    eta: float = 1e-6,
+    derive_fn: Optional[Callable[[PermSpec, Sequence[int]], np.ndarray]] = None,
 ) -> PropertyReport:
     """Compare marginals of derived permutations against a uniform one.
 
-    For each sampled index set T, the distribution of the image tuple
-    (perm(t) for t in T) over random seeds is compared with the exact
-    uniform-permutation marginal. When the backend's accepted seed space
-    is small enough the sweep enumerates it and the distance is exact;
-    otherwise `trials` seeds are drawn and a confidence radius is attached.
-    Either way each seed's permutation is derived once and tallied for
-    every index set.
-    `derive_fn` substitutes a custom derivation (degenerate controls in
-    tests).
+    For each sampled index set T of size spec.ell, the distribution of the
+    image tuple (perm(t) for t in T) over random seeds is compared with the
+    exact uniform-permutation marginal. When the backend's accepted seed
+    space is at most `trials` the sweep enumerates it and the distance is
+    exact; otherwise `trials` seeds are drawn and a confidence radius is
+    attached. Either way the seeds' forward maps are derived in passes of
+    at most LWISE_PASS_CELLS cells, and each image tuple is counted as the
+    mixed-radix key sum(forward[t_i] * n^(ell-1-i)).
+    `derive_fn(spec, seeds)` substitutes a custom batch derivation
+    (degenerate controls in tests).
     """
-    ell = spec.ell if ell is None else ell
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    n, ell = spec.n, spec.ell
+    if n**ell > 1 << 63:  # keys run up to n^ell - 1
+        raise GuardExceeded(f"{n}^{ell} image tuples exceed the 64-bit tally key")
     rng = (seed or RngSeed.from_int(0)).stream("perm.lwise")
-    derive = derive_fn or derive_permutation
-    n = spec.n
+    derive = derive_fn or derive_forwards
     space = spec.seed_space()
     exhaustive = space <= trials
+    total = space if exhaustive else trials
     cells = uniform_tuple_probability(n, ell).denominator  # ordered image tuples
     chosen = _choose_index_sets(n, ell, rng)
-    tallies: List[Dict[Tuple[int, ...], int]] = [{} for _ in chosen]
-
-    def tally(perm: Permutation, counts: Dict[Tuple[int, ...], int], t_set) -> None:
-        key = tuple(perm.forward[t] for t in t_set)
-        counts[key] = counts.get(key, 0) + 1
-
-    if exhaustive:
-        total = space
-        seeds: Iterable[int] = range(space)
-    else:
-        total = trials
-        seeds = (spec.sample_seed(rng) for _ in range(trials))
-    for z in seeds:
-        perm = derive(spec, z)
-        for counts, t_set in zip(tallies, chosen):
-            tally(perm, counts, t_set)
+    index = np.array(chosen, dtype=np.int64)  # (index sets, ell)
+    radix = n ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    tallies = [(empty, empty)] * len(chosen)  # (sorted keys, counts) per index set
+    rows = max(1, LWISE_PASS_CELLS // n)
+    for lo in range(0, total, rows):
+        hi = min(total, lo + rows)
+        seeds = range(lo, hi) if exhaustive else [spec.sample_seed(rng) for _ in range(hi - lo)]
+        keys = derive(spec, seeds)[:, index] @ radix  # (seeds, index sets)
+        tallies = [_add_counts(k, c, keys[:, s]) for s, (k, c) in enumerate(tallies)]
     worst = Fraction(0)
     witness: Optional[Tuple[int, ...]] = None
-    for counts, t_set in zip(tallies, chosen):
-        dist = uniform_distance(counts.values(), total, cells)
+    for (_, counts), t_set in zip(tallies, chosen):
+        dist = uniform_distance(counts.tolist(), total, cells)
         if dist > worst:
             worst = dist
             witness = t_set
-    radius = 0.0 if exhaustive else confidence_radius(trials, eta)
-    passed = float(worst) <= radius if exhaustive or radius else worst == 0
+    radius = 0.0 if exhaustive else confidence_radius(trials)
+    passed = float(worst) <= radius
     counterexample = None
     if not passed:
         counterexample = {"indices": list(witness or ()), "distance": float(worst)}

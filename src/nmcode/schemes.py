@@ -101,7 +101,8 @@ class BitWordCodec:
         return BOTTOM if d is None else BitWord(d, self.message_bits)
 
 
-def _check_word_bits(scheme) -> None:
+def check_word_bits(scheme) -> None:
+    """Raise GuardExceeded when the scheme's words do not fit one uint64."""
     if scheme.block_bits > MAX_WORD_BITS:
         raise GuardExceeded(
             f"{scheme.block_bits}-bit words exceed the {MAX_WORD_BITS}-bit batch kernels"
@@ -124,7 +125,7 @@ def _sampled_dist(
     """
     if rng is None:
         raise ValueError("sampled mode needs an rng")
-    _check_word_bits(scheme)
+    check_word_bits(scheme)
     k = scheme.message_bits
     nmsg = 1 << k
     gen = np.random.default_rng(rng.getrandbits(128))
@@ -153,7 +154,7 @@ def _exact_dist(scheme, f, message: Optional[int]) -> FiniteDist:
     counted per encoding count and the counts are combined over the lcm of
     the encoding counts, so the probabilities are exact.
     """
-    _check_word_bits(scheme)
+    check_word_bits(scheme)
     k = scheme.message_bits
     nmsg = 1 << k
     messages = range(nmsg) if message is None else (message,)

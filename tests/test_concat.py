@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nmcode.core import BOTTOM, SAME, BitWord, GuardExceeded, InfeasibleParams, RngSeed
@@ -17,7 +18,7 @@ from nmcode.concat import (
 )
 from nmcode.inner import InnerParams
 from nmcode.lecss import LecssCode, LecssParams
-from nmcode.perm import Permutation
+from nmcode.perm import Permutation, derive_permutation
 from nmcode.tamper import BitTamperFn, canonical_adversaries, case1_family
 from nmcode import schemes
 
@@ -170,6 +171,29 @@ class TestCodec:
             assert big.decode_int(big.encode_int(s, rng)) == s
         with pytest.raises(GuardExceeded):
             big._scatter_tables()
+
+    def test_batch_tables_hold_each_seeds_permutation(self):
+        code = self.code()
+        fwd, _ = code._scatter_tables()
+        spec = code.plan.perm_spec()
+        x = 0x9E3779B9
+        for z in range(1 << code.plan.seed_message_bits):
+            perm = derive_permutation(spec, z)
+            assert code.perm_for(z) == perm
+            got = code._permute_many(fwd, np.array([z]), np.array([x], dtype=np.uint64))
+            assert int(got[0]) == perm.apply_int(x)
+
+    def test_batch_kernels_refuse_words_over_64_bits(self):
+        big = build_concat(plan_concat(1024, 0.5, seed_code_rate=0.05), RngSeed.from_int(4))
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(GuardExceeded, match="64-bit"):
+            big.encode_many(np.zeros(1, dtype=np.int64), gen)
+        assert gen.bit_generator.state == state  # nothing was drawn
+        with pytest.raises(GuardExceeded, match="64-bit"):
+            big.decode_many(np.zeros(1, dtype=np.uint64))
+        with pytest.raises(GuardExceeded, match="64-bit"):
+            big.encodings_many(0)
 
     def test_tampered_block_fails(self):
         code = self.code()

@@ -1,12 +1,22 @@
+import hashlib
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice, permutations
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
-from nmcode.core import BitWord, InfeasibleParams, RngSeed
+from nmcode import perm
+from nmcode.core import (
+    BitWord,
+    GuardExceeded,
+    InfeasibleParams,
+    RngSeed,
+    confidence_radius,
+    uniform_distance,
+)
 from nmcode.perm import (
     EXACT_TINY,
     LWISE_INDEX_SETS,
@@ -14,10 +24,55 @@ from nmcode.perm import (
     PermSpec,
     Permutation,
     _choose_index_sets,
+    derive_forwards,
     derive_permutation,
     uniform_tuple_probability,
 )
 from nmcode.perm import test_lwise_dependence as lwise_dependence_report
+
+
+def oracle_forward(spec, z):
+    """Seed z's forward map, one draw at a time: the SHA-256 of the spec
+    and seed seeds random.Random, whose randrange drives Fisher-Yates; the
+    exact-tiny backend takes entry z mod n! of the lexicographic list of
+    permutations."""
+    n = spec.n
+    if spec.backend == EXACT_TINY:
+        return next(islice(permutations(range(n)), z % factorial(n), None))
+    material = b"nmcode.perm.prf:%d:%d:" % (n, spec.seed_bits)
+    material += z.to_bytes((spec.seed_bits + 7) // 8, "little")
+    rng = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
+    arr = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(arr)
+
+
+def oracle_lwise(spec, trials, seed):
+    """(worst distance, witness index set or None if passed, passed) of the
+    l-wise test, derived and tallied one seed and one index set at a time."""
+    rng = seed.stream("perm.lwise")
+    chosen = _choose_index_sets(spec.n, spec.ell, rng)
+    space = spec.seed_space()
+    exhaustive = space <= trials
+    seeds = range(space) if exhaustive else [spec.sample_seed(rng) for _ in range(trials)]
+    tallies = [Counter() for _ in chosen]
+    for z in seeds:
+        forward = oracle_forward(spec, z)
+        for counts, t_set in zip(tallies, chosen):
+            counts[tuple(forward[t] for t in t_set)] += 1
+    cells = uniform_tuple_probability(spec.n, spec.ell).denominator
+    dists = [uniform_distance(c.values(), len(seeds), cells) for c in tallies]
+    worst = max(dists)
+    radius = 0.0 if exhaustive else confidence_radius(trials)
+    passed = float(worst) <= radius
+    return worst, None if passed else chosen[dists.index(worst)], passed
+
+
+def report_triple(rep):
+    witness = tuple(rep.counterexample["indices"]) if rep.counterexample else None
+    return rep.worst_value, witness, rep.passed
 
 
 class TestPermutation:
@@ -81,6 +136,68 @@ class TestDerivation:
         with pytest.raises(ValueError):
             derive_permutation(spec, 1 << 8)
 
+    @pytest.mark.parametrize("spec", [
+        PermSpec(n=32, seed_bits=10),
+        PermSpec(n=8, seed_bits=6),
+        PermSpec(n=5, seed_bits=3),
+        PermSpec(n=2, seed_bits=4),
+        PermSpec(n=1, seed_bits=3),
+        PermSpec(n=3, seed_bits=8, backend=EXACT_TINY),
+        PermSpec(n=5, seed_bits=7, backend=EXACT_TINY),
+    ])
+    def test_kernel_matches_oracle_on_every_seed(self, spec):
+        seeds = range(1 << spec.seed_bits)
+        got = derive_forwards(spec, seeds)
+        assert got.shape == (len(seeds), spec.n)
+        assert [tuple(row) for row in got.tolist()] == [oracle_forward(spec, z) for z in seeds]
+
+    @pytest.mark.parametrize("n, seed_bits", [(16, 64), (64, 20)])
+    def test_kernel_matches_oracle_on_random_seeds(self, n, seed_bits):
+        spec = PermSpec(n=n, seed_bits=seed_bits)
+        rng = random.Random(n)
+        seeds = [rng.getrandbits(seed_bits) for _ in range(2000)]
+        got = derive_forwards(spec, seeds)
+        assert [tuple(row) for row in got.tolist()] == [oracle_forward(spec, z) for z in seeds]
+        assert derive_permutation(spec, seeds[0]).forward == oracle_forward(spec, seeds[0])
+
+    def test_short_rows_are_drawn_again(self, monkeypatch):
+        spec = PermSpec(n=32, seed_bits=10)
+        want = [oracle_forward(spec, z) for z in range(1 << 10)]
+        budgets = []
+        mt_words = perm._mt_words
+
+        def spy(spec, seeds, budget):
+            budgets.append((len(seeds), budget))
+            return mt_words(spec, seeds, budget)
+
+        monkeypatch.setattr(perm, "_mt_words", spy)
+        # At n = 32 some seed of the 2^10 needs more than 2n outputs.
+        monkeypatch.setattr(perm, "_word_budget", lambda n: 2 * n)
+        got = derive_forwards(spec, range(1 << 10))
+        assert budgets[0] == (1024, 64) and budgets[1][1] == 128
+        assert [tuple(row) for row in got.tolist()] == want
+        # A budget of one output sends nearly every row through several re-draws.
+        budgets.clear()
+        monkeypatch.setattr(perm, "_word_budget", lambda n: 1)
+        got = derive_forwards(spec, range(1 << 10))
+        assert [b for _, b in budgets] == [1, 2, 4, 8, 16, 32, 64, 128][: len(budgets)]
+        assert len(budgets) >= 6
+        assert [tuple(row) for row in got.tolist()] == want
+
+    @pytest.mark.parametrize("spec, z, forward", [
+        (PermSpec(n=32, seed_bits=10), 1000,
+         (8, 3, 25, 14, 1, 22, 23, 21, 26, 17, 2, 16, 6, 10, 28, 0, 7, 30, 15, 4, 5, 31, 13, 20,
+          18, 9, 11, 27, 12, 19, 29, 24)),
+        (PermSpec(n=40, seed_bits=128), 0x9E3779B97F4A7C15F39CC0605CEDC834,
+         (6, 28, 12, 23, 38, 29, 20, 2, 4, 24, 16, 31, 3, 26, 0, 22, 10, 1, 35, 34, 14, 5, 30,
+          21, 39, 11, 18, 19, 36, 13, 17, 15, 27, 33, 9, 32, 25, 7, 37, 8)),
+        (PermSpec(n=5, seed_bits=3), 6, (0, 3, 4, 2, 1)),
+    ])
+    def test_pinned_permutations(self, spec, z, forward):
+        # Pinned values, not the oracle: a change in CPython's random would
+        # move the oracle along with the kernel.
+        assert derive_permutation(spec, z).forward == forward
+
     def test_unranking_covers_all_permutations(self):
         spec = PermSpec(n=4, seed_bits=16, backend=EXACT_TINY)
         perms = {
@@ -98,6 +215,40 @@ class TestLimitedIndependence:
             want = listed.sample(every, LWISE_INDEX_SETS) if len(every) > LWISE_INDEX_SETS else every
             assert _choose_index_sets(n, ell, rng) == want
             assert rng.getstate() == listed.getstate()
+
+    @pytest.mark.parametrize("spec, trials, seed", [
+        # Exhaustive (1024) and sampled (300) at n=32, ell=2 over five seeds.
+        *[(PermSpec(n=32, ell=2, seed_bits=10), trials, seed) for seed in range(5) for trials in (1024, 300)],
+        (PermSpec(n=9, ell=0, seed_bits=12), 100, 11),
+        (PermSpec(n=12, ell=1, seed_bits=8), 256, 11),
+        (PermSpec(n=6, ell=3, seed_bits=10, backend=EXACT_TINY), 2000, 11),
+        (PermSpec(n=40, ell=4, seed_bits=64), 500, 11),
+    ])
+    def test_reports_match_oracle(self, spec, trials, seed):
+        rep = lwise_dependence_report(spec, trials=trials, seed=RngSeed.from_int(seed))
+        assert report_triple(rep) == oracle_lwise(spec, trials, RngSeed.from_int(seed))
+
+    def test_passes_are_bounded_and_match_oracle(self, monkeypatch):
+        spec = PermSpec(n=32, ell=2, seed_bits=10)
+        monkeypatch.setattr(perm, "LWISE_PASS_CELLS", 32 * 100)
+        rows = []
+
+        def counting(spec, seeds):
+            rows.append(len(seeds))
+            return derive_forwards(spec, seeds)
+
+        for trials, passes in ((500, 5), (1024, 11)):
+            rows.clear()
+            rep = lwise_dependence_report(spec, trials=trials, seed=RngSeed.from_int(7), derive_fn=counting)
+            assert len(rows) == passes and max(rows) == 100 and sum(rows) == trials
+            assert report_triple(rep) == oracle_lwise(spec, trials, RngSeed.from_int(7))
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            lwise_dependence_report(PermSpec(n=8, ell=1, seed_bits=6), trials=0)
+        # 64^11 image tuples do not fit the int64 tally key.
+        with pytest.raises(GuardExceeded):
+            lwise_dependence_report(PermSpec(n=64, ell=11, seed_bits=20), trials=10)
 
     def test_factorial_backend_exactly_uniform(self):
         spec = PermSpec(n=4, ell=2, seed_bits=12, backend=EXACT_TINY)
@@ -117,7 +268,7 @@ class TestLimitedIndependence:
             spec,
             trials=3000,
             seed=RngSeed.from_int(3),
-            derive_fn=lambda sp, z: Permutation(list(range(sp.n))),
+            derive_fn=lambda sp, seeds: np.tile(np.arange(sp.n), (len(seeds), 1)),
         )
         assert not rep.passed
         assert rep.worst_value == Fraction(3, 4)  # 1 - 1/n at n = 4
