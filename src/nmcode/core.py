@@ -20,6 +20,8 @@ from itertools import combinations
 from math import log, sqrt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 
 class NmcodeError(Exception):
     """Base class for toolkit errors."""
@@ -401,20 +403,30 @@ def push_copy(d: FiniteDist, s: BitWord) -> FiniteDist:
     return FiniteDist(probs, kind=d.kind, samples=d.samples)
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
 def uniform_distance(counts: Iterable[int], total: int, outcomes: int) -> Fraction:
     """Exact distance of a counted marginal from uniform on `outcomes` cells.
 
-    `counts` holds the integer counts of the cells that occurred, out of
-    `total` draws; cells missing from it count 0. Returns
-    1/2 * sum over all cells of |c/total - 1/outcomes|, summed in integers
-    as |c*outcomes - total| with one Fraction built at the end.
+    `counts` (an integer array or any iterable of ints) holds the counts of
+    the cells that occurred, out of `total` draws; cells missing from it
+    count 0. Returns 1/2 * sum over all cells of |c/total - 1/outcomes|,
+    summed as one int64 array sum of |c*outcomes - total| plus `total` per
+    missing cell, with one Fraction built at the end. Raises GuardExceeded
+    when an int64 product or sum could overflow.
     """
-    acc = 0
-    seen = 0
-    for c in counts:
-        acc += abs(c * outcomes - total)
-        seen += 1
-    acc += (outcomes - seen) * total
+    counts = np.asarray(counts if isinstance(counts, np.ndarray) else list(counts), dtype=np.int64)
+    cells = len(counts)
+    if counts.min(initial=0) < 0:
+        raise ValueError("counts must be nonnegative")
+    # Each term |c*outcomes - total| is at most c*outcomes + total, so the
+    # int64 sum stays below outcomes * sum(c) + cells * total; sum(c)
+    # itself fits when cells * max(c) does.
+    top = max(total, int(counts.max(initial=0)))
+    if cells * top > _INT64_MAX or outcomes * int(counts.sum()) + cells * total > _INT64_MAX:
+        raise GuardExceeded(f"{cells} counts of {total} draws over {outcomes} cells overflow int64")
+    acc = int(np.abs(counts * outcomes - total).sum()) + (outcomes - cells) * total
     return Fraction(acc, 2 * total * outcomes)
 
 
@@ -427,17 +439,17 @@ def worst_marginal(
     Returns (distance, index set); ties keep the first set in size, then
     `combinations`, order, and (0, None) when every marginal is uniform.
     """
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(int(w).to_bytes(width, "little") for w in words), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(words), width), axis=1, bitorder="little")[:, :n]
+    bits = bits.astype(np.int64)  # bits[w, i] is bit i of word w
     worst = Fraction(0)
     witness = None
     for size in range(1, ell + 1):
+        place = 1 << np.arange(size, dtype=np.int64)  # bit j of a key is bit idxs[j]
         for idxs in combinations(range(n), size):
-            counts: dict = {}
-            for w in words:
-                v = 0
-                for j, i in enumerate(idxs):
-                    v |= ((w >> i) & 1) << j
-                counts[v] = counts.get(v, 0) + 1
-            dist = uniform_distance(counts.values(), len(words), 1 << size)
+            counts = np.bincount(bits[:, list(idxs)] @ place, minlength=1 << size)
+            dist = uniform_distance(counts, len(words), 1 << size)
             if dist > worst:
                 worst = dist
                 witness = idxs

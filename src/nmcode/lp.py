@@ -5,6 +5,12 @@ distribution over outputs plus a SAME marker. That minimization is a small
 linear program; solving it in exact arithmetic keeps every reported error
 an exact Fraction, which the factor-4 and reduction inequalities rely on.
 
+`solve_lp` runs the simplex on sparse {column: int} rows, since the
+reduction LPs are mostly zeros, with fraction-free (Edmonds/Bareiss)
+pivots. Each row is scaled by the lcm of its own denominators, not by one
+lcm of the whole matrix, so the determinant grows only by the scales of the
+rows pivoted on; phase 1 weights row i by L / s_i to keep Bland's path.
+
 A closed form exists for one output bit and is validated against both the
 simplex solver and a brute-force grid in the test suite.
 """
@@ -20,12 +26,14 @@ from .core import SAME, NmcodeError
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+Row = Dict[int, int]  # a tableau row: column -> nonzero integer entry
+
 
 class LpInfeasible(NmcodeError):
     pass
 
 
-def _pivot(tab: List[List[int]], basis: List[int], row: int, col: int, det: int) -> int:
+def _pivot(tab: List[Row], basis: List[int], row: int, col: int, det: int) -> int:
     """Integer-preserving pivot; returns the new basis determinant.
 
     Every row r stands for the rational row tab[r] / det. Pivoting keeps
@@ -39,47 +47,38 @@ def _pivot(tab: List[List[int]], basis: List[int], row: int, col: int, det: int)
     for r, line in enumerate(tab):
         if r == row:
             continue
-        f = line[col]
+        f = line.get(col)
         if f:
-            tab[r] = [(p * a - f * b) // det for a, b in zip(line, prow)]
+            tab[r] = {j: v // det for j in line.keys() | prow.keys()
+                      if (v := p * line.get(j, 0) - f * prow.get(j, 0))}
         elif p != det:
-            tab[r] = [p * a // det for a in line]
+            tab[r] = {j: p * a // det for j, a in line.items()}
     basis[row] = col
     return p
 
 
-def _simplex(tab: List[List[int]], basis: List[int], ncols: int, det: int) -> int:
-    # Bland's rule on both choices: guaranteed termination. The common
-    # positive denominator det cancels from every sign test and ratio.
+def _simplex(tab: List[Row], basis: List[int], ncols: int, det: int) -> int:
+    # Bland's rule on both choices: guaranteed termination. The common positive
+    # denominator det cancels from every sign test and ratio. Column ncols is the rhs.
     while True:
-        obj = tab[-1]
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        col = min((j for j, v in tab[-1].items() if v < 0 and j < ncols), default=None)
         if col is None:
             return det
         best_row = None
         for r in range(len(tab) - 1):
-            a = tab[r][col]
+            a = tab[r].get(col, 0)
             if a > 0:
                 if best_row is None:
                     best_row = r
                     continue
-                # ratio tab[r][-1] / a against the best, cross-multiplied.
-                lhs = tab[r][-1] * tab[best_row][col]
-                rhs = tab[best_row][-1] * a
+                # ratio rhs_r / a against the best, cross-multiplied.
+                lhs = tab[r].get(ncols, 0) * tab[best_row][col]
+                rhs = tab[best_row].get(ncols, 0) * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
                     best_row = r
         if best_row is None:
             raise LpInfeasible("objective unbounded below")
         det = _pivot(tab, basis, best_row, col, det)
-
-
-def _lcm_of_denominators(values) -> int:
-    return lcm(*{v.denominator for v in values})
-
-
-def _scaled(values, scale: int) -> List[int]:
-    """Rationals times `scale`, a multiple of each denominator, as ints."""
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve_lp(
@@ -91,72 +90,73 @@ def solve_lp(
 ) -> Tuple[Fraction, List[Fraction]]:
     """Minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
 
-    Two-phase simplex with Bland's rule on an integer tableau: every
-    constraint row is scaled by one common lcm of denominators, the
-    artificial columns stay at 1 so the basis determinant starts at 1, and
-    pivots are fraction-free. Returns (optimal value, solution) as exact
-    Fractions, built once at the end.
+    Two-phase simplex with Bland's rule on sparse integer rows. Row i and
+    its rhs are scaled by s_i > 0, the lcm of their denominators; its slack
+    and artificial entries stay 1, which scales those variables instead.
+    That leaves every ratio test and every structural-basic row of B^-1 A
+    as they were, and multiplies a row whose basic variable is a slack or
+    an artificial by s_i, keeping its zeros and signs. Phase 1 weights row
+    i by L / s_i (L = lcm of the s_i), so its objective row is L times the
+    unscaled -sum of rows and Bland's rule picks the same columns; a plain
+    -sum of the scaled rows would not. Artificial columns start as the
+    identity, so the basis determinant starts at 1, and are not stored, as
+    none may enter. Returns (optimal value, solution) as exact Fractions.
     """
-    n = len(c)
-    nslack = len(a_ub)
-    scale = _lcm_of_denominators([v for row in (*a_ub, *a_eq) for v in row] + [*b_ub, *b_eq])
-    rows: List[List[int]] = []
-    for i, row in enumerate(a_ub):
-        line = _scaled(row, scale) + [0] * nslack
-        line[n + i] = scale
-        rows.append(line)
-    for row in a_eq:
-        rows.append(_scaled(row, scale) + [0] * nslack)
-    rhs = _scaled([*b_ub, *b_eq], scale)
-    m = len(rows)
-    total = n + nslack
-    # Normalize to nonnegative rhs, then add artificials for phase 1.
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    tab: List[List[int]] = []
-    basis: List[int] = []
-    for i in range(m):
-        line = rows[i] + [0] * m + [rhs[i]]
-        line[total + i] = 1
+    n, nslack = len(c), len(a_ub)
+    total = n + nslack  # columns that may enter; column `total` is the rhs
+    tab: List[Row] = []
+    scales: List[int] = []
+    for i, (row, b) in enumerate([*zip(a_ub, b_ub), *zip(a_eq, b_eq)]):
+        cells = {j: v for j, v in enumerate(row) if v}
+        if b:
+            cells[total] = b
+        s = lcm(*(v.denominator for v in cells.values()))
+        line = {j: v.numerator * (s // v.denominator) for j, v in cells.items()}
+        if i < nslack:
+            line[n + i] = 1
+        # Normalize to a nonnegative rhs; the artificial keeps entry 1.
+        if line.get(total, 0) < 0:
+            line = {j: -v for j, v in line.items()}
         tab.append(line)
-        basis.append(total + i)
-    # Phase-1 cost 1 per artificial, reduced against the artificial basis.
-    phase1 = [-sum(col) for col in zip([0] * (total + m + 1), *tab)]
-    for i in range(m):
-        phase1[total + i] = 0
-    tab.append(phase1)
+        scales.append(s)
+    basis = list(range(total, total + len(tab)))
+    # Phase-1 cost L / s_i per artificial, reduced against the artificial basis.
+    big = lcm(*scales)
+    phase1: Row = {}
+    for line, s in zip(tab, scales):
+        for j, v in line.items():
+            phase1[j] = phase1.get(j, 0) - big // s * v
+    tab.append({j: v for j, v in phase1.items() if v})
     det = _simplex(tab, basis, total, 1)
-    # Objective-row invariant: last entry holds minus the current value.
-    if tab[-1][-1] < 0:
+    # Objective-row invariant: the rhs entry holds minus the current value.
+    if tab.pop().get(total, 0) < 0:
         raise LpInfeasible("no feasible point")
     # Drive any artificial variables remaining in the basis out of it.
-    for r in range(m):
-        if basis[r] >= total:
-            col = next((j for j in range(total) if tab[r][j] != 0), None)
+    for r, b in enumerate(basis):
+        if b >= total:
+            col = min((j for j in tab[r] if j < total), default=None)
             if col is not None:
                 if tab[r][col] < 0:
                     # Negating the row keeps the determinant positive; the
                     # pivot divides the row by its pivot entry either way.
-                    tab[r] = [-v for v in tab[r]]
+                    tab[r] = {j: -v for j, v in tab[r].items()}
                 det = _pivot(tab, basis, r, col, det)
-    tab.pop()
-    cost_scale = _lcm_of_denominators(c)
-    cost = _scaled(c, cost_scale) + [0] * (nslack + m)
+    cost_scale = lcm(*(v.denominator for v in c))
+    cost = {j: v.numerator * (cost_scale // v.denominator) for j, v in enumerate(c) if v}
     # Express the objective in terms of the nonbasic variables.
-    obj = [det * v for v in cost] + [0]
-    for r in range(m):
-        f = cost[basis[r]]
+    obj = {j: det * v for j, v in cost.items()}
+    for line, b in zip(tab, basis):
+        f = cost.get(b)
         if f:
-            obj = [a - f * b for a, b in zip(obj, tab[r])]
-    tab.append(obj)
+            for j, v in line.items():
+                obj[j] = obj.get(j, 0) - f * v
+    tab.append({j: v for j, v in obj.items() if v})
     det = _simplex(tab, basis, total, det)
     solution = [_ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            solution[basis[r]] = Fraction(tab[r][-1], det)
-    return Fraction(-tab[-1][-1], det * cost_scale), solution
+    for line, b in zip(tab, basis):
+        if b < n:
+            solution[b] = Fraction(line.get(total, 0), det)
+    return Fraction(-tab[-1].get(total, 0), det * cost_scale), solution
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,8 @@ def repair_fixed_points(table: Sequence[int], size: int) -> List[int]:
 
 def check_extraction(ext: ExtractorTable, src: FlatSourcePair) -> Fraction:
     """Exact distance of the output distribution from uniform."""
-    counts: Dict[int, int] = {}
-    for x in src.xs:
-        base = x << ext.n
-        for y in src.ys:
-            v = ext.entries[base | y]
-            counts[v] = counts.get(v, 0) + 1
-    return uniform_distance(counts.values(), src.pairs, 1 << ext.m)
+    outputs = ext.as_array()[np.ix_(src.xs, src.ys)].ravel()
+    return uniform_distance(np.bincount(outputs, minlength=1 << ext.m), src.pairs, 1 << ext.m)
 
 
 def joint_output_dist(
@@ -398,7 +393,7 @@ class ExtractorCode(schemes.BitWordCodec):
         Equals the extraction distance of the table on full-entropy
         sources, coordinate for coordinate.
         """
-        return uniform_distance(self.sizes.tolist(), 1 << self.block_bits, 1 << self.message_bits)
+        return uniform_distance(self.sizes, 1 << self.block_bits, 1 << self.message_bits)
 
 
 @dataclass

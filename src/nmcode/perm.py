@@ -368,7 +368,7 @@ def test_lwise_dependence(
     worst = Fraction(0)
     witness: Optional[Tuple[int, ...]] = None
     for (_, counts), t_set in zip(tallies, chosen):
-        dist = uniform_distance(counts.tolist(), total, cells)
+        dist = uniform_distance(counts, total, cells)
         if dist > worst:
             worst = dist
             witness = t_set

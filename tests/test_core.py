@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from nmcode.core import (
     SAME,
     BitWord,
     FiniteDist,
+    GuardExceeded,
     PropertyReport,
     RngSeed,
     confidence_radius,
@@ -223,6 +225,15 @@ class TestEmpiricalDist:
         assert confidence_radius(100_000) < 0.01
 
 
+def loop_uniform_distance(counts, total, outcomes):
+    """The Python-int loop that uniform_distance replaced, as its oracle."""
+    acc = seen = 0
+    for c in counts:
+        acc += abs(c * outcomes - total)
+        seen += 1
+    return Fraction(acc + (outcomes - seen) * total, 2 * total * outcomes)
+
+
 class TestUniformDistance:
     def test_matches_fraction_formula_on_random_counts(self):
         # Zero counts and cells missing from the counts are both exercised.
@@ -244,6 +255,42 @@ class TestUniformDistance:
         assert uniform_distance([2, 2, 2, 2], 8, 4) == 0
         assert uniform_distance([5], 5, 4) == Fraction(3, 4)
         assert uniform_distance([3, 1], 4, 2) == Fraction(1, 4)
+
+    def test_array_sum_matches_python_loop(self):
+        # Counts as int64 arrays and as iterables, with cells missing (fewer
+        # counts than outcomes), zero counts and all-zero count vectors.
+        rng = random.Random(4)
+        for _ in range(500):
+            outcomes = rng.randint(1, 40)
+            counts = [rng.choice([0, rng.randint(0, 60)]) for _ in range(rng.randint(0, outcomes))]
+            total = sum(counts) or rng.randint(1, 9)
+            want = loop_uniform_distance(counts, total, outcomes)
+            assert uniform_distance(np.array(counts, dtype=np.int64), total, outcomes) == want
+            assert uniform_distance(iter(counts), total, outcomes) == want
+        for counts in ([], [0], [0, 0, 0, 0]):
+            want = loop_uniform_distance(counts, 8, 4)
+            assert uniform_distance(np.array(counts, dtype=np.int64), 8, 4) == want == Fraction(1, 2)
+
+    def test_near_guard_total_is_exact_and_past_it_raises(self):
+        # One cell holds every draw: its term total * (outcomes - 1) is the
+        # whole int64 sum, within 2^45 of 2^63 at the largest total allowed.
+        outcomes = 1 << 20
+        total = ((1 << 63) - 1) // (outcomes + 1)
+        counts = np.array([total], dtype=np.int64)
+        assert int(counts[0]) * (outcomes - 1) > (1 << 63) - (1 << 45)
+        want = loop_uniform_distance([total], total, outcomes)
+        assert uniform_distance(counts, total, outcomes) == want
+        assert uniform_distance(counts, total, outcomes) == Fraction(outcomes - 1, outcomes)
+        # One more draw and the bound outcomes * sum(c) + cells * total
+        # passes 2^63 - 1; here the product 4 * 2^61 itself would wrap.
+        with pytest.raises(GuardExceeded):
+            uniform_distance(counts + 1, total + 1, outcomes)
+        with pytest.raises(GuardExceeded):
+            uniform_distance([1 << 61], 1 << 61, 4)
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError):
+            uniform_distance(np.array([3, -1]), 2, 2)
 
 
 class TestWorstMarginal:
@@ -267,6 +314,20 @@ class TestWorstMarginal:
                 counts[key] = counts.get(key, 0) + 1
             worst = max(worst, uniform_distance(counts.values(), len(words), 1 << len(idxs)))
         assert worst_marginal(words, 5, 2)[0] == worst
+
+    def test_words_wider_than_64_bits(self):
+        rng = random.Random(2)
+        words = [rng.getrandbits(80) for _ in range(10)]
+        worst, witness = Fraction(0), None
+        for idxs in [(i,) for i in range(80)] + [(i, j) for i in range(80) for j in range(i + 1, 80)]:
+            counts = {}
+            for w in words:
+                key = BitWord(w, 80).restrict(idxs).value
+                counts[key] = counts.get(key, 0) + 1
+            dist = loop_uniform_distance(counts.values(), len(words), 1 << len(idxs))
+            if dist > worst:
+                worst, witness = dist, idxs
+        assert worst_marginal(words, 80, 2) == (worst, witness)
 
 
 class TestFiniteDistValidation:

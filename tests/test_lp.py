@@ -149,6 +149,47 @@ def _random_lp(rng):
     return c, a_ub, b_ub, a_eq, b_eq
 
 
+# Pairwise coprime: each row of a _row_scaled_lp draws its own.
+_COPRIME_DENOMINATORS = (7, 9, 64, 125, 11, 13, 17, 19, 23)
+
+
+def _row_scaled_lp(rng):
+    """A small LP whose rows have pairwise-coprime denominators, one per
+    row (1/7, 1/9, 1/64, ...), so that every row gets its own scale. Some
+    right-hand sides are negative; some instances repeat an equality under
+    another denominator, which leaves an artificial basic after phase 1,
+    and some add a zero-rhs equality with nonpositive entries, whose
+    artificial the drive-out step removes by a negative pivot."""
+    nv, nub, neq = rng.randint(2, 5), rng.randint(0, 3), rng.randint(1, 2)
+    dens = iter(rng.sample(_COPRIME_DENOMINATORS, nub + neq + 3))
+    x = [F(rng.randint(0, 6), rng.choice([1, 2])) for _ in range(nv)]
+    feasible = rng.random() < 0.7
+
+    def constraint(slack):
+        d = next(dens)
+        row = [F(rng.randint(-9, 9), rng.choice([1, d, d])) for _ in range(nv)]
+        if feasible:
+            return row, sum(a * v for a, v in zip(row, x)) + F(slack * rng.randint(0, 4), d)
+        return row, F(rng.randint(-9, 9), d)
+
+    a_ub, b_ub = map(list, zip(*[constraint(1) for _ in range(nub)])) if nub else ([], [])
+    a_eq, b_eq = map(list, zip(*[constraint(0) for _ in range(neq)]))
+    if rng.random() < 0.3:
+        k = F(rng.choice([-3, -2, 2, 5]), next(dens))
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    if rng.random() < 0.3:
+        d = next(dens)
+        a_eq.append([F(-rng.randint(0, 2), d) for _ in range(nv)])
+        b_eq.append(F(0))
+    if rng.random() < 0.8:
+        d = next(dens)
+        a_ub.append([F(1, d)] * nv)
+        b_ub.append(F(rng.randint(4, 40), d))
+    c = [F(rng.randint(-6, 6), rng.choice([1, 3, 5])) for _ in range(nv)]
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
 def _reduction_lps(n, m, tables, adversaries):
     """Every solve_lp call of verify_reduction (the same_minimax LPs of
     optimal_nm_error, and of min_copy_distance at m >= 2)."""
@@ -230,6 +271,40 @@ class TestOracle:
             assert got == want, args
             outcomes.add(want if want is LpInfeasible else "optimal")
         assert outcomes == {LpInfeasible, "optimal"}
+
+    def test_row_scaled_lps_match_fraction_simplex(self, monkeypatch):
+        # Beyond equal results, both solvers must pivot on the same
+        # (row, column) sequence. The oracle pivots on a negative entry
+        # only in its drive-out step.
+        lp_pivot, oracle_pivot = lp._pivot, _oracle_pivot
+        paths, negative = ([], []), []
+
+        def record_lp(tab, basis, row, col, det):
+            paths[0].append((row, col))
+            return lp_pivot(tab, basis, row, col, det)
+
+        def record_oracle(tab, basis, row, col):
+            paths[1].append((row, col))
+            negative.append(tab[row][col] < 0)
+            oracle_pivot(tab, basis, row, col)
+
+        monkeypatch.setattr(lp, "_pivot", record_lp)
+        monkeypatch.setitem(globals(), "_oracle_pivot", record_oracle)
+        rng = random.Random(11)
+        outcomes, negative_rhs = [], 0
+        for _ in range(300):
+            args = _row_scaled_lp(rng)
+            got, want = _solve_both(args)
+            assert got == want, args
+            assert paths[0] == paths[1], args
+            for path in paths:
+                path.clear()
+            outcomes.append(want if want is LpInfeasible else "optimal")
+            negative_rhs += any(b < 0 for b in (*args[2], *args[4]))
+        # Seed 11 gives 176 optimal and 124 infeasible instances, 257 with a
+        # negative rhs and 22 negative drive-out pivots.
+        assert outcomes.count("optimal") >= 100 and outcomes.count(LpInfeasible) >= 100
+        assert negative_rhs >= 100 and sum(negative) >= 10
 
     @pytest.mark.parametrize("n, m, tables, adversaries", [
         (3, 1, 4, 4), (3, 2, 2, 1), (4, 1, 4, 3), (4, 2, 2, 1),
