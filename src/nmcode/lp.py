@@ -10,16 +10,23 @@ reduction LPs are mostly zeros, with fraction-free (Edmonds/Bareiss)
 pivots. Each row is scaled by the lcm of its own denominators, not by one
 lcm of the whole matrix, so the determinant grows only by the scales of the
 rows pivoted on; phase 1 weights row i by L / s_i to keep Bland's path.
+Each row also keeps the determinant of its own last rewrite, so a pivot
+rewrites only the rows that have an entry in the pivot column.
 
-A closed form exists for one output bit and is validated against both the
-simplex solver and a brute-force grid in the test suite.
+`same_minimax` is the one SAME-marker minimax LP. `min_copy_distance`
+builds it from a (2^m, 2^m) count matrix of (output, tampered output)
+cells, and `min_copy_distance_m1` is its closed form for one output bit,
+on int64 count arrays; the test suite checks the closed form against the
+simplex, a Fraction oracle and a brute-force grid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .core import SAME, NmcodeError
 
@@ -33,33 +40,38 @@ class LpInfeasible(NmcodeError):
     pass
 
 
-def _pivot(tab: List[Row], basis: List[int], row: int, col: int, det: int) -> int:
+def _pivot(tab: List[Row], basis: List[int], row: int, col: int, det: int, dets: List[int]) -> int:
     """Integer-preserving pivot; returns the new basis determinant.
 
-    Every row r stands for the rational row tab[r] / det. Pivoting keeps
-    the pivot row as it is, makes its pivot entry p the new determinant,
-    and sets each other row to (p*a - f*b) // det, a division that is
-    exact because every entry is a minor of the integer input matrix
-    (Edmonds 1967; Bareiss 1968). The pivot must be positive.
+    Row r stands for the rational row tab[r] / dets[r], where dets[r] is
+    the basis determinant at the row's last update; det is the current
+    one. The pivot row is first brought to det (times det / dets[row]).
+    Its pivot entry p becomes the new determinant, and each row with an
+    entry f in the pivot column becomes (p*a - f*b) // dets[r]: the
+    Edmonds/Bareiss update (Edmonds 1967; Bareiss 1968) of that row
+    brought to det, so the division is exact, as every entry is a minor of
+    the integer input matrix. A row without the pivot column keeps its
+    value and is left as it is. The pivot must be positive.
     """
     prow = tab[row]
+    if dets[row] != det:
+        prow = tab[row] = {j: v * det // dets[row] for j, v in prow.items()}
     p = prow[col]
     for r, line in enumerate(tab):
-        if r == row:
-            continue
         f = line.get(col)
-        if f:
-            tab[r] = {j: v // det for j in line.keys() | prow.keys()
+        if f and r != row:
+            d = dets[r]
+            tab[r] = {j: v // d for j in line.keys() | prow.keys()
                       if (v := p * line.get(j, 0) - f * prow.get(j, 0))}
-        elif p != det:
-            tab[r] = {j: p * a // det for j, a in line.items()}
+            dets[r] = p
+    dets[row] = p
     basis[row] = col
     return p
 
 
-def _simplex(tab: List[Row], basis: List[int], ncols: int, det: int) -> int:
-    # Bland's rule on both choices: guaranteed termination. The common positive
-    # denominator det cancels from every sign test and ratio. Column ncols is the rhs.
+def _simplex(tab: List[Row], basis: List[int], ncols: int, det: int, dets: List[int]) -> int:
+    # Bland's rule on both choices: guaranteed termination. Each row's positive
+    # determinant cancels from its sign tests and ratios. Column ncols is the rhs.
     while True:
         col = min((j for j, v in tab[-1].items() if v < 0 and j < ncols), default=None)
         if col is None:
@@ -78,7 +90,7 @@ def _simplex(tab: List[Row], basis: List[int], ncols: int, det: int) -> int:
                     best_row = r
         if best_row is None:
             raise LpInfeasible("objective unbounded below")
-        det = _pivot(tab, basis, best_row, col, det)
+        det = _pivot(tab, basis, best_row, col, det, dets)
 
 
 def solve_lp(
@@ -127,7 +139,9 @@ def solve_lp(
         for j, v in line.items():
             phase1[j] = phase1.get(j, 0) - big // s * v
     tab.append({j: v for j, v in phase1.items() if v})
-    det = _simplex(tab, basis, total, 1)
+    dets = [1] * len(tab)
+    det = _simplex(tab, basis, total, 1, dets)
+    dets.pop()
     # Objective-row invariant: the rhs entry holds minus the current value.
     if tab.pop().get(total, 0) < 0:
         raise LpInfeasible("no feasible point")
@@ -140,48 +154,30 @@ def solve_lp(
                     # Negating the row keeps the determinant positive; the
                     # pivot divides the row by its pivot entry either way.
                     tab[r] = {j: -v for j, v in tab[r].items()}
-                det = _pivot(tab, basis, r, col, det)
+                det = _pivot(tab, basis, r, col, det, dets)
     cost_scale = lcm(*(v.denominator for v in c))
     cost = {j: v.numerator * (cost_scale // v.denominator) for j, v in enumerate(c) if v}
-    # Express the objective in terms of the nonbasic variables.
+    # Express the objective in terms of the nonbasic variables, over det:
+    # row r brought to det is line * det / dets[r], an exact division.
     obj = {j: det * v for j, v in cost.items()}
-    for line, b in zip(tab, basis):
+    for line, b, d in zip(tab, basis, dets):
         f = cost.get(b)
         if f:
             for j, v in line.items():
-                obj[j] = obj.get(j, 0) - f * v
+                obj[j] = obj.get(j, 0) - f * (v * det // d)
     tab.append({j: v for j, v in obj.items() if v})
-    det = _simplex(tab, basis, total, det)
+    dets.append(det)
+    _simplex(tab, basis, total, det, dets)
     solution = [_ZERO] * n
-    for line, b in zip(tab, basis):
+    for line, b, d in zip(tab, basis, dets):
         if b < n:
-            solution[b] = Fraction(line.get(total, 0), det)
-    return Fraction(-tab[-1].get(total, 0), det * cost_scale), solution
+            solution[b] = Fraction(line.get(total, 0), d)
+    return Fraction(-tab[-1].get(total, 0), dets[-1] * cost_scale), solution
 
 
 # ---------------------------------------------------------------------------
 # Distance to the nearest "independent output + SAME marker" explanation
 # ---------------------------------------------------------------------------
-
-
-def copy_distance(
-    joint: Mapping[Tuple[int, int], Fraction],
-    marginal: Mapping[int, Fraction],
-    d: Mapping[object, Fraction],
-    outputs: Sequence[int],
-) -> Fraction:
-    """Statistical distance between `joint` and the explanation induced by d.
-
-    d assigns mass to each output value and to SAME; the explanation places
-    probability p_a * (d[b] + d[SAME]*[a==b]) on the pair (a, b).
-    """
-    ds = Fraction(d.get(SAME, 0))
-    acc = _ZERO
-    for a, pa in marginal.items():
-        for b in outputs:
-            model = pa * (Fraction(d.get(b, 0)) + (ds if a == b else _ZERO))
-            acc += abs(joint.get((a, b), _ZERO) - model)
-    return acc / 2
 
 
 def same_minimax(
@@ -227,67 +223,59 @@ def same_minimax(
     return value, x[:nd]
 
 
-def min_copy_distance(
-    joint: Mapping[Tuple[int, int], Fraction],
-    marginal: Mapping[int, Fraction],
-    outputs: Sequence[int],
-) -> Tuple[Fraction, Dict[object, Fraction]]:
-    """Exact minimizer of `copy_distance` over all reference distributions.
+def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, Dict[object, Fraction]]:
+    """Reference distribution d over the outputs plus SAME closest to the
+    law of (output, tampered output); returns (distance, d).
 
-    One `same_minimax` group holding every (a, b) cell with weight p_a;
-    exact for any output alphabet size, but meant for toy scales (the LP
-    has O(|A|*|outputs|) variables).
+    counts[a, b] counts the cells with output a and tampered output b;
+    with p_a the share of output a, d explains the pair (a, b) by
+    p_a * (d[b] + [a == b] * d[SAME]). One `same_minimax` group holding
+    every cell of each output that occurs; exact for any output alphabet,
+    but meant for toy scales (the LP has O(outputs^2) variables).
     """
+    total = int(counts.sum())
+    outputs = len(counts)
     cells = [
-        (bi, Fraction(pa), Fraction(joint.get((a, b), _ZERO)), a == b)
-        for a, pa in marginal.items()
-        if pa > 0
-        for bi, b in enumerate(outputs)
+        (b, Fraction(ra, total), Fraction(c, total), a == b)
+        for a, (row, ra) in enumerate(zip(counts.tolist(), counts.sum(axis=1).tolist()))
+        if ra
+        for b, c in enumerate(row)
     ]
-    value, x = same_minimax([cells], len(outputs))
-    d: Dict[object, Fraction] = {b: x[bi] for bi, b in enumerate(outputs)}
-    d[SAME] = x[len(outputs)]
+    value, x = same_minimax([cells], outputs)
+    d: Dict[object, Fraction] = dict(enumerate(x[:outputs]))
+    d[SAME] = x[outputs]
     return value, d
 
 
-def min_copy_distance_m1(
-    joint: Mapping[Tuple[int, int], Fraction],
-    marginal: Mapping[int, Fraction],
-) -> Tuple[Fraction, Dict[object, Fraction]]:
-    """Closed form of `min_copy_distance` for a single output bit.
+def min_copy_distance_m1(c01, c11, r0, r1, total):
+    """Closed form of `min_copy_distance` for one output bit, elementwise
+    on integer counts: returns (numerator, denominator) int64 arrays of the
+    exact distance.
 
-    With outputs {0,1} the objective collapses to
-        |J(0,1) - p0*d1| + |J(1,0) - p1*d0|,
-    minimized subject to d0, d1 >= 0 and d0 + d1 <= 1. When the
-    unconstrained optimum fits inside the simplex the distance is 0;
-    otherwise the optimum sits on the d_same = 0 face and is found among
-    the breakpoints of the two absolute values.
+    c01 and c11 count the cells whose tampered output is 1 under output 0
+    and 1; r0 and r1 count output 0 and 1, out of `total` cells. The
+    objective collapses to |J(0,1) - p0*d1| + |J(1,0) - p1*d0| over
+    d0, d1 >= 0 with d0 + d1 <= 1. It is 0 when either output is missing
+    or c10*r0 + c01*r1 <= r0*r1, where the unconstrained optimum fits in
+    the simplex; otherwise the optimum lies on the d_SAME = 0 face, at the
+    least of the four breakpoints v = d1 = 0, 1, c01/r0 and 1 - c10/r1.
+    Values compare by cross-multiplication: with total <= 2^16 (n <=
+    EXTRACTION_GUARD_N = 8 for full sources) every numerator is at most
+    r0*r1 <= 2^30, every denominator at most total^2 = 2^32, and every
+    product at most 2^62, so int64 inputs never overflow.
     """
-    p0 = Fraction(marginal.get(0, _ZERO))
-    p1 = Fraction(marginal.get(1, _ZERO))
-    j01 = Fraction(joint.get((0, 1), _ZERO))
-    j10 = Fraction(joint.get((1, 0), _ZERO))
-    if p0 == 0 or p1 == 0:
-        # One branch vanishes; the other reaches 0 inside the simplex.
-        if p0 == 0 and p1 == 0:
-            return _ZERO, {0: _ZERO, 1: _ZERO, SAME: _ONE}
-        if p0 == 0:
-            u = j10 / p1
-            return _ZERO, {0: u, 1: _ZERO, SAME: _ONE - u}
-        v = j01 / p0
-        return _ZERO, {0: _ZERO, 1: v, SAME: _ONE - v}
-    u0 = j10 / p1
-    v0 = j01 / p0
-    if u0 + v0 <= 1:
-        return _ZERO, {0: u0, 1: v0, SAME: _ONE - u0 - v0}
-
-    def g(v: Fraction) -> Fraction:
-        return abs(j01 - p0 * v) + abs(j10 - p1 * (_ONE - v))
-
-    candidates = {_ZERO, _ONE}
-    for v in (v0, _ONE - u0):
-        if _ZERO <= v <= _ONE:
-            candidates.add(v)
-    best_v = min(candidates, key=g)
-    val = g(best_v)
-    return val, {0: _ONE - best_v, 1: best_v, SAME: _ZERO}
+    c00 = r0 - c01
+    c10 = r1 - c11
+    cands = [
+        (c01 + c11, total),
+        (c00 + c10, total),
+        (np.abs(r1 * c01 - c11 * r0), total * r0),
+        (np.abs(r0 * c10 - c00 * r1), total * r1),
+    ]
+    num, den = cands[0]
+    for n, d in cands[1:]:
+        take = n * den < num * d
+        num = np.where(take, n, num)
+        den = np.where(take, d, den)
+    zero = (r0 == 0) | (r1 == 0) | (c10 * r0 + c01 * r1 <= r0 * r1)
+    return np.where(zero, 0, num), np.where(zero, 1, den)

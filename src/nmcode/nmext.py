@@ -7,10 +7,15 @@ conditions for fixed-point-free tampering, the strict condition for
 arbitrary tampering via the distance-minimizing reference distribution,
 and the extractor-to-code reduction with its (2^k + 1) error blowup.
 
-Source sweeps range over flat sources only; a flat pair is given by the
-two supports. Sweeps that touch every support pair are vectorized with
-numpy but aggregate exact integer counts, so reported distances stay
-exact Fractions.
+Every split-state verdict reads integer counts. `joint_output_dist` is
+the one count kernel: the (2^m, 2^m) matrix of (output, tampered output)
+cells of a flat source pair, from one `np.bincount`. The relaxed and
+strict checks and the reduction read their distances off it, through
+`lp.min_copy_distance_m1` at one output bit and the `lp` minimax LPs
+otherwise. Source sweeps range over flat sources only; a flat pair is
+given by the two supports. The sweep over every support pair gets its
+counts from incidence-matrix products instead, and compares values by
+cross-multiplication, so reported distances stay exact Fractions.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import GuardExceeded, InfeasibleParams, RngSeed, uniform_distance
-from .lp import min_copy_distance, min_copy_distance_m1
-from .tamper import SplitStateTamperFn
+from .lp import min_copy_distance, min_copy_distance_m1, same_minimax
 from . import schemes
 
 EXTRACTION_GUARD_N = 8
@@ -186,58 +190,38 @@ def joint_output_dist(
     src: FlatSourcePair,
     f1: Optional[Sequence[int]],
     f2: Optional[Sequence[int]],
-) -> Dict[Tuple[int, int], Fraction]:
-    """Joint law of (output, tampered output) under the given half-tamperings."""
-    counts: Dict[Tuple[int, int], int] = {}
-    n = ext.n
-    for x in src.xs:
-        tx = f1[x] if f1 is not None else x
-        for y in src.ys:
-            ty = f2[y] if f2 is not None else y
-            key = (ext.entries[(x << n) | y], ext.entries[(tx << n) | ty])
-            counts[key] = counts.get(key, 0) + 1
-    total = src.pairs
-    return {k: Fraction(c, total) for k, c in counts.items()}
+) -> np.ndarray:
+    """(2^m, 2^m) int64 counts C[a, b] of the source cells (x, y) with
+    output a and tampered output b = ext(f1[x], f2[y]); a half-tampering
+    given as None is the identity. C / src.pairs is the joint law."""
+    table = ext.as_array()
+    xs, ys = np.asarray(src.xs), np.asarray(src.ys)
+    tx = xs if f1 is None else np.asarray(f1)[xs]
+    ty = ys if f2 is None else np.asarray(f2)[ys]
+    size = 1 << ext.m
+    cells = table[np.ix_(xs, ys)] * size + table[np.ix_(tx, ty)]
+    return np.bincount(cells.ravel(), minlength=size * size).reshape(size, size)
 
 
-def _first_marginal(joint: Dict[Tuple[int, int], Fraction]) -> Dict[int, Fraction]:
-    marg: Dict[int, Fraction] = {}
-    for (a, _), p in joint.items():
-        marg[a] = marg.get(a, Fraction(0)) + p
-    return marg
+def product_with_uniform_distance(counts: np.ndarray) -> Fraction:
+    """Distance between the law of (output, tampered output) and (uniform
+    output) x (its tampered marginal): the sufficient-condition quantity
+    for relaxed non-malleability. Exact, from the counts of
+    `joint_output_dist`."""
+    size = len(counts)
+    acc = int(np.abs(size * counts - counts.sum(axis=0)).sum())
+    return Fraction(acc, 2 * size * int(counts.sum()))
 
 
-def _second_marginal(joint: Dict[Tuple[int, int], Fraction]) -> Dict[int, Fraction]:
-    marg: Dict[int, Fraction] = {}
-    for (_, b), p in joint.items():
-        marg[b] = marg.get(b, Fraction(0)) + p
-    return marg
-
-
-def product_with_uniform_distance(
-    joint: Dict[Tuple[int, int], Fraction], m: int
-) -> Fraction:
-    """Distance between the joint and (uniform first coordinate) x (same
-    second marginal): the sufficient-condition quantity for relaxed
-    non-malleability."""
-    second = _second_marginal(joint)
-    unif = Fraction(1, 1 << m)
-    acc = Fraction(0)
-    for b, pb in second.items():
-        for a in range(1 << m):
-            acc += abs(joint.get((a, b), Fraction(0)) - unif * pb)
-    return acc / 2
-
-
-def optimal_reference_distance(
-    joint: Dict[Tuple[int, int], Fraction], m: int
-) -> Tuple[Fraction, Dict[object, Fraction]]:
-    """Minimum distance to an explanation by an independent reference
-    output plus a SAME marker; exact closed form at m = 1, exact LP above."""
-    marginal = _first_marginal(joint)
-    if m == 1:
-        return min_copy_distance_m1(joint, marginal)
-    return min_copy_distance(joint, marginal, list(range(1 << m)))
+def _copy_distance(counts: np.ndarray) -> Fraction:
+    """Exact minimum distance to an explanation by an independent
+    reference output plus a SAME marker: the closed form at one output
+    bit, the LP otherwise."""
+    if len(counts) != 2:
+        return min_copy_distance(counts)[0]
+    (c00, c01), (c10, c11) = counts
+    num, den = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, counts.sum())
+    return Fraction(int(num), int(den))
 
 
 @dataclass
@@ -299,9 +283,9 @@ def check_relaxed_nm(
     worst = None
     for name in PATTERNS:
         g1, g2 = _patterns(f1, f2, name)
-        joint = joint_output_dist(ext, src, g1, g2)
-        nm[name] = product_with_uniform_distance(joint, ext.m)
-        opt[name], _ = optimal_reference_distance(joint, ext.m)
+        counts = joint_output_dist(ext, src, g1, g2)
+        nm[name] = product_with_uniform_distance(counts)
+        opt[name] = _copy_distance(counts)
         if worst is None or nm[name] > nm[worst]:
             worst = name
     return NmVerdict(
@@ -320,9 +304,9 @@ def check_strict_nm(
 ) -> NmVerdict:
     """Strict non-malleability for arbitrary half-tamperings: the exact
     minimum, over reference distributions with a SAME marker, of the
-    distance between (output, tampered output) and the explained joint."""
-    joint = joint_output_dist(ext, src, f1, f2)
-    value, ref = optimal_reference_distance(joint, ext.m)
+    distance between (output, tampered output) and the explained joint.
+    The witness is the LP's minimizing reference, at every m."""
+    value, ref = min_copy_distance(joint_output_dist(ext, src, f1, f2))
     return NmVerdict(
         extraction_distance=check_extraction(ext, src),
         nm_distances={"both": value},
@@ -433,41 +417,60 @@ def verify_reduction(
     """Build the code and verify error <= (measured extractor error) * (2^k+1)
     for sampled split-state adversaries.
 
-    Per adversary, the extractor error is the max of the exact extraction
-    distance (full-entropy sources) and the exact strict non-malleability
-    distance for that adversary; the code error is the exact minimax over
-    reference distributions of the worst-message distance.
+    Per adversary (f1, f2), both errors are exact and read off the counts
+    C = `joint_output_dist` on full-entropy sources. The extractor error
+    is the max of the table's extraction distance and the strict
+    non-malleability distance of C. The code error is the minimax, over
+    reference distributions d on messages, decoder failure and SAME, of
+    the worst message's distance; message s decodes to b with probability
+    C[s, b] / r_s, r_s its encoding count. Decoding never fails, so mass
+    on failure only adds to every distance. At m = 1, with a = c01/r0 and
+    b = c10/r1, the distances for messages 0 and 1 are then |a - d1| and
+    |b - d0|; the optimum over d0 + d1 <= 1 of max(|a - d1|, |b - d0|) is
+    max(0, (a + b - 1)/2), as the two sum to at least a + b - 1 and
+    d1 = a - t, d0 = b - t with t = (a + b - 1)/2 attains it. That is
+    max(0, c01*r1 + c10*r0 - r0*r1) / (2*r0*r1), the term whose sign
+    decides the zero branch of `min_copy_distance_m1`. At m != 1 the
+    minimax is `same_minimax` with one group per message.
     """
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream("nmext.reduction")
     code = ExtractorCode(ext)
+    eps_ext = code.encoding_bias()
+    sizes = code.sizes.tolist()
     full = FlatSourcePair.full(ext.n)
-    # Taken from the first strict verdict, which computes it anyway;
-    # computed here only when there are no adversaries.
-    eps_ext: Optional[Fraction] = None
     size = 1 << ext.n
     blowup = (1 << ext.m) + 1
     rows: List[ReductionRow] = []
     for i in range(adversaries):
         f1 = [rng.randrange(size) for _ in range(size)]
         f2 = [rng.randrange(size) for _ in range(size)]
-        verdict = check_strict_nm(ext, full, f1, f2)
-        if eps_ext is None:
-            eps_ext = verdict.extraction_distance
-        eps_f = max(eps_ext, verdict.nm_distances["both"])
-        adv = SplitStateTamperFn(f1, f2)
-        code_err, _ = schemes.optimal_nm_error(code, adv)
+        counts = joint_output_dist(ext, full, f1, f2)
+        eps_f = max(eps_ext, _copy_distance(counts))
         rows.append(
             ReductionRow(
                 adversary_id=i,
                 extractor_error=eps_f,
-                code_error=code_err,
+                code_error=_code_error(counts.tolist(), sizes),
                 bound=eps_f * blowup,
             )
         )
-    if eps_ext is None:
-        eps_ext = check_extraction(ext, full)
     return ReductionReport(extraction_distance=eps_ext, rows=rows)
+
+
+def _code_error(counts: List[List[int]], sizes: List[int]) -> Fraction:
+    """Exact error of the extractor code against the adversary behind the
+    counts; see `verify_reduction`."""
+    if len(counts) == 2:
+        (_, c01), (c10, _) = counts
+        r0, r1 = sizes
+        return Fraction(max(0, c01 * r1 + c10 * r0 - r0 * r1), 2 * r0 * r1)
+    fail = len(counts)  # outcome index of decoder failure, which never occurs
+    groups = [
+        [(o, 1, Fraction(c, r), o == s) for o, c in enumerate(row)] + [(fail, 1, Fraction(0), False)]
+        for s, (row, r) in enumerate(zip(counts, sizes))
+    ]
+    return same_minimax(groups, fail + 1)[0]
 
 
 def rate_target_plan(n: int, alpha_prime: float, gamma: float = 0.01) -> dict:
@@ -527,33 +530,6 @@ def _max_fraction(num: np.ndarray, den: np.ndarray) -> Tuple[int, int]:
         num = np.concatenate([np.where(take, b_n, a_n), num[2 * half :]])
         den = np.concatenate([np.where(take, b_d, a_d), den[2 * half :]])
     return int(num[0]), int(den[0])
-
-
-def _copy_distance_m1(c01, c11, r0, r1, total):
-    """`min_copy_distance_m1` on (x, y) cell counts, elementwise: returns
-    (numerator, denominator) int64 arrays of the exact distance.
-
-    c01 and c11 count pairs whose tampered output is 1 with output 0 and
-    1; r0 and r1 count output 0 and 1. The distance is 0 when either
-    output is missing or c10*r0 + c01*r1 <= r0*r1, and otherwise the least
-    of the objective at the four breakpoints v = 0, 1, c01/r0 and
-    1 - c10/r1.
-    """
-    c00 = r0 - c01
-    c10 = r1 - c11
-    cands = [
-        (c01 + c11, total),
-        (c00 + c10, total),
-        (np.abs(r1 * c01 - c11 * r0), total * r0),
-        (np.abs(r0 * c10 - c00 * r1), total * r1),
-    ]
-    num, den = cands[0]
-    for n, d in cands[1:]:
-        take = n * den < num * d
-        num = np.where(take, n, num)
-        den = np.where(take, d, den)
-    zero = (r0 == 0) | (r1 == 0) | (c10 * r0 + c01 * r1 <= r0 * r1)
-    return np.where(zero, 0, num), np.where(zero, 1, den)
 
 
 def relaxed_error_sweep(
@@ -618,7 +594,7 @@ def relaxed_error_sweep(
         best_num, best_den = np.abs(2 * ones - total), 2 * total
         best_kind = np.zeros(ones.shape, dtype=np.int64)
         for k in range(len(PATTERNS)):
-            num, den = _copy_distance_m1(cells[2 * k], cells[2 * k + 1], r0, ones, total)
+            num, den = min_copy_distance_m1(cells[2 * k], cells[2 * k + 1], r0, ones, total)
             better = num * best_den > best_num * den
             best_num = np.where(better, num, best_num)
             best_den = np.where(better, den, best_den)

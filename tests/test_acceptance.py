@@ -46,7 +46,8 @@ from nmcode.inner import (
     verify_error_detection,
 )
 from nmcode.lecss import build_lecss
-from nmcode.lp import copy_distance, min_copy_distance_m1
+import split_state_oracle as oracle
+from nmcode.lp import min_copy_distance_m1
 from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
 from nmcode.nmext import (
     FlatSourcePair,
@@ -284,8 +285,9 @@ def test_criterion_08_tampering_fuzz():
 
 def test_criterion_09_extractor_reduction():
     start = time.monotonic()
-    # The reference-minimizer is validated against a brute-force grid
-    # before being trusted inside the reduction bound.
+    # The reference-minimizer, the closed form on the count kernel's
+    # output, is validated against a brute-force grid of the Fraction-dict
+    # distance before being trusted inside the reduction bound.
     grid_ok = True
     steps = 50
     for i in range(3):
@@ -293,11 +295,11 @@ def test_criterion_09_extractor_reduction():
         rng = random.Random(9400 + i)
         f1 = [rng.randrange(16) for _ in range(16)]
         f2 = [rng.randrange(16) for _ in range(16)]
-        joint = joint_output_dist(table, FlatSourcePair.full(4), f1, f2)
-        marg = {}
-        for (a, _), p in joint.items():
-            marg[a] = marg.get(a, Fraction(0)) + p
-        opt, _ = min_copy_distance_m1(joint, marg)
+        (c00, c01), (c10, c11) = joint_output_dist(table, FlatSourcePair.full(4), f1, f2)
+        num, den = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, 256)
+        opt = Fraction(int(num), int(den))
+        joint = oracle.joint_output_dist(table, FlatSourcePair.full(4), f1, f2)
+        marg = oracle.first_marginal(joint)
         grid_min = None
         for u in range(steps + 1):
             for v in range(steps + 1 - u):
@@ -306,7 +308,7 @@ def test_criterion_09_extractor_reduction():
                     1: Fraction(v, steps),
                     SAME: Fraction(steps - u - v, steps),
                 }
-                val = copy_distance(joint, marg, cand, [0, 1])
+                val = oracle.copy_distance(joint, marg, cand, [0, 1])
                 if grid_min is None or val < grid_min:
                     grid_min = val
         if not (opt <= grid_min <= opt + Fraction(2, steps)):

@@ -1,17 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import split_state_oracle as oracle
 from nmcode import lp, nmext
 from nmcode.core import SAME, RngSeed
-from nmcode.lp import (
-    LpInfeasible,
-    copy_distance,
-    min_copy_distance,
-    min_copy_distance_m1,
-    solve_lp,
-)
+from nmcode.lp import LpInfeasible, min_copy_distance, min_copy_distance_m1, solve_lp
 
 
 def F(a, b=1):
@@ -191,20 +187,24 @@ def _row_scaled_lp(rng):
 
 
 def _reduction_lps(n, m, tables, adversaries):
-    """Every solve_lp call of verify_reduction (the same_minimax LPs of
-    optimal_nm_error, and of min_copy_distance at m >= 2)."""
+    """Every distinct solve_lp call of verify_reduction (its same_minimax
+    LPs at m >= 2) and of the oracle reduction on the same adversaries (the
+    LPs of optimal_nm_error, and of the dict min_copy_distance at m >= 2)."""
     seen = []
     original = lp.solve_lp
 
     def record(*args):
-        seen.append(args)
+        if args not in seen:
+            seen.append(args)
         return original(*args)
 
     lp.solve_lp = record
     try:
         for i in range(tables):
             table = nmext.sample_random_extractor(n, m, RngSeed.from_int(300 + 10 * n + i))
-            nmext.verify_reduction(table, adversaries, RngSeed.from_int(400 + 10 * m + i))
+            seed = RngSeed.from_int(400 + 10 * m + i)
+            nmext.verify_reduction(table, adversaries, seed)
+            oracle.reduction_rows(table, adversaries, seed)
     finally:
         lp.solve_lp = original
     return seen
@@ -279,9 +279,9 @@ class TestOracle:
         lp_pivot, oracle_pivot = lp._pivot, _oracle_pivot
         paths, negative = ([], []), []
 
-        def record_lp(tab, basis, row, col, det):
+        def record_lp(tab, basis, row, col, *dets):
             paths[0].append((row, col))
-            return lp_pivot(tab, basis, row, col, det)
+            return lp_pivot(tab, basis, row, col, *dets)
 
         def record_oracle(tab, basis, row, col):
             paths[1].append((row, col))
@@ -326,29 +326,41 @@ class TestOracle:
         assert got == want == (F(-3), [F(0), F(0), F(3)])
 
 
-def random_joint(rng, m=1):
+def random_counts(rng, m=1):
+    """A (2^m, 2^m) count matrix with at least one nonzero cell."""
     size = 1 << m
-    cells = {
-        (a, b): rng.randint(0, 9) for a in range(size) for b in range(size)
-    }
-    total = sum(cells.values()) or 1
-    joint = {k: Fraction(v, total) for k, v in cells.items() if v}
-    marg = {}
-    for (a, _), p in joint.items():
-        marg[a] = marg.get(a, Fraction(0)) + p
-    return joint, marg
+    while True:
+        counts = np.array([[rng.randint(0, 9) for _ in range(size)] for _ in range(size)])
+        if counts.any():
+            return counts
+
+
+def oracle_law(counts):
+    joint = oracle.joint_from_counts(counts)
+    return joint, oracle.first_marginal(joint)
+
+
+def closed_form(counts):
+    """`min_copy_distance_m1` on one 2 x 2 count matrix, as a Fraction."""
+    (c00, c01), (c10, c11) = counts
+    num, den = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, counts.sum())
+    return Fraction(int(num), int(den))
 
 
 class TestCopyDistanceMinimizer:
     def test_closed_form_matches_lp_single_bit(self):
+        # Elementwise over one batch of 120 matrices, as relaxed_error_sweep
+        # calls it, against the LP and the Fraction-dict closed form.
         rng = random.Random(1)
-        for _ in range(120):
-            joint, marg = random_joint(rng, 1)
-            v1, d1 = min_copy_distance_m1(joint, marg)
-            v2, d2 = min_copy_distance(joint, marg, [0, 1])
-            assert v1 == v2
-            assert copy_distance(joint, marg, d1, [0, 1]) == v1
-            assert copy_distance(joint, marg, d2, [0, 1]) == v2
+        batch = np.array([random_counts(rng, 1) for _ in range(120)])
+        c01, c11 = batch[:, 0, 1], batch[:, 1, 1]
+        r0, r1 = batch[:, 0].sum(axis=1), batch[:, 1].sum(axis=1)
+        nums, dens = min_copy_distance_m1(c01, c11, r0, r1, r0 + r1)
+        for counts, num, den in zip(batch, nums, dens):
+            joint, marg = oracle_law(counts)
+            v, d = min_copy_distance(counts)
+            assert Fraction(int(num), int(den)) == v == oracle.min_copy_distance_m1(joint, marg)[0]
+            assert oracle.copy_distance(joint, marg, d, [0, 1]) == v
 
     def test_brute_force_grid_validation_single_bit(self):
         # Dense grid over the reference simplex: the exact optimum must
@@ -357,8 +369,9 @@ class TestCopyDistanceMinimizer:
         rng = random.Random(2)
         steps = 60
         for _ in range(12):
-            joint, marg = random_joint(rng, 1)
-            v, _ = min_copy_distance_m1(joint, marg)
+            counts = random_counts(rng, 1)
+            joint, marg = oracle_law(counts)
+            v = closed_form(counts)
             grid_min = None
             for i in range(steps + 1):
                 for j in range(steps + 1 - i):
@@ -367,7 +380,7 @@ class TestCopyDistanceMinimizer:
                         1: Fraction(j, steps),
                         SAME: Fraction(steps - i - j, steps),
                     }
-                    val = copy_distance(joint, marg, d, [0, 1])
+                    val = oracle.copy_distance(joint, marg, d, [0, 1])
                     if grid_min is None or val < grid_min:
                         grid_min = val
             assert v <= grid_min
@@ -377,30 +390,38 @@ class TestCopyDistanceMinimizer:
         rng = random.Random(3)
         outputs = [0, 1, 2, 3]
         for _ in range(8):
-            joint, marg = random_joint(rng, 2)
-            v, d = min_copy_distance(joint, marg, outputs)
-            assert copy_distance(joint, marg, d, outputs) == v
+            counts = random_counts(rng, 2)
+            joint, marg = oracle_law(counts)
+            v, d = min_copy_distance(counts)
+            assert v == oracle.min_copy_distance(joint, marg, outputs)[0]
+            assert oracle.copy_distance(joint, marg, d, outputs) == v
             for _ in range(25):
                 raw = [rng.randint(0, 9) for _ in range(5)]
                 tot = sum(raw) or 1
                 cand = {o: Fraction(raw[i], tot) for i, o in enumerate(outputs)}
                 cand[SAME] = Fraction(raw[4], tot)
-                assert copy_distance(joint, marg, cand, outputs) >= v
+                assert oracle.copy_distance(joint, marg, cand, outputs) >= v
 
     def test_perfectly_explained_joints_have_zero_distance(self):
         # Independent product joints and identity joints are explainable.
-        marg = {0: Fraction(1, 3), 1: Fraction(2, 3)}
-        product = {
-            (a, b): marg[a] * Fraction(1, 2) for a in (0, 1) for b in (0, 1)
-        }
-        assert min_copy_distance_m1(product, marg)[0] == 0
-        diag = {(a, a): marg[a] for a in (0, 1)}
-        v, d = min_copy_distance_m1(diag, marg)
-        assert v == 0 and d[SAME] == 1
+        product = np.array([[1, 1], [2, 2]])
+        assert closed_form(product) == min_copy_distance(product)[0] == 0
+        diag = np.array([[1, 0], [0, 2]])
+        v, d = min_copy_distance(diag)
+        assert v == closed_form(diag) == 0 and d[SAME] == 1
 
     def test_anticorrelated_joint_is_inexplicable(self):
         # Output always flips: the best reference still misses by 1/2.
-        marg = {0: Fraction(1, 2), 1: Fraction(1, 2)}
-        flip = {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
-        v, _ = min_copy_distance_m1(flip, marg)
-        assert v == Fraction(1, 2)
+        flip = np.array([[0, 1], [1, 0]])
+        assert closed_form(flip) == min_copy_distance(flip)[0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_closed_form_exact_at_the_table_guard(self, mirror):
+        # n = 8 full sources: 2^16 cells, r0 = r1 = 2^15. Output 0 always
+        # tampers to 1 and output 1 to 0 (cross-products reach 2^61), or,
+        # mirrored, every output is kept.
+        half = np.int64(1 << 15)
+        counts = np.array([[half, 0], [0, half]]) if mirror else np.array([[0, half], [half, 0]])
+        joint, marg = oracle_law(counts)
+        want = oracle.min_copy_distance_m1(joint, marg)[0]
+        assert closed_form(counts) == want == (0 if mirror else Fraction(1, 2))

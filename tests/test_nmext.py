@@ -16,7 +16,8 @@ from nmcode.core import (
     RngSeed,
     uniform_distance,
 )
-from nmcode.lp import copy_distance, min_copy_distance, min_copy_distance_m1
+import split_state_oracle as oracle
+from nmcode.lp import min_copy_distance
 from nmcode.nmext import (
     DEFAULT_SWEEP_GUARD,
     ExtractorCode,
@@ -67,7 +68,7 @@ def oracle_relaxed_error_sweep(ext, f1, f2, min_support):
                 cells = np.bincount((a * 2 + t[:, ys]).ravel(), minlength=4)
                 joint = {(i >> 1, i & 1): Fraction(int(cells[i]), total) for i in range(4)}
                 marg = {0: joint[(0, 0)] + joint[(0, 1)], 1: joint[(1, 0)] + joint[(1, 1)]}
-                val, _ = min_copy_distance_m1(joint, marg)
+                val, _ = oracle.min_copy_distance_m1(joint, marg)
                 if val > local:
                     local, local_pat = val, name
             if local > worst:
@@ -217,11 +218,9 @@ class TestRelaxed:
         src = FlatSourcePair.full(2)
         f1 = [1, 2, 3, 0]
         verdict = check_relaxed_nm(table, src, f1, [3, 2, 1, 0])
-        joint = joint_output_dist(table, src, f1, None)
-        assert all(a == b for (a, b) in joint)  # diagonal
-        assert verdict.nm_distances["first-only"] == product_with_uniform_distance(
-            joint, 1
-        )
+        counts = joint_output_dist(table, src, f1, None)
+        assert counts[0, 1] == counts[1, 0] == 0  # diagonal
+        assert verdict.nm_distances["first-only"] == product_with_uniform_distance(counts)
         assert verdict.optimal_distances["first-only"] == 0
 
     def test_xor_share_with_complement_regression(self):
@@ -235,6 +234,35 @@ class TestRelaxed:
         verdict = check_relaxed_nm(table, src, comp, fpf)
         assert verdict.nm_distances["first-only"] == Fraction(1, 2)
         assert verdict.optimal_distances["first-only"] == Fraction(1, 2)
+
+
+class TestJointCounts:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_counts_and_verdicts_match_fraction_oracle(self, m):
+        # Random flat sources and fixed-point-free tamperings: the count
+        # matrix is the dict law, and both verdicts read the same values
+        # off it as the Fraction-dict layer did.
+        rng = random.Random(20 + m)
+        for i in range(6):
+            table = sample_random_extractor(3, m, RngSeed.from_int(20 + 10 * m + i))
+            xs = tuple(sorted(rng.sample(range(8), rng.randint(1, 8))))
+            ys = tuple(sorted(rng.sample(range(8), rng.randint(1, 8))))
+            src = FlatSourcePair(xs, ys)
+            f1 = repair_fixed_points([rng.randrange(8) for _ in range(8)], 8)
+            f2 = repair_fixed_points([rng.randrange(8) for _ in range(8)], 8)
+            relaxed = check_relaxed_nm(table, src, f1, f2)
+            for name, (g1, g2) in {
+                "first-only": (f1, None), "second-only": (None, f2), "both": (f1, f2),
+            }.items():
+                counts = joint_output_dist(table, src, g1, g2)
+                assert counts.shape == (1 << m, 1 << m) and counts.sum() == src.pairs
+                joint = oracle.joint_output_dist(table, src, g1, g2)
+                assert oracle.joint_from_counts(counts) == joint
+                assert relaxed.nm_distances[name] == oracle.product_with_uniform_distance(joint, m)
+                assert relaxed.optimal_distances[name] == oracle.strict_distance(joint, m)[0]
+            strict = check_strict_nm(table, src, f1, f2)
+            joint = oracle.joint_output_dist(table, src, f1, f2)
+            assert strict.nm_distances["both"] == oracle.strict_distance(joint, m)[0]
 
 
 class TestStrict:
@@ -258,10 +286,12 @@ class TestStrict:
         f1 = [rng.randrange(8) for _ in range(8)]
         f2 = [rng.randrange(8) for _ in range(8)]
         verdict = check_strict_nm(table, src, f1, f2)
-        joint = joint_output_dist(table, src, f1, f2)
-        marg = {}
-        for (a, _), p in joint.items():
-            marg[a] = marg.get(a, Fraction(0)) + p
+        joint = oracle.joint_output_dist(table, src, f1, f2)
+        marg = oracle.first_marginal(joint)
+        ref = {SAME if k == "SAME" else int(k): v for k, v in verdict.witness["reference"].items()}
+        assert float(oracle.copy_distance(joint, marg, ref, [0, 1])) == pytest.approx(
+            float(verdict.nm_distances["both"])
+        )
         for _ in range(100):
             raw = [rng.randint(0, 9) for _ in range(3)]
             tot = sum(raw) or 1
@@ -270,7 +300,7 @@ class TestStrict:
                 1: Fraction(raw[1], tot),
                 SAME: Fraction(raw[2], tot),
             }
-            assert copy_distance(joint, marg, cand, [0, 1]) >= verdict.nm_distances["both"]
+            assert oracle.copy_distance(joint, marg, cand, [0, 1]) >= verdict.nm_distances["both"]
 
     def test_strict_bounded_by_relaxed_for_fpf_adversaries(self):
         # For already fixed-point-free tampering the strict check at the
@@ -327,6 +357,23 @@ class TestCodeReduction:
         with pytest.raises(ValueError):
             code.decode(BitWord(0, 3))
         assert code.decode(code.encode(BitWord(1, 1), rng)) == BitWord(1, 1)
+
+    def test_empty_preimage_rejected_by_reduction(self):
+        with pytest.raises(InfeasibleParams):
+            verify_reduction(ExtractorTable(2, 1, [1] * 16), adversaries=1)
+
+    @pytest.mark.parametrize("n, m, adversaries", [
+        (2, 1, 200), (3, 1, 200), (4, 1, 200), (2, 2, 10), (3, 2, 10), (8, 1, 2),
+    ])
+    def test_rows_match_fraction_oracle(self, n, m, adversaries):
+        # Same table, same adversary stream: every row equals the dict
+        # strict distance and schemes.optimal_nm_error on the code.
+        table = sample_random_extractor(n, m, RngSeed.from_int(500 + 10 * n + m))
+        seed = RngSeed.from_int(600 + 10 * n + m)
+        report = verify_reduction(table, adversaries, seed)
+        rows = [(r.extractor_error, r.code_error, r.bound) for r in report.rows]
+        assert rows == oracle.reduction_rows(table, adversaries, seed)
+        assert report.extraction_distance == check_extraction(table, FlatSourcePair.full(n))
 
     def test_reduction_report(self):
         table = sample_random_extractor(3, 1, RngSeed.from_int(41))
@@ -498,10 +545,8 @@ class TestPinnedOptima:
     def test_min_copy_distance_two_bits(self, i, value):
         table = sample_random_extractor(3, 2, RngSeed.from_int(90 + i))
         f1, f2 = self._adversary(95 + i)
-        joint = joint_output_dist(table, FlatSourcePair.full(3), f1, f2)
-        marg = {}
-        for (a, _), p in joint.items():
-            marg[a] = marg.get(a, Fraction(0)) + p
-        v, d = min_copy_distance(joint, marg, [0, 1, 2, 3])
+        src = FlatSourcePair.full(3)
+        v, d = min_copy_distance(joint_output_dist(table, src, f1, f2))
         assert v == value
-        assert copy_distance(joint, marg, d, [0, 1, 2, 3]) == value
+        joint = oracle.joint_output_dist(table, src, f1, f2)
+        assert oracle.copy_distance(joint, oracle.first_marginal(joint), d, [0, 1, 2, 3]) == value
