@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import BitWord, NmcodeError, RngSeed, dumps_report
+from .core import BitWord, GuardExceeded, NmcodeError, RngSeed, dumps_report
 from .inner import (
     InnerParams,
     plan_inner_params,
@@ -224,16 +224,17 @@ def _verify_one_inner(args) -> dict:
     inner, seed_json, checks, ell, eps, guards = args
     seed = RngSeed.from_json(seed_json)
     code = sample_inner_code(InnerParams(*inner), seed)
+    sweeps = {
+        "cube": lambda kw: verify_cube_property(code, **kw),
+        "independence": lambda kw: verify_bounded_independence(code, ell, eps, **kw),
+        "detection": lambda kw: verify_error_detection(code, **kw),
+    }
     reports: Dict[str, dict] = {}
-    if "cube" in checks:
-        kw = {"guard": guards["cube"]} if "cube" in guards else {}
-        reports["cube"] = verify_cube_property(code, **kw).to_json()
-    if "independence" in checks:
-        kw = {"guard": guards["independence"]} if "independence" in guards else {}
-        reports["independence"] = verify_bounded_independence(code, ell, eps, **kw).to_json()
-    if "detection" in checks:
-        kw = {"guard": guards["detection"]} if "detection" in guards else {}
-        reports["detection"] = verify_error_detection(code, **kw).to_json()
+    for name in [c for c in sweeps if c in checks]:
+        try:
+            reports[name] = sweeps[name]({"guard": guards[name]} if name in guards else {}).to_json()
+        except GuardExceeded as e:
+            raise GuardExceeded(f"{name}: {e}; raise --guard or leave {name} out of --checks") from None
     if "roundtrip" in checks:
         ok = schemes.roundtrip_exhaustive(code)
         reports["roundtrip"] = {"name": "roundtrip", "passed": ok, "worst_case": "exhaustive", "worst_value": 0.0}
@@ -495,7 +496,7 @@ OPERATIONS: Dict[str, Operation] = {
             _flagged("params.alpha", float, None),
         )),
         Operation("inner", "verify", _inner_verify, (
-            _flagged("params.n", int, 10),
+            _flagged("params.n", int, 8),
             _flagged("params.k", int, 4),
             _flagged("params.t", int, 8),
             _flagged("params.delta", float, 0.0),

@@ -671,11 +671,7 @@ def attack_experiment(
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream(f"attack.{adversary_id}")
     ref = schemes.reference_dist(code, f, samples=samples, rng=rng)
-    if messages is None:
-        msg_list: Sequence[int] = range(1 << code.message_bits)
-    else:
-        msg_list = messages
-    report = schemes.nm_error(code, f, ref, messages=msg_list, samples=samples, rng=rng)
+    report = schemes.nm_error(code, f, ref, messages=messages, samples=samples, rng=rng)
     return AttackReport(
         adversary_id=adversary_id,
         case_class=classify_adversary(code.plan, f),
@@ -686,8 +682,3 @@ def attack_experiment(
         reference=ref.to_json(),
     )
 
-
-def case1_outcome_dists(code: ConcatCode, f: BitTamperFn) -> List[FiniteDist]:
-    """Exact outcome distribution per message; equal across messages when
-    the adversary freezes enough of the payload."""
-    return [code.exact_outcome_dist(f, s) for s in range(1 << code.message_bits)]

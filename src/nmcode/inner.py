@@ -491,10 +491,7 @@ def verify_error_detection(
     if sample_fns is None:
         work = (4**p.n) * p.codeword_count
         if work > guard:
-            raise GuardExceeded(
-                f"exhaustive sweep size {work} exceeds guard {guard}; "
-                "pass sample_fns for the sampled fallback"
-            )
+            raise GuardExceeded(f"exhaustive sweep size {work} exceeds guard {guard}")
     elif rng is None:
         raise ValueError("sampled mode needs an rng")
 

@@ -13,11 +13,12 @@ rows pivoted on; phase 1 weights row i by L / s_i to keep Bland's path.
 Each row also keeps the determinant of its own last rewrite, so a pivot
 rewrites only the rows that have an entry in the pivot column.
 
-`same_minimax` is the one SAME-marker minimax LP. `min_copy_distance`
-builds it from a (2^m, 2^m) count matrix of (output, tampered output)
-cells, and `min_copy_distance_m1` is its closed form for one output bit,
-on int64 count arrays; the test suite checks the closed form against the
-simplex, a Fraction oracle and a brute-force grid.
+`same_minimax` is the one SAME-marker minimax LP. `message_minimax`
+builds it from a code's outcome counts, one group per message, and
+`min_copy_distance` from a (2^m, 2^m) count matrix of (output, tampered
+output) cells; `min_copy_distance_m1` is the latter's closed form for one
+output bit, on int64 count arrays; the test suite checks the closed form
+against the simplex, a Fraction oracle and a brute-force grid.
 """
 
 from __future__ import annotations
@@ -221,6 +222,20 @@ def same_minimax(
     a_eq = [[_ONE] * nd + [_ZERO] * (nvars - nd)]
     value, x = solve_lp(c, a_ub, b_ub, a_eq, [_ONE])
     return value, x[:nd]
+
+
+def message_minimax(
+    rows: Sequence[Sequence[int]], sizes: Sequence[int], messages: Sequence[int]
+) -> Tuple[Fraction, List[Fraction]]:
+    """`same_minimax` with one group per message: rows[i] counts, out of
+    sizes[i] encodings, the outcomes of message messages[i] over the
+    outputs (messages, then decoder failure); SAME explains only output
+    messages[i]. Returns (t, [d_0, ..., d_{outputs-1}, d_same])."""
+    groups = [
+        [(o, 1, Fraction(c, size), o == s) for o, c in enumerate(row)]
+        for row, size, s in zip(rows, sizes, messages)
+    ]
+    return same_minimax(groups, len(rows[0]))
 
 
 def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, Dict[object, Fraction]]:

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import GuardExceeded, InfeasibleParams, RngSeed, uniform_distance
-from .lp import min_copy_distance, min_copy_distance_m1, same_minimax
+from .lp import message_minimax, min_copy_distance, min_copy_distance_m1
 from . import schemes
 
 EXTRACTION_GUARD_N = 8
@@ -63,13 +63,15 @@ class ExtractorTable:
         self.m = m
         self.entries = ent
         self.seed = seed
+        self._array = np.asarray(ent, dtype=np.int64).reshape(1 << n, 1 << n)
+        self._array.flags.writeable = False
 
     def lookup(self, x: int, y: int) -> int:
         return self.entries[(x << self.n) | y]
 
     def as_array(self) -> np.ndarray:
-        size = 1 << self.n
-        return np.asarray(self.entries, dtype=np.int64).reshape(size, size)
+        """The table as a read-only (2^n, 2^n) int64 array, built once."""
+        return self._array
 
     def truncated(self, k: int) -> "ExtractorTable":
         """Keep only the first k output bits."""
@@ -340,7 +342,7 @@ class ExtractorCode(schemes.BitWordCodec):
         self.message_bits = ext.m
         self.block_bits = 2 * ext.n
         n = ext.n
-        entries = np.asarray(ext.entries, dtype=np.int64)
+        entries = ext.as_array().ravel()
         self.sizes = np.bincount(entries, minlength=1 << ext.m)
         if not self.sizes.all():
             raise InfeasibleParams(f"output {int(np.argmin(self.sizes))} has an empty preimage")
@@ -352,12 +354,11 @@ class ExtractorCode(schemes.BitWordCodec):
         return int(self.flat[self.starts[s] + rng.randrange(int(self.sizes[s]))])
 
     def decode_int(self, w: int) -> Optional[int]:
-        return self.ext.entries[_swap_halves(w, self.ext.n)]
+        return int(self.ext.as_array().flat[_swap_halves(w, self.ext.n)])
 
     def iter_encodings_int(self, s: int) -> Iterable[int]:
-        for t, out in enumerate(self.ext.entries):
-            if out == s:
-                yield _swap_halves(t, self.ext.n)
+        for t in np.flatnonzero(self.ext.as_array() == s).tolist():
+            yield _swap_halves(t, self.ext.n)
 
     def encoding_count(self, s: int) -> int:
         return int(self.sizes[s])
@@ -431,7 +432,7 @@ def verify_reduction(
     d1 = a - t, d0 = b - t with t = (a + b - 1)/2 attains it. That is
     max(0, c01*r1 + c10*r0 - r0*r1) / (2*r0*r1), the term whose sign
     decides the zero branch of `min_copy_distance_m1`. At m != 1 the
-    minimax is `same_minimax` with one group per message.
+    minimax is `lp.message_minimax`, one group per message.
     """
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream("nmext.reduction")
@@ -465,12 +466,8 @@ def _code_error(counts: List[List[int]], sizes: List[int]) -> Fraction:
         (_, c01), (c10, _) = counts
         r0, r1 = sizes
         return Fraction(max(0, c01 * r1 + c10 * r0 - r0 * r1), 2 * r0 * r1)
-    fail = len(counts)  # outcome index of decoder failure, which never occurs
-    groups = [
-        [(o, 1, Fraction(c, r), o == s) for o, c in enumerate(row)] + [(fail, 1, Fraction(0), False)]
-        for s, (row, r) in enumerate(zip(counts, sizes))
-    ]
-    return same_minimax(groups, fail + 1)[0]
+    # The last output is decoder failure, which never occurs.
+    return message_minimax([row + [0] for row in counts], sizes, range(len(counts)))[0]
 
 
 def rate_target_plan(n: int, alpha_prime: float, gamma: float = 0.01) -> dict:

@@ -14,20 +14,20 @@ these experiments:
 `iter_encodings_int(s)` yields the words of `encodings_many(s)` one Python
 int at a time; the tests use it as the reference for `encodings_many`.
 
-The reference distribution for an adversary is built by the standard
+Every verdict reads the rows of one count kernel, `_counts`: per message s,
+decode(f(encode(s))) runs on numpy arrays (uint64 words, int64 messages)
+and `np.bincount` counts the outcomes into an int64 row of 2^k + 2 cells:
+0 decoder failure, 1 + m message m, 2^k + 1 SAME. An exact row counts
+every encoding of s; a sampled row counts `samples` runs drawn by one
+numpy generator seeded with 128 bits of the caller's stream.
+
+The reference distribution for an adversary is that of the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
 the decoder returns the original message, else the decoded value. The
 scheme's tampering error for the adversary is the worst statistical
 distance, over messages, between the tampered-decode distribution and the
-reference with SAME resolved to the message at hand.
-
-Both modes run encode -> tamper -> decode on whole numpy arrays: words are
-uint64 (so at most 64 bits wide), messages int64, and outcomes are counted
-with `np.bincount` into exact integer counts; `Fraction`s are built once,
-from the counts. Exact mode enumerates every encoding of every message
-through `encodings_many` and weighs each message by 1/2^k. Sampled mode
-draws its runs with one numpy generator per distribution, seeded with 128
-bits of the caller's stream.
+reference with SAME resolved to the message at hand. Both are computed on
+integer cells; `Fraction`s are built once, for the results.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Protocol, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from .core import (
     GuardExceeded,
     Symbol,
     confidence_radius,
-    push_copy,
-    statistical_distance,
 )
 from .tamper import BitTamperFn
 from . import lp
@@ -60,23 +58,6 @@ MAX_WORD_BITS = 64
 BATCH_ROWS = 1 << 16
 #: Most encodings of one message that exact mode enumerates.
 MAX_EXACT_ENCODINGS = 1 << 20
-
-
-class CodingScheme(Protocol):
-    message_bits: int
-    block_bits: int
-
-    def encode_int(self, s: int, rng: random.Random) -> int: ...
-
-    def decode_int(self, w: int) -> Optional[int]: ...
-
-    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray: ...
-
-    def decode_many(self, words: np.ndarray) -> np.ndarray: ...
-
-    def encoding_count(self, s: int) -> int: ...
-
-    def encodings_many(self, s: int) -> np.ndarray: ...
 
 
 class BitWordCodec:
@@ -114,74 +95,64 @@ def _symbol(cell: int, k: int) -> Symbol:
     return BOTTOM if cell == 0 else SAME if cell > 1 << k else BitWord(cell - 1, k)
 
 
-def _sampled_dist(
-    scheme, f, samples: int, rng: Optional[random.Random], message: Optional[int]
-) -> FiniteDist:
-    """`samples` runs of decode(f(encode(s))) through the batch kernels.
+def _cell(sym: Symbol, k: int) -> int:
+    """Count cell of an outcome; the inverse of `_symbol`."""
+    return 0 if sym is BOTTOM else (1 << k) + 1 if sym is SAME else sym.value + 1
 
-    With message=None, s is drawn uniformly per run and a decode to the
-    drawn message counts as SAME; otherwise s is fixed and nothing is
-    marked.
+
+def _counts(
+    scheme,
+    f,
+    messages: Sequence[Optional[int]],
+    samples: Optional[int] = None,
+    rng: Optional[random.Random] = None,
+) -> np.ndarray:
+    """One int64 count row of decode(f(encode(s))) per entry s of `messages`.
+
+    Exact mode (samples=None) counts every encoding of s, so the row sums
+    to encoding_count(s). Sampled mode counts `samples` runs per row, each
+    row from its own generator; an entry None draws a uniform message per
+    run and counts a decode to it as SAME, the only rows with SAME counts.
     """
-    if rng is None:
+    nmsg = 1 << scheme.message_bits
+    if samples is not None and rng is None:
         raise ValueError("sampled mode needs an rng")
     check_word_bits(scheme)
-    k = scheme.message_bits
-    nmsg = 1 << k
-    gen = np.random.default_rng(rng.getrandbits(128))
-    counts = np.zeros(nmsg + 2, dtype=np.int64)
-    for done in range(0, samples, BATCH_ROWS):
-        rows = min(BATCH_ROWS, samples - done)
-        if message is None:
-            msgs = gen.integers(0, nmsg, size=rows)
-        else:
-            msgs = np.full(rows, message, dtype=np.int64)
-        cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, gen))) + 1
-        if message is None:
-            cells[cells == msgs + 1] = nmsg + 1
-        counts += np.bincount(cells, minlength=nmsg + 2)
-    return FiniteDist.from_counts(
-        {_symbol(int(i), k): int(counts[i]) for i in np.flatnonzero(counts)}
-    )
-
-
-def _exact_dist(scheme, f, message: Optional[int]) -> FiniteDist:
-    """Exact distribution of decode(f(encode(s))) over every encoder choice.
-
-    With message=None, s runs over every message at weight 1/2^k and a
-    decode to s counts as SAME; otherwise s is fixed and nothing is marked.
-    Each encoding of s carries weight 1/encoding_count(s). Outcomes are
-    counted per encoding count and the counts are combined over the lcm of
-    the encoding counts, so the probabilities are exact.
-    """
-    check_word_bits(scheme)
-    k = scheme.message_bits
-    nmsg = 1 << k
-    messages = range(nmsg) if message is None else (message,)
-    sizes = [scheme.encoding_count(s) for s in messages]
-    if max(sizes) > MAX_EXACT_ENCODINGS:
-        raise GuardExceeded(
-            f"{max(sizes)} encodings of one message exceed guard {MAX_EXACT_ENCODINGS}"
-        )
-    counts: Dict[int, np.ndarray] = {}  # encoding count -> outcome counts
-    for s, size in zip(messages, sizes):
-        words = scheme.encodings_many(s)
-        acc = counts.setdefault(size, np.zeros(nmsg + 2, dtype=np.int64))
-        for lo in range(0, size, BATCH_ROWS):
-            cells = scheme.decode_many(f.apply_many(words[lo : lo + BATCH_ROWS])) + 1
-            if message is None:
-                cells[cells == s + 1] = nmsg + 1
-            acc += np.bincount(cells, minlength=nmsg + 2)
-    lcm = math.lcm(*counts)
-    denom = lcm * len(messages)
-    return FiniteDist(
-        {
-            _symbol(int(i), k): Fraction(
-                sum(int(acc[i]) * (lcm // size) for size, acc in counts.items()), denom
+    rows = np.zeros((len(messages), nmsg + 2), dtype=np.int64)
+    if samples is None:
+        sizes = [scheme.encoding_count(s) for s in messages]
+        if sizes and max(sizes) > MAX_EXACT_ENCODINGS:
+            raise GuardExceeded(
+                f"{max(sizes)} encodings of one message exceed guard {MAX_EXACT_ENCODINGS}"
             )
-            for i in np.flatnonzero(sum(counts.values()))
-        }
-    )
+        for row, s, size in zip(rows, messages, sizes):
+            words = scheme.encodings_many(s)
+            for lo in range(0, size, BATCH_ROWS):
+                cells = scheme.decode_many(f.apply_many(words[lo : lo + BATCH_ROWS])) + 1
+                row += np.bincount(cells, minlength=nmsg + 2)
+        return rows
+    for row, s in zip(rows, messages):
+        gen = np.random.default_rng(rng.getrandbits(128))
+        for done in range(0, samples, BATCH_ROWS):
+            size = min(BATCH_ROWS, samples - done)
+            if s is None:
+                msgs = gen.integers(0, nmsg, size=size)
+            else:
+                msgs = np.full(size, s, dtype=np.int64)
+            cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, gen))) + 1
+            if s is None:
+                cells[cells == msgs + 1] = nmsg + 1
+            row += np.bincount(cells, minlength=nmsg + 2)
+    return rows
+
+
+def _dist(row: Sequence[int], k: int, den: Optional[int] = None) -> FiniteDist:
+    """The distribution of a count row: exact over `den`, or empirical over
+    the row's sum when den is None."""
+    counts = {_symbol(int(i), k): int(row[i]) for i in np.flatnonzero(row)}
+    if den is None:
+        return FiniteDist.from_counts(counts)
+    return FiniteDist({sym: Fraction(c, den) for sym, c in counts.items()})
 
 
 def reference_dist(
@@ -192,12 +163,24 @@ def reference_dist(
 ) -> FiniteDist:
     """Message-independent outcome distribution for adversary f.
 
-    Exact mode (samples=None) enumerates every message and every encoder
-    choice; sampled mode draws `samples` runs of the experiment.
+    Sampled mode draws `samples` runs of the experiment. Exact mode
+    (samples=None) moves each message's own-message cell to SAME and
+    weighs its row by 1/(2^k * encoding_count(s)): rows are summed per
+    encoding count, then combined over the lcm of the counts in Python
+    ints, as the lcm can pass 2^63 (the buckets of `ExtractorCode`).
     """
-    if samples is None:
-        return _exact_dist(scheme, f, message=None)
-    return _sampled_dist(scheme, f, samples, rng, message=None)
+    k = scheme.message_bits
+    if samples is not None:
+        return _dist(_counts(scheme, f, [None], samples, rng)[0], k)
+    buckets: Dict[int, np.ndarray] = {}  # encoding count -> summed rows
+    for s in range(1 << k):
+        row = _counts(scheme, f, [s])[0]
+        row[-1], row[s + 1] = row[s + 1], 0
+        size = scheme.encoding_count(s)
+        buckets[size] = buckets.get(size, 0) + row
+    lcm = math.lcm(*buckets)
+    cells = sum(row.astype(object) * (lcm // size) for size, row in buckets.items())
+    return _dist(cells, k, lcm << k)
 
 
 def tampered_output_dist(
@@ -208,9 +191,8 @@ def tampered_output_dist(
     rng: Optional[random.Random] = None,
 ) -> FiniteDist:
     """Distribution of decode(f(encode(s))); no SAME marking."""
-    if samples is None:
-        return _exact_dist(scheme, f, message=s)
-    return _sampled_dist(scheme, f, samples, rng, message=s)
+    row = _counts(scheme, f, [s], samples, rng)[0]
+    return _dist(row, scheme.message_bits, None if samples is not None else int(row.sum()))
 
 
 @dataclass
@@ -236,18 +218,31 @@ def nm_error(
 ) -> NmErrorReport:
     """Worst-case distance between tampered decoding and the resolved reference.
 
+    With ref as integer cells b over their common denominator B and message
+    s's count row a summing to A, the distance for s is
+    sum |a*B - b'*A| / (2*A*B), b' being b with the SAME cell moved onto s.
     The returned radius separates sampling noise from the reported value:
     0.0 in exact mode, the two-sided Hoeffding radius at confidence 1-eta
     otherwise.
     """
     k = scheme.message_bits
-    if messages is None:
-        messages = range(1 << k)
+    length = ref.message_length()
+    if length is not None and length != k:
+        raise ValueError(f"message length mismatch: {length} vs {k}")
+    den = math.lcm(*(p.denominator for _, p in ref.items()))
+    target = {_cell(sym, k): p.numerator * (den // p.denominator) for sym, p in ref.items()}
+    same = target.pop((1 << k) + 1, 0)
+    mass = sum(target.values()) + same
     per: Dict[int, Fraction] = {}
-    for s in messages:
-        dist = tampered_output_dist(scheme, f, s, samples=samples, rng=rng)
-        target = push_copy(ref, BitWord(s, k))
-        per[s] = statistical_distance(dist, target)
+    for s in range(1 << k) if messages is None else messages:
+        row = _counts(scheme, f, [s], samples, rng)[0]
+        total = int(row.sum())
+        acc = covered = 0  # a cell where a is 0 adds b' * A: (mass - covered) * A in all
+        for i in np.flatnonzero(row).tolist():
+            b = target.get(i, 0) + (same if i == s + 1 else 0)
+            acc += abs(int(row[i]) * den - b * total)
+            covered += b
+        per[s] = Fraction(acc + (mass - covered) * total, 2 * total * den)
     radius = 0.0 if samples is None else confidence_radius(samples, eta)
     return NmErrorReport(value=max(per.values()), radius=radius, per_message=per, samples=samples)
 
@@ -260,27 +255,25 @@ def optimal_nm_error(
     """Exact minimum, over reference distributions, of the worst-case distance.
 
     Solves the minimax as a rational LP over the outcome alphabet
-    (all messages plus decoder failure) extended with SAME. Exact-mode
-    enumeration of the scheme is required; meant for toy scales.
+    (all messages plus decoder failure) extended with SAME, one
+    `lp.message_minimax` group per message. Exact-mode enumeration of the
+    scheme is required; meant for toy scales.
     """
     k = scheme.message_bits
-    if messages is None:
-        messages = range(1 << k)
-    nmsg = 1 << k
-    # Outcome index o < nmsg is message o; index nmsg is decoder failure.
-    groups = []
-    for s in messages:
-        dist = tampered_output_dist(scheme, f, s)
-        cells = [(o, 1, dist.prob(BitWord(o, k)), o == s) for o in range(nmsg)]
-        cells.append((nmsg, 1, dist.prob(BOTTOM), False))
-        groups.append(cells)
-    value, x = lp.same_minimax(groups, nmsg + 1)
-    symbols = [BitWord(o, k) for o in range(nmsg)] + [BOTTOM, SAME]
+    messages = list(range(1 << k) if messages is None else messages)
+    rows = _counts(scheme, f, messages)
+    # LP outcome o < 2^k is message o; outcome 2^k is decoder failure.
+    outcomes = np.concatenate([rows[:, 1:-1], rows[:, :1]], axis=1)
+    value, x = lp.message_minimax(outcomes.tolist(), rows.sum(axis=1).tolist(), messages)
+    symbols = [BitWord(o, k) for o in range(1 << k)] + [BOTTOM, SAME]
     return value, FiniteDist({sym: p for sym, p in zip(symbols, x) if p > 0})
 
 
 def roundtrip_exhaustive(scheme) -> bool:
     """decode(encode(s)) == s over every message and every encoder choice:
-    the exact reference of the identity adversary is SAME with certainty."""
+    under the identity adversary each row's own-message cell holds it all."""
     identity = BitTamperFn.identity(scheme.block_bits)
-    return _exact_dist(scheme, identity, message=None) == FiniteDist.point_mass(SAME)
+    return all(
+        _counts(scheme, identity, [s])[0, s + 1] == scheme.encoding_count(s)
+        for s in range(1 << scheme.message_bits)
+    )

@@ -317,6 +317,19 @@ class TestOperationTable:
             config = read_config(build_parser().parse_args(shlex.split(line)[1:]))
             validate_config(config)
 
+    def test_readme_single_experiments_run(self, tmp_path, monkeypatch, capsys):
+        # Running them catches what validation cannot: a default check set
+        # whose sweep exceeds a guard exits 2.
+        text = README.read_text()
+        start = text.index("Single experiments:")
+        block = re.search(r"```sh\n(.*?)```", text[start:], flags=re.S).group(1)
+        lines = [ln for ln in block.splitlines() if ln.startswith("nmcode ")]
+        assert len(lines) >= len(OPERATIONS) - 1
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            code = _exit_code(shlex.split(line)[1:])
+            assert code in (0, 1), (line, code, capsys.readouterr().err)
+
 
 BAD_CONFIGS = {
     "params-missing": {"operation": "inner-sample", "seed": 1},

@@ -11,7 +11,6 @@ from nmcode.concat import (
     ConcatPlan,
     attack_experiment,
     build_concat,
-    case1_outcome_dists,
     classify_adversary,
     plan_concat,
     toy_concat_plan,
@@ -339,7 +338,7 @@ class TestAttackExperiments:
     def test_case1_outcome_distributions_message_independent(self):
         code = build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(19))
         for name, f in case1_family(code, 2, random.Random(20)):
-            dists = case1_outcome_dists(code, f)
+            dists = [code.exact_outcome_dist(f, s) for s in range(1 << code.message_bits)]
             assert all(d == dists[0] for d in dists[1:]), name
 
 

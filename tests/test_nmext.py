@@ -148,6 +148,16 @@ class TestTableMechanics:
             for y in range(4):
                 assert arr[x, y] == table.lookup(x, y) == table.entries[(x << 2) | y]
 
+    def test_as_array_is_built_once_and_read_only(self):
+        table = sample_random_extractor(3, 2, RngSeed.from_int(10))
+        arr = table.as_array()
+        assert table.as_array() is arr
+        assert not arr.flags.writeable
+        assert arr.dtype == np.int64 and arr.shape == (8, 8)
+        assert arr.ravel().tolist() == table.entries
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+
     def test_entry_histogram_roughly_uniform(self):
         table = sample_random_extractor(4, 2, RngSeed.from_int(8))
         counts = [0] * 4

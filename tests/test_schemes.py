@@ -1,0 +1,147 @@
+"""The count kernel `schemes._counts` and the verdicts that read its rows,
+against the per-message Fraction-dict path of `bit_tamper_oracle`.
+
+Sampled verdicts must equal the oracle on the same seeds: the kernel seeds
+one generator per row from the caller's stream in the oracle's order.
+"""
+
+import math
+import random
+
+import pytest
+
+import bit_tamper_oracle as oracle
+from nmcode import schemes
+from nmcode.concat import build_concat, toy_concat_plan
+from nmcode.core import BitWord, FiniteDist, RngSeed
+from nmcode.inner import InnerParams, sample_inner_code
+from nmcode.lecss import LecssCode
+from nmcode.nmext import ExtractorCode, sample_random_extractor
+from nmcode.tamper import BitTamperFn, random_split_tamper, random_tamper
+
+PROFILES = ((0.92, 0.0, 0.08), (0.5, 0.25, 0.25), (0.0, 0.5, 0.5))
+
+
+def _codes():
+    yield "inner-8-3", sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4300))
+    yield "inner-6-2", sample_inner_code(InnerParams(n=6, k=2, t=4, delta=0.17), RngSeed.from_int(4301))
+    yield "lecss-4", LecssCode(m=4, n=4, k=3, k0=1)
+    yield "lecss-3", LecssCode(m=3, n=6, k=4, k0=2)
+    yield "concat", build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4302))
+    for n in (3, 4):
+        for m in (1, 2):
+            table = sample_random_extractor(n, m, RngSeed.from_int(4310 + 10 * n + m))
+            yield f"extractor-{n}-{m}", ExtractorCode(table)
+
+
+CODES = dict(_codes())
+
+
+def _adversaries(code, rng):
+    if isinstance(code, ExtractorCode):
+        return [random_split_tamper(code.block_bits, fpf, rng) for fpf in (False, True)]
+    return [BitTamperFn.identity(code.block_bits)] + [
+        random_tamper(code.block_bits, p, rng) for p in PROFILES
+    ]
+
+
+def _messages(code, rng):
+    nmsg = 1 << code.message_bits
+    return list(range(nmsg)) if nmsg <= 16 else rng.sample(range(nmsg), 12)
+
+
+def _same_report(report, expected):
+    value, radius, per = expected
+    assert (report.value, report.radius, report.per_message) == (value, radius, per)
+
+
+@pytest.mark.parametrize("name", list(CODES))
+def test_exact_verdicts_equal_oracle(name):
+    code = CODES[name]
+    rng = random.Random(4320)
+    for f in _adversaries(code, rng):
+        ref = schemes.reference_dist(code, f)
+        assert ref == oracle.reference_dist(code, f), f
+        messages = _messages(code, rng)
+        for s in messages[:4]:
+            assert schemes.tampered_output_dist(code, f, s) == oracle.tampered_output_dist(code, f, s)
+        report = schemes.nm_error(code, f, ref, messages=messages)
+        _same_report(report, oracle.nm_error(code, f, ref, messages=messages))
+
+
+@pytest.mark.parametrize("name", list(CODES))
+def test_sampled_verdicts_equal_oracle_on_the_same_seeds(name):
+    code = CODES[name]
+    rng = random.Random(4330)
+    for i, f in enumerate(_adversaries(code, rng)):
+        messages = _messages(code, rng)[:5]
+        ours, theirs = RngSeed.from_int(4340 + i).stream(), RngSeed.from_int(4340 + i).stream()
+        ref = schemes.reference_dist(code, f, samples=3000, rng=ours)
+        assert ref == oracle.reference_dist(code, f, samples=3000, rng=theirs)
+        assert ref.samples == 3000
+        report = schemes.nm_error(code, f, ref, messages=messages, samples=700, rng=ours)
+        _same_report(report, oracle.nm_error(code, f, ref, messages=messages, samples=700, rng=theirs))
+        dist = schemes.tampered_output_dist(code, f, messages[0], samples=500, rng=ours)
+        assert dist == oracle.tampered_output_dist(code, f, messages[0], samples=500, rng=theirs)
+        # An exact reference against sampled rows, and the reverse.
+        exact = schemes.reference_dist(code, f)
+        report = schemes.nm_error(code, f, exact, messages=messages, samples=300, rng=ours)
+        _same_report(report, oracle.nm_error(code, f, exact, messages=messages, samples=300, rng=theirs))
+        _same_report(schemes.nm_error(code, f, ref, messages=messages),
+                     oracle.nm_error(code, f, ref, messages=messages))
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_extractor_code_with_an_lcm_past_int64():
+    code = ExtractorCode(sample_random_extractor(8, 3, RngSeed.from_int(4350)))
+    assert math.lcm(*code.sizes.tolist()) > 1 << 63
+    rng = random.Random(4351)
+    f = random_split_tamper(code.block_bits, False, rng)
+    ref = schemes.reference_dist(code, f)
+    assert ref == oracle.reference_dist(code, f)
+    assert sum(p for _, p in ref.items()) == 1
+    messages = [0, 3, 7]
+    _same_report(schemes.nm_error(code, f, ref, messages=messages),
+                 oracle.nm_error(code, f, ref, messages=messages))
+
+
+@pytest.mark.parametrize("name", ["inner-8-3", "inner-6-2", "extractor-3-1", "extractor-3-2",
+                                  "extractor-4-2"])
+def test_optimal_nm_error_equals_oracle(name):
+    code = CODES[name]
+    rng = random.Random(4360)
+    for f in _adversaries(code, rng)[:3]:
+        value, ref = schemes.optimal_nm_error(code, f)
+        assert (value, ref) == oracle.optimal_nm_error(code, f)
+        assert schemes.nm_error(code, f, ref).value == value
+    value, ref = schemes.optimal_nm_error(code, f, messages=[1, 0])
+    assert (value, ref) == oracle.optimal_nm_error(code, f, messages=[1, 0])
+
+
+def test_reference_of_the_wrong_message_length_raises():
+    code = CODES["inner-8-3"]
+    f = BitTamperFn.identity(code.block_bits)
+    wrong = FiniteDist({BitWord(0, code.message_bits + 1): 1})
+    with pytest.raises(ValueError, match="length"):
+        schemes.nm_error(code, f, wrong)
+    with pytest.raises(ValueError, match="length"):
+        schemes.nm_error(code, f, wrong, samples=10, rng=random.Random(0))
+
+
+def test_count_rows_hold_every_run_in_the_cell_layout():
+    code = CODES["inner-6-2"]
+    f = random_tamper(code.block_bits, PROFILES[1], random.Random(4370))
+    k = code.message_bits
+    rows = schemes._counts(code, f, [0, 3])
+    assert rows.shape == (2, (1 << k) + 2)
+    assert rows.sum(axis=1).tolist() == [code.encoding_count(0), code.encoding_count(3)]
+    assert rows[:, -1].tolist() == [0, 0]  # exact rows mark nothing
+    for s, row in zip((0, 3), rows):
+        expected = oracle.tampered_output_dist(code, f, s)
+        assert {schemes._symbol(i, k): int(c) for i, c in enumerate(row) if c} == {
+            sym: int(p * code.encoding_count(s)) for sym, p in expected.items()
+        }
+    sampled = schemes._counts(code, f, [None, 2], samples=400, rng=random.Random(4371))
+    assert sampled.sum(axis=1).tolist() == [400, 400]
+    assert sampled[1, -1] == 0
+
