@@ -498,10 +498,13 @@ class ConcatCode(schemes.BitWordCodec):
 
     @staticmethod
     def _permute_many(tables: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        base = z.astype(np.uint64) << 8
-        acc = tables[0][base | (x & 0xFF)]
+        """Scatter the bytes of each uint64 word x through its seed z's
+        tables: byte j of x reads entry (z << 8) | byte of row j, a `take`
+        with np.intp indices (z intp, each byte cast after masking)."""
+        base = z << 8
+        acc = tables[0].take(base | (x & 0xFF).astype(np.intp))
         for j in range(1, len(tables)):
-            acc |= tables[j][base | ((x >> (8 * j)) & 0xFF)]
+            acc |= tables[j].take(base | ((x >> (8 * j)) & 0xFF).astype(np.intp))
         return acc
 
     def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -512,7 +515,7 @@ class ConcatCode(schemes.BitWordCodec):
         sharing = self.lecss.encode_many(msgs, gen)
         payload = np.zeros(len(msgs), dtype=np.uint64)
         for i in range(plan.block_count):
-            blocks = (sharing >> (i * plan.block_in)) & self._in_mask
+            blocks = ((sharing >> (i * plan.block_in)) & self._in_mask).astype(np.intp)
             payload |= self.block_code.encode_many(blocks, gen) << (i * plan.block_out)
         permuted = self._permute_many(self._scatter_tables()[0], z, payload)
         return seed_words | (permuted << plan.seed_bits)
@@ -520,8 +523,8 @@ class ConcatCode(schemes.BitWordCodec):
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         schemes.check_word_bits(self)
         plan = self.plan
-        z = self.seed_code.decode_many(words & self._seed_mask)
-        z[z < 0] = 0  # failed seed segments are identified with the zero seed
+        # Failed seed segments (-1) are identified with the zero seed.
+        z = np.maximum(self.seed_code.decode_many(words & self._seed_mask), 0)
         payload = self._permute_many(self._scatter_tables()[1], z, words >> plan.seed_bits)
         sharing = np.zeros(len(words), dtype=np.uint64)
         failed = np.zeros(len(words), dtype=bool)
@@ -555,8 +558,8 @@ class ConcatCode(schemes.BitWordCodec):
         )
         payload = np.zeros((len(sharings), len(choices[0])), dtype=np.uint64)
         for i, c in enumerate(choices):
-            blocks = (sharings >> (i * plan.block_in)) & self._in_mask
-            payload |= book[blocks[:, None], c] << (i * plan.block_out)
+            blocks = ((sharings >> (i * plan.block_in)) & self._in_mask).astype(np.intp)
+            payload |= book.take(blocks[:, None] * plan.inner.t + c) << (i * plan.block_out)
         seeds = 1 << plan.seed_message_bits
         z = np.repeat(np.arange(seeds), payload.size)
         permuted = self._permute_many(self._scatter_tables()[0], z, np.tile(payload.ravel(), seeds))

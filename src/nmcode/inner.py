@@ -217,7 +217,13 @@ class InnerCode(BitWordCodec):
 
     def _batch_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """The codebook as a (2^k, t) uint64 array and the decode table
-        (message of every n-bit word, -1 off the code); built on first use."""
+        (message of every n-bit word, -1 off the code); built on first use.
+
+        The batch kernels read both as flat tables through `take` with
+        np.intp indices: codeword c of message s is entry s * t + c of the
+        codebook, and words are cast to np.intp to index the decode table.
+        An intp gather is two to three times as fast as a uint64 one.
+        """
         if self._tables is None:
             if 1 << self.block_bits > DEFAULT_DECODE_TABLE_GUARD:
                 raise GuardExceeded(
@@ -230,11 +236,11 @@ class InnerCode(BitWordCodec):
         return self._tables
 
     def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        book, _ = self._batch_tables()
-        return book[msgs, gen.integers(0, self.params.t, size=len(msgs))]
+        t = self.params.t
+        return self._batch_tables()[0].take(msgs * t + gen.integers(0, t, size=len(msgs)))
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
-        return self._batch_tables()[1][words]
+        return self._batch_tables()[1].take(words.astype(np.intp))
 
     def min_pairwise_distance(self) -> int:
         words = [w for ws in self.codebook for w in ws]

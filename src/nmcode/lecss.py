@@ -178,7 +178,9 @@ class LecssCode(BitWordCodec):
         v (randomness symbols low, message symbols high), so entry
         r + s*q^k0 is encode_with(s, digits of r); by linearity it is the
         XOR over rows i of row i scaled by digit i. The code is MDS, so its
-        first k symbols determine a codeword, as in decode_int.
+        first k symbols determine a codeword, as in decode_int. The batch
+        kernels read both through `take` with np.intp indices, words cast
+        only after masking to their first k symbols.
         """
         if self._tables is None:
             total = self.q**self.k
@@ -198,14 +200,14 @@ class LecssCode(BitWordCodec):
     def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         words, _ = self._codeword_tables()
         randomness = gen.integers(0, self.randomness_count, size=len(msgs))
-        return words[(msgs << (self.k0 * self.m)) | randomness]
+        return words.take((msgs << (self.k0 * self.m)) | randomness)
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         """Look up the codeword through the first k symbols; accept it when
         the whole word matches (membership testing, as decode_int)."""
         table, by_prefix = self._codeword_tables()
-        v = by_prefix[words & (len(table) - 1)]
-        return np.where(table[v] == words, v >> (self.k0 * self.m), -1)
+        v = by_prefix.take((words & (len(table) - 1)).astype(np.intp))
+        return np.where(table.take(v) == words, v >> (self.k0 * self.m), -1)
 
     def encoding_count(self, s: int) -> int:
         return self.randomness_count

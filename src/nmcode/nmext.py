@@ -370,7 +370,7 @@ class ExtractorCode(schemes.BitWordCodec):
         return self.flat[self.starts[msgs] + gen.integers(0, self.sizes[msgs])]
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
-        return self.by_word[words]
+        return self.by_word.take(words.astype(np.intp))
 
     def encoding_bias(self) -> Fraction:
         """Exact distance of the encoding of a uniform message from uniform.

@@ -6,7 +6,8 @@ these experiments:
     message_bits, block_bits : int
     encode_int(s, rng) -> int
     decode_int(w) -> int | None        (None encodes decoder failure)
-    encode_many(msgs, gen) -> words    (sampled mode)
+    encode_many(msgs, gen) -> words    (sampled mode; draws only through
+                                        gen.integers(low, high, size))
     decode_many(words) -> msgs         (-1 encodes decoder failure)
     encoding_count(s) -> int           (exact mode: size of the support)
     encodings_many(s) -> words         (exact mode: every encoding of s)
@@ -18,8 +19,12 @@ Every verdict reads the rows of one count kernel, `_counts`: per message s,
 decode(f(encode(s))) runs on numpy arrays (uint64 words, int64 messages)
 and `np.bincount` counts the outcomes into an int64 row of 2^k + 2 cells:
 0 decoder failure, 1 + m message m, 2^k + 1 SAME. An exact row counts
-every encoding of s; a sampled row counts `samples` runs drawn by one
-numpy generator seeded with 128 bits of the caller's stream.
+every encoding of s; a sampled row counts `samples` runs drawn by its own
+numpy generator, seeded with 128 bits of the caller's stream. Sampled rows
+share passes: the pieces of every row run as one array of at most
+BATCH_ROWS runs, and the generator `encode_many` sees draws each piece's
+slice from that piece's row generator, so a row's runs do not depend on
+the rows it shares a pass with.
 
 The reference distribution for an adversary is that of the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
@@ -54,7 +59,8 @@ from . import lp
 
 #: Widest word the batch kernels hold (one uint64 per word).
 MAX_WORD_BITS = 64
-#: Most samples encoded, tampered and decoded in one pass of the batch kernel.
+#: Most runs encoded, tampered and decoded in one pass of the batch kernel,
+#: and the most runs of one sampled row drawn in one piece.
 BATCH_ROWS = 1 << 16
 #: Most encodings of one message that exact mode enumerates.
 MAX_EXACT_ENCODINGS = 1 << 20
@@ -100,6 +106,39 @@ def _cell(sym: Symbol, k: int) -> int:
     return 0 if sym is BOTTOM else (1 << k) + 1 if sym is SAME else sym.value + 1
 
 
+class _PassStreams:
+    """The generator of one stacked pass, as `encode_many` sees it.
+
+    Piece i of the pass owns runs bounds[i]:bounds[i + 1] and its row's
+    generator. `integers(low, high, size)` draws each piece's slice from
+    that generator, at the piece's own size (or its slice of an array
+    `high`), and concatenates the slices. Each generator thus makes the
+    very calls a pass of its piece alone would make, and draws the same
+    stream whether or not numpy's bounded draws depend on the call size.
+    """
+
+    def __init__(self, gens: Sequence[np.random.Generator], sizes: Sequence[int]):
+        self.gens = gens
+        self.bounds = np.cumsum([0, *sizes]).tolist()
+
+    def integers(self, low, high, size=None) -> np.ndarray:
+        spans = zip(self.gens, self.bounds, self.bounds[1:])
+        if np.ndim(high):
+            return np.concatenate([g.integers(low, high[a:b]) for g, a, b in spans])
+        return np.concatenate([g.integers(low, high, size=b - a) for g, a, b in spans])
+
+
+def _check_messages(scheme, messages: Sequence[Optional[int]], sampled: bool) -> None:
+    """Raise ValueError on the first entry that is neither a message of the
+    scheme nor, in sampled mode, None."""
+    nmsg = 1 << scheme.message_bits
+    for s in messages:
+        if s is None and sampled:
+            continue
+        if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or not 0 <= s < nmsg:
+            raise ValueError(f"message {s!r} is not in [0, {nmsg})")
+
+
 def _counts(
     scheme,
     f,
@@ -110,15 +149,24 @@ def _counts(
     """One int64 count row of decode(f(encode(s))) per entry s of `messages`.
 
     Exact mode (samples=None) counts every encoding of s, so the row sums
-    to encoding_count(s). Sampled mode counts `samples` runs per row, each
-    row from its own generator; an entry None draws a uniform message per
-    run and counts a decode to it as SAME, the only rows with SAME counts.
+    to encoding_count(s). Sampled mode counts `samples` runs per row; an
+    entry None draws a uniform message per run and counts a decode to it as
+    SAME, the only rows with SAME counts. Each row draws from its own
+    generator, seeded with 128 bits of `rng` in row order, in pieces of at
+    most BATCH_ROWS runs. Consecutive pieces share a pass of at most
+    BATCH_ROWS runs, drawn through `_PassStreams` and counted by one
+    `bincount` over row * (2^k + 2) + cell. Only a row's last piece can
+    fall short of BATCH_ROWS, so no two pieces of one row share a pass and
+    each generator draws its pieces in order. Entries are checked before
+    any draw: a bad one raises ValueError and leaves `rng` as it was.
     """
     nmsg = 1 << scheme.message_bits
+    width = nmsg + 2
     if samples is not None and rng is None:
         raise ValueError("sampled mode needs an rng")
+    _check_messages(scheme, messages, samples is not None)
     check_word_bits(scheme)
-    rows = np.zeros((len(messages), nmsg + 2), dtype=np.int64)
+    rows = np.zeros((len(messages), width), dtype=np.int64)
     if samples is None:
         sizes = [scheme.encoding_count(s) for s in messages]
         if sizes and max(sizes) > MAX_EXACT_ENCODINGS:
@@ -129,20 +177,32 @@ def _counts(
             words = scheme.encodings_many(s)
             for lo in range(0, size, BATCH_ROWS):
                 cells = scheme.decode_many(f.apply_many(words[lo : lo + BATCH_ROWS])) + 1
-                row += np.bincount(cells, minlength=nmsg + 2)
+                row += np.bincount(cells, minlength=width)
         return rows
-    for row, s in zip(rows, messages):
-        gen = np.random.default_rng(rng.getrandbits(128))
+    gens = [np.random.default_rng(rng.getrandbits(128)) for _ in messages]
+    passes, used = [], BATCH_ROWS  # each pass a list of (row, runs) pieces
+    for r in range(len(messages)):
         for done in range(0, samples, BATCH_ROWS):
             size = min(BATCH_ROWS, samples - done)
-            if s is None:
-                msgs = gen.integers(0, nmsg, size=size)
-            else:
-                msgs = np.full(size, s, dtype=np.int64)
-            cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, gen))) + 1
-            if s is None:
-                cells[cells == msgs + 1] = nmsg + 1
-            row += np.bincount(cells, minlength=nmsg + 2)
+            if used + size > BATCH_ROWS:
+                passes.append([])
+                used = 0
+            passes[-1].append((r, size))
+            used += size
+    for pieces in passes:
+        first, sizes = pieces[0][0], [size for _, size in pieces]
+        msgs = np.concatenate([
+            gens[r].integers(0, nmsg, size=size) if messages[r] is None
+            else np.full(size, messages[r], dtype=np.int64)
+            for r, size in pieces
+        ])
+        stream = _PassStreams([gens[r] for r, _ in pieces], sizes)
+        cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, stream))) + 1
+        free = np.repeat([messages[r] is None for r, _ in pieces], sizes)
+        cells[free & (cells == msgs + 1)] = nmsg + 1
+        cells += np.repeat([(r - first) * width for r, _ in pieces], sizes)
+        span = pieces[-1][0] + 1 - first
+        rows[first : first + span] += np.bincount(cells, minlength=span * width).reshape(span, width)
     return rows
 
 
@@ -223,7 +283,10 @@ def nm_error(
     sum |a*B - b'*A| / (2*A*B), b' being b with the SAME cell moved onto s.
     The returned radius separates sampling noise from the reported value:
     0.0 in exact mode, the two-sided Hoeffding radius at confidence 1-eta
-    otherwise.
+    otherwise. Every message is checked before any draw; the rows are then
+    counted by one `_counts` call per block of BATCH_ROWS >> k messages,
+    so a block's sampled rows share passes and about BATCH_ROWS cells are
+    held at a time.
     """
     k = scheme.message_bits
     length = ref.message_length()
@@ -233,16 +296,22 @@ def nm_error(
     target = {_cell(sym, k): p.numerator * (den // p.denominator) for sym, p in ref.items()}
     same = target.pop((1 << k) + 1, 0)
     mass = sum(target.values()) + same
+    messages = list(range(1 << k) if messages is None else messages)
+    if not messages:
+        raise ValueError("nm_error needs at least one message")
+    _check_messages(scheme, messages, sampled=False)
     per: Dict[int, Fraction] = {}
-    for s in range(1 << k) if messages is None else messages:
-        row = _counts(scheme, f, [s], samples, rng)[0]
-        total = int(row.sum())
-        acc = covered = 0  # a cell where a is 0 adds b' * A: (mass - covered) * A in all
-        for i in np.flatnonzero(row).tolist():
-            b = target.get(i, 0) + (same if i == s + 1 else 0)
-            acc += abs(int(row[i]) * den - b * total)
-            covered += b
-        per[s] = Fraction(acc + (mass - covered) * total, 2 * total * den)
+    step = max(1, BATCH_ROWS >> k)
+    for lo in range(0, len(messages), step):
+        block = messages[lo : lo + step]
+        for s, row in zip(block, _counts(scheme, f, block, samples, rng)):
+            total = int(row.sum())
+            acc = covered = 0  # a cell where a is 0 adds b' * A: (mass - covered) * A in all
+            for i in np.flatnonzero(row).tolist():
+                b = target.get(i, 0) + (same if i == s + 1 else 0)
+                acc += abs(int(row[i]) * den - b * total)
+                covered += b
+            per[s] = Fraction(acc + (mass - covered) * total, 2 * total * den)
     radius = 0.0 if samples is None else confidence_radius(samples, eta)
     return NmErrorReport(value=max(per.values()), radius=radius, per_message=per, samples=samples)
 

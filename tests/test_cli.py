@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -134,6 +135,16 @@ class TestRunConfig:
         assert built == [RngSeed.from_int(5).child(0)]
         cli._attack_code.cache_clear()
         assert run_config(config)["results"] == first["results"]
+
+    def test_attack_rows_pinned(self):
+        """The rows of a sampled concat-attack report, pinned by the SHA-256
+        of their JSON: every adversary's reference, per-message estimates and
+        radius stay identical as long as no RNG stream changes."""
+        argv = ["concat", "attack", "--adversaries", "12", "--messages", "4",
+                "--samples", "1000", "--seed", "3", "--jobs", "1"]
+        rows = run_config(read_config(build_parser().parse_args(argv)))["results"]["rows"]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == "cda164943934bf2d9ea680a91b27483850bf6fe9edd2a9f90300566a8967f609"
 
     def test_parallel_jobs_agree_with_serial(self):
         config = {

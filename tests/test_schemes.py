@@ -2,7 +2,8 @@
 against the per-message Fraction-dict path of `bit_tamper_oracle`.
 
 Sampled verdicts must equal the oracle on the same seeds: the kernel seeds
-one generator per row from the caller's stream in the oracle's order.
+one generator per row from the caller's stream in the oracle's order, and
+its stacked passes draw each row's pieces at the oracle's sizes.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import bit_tamper_oracle as oracle
 from nmcode import schemes
-from nmcode.concat import build_concat, toy_concat_plan
+from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
 from nmcode.core import BitWord, FiniteDist, RngSeed
 from nmcode.inner import InnerParams, sample_inner_code
 from nmcode.lecss import LecssCode
@@ -90,6 +91,63 @@ def test_sampled_verdicts_equal_oracle_on_the_same_seeds(name):
         _same_report(schemes.nm_error(code, f, ref, messages=messages),
                      oracle.nm_error(code, f, ref, messages=messages))
         assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("batch_rows", [64, 300, 2500])
+@pytest.mark.parametrize("name", ["concat", "extractor-4-2"])
+def test_stacked_passes_equal_oracle_across_pass_boundaries(name, batch_rows, monkeypatch):
+    """Rows of 1,000 runs cut into pieces of 64 or 300 runs, whose last
+    piece does not fill a pass, and rows packed two to a pass of 2,500 runs;
+    the extractor code draws through an array `high`. Rows, reference and
+    report equal the oracle's one-row-at-a-time draws on the same seeds."""
+    monkeypatch.setattr(schemes, "BATCH_ROWS", batch_rows)
+    code = CODES[name]
+    k = code.message_bits
+    nmsg = 1 << k
+    f = _adversaries(code, random.Random(4380))[-1]
+    ours, theirs = RngSeed.from_int(4381).stream(), RngSeed.from_int(4381).stream()
+    entries = [1, None, nmsg - 1, 0, None]
+    rows = schemes._counts(code, f, entries, samples=1000, rng=ours)
+    assert rows.sum(axis=1).tolist() == [1000] * 5
+    assert [schemes._dist(row, k) for row in rows] == [
+        oracle.sampled_dist(code, f, 1000, theirs, s) for s in entries
+    ]
+    ref = schemes.reference_dist(code, f, samples=1000, rng=ours)
+    assert ref == oracle.reference_dist(code, f, samples=1000, rng=theirs)
+    messages = [(3 * i + 2) % nmsg for i in range(5)]
+    report = schemes.nm_error(code, f, ref, messages=messages, samples=1000, rng=ours)
+    _same_report(report, oracle.nm_error(code, f, ref, messages=messages, samples=1000, rng=theirs))
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_bad_messages_raise_before_any_draw(monkeypatch):
+    code = build_concat(toy_concat_plan(), RngSeed.from_int(1))
+    f = BitTamperFn.identity(code.block_bits)
+    for s in (-1, 256):
+        with pytest.raises(ValueError, match=rf"message {s} is not in \[0, 256\)"):
+            attack_experiment(code, f, messages=[s], samples=50)
+    rng = random.Random(4390)
+    state = rng.getstate()
+    for s in (-1, 256, 2.0, True):
+        with pytest.raises(ValueError, match="is not in"):
+            schemes.tampered_output_dist(code, f, s, samples=20, rng=rng)
+        with pytest.raises(ValueError, match="is not in"):
+            schemes.tampered_output_dist(code, f, s)
+    with pytest.raises(ValueError, match="is not in"):
+        schemes._counts(code, f, [None])  # exact rows need a message
+    with pytest.raises(ValueError, match="is not in"):
+        schemes._counts(code, f, [None, 3, -1], samples=20, rng=rng)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="at least one message"):
+        attack_experiment(code, f, messages=[], samples=50)
+    ref = schemes.reference_dist(code, f, samples=20, rng=rng)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="at least one message"):
+        schemes.nm_error(code, f, ref, messages=[], samples=20, rng=rng)
+    monkeypatch.setattr(schemes, "BATCH_ROWS", 64)  # one message per _counts call
+    with pytest.raises(ValueError, match="message 256 is not in"):
+        schemes.nm_error(code, f, ref, messages=[0, 256], samples=20, rng=rng)
+    assert rng.getstate() == state
 
 
 def test_extractor_code_with_an_lcm_past_int64():
