@@ -13,12 +13,16 @@ rows pivoted on; phase 1 weights row i by L / s_i to keep Bland's path.
 Each row also keeps the determinant of its own last rewrite, so a pivot
 rewrites only the rows that have an entry in the pivot column.
 
-`same_minimax` is the one SAME-marker minimax LP. `message_minimax`
-builds it from a code's outcome counts, one group per message, and
-`min_copy_distance` from a (2^m, 2^m) count matrix of (output, tampered
-output) cells; `min_copy_distance_m1` is the latter's closed form for one
-output bit, on int64 count arrays; the test suite checks the closed form
-against the simplex, a Fraction oracle and a brute-force grid.
+`same_minimax` is the one SAME-marker minimax LP: one equality row per
+cell, with the cell's error split into e+ and e-, one row per group
+bounding its summed errors by 2t, and one row for the simplex of d.
+`message_minimax` builds it from a code's outcome counts, one group per
+message, and `min_copy_distance` from a (2^m, 2^m) count matrix of
+(output, tampered output) cells; `min_copy_distance_m1` is the latter's
+closed form for one output bit, on int64 count arrays; the test suite
+checks the closed form against the simplex, a Fraction oracle and a
+brute-force grid, and `same_minimax` against the two-inequality-rows
+formulation it replaced.
 """
 
 from __future__ import annotations
@@ -190,37 +194,38 @@ def same_minimax(
 
     A cell (o, w, p, same) asks that its mass p be explained by
     w * (d[o] + [same] * d[SAME]); a group's distance is half its summed
-    cell errors. The LP minimizes t subject to sum_group e <= 2t,
-    |p - w * (d_o + [same] * d_same)| <= e, d >= 0 and sum d + d_same = 1.
+    cell errors. Each cell is one equality row
+    w * (d_o + [same] * d_same) + e+ - e- = p with e+, e- >= 0, so
+    e+ + e- >= |p - w * (d_o + [same] * d_same)| with equality reachable;
+    the LP minimizes t subject to sum_group (e+ + e-) <= 2t, d >= 0 and
+    sum d + d_same = 1. One row per cell, not an inequality pair sharing
+    one e, halves the tableau rows each pivot rewrites.
     Returns (t, [d_0, ..., d_{outputs-1}, d_same]).
     """
-    # Variables: d[0..outputs-1], d_same, t, then one error e per cell.
+    # Variables: d[0..outputs-1], d_same, t, then e+ and e- per cell.
     nd = outputs + 1
-    nvars = nd + 1 + sum(len(g) for g in groups)
+    nvars = nd + 1 + 2 * sum(len(g) for g in groups)
     c = [_ZERO] * nvars
     c[nd] = _ONE
     a_ub: List[List[Fraction]] = []
-    b_ub: List[Fraction] = []
+    a_eq: List[List[Fraction]] = [[_ONE] * nd + [_ZERO] * (nvars - nd)]
+    b_eq: List[Fraction] = [_ONE]
     col = nd + 1
     for group in groups:
         row = [_ZERO] * nvars
-        row[col : col + len(group)] = [_ONE] * len(group)
+        row[col : col + 2 * len(group)] = [_ONE] * (2 * len(group))
         row[nd] = Fraction(-2)
         a_ub.append(row)
-        b_ub.append(_ZERO)
         for o, w, p, same in group:
-            # w*(d_o + [same]*d_same) - e <= p and its mirror >= p.
-            for sign in (-1, 1):
-                row = [_ZERO] * nvars
-                row[col] = -_ONE
-                row[o] = sign * w
-                if same:
-                    row[outputs] = sign * w
-                a_ub.append(row)
-                b_ub.append(sign * p)
-            col += 1
-    a_eq = [[_ONE] * nd + [_ZERO] * (nvars - nd)]
-    value, x = solve_lp(c, a_ub, b_ub, a_eq, [_ONE])
+            row = [_ZERO] * nvars
+            row[o] = w
+            if same:
+                row[outputs] = w
+            row[col], row[col + 1] = _ONE, -_ONE
+            a_eq.append(row)
+            b_eq.append(p)
+            col += 2
+    value, x = solve_lp(c, a_ub, [_ZERO] * len(a_ub), a_eq, b_eq)
     return value, x[:nd]
 
 
@@ -229,8 +234,9 @@ def message_minimax(
 ) -> Tuple[Fraction, List[Fraction]]:
     """`same_minimax` with one group per message: rows[i] counts, out of
     sizes[i] encodings, the outcomes of message messages[i] over the
-    outputs (messages, then decoder failure); SAME explains only output
-    messages[i]. Returns (t, [d_0, ..., d_{outputs-1}, d_same])."""
+    outputs (the messages, then any further outcome such as decoder
+    failure); SAME explains only output messages[i].
+    Returns (t, [d_0, ..., d_{outputs-1}, d_same])."""
     groups = [
         [(o, 1, Fraction(c, size), o == s) for o, c in enumerate(row)]
         for row, size, s in zip(rows, sizes, messages)

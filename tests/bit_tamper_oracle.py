@@ -7,15 +7,16 @@ encoding count and combined over the lcm of the counts; sampled runs from
 one numpy generator per distribution, seeded with 128 bits of the caller's
 stream), each message's distance taken as `statistical_distance` to
 `push_copy` of the reference, and the minimax LP groups read back from the
-per-message distributions cell by cell.
+per-message distributions cell by cell and solved by `two_row_minimax`.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+from minimax_oracle import two_row_minimax
 
-from nmcode import lp, schemes
+from nmcode import schemes
 from nmcode.core import BOTTOM, SAME, BitWord, FiniteDist, confidence_radius, push_copy, statistical_distance
 
 
@@ -110,6 +111,6 @@ def optimal_nm_error(scheme, f, messages=None):
         cells = [(o, 1, dist.prob(BitWord(o, k)), o == s) for o in range(nmsg)]
         cells.append((nmsg, 1, dist.prob(BOTTOM), False))
         groups.append(cells)
-    value, x = lp.same_minimax(groups, nmsg + 1)
+    value, x = two_row_minimax(groups, nmsg + 1)
     symbols = [BitWord(o, k) for o in range(nmsg)] + [BOTTOM, SAME]
     return value, FiniteDist({sym: p for sym, p in zip(symbols, x) if p > 0})

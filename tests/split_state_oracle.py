@@ -6,15 +6,17 @@ These are the scalar definitions that `nmext.joint_output_dist`,
 output) law as a dict of Fractions built by a Python double loop, the
 distance of that law from the explanation induced by a reference
 distribution, its exact minimum (closed form at one output bit, the
-SAME-marker LP otherwise), and the reduction rows through
-`schemes.optimal_nm_error` on the extractor code.
+SAME-marker LP in its two-inequality-rows form, `two_row_minimax`,
+otherwise), and the reduction rows through the dict `optimal_nm_error` of
+`bit_tamper_oracle` on the extractor code, which solves its minimax with
+`two_row_minimax` too.
 """
 
 from fractions import Fraction
 
-from nmcode import schemes
+import bit_tamper_oracle
+from minimax_oracle import two_row_minimax
 from nmcode.core import SAME, RngSeed
-from nmcode.lp import same_minimax
 from nmcode.nmext import ExtractorCode, FlatSourcePair, check_extraction
 from nmcode.tamper import SplitStateTamperFn
 
@@ -85,7 +87,7 @@ def copy_distance(joint, marginal, d, outputs):
 
 
 def min_copy_distance(joint, marginal, outputs):
-    """Exact minimizer of `copy_distance`: one `same_minimax` group holding
+    """Exact minimizer of `copy_distance`: one `two_row_minimax` group holding
     every (a, b) cell with weight p_a."""
     cells = [
         (bi, Fraction(pa), Fraction(joint.get((a, b), _ZERO)), a == b)
@@ -93,7 +95,7 @@ def min_copy_distance(joint, marginal, outputs):
         if pa > 0
         for bi, b in enumerate(outputs)
     ]
-    value, x = same_minimax([cells], len(outputs))
+    value, x = two_row_minimax([cells], len(outputs))
     d = {b: x[bi] for bi, b in enumerate(outputs)}
     d[SAME] = x[len(outputs)]
     return value, d
@@ -144,7 +146,7 @@ def strict_distance(joint, m):
 def reduction_rows(ext, adversaries, seed=None):
     """(extractor_error, code_error, bound) per adversary on the RNG stream
     of `nmext.verify_reduction`: the dict strict distance on full sources
-    and `schemes.optimal_nm_error` of the extractor code."""
+    and the dict `optimal_nm_error` of the extractor code."""
     rng = (seed or RngSeed.from_int(0)).stream("nmext.reduction")
     full = FlatSourcePair.full(ext.n)
     eps_ext = check_extraction(ext, full)
@@ -156,6 +158,6 @@ def reduction_rows(ext, adversaries, seed=None):
         f2 = [rng.randrange(size) for _ in range(size)]
         strict, _ = strict_distance(joint_output_dist(ext, full, f1, f2), ext.m)
         eps_f = max(eps_ext, strict)
-        code_err, _ = schemes.optimal_nm_error(code, SplitStateTamperFn(f1, f2))
+        code_err, _ = bit_tamper_oracle.optimal_nm_error(code, SplitStateTamperFn(f1, f2))
         rows.append((eps_f, code_err, eps_f * ((1 << ext.m) + 1)))
     return rows

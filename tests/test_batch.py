@@ -195,11 +195,18 @@ class TestComponentKernels:
         assert f.apply_many(np.array(wide, dtype=np.uint64)).tolist() == [f.apply_int(w) for w in wide]
 
     def test_split_tamper_apply_many(self):
+        """Every word at half=4 and 10^4 random words at half=8, as uint64."""
         rng = random.Random(4114)
         for fpf in (False, True):
             f = random_split_tamper(8, fpf, rng)
-            words = np.arange(1 << 8, dtype=np.uint64)
-            assert f.apply_many(words).tolist() == [f.apply_int(w) for w in range(1 << 8)]
+            got = f.apply_many(np.arange(1 << 8, dtype=np.uint64))
+            assert got.dtype == np.uint64
+            assert got.tolist() == [f.apply_int(w) for w in range(1 << 8)]
+        f = random_split_tamper(16, False, rng)
+        words = [rng.getrandbits(16) for _ in range(10_000)]
+        got = f.apply_many(np.array(words, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [f.apply_int(w) for w in words]
 
 
 class TestSampledMode:

@@ -21,6 +21,7 @@ from nmcode.cli import (
 from nmcode.concat import build_concat
 from nmcode.core import RngSeed
 from nmcode.inner import plan_inner_params
+from nmcode.nmext import sample_random_extractor, verify_reduction
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -145,6 +146,22 @@ class TestRunConfig:
         rows = run_config(read_config(build_parser().parse_args(argv)))["results"]["rows"]
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
         assert digest == "cda164943934bf2d9ea680a91b27483850bf6fe9edd2a9f90300566a8967f609"
+
+    def test_reduce_rows_pinned(self):
+        """An m = 2 reduction report, pinned by SHA-256: the `results` that
+        `nmext reduce` prints, and the exact rows of the `verify_reduction`
+        call behind them (the report keeps only the worst), so every
+        adversary's extractor error, code error and bound stays identical."""
+        argv = ["nmext", "reduce", "--n", "4", "--m", "2", "--adversaries", "20", "--seed", "5"]
+        results = run_config(read_config(build_parser().parse_args(argv)))["results"]
+        digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+        assert digest == "547e7b3d28c473bf17d2246bea25185f63442f704e27ba34a2d7890ffa98639f"
+        seed = RngSeed.from_int(5)
+        table = sample_random_extractor(4, 2, seed.child(1))
+        rows = [[r.adversary_id, str(r.extractor_error), str(r.code_error), str(r.bound)]
+                for r in verify_reduction(table, adversaries=20, seed=seed.child(2)).rows]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "8aa208c804ecba592d80e1c89bb5d429abf004c00ab78a17e044e4a1cb96dc2d"
 
     def test_parallel_jobs_agree_with_serial(self):
         config = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import split_state_oracle as oracle
+from minimax_oracle import two_row_minimax
 from nmcode import lp, nmext
 from nmcode.core import SAME, RngSeed
 from nmcode.lp import LpInfeasible, min_copy_distance, min_copy_distance_m1, solve_lp
@@ -189,7 +190,8 @@ def _row_scaled_lp(rng):
 def _reduction_lps(n, m, tables, adversaries):
     """Every distinct solve_lp call of verify_reduction (its same_minimax
     LPs at m >= 2) and of the oracle reduction on the same adversaries (the
-    LPs of optimal_nm_error, and of the dict min_copy_distance at m >= 2)."""
+    two_row_minimax LPs of the dict optimal_nm_error, and of the dict
+    min_copy_distance at m >= 2)."""
     seen = []
     original = lp.solve_lp
 
@@ -324,6 +326,39 @@ class TestOracle:
                 [[F(-1), F(-1), F(0)]], [F(0)])
         got, want = _solve_both(args)
         assert got == want == (F(-3), [F(0), F(0), F(3)])
+
+
+def _random_groups(rng):
+    """1-5 groups of 1-16 cells over 2-6 outputs, with random weights,
+    masses and SAME flags."""
+    outputs = rng.randint(2, 6)
+    groups = [
+        [
+            (rng.randrange(outputs), F(rng.randint(1, 4), rng.randint(1, 4)),
+             F(rng.randint(0, 6), rng.randint(1, 6)), rng.random() < 0.3)
+            for _ in range(rng.randint(1, 16))
+        ]
+        for _ in range(rng.randint(1, 5))
+    ]
+    return groups, outputs
+
+
+class TestSameMinimax:
+    def test_matches_two_row_oracle(self):
+        """On random group sets `same_minimax` returns the optimum of the
+        two-inequality-rows LP, and its reference is a distribution whose
+        exact worst-group distance is that optimum."""
+        rng = random.Random(4170)
+        for _ in range(300):
+            groups, outputs = _random_groups(rng)
+            value, d = lp.same_minimax(groups, outputs)
+            assert value == two_row_minimax(groups, outputs)[0]
+            assert len(d) == outputs + 1 and min(d) >= 0 and sum(d) == 1
+            worst = max(
+                sum(abs(p - w * (d[o] + (d[outputs] if same else 0))) for o, w, p, same in g) / 2
+                for g in groups
+            )
+            assert worst == value
 
 
 def random_counts(rng, m=1):
