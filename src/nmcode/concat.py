@@ -27,7 +27,7 @@ import numpy as np
 from .core import FiniteDist, GuardExceeded, InfeasibleParams, RngSeed
 from .inner import InnerCode, InnerParams, plan_inner_params, sample_inner_code
 from .lecss import LecssCode, LecssParams
-from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_forwards, derive_permutation
+from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_permutation, seed_table
 from .tamper import KEEP, SET0, SET1, BitTamperFn
 from . import schemes
 
@@ -477,15 +477,16 @@ class ConcatCode(schemes.BitWordCodec):
 
     def _scatter_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Forward and inverse byte-scatter tables of every seed's
-        permutation, built on the first batch call. Row j of each is byte
-        j's table for every seed in turn: entry (z << 8) | byte."""
+        permutation (the rows of `perm.seed_table`), built on the first
+        batch call. Row j of each is byte j's table for every seed in
+        turn: entry (z << 8) | byte."""
         if self._scatter is None:
             if self._perms is None:
                 raise GuardExceeded(
                     f"{self._table_entries} permutation-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}"
                 )
             seeds = 1 << self.plan.seed_message_bits
-            forwards = derive_forwards(self._spec, range(seeds)).tolist()
+            forwards = seed_table(self._spec).tolist()
             fwd, inv = zip(*(
                 self._perms.setdefault(z, Permutation(row)).scatter_tables()
                 for z, row in enumerate(forwards)

@@ -430,6 +430,11 @@ def uniform_distance(counts: Iterable[int], total: int, outcomes: int) -> Fracti
     return Fraction(acc, 2 * total * outcomes)
 
 
+#: Most cells of one worst_marginal pass: words x index sets of gathered
+#: keys, or index sets x 2^size counts.
+_MARGINAL_CHUNK_CELLS = 1 << 16
+
+
 def worst_marginal(
     words: Sequence[int], n: int, ell: int
 ) -> Tuple[Fraction, Optional[Tuple[int, ...]]]:
@@ -438,21 +443,41 @@ def worst_marginal(
 
     Returns (distance, index set); ties keep the first set in size, then
     `combinations`, order, and (0, None) when every marginal is uniform.
+    For each size the index sets go in chunks of at most
+    _MARGINAL_CHUNK_CELLS cells: set s's key of a word (bit j is the word's
+    bit idxs[j]) is offset by s << size, one `bincount` counts the chunk,
+    and each set is scored by the int64 row sum of |c * 2^size - total|,
+    the numerator of its `uniform_distance`.
     """
+    total = len(words)
     width = (n + 7) // 8
     raw = np.frombuffer(b"".join(int(w).to_bytes(width, "little") for w in words), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(words), width), axis=1, bitorder="little")[:, :n]
+    bits = np.unpackbits(raw.reshape(total, width), axis=1, bitorder="little")[:, :n]
     bits = bits.astype(np.int64)  # bits[w, i] is bit i of word w
+    top_size = max(0, min(ell, n))
+    if (2 * total) << top_size > _INT64_MAX:
+        raise GuardExceeded(f"2^{top_size} cells of {total} draws overflow int64")
     worst = Fraction(0)
     witness = None
-    for size in range(1, ell + 1):
-        place = 1 << np.arange(size, dtype=np.int64)  # bit j of a key is bit idxs[j]
-        for idxs in combinations(range(n), size):
-            counts = np.bincount(bits[:, list(idxs)] @ place, minlength=1 << size)
-            dist = uniform_distance(counts, len(words), 1 << size)
-            if dist > worst:
-                worst = dist
-                witness = idxs
+    for size in range(1, top_size + 1):
+        outcomes = 1 << size
+        sets = np.array(list(combinations(range(n), size)), dtype=np.intp)
+        per_chunk = max(1, _MARGINAL_CHUNK_CELLS // max(total, outcomes))
+        top, top_set = -1, None
+        for lo in range(0, len(sets), per_chunk):
+            chunk = sets[lo : lo + per_chunk]
+            keys = np.arange(len(chunk), dtype=np.int64) << size  # (words, sets) after the loop
+            for j in range(size):
+                keys = keys + (bits[:, chunk[:, j]] << j)
+            counts = np.bincount(keys.ravel(), minlength=len(chunk) << size).reshape(len(chunk), outcomes)
+            scores = np.abs(counts * outcomes - total).sum(axis=1)
+            best = int(scores.argmax())
+            if scores[best] > top:
+                top, top_set = int(scores[best]), chunk[best]
+        dist = Fraction(top, 2 * total * outcomes)
+        if dist > worst:
+            worst = dist
+            witness = tuple(int(i) for i in top_set)
     return worst, witness
 
 

@@ -7,13 +7,20 @@ assumption and is reported as such. "exact-tiny" (n <= 8) unranks the seed
 into the factorial table; over its accepted seed range every permutation
 is hit equally often, so uniformity is exact and testable by enumeration.
 
-`derive_forwards` is the one derivation kernel: it maps a batch of seeds
-to their forward maps as one array. For the shuffle backend it seeds one
-Mersenne Twister per seed, pulls each seed's raw 32-bit outputs in one
+`derive_forwards` is the batch derivation kernel: it maps a batch of
+seeds to their forward maps as one array. For the shuffle backend it seeds
+one Mersenne Twister per seed, pulls each seed's raw 32-bit outputs in one
 `getrandbits` call, and replays CPython's `randrange` rejection sampling
 and the Fisher-Yates swaps across all seeds at once in numpy, so its rows
-equal what `random.Random.randrange` would shuffle. `derive_permutation`
-is its one-row call.
+equal what `random.Random.shuffle` gives. `derive_permutation` derives one
+seed without numpy: it seeds `random.Random` from the same material and
+runs that `shuffle` itself.
+
+`seed_table(spec)` holds every seed's forward map, derived once per
+process: a read-only (2^seed_bits, n) int32 array, memoised while it has
+at most SEED_TABLE_CELLS cells. The exhaustive l-wise test and
+`ConcatCode`'s scatter tables both read it, so every seed of a spec is
+derived in one place.
 
 Applying a permutation moves input bit i to output position forward[i].
 Applications run through per-byte scatter tables, so a 64-bit word costs
@@ -22,8 +29,10 @@ eight lookups instead of 64 bit moves.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -46,8 +55,10 @@ PRF_SHUFFLE = "prf-shuffle"
 EXACT_TINY = "exact-tiny"
 #: Index sets test_lwise_dependence checks when there are more to pick from.
 LWISE_INDEX_SETS = 8
-#: Most seeds x n forward-map cells test_lwise_dependence derives in one pass.
+#: Most seeds x n forward-map cells derived or tallied in one pass.
 LWISE_PASS_CELLS = 1 << 16
+#: Most 2^seed_bits x n cells of a memoised seed table (4 MB of int32).
+SEED_TABLE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,23 +206,28 @@ def _word_budget(n: int) -> int:
     return 3 * n // 2 + 16
 
 
+def _mt_seed(spec: PermSpec, z: int) -> int:
+    """The shuffle backend's Mersenne Twister seed for seed z: the SHA-256
+    of the spec and the seed."""
+    material = b"nmcode.perm.prf:%d:%d:" % (spec.n, spec.seed_bits)
+    material += z.to_bytes((spec.seed_bits + 7) // 8, "little")
+    return int.from_bytes(hashlib.sha256(material).digest(), "big")
+
+
 def _mt_words(spec: PermSpec, seeds: Sequence[int], budget: int) -> np.ndarray:
     """Each seed's first `budget` Mersenne Twister outputs, one row per
     seed, followed by n zero words.
 
-    The generator is seeded with the SHA-256 of the spec and the seed.
     `getrandbits(32 * budget)` returns the outputs with the first one in
     the lowest 32 bits, so the little-endian bytes are the outputs in
     order. A zero word is accepted by every randrange draw, so a row that
     runs past its budget ends inside the padding instead of past the array.
     """
-    head = b"nmcode.perm.prf:%d:%d:" % (spec.n, spec.seed_bits)
-    width = (spec.seed_bits + 7) // 8
     row = 4 * (budget + spec.n)
     raw = bytearray(row * len(seeds))
     gen = random.Random()
     for r, z in enumerate(seeds):
-        gen.seed(int.from_bytes(hashlib.sha256(head + z.to_bytes(width, "little")).digest(), "big"))
+        gen.seed(_mt_seed(spec, z))
         raw[r * row : r * row + 4 * budget] = gen.getrandbits(32 * budget).to_bytes(4 * budget, "little")
     return np.frombuffer(raw, dtype="<u4").reshape(len(seeds), budget + spec.n)
 
@@ -268,14 +284,36 @@ def derive_forwards(spec: PermSpec, seeds: Sequence[int]) -> np.ndarray:
     return _shuffle_forwards(spec, seeds, _word_budget(spec.n))
 
 
+@functools.lru_cache(maxsize=4)
+def seed_table(spec: PermSpec) -> np.ndarray:
+    """Every seed's forward map, row z for seed z in [0, 2^seed_bits): a
+    read-only int32 array derived by `derive_forwards` in passes of at most
+    LWISE_PASS_CELLS cells and memoised per spec. Raises GuardExceeded,
+    and memoises nothing, when the table would exceed SEED_TABLE_CELLS."""
+    seeds = 1 << spec.seed_bits
+    if seeds * spec.n > SEED_TABLE_CELLS:
+        raise GuardExceeded(f"{seeds} x {spec.n} seed-table cells exceed guard {SEED_TABLE_CELLS}")
+    rows = max(1, LWISE_PASS_CELLS // spec.n)
+    table = np.concatenate([
+        derive_forwards(spec, range(lo, min(seeds, lo + rows))) for lo in range(0, seeds, rows)
+    ])
+    table.setflags(write=False)
+    return table
+
+
 def derive_permutation(spec: PermSpec, seed) -> Permutation:
-    """Deterministic permutation from a seed value (int or BitWord)."""
+    """Deterministic permutation from a seed value (int or BitWord): row z
+    of `derive_forwards`, derived by `random.Random.shuffle` itself."""
     z = seed.value if isinstance(seed, BitWord) else int(seed)
     if isinstance(seed, BitWord) and len(seed) != spec.seed_bits:
         raise ValueError("seed width mismatch")
     if not 0 <= z < (1 << spec.seed_bits):
         raise ValueError("seed out of range")
-    return Permutation(derive_forwards(spec, [z])[0].tolist())
+    if spec.backend == EXACT_TINY:
+        return Permutation(_unrank(z % factorial(spec.n), spec.n))
+    forward = list(range(spec.n))
+    random.Random(_mt_seed(spec, z)).shuffle(forward)
+    return Permutation(forward)
 
 
 def uniform_tuple_probability(n: int, size: int) -> Fraction:
@@ -337,11 +375,13 @@ def test_lwise_dependence(
     exact uniform-permutation marginal. When the backend's accepted seed
     space is at most `trials` the sweep enumerates it and the distance is
     exact; otherwise `trials` seeds are drawn and a confidence radius is
-    attached. Either way the seeds' forward maps are derived in passes of
+    attached. Either way the seeds' forward maps are tallied in passes of
     at most LWISE_PASS_CELLS cells, and each image tuple is counted as the
-    mixed-radix key sum(forward[t_i] * n^(ell-1-i)).
+    mixed-radix key sum(forward[t_i] * n^(ell-1-i)). An exhaustive sweep
+    reads its passes from `seed_table(spec)` when the table fits
+    SEED_TABLE_CELLS; a sampled one derives each pass's seeds.
     `derive_fn(spec, seeds)` substitutes a custom batch derivation
-    (degenerate controls in tests).
+    (degenerate controls in tests) and never reads the table.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -359,11 +399,18 @@ def test_lwise_dependence(
     radix = n ** np.arange(ell - 1, -1, -1, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     tallies = [(empty, empty)] * len(chosen)  # (sorted keys, counts) per index set
+    table = None
+    if exhaustive and derive_fn is None:
+        with suppress(GuardExceeded):  # over SEED_TABLE_CELLS: derive each pass
+            table = seed_table(spec)
     rows = max(1, LWISE_PASS_CELLS // n)
     for lo in range(0, total, rows):
         hi = min(total, lo + rows)
-        seeds = range(lo, hi) if exhaustive else [spec.sample_seed(rng) for _ in range(hi - lo)]
-        keys = derive(spec, seeds)[:, index] @ radix  # (seeds, index sets)
+        if table is not None:
+            forwards = table[lo:hi]
+        else:
+            forwards = derive(spec, range(lo, hi) if exhaustive else [spec.sample_seed(rng) for _ in range(hi - lo)])
+        keys = forwards[:, index] @ radix  # (seeds, index sets)
         tallies = [_add_counts(k, c, keys[:, s]) for s, (k, c) in enumerate(tallies)]
     worst = Fraction(0)
     witness: Optional[Tuple[int, ...]] = None

@@ -19,7 +19,7 @@ from nmcode.inner import InnerParams
 from nmcode.lecss import LecssCode, LecssParams
 from nmcode.perm import Permutation, derive_permutation
 from nmcode.tamper import BitTamperFn, canonical_adversaries, case1_family
-from nmcode import schemes
+from nmcode import perm, schemes
 
 from test_batch import oracle_exact_dist
 
@@ -181,6 +181,12 @@ class TestCodec:
             assert code.perm_for(z) == perm
             got = code._permute_many(fwd, np.array([z]), np.array([x], dtype=np.uint64))
             assert int(got[0]) == perm.apply_int(x)
+
+    def test_batch_tables_read_the_memoised_seed_table(self):
+        self.code()._scatter_tables()
+        self.code(seed=99)._scatter_tables()
+        info = perm.seed_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_batch_kernels_refuse_words_over_64_bits(self):
         big = build_concat(plan_concat(1024, 0.5, seed_code_rate=0.05), RngSeed.from_int(4))

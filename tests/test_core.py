@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from marginal_oracle import oracle_worst_marginal
 
+from nmcode import core
 from nmcode.core import (
     BOTTOM,
     SAME,
@@ -328,6 +330,60 @@ class TestWorstMarginal:
             if dist > worst:
                 worst, witness = dist, idxs
         assert worst_marginal(words, 80, 2) == (worst, witness)
+
+
+def _marginal_cases(count, seed):
+    """(words, n, ell) cases: random, duplicated and structured word lists,
+    ell from 0 to past n, n = 80 now and then."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        n = 80 if i % 50 == 7 else rng.randint(1, 10)
+        ell = rng.randint(0, 2) if n == 80 else rng.randint(0, n + 2)
+        kind = i % 4
+        if kind == 0:
+            words = [rng.getrandbits(n) for _ in range(rng.randint(1, 40))]
+        elif kind == 1:  # few distinct words: many exactly tied marginals
+            pool = [rng.getrandbits(n) for _ in range(rng.randint(1, 3))]
+            words = [rng.choice(pool) for _ in range(rng.randint(1, 24))]
+        elif kind == 2:  # one word: every marginal is a point mass
+            words = [rng.getrandbits(n)]
+        else:  # a sub-cube on a few bits, the others frozen
+            free = rng.sample(range(n), min(n, rng.randint(1, 4)))
+            base = rng.getrandbits(n) & ~sum(1 << b for b in free)
+            words = [base | sum(((x >> j) & 1) << b for j, b in enumerate(free)) for x in range(1 << len(free))]
+        cases.append((words, n, ell))
+    return cases
+
+
+class TestWorstMarginalKernel:
+    """The chunked one-bincount kernel against the per-set oracle."""
+
+    def test_matches_oracle_on_random_cases(self):
+        cases = _marginal_cases(300, 15)
+        assert any(ell > n for _, n, ell in cases) and any(n == 80 for _, n, _ in cases)
+        assert any(n % 8 for _, n, _ in cases) and any(len(w) == 1 for w, _, _ in cases)
+        for words, n, ell in cases:
+            assert worst_marginal(words, n, ell) == oracle_worst_marginal(words, n, ell), (words, n, ell)
+
+    def test_small_chunks_keep_the_first_tied_set(self, monkeypatch):
+        # A chunk of 1 to 3 sets puts tied maxima in different passes.
+        for cells in (1, 40, 100):
+            monkeypatch.setattr(core, "_MARGINAL_CHUNK_CELLS", cells)
+            for words, n, ell in _marginal_cases(40, cells):
+                assert worst_marginal(words, n, ell) == oracle_worst_marginal(words, n, ell), (words, n, ell)
+
+    def test_exact_ties(self):
+        # Every pair of the two complementary words is (0,0) or (1,1):
+        # all pairs tie at 1/2, single bits are uniform.
+        assert worst_marginal([0, 0b11111], 5, 2) == (Fraction(1, 2), (0, 1))
+        # One word: every size-1 set ties at 1/2, the first one wins.
+        assert worst_marginal([0b1010], 4, 1) == (Fraction(1, 2), (0,))
+        assert worst_marginal([0b1010], 4, 6) == oracle_worst_marginal([0b1010], 4, 6)
+
+    def test_int64_overflow_guarded(self):
+        with pytest.raises(GuardExceeded):
+            worst_marginal([0, 1], 62, 62)
 
 
 class TestFiniteDistValidation:

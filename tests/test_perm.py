@@ -198,6 +198,14 @@ class TestDerivation:
         # move the oracle along with the kernel.
         assert derive_permutation(spec, z).forward == forward
 
+    @pytest.mark.parametrize("n", [1, 2, 32, 816])
+    def test_one_seed_shuffle_equals_kernel_rows(self, n):
+        spec = PermSpec(n=n, seed_bits=64)
+        rng = random.Random(n)
+        seeds = [rng.getrandbits(64) for _ in range(200)]
+        rows = derive_forwards(spec, seeds).tolist()
+        assert [derive_permutation(spec, z).forward for z in seeds] == [tuple(row) for row in rows]
+
     def test_unranking_covers_all_permutations(self):
         spec = PermSpec(n=4, seed_bits=16, backend=EXACT_TINY)
         perms = {
@@ -276,3 +284,63 @@ class TestLimitedIndependence:
     def test_uniform_tuple_probability(self):
         assert uniform_tuple_probability(5, 0) == 1
         assert uniform_tuple_probability(5, 2) == Fraction(1, 20)
+
+
+class TestSeedTable:
+    SPEC = PermSpec(n=32, ell=2, seed_bits=10)
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+
+        def counting(spec, seeds):
+            calls.append(len(seeds))
+            return derive_forwards(spec, seeds)
+
+        monkeypatch.setattr(perm, "derive_forwards", counting)
+        return calls
+
+    def test_every_seed_in_bounded_passes(self, monkeypatch):
+        monkeypatch.setattr(perm, "LWISE_PASS_CELLS", 32 * 100)
+        calls = self.spy(monkeypatch)
+        table = perm.seed_table(self.SPEC)
+        assert calls == [100] * 10 + [24]
+        assert table.dtype == np.int32 and table.shape == (1024, 32)
+        assert np.array_equal(table, derive_forwards(self.SPEC, range(1024)))
+
+    def test_exact_tiny_rows_cover_every_seed(self):
+        spec = PermSpec(n=3, seed_bits=4, backend=EXACT_TINY)
+        table = perm.seed_table(spec)
+        assert [tuple(row) for row in table.tolist()] == [oracle_forward(spec, z) for z in range(16)]
+
+    def test_read_only(self):
+        table = perm.seed_table(self.SPEC)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        with pytest.raises(ValueError):
+            table[3:5] = 0
+
+    def test_exhaustive_calls_build_the_table_once(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for seed in (RngSeed.from_int(1), RngSeed.from_int(2)):
+            rep = lwise_dependence_report(self.SPEC, trials=1024, seed=seed)
+            assert report_triple(rep) == oracle_lwise(self.SPEC, 1024, seed)
+        assert calls == [1024]
+        info = perm.seed_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_spec_over_the_guard_is_not_memoised(self, monkeypatch):
+        monkeypatch.setattr(perm, "SEED_TABLE_CELLS", 32 * 1024 - 1)
+        with pytest.raises(GuardExceeded):
+            perm.seed_table(self.SPEC)
+        calls = self.spy(monkeypatch)
+        rep = lwise_dependence_report(self.SPEC, trials=1024, seed=RngSeed.from_int(3))
+        assert report_triple(rep) == oracle_lwise(self.SPEC, 1024, RngSeed.from_int(3))
+        assert calls == [1024]  # the sweep's own pass, no table
+        assert perm.seed_table.cache_info().currsize == 0
+
+    def test_sampled_and_custom_derivations_never_read_the_memo(self):
+        lwise_dependence_report(self.SPEC, trials=300, seed=RngSeed.from_int(4))
+        lwise_dependence_report(self.SPEC, trials=1024, seed=RngSeed.from_int(4), derive_fn=derive_forwards)
+        info = perm.seed_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
