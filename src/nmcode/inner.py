@@ -33,7 +33,7 @@ from .core import (
     worst_marginal,
 )
 from .schemes import BitWordCodec
-from .tamper import FLIP, KEEP, SET0, SET1, BitTamperFn
+from .tamper import BitTamperFn
 
 REJECTION_BUDGET = 1 << 16
 DEFAULT_CUBE_GUARD = 1 << 36
@@ -41,7 +41,8 @@ DEFAULT_DETECTION_GUARD = 1 << 26
 DEFAULT_INDEP_GUARD = 1 << 24
 DEFAULT_DECODE_TABLE_GUARD = 1 << 20
 _REMOVED_SET_GUARD = 1 << 26
-#: Most count cells one chunk of the cube and detection sweeps holds.
+#: Most (adversary, codeword) cells one chunk of the detection sweep holds;
+#: the cube sweep holds all of its 3^n cells at once.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -345,54 +346,76 @@ def sample_inner_code(params: InnerParams, seed: RngSeed) -> InnerCode:
 # ---------------------------------------------------------------------------
 
 
+def _halved_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    np.add(a, b, out=out)
+    out >>= 1
+
+
+def _ternary_transform(base: np.ndarray, n: int, combine) -> np.ndarray:
+    """Extend a table over {0,1}^n to the 3^n cells that fix each bit to 0,
+    to 1 or leave it free: base-3 digit b of a cell is bit b's value, 2 if
+    free. Pass b appends the free slice of bit b as combine(0 slice,
+    1 slice); it runs from the low bit up, so the costly late passes work
+    on long contiguous rows."""
+    cur = base.reshape(-1, 1)
+    for _ in range(n):
+        pairs = cur.reshape(-1, 2, cur.shape[1])
+        nxt = np.empty((len(pairs), 3, cur.shape[1]), dtype=cur.dtype)
+        nxt[:, :2] = pairs
+        combine(pairs[:, 0], pairs[:, 1], out=nxt[:, 2])
+        cur = nxt.reshape(len(nxt), -1)
+    return cur.reshape(-1)
+
+
 def verify_cube_property(
     code: InnerCode, guard: int = DEFAULT_CUBE_GUARD
 ) -> PropertyReport:
     """Every sub-cube of size >= 2 decodes to failure with probability >= 1/2.
 
     A sub-cube freezes a subset of coordinates to fixed bits and leaves the
-    rest uniform. Only cubes containing at least one codeword can violate
-    the bound, so the sweep counts, for each chunk of frozen masks, the
-    codewords in every (mask, frozen values) cube with one bincount. A cube
-    of size 2^(n - |mask|) holding h codewords fails with fraction
-    1 - (h << |mask|) / 2^n, so the worst cube has the largest h << |mask|,
-    compared as integers. Ties go to the cube the codeword order reaches
-    first: the least codeword index it holds, then the least mask.
+    rest uniform. A cube of size 2^(n - |mask|) holding h codewords fails
+    with fraction 1 - (h << |mask|) / 2^n, so the worst cube has the
+    largest score h << |mask|, compared as integers. One ternary transform
+    scores all 3^n cubes at once, holding 3^n cells in memory: it starts
+    from the codeword counts << n on {0,1}^n, and a cube that leaves bit b
+    free scores half the sum of its two halves. Single points (every bit
+    frozen) are not cubes of size >= 2 and score 0. Ties go to the cube
+    the codeword order reaches first: the least codeword index it holds,
+    then the least mask.
     """
     n = code.params.n
     if (3**n) * (1 << n) > guard:
         raise GuardExceeded(
             f"3^{n} * 2^{n} exceeds guard {guard}; use a sampled check instead"
         )
-    words = np.array([w for ws in code.codebook for w in ws], dtype=np.int64)
-    full = (1 << n) - 1
-    per_chunk = max(1, _CHUNK_CELLS >> n)
-    best = 0  # largest h << |mask| so far
-    witness: Optional[Tuple[int, int]] = None  # (codeword index, mask)
-    # The full mask freezes single points (size < 2) and is skipped.
-    for lo in range(0, full, per_chunk):
-        masks = np.arange(lo, min(lo + per_chunk, full), dtype=np.int64)
-        vals = words[None, :] & masks[:, None]
-        keys = (np.arange(len(masks))[:, None] << n) | vals
-        hits = np.bincount(keys.ravel(), minlength=len(masks) << n).reshape(len(masks), -1)
-        popcount = sum((masks >> b) & 1 for b in range(n))
-        score = hits << popcount[:, None]
-        top = int(score.max())
-        if top < best:
-            continue
-        in_top = np.take_along_axis(score, vals, axis=1) == top
-        i = int(in_top.any(axis=0).argmax())
-        first = (i, int(masks[in_top[:, i].argmax()]))
-        if top > best or first < witness:
-            best, witness = top, first
-    worst = Fraction(full + 1 - best, full + 1)
+    words = code._batch_tables()[0].reshape(-1).astype(np.intp)
+    size = 1 << n
+    # A cube holds at most its size in codewords, so no score (nor the sum
+    # of two halves) exceeds 2^(n+1): int32 holds it and halves the memory.
+    counts = np.bincount(words, minlength=size).astype(np.int32)
+    score = _ternary_transform(counts << n, n, _halved_sum)
+    # point[w]: the cell that freezes every bit of w to its value.
+    point = np.zeros(size, dtype=np.intp)
+    for b in range(n):
+        point[1 << b : 2 << b] = point[: 1 << b] + 3**b
+    score[point] = 0
+    best = int(score.max())
+    worst = Fraction(size - best, size)
     passed = worst >= Fraction(1, 2)
     counterexample = None
     if not passed:
-        i, mask = witness
+        first = np.full(size, len(words), dtype=np.int32)
+        first[words] = np.arange(len(words))
+        first = _ternary_transform(first, n, np.minimum)
+        i = int(first[score == best].min())
+        w = int(words[i])
+        masks = np.arange(size - 1)
+        # The cube of w under a mask: free digits 2, frozen digits w's bits.
+        cells = (3**n - 1) - 2 * point[masks] + point[masks & w]
+        mask = int((score[cells] == best).argmax())
         counterexample = {
             "frozen_mask": mask,
-            "frozen_values": int(words[i]) & mask,
+            "frozen_values": w & mask,
             "bottom_fraction": float(worst),
         }
     return PropertyReport(
@@ -446,17 +469,45 @@ def verify_bounded_independence(
     )
 
 
-def _detection_misses(code: InnerCode, acts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+#: Shifts and masks that pack bits 0, 2, 4, ... of an int64 into its low bits.
+_PACK_EVEN_BITS = (
+    (1, 0x3333333333333333),
+    (2, 0x0F0F0F0F0F0F0F0F),
+    (4, 0x00FF00FF00FF00FF),
+    (8, 0x0000FFFF0000FFFF),
+    (16, 0x00000000FFFFFFFF),
+)
+
+
+def _even_bits(x: np.ndarray, n: int) -> np.ndarray:
+    """Bits 0, 2, ..., 2n - 2 of each entry of x, as an n-bit mask."""
+    x = x & 0x5555555555555555
+    for shift, keep in _PACK_EVEN_BITS:
+        if shift >= n:
+            break
+        x = (x | (x >> shift)) & keep
+    return x
+
+
+def _detection_misses(code: InnerCode, advs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Decoder failures per (adversary, message) over every codeword of the
-    message, for per-bit adversaries given as rows of actions, and which
-    rows are neither the identity nor constant."""
+    message, and which adversaries are neither the identity nor constant.
+
+    advs holds int64 adversary indices in base 4: digit b is the action on
+    bit b (KEEP 0, FLIP 1, SET0 2, SET1 3). The digits' low bits `lo` and
+    high bits `hi` are n-bit masks, and a word w tampers to (w & ~hi) ^ lo:
+    bits in hi are set to lo, the others are flipped where lo is set.
+    """
     book, decode = code._batch_tables()
-    bits = 1 << np.arange(code.params.n, dtype=np.int64)
-    flip, set0, set1 = (((acts == a) * bits).sum(axis=1) for a in (FLIP, SET0, SET1))
-    words = book.ravel().astype(np.int64)
-    tampered = ((words ^ flip[:, None]) & ~(set0 | set1)[:, None]) | set1[:, None]
-    misses = (decode[tampered] < 0).reshape(len(acts), *book.shape).sum(axis=2)
-    tested = (acts != KEEP).any(axis=1) & ~(acts >= SET0).all(axis=1)
+    n = code.params.n
+    lo, hi = _even_bits(advs, n), _even_bits(advs >> 1, n)
+    # Words codeword-major and adversaries along the contiguous axis, so the
+    # count over a message's t codewords sums t long rows.
+    tampered = book.T.reshape(-1, 1).astype(np.intp) & ~hi
+    tampered ^= lo
+    hits = (decode < 0).take(tampered).reshape(book.shape[1], -1)
+    misses = hits.sum(axis=0).reshape(book.shape[0], -1).T
+    tested = (advs != 0) & (hi != (1 << n) - 1)
     return misses, tested
 
 
@@ -472,9 +523,10 @@ def verify_error_detection(
     The probability is exact over the encoder's uniform codeword choice.
     Exhaustive over all 4^n adversaries by default, in base-4 counting
     order; `sample_fns` switches to uniformly sampled adversaries when the
-    sweep would exceed the guard. Adversaries run in chunks through the
-    dense decode table; the witness is the first strict minimum in
-    (adversary, message) order.
+    sweep would exceed the guard, drawing each adversary's actions bit 0
+    first with `rng.randrange(4)`. Adversaries run in chunks, as base-4
+    indices, through the dense decode table; the witness is the first
+    strict minimum in (adversary, message) order.
     """
     p = code.params
     threshold = Fraction(1, 3)
@@ -482,15 +534,13 @@ def verify_error_detection(
 
     def chunks() -> Iterable[np.ndarray]:
         if sample_fns is None:
-            shifts = 2 * np.arange(p.n, dtype=np.int64)
             for lo in range(0, 4**p.n, per_chunk):
-                codes = np.arange(lo, min(lo + per_chunk, 4**p.n), dtype=np.int64)
-                yield (codes[:, None] >> shifts) & 3
+                yield np.arange(lo, min(lo + per_chunk, 4**p.n), dtype=np.int64)
         else:
             for lo in range(0, sample_fns, per_chunk):
                 rows = min(per_chunk, sample_fns - lo)
                 yield np.array(
-                    [[rng.randrange(4) for _ in range(p.n)] for _ in range(rows)],
+                    [sum(rng.randrange(4) << 2 * b for b in range(p.n)) for _ in range(rows)],
                     dtype=np.int64,
                 )
 
@@ -504,21 +554,22 @@ def verify_error_detection(
     fewest = p.t  # failure probability 1 until a tested pair falls below it
     witness = None
     tested = 0
-    for acts in chunks():
-        misses, ok = _detection_misses(code, acts)
+    for advs in chunks():
+        misses, ok = _detection_misses(code, advs)
         tested += int(ok.sum())
         misses[~ok] = p.t
         row, s = divmod(int(misses.argmin()), misses.shape[1])
         if misses[row, s] < fewest:
             fewest = int(misses[row, s])
-            witness = (BitTamperFn(acts[row].tolist()).to_str(), s)
+            witness = (int(advs[row]), s)
     worst = Fraction(fewest, p.t)
     passed = worst >= threshold
     counterexample = None
     if not passed:
+        adv, s = witness
         counterexample = {
-            "adversary": witness[0],
-            "message": witness[1],
+            "adversary": BitTamperFn([(adv >> 2 * b) & 3 for b in range(p.n)]).to_str(),
+            "message": s,
             "bottom_probability": float(worst),
         }
     return PropertyReport(

@@ -8,16 +8,26 @@ the test asserts that this bound and the sampler's headroom still hold.
 At t=64 the sampling noise of the codeword sets alone exceeds 0.15.
 
 Criterion 3 is expected to FAIL and runs as stated (n=6, k=2, t=4,
-radius 1). Codewords lie at least distance 2 apart, so a one-bit set
-adversary such as 0KKKKK sends a codeword to failure exactly when it
-changes that bit. Detection >= 1/3 against both set-0 and set-1 with four
-codewords needs every coordinate of every message's codewords split 2/2,
-which about 0.6% of sampled messages and no sampled code achieve. A
-union bound over all 4^n adversaries reaches the 1/3 threshold only from
-about n=15, while the exhaustive sweep exceeds the detection guard (2^26
-decodes) from n=13 on, so no size the test can sweep makes the claim
-hold with high probability. The failure line names the first failing
-code's witness.
+radius 1). No code with t=4 codewords per message can pass, at any n and
+k, so its failure is a theorem and not a sampling shortfall:
+
+1. Take a codeword u of a message and a bit i. The adversary that keeps
+   bit i and sets every other bit to u's value is neither the identity
+   nor constant, so it is tested. It sends every codeword w with
+   w_i = u_i to u, which decodes. Detection >= 1/3 with four codewords
+   needs two failures, so at least two of the message's codewords differ
+   from u on bit i. With u on either side of the bit, every coordinate
+   splits 2/2.
+2. Every bit is then set in an even number of the four codewords, so
+   they XOR to 0: they form the affine plane {w1, w2, w3, w1^w2^w3}.
+3. The adversary that flips the bits of w1^w2 swaps w1 with w2 and w3
+   with w1^w2^w3. It maps the plane onto itself, every tampered word
+   decodes to the same message, and its detection probability is 0.
+
+`tests/test_inner.py::TestCriterion3Infeasible` checks steps 2 and 3 on
+every 2/2-balanced 4-set for n from 4 to 6, and checks on this test's
+ten codes that every message fails against one of these adversaries.
+The failure line names the first failing code's witness.
 """
 
 import math

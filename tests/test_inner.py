@@ -1,7 +1,9 @@
 import io
 import random
 from fractions import Fraction
+from itertools import chain, combinations
 
+import numpy as np
 import pytest
 
 from nmcode.core import (
@@ -27,7 +29,7 @@ from nmcode.inner import (
     verify_cube_property,
     verify_error_detection,
 )
-from nmcode.tamper import BitTamperFn, enumerate_bit_tampers
+from nmcode.tamper import FLIP, SET0, BitTamperFn, enumerate_bit_tampers
 from nmcode import schemes
 
 
@@ -184,6 +186,23 @@ class TestCubeProperty:
         code = InnerCode(InnerParams(n=3, k=1, t=1), [[0], [7]])
         with pytest.raises(GuardExceeded):
             verify_cube_property(code, guard=10)
+
+    def test_default_guard_runs_n13_and_stops_n14_before_any_array(self, monkeypatch):
+        # 3^13 * 2^13 fits under DEFAULT_CUBE_GUARD = 2^36; 3^14 * 2^14 does not.
+        sparse = sample_inner_code(InnerParams(n=13, k=1, t=4), RngSeed.from_int(4250))
+        dense = InnerCode(InnerParams(n=13, k=1, t=2), [[0, 1], [2, 3]])
+        for code in (sparse, dense):
+            assert verify_cube_property(code) == oracle_cube_property(code)
+        assert verify_cube_property(sparse).passed and not verify_cube_property(dense).passed
+
+        def no_sweep(*args):
+            raise AssertionError("the cube sweep built an array past the guard")
+
+        monkeypatch.setattr(inner, "_ternary_transform", no_sweep)
+        wide = InnerCode(InnerParams(n=14, k=1, t=1), [[0], [3]])
+        with pytest.raises(GuardExceeded):
+            verify_cube_property(wide)
+        assert wide._tables is None
 
 
 class TestBoundedIndependence:
@@ -547,3 +566,99 @@ class TestSweepOracles:
             assert verify_error_detection(
                 code, sample_fns=40, rng=random.Random(4240)
             ) == oracle_error_detection(code, sample_fns=40, rng=random.Random(4240))
+
+
+def _random_codebooks(count, seed):
+    """Seeded codebooks with n from 1 to 7 in three kinds: uniform random
+    words; tie-heavy words in Hamming-distance-1 pairs; even-weight words,
+    which pass (every cube of size >= 2 is half even-weight words)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 3
+        n = 1 + i // 3 % 7
+        if kind == 2 and n == 1:
+            n = 2  # one even-weight 1-bit word cannot fill two messages
+        pool = [w for w in range(1 << n) if kind != 2 or w.bit_count() % 2 == 0]
+        k = rng.randint(1, len(pool).bit_length() - 1)
+        t = rng.randint(1, max(1, len(pool) >> k + rng.randrange(3)))
+        if kind == 1:
+            words = []
+            for w in rng.sample(range(1 << n), 1 << n):
+                for v in (w, w ^ (1 << rng.randrange(n))):
+                    if v not in words:
+                        words.append(v)
+        else:
+            words = rng.sample(pool, len(pool))
+        words = words[: t << k]
+        yield InnerCode(InnerParams(n=n, k=k, t=t), [words[s * t:(s + 1) * t] for s in range(1 << k)])
+
+
+class TestCubeTransformOracle:
+    def test_random_codebooks_equal_oracle(self):
+        passed = set()
+        for code in _random_codebooks(210, 4260):
+            rep = verify_cube_property(code)
+            assert rep == oracle_cube_property(code), code.codebook
+            passed.add((code.params.n, rep.passed))
+        assert {n for n, _ in passed} == set(range(1, 8))
+        assert {ok for _, ok in passed} == {True, False}
+
+    def test_criterion_2_codes_pass_and_equal_oracle(self):
+        for seed in (2000, 2001, 2002):
+            code = sample_inner_code(InnerParams(n=10, k=4, t=8, delta=0.1), RngSeed.from_int(seed))
+            rep = verify_cube_property(code)
+            assert rep.passed
+            assert rep == oracle_cube_property(code)
+
+
+class TestCriterion3Infeasible:
+    """The proof in the module docstring of tests/test_acceptance.py: no
+    message with t=4 codewords meets detection >= 1/3."""
+
+    def test_balanced_four_sets_are_planes_their_flip_fixes(self):
+        counts = {}
+        for n in (4, 5, 6):
+            sets = np.fromiter(
+                chain.from_iterable(combinations(range(1 << n), 4)), dtype=np.int64
+            ).reshape(-1, 4)
+            balanced = np.ones(len(sets), dtype=bool)
+            for b in range(n):
+                balanced &= ((sets >> b) & 1).sum(axis=1) == 2
+            sets = sets[balanced]
+            counts[n] = len(sets)
+            assert (np.bitwise_xor.reduce(sets, axis=1) == 0).all()
+            flip = sets[:, 0] ^ sets[:, 1]
+            assert (np.sort(sets ^ flip[:, None], axis=1) == sets).all()
+        assert counts == {4: 52, 5: 320, 6: 1936}
+
+    def test_every_message_of_the_criterion_codes_fails(self):
+        params = InnerParams(n=6, k=2, t=4, delta=0.17)
+        n = params.n
+        qualified = []
+        for i in range(40):
+            if len(qualified) == 10:
+                break
+            try:
+                code = sample_inner_code(params, RngSeed.from_int(3000 + i))
+            except InfeasibleParams:
+                continue
+            if schemes.roundtrip_exhaustive(code) and verify_cube_property(code).passed:
+                qualified.append(code)
+        assert len(qualified) == 10
+        for code in qualified:
+            for s, words in enumerate(code.codebook):
+                # Keep bit i and set the rest to u's bits: it sends every
+                # codeword agreeing with u on bit i to u.
+                advs = [
+                    sum((SET0 + (u >> b & 1)) << 2 * b for b in range(n) if b != i)
+                    for i in range(n)
+                    for u in words
+                ]
+                # Flip the bits of w1 ^ w2: it maps a balanced set onto itself.
+                advs += [
+                    sum(FLIP << 2 * b for b in range(n) if (w1 ^ w2) >> b & 1)
+                    for w1, w2 in combinations(words, 2)
+                ]
+                misses, tested = inner._detection_misses(code, np.array(advs, dtype=np.int64))
+                assert tested.all()
+                assert misses[:, s].min() < 2, (code.codebook, s)
