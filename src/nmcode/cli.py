@@ -49,8 +49,9 @@ from . import schemes
 DEFAULT_SEED = "1"
 DEFAULT_JOBS = 1
 
-#: The checks `inner verify` knows; all but roundtrip take a sweep guard.
+#: The checks `inner verify` knows, and those that take a sweep guard.
 INNER_CHECKS = ("roundtrip", "cube", "independence", "detection")
+GUARDED_CHECKS = ("independence", "detection")
 
 
 class ConfigError(NmcodeError):
@@ -225,7 +226,7 @@ def _verify_one_inner(args) -> dict:
     seed = RngSeed.from_json(seed_json)
     code = sample_inner_code(InnerParams(*inner), seed)
     sweeps = {
-        "cube": lambda kw: verify_cube_property(code, **kw),
+        "cube": lambda kw: verify_cube_property(code),
         "independence": lambda kw: verify_bounded_independence(code, ell, eps, **kw),
         "detection": lambda kw: verify_error_detection(code, **kw),
     }
@@ -234,7 +235,8 @@ def _verify_one_inner(args) -> dict:
         try:
             reports[name] = sweeps[name]({"guard": guards[name]} if name in guards else {}).to_json()
         except GuardExceeded as e:
-            raise GuardExceeded(f"{name}: {e}; raise --guard or leave {name} out of --checks") from None
+            hint = "raise --guard or " if name in GUARDED_CHECKS else ""
+            raise GuardExceeded(f"{name}: {e}; {hint}leave {name} out of --checks") from None
     if "roundtrip" in checks:
         ok = schemes.roundtrip_exhaustive(code)
         reports["roundtrip"] = {"name": "roundtrip", "passed": ok, "worst_case": "exhaustive", "worst_value": 0.0}
@@ -248,8 +250,8 @@ def _inner_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> d
     checks, guards = p["checks"], p["guards"] or {}
     if not checks or not set(checks) <= set(INNER_CHECKS):
         raise ConfigError(f"checks must be a nonempty subset of {', '.join(INNER_CHECKS)}")
-    if not set(guards) <= set(INNER_CHECKS[1:]):
-        raise ConfigError(f"guards apply only to {', '.join(INNER_CHECKS[1:])}")
+    if not set(guards) <= set(GUARDED_CHECKS):
+        raise ConfigError(f"guards apply only to {', '.join(GUARDED_CHECKS)}")
     inner = (p["n"], p["k"], p["t"], p["delta"])
     work = [
         (inner, seed.child(i).to_json(), checks, p["ell"], p["eps"], guards)
@@ -462,7 +464,7 @@ def _flagged(key: str, kind: type, default, flag: Optional[str] = None, **kw) ->
 
 
 def _all_guards(text: str) -> dict:
-    return dict.fromkeys(INNER_CHECKS[1:], int(text))
+    return dict.fromkeys(GUARDED_CHECKS, int(text))
 
 
 _LECSS = (_flagged("params.n", int, 8), _flagged("params.alpha", float, 0.5))
@@ -505,7 +507,7 @@ OPERATIONS: Dict[str, Operation] = {
             _flagged("eps", float, 0.15),
             _flagged("seeds", int, 1, minimum=1),
             _flagged("guards", dict, None, "--guard", parse=_all_guards,
-                     help="sweep size limit for all checks"),
+                     help="sweep size limit for the independence and detection checks"),
         )),
         Operation("lecss", "build", _lecss_build, _LECSS),
         Operation("lecss", "encode", _lecss_encode, _LECSS + (_MESSAGE,)),

@@ -120,9 +120,6 @@ class BitWord:
             raise IndexError(i)
         return BitWord(self._value ^ (1 << i), self._n)
 
-    def popcount(self) -> int:
-        return self._value.bit_count()
-
     def to01(self) -> str:
         return "".join(str(b) for b in self)
 

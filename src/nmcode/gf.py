@@ -93,9 +93,6 @@ class GF2m:
             raise ZeroDivisionError("0 has no inverse")
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e == 0:
             return 1

@@ -36,13 +36,11 @@ from .schemes import BitWordCodec
 from .tamper import BitTamperFn
 
 REJECTION_BUDGET = 1 << 16
-DEFAULT_CUBE_GUARD = 1 << 36
 DEFAULT_DETECTION_GUARD = 1 << 26
 DEFAULT_INDEP_GUARD = 1 << 24
 DEFAULT_DECODE_TABLE_GUARD = 1 << 20
 _REMOVED_SET_GUARD = 1 << 26
-#: Most (adversary, codeword) cells one chunk of the detection sweep holds;
-#: the cube sweep holds all of its 3^n cells at once.
+#: Most (adversary, codeword) cells one chunk of the detection sweep holds.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -245,14 +243,8 @@ class InnerCode(BitWordCodec):
 
     def min_pairwise_distance(self) -> int:
         words = [w for ws in self.codebook for w in ws]
-        best = self.params.n + 1
-        for i in range(len(words)):
-            wi = words[i]
-            for j in range(i + 1, len(words)):
-                d = (wi ^ words[j]).bit_count()
-                if d < best:
-                    best = d
-        return best
+        pairs = combinations(words, 2)
+        return min(((a ^ b).bit_count() for a, b in pairs), default=self.params.n + 1)
 
     # -- serialization --------------------------------------------------
 
@@ -295,14 +287,9 @@ class InnerCode(BitWordCodec):
 
 
 def _ball_masks(n: int, radius: int) -> List[int]:
-    masks = [0]
-    for w in range(1, radius + 1):
-        for idxs in combinations(range(n), w):
-            m = 0
-            for i in idxs:
-                m |= 1 << i
-            masks.append(m)
-    return masks
+    """Flip masks of weight 0 to radius, lightest first."""
+    return [sum(1 << i for i in idxs)
+            for w in range(radius + 1) for idxs in combinations(range(n), w)]
 
 
 def sample_inner_code(params: InnerParams, seed: RngSeed) -> InnerCode:
@@ -346,78 +333,37 @@ def sample_inner_code(params: InnerParams, seed: RngSeed) -> InnerCode:
 # ---------------------------------------------------------------------------
 
 
-def _halved_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    np.add(a, b, out=out)
-    out >>= 1
-
-
-def _ternary_transform(base: np.ndarray, n: int, combine) -> np.ndarray:
-    """Extend a table over {0,1}^n to the 3^n cells that fix each bit to 0,
-    to 1 or leave it free: base-3 digit b of a cell is bit b's value, 2 if
-    free. Pass b appends the free slice of bit b as combine(0 slice,
-    1 slice); it runs from the low bit up, so the costly late passes work
-    on long contiguous rows."""
-    cur = base.reshape(-1, 1)
-    for _ in range(n):
-        pairs = cur.reshape(-1, 2, cur.shape[1])
-        nxt = np.empty((len(pairs), 3, cur.shape[1]), dtype=cur.dtype)
-        nxt[:, :2] = pairs
-        combine(pairs[:, 0], pairs[:, 1], out=nxt[:, 2])
-        cur = nxt.reshape(len(nxt), -1)
-    return cur.reshape(-1)
-
-
-def verify_cube_property(
-    code: InnerCode, guard: int = DEFAULT_CUBE_GUARD
-) -> PropertyReport:
+def verify_cube_property(code: InnerCode) -> PropertyReport:
     """Every sub-cube of size >= 2 decodes to failure with probability >= 1/2.
 
-    A sub-cube freezes a subset of coordinates to fixed bits and leaves the
-    rest uniform. A cube of size 2^(n - |mask|) holding h codewords fails
-    with fraction 1 - (h << |mask|) / 2^n, so the worst cube has the
-    largest score h << |mask|, compared as integers. One ternary transform
-    scores all 3^n cubes at once, holding 3^n cells in memory: it starts
-    from the codeword counts << n on {0,1}^n, and a cube that leaves bit b
-    free scores half the sum of its two halves. Single points (every bit
-    frozen) are not cubes of size >= 2 and score 0. Ties go to the cube
-    the codeword order reaches first: the least codeword index it holds,
-    then the least mask.
+    A sub-cube freezes some coordinates and leaves the rest uniform. The
+    worst one fails with fraction 0 if two codewords lie at Hamming
+    distance 1, and with 1/2 otherwise. Proof: pair a cube's words across
+    any free bit; a cube more than half codewords holds a codeword pair,
+    which is a size-2 cube with failure 0. And every codeword lies in a
+    size-2 cube with failure at most 1/2. So n decode-table lookups per
+    codeword decide the check. The witness is the least-index codeword
+    with a codeword neighbour and the least frozen mask whose cube around
+    it is all codewords. Freezing a bit keeps a cube all codewords, so
+    freeing each bit, top bit first, whose doubled cube stays all
+    codewords gives that least mask.
     """
     n = code.params.n
-    if (3**n) * (1 << n) > guard:
-        raise GuardExceeded(
-            f"3^{n} * 2^{n} exceeds guard {guard}; use a sampled check instead"
-        )
-    words = code._batch_tables()[0].reshape(-1).astype(np.intp)
-    size = 1 << n
-    # A cube holds at most its size in codewords, so no score (nor the sum
-    # of two halves) exceeds 2^(n+1): int32 holds it and halves the memory.
-    counts = np.bincount(words, minlength=size).astype(np.int32)
-    score = _ternary_transform(counts << n, n, _halved_sum)
-    # point[w]: the cell that freezes every bit of w to its value.
-    point = np.zeros(size, dtype=np.intp)
-    for b in range(n):
-        point[1 << b : 2 << b] = point[: 1 << b] + 3**b
-    score[point] = 0
-    best = int(score.max())
-    worst = Fraction(size - best, size)
-    passed = worst >= Fraction(1, 2)
+    book, decode = code._batch_tables()
+    words = book.reshape(-1).astype(np.intp)
+    bits = 1 << np.arange(n, dtype=np.intp)
+    paired = (decode.take(words[:, None] ^ bits) >= 0).any(axis=1)
+    passed = not paired.any()
+    worst = Fraction(1, 2) if passed else Fraction(0)
     counterexample = None
     if not passed:
-        first = np.full(size, len(words), dtype=np.int32)
-        first[words] = np.arange(len(words))
-        first = _ternary_transform(first, n, np.minimum)
-        i = int(first[score == best].min())
-        w = int(words[i])
-        masks = np.arange(size - 1)
-        # The cube of w under a mask: free digits 2, frozen digits w's bits.
-        cells = (3**n - 1) - 2 * point[masks] + point[masks & w]
-        mask = int((score[cells] == best).argmax())
-        counterexample = {
-            "frozen_mask": mask,
-            "frozen_values": w & mask,
-            "bottom_fraction": float(worst),
-        }
+        w = int(words[paired.argmax()])
+        cube, mask = np.array([w], dtype=np.intp), (1 << n) - 1
+        for bit in bits[::-1]:
+            doubled = cube ^ bit
+            if (decode.take(doubled) >= 0).all():
+                cube, mask = np.concatenate([cube, doubled]), mask ^ int(bit)
+        counterexample = {"frozen_mask": mask, "frozen_values": w & mask, "bottom_fraction": 0.0}
     return PropertyReport(
         name="cube-property",
         passed=passed,
@@ -438,6 +384,8 @@ def verify_bounded_independence(
     n = code.params.n
     if ell < 0 or ell > n:
         raise ValueError("need 0 <= ell <= n")
+    if eps < 0:
+        raise ValueError("need eps >= 0")
     work = sum(comb(n, j) * (1 << j) for j in range(1, ell + 1)) * (
         1 << code.params.k
     )

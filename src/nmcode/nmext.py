@@ -151,14 +151,6 @@ class FlatSourcePair:
         return cls(space, space)
 
     @property
-    def min_entropy1(self) -> float:
-        return log2(len(self.xs))
-
-    @property
-    def min_entropy2(self) -> float:
-        return log2(len(self.ys))
-
-    @property
     def pairs(self) -> int:
         return len(self.xs) * len(self.ys)
 

@@ -262,10 +262,6 @@ class NmErrorReport:
     per_message: Dict[int, Fraction] = field(repr=False, default_factory=dict)
     samples: Optional[int] = None
 
-    @property
-    def worst_message(self) -> int:
-        return max(self.per_message, key=self.per_message.get)
-
 
 def nm_error(
     scheme,

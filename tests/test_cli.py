@@ -19,7 +19,7 @@ from nmcode.cli import (
     validate_config,
 )
 from nmcode.concat import build_concat
-from nmcode.core import RngSeed
+from nmcode.core import GuardExceeded, RngSeed
 from nmcode.inner import plan_inner_params
 from nmcode.nmext import sample_random_extractor, verify_reduction
 
@@ -271,11 +271,22 @@ class TestGuardsConfig:
             "operation": "inner-verify",
             "seed": 8,
             "params": {"n": 8, "k": 3, "t": 4, "delta": 0.13},
-            "checks": ["cube"],
-            "guards": {"cube": 10},
+            "checks": ["detection"],
+            "guards": {"detection": 10},
         }
-        with pytest.raises(Exception):
+        with pytest.raises(GuardExceeded, match="raise --guard"):
             run_config(config)
+
+    def test_cube_past_the_decode_table_names_no_guard(self):
+        config = {
+            "operation": "inner-verify",
+            "seed": 8,
+            "params": {"n": 21, "k": 1, "t": 1, "delta": 0.0},
+            "checks": ["cube"],
+        }
+        with pytest.raises(GuardExceeded, match="leave cube out of --checks") as info:
+            run_config(config)
+        assert "--guard" not in str(info.value)
 
     def test_guards_must_be_integer_map(self):
         with pytest.raises(ConfigError):
@@ -364,8 +375,9 @@ BAD_CONFIGS = {
     "seeds-mistyped": {"operation": "inner-verify", "seed": 1, "seeds": "2"},
     "top-level-array": [{"operation": "concat-plan", "seed": 1}],
     "unknown-key": {"operation": "concat-roundtrip", "seed": 1, "sample": 5},
-    "guards-mistyped": {"operation": "inner-verify", "seed": 1, "guards": {"cube": "x"}},
+    "guards-mistyped": {"operation": "inner-verify", "seed": 1, "guards": {"detection": "x"}},
     "unknown-guard": {"operation": "inner-verify", "seed": 1, "guards": {"cubes": 10}},
+    "cube-guard": {"operation": "inner-verify", "seed": 1, "guards": {"cube": 10}},
     "required-word-missing": {"operation": "lecss-decode", "seed": 1},
     "strict-on-toy-plan": {"operation": "concat-plan", "seed": 1, "params": {"strict": False}},
     "t-block-on-planned-layout": {
@@ -391,6 +403,8 @@ class TestBadInput:
             ["inner", "verify", "--checks", "bogus"],
             ["inner", "verify", "--checks", ""],
             ["inner", "verify", "--seeds", "0"],
+            ["inner", "verify", "--n", "6", "--k", "2", "--t", "2", "--checks", "independence",
+             "--eps", "-1"],
             ["nmext", "reduce", "--n", "3", "--adversaries", "0"],
             ["concat", "attack", "--messages", "-1"],
             ["perm", "test", "--trials", "0"],

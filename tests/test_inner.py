@@ -182,25 +182,16 @@ class TestCubeProperty:
         assert rep.passed
         assert rep.worst_value == Fraction(1, 2)
 
-    def test_guard(self):
-        code = InnerCode(InnerParams(n=3, k=1, t=1), [[0], [7]])
-        with pytest.raises(GuardExceeded):
-            verify_cube_property(code, guard=10)
-
-    def test_default_guard_runs_n13_and_stops_n14_before_any_array(self, monkeypatch):
-        # 3^13 * 2^13 fits under DEFAULT_CUBE_GUARD = 2^36; 3^14 * 2^14 does not.
+    def test_n13_codes_equal_oracle(self):
         sparse = sample_inner_code(InnerParams(n=13, k=1, t=4), RngSeed.from_int(4250))
         dense = InnerCode(InnerParams(n=13, k=1, t=2), [[0, 1], [2, 3]])
         for code in (sparse, dense):
             assert verify_cube_property(code) == oracle_cube_property(code)
         assert verify_cube_property(sparse).passed and not verify_cube_property(dense).passed
 
-        def no_sweep(*args):
-            raise AssertionError("the cube sweep built an array past the guard")
-
-        monkeypatch.setattr(inner, "_ternary_transform", no_sweep)
-        wide = InnerCode(InnerParams(n=14, k=1, t=1), [[0], [3]])
-        with pytest.raises(GuardExceeded):
+    def test_decode_table_guard_stops_n21(self):
+        wide = InnerCode(InnerParams(n=21, k=1, t=1), [[0], [3]])
+        with pytest.raises(GuardExceeded, match="decode table"):
             verify_cube_property(wide)
         assert wide._tables is None
 
@@ -219,6 +210,11 @@ class TestBoundedIndependence:
         code = InnerCode(InnerParams(n=2, k=1, t=1), [[0], [3]])
         rep = verify_bounded_independence(code, ell=0, eps=0.0)
         assert rep.passed and rep.details["vacuous"]
+
+    def test_negative_eps_rejected(self):
+        code = InnerCode(InnerParams(n=2, k=1, t=1), [[0], [3]])
+        with pytest.raises(ValueError, match="eps"):
+            verify_bounded_independence(code, ell=1, eps=-1.0)
 
     def test_worst_case_reported_with_witness(self):
         code = InnerCode(InnerParams(n=2, k=1, t=1), [[0], [3]])
@@ -602,6 +598,15 @@ class TestCubeTransformOracle:
             passed.add((code.params.n, rep.passed))
         assert {n for n, _ in passed} == set(range(1, 8))
         assert {ok for _, ok in passed} == {True, False}
+
+    def test_oracle_worst_is_zero_or_half_by_min_distance(self):
+        # The neighbour test's theorem, checked on the oracle alone: the
+        # worst cube fails with fraction 0 or 1/2, and 1/2 exactly when no
+        # two codewords lie at distance 1.
+        for code in chain(_sweep_codes(), _random_codebooks(210, 4260)):
+            rep = oracle_cube_property(code)
+            assert rep.worst_value in (0, Fraction(1, 2)), code.codebook
+            assert rep.passed == (code.min_pairwise_distance() >= 2), code.codebook
 
     def test_criterion_2_codes_pass_and_equal_oracle(self):
         for seed in (2000, 2001, 2002):
