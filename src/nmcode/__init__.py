@@ -22,8 +22,6 @@ from .core import (
     RngSeed,
     Symbol,
     confidence_radius,
-    copy_symbol,
-    hamming_distance,
     push_copy,
     statistical_distance,
 )

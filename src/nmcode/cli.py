@@ -189,13 +189,16 @@ def _save_artifact(obj, outdir: str, name: str) -> dict:
 
 
 def _encode(code, message: str, rng) -> dict:
-    word = code.encode(BitWord(int(message, 16), code.message_bits), rng)
+    """The hex word of a hex message; BitWord raises ValueError, as in
+    `_decode`, when the input is wider than the code's."""
+    s = BitWord(int(message, 16), code.message_bits).value
+    word = BitWord(code.encode_int(s, rng), code.block_bits)
     return {"word": word.to_hex(), "pass": True}
 
 
 def _decode(code, word: str) -> dict:
-    sym = code.decode(BitWord(int(word, 16), code.block_bits))
-    return {"decoded": sym.to_hex() if isinstance(sym, BitWord) else "bottom", "pass": True}
+    d = code.decode_int(BitWord(int(word, 16), code.block_bits).value)
+    return {"decoded": "bottom" if d is None else BitWord(d, code.message_bits).to_hex(), "pass": True}
 
 
 # -- handlers: (params by name, seed, jobs, outdir) -> results --------------

@@ -341,12 +341,8 @@ def plan_concat(
     candidates: List[ConcatPlan] = []
     lo = int(total_bits / (1 + gamma0))
     hi = int(total_bits / (1 + gamma0 / 2))
-    for n in range(hi, lo - 1, -1):
-        if n % big_b:
-            continue
+    for n in range(hi // big_b * big_b, lo - 1, -big_b):  # multiples of B, from the top
         n2 = n // big_b * b
-        if n2 % b:
-            continue
         n1 = total_bits - n
         if n1 < 2:
             continue
@@ -395,7 +391,7 @@ def toy_concat_plan(t_block: int = 4, t_seed: int = 2) -> ConcatPlan:
     return ConcatPlan(gamma0=0.5, inner=inner, c1=c1, lecss=lecss, ell=0)
 
 
-class ConcatCode(schemes.BitWordCodec):
+class ConcatCode:
     """Materialized instance; immutable and usable as a coding scheme."""
 
     def __init__(

@@ -1,10 +1,11 @@
-"""Shared vocabulary: bit words, outcome symbols, finite distributions,
+"""Shared vocabulary: message symbols, outcome symbols, finite distributions,
 statistical distance, and reproducible seeded randomness.
 
-Bit words are packed into a single Python int (bit i of the int is
-coordinate i, so index 0 is the first coordinate). Probabilities are kept
-as exact `fractions.Fraction` values so that toy-scale checks can assert
-exact equalities; empirical distributions store exact frequency counts.
+Words are Python ints (bit i of the int is coordinate i, so index 0 is
+the first coordinate); a `BitWord` pairs such an int with its width where
+a message is an outcome symbol. Probabilities are kept as exact
+`fractions.Fraction` values so that toy-scale checks can assert exact
+equalities; empirical distributions store exact frequency counts.
 All types here are immutable after construction and safe to share across
 parallel workers.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import log, sqrt
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,10 +42,11 @@ class InfeasibleParams(NmcodeError):
 
 
 class BitWord:
-    """Immutable fixed-length bit string packed into an int.
+    """A message symbol: an n-bit value with a hex form.
 
-    Coordinate i is bit i of ``value`` (LSB first), so ``BitWord.from_str("0110")``
-    has word[1] == word[2] == 1.
+    Coordinate i is bit i of ``value`` (LSB first). Codecs, adversaries and
+    permutations act on plain ints; a BitWord names a message outcome in a
+    `FiniteDist` and in reports.
     """
 
     __slots__ = ("_value", "_n")
@@ -57,29 +59,6 @@ class BitWord:
         self._value = value
         self._n = n
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitWord":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << n
-            n += 1
-        return cls(value, n)
-
-    @classmethod
-    def from_str(cls, s: str) -> "BitWord":
-        return cls.from_bits(int(ch) for ch in s)
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitWord":
-        return cls(0, n)
-
-    @classmethod
-    def random(cls, n: int, rng: random.Random) -> "BitWord":
-        return cls(rng.getrandbits(n) if n else 0, n)
-
     @property
     def value(self) -> int:
         return self._value
@@ -90,38 +69,6 @@ class BitWord:
 
     def __len__(self) -> int:
         return self._n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        return (self._value >> i) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        v = self._value
-        for _ in range(self._n):
-            yield v & 1
-            v >>= 1
-
-    def restrict(self, indices: Sequence[int]) -> "BitWord":
-        """Restriction to an index set, preserving the order of `indices`."""
-        return BitWord.from_bits((self._value >> i) & 1 for i in indices)
-
-    def concat(self, other: "BitWord") -> "BitWord":
-        """Self occupies coordinates [0, len(self)), other follows."""
-        return BitWord(self._value | (other._value << self._n), self._n + other._n)
-
-    def __xor__(self, other: "BitWord") -> "BitWord":
-        if self._n != other._n:
-            raise ValueError("length mismatch")
-        return BitWord(self._value ^ other._value, self._n)
-
-    def flip(self, i: int) -> "BitWord":
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        return BitWord(self._value ^ (1 << i), self._n)
-
-    def to01(self) -> str:
-        return "".join(str(b) for b in self)
 
     def to_hex(self) -> str:
         ndigits = max(1, (self._n + 3) // 4)
@@ -138,14 +85,7 @@ class BitWord:
         return hash((self._value, self._n))
 
     def __repr__(self) -> str:
-        return f"BitWord('{self.to01()}')"
-
-
-def hamming_distance(x: BitWord, y: BitWord) -> int:
-    """Number of coordinates where x and y differ; lengths must match."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return (x.value ^ y.value).bit_count()
+        return f"BitWord(0x{self.to_hex()}, {self._n})"
 
 
 def hamming_ball_volume(n: int, radius: int) -> int:
@@ -187,13 +127,6 @@ def _marker_by_name(name: str) -> "_Marker":
 
 
 Symbol = Union[BitWord, _Marker]
-
-
-def copy_symbol(x: Symbol, y: Symbol) -> Symbol:
-    """Return y if x is the SAME marker, else x. y itself must not be SAME."""
-    if y is SAME:
-        raise ValueError("second argument must not be SAME")
-    return y if x is SAME else x
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .core import (
     hamming_ball_volume,
     worst_marginal,
 )
-from .schemes import BitWordCodec
 from .tamper import BitTamperFn
 
 REJECTION_BUDGET = 1 << 16
@@ -172,7 +171,7 @@ def plan_inner_params(
     )
 
 
-class InnerCode(BitWordCodec):
+class InnerCode:
     """Sampled lookup-table code; immutable once built."""
 
     def __init__(
@@ -459,50 +458,28 @@ def _detection_misses(code: InnerCode, advs: np.ndarray) -> Tuple[np.ndarray, np
     return misses, tested
 
 
-def verify_error_detection(
-    code: InnerCode,
-    sample_fns: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-    guard: int = DEFAULT_DETECTION_GUARD,
-) -> PropertyReport:
+def verify_error_detection(code: InnerCode, guard: int = DEFAULT_DETECTION_GUARD) -> PropertyReport:
     """Every non-identity, non-constant per-bit adversary sends every
     message to decoder failure with probability >= 1/3.
 
-    The probability is exact over the encoder's uniform codeword choice.
-    Exhaustive over all 4^n adversaries by default, in base-4 counting
-    order; `sample_fns` switches to uniformly sampled adversaries when the
-    sweep would exceed the guard, drawing each adversary's actions bit 0
-    first with `rng.randrange(4)`. Adversaries run in chunks, as base-4
-    indices, through the dense decode table; the witness is the first
-    strict minimum in (adversary, message) order.
+    The probability is exact over the encoder's uniform codeword choice,
+    and the sweep is exhaustive over all 4^n adversaries in base-4 counting
+    order; it raises GuardExceeded when 4^n times the codeword count
+    exceeds `guard`. Adversaries run in chunks, as base-4 indices, through
+    the dense decode table; the witness is the first strict minimum in
+    (adversary, message) order.
     """
     p = code.params
     threshold = Fraction(1, 3)
+    work = (4**p.n) * p.codeword_count
+    if work > guard:
+        raise GuardExceeded(f"exhaustive sweep size {work} exceeds guard {guard}")
     per_chunk = max(1, _CHUNK_CELLS // p.codeword_count)
-
-    def chunks() -> Iterable[np.ndarray]:
-        if sample_fns is None:
-            for lo in range(0, 4**p.n, per_chunk):
-                yield np.arange(lo, min(lo + per_chunk, 4**p.n), dtype=np.int64)
-        else:
-            for lo in range(0, sample_fns, per_chunk):
-                rows = min(per_chunk, sample_fns - lo)
-                yield np.array(
-                    [sum(rng.randrange(4) << 2 * b for b in range(p.n)) for _ in range(rows)],
-                    dtype=np.int64,
-                )
-
-    if sample_fns is None:
-        work = (4**p.n) * p.codeword_count
-        if work > guard:
-            raise GuardExceeded(f"exhaustive sweep size {work} exceeds guard {guard}")
-    elif rng is None:
-        raise ValueError("sampled mode needs an rng")
-
     fewest = p.t  # failure probability 1 until a tested pair falls below it
     witness = None
     tested = 0
-    for advs in chunks():
+    for lo in range(0, 4**p.n, per_chunk):
+        advs = np.arange(lo, min(lo + per_chunk, 4**p.n), dtype=np.int64)
         misses, ok = _detection_misses(code, advs)
         tested += int(ok.sum())
         misses[~ok] = p.t
@@ -526,5 +503,5 @@ def verify_error_detection(
         worst_case=f"min over (adversary, message) of failure probability = {worst}",
         worst_value=worst,
         counterexample=counterexample,
-        details={"adversaries_tested": tested, "mode": "exhaustive" if sample_fns is None else "sampled"},
+        details={"adversaries_tested": tested, "mode": "exhaustive"},
     )

@@ -27,7 +27,6 @@ import numpy as np
 from .core import GuardExceeded, InfeasibleParams, PropertyReport, RngSeed, worst_marginal
 from .gf import GF2m, field, invert_matrix
 from .inner import DEFAULT_INDEP_GUARD
-from .schemes import BitWordCodec
 
 DEFAULT_RANDOMNESS_GUARD = 1 << 20
 DEFAULT_CODEWORD_GUARD = 1 << 20
@@ -92,7 +91,7 @@ class LecssParams:
         return self.n - self.k
 
 
-class LecssCode(BitWordCodec):
+class LecssCode:
     def __init__(self, m: int, n: int, k: int, k0: int):
         self.params = LecssParams(m, n, k, k0)
         fld = field(m)

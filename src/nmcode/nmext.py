@@ -32,7 +32,6 @@ import numpy as np
 
 from .core import GuardExceeded, InfeasibleParams, RngSeed, uniform_distance
 from .lp import message_minimax, min_copy_distance, min_copy_distance_m1
-from . import schemes
 
 EXTRACTION_GUARD_N = 8
 STRICT_GUARD_N = 6
@@ -44,14 +43,20 @@ _SWEEP_CHUNK_CELLS = 1 << 16
 PATTERNS = ("first-only", "second-only", "both")
 
 
+def _check_widths(n: int, m: int) -> None:
+    """Raise GuardExceeded past the table guard, and ValueError for m < 0
+    or m > 2n: an m-bit output of 2n input bits cannot cover its range."""
+    if n > EXTRACTION_GUARD_N:
+        raise GuardExceeded(f"n = {n} exceeds table guard {EXTRACTION_GUARD_N}")
+    if not 0 <= m <= 2 * n:
+        raise ValueError(f"m = {m} must lie in [0, 2n] = [0, {2 * n}]")
+
+
 class ExtractorTable:
     """Explicit function of two n-bit inputs to an m-bit output."""
 
     def __init__(self, n: int, m: int, entries: Sequence[int], seed: Optional[RngSeed] = None):
-        if n > EXTRACTION_GUARD_N:
-            raise GuardExceeded(f"n = {n} exceeds table guard {EXTRACTION_GUARD_N}")
-        if m < 0:
-            raise ValueError("m must be nonnegative")
+        _check_widths(n, m)
         size = 1 << (2 * n)
         if len(entries) != size:
             raise ValueError(f"need {size} entries, got {len(entries)}")
@@ -109,6 +114,7 @@ class ExtractorTable:
 
 
 def sample_random_extractor(n: int, m: int, seed: RngSeed) -> ExtractorTable:
+    _check_widths(n, m)  # before drawing 2^(2n) entries
     rng = seed.stream("nmext.sample")
     size = 1 << (2 * n)
     return ExtractorTable(n, m, [rng.getrandbits(m) for _ in range(size)], seed)
@@ -320,7 +326,16 @@ def _swap_halves(t, n: int):
     return ((t & ((1 << n) - 1)) << n) | (t >> n)
 
 
-class ExtractorCode(schemes.BitWordCodec):
+def _preimage_sizes(ext: ExtractorTable) -> np.ndarray:
+    """Table cells per output, an int64 array of length 2^m; raises
+    InfeasibleParams when an output has none, as no code can encode it."""
+    sizes = np.bincount(ext.as_array().ravel(), minlength=1 << ext.m)
+    if not sizes.all():
+        raise InfeasibleParams(f"output {int(np.argmin(sizes))} has an empty preimage")
+    return sizes
+
+
+class ExtractorCode:
     """Split-state scheme whose decoder is the extractor table.
 
     Codeword layout: first source in the low half, so word x | (y << n)
@@ -335,9 +350,7 @@ class ExtractorCode(schemes.BitWordCodec):
         self.block_bits = 2 * ext.n
         n = ext.n
         entries = ext.as_array().ravel()
-        self.sizes = np.bincount(entries, minlength=1 << ext.m)
-        if not self.sizes.all():
-            raise InfeasibleParams(f"output {int(np.argmin(self.sizes))} has an empty preimage")
+        self.sizes = _preimage_sizes(ext)
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.flat = _swap_halves(np.argsort(entries, kind="stable"), n).astype(np.uint64)
         self.by_word = entries[_swap_halves(np.arange(1 << self.block_bits, dtype=np.int64), n)]
@@ -407,8 +420,8 @@ def verify_reduction(
     adversaries: int = 100,
     seed: Optional[RngSeed] = None,
 ) -> ReductionReport:
-    """Build the code and verify error <= (measured extractor error) * (2^k+1)
-    for sampled split-state adversaries.
+    """Verify the extractor code's error <= (measured extractor error) *
+    (2^k+1) for sampled split-state adversaries.
 
     Per adversary (f1, f2), both errors are exact and read off the counts
     C = `joint_output_dist` on full-entropy sources. The extractor error
@@ -429,9 +442,9 @@ def verify_reduction(
     """
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream("nmext.reduction")
-    code = ExtractorCode(ext)
-    eps_ext = code.encoding_bias()
-    sizes = code.sizes.tolist()
+    sizes = _preimage_sizes(ext)
+    eps_ext = uniform_distance(sizes, 1 << (2 * ext.n), 1 << ext.m)  # the code's encoding bias
+    sizes = sizes.tolist()
     full = FlatSourcePair.full(ext.n)
     size = 1 << ext.n
     blowup = (1 << ext.m) + 1

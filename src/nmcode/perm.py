@@ -42,7 +42,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    BitWord,
     GuardExceeded,
     InfeasibleParams,
     PropertyReport,
@@ -165,16 +164,6 @@ class Permutation:
         if self._inv_tables is None:
             self._inv_tables = self._build_tables(self.inverse)
         return self._apply_tables(self._inv_tables, x)
-
-    def apply(self, x: BitWord) -> BitWord:
-        if len(x) != self.n:
-            raise ValueError("length mismatch")
-        return BitWord(self.apply_int(x.value), self.n)
-
-    def invert(self, x: BitWord) -> BitWord:
-        if len(x) != self.n:
-            raise ValueError("length mismatch")
-        return BitWord(self.invert_int(x.value), self.n)
 
     def to_json(self) -> dict:
         return {"forward": list(self.forward)}
@@ -301,12 +290,9 @@ def seed_table(spec: PermSpec) -> np.ndarray:
     return table
 
 
-def derive_permutation(spec: PermSpec, seed) -> Permutation:
-    """Deterministic permutation from a seed value (int or BitWord): row z
-    of `derive_forwards`, derived by `random.Random.shuffle` itself."""
-    z = seed.value if isinstance(seed, BitWord) else int(seed)
-    if isinstance(seed, BitWord) and len(seed) != spec.seed_bits:
-        raise ValueError("seed width mismatch")
+def derive_permutation(spec: PermSpec, z: int) -> Permutation:
+    """Deterministic permutation of seed value z: row z of
+    `derive_forwards`, derived by `random.Random.shuffle` itself."""
     if not 0 <= z < (1 << spec.seed_bits):
         raise ValueError("seed out of range")
     if spec.backend == EXACT_TINY:

@@ -1,19 +1,23 @@
 """Scheme-generic tamper experiments.
 
 Any coding scheme exposing the small interface below can be run through
-these experiments:
+these experiments. Messages and words are ints, one Python int per word
+or one numpy array entry per word; no base class is involved:
 
     message_bits, block_bits : int
     encode_int(s, rng) -> int
     decode_int(w) -> int | None        (None encodes decoder failure)
-    encode_many(msgs, gen) -> words    (sampled mode; draws only through
+    encode_many(msgs, gen) -> words    (sampled mode; int64 messages to
+                                        uint64 words, drawing only through
                                         gen.integers(low, high, size))
-    decode_many(words) -> msgs         (-1 encodes decoder failure)
+    decode_many(words) -> msgs         (uint64 words to int64 messages,
+                                        -1 encodes decoder failure)
     encoding_count(s) -> int           (exact mode: size of the support)
     encodings_many(s) -> words         (exact mode: every encoding of s)
 
 `iter_encodings_int(s)` yields the words of `encodings_many(s)` one Python
 int at a time; the tests use it as the reference for `encodings_many`.
+A message becomes a `BitWord` only as an outcome symbol of a `FiniteDist`.
 
 Every verdict reads the rows of one count kernel, `_counts`: per message s,
 decode(f(encode(s))) runs on numpy arrays (uint64 words, int64 messages)
@@ -64,28 +68,6 @@ MAX_WORD_BITS = 64
 BATCH_ROWS = 1 << 16
 #: Most encodings of one message that exact mode enumerates.
 MAX_EXACT_ENCODINGS = 1 << 20
-
-
-class BitWordCodec:
-    """BitWord-level encode/decode on top of the int-level interface.
-
-    Subclasses provide message_bits, block_bits, encode_int and decode_int,
-    and the batch pair encode_many (int64 messages to uint64 words) and
-    decode_many (uint64 words to int64 messages, -1 on failure); a word of
-    the wrong length raises ValueError, and decoder failure decodes to
-    BOTTOM.
-    """
-
-    def encode(self, s: BitWord, rng: random.Random) -> BitWord:
-        if len(s) != self.message_bits:
-            raise ValueError("message length mismatch")
-        return BitWord(self.encode_int(s.value, rng), self.block_bits)
-
-    def decode(self, w: BitWord) -> Symbol:
-        if len(w) != self.block_bits:
-            raise ValueError("block length mismatch")
-        d = self.decode_int(w.value)
-        return BOTTOM if d is None else BitWord(d, self.message_bits)
 
 
 def check_word_bits(scheme) -> None:

@@ -9,11 +9,11 @@ immutable once built; generators are seeded for reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .core import BitWord, GuardExceeded
+from .core import GuardExceeded
 
 KEEP, FLIP, SET0, SET1 = 0, 1, 2, 3
 _ACTION_CHARS = "KF01"
@@ -65,8 +65,9 @@ class BitTamperFn:
         return cls([FLIP] * n)
 
     @classmethod
-    def constant(cls, word: BitWord) -> "BitTamperFn":
-        return cls([SET1 if b else SET0 for b in word])
+    def constant(cls, value: int, n: int) -> "BitTamperFn":
+        """Set every bit i of an n-bit word to bit i of `value`."""
+        return cls([SET1 if (value >> i) & 1 else SET0 for i in range(n)])
 
     def to_str(self) -> str:
         return "".join(_ACTION_CHARS[a] for a in self.actions)
@@ -78,11 +79,6 @@ class BitTamperFn:
         """apply_int on a uint64 array of words (n <= 64)."""
         keepflip = np.uint64(self._keepflip & ((1 << self.n) - 1))
         return ((words ^ np.uint64(self._flip)) & keepflip) | np.uint64(self._set1)
-
-    def apply(self, x: BitWord) -> BitWord:
-        if len(x) != self.n:
-            raise ValueError(f"length mismatch: word {len(x)}, adversary {self.n}")
-        return BitWord(self.apply_int(x.value), self.n)
 
     def is_identity(self) -> bool:
         return all(a == KEEP for a in self.actions)
@@ -206,11 +202,6 @@ class SplitStateTamperFn:
         out |= hi
         return out
 
-    def apply(self, x: BitWord) -> BitWord:
-        if len(x) != self.n:
-            raise ValueError(f"length mismatch: word {len(x)}, adversary {self.n}")
-        return BitWord(self.apply_int(x.value), self.n)
-
     def to_json(self) -> dict:
         return {"type": "split", "f1": self.f1.tolist(), "f2": self.f2.tolist()}
 
@@ -248,10 +239,6 @@ def random_split_tamper(
 # ---------------------------------------------------------------------------
 
 
-def _freeze_actions_for(word_bits: int, value: int) -> List[int]:
-    return [SET1 if (value >> i) & 1 else SET0 for i in range(word_bits)]
-
-
 def canonical_adversaries(code, rng: random.Random):
     """Named adversaries that sit on the analysis case boundaries of a
     concatenated code's plan.
@@ -287,19 +274,16 @@ def canonical_adversaries(code, rng: random.Random):
         out.append((label, BitTamperFn(acts)))
 
     # Freeze the seed segment to a fixed valid seed codeword, payload arbitrary.
-    seed_word = code.seed_code.codebook[0][0]
-    acts = _freeze_actions_for(n1, seed_word) + [KEEP] * n
-    out.append(("case3-freeze-seed-keep-payload", BitTamperFn(acts)))
-    acts = _freeze_actions_for(n1, seed_word) + [
-        FLIP if rng.random() < 0.5 else KEEP for _ in range(n)
-    ]
-    out.append(("case3-freeze-seed-mixed-payload", BitTamperFn(acts)))
+    freeze_seed = BitTamperFn.constant(code.seed_code.codebook[0][0], n1).actions
+    out.append(("case3-freeze-seed-keep-payload", BitTamperFn(freeze_seed + (KEEP,) * n)))
+    mixed = tuple(FLIP if rng.random() < 0.5 else KEEP for _ in range(n))
+    out.append(("case3-freeze-seed-mixed-payload", BitTamperFn(freeze_seed + mixed)))
 
     out.append(("single-bit-flip", BitTamperFn([FLIP] + [KEEP] * (total - 1))))
     out.append(("complement", BitTamperFn.complement(total)))
 
     cw = code.fixed_full_codeword()
-    out.append(("constant-valid-codeword", BitTamperFn.constant(BitWord(cw, total))))
+    out.append(("constant-valid-codeword", BitTamperFn.constant(cw, total)))
     return out
 
 

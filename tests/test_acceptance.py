@@ -108,7 +108,7 @@ def test_criterion_02_subcube_failure_property():
     elapsed = time.monotonic() - start
     _record(
         2,
-        "sub-cube decoding-failure >= 1/2, exhaustive 3^n sweep, >= 18/20 seeds",
+        "sub-cube decoding-failure >= 1/2, distance-1 neighbour test, >= 18/20 seeds",
         passes >= 18 and elapsed < 300,
         f"{passes}/20 seeds in {elapsed:.1f}s",
     )

@@ -163,6 +163,25 @@ class TestRunConfig:
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "8aa208c804ecba592d80e1c89bb5d429abf004c00ab78a17e044e4a1cb96dc2d"
 
+    @pytest.mark.parametrize("line, digest", [
+        ("lecss encode --n 8 --alpha 0.5 --message abc --seed 9",
+         "acd97e6696720b75f9503f77ff7a207fc347140c9b0b2a7904b621194bec930a"),
+        ("lecss decode --n 8 --alpha 0.5 --word b798a4",
+         "3e976fc8732a00f4e6fd7c0abacee26c92669a8e1315baf9970ef87c405813de"),
+        ("concat encode --message 5a --seed 4",
+         "8369bf78dc5cb67a26f2857914c81576ec30b7104bfe3e84fc18891051550196"),
+        ("concat decode --word ffcde345fc --seed 4",
+         "3326175f54f91ce15efe31dbb74ff0692066050519f0ff820a8d4afb2ccb416c"),
+        ("inner verify --n 6 --k 2 --t 8 --seeds 3 --checks detection",
+         "b3154c2d7a9a48b900265a44ed4697367be251e30cd96d9446de84de1950edb6"),
+    ])
+    def test_results_pinned(self, line, digest):
+        """The `results` of the README encode/decode commands and of a
+        failing detection sweep (its witnesses included), pinned by the
+        SHA-256 of their JSON."""
+        results = run_config(read_config(build_parser().parse_args(shlex.split(line))))["results"]
+        assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
+
     def test_parallel_jobs_agree_with_serial(self):
         config = {
             "operation": "inner-verify",
@@ -406,6 +425,9 @@ class TestBadInput:
             ["inner", "verify", "--n", "6", "--k", "2", "--t", "2", "--checks", "independence",
              "--eps", "-1"],
             ["nmext", "reduce", "--n", "3", "--adversaries", "0"],
+            # m > 2n: rejected before a 2^m-cell array is built.
+            ["nmext", "check", "--n", "4", "--m", "30"],
+            ["nmext", "check", "--n", "2", "--m", "64"],
             ["concat", "attack", "--messages", "-1"],
             ["perm", "test", "--trials", "0"],
             ["inner", "sample", "--n", "16", "--alpha", "0.5", "--k", "3"],

@@ -294,14 +294,6 @@ class TestErrorDetection:
             )
             assert Fraction(misses, 4) == rep.worst_value
 
-    def test_sampled_fallback(self):
-        params = InnerParams(n=6, k=2, t=4, delta=0.17)
-        code = sample_inner_code(params, RngSeed.from_int(16))
-        rep = verify_error_detection(
-            code, sample_fns=50, rng=RngSeed.from_int(17).stream()
-        )
-        assert rep.details["mode"] == "sampled"
-
     def test_guard(self):
         params = InnerParams(n=8, k=2, t=4, delta=0.0)
         code = sample_inner_code(params, RngSeed.from_int(18))
@@ -323,13 +315,13 @@ class TestReferenceDistribution:
     def test_constant_to_noncodeword_gives_pure_bottom(self):
         code = self._code()
         w = next(v for v in range(256) if code.decode_int(v) is None)
-        ref = schemes.reference_dist(code, BitTamperFn.constant(BitWord(w, 8)))
+        ref = schemes.reference_dist(code, BitTamperFn.constant(w, 8))
         assert ref == FiniteDist.point_mass(BOTTOM)
 
     def test_constant_to_codeword_splits_same_mass(self):
         code = self._code()
         target = code.codebook[5][0]
-        ref = schemes.reference_dist(code, BitTamperFn.constant(BitWord(target, 8)))
+        ref = schemes.reference_dist(code, BitTamperFn.constant(target, 8))
         assert ref.prob(SAME) == Fraction(1, 8)
         assert ref.prob(BitWord(5, 3)) == Fraction(7, 8)
 
@@ -473,18 +465,14 @@ def oracle_cube_property(code):
     )
 
 
-def oracle_error_detection(code, sample_fns=None, rng=None):
+def oracle_error_detection(code):
     """The per-adversary loop through apply_int and decode_int; the first
     strict minimum in (adversary, message) order is the witness."""
     p = code.params
-    if sample_fns is None:
-        fns = enumerate_bit_tampers(p.n, guard=4**p.n)
-    else:
-        fns = (BitTamperFn([rng.randrange(4) for _ in range(p.n)]) for _ in range(sample_fns))
     worst = Fraction(1)
     witness = None
     tested = 0
-    for f in fns:
+    for f in enumerate_bit_tampers(p.n, guard=4**p.n):
         if f.is_identity() or f.is_constant():
             continue
         tested += 1
@@ -508,7 +496,7 @@ def oracle_error_detection(code, sample_fns=None, rng=None):
         worst_case=f"min over (adversary, message) of failure probability = {worst}",
         worst_value=worst,
         counterexample=counterexample,
-        details={"adversaries_tested": tested, "mode": "exhaustive" if sample_fns is None else "sampled"},
+        details={"adversaries_tested": tested, "mode": "exhaustive"},
     )
 
 
@@ -544,24 +532,10 @@ class TestSweepOracles:
         # Every code has a zero-failure pair, so the tie-break decides the witness.
         assert len({r.counterexample["adversary"] for r in reports}) > 5
 
-    def test_sampled_detection_keeps_the_draw_order(self):
-        values = set()
-        for i, code in enumerate(_sweep_codes()):
-            for draws in (3, 300):
-                new = verify_error_detection(code, sample_fns=draws, rng=random.Random(4230 + i))
-                old = oracle_error_detection(code, sample_fns=draws, rng=random.Random(4230 + i))
-                assert new == old, code.codebook
-                values.add(new.worst_value)
-        assert len(values) > 2
-
-    def test_chunks_of_one_mask_and_one_adversary(self, monkeypatch):
+    def test_chunks_of_one_adversary(self, monkeypatch):
         monkeypatch.setattr(inner, "_CHUNK_CELLS", 1)
         for code in list(_sweep_codes())[:4] + list(_sweep_codes())[-3:]:
-            assert verify_cube_property(code) == oracle_cube_property(code), code.codebook
             assert verify_error_detection(code) == oracle_error_detection(code), code.codebook
-            assert verify_error_detection(
-                code, sample_fns=40, rng=random.Random(4240)
-            ) == oracle_error_detection(code, sample_fns=40, rng=random.Random(4240))
 
 
 def _random_codebooks(count, seed):
@@ -589,7 +563,7 @@ def _random_codebooks(count, seed):
         yield InnerCode(InnerParams(n=n, k=k, t=t), [words[s * t:(s + 1) * t] for s in range(1 << k)])
 
 
-class TestCubeTransformOracle:
+class TestCubeOracle:
     def test_random_codebooks_equal_oracle(self):
         passed = set()
         for code in _random_codebooks(210, 4260):

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from nmcode.core import BOTTOM, BitWord, GuardExceeded, InfeasibleParams, RngSeed
+from nmcode.core import BOTTOM, GuardExceeded, InfeasibleParams, RngSeed
 from nmcode.gf import GF2m, IRREDUCIBLE_POLY, field, invert_matrix
 from nmcode.lecss import LecssCode, LecssParams, build_lecss, build_lecss_bits, verify_lecss
 
@@ -203,11 +203,6 @@ class TestEncodeDecode:
         )
         # Codeword density is q^(k-n) = 1/64: expect about 31 hits.
         assert abs(hits - draws / 64) < 25
-
-    def test_decode_rejects_wrong_length(self):
-        code = self.code()
-        with pytest.raises(ValueError):
-            code.decode(BitWord(0, 23))
 
 
 class TestVerify:

@@ -9,7 +9,6 @@ import pytest
 from nmcode.core import (
     BOTTOM,
     SAME,
-    BitWord,
     FiniteDist,
     GuardExceeded,
     InfeasibleParams,
@@ -177,6 +176,17 @@ class TestTableMechanics:
     def test_guard_on_table_size(self):
         with pytest.raises(GuardExceeded):
             ExtractorTable(9, 1, [0] * (1 << 18))
+        with pytest.raises(GuardExceeded):  # before drawing 2^40 entries
+            sample_random_extractor(20, 1, RngSeed.from_int(0))
+
+    def test_output_wider_than_input_rejected(self):
+        ExtractorTable(2, 4, list(range(16)))
+        with pytest.raises(ValueError):
+            ExtractorTable(2, 5, [0] * 16)
+        with pytest.raises(ValueError):
+            ExtractorTable(2, 64, [0] * 16)
+        with pytest.raises(ValueError):
+            sample_random_extractor(4, 30, RngSeed.from_int(0))
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
@@ -358,15 +368,6 @@ class TestCodeReduction:
         verdict = check_strict_nm(table, FlatSourcePair.full(3), f1, f2)
         eps = max(verdict.extraction_distance, verdict.nm_distances["both"])
         assert err <= eps * 3
-
-    def test_codec_checks_lengths(self):
-        code = ExtractorCode(parity_table(2))
-        rng = random.Random(0)
-        with pytest.raises(ValueError):
-            code.encode(BitWord(0, 2), rng)
-        with pytest.raises(ValueError):
-            code.decode(BitWord(0, 3))
-        assert code.decode(code.encode(BitWord(1, 1), rng)) == BitWord(1, 1)
 
     def test_empty_preimage_rejected_by_reduction(self):
         with pytest.raises(InfeasibleParams):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nmcode.core import BitWord, GuardExceeded
+from nmcode.core import GuardExceeded
 from nmcode.tamper import (
     FLIP,
     KEEP,
@@ -21,26 +21,22 @@ actions_strategy = st.lists(st.integers(0, 3), min_size=1, max_size=12)
 
 class TestBitTamperFn:
     def test_keep_flip_set_basics(self):
-        x = BitWord.from_str("0101")
-        assert BitTamperFn.identity(4).apply(x) == x
-        assert BitTamperFn.complement(4).apply(x).to01() == "1010"
-        assert BitTamperFn([SET0] * 4).apply(x).to01() == "0000"
-        assert BitTamperFn([SET1] * 4).apply(x).to01() == "1111"
+        x = 0b1010  # coordinates 0..3 hold 0, 1, 0, 1
+        assert BitTamperFn.identity(4).apply_int(x) == x
+        assert BitTamperFn.complement(4).apply_int(x) == 0b0101
+        assert BitTamperFn([SET0] * 4).apply_int(x) == 0
+        assert BitTamperFn([SET1] * 4).apply_int(x) == 0b1111
 
     def test_mixed_actions(self):
-        f = BitTamperFn([KEEP, FLIP, SET0, SET1])
-        assert f.apply(BitWord.from_str("1111")).to01() == "1001"
-        assert f.apply(BitWord.from_str("0000")).to01() == "0101"
+        f = BitTamperFn([KEEP, FLIP, SET0, SET1])  # action i acts on bit i
+        assert f.apply_int(0b1111) == 0b1001
+        assert f.apply_int(0b0000) == 0b1010
 
     def test_string_round_trip(self):
         f = BitTamperFn.from_str("KF01")
         assert f.actions == (KEEP, FLIP, SET0, SET1)
         assert f.to_str() == "KF01"
         assert f.to_json() == {"type": "bits", "actions": "KF01"}
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            BitTamperFn.identity(3).apply(BitWord.from_str("0101"))
 
     @given(actions_strategy)
     @settings(max_examples=50)
@@ -120,7 +116,7 @@ class TestSplitState:
         f = SplitStateTamperFn(f1, f2)
         assert f.n == 4
         # Word 0b01_10: low half 2 -> 3, high half 1 -> 1.
-        assert f.apply(BitWord(0b0110, 4)).value == (3 | (1 << 2))
+        assert f.apply_int(0b0110) == (3 | (1 << 2))
 
     def test_fixed_point_free_claims_verified(self):
         with pytest.raises(ValueError):
