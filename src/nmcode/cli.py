@@ -354,7 +354,8 @@ def _concat_roundtrip(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) 
     failures = 0
     for lo in range(0, len(msgs), schemes.BATCH_ROWS):
         chunk = msgs[lo : lo + schemes.BATCH_ROWS]
-        failures += int(np.count_nonzero(code.decode_many(code.encode_many(chunk, gen)) != chunk))
+        index = gen.integers(0, code.encoding_count(0), size=len(chunk))
+        failures += int(np.count_nonzero(code.decode_many(code.encode_many(chunk, index)) != chunk))
     return {
         "messages": 1 << code.message_bits,
         "draws_per_message": draws,
@@ -376,7 +377,7 @@ def _attack_one(args) -> dict:
     code = _attack_code(seed.child(0))
     f = BitTamperFn.from_str(adv_json["actions"])
     rng = seed.stream(f"cli.attack.pick.{adv_id}")
-    msgs = [rng.getrandbits(code.message_bits) for _ in range(messages)] if messages else None
+    msgs = rng.sample(range(1 << code.message_bits), messages) if messages else None
     report = attack_experiment(
         code, f, messages=msgs, samples=samples, seed=seed, adversary_id=adv_id
     )
@@ -387,6 +388,8 @@ def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> 
     """Fuzz the toy-plan code with canonical and random bit adversaries."""
     samples, count, threshold = p["samples"], p["adversaries"], p["eps_threshold"]
     code = _attack_code(seed.child(0))
+    if p["messages"] > 1 << code.message_bits:
+        raise ConfigError(f"messages must be at most {1 << code.message_bits}, the code's message count")
     gen_rng = seed.stream("cli.attack.generate")
     advs = list(canonical_adversaries(code, gen_rng))
     i = 0
@@ -536,7 +539,8 @@ OPERATIONS: Dict[str, Operation] = {
                   _TOY + (_flagged("samples", int, 100, minimum=1),)),
         Operation("concat", "attack", _concat_attack, (
             _flagged("params.adversaries", int, 20, minimum=1),
-            _flagged("params.messages", int, 16, minimum=0),
+            _flagged("params.messages", int, 16, minimum=0,
+                     help="distinct messages attacked per adversary, at most 256; 0 for all"),
             Param("params.eps_threshold", float, 0.25),
             _flagged("samples", int, 10000, minimum=1),
         )),

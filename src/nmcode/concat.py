@@ -504,16 +504,32 @@ class ConcatCode:
             acc |= tables[j].take(base | ((x >> (8 * j)) & 0xFF).astype(np.intp))
         return acc
 
-    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Encoding `index` of each message, in the order of encodings_many:
+        the mixed-radix digits of index, most significant first, are the
+        seed, its codeword, the LECSS randomness and the block codewords,
+        first block slowest. Each digit is peeled (`//` and an in-place
+        multiply-subtract) where it is used; the sharing is read as int64,
+        so its blocks index the block code without a cast."""
         schemes.check_word_bits(self)
         plan = self.plan
-        z = gen.integers(0, 1 << plan.seed_message_bits, size=len(msgs))
-        seed_words = self.seed_code.encode_many(z, gen)
-        sharing = self.lecss.encode_many(msgs, gen)
+        t, c1_t, lecss_r = plan.inner.t, plan.c1.t, self.lecss.randomness_count
+        choices = t**plan.block_count
+        rest = index // choices
+        index = index - rest * choices  # the block choices
+        top = rest // lecss_r
+        rest -= top * lecss_r
+        sharing = self.lecss.encode_many(msgs, rest).view(np.int64)
+        z = top // c1_t
+        top -= z * c1_t
+        seed_words = self.seed_code.encode_many(z, top)
         payload = np.zeros(len(msgs), dtype=np.uint64)
-        for i in range(plan.block_count):
-            blocks = ((sharing >> (i * plan.block_in)) & self._in_mask).astype(np.intp)
-            payload |= self.block_code.encode_many(blocks, gen) << (i * plan.block_out)
+        for i in reversed(range(plan.block_count)):
+            rest = index // t
+            index -= rest * t
+            blocks = (sharing >> (i * plan.block_in)) & self._in_mask
+            payload |= self.block_code.encode_many(blocks, index) << (i * plan.block_out)
+            index = rest
         permuted = self._permute_many(self._scatter_tables()[0], z, payload)
         return seed_words | (permuted << plan.seed_bits)
 

@@ -233,9 +233,8 @@ class InnerCode:
             self._tables = (book, decode)
         return self._tables
 
-    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        t = self.params.t
-        return self._batch_tables()[0].take(msgs * t + gen.integers(0, t, size=len(msgs)))
+    def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return self._batch_tables()[0].take(msgs * self.params.t + index)
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         return self._batch_tables()[1].take(words.astype(np.intp))

@@ -196,10 +196,11 @@ class LecssCode:
             self._tables = (words, by_prefix)
         return self._tables
 
-    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Encoding `index` of each message: the randomness value index,
+        row s*q^k0 + index of the codeword table."""
         words, _ = self._codeword_tables()
-        randomness = gen.integers(0, self.randomness_count, size=len(msgs))
-        return words.take((msgs << (self.k0 * self.m)) | randomness)
+        return words.take((msgs << (self.k0 * self.m)) | index)
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         """Look up the codeword through the first k symbols; accept it when
@@ -212,21 +213,20 @@ class LecssCode:
         return self.randomness_count
 
     def encodings_many(self, s: int) -> np.ndarray:
-        """Every encoding of s in iter_encodings_int order: rows s*q^k0 + r
-        of the codeword table, the randomness digits of r in product order
-        (first symbol slowest)."""
+        """Every encoding of s in randomness-value order: rows s*q^k0 + r
+        of the codeword table, r = 0, 1, ..., q^k0 - 1."""
         words, _ = self._codeword_tables()
-        digits = np.unravel_index(np.arange(self.randomness_count), (self.q,) * self.k0)
-        r = sum(d << (i * self.m) for i, d in enumerate(digits))
-        return words[(s << (self.k0 * self.m)) | r]
+        return words[s * self.randomness_count : (s + 1) * self.randomness_count]
 
     def iter_encodings_int(self, s: int) -> Iterable[int]:
+        """The words of encodings_many(s): randomness value r puts its
+        base-q digit i (least significant first) in symbol i."""
         if self.randomness_count > DEFAULT_RANDOMNESS_GUARD:
             raise GuardExceeded(
                 f"q^k0 = {self.randomness_count} randomness vectors exceed guard"
             )
-        for randomness in product(range(self.q), repeat=self.k0):
-            yield self.encode_with(s, randomness)
+        for r in range(self.randomness_count):
+            yield self.encode_with(s, [(r >> (i * self.m)) & (self.q - 1) for i in range(self.k0)])
 
     def descriptor(self) -> dict:
         return {

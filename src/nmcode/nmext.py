@@ -365,14 +365,15 @@ class ExtractorCode:
         for t in np.flatnonzero(self.ext.as_array() == s).tolist():
             yield _swap_halves(t, self.ext.n)
 
-    def encoding_count(self, s: int) -> int:
-        return int(self.sizes[s])
+    def encoding_count(self, s):
+        """Encodings of s; for an int64 array of messages, one count per entry."""
+        return self.sizes[s] if np.ndim(s) else int(self.sizes[s])
 
     def encodings_many(self, s: int) -> np.ndarray:
         return self.flat[self.starts[s] : self.starts[s] + self.sizes[s]]
 
-    def encode_many(self, msgs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        return self.flat[self.starts[msgs] + gen.integers(0, self.sizes[msgs])]
+    def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return self.flat[self.starts[msgs] + index]
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         return self.by_word.take(words.astype(np.intp))

@@ -7,14 +7,20 @@ or one numpy array entry per word; no base class is involved:
     message_bits, block_bits : int
     encode_int(s, rng) -> int
     decode_int(w) -> int | None        (None encodes decoder failure)
-    encode_many(msgs, gen) -> words    (sampled mode; int64 messages to
-                                        uint64 words, drawing only through
-                                        gen.integers(low, high, size))
+    encoding_count(s) -> int           (encoder choices of s; for an int64
+                                        array of messages, one int shared
+                                        by all or one int64 count each)
+    encode_many(msgs, index) -> words  (int64 messages and encoding
+                                        indices to uint64 words; draws
+                                        nothing)
     decode_many(words) -> msgs         (uint64 words to int64 messages,
                                         -1 encodes decoder failure)
-    encoding_count(s) -> int           (exact mode: size of the support)
     encodings_many(s) -> words         (exact mode: every encoding of s)
 
+Encoding i of message s, for i in [0, encoding_count(s)), is entry i of
+`encodings_many(s)`, and `encode_many` returns encoding `index` of each
+message, so sampled and exact mode share one order of the encoder
+choices and a uniform index gives the encoder's distribution.
 `iter_encodings_int(s)` yields the words of `encodings_many(s)` one Python
 int at a time; the tests use it as the reference for `encodings_many`.
 A message becomes a `BitWord` only as an outcome symbol of a `FiniteDist`.
@@ -24,11 +30,12 @@ decode(f(encode(s))) runs on numpy arrays (uint64 words, int64 messages)
 and `np.bincount` counts the outcomes into an int64 row of 2^k + 2 cells:
 0 decoder failure, 1 + m message m, 2^k + 1 SAME. An exact row counts
 every encoding of s; a sampled row counts `samples` runs drawn by its own
-numpy generator, seeded with 128 bits of the caller's stream. Sampled rows
-share passes: the pieces of every row run as one array of at most
-BATCH_ROWS runs, and the generator `encode_many` sees draws each piece's
-slice from that piece's row generator, so a row's runs do not depend on
-the rows it shares a pass with.
+numpy generator, seeded with 128 bits of the caller's stream. All sampling
+randomness is drawn there: per piece of a row, the messages (a row of
+uniform messages only), then one uniform encoding index per run. Sampled
+rows share passes: the pieces of every row run as one array of at most
+BATCH_ROWS runs, so a row's runs do not depend on the rows it shares a
+pass with, nor a fixed-message row's on where its pieces split.
 
 The reference distribution for an adversary is that of the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
@@ -88,28 +95,6 @@ def _cell(sym: Symbol, k: int) -> int:
     return 0 if sym is BOTTOM else (1 << k) + 1 if sym is SAME else sym.value + 1
 
 
-class _PassStreams:
-    """The generator of one stacked pass, as `encode_many` sees it.
-
-    Piece i of the pass owns runs bounds[i]:bounds[i + 1] and its row's
-    generator. `integers(low, high, size)` draws each piece's slice from
-    that generator, at the piece's own size (or its slice of an array
-    `high`), and concatenates the slices. Each generator thus makes the
-    very calls a pass of its piece alone would make, and draws the same
-    stream whether or not numpy's bounded draws depend on the call size.
-    """
-
-    def __init__(self, gens: Sequence[np.random.Generator], sizes: Sequence[int]):
-        self.gens = gens
-        self.bounds = np.cumsum([0, *sizes]).tolist()
-
-    def integers(self, low, high, size=None) -> np.ndarray:
-        spans = zip(self.gens, self.bounds, self.bounds[1:])
-        if np.ndim(high):
-            return np.concatenate([g.integers(low, high[a:b]) for g, a, b in spans])
-        return np.concatenate([g.integers(low, high, size=b - a) for g, a, b in spans])
-
-
 def _check_messages(scheme, messages: Sequence[Optional[int]], sampled: bool) -> None:
     """Raise ValueError on the first entry that is neither a message of the
     scheme nor, in sampled mode, None."""
@@ -135,8 +120,11 @@ def _counts(
     entry None draws a uniform message per run and counts a decode to it as
     SAME, the only rows with SAME counts. Each row draws from its own
     generator, seeded with 128 bits of `rng` in row order, in pieces of at
-    most BATCH_ROWS runs. Consecutive pieces share a pass of at most
-    BATCH_ROWS runs, drawn through `_PassStreams` and counted by one
+    most BATCH_ROWS runs: a piece of an entry None draws its messages, then
+    every piece draws one index in [0, encoding_count) per run, with a
+    scalar bound and `size` when the code's counts are uniform and a
+    per-message array otherwise. Consecutive pieces share a pass of at most
+    BATCH_ROWS runs, encoded by one `encode_many` call and counted by one
     `bincount` over row * (2^k + 2) + cell. Only a row's last piece can
     fall short of BATCH_ROWS, so no two pieces of one row share a pass and
     each generator draws its pieces in order. Entries are checked before
@@ -173,13 +161,14 @@ def _counts(
             used += size
     for pieces in passes:
         first, sizes = pieces[0][0], [size for _, size in pieces]
-        msgs = np.concatenate([
-            gens[r].integers(0, nmsg, size=size) if messages[r] is None
-            else np.full(size, messages[r], dtype=np.int64)
-            for r, size in pieces
-        ])
-        stream = _PassStreams([gens[r] for r, _ in pieces], sizes)
-        cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, stream))) + 1
+        msgs, index = [], []
+        for r, size in pieces:
+            gen, s = gens[r], messages[r]
+            drawn = gen.integers(0, nmsg, size=size) if s is None else np.full(size, s, dtype=np.int64)
+            msgs.append(drawn)
+            index.append(gen.integers(0, scheme.encoding_count(drawn), size=size))
+        msgs = np.concatenate(msgs)
+        cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, np.concatenate(index)))) + 1
         free = np.repeat([messages[r] is None for r, _ in pieces], sizes)
         cells[free & (cells == msgs + 1)] = nmsg + 1
         cells += np.repeat([(r - first) * width for r, _ in pieces], sizes)
@@ -261,8 +250,9 @@ def nm_error(
     sum |a*B - b'*A| / (2*A*B), b' being b with the SAME cell moved onto s.
     The returned radius separates sampling noise from the reported value:
     0.0 in exact mode, the two-sided Hoeffding radius at confidence 1-eta
-    otherwise. Every message is checked before any draw; the rows are then
-    counted by one `_counts` call per block of BATCH_ROWS >> k messages,
+    otherwise. Every message is checked before any draw; a repeated message
+    counts once, in first-seen order. The rows are then counted by one
+    `_counts` call per block of BATCH_ROWS >> k messages,
     so a block's sampled rows share passes and about BATCH_ROWS cells are
     held at a time.
     """
@@ -278,6 +268,7 @@ def nm_error(
     if not messages:
         raise ValueError("nm_error needs at least one message")
     _check_messages(scheme, messages, sampled=False)
+    messages = list(dict.fromkeys(messages))
     per: Dict[int, Fraction] = {}
     step = max(1, BATCH_ROWS >> k)
     for lo in range(0, len(messages), step):

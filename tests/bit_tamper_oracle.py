@@ -26,7 +26,8 @@ def _symbol(cell, k):
 
 def sampled_dist(scheme, f, samples, rng, message):
     """`samples` runs of decode(f(encode(s))); with message=None s is drawn
-    uniformly per run and a decode to it counts as SAME."""
+    uniformly per run and a decode to it counts as SAME. Each piece of runs
+    draws its messages (message=None only), then one encoding index per run."""
     if rng is None:
         raise ValueError("sampled mode needs an rng")
     schemes.check_word_bits(scheme)
@@ -40,7 +41,8 @@ def sampled_dist(scheme, f, samples, rng, message):
             msgs = gen.integers(0, nmsg, size=rows)
         else:
             msgs = np.full(rows, message, dtype=np.int64)
-        cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, gen))) + 1
+        index = gen.integers(0, scheme.encoding_count(msgs), size=rows)
+        cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, index))) + 1
         if message is None:
             cells[cells == msgs + 1] = nmsg + 1
         counts += np.bincount(cells, minlength=nmsg + 2)
@@ -87,10 +89,10 @@ def tampered_output_dist(scheme, f, s, samples=None, rng=None):
 
 
 def nm_error(scheme, f, ref, messages=None, samples=None, rng=None, eta=1e-6):
-    """(value, radius, per_message) of the push_copy + statistical_distance loop."""
+    """(value, radius, per_message) of the push_copy + statistical_distance
+    loop, over each distinct message once, in first-seen order."""
     k = scheme.message_bits
-    if messages is None:
-        messages = range(1 << k)
+    messages = dict.fromkeys(range(1 << k) if messages is None else messages)
     per = {}
     for s in messages:
         dist = tampered_output_dist(scheme, f, s, samples=samples, rng=rng)

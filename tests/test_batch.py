@@ -81,13 +81,13 @@ class _Memo:
 
 
 def _check_codec(code, messages, words):
-    """decode_many == decode_int on `words`; encode_many draws lie in
-    iter_encodings_int and decode back."""
+    """decode_many == decode_int on `words`; encode_many at drawn encoding
+    indices lies in iter_encodings_int and decodes back."""
     words = np.asarray(words, dtype=np.uint64)
     assert code.decode_many(words).tolist() == _as_ints(code.decode_int(int(w)) for w in words)
     gen = np.random.default_rng(7)
     msgs = np.asarray(messages, dtype=np.int64)
-    drawn = code.encode_many(msgs, gen)
+    drawn = code.encode_many(msgs, gen.integers(0, code.encoding_count(msgs), size=len(msgs)))
     assert drawn.dtype == np.uint64
     assert (code.decode_many(drawn) == msgs).all()
     support = {s: set(code.iter_encodings_int(s)) for s in set(messages)}
@@ -158,13 +158,10 @@ class TestConcatKernels:
     def test_encode_many_draws_encodings_of_the_message(self, concat_code, concat_encodings):
         gen = np.random.default_rng(4103)
         msgs = gen.integers(0, 1 << concat_code.message_bits, size=5000)
-        drawn = concat_code.encode_many(msgs, gen)
+        index = gen.integers(0, concat_code.encoding_count(0), size=len(msgs))
+        drawn = concat_code.encode_many(msgs, index)
         assert (concat_code.decode_many(drawn) == msgs).all()
-        support = [set(e.tolist()) for e in concat_encodings]
-        assert all(w in support[s] for w, s in zip(drawn.tolist(), msgs.tolist()))
-        # The randomness reaches every encoder choice of a message.
-        many = concat_code.encode_many(np.zeros(40_000, dtype=np.int64), gen)
-        assert len(set(many.tolist())) == len(support[0])
+        assert drawn.tolist() == [int(concat_encodings[s][i]) for s, i in zip(msgs, index)]
 
 
 class TestComponentKernels:
@@ -182,6 +179,21 @@ class TestComponentKernels:
     def test_extractor_code(self):
         code = ExtractorCode(sample_random_extractor(4, 2, RngSeed.from_int(4112)))
         _check_codec(code, list(range(4)) * 100, range(1 << 8))
+
+    @pytest.mark.parametrize("code", [
+        sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4115)),
+        LecssCode(m=4, n=4, k=3, k0=1),
+        LecssCode(m=3, n=6, k=4, k0=2),
+        build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4116)),
+        ExtractorCode(sample_random_extractor(4, 2, RngSeed.from_int(4117))),
+    ], ids=["inner", "lecss-k0-1", "lecss-k0-2", "concat", "extractor"])
+    def test_encoding_index_i_is_entry_i_of_encodings_many(self, code):
+        """Sampled and exact mode share one order of the encoder choices."""
+        for s in (0, 1, (1 << code.message_bits) - 1):
+            c = code.encoding_count(s)
+            got = code.encode_many(np.full(c, s, dtype=np.int64), np.arange(c))
+            assert got.tolist() == code.encodings_many(s).tolist()
+            assert got.tolist() == list(code.iter_encodings_int(s))
 
     def test_bit_tamper_apply_many(self):
         rng = random.Random(4113)

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,12 +142,14 @@ class TestRunConfig:
     def test_attack_rows_pinned(self):
         """The rows of a sampled concat-attack report, pinned by the SHA-256
         of their JSON: every adversary's reference, per-message estimates and
-        radius stay identical as long as no RNG stream changes."""
+        radius stay identical as long as no RNG stream changes. Re-pinned
+        when concat encoding became one encoding index per run and the
+        attacked messages became distinct."""
         argv = ["concat", "attack", "--adversaries", "12", "--messages", "4",
                 "--samples", "1000", "--seed", "3", "--jobs", "1"]
         rows = run_config(read_config(build_parser().parse_args(argv)))["results"]["rows"]
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-        assert digest == "cda164943934bf2d9ea680a91b27483850bf6fe9edd2a9f90300566a8967f609"
+        assert digest == "3cab6ed50eccaf2a7548fafba9c38b2b4f14013a68541d3d74ec959c813f9cf3"
 
     def test_reduce_rows_pinned(self):
         """An m = 2 reduction report, pinned by SHA-256: the `results` that
@@ -196,6 +200,15 @@ class TestRunConfig:
 
 
 class TestMainEntry:
+    def test_python_m_nmcode_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = os.environ | {"PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "nmcode", "perm", "derive", "--n", "8", "--z", "3"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["operation"] == "perm-derive" and report["pass"] is True
+
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -429,6 +442,8 @@ class TestBadInput:
             ["nmext", "check", "--n", "4", "--m", "30"],
             ["nmext", "check", "--n", "2", "--m", "64"],
             ["concat", "attack", "--messages", "-1"],
+            # The toy code has 256 messages; more distinct ones do not exist.
+            ["concat", "attack", "--messages", "300"],
             ["perm", "test", "--trials", "0"],
             ["inner", "sample", "--n", "16", "--alpha", "0.5", "--k", "3"],
             ["inner", "sample", "--n", "16"],

@@ -190,11 +190,13 @@ class TestCodec:
 
     def test_batch_kernels_refuse_words_over_64_bits(self):
         big = build_concat(plan_concat(1024, 0.5, seed_code_rate=0.05), RngSeed.from_int(4))
-        gen = np.random.default_rng(0)
-        state = gen.bit_generator.state
         with pytest.raises(GuardExceeded, match="64-bit"):
-            big.encode_many(np.zeros(1, dtype=np.int64), gen)
-        assert gen.bit_generator.state == state  # nothing was drawn
+            big.encode_many(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(GuardExceeded, match="64-bit"):
+            schemes._counts(big, BitTamperFn.identity(big.block_bits), [0], samples=1, rng=rng)
+        assert rng.getstate() == state  # nothing was drawn
         with pytest.raises(GuardExceeded, match="64-bit"):
             big.decode_many(np.zeros(1, dtype=np.uint64))
         with pytest.raises(GuardExceeded, match="64-bit"):

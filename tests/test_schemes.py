@@ -3,9 +3,12 @@ against the per-message Fraction-dict path of `bit_tamper_oracle`.
 
 Sampled verdicts must equal the oracle on the same seeds: the kernel seeds
 one generator per row from the caller's stream in the oracle's order, and
-its stacked passes draw each row's pieces at the oracle's sizes.
+each piece of a row draws its messages (a None row only) and then one
+encoding index per run, as the oracle's pieces do.
 """
 
+import hashlib
+import json
 import math
 import random
 
@@ -93,6 +96,39 @@ def test_sampled_verdicts_equal_oracle_on_the_same_seeds(name):
         assert ours.getstate() == theirs.getstate()
 
 
+# SHA-256 of `_sampled_rows` for every code but concat, taken while the batch
+# encoders still drew their own randomness: these codes draw one integer in
+# [0, encoding_count(s)) per run either way, so their streams must not move.
+SAMPLED_PINS = {
+    "inner-8-3": "8a0bb89e92a5496f1d7294c5b85b166c10e3523658ca38dfb5cb2ee4d91177ba",
+    "inner-6-2": "4c2468668956e60d6686e5542b587f890da1ee88958e20e4b741fc371331a577",
+    "lecss-4": "bff435c9e97d0a9962140e174284c7f005b00747d4124e2e5f2195bb7eaa5627",
+    "lecss-3": "c34e4bbc7a8d98bf4f5e5b7e877445172074ae60c4d70230175f618abad5e187",
+    "extractor-3-1": "5e930413b6ae9e0713624f79458180de98318ff4dd6c677ad02e55003e9063f8",
+    "extractor-3-2": "f6430d49ede839a97892c8b4690b7e33aad43bb4ac2be8fec64ad925b5c9a4c7",
+    "extractor-4-1": "76f8aaf96231735010268235076c4d921961a9bb7f9769d1e42c3c66099a3988",
+    "extractor-4-2": "e6b0acfc3866ae8edee5e6d11e68300b07d0cb3cdade8438cd71992c45086c92",
+}
+
+
+def _sampled_rows(code):
+    """Sampled references and per-message errors of every adversary of the
+    code, as JSON."""
+    rng, stream = random.Random(4395), RngSeed.from_int(4396).stream()
+    rows = []
+    for f in _adversaries(code, rng):
+        ref = schemes.reference_dist(code, f, samples=2000, rng=stream)
+        report = schemes.nm_error(code, f, ref, messages=_messages(code, rng)[:6], samples=700, rng=stream)
+        rows.append([ref.to_json(), {str(s): str(v) for s, v in report.per_message.items()}])
+    return json.dumps(rows)
+
+
+@pytest.mark.parametrize("name", list(SAMPLED_PINS))
+def test_sampled_rows_pinned(name):
+    digest = hashlib.sha256(_sampled_rows(CODES[name]).encode()).hexdigest()
+    assert digest == SAMPLED_PINS[name]
+
+
 @pytest.mark.parametrize("batch_rows", [64, 300, 2500])
 @pytest.mark.parametrize("name", ["concat", "extractor-4-2"])
 def test_stacked_passes_equal_oracle_across_pass_boundaries(name, batch_rows, monkeypatch):
@@ -118,6 +154,42 @@ def test_stacked_passes_equal_oracle_across_pass_boundaries(name, batch_rows, mo
     report = schemes.nm_error(code, f, ref, messages=messages, samples=1000, rng=ours)
     _same_report(report, oracle.nm_error(code, f, ref, messages=messages, samples=1000, rng=theirs))
     assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("name", list(CODES))
+def test_fixed_message_rows_do_not_depend_on_the_piece_size(name, monkeypatch):
+    """A fixed-message row draws one encoding index per run from its own
+    generator, so cutting it into pieces of 7 runs draws the same stream.
+    The adversary freezes the first and last bits, so a row's counts
+    depend on the encodings drawn."""
+    code = CODES[name]
+    nmsg = 1 << code.message_bits
+    if isinstance(code, ExtractorCode):
+        f = _adversaries(code, random.Random(4385))[-1]
+    else:
+        f = BitTamperFn.from_str("0" + "K" * (code.block_bits - 2) + "1")
+    entries = [0, nmsg - 1, 1, 0]
+    default = schemes._counts(code, f, entries, samples=200, rng=random.Random(4386))
+    assert ((default > 0).sum(axis=1) > 1).all()
+    monkeypatch.setattr(schemes, "BATCH_ROWS", 7)
+    assert (schemes._counts(code, f, entries, samples=200, rng=random.Random(4386)) == default).all()
+
+
+def test_repeated_messages_count_once():
+    """[s, s, t] gives the report of [s, t], from the same two row seeds."""
+    code = CODES["concat"]
+    f = _adversaries(code, random.Random(4387))[-1]
+    ref = schemes.reference_dist(code, f, samples=300, rng=random.Random(4388))
+    ours, two_seeds = random.Random(4389), random.Random(4389)
+    report = schemes.nm_error(code, f, ref, messages=[5, 5, 9], samples=300, rng=ours)
+    _same_report(report, oracle.nm_error(code, f, ref, messages=[5, 9], samples=300,
+                                         rng=random.Random(4389)))
+    assert list(report.per_message) == [5, 9]
+    two_seeds.getrandbits(128)
+    two_seeds.getrandbits(128)
+    assert ours.getstate() == two_seeds.getstate()
+    exact = schemes.nm_error(code, f, ref, messages=[9, 5, 9])
+    assert exact.per_message == schemes.nm_error(code, f, ref, messages=[9, 5]).per_message
 
 
 def test_bad_messages_raise_before_any_draw(monkeypatch):
