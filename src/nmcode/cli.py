@@ -680,7 +680,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NmcodeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    print(dumps_report(report))
+    try:
+        print(dumps_report(report), flush=True)
+    except BrokenPipeError:
+        # The reader closed standard output early: point it at devnull so
+        # the flush at exit does not raise again (the Python docs' recipe
+        # for SIGPIPE), and exit 1 as the interpreter does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if report["pass"] else 1
 
 

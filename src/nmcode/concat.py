@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_permuta
 from .tamper import KEEP, SET0, SET1, BitTamperFn
 from . import schemes
 
-#: Most entries of the per-seed byte-scatter tables the batch kernels hold.
+#: Most entries of the per-seed tables the batch kernels hold: the
+#: byte-scatter tables, and the payload tables with one adversary's fold.
 DEFAULT_PERM_TABLE_GUARD = 1 << 20
 
 
@@ -419,7 +420,9 @@ class ConcatCode:
         self._seed_mask = (1 << plan.seed_bits) - 1
         self._block_mask = (1 << plan.block_out) - 1
         self._in_mask = (1 << plan.block_in) - 1
+        self._block_words = plan.inner.t << plan.block_in  # block codewords
         self._scatter: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._payload: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- layout helpers ---------------------------------------------------
 
@@ -504,50 +507,160 @@ class ConcatCode:
             acc |= tables[j].take(base | ((x >> (8 * j)) & 0xFF).astype(np.intp))
         return acc
 
-    def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Encoding `index` of each message, in the order of encodings_many:
-        the mixed-radix digits of index, most significant first, are the
-        seed, its codeword, the LECSS randomness and the block codewords,
-        first block slowest. Each digit is peeled (`//` and an in-place
-        multiply-subtract) where it is used; the sharing is read as int64,
-        so its blocks index the block code without a cast."""
-        schemes.check_word_bits(self)
+    def _payload_entries(self) -> int:
+        """Entries of `_payload_tables`."""
         plan = self.plan
-        t, c1_t, lecss_r = plan.inner.t, plan.c1.t, self.lecss.randomness_count
+        return plan.block_count * ((self._block_words << plan.seed_message_bits) + (1 << plan.block_out))
+
+    def _payload_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The permuted block images and the block decode tables, built on
+        the first batch call from the block code's tables and the forward
+        scatter tables.
+
+        Images, a (2^k1, n_b * t * 2^b) uint64 array: row z, entry
+        i * t * 2^b + w is block codeword w placed as block i and permuted
+        by seed z, so a permuted payload is the XOR of one entry per block.
+        Blocks, flat: entry (i << B) | v is block value v decoded and
+        shifted to block i's place in the sharing, or the sentinel bit
+        1 << n2 where v is off the block code; the sentinel fails the LECSS
+        membership test, so a failed block fails the decode.
+        """
+        if self._payload is None:
+            if self._payload_entries() > DEFAULT_PERM_TABLE_GUARD:
+                raise GuardExceeded(
+                    f"{self._payload_entries()} payload-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}"
+                )
+            plan = self.plan
+            book, decode = self.block_code._batch_tables()
+            seeds = 1 << plan.seed_message_bits
+            shifts = np.arange(plan.block_count)[:, None]
+            placed = (book.reshape(1, -1) << (shifts * plan.block_out).astype(np.uint64)).ravel()
+            z = np.repeat(np.arange(seeds), placed.size)
+            images = self._permute_many(self._scatter_tables()[0], z, np.tile(placed, seeds))
+            blocks = np.where(decode >= 0, decode << (shifts * plan.block_in), 1 << plan.sharing_bits)
+            self._payload = (images.reshape(seeds, -1), blocks.astype(np.uint64).ravel())
+        return self._payload
+
+    def _digits(self, msgs: np.ndarray, index: np.ndarray) -> Tuple[np.ndarray, Iterator[Tuple[int, np.ndarray]]]:
+        """The encoder choices of encoding `index` of each message, in the
+        order of encodings_many: the mixed-radix digits of index, most
+        significant first, are the seed, its codeword, the LECSS randomness
+        and the block codewords, first block slowest.
+
+        Returns the seed segment's entry z * c1.t + c of the flat seed
+        codebook, and an iterator over the blocks, last first, of (i, entry
+        (block message) * t + choice of the flat block codebook). Each digit
+        is peeled where it is used and the blocks one at a time, mostly in
+        place: at batch sizes every live temporary is a fresh allocation.
+        The sharing is read as int64, so its blocks index without a cast.
+        """
+        plan = self.plan
+        t, lecss_r = plan.inner.t, self.lecss.randomness_count
         choices = t**plan.block_count
         rest = index // choices
         index = index - rest * choices  # the block choices
-        top = rest // lecss_r
-        rest -= top * lecss_r
+        seg = rest // lecss_r
+        rest -= seg * lecss_r
         sharing = self.lecss.encode_many(msgs, rest).view(np.int64)
-        z = top // c1_t
-        top -= z * c1_t
-        seed_words = self.seed_code.encode_many(z, top)
-        payload = np.zeros(len(msgs), dtype=np.uint64)
-        for i in reversed(range(plan.block_count)):
-            rest = index // t
-            index -= rest * t
-            blocks = (sharing >> (i * plan.block_in)) & self._in_mask
-            payload |= self.block_code.encode_many(blocks, index) << (i * plan.block_out)
-            index = rest
-        permuted = self._permute_many(self._scatter_tables()[0], z, payload)
-        return seed_words | (permuted << plan.seed_bits)
+
+        def blocks(index: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+            for i in reversed(range(plan.block_count)):
+                rest = index // t
+                index -= rest * t
+                entry = sharing >> (i * plan.block_in)
+                entry &= self._in_mask
+                entry *= t
+                entry += index
+                yield i, entry
+                index = rest
+
+        return seg, blocks(index)
+
+    def _xor_blocks(
+        self, table: np.ndarray, base: np.ndarray, blocks: Iterator[Tuple[int, np.ndarray]]
+    ) -> np.ndarray:
+        """XOR over the blocks (i, entry) of flat table entry
+        base + i * t * 2^b + entry, the entries updated in place."""
+        out = np.zeros(len(base), dtype=np.uint64)
+        for i, entry in blocks:
+            entry += base
+            entry += i * self._block_words
+            out ^= table.take(entry)
+        return out
+
+    def _decode_payload(self, payload: np.ndarray) -> np.ndarray:
+        """The message of each un-permuted payload, -1 where a block or the
+        sharing fails to decode: one decode-table `take` per block."""
+        plan = self.plan
+        blocks = self._payload_tables()[1]
+        sharing = blocks.take((payload & self._block_mask).view(np.intp))
+        for i in range(1, plan.block_count):
+            part = payload >> (i * plan.block_out)
+            part &= self._block_mask
+            part = part.view(np.intp)
+            part += i << plan.block_out
+            sharing |= blocks.take(part)
+        return self.lecss.decode_many(sharing)
+
+    def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Encoding `index` of each message, in the order of encodings_many:
+        the seed codeword beside the XOR of the blocks' permuted images."""
+        schemes.check_word_bits(self)
+        seg, blocks = self._digits(msgs, index)
+        images = self._payload_tables()[0]
+        permuted = self._xor_blocks(images.ravel(), seg // self.plan.c1.t * images.shape[1], blocks)
+        return self.seed_code._batch_tables()[0].take(seg) | (permuted << self.plan.seed_bits)
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         schemes.check_word_bits(self)
-        plan = self.plan
         # Failed seed segments (-1) are identified with the zero seed.
         z = np.maximum(self.seed_code.decode_many(words & self._seed_mask), 0)
-        payload = self._permute_many(self._scatter_tables()[1], z, words >> plan.seed_bits)
-        sharing = np.zeros(len(words), dtype=np.uint64)
-        failed = np.zeros(len(words), dtype=bool)
-        for i in range(plan.block_count):
-            d = self.block_code.decode_many((payload >> (i * plan.block_out)) & self._block_mask)
-            failed |= d < 0
-            sharing |= (d & self._in_mask).astype(np.uint64) << (i * plan.block_in)
-        out = self.lecss.decode_many(sharing)
-        out[failed] = -1
-        return out
+        return self._decode_payload(
+            self._permute_many(self._scatter_tables()[1], z, words >> self.plan.seed_bits)
+        )
+
+    def fold(self, f: BitTamperFn) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """decode_many(f.apply_many(encode_many(msgs, index))) through a
+        table built once for f.
+
+        Seed segment entry j = z * c1.t + c decodes under f to a fixed seed
+        z'_j (0 where the decode fails), and f acts on the payload as a
+        keep/flip mask and a constant, so the un-permuted tampered payload
+        is the XOR, over the blocks, of the block's image under seed z
+        masked by f and inverse-permuted by z'_j, and of f's payload
+        constant inverse-permuted by z'_j. Row j of the table holds those
+        images, the constant XORed into every block-0 entry. A run costs the
+        index digits, one `take` and one XOR per block to the payload, and
+        `_decode_payload`. Raises GuardExceeded, before any table is built,
+        on words over 64 bits or when the payload tables and the fold's
+        table exceed DEFAULT_PERM_TABLE_GUARD entries.
+        """
+        schemes.check_word_bits(self)
+        plan = self.plan
+        segments = plan.c1.t << plan.seed_message_bits
+        entries = self._payload_entries() + segments * plan.block_count * self._block_words
+        if entries > DEFAULT_PERM_TABLE_GUARD:
+            raise GuardExceeded(f"{entries} fold-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}")
+        images = self._payload_tables()[0]
+        width = images.shape[1]
+        # f(x) = (x & keep) ^ f(0), and the seed words carry f(0)'s payload.
+        ends = f.apply_many(np.array([0, (1 << plan.total_bits) - 1], dtype=np.uint64))
+        keep = (ends[0] ^ ends[1]) >> plan.seed_bits
+        tampered = f.apply_many(self.seed_code._batch_tables()[0].ravel())
+        z = np.maximum(self.seed_code.decode_many(tampered & self._seed_mask), 0)
+        inverse = self._scatter_tables()[1]
+        masked = np.repeat(images, plan.c1.t, axis=0) & keep
+        table = self._permute_many(inverse, np.repeat(z, width), masked.ravel()).reshape(segments, width)
+        constant = self._permute_many(inverse, z, tampered >> plan.seed_bits)
+        table[:, : self._block_words] ^= constant[:, None]
+        table = table.ravel()
+
+        def run(msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
+            seg, blocks = self._digits(msgs, index)
+            seg *= width
+            return self._decode_payload(self._xor_blocks(table, seg, blocks))
+
+        return run
 
     def encoding_count(self, s: int) -> int:
         plan = self.plan
@@ -561,23 +674,19 @@ class ConcatCode:
     def encodings_many(self, s: int) -> np.ndarray:
         """Every encoding of s in iter_encodings_int order (seeds, seed
         codewords, sharings, then block-codeword choices with the first
-        block slowest), built from the component tables."""
+        block slowest), from the seed codebook and the payload images."""
         schemes.check_word_bits(self)
         plan = self.plan
-        book = self.block_code._batch_tables()[0]
-        sharings = self.lecss.encodings_many(s)
-        choices = np.unravel_index(
-            np.arange(plan.inner.t**plan.block_count), (plan.inner.t,) * plan.block_count
-        )
-        payload = np.zeros((len(sharings), len(choices[0])), dtype=np.uint64)
+        t = plan.inner.t
+        images = self._payload_tables()[0]
+        sharings = self.lecss.encodings_many(s).view(np.int64)
+        choices = np.unravel_index(np.arange(t**plan.block_count), (t,) * plan.block_count)
+        permuted = np.zeros((len(images), len(sharings), len(choices[0])), dtype=np.uint64)
         for i, c in enumerate(choices):
-            blocks = ((sharings >> (i * plan.block_in)) & self._in_mask).astype(np.intp)
-            payload |= book.take(blocks[:, None] * plan.inner.t + c) << (i * plan.block_out)
-        seeds = 1 << plan.seed_message_bits
-        z = np.repeat(np.arange(seeds), payload.size)
-        permuted = self._permute_many(self._scatter_tables()[0], z, np.tile(payload.ravel(), seeds))
+            blocks = (sharings >> (i * plan.block_in)) & self._in_mask
+            permuted ^= images[:, blocks[:, None] * t + c + i * self._block_words]
         seed_words = self.seed_code._batch_tables()[0]
-        return (seed_words[:, :, None] | (permuted.reshape(seeds, 1, -1) << plan.seed_bits)).ravel()
+        return (seed_words[:, :, None] | (permuted.reshape(len(images), 1, -1) << plan.seed_bits)).ravel()
 
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         plan = self.plan

@@ -16,6 +16,10 @@ or one numpy array entry per word; no base class is involved:
     decode_many(words) -> msgs         (uint64 words to int64 messages,
                                         -1 encodes decoder failure)
     encodings_many(s) -> words         (exact mode: every encoding of s)
+    fold(f) -> run                     (optional: for a BitTamperFn f,
+                                        run(msgs, index) returns
+                                        decode_many(f.apply_many(
+                                        encode_many(msgs, index))))
 
 Encoding i of message s, for i in [0, encoding_count(s)), is entry i of
 `encodings_many(s)`, and `encode_many` returns encoding `index` of each
@@ -35,7 +39,12 @@ randomness is drawn there: per piece of a row, the messages (a row of
 uniform messages only), then one uniform encoding index per run. Sampled
 rows share passes: the pieces of every row run as one array of at most
 BATCH_ROWS runs, so a row's runs do not depend on the rows it shares a
-pass with, nor a fixed-message row's on where its pieces split.
+pass with, nor a fixed-message row's on where its pieces split. A sampled
+pass under a `BitTamperFn` runs through `scheme.fold(f)`, built once per
+`_counts` call, when the scheme has that member: `ConcatCode` folds the
+adversary into per-block tables, so a run never forms its codeword
+(see `ConcatCode.fold`). Every other pass, and every exact row, runs the
+words through `decode_many(f.apply_many(...))`.
 
 The reference distribution for an adversary is that of the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
@@ -72,7 +81,7 @@ from . import lp
 MAX_WORD_BITS = 64
 #: Most runs encoded, tampered and decoded in one pass of the batch kernel,
 #: and the most runs of one sampled row drawn in one piece.
-BATCH_ROWS = 1 << 16
+BATCH_ROWS = 1 << 14
 #: Most encodings of one message that exact mode enumerates.
 MAX_EXACT_ENCODINGS = 1 << 20
 
@@ -124,11 +133,14 @@ def _counts(
     every piece draws one index in [0, encoding_count) per run, with a
     scalar bound and `size` when the code's counts are uniform and a
     per-message array otherwise. Consecutive pieces share a pass of at most
-    BATCH_ROWS runs, encoded by one `encode_many` call and counted by one
-    `bincount` over row * (2^k + 2) + cell. Only a row's last piece can
-    fall short of BATCH_ROWS, so no two pieces of one row share a pass and
-    each generator draws its pieces in order. Entries are checked before
-    any draw: a bad one raises ValueError and leaves `rng` as it was.
+    BATCH_ROWS runs, run by one call (the scheme's `fold(f)` when it has
+    one and f is a BitTamperFn, else encode_many, f.apply_many and
+    decode_many) and counted by one `bincount` over row * (2^k + 2) + cell.
+    Only a row's last piece can fall short of BATCH_ROWS, so no two pieces
+    of one row share a pass and each generator draws its pieces in order.
+    Entries are checked and the fold is built before any draw: a bad entry
+    raises ValueError, and a fold over its guard GuardExceeded, leaving
+    `rng` as it was.
     """
     nmsg = 1 << scheme.message_bits
     width = nmsg + 2
@@ -149,6 +161,11 @@ def _counts(
                 cells = scheme.decode_many(f.apply_many(words[lo : lo + BATCH_ROWS])) + 1
                 row += np.bincount(cells, minlength=width)
         return rows
+    if hasattr(scheme, "fold") and isinstance(f, BitTamperFn):
+        run = scheme.fold(f)
+    else:
+        def run(msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
+            return scheme.decode_many(f.apply_many(scheme.encode_many(msgs, index)))
     gens = [np.random.default_rng(rng.getrandbits(128)) for _ in messages]
     passes, used = [], BATCH_ROWS  # each pass a list of (row, runs) pieces
     for r in range(len(messages)):
@@ -168,7 +185,7 @@ def _counts(
             msgs.append(drawn)
             index.append(gen.integers(0, scheme.encoding_count(drawn), size=size))
         msgs = np.concatenate(msgs)
-        cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, np.concatenate(index)))) + 1
+        cells = run(msgs, np.concatenate(index)) + 1
         free = np.repeat([messages[r] is None for r, _ in pieces], sizes)
         cells[free & (cells == msgs + 1)] = nmsg + 1
         cells += np.repeat([(r - first) * width for r, _ in pieces], sizes)

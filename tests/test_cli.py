@@ -209,6 +209,22 @@ class TestMainEntry:
         report = json.loads(done.stdout)
         assert report["operation"] == "perm-derive" and report["pass"] is True
 
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        """The reader is gone before the report is written, as when `head`
+        exits early: the write fails with EPIPE every time, and the CLI
+        exits 1 with nothing on stderr."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = os.environ | {"PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "nmcode", "perm", "derive", "--n", "8", "--z", "3"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.stderr == ""
+        assert done.returncode == 1
+
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -18,8 +18,8 @@ from nmcode.concat import (
 from nmcode.inner import InnerParams
 from nmcode.lecss import LecssCode, LecssParams
 from nmcode.perm import Permutation, derive_permutation
-from nmcode.tamper import BitTamperFn, canonical_adversaries, case1_family
-from nmcode import perm, schemes
+from nmcode.tamper import BitTamperFn, canonical_adversaries, case1_family, random_tamper
+from nmcode import concat, perm, schemes
 
 from test_batch import oracle_exact_dist
 
@@ -201,6 +201,8 @@ class TestCodec:
             big.decode_many(np.zeros(1, dtype=np.uint64))
         with pytest.raises(GuardExceeded, match="64-bit"):
             big.encodings_many(0)
+        with pytest.raises(GuardExceeded, match="64-bit"):
+            big.fold(BitTamperFn.identity(big.block_bits))
 
     def test_tampered_block_fails(self):
         code = self.code()
@@ -276,6 +278,68 @@ class TestCodec:
         for s in (0, 1, 130, 255):
             for w in code.iter_encodings_int(s):
                 assert code.decode_int(w) == s
+
+
+FOLD_PLANS = {
+    "toy-t2": toy_concat_plan(t_block=2),
+    "toy-t4": toy_concat_plan(t_block=4),
+    # Not byte-aligned: 8 blocks of 6 bits under a 7-bit seed segment (55
+    # bits), and 4 blocks of 10 bits under a 5-bit one (45 bits).
+    "unaligned-55": ConcatPlan(0.5, InnerParams(n=6, k=2, t=3), InnerParams(n=7, k=2, t=3),
+                               LecssParams(m=4, n=4, k=3, k0=1), ell=0),
+    "unaligned-45": ConcatPlan(0.5, InnerParams(n=10, k=4, t=5), InnerParams(n=5, k=1, t=2),
+                               LecssParams(m=4, n=4, k=3, k0=1), ell=0),
+}
+
+
+def _fold_adversaries(code, rng):
+    """The canonical adversaries, identity, complement, a constant, the
+    seed segment frozen and the seed segment kept under a random payload
+    action, and 100 random profiles."""
+    n1, total = code.plan.seed_bits, code.block_bits
+    advs = [f for _, f in canonical_adversaries(code, rng)]
+    advs += [BitTamperFn.identity(total), BitTamperFn.complement(total),
+             BitTamperFn.constant(rng.getrandbits(total), total)]
+    for seed_part in (BitTamperFn.constant(rng.getrandbits(n1), n1), BitTamperFn.identity(n1)):
+        payload = random_tamper(total - n1, (0.5, 0.3, 0.2), rng)
+        advs.append(BitTamperFn(seed_part.actions + payload.actions))
+    for _ in range(100):
+        profile = rng.random(), rng.random(), rng.random()
+        advs.append(random_tamper(total, tuple(x / sum(profile) for x in profile), rng))
+    return advs
+
+
+class TestFold:
+    @pytest.mark.parametrize("name", list(FOLD_PLANS))
+    def test_fold_equals_decode_of_tampered_encodings(self, name):
+        code = build_concat(FOLD_PLANS[name], RngSeed.from_int(4410))
+        gen = np.random.default_rng(4411)
+        msgs = gen.integers(0, 1 << code.message_bits, size=3000)
+        index = gen.integers(0, code.encoding_count(0), size=3000)
+        for f in _fold_adversaries(code, random.Random(4412)):
+            want = code.decode_many(f.apply_many(code.encode_many(msgs, index)))
+            got = code.fold(f)(msgs, index)
+            wrong = np.flatnonzero(got != want)
+            assert not wrong.size, (f, int(msgs[wrong[0]]), int(index[wrong[0]]))
+
+    def test_fold_over_the_table_guard_raises_before_any_draw(self, monkeypatch):
+        code = build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4413))
+        f = BitTamperFn.complement(code.block_bits)
+        # Payload tables: 4 seeds x 4 blocks x 32 block codewords of images
+        # and 4 x 256 block-decode entries; the fold adds 8 seed segments x
+        # 4 x 32 entries, 2,560 in all.
+        assert code._payload_entries() == 1536
+        monkeypatch.setattr(concat, "DEFAULT_PERM_TABLE_GUARD", 2559)
+        rng = random.Random(4414)
+        state = rng.getstate()
+        with pytest.raises(GuardExceeded, match="fold-table entries"):
+            schemes._counts(code, f, [None, 3], samples=10, rng=rng)
+        with pytest.raises(GuardExceeded, match="fold-table entries"):
+            attack_experiment(code, f, messages=[3], samples=10)
+        assert rng.getstate() == state
+        assert code._payload is None
+        # Exact rows do not take the fold.
+        assert schemes._counts(code, f, [3]).sum() == code.encoding_count(3)
 
 
 class TestClassification:
