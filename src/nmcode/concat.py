@@ -478,22 +478,32 @@ class ConcatCode:
         """Forward and inverse byte-scatter tables of every seed's
         permutation (the rows of `perm.seed_table`), built on the first
         batch call. Row j of each is byte j's table for every seed in
-        turn: entry (z << 8) | byte."""
+        turn: entry (z << 8) | byte is the OR of 1 << map[8j + b] over the
+        set bits b of byte, 0 where byte sets a bit past the word. The
+        entries are built by doubling: the bytes with top bit b are the
+        bytes below 1 << b with bit b's image ORed in."""
         if self._scatter is None:
             if self._perms is None:
                 raise GuardExceeded(
                     f"{self._table_entries} permutation-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}"
                 )
-            seeds = 1 << self.plan.seed_message_bits
-            forwards = seed_table(self._spec).tolist()
-            fwd, inv = zip(*(
-                self._perms.setdefault(z, Permutation(row)).scatter_tables()
-                for z, row in enumerate(forwards)
-            ))
-            self._scatter = tuple(
-                np.array(t, dtype=np.uint64).transpose(1, 0, 2).reshape(-1, seeds * 256)
-                for t in (fwd, inv)
-            )
+            forward = seed_table(self._spec)
+            seeds, n = forward.shape
+            inverse = np.empty_like(forward)
+            np.put_along_axis(inverse, forward, np.arange(n, dtype=forward.dtype), axis=1)
+            nbytes = (n + 7) // 8
+            tables = []
+            for mapping in (forward, inverse):
+                bits = np.zeros((nbytes * 8, seeds), dtype=np.uint64)
+                bits[:n] = np.uint64(1) << mapping.T.astype(np.uint64)
+                bits = bits.reshape(nbytes, 8, seeds)
+                table = np.zeros((nbytes, 256, seeds), dtype=np.uint64)
+                for b in range(8):
+                    table[:, 1 << b : 2 << b] = table[:, : 1 << b] | bits[:, b, None]
+                if n % 8:
+                    table[-1, 1 << (n % 8) :] = 0
+                tables.append(table.transpose(0, 2, 1).reshape(nbytes, seeds * 256))
+            self._scatter = tuple(tables)
         return self._scatter
 
     @staticmethod
@@ -789,14 +799,14 @@ def attack_experiment(
 ) -> AttackReport:
     """Empirical tampering error of one adversary against the scheme.
 
-    Builds the sampled reference distribution, then measures the
-    per-message distance between tampered decoding and the reference with
-    SAME resolved; reports the worst message and the sampling radius.
+    Samples the reference distribution and the tampered decoding of each
+    message, its row first in one count call (`schemes.nm_error` with no
+    reference), then measures the per-message distance between the two
+    with SAME resolved; reports the worst message and the sampling radius.
     """
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream(f"attack.{adversary_id}")
-    ref = schemes.reference_dist(code, f, samples=samples, rng=rng)
-    report = schemes.nm_error(code, f, ref, messages=messages, samples=samples, rng=rng)
+    report = schemes.nm_error(code, f, None, messages=messages, samples=samples, rng=rng)
     return AttackReport(
         adversary_id=adversary_id,
         case_class=classify_adversary(code.plan, f),
@@ -804,6 +814,6 @@ def attack_experiment(
         radius=report.radius,
         samples=samples,
         per_message={s: float(v) for s, v in report.per_message.items()},
-        reference=ref.to_json(),
+        reference=report.reference.to_json(),
     )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import log, sqrt
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -360,55 +360,72 @@ def uniform_distance(counts: Iterable[int], total: int, outcomes: int) -> Fracti
     return Fraction(acc, 2 * total * outcomes)
 
 
-#: Most cells of one worst_marginal pass: words x index sets of gathered
-#: keys, or index sets x 2^size counts.
+#: Most cells of one worst_marginal pass: words x index sets of
+#: gathered keys, or index sets x groups x 2^size counts.
 _MARGINAL_CHUNK_CELLS = 1 << 16
 
 
 def worst_marginal(
-    words: Sequence[int], n: int, ell: int
-) -> Tuple[Fraction, Optional[Tuple[int, ...]]]:
-    """Worst `uniform_distance` of the n-bit words' marginals, uniform over
-    the list, over every index set of size 1..ell.
+    groups: Sequence[Sequence[int]], n: int, ell: int
+) -> Tuple[Fraction, Optional[int], Optional[Tuple[int, ...]]]:
+    """Worst `uniform_distance` of the marginals of the n-bit words of each
+    group, uniform over the group, over every group and index set of size
+    1..ell; the groups hold equally many words.
 
-    Returns (distance, index set); ties keep the first set in size, then
-    `combinations`, order, and (0, None) when every marginal is uniform.
-    For each size the index sets go in chunks of at most
-    _MARGINAL_CHUNK_CELLS cells: set s's key of a word (bit j is the word's
-    bit idxs[j]) is offset by s << size, one `bincount` counts the chunk,
-    and each set is scored by the int64 row sum of |c * 2^size - total|,
-    the numerator of its `uniform_distance`.
+    Returns (distance, group, index set); ties keep the first group, then
+    the first set in size, then `combinations`, order, and (0, None, None)
+    when every marginal is uniform. For each size the index sets go in
+    chunks of at most _MARGINAL_CHUNK_CELLS cells: set s's key of a word of
+    group g (bit j is the word's bit idxs[j]) is offset by
+    (s * len(groups) + g) << size, one `bincount` counts the chunk, and each
+    (set, group) is scored by the int64 row sum of |c * 2^size - total|,
+    the numerator of its `uniform_distance`, total the words per group.
     """
-    total = len(words)
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(int(w).to_bytes(width, "little") for w in words), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(total, width), axis=1, bitorder="little")[:, :n]
-    bits = bits.astype(np.int64)  # bits[w, i] is bit i of word w
+    total = len(groups[0])
+    if any(len(words) != total for words in groups):
+        raise ValueError("every group needs the same number of words")
+    words = [w for group in groups for w in group]
+    if n <= 64:  # one little-endian uint64 per word
+        width, raw = 8, np.array(words, dtype="<u8").view(np.uint8)
+    else:
+        width = (n + 7) // 8
+        raw = np.frombuffer(b"".join(int(w).to_bytes(width, "little") for w in words), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(words), width), axis=1, bitorder="little")[:, :n]
+    bits = bits.T.astype(np.int64)  # bits[i, w] is bit i of word w
     top_size = max(0, min(ell, n))
     if (2 * total) << top_size > _INT64_MAX:
         raise GuardExceeded(f"2^{top_size} cells of {total} draws overflow int64")
-    worst = Fraction(0)
-    witness = None
+    ngroups = len(groups)
+    group_of = np.repeat(np.arange(ngroups, dtype=np.int64), total)
+    # Per group, the worst score so far over 2 * total * 2^top_size, and its set.
+    worst = np.zeros(ngroups, dtype=np.int64)
+    witness: List[Optional[Tuple[int, ...]]] = [None] * ngroups
     for size in range(1, top_size + 1):
         outcomes = 1 << size
         sets = np.array(list(combinations(range(n), size)), dtype=np.intp)
-        per_chunk = max(1, _MARGINAL_CHUNK_CELLS // max(total, outcomes))
-        top, top_set = -1, None
+        per_chunk = max(1, _MARGINAL_CHUNK_CELLS // max(len(words), ngroups * outcomes))
+        top = np.full(ngroups, -1, dtype=np.int64)
+        top_set = np.zeros(ngroups, dtype=np.intp)
         for lo in range(0, len(sets), per_chunk):
             chunk = sets[lo : lo + per_chunk]
-            keys = np.arange(len(chunk), dtype=np.int64) << size  # (words, sets) after the loop
+            keys = (np.arange(len(chunk), dtype=np.int64)[:, None] * ngroups + group_of) << size
             for j in range(size):
-                keys = keys + (bits[:, chunk[:, j]] << j)
-            counts = np.bincount(keys.ravel(), minlength=len(chunk) << size).reshape(len(chunk), outcomes)
-            scores = np.abs(counts * outcomes - total).sum(axis=1)
-            best = int(scores.argmax())
-            if scores[best] > top:
-                top, top_set = int(scores[best]), chunk[best]
-        dist = Fraction(top, 2 * total * outcomes)
-        if dist > worst:
-            worst = dist
-            witness = tuple(int(i) for i in top_set)
-    return worst, witness
+                keys += bits[chunk[:, j]] << j  # (sets, words)
+            counts = np.bincount(keys.ravel(), minlength=(len(chunk) * ngroups) << size)
+            scores = np.abs(counts.reshape(len(chunk), ngroups, outcomes) * outcomes - total).sum(axis=2)
+            best = scores.argmax(axis=0)
+            value = scores[best, np.arange(ngroups)]
+            better = value > top
+            top[better] = value[better]
+            top_set[better] = lo + best[better]
+        top <<= top_size - size
+        for g in np.flatnonzero(top > worst).tolist():
+            worst[g] = top[g]
+            witness[g] = tuple(sets[top_set[g]].tolist())
+    g = int(worst.argmax())
+    if not worst[g]:
+        return Fraction(0), None, None
+    return Fraction(int(worst[g]), (2 * total) << top_size), g, witness[g]
 
 
 def confidence_radius(samples: int, eta: float = 1e-6) -> float:

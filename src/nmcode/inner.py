@@ -378,7 +378,9 @@ def verify_bounded_independence(
     guard: int = DEFAULT_INDEP_GUARD,
 ) -> PropertyReport:
     """Marginals of every encoding on every index set of size <= ell are
-    within eps of uniform; distances are exact frequency arithmetic."""
+    within eps of uniform; distances are exact frequency arithmetic, every
+    message scored in one `worst_marginal` pass. The witness is the
+    first worst message, then size, then `combinations` order."""
     n = code.params.n
     if ell < 0 or ell > n:
         raise ValueError("need 0 <= ell <= n")
@@ -389,22 +391,12 @@ def verify_bounded_independence(
     )
     if work > guard:
         raise GuardExceeded(f"sweep size {work} exceeds guard {guard}")
-    worst = Fraction(0)
-    witness = None
     eps_frac = Fraction(eps).limit_denominator(10**9) if isinstance(eps, float) else Fraction(eps)
-    for s, words in enumerate(code.codebook):
-        dist, idxs = worst_marginal(words, n, ell)
-        if dist > worst:
-            worst = dist
-            witness = (s, idxs)
+    worst, message, idxs = worst_marginal(code.codebook, n, ell)
     passed = worst <= eps_frac
     counterexample = None
-    if not passed and witness is not None:
-        counterexample = {
-            "message": witness[0],
-            "indices": list(witness[1]),
-            "distance": float(worst),
-        }
+    if not passed:
+        counterexample = {"message": message, "indices": list(idxs), "distance": float(worst)}
     return PropertyReport(
         name="bounded-independence",
         passed=passed,

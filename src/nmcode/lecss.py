@@ -322,14 +322,11 @@ def verify_lecss(
         )
 
     # (b) bounded independence: every bit-index set of size <= k0 exactly uniform
-    worst_indep = Fraction(0)
     msgs = [0]
     if code.message_bits:
         msgs.append(rng.getrandbits(code.message_bits))
-    for s in msgs:
-        words = list(code.iter_encodings_int(s))
-        dist, _ = worst_marginal(words, code.block_bits, ell)
-        worst_indep = max(worst_indep, dist)
+    encodings = [list(code.iter_encodings_int(s)) for s in msgs]
+    worst_indep = worst_marginal(encodings, code.block_bits, ell)[0]
     if worst_indep != 0:
         failures.append({"check": "independence", "distance": float(worst_indep)})
 

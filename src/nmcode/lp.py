@@ -5,24 +5,27 @@ distribution over outputs plus a SAME marker. That minimization is a small
 linear program; solving it in exact arithmetic keeps every reported error
 an exact Fraction, which the factor-4 and reduction inequalities rely on.
 
-`solve_lp` runs the simplex on sparse {column: int} rows, since the
-reduction LPs are mostly zeros, with fraction-free (Edmonds/Bareiss)
-pivots. Each row is scaled by the lcm of its own denominators, not by one
-lcm of the whole matrix, so the determinant grows only by the scales of the
-rows pivoted on; phase 1 weights row i by L / s_i to keep Bland's path.
-Each row also keeps the determinant of its own last rewrite, so a pivot
-rewrites only the rows that have an entry in the pivot column.
+`solve_lp` runs the two-phase simplex with Bland's rule on sparse
+{column: int} rows with fraction-free (Edmonds/Bareiss) pivots. Each row
+is scaled by the lcm of its own denominators, not by one lcm of the whole
+matrix, so the determinant grows only by the scales of the rows pivoted
+on; phase 1 weights row i by L / s_i to keep Bland's path. Each row also
+keeps the determinant of its own last rewrite, so a pivot rewrites only
+the rows that have an entry in the pivot column.
 
-`same_minimax` is the one SAME-marker minimax LP: one equality row per
-cell, with the cell's error split into e+ and e-, one row per group
-bounding its summed errors by 2t, and one row for the simplex of d.
-`message_minimax` builds it from a code's outcome counts, one group per
-message, and `min_copy_distance` from a (2^m, 2^m) count matrix of
-(output, tampered output) cells; `min_copy_distance_m1` is the latter's
-closed form for one output bit, on int64 count arrays; the test suite
-checks the closed form against the simplex, a Fraction oracle and a
-brute-force grid, and `same_minimax` against the two-inequality-rows
-formulation it replaced.
+`message_minimax` (one budget for every message's row: the minimax over
+messages of `schemes.optimal_nm_error` and of the extractor code's error)
+and `min_copy_distance` (one budget per output: the strict distance of a
+(2^m, 2^m) count matrix of (output, tampered output) cells) solve the
+SAME-marker LP through its row-subset dual, `_same_dual`: every row is <=
+with a nonnegative rhs, so it starts from the slack basis with no phase
+1, prices by Dantzig's rule with Bland's rule after a run of degenerate
+pivots, generates its subset columns by pricing and reads the minimizing
+reference off the slack reduced costs. `min_copy_distance_m1` is the copy
+distance's closed form for one output bit, on int64 count arrays. The
+test suite checks the closed form against the simplex, a Fraction oracle
+and a brute-force grid, and both minimaxes against the SAME-marker LP in
+its two-inequality-rows form, solved by `solve_lp`.
 """
 
 from __future__ import annotations
@@ -74,13 +77,27 @@ def _pivot(tab: List[Row], basis: List[int], row: int, col: int, det: int, dets:
     return p
 
 
-def _simplex(tab: List[Row], basis: List[int], ncols: int, det: int, dets: List[int]) -> int:
-    # Bland's rule on both choices: guaranteed termination. Each row's positive
-    # determinant cancels from its sign tests and ratios. Column ncols is the rhs.
+def _simplex(
+    tab: List[Row], basis: List[int], rhs: int, det: int, dets: List[int], patience: int = 0
+) -> int:
+    """Pivot to optimality; returns the basis determinant.
+
+    Column `rhs` is the right-hand side; every other column may enter. The
+    entering column has the most negative reduced cost (Dantzig's rule),
+    or, once `patience` pivots in a row have been degenerate, the lowest
+    index with a negative one (Bland's rule) until a pivot makes progress;
+    patience 0 is Bland's rule throughout. A degenerate run therefore ends
+    in Bland's rule, which cannot cycle, and progress never revisits a
+    basis, so the solve terminates. The leaving row has the least ratio,
+    ties to the lowest basic column. Each row's positive determinant
+    cancels from its sign tests and ratios.
+    """
+    degenerate = 0
     while True:
-        col = min((j for j, v in tab[-1].items() if v < 0 and j < ncols), default=None)
-        if col is None:
+        entering = [(v, j) for j, v in tab[-1].items() if v < 0 and j != rhs]
+        if not entering:
             return det
+        col = min(entering)[1] if degenerate < patience else min(j for _, j in entering)
         best_row = None
         for r in range(len(tab) - 1):
             a = tab[r].get(col, 0)
@@ -89,12 +106,13 @@ def _simplex(tab: List[Row], basis: List[int], ncols: int, det: int, dets: List[
                     best_row = r
                     continue
                 # ratio rhs_r / a against the best, cross-multiplied.
-                lhs = tab[r].get(ncols, 0) * tab[best_row][col]
-                rhs = tab[best_row].get(ncols, 0) * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
+                lhs = tab[r].get(rhs, 0) * tab[best_row][col]
+                rhs_best = tab[best_row].get(rhs, 0) * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[r] < basis[best_row]):
                     best_row = r
         if best_row is None:
             raise LpInfeasible("objective unbounded below")
+        degenerate = degenerate + 1 if not tab[best_row].get(rhs, 0) else 0
         det = _pivot(tab, basis, best_row, col, det, dets)
 
 
@@ -185,63 +203,118 @@ def solve_lp(
 # ---------------------------------------------------------------------------
 
 
-def same_minimax(
-    groups: Sequence[Sequence[Tuple[int, Fraction, Fraction, bool]]],
-    outputs: int,
-) -> Tuple[Fraction, List[Fraction]]:
-    """Reference distribution over `outputs` values plus SAME that minimizes
-    the worst group distance; the one LP behind both SAME-marker minimaxes.
+def _add_column(tab: List[Row], dets: List[int], col: int, cells: Sequence[int], cost: int) -> None:
+    """Append column `col`, with entry 1 in the constraint rows `cells` and
+    objective coefficient -cost, to the current tableau. Row i's slack is
+    column i and started as the identity, so row r holds dets[r] * B^-1 in
+    its slack entries and the new column's entry is their sum over `cells`:
+    the integer that Bareiss pivots would have kept there had the column
+    been present from the start."""
+    for r, line in enumerate(tab):
+        v = sum(line.get(i, 0) for i in cells) - (cost * dets[r] if r == len(tab) - 1 else 0)
+        if v:
+            line[col] = v
 
-    A cell (o, w, p, same) asks that its mass p be explained by
-    w * (d[o] + [same] * d[SAME]); a group's distance is half its summed
-    cell errors. Each cell is one equality row
-    w * (d_o + [same] * d_same) + e+ - e- = p with e+, e- >= 0, so
-    e+ + e- >= |p - w * (d_o + [same] * d_same)| with equality reachable;
-    the LP minimizes t subject to sum_group (e+ + e-) <= 2t, d >= 0 and
-    sum d + d_same = 1. One row per cell, not an inequality pair sharing
-    one e, halves the tableau rows each pivot rewrites.
-    Returns (t, [d_0, ..., d_{outputs-1}, d_same]).
+
+def _same_dual(
+    outputs: int,
+    rows: Sequence[Sequence[int]],
+    own: Sequence[int],
+    budget_of: Sequence[int],
+    budgets: Sequence[int],
+) -> Tuple[Fraction, List[Fraction]]:
+    """The SAME-marker LP through its row-subset dual.
+
+    Row s holds counts over `outputs` outputs, with shares P_s = row / sum(row),
+    and SAME explains its output own[s]. For a reference d over the outputs
+    plus SAME, with Q_s(o) = d_o + [o = own[s]] * d_SAME, both P_s and Q_s
+    sum to 1, so the distance of row s is dist_s(d) = sum_o (P_s(o) -
+    Q_s(o))+, the largest sum of P_s - Q_s over a subset S of the row's
+    support. Row s is charged to budget row budget_of[s]. The primal
+    minimizes sum_b budgets[b] * t_b over d with sum d <= 1 and
+    t_{budget_of[s]} >= sum_{o in S} (P_s(o) - Q_s(o)) for every (s, S).
+    Its dual maximizes sum lambda_{s,S} * P_s(S) - w over lambda, w >= 0
+    subject to one row per output and one for SAME, sum of the lambda
+    whose S holds the output (for SAME, holds own[s]) minus w <= 0, and one
+    budget row per b, sum of row b's lambda <= budgets[b]. Every row is <=
+    with rhs >= 0, so the simplex starts from the slack basis. One budget
+    of 1 gives min_d max_s dist_s; a budget of sum(row) per row gives
+    sum(counts) times min_d sum_s sum(row_s) / sum(counts) * dist_s.
+
+    Columns are generated, not listed (a row has 2^|support| - 1 of them).
+    The pool starts with each row's own-output singleton; every subset of
+    a support of at most 4 cells up front measured slower. After each
+    optimum the output and SAME rows' slack reduced costs, over the
+    objective row's determinant and L, are the prices d, and the budget
+    rows' are the t; row s's positive residuals P_s - Q_s form the column
+    that prices in when their sum exceeds t_{budget_of[s]}. The solve ends
+    when no column prices in, the columns entering through the slack block
+    (see `_add_column`) so each master solve starts from the last basis.
+    Costs are scaled to integers by the lcm L of the row sums. Returns
+    (optimum, [d_0, ..., d_SAME]), and d sums to 1: at a positive optimum
+    some lambda and hence w is positive, so its primal constraint
+    sum d <= 1 is tight, and at optimum 0 every row has Q_s >= P_s, so
+    sum d >= 1.
     """
-    # Variables: d[0..outputs-1], d_same, t, then e+ and e- per cell.
-    nd = outputs + 1
-    nvars = nd + 1 + 2 * sum(len(g) for g in groups)
-    c = [_ZERO] * nvars
-    c[nd] = _ONE
-    a_ub: List[List[Fraction]] = []
-    a_eq: List[List[Fraction]] = [[_ONE] * nd + [_ZERO] * (nvars - nd)]
-    b_eq: List[Fraction] = [_ONE]
-    col = nd + 1
-    for group in groups:
-        row = [_ZERO] * nvars
-        row[col : col + 2 * len(group)] = [_ONE] * (2 * len(group))
-        row[nd] = Fraction(-2)
-        a_ub.append(row)
-        for o, w, p, same in group:
-            row = [_ZERO] * nvars
-            row[o] = w
-            if same:
-                row[outputs] = w
-            row[col], row[col + 1] = _ONE, -_ONE
-            a_eq.append(row)
-            b_eq.append(p)
-            col += 2
-    value, x = solve_lp(c, a_ub, [_ZERO] * len(a_ub), a_eq, b_eq)
-    return value, x[:nd]
+    nrows = outputs + 1 + len(budgets)
+    scale = lcm(*(sum(row) for row in rows))
+    # Column i is row i's slack, column nrows is w, the lambda follow it;
+    # column -1 is the right-hand side.
+    tab: List[Row] = [{i: 1} for i in range(nrows)]
+    for b, rhs in enumerate(budgets):
+        tab[outputs + 1 + b][-1] = rhs
+    for i in range(outputs + 1):
+        tab[i][nrows] = -1
+    tab.append({nrows: scale})
+    basis = list(range(nrows))
+    dets = [1] * len(tab)
+    weights = [scale // sum(row) for row in rows]
+
+    def column(s: int, subset: Sequence[int]) -> Tuple[List[int], int]:
+        """Row s's column for `subset`: its constraint rows and its cost."""
+        cells = [*subset, outputs + 1 + budget_of[s]]
+        if own[s] in subset:
+            cells.append(outputs)
+        return cells, weights[s] * sum(rows[s][o] for o in subset)
+
+    col = nrows + 1
+    new = [column(s, [own[s]]) for s, row in enumerate(rows) if row[own[s]]]
+    det = 1
+    while True:
+        for cells, cost in new:
+            _add_column(tab, dets, col, cells, cost)
+            col += 1
+        det = _simplex(tab, basis, -1, det, dets, patience=len(tab))
+        obj, d = tab[-1], dets[-1]
+        new = []
+        for s, row in enumerate(rows):
+            residual = [
+                (o, c * weights[s] * d - obj.get(o, 0) - (obj.get(outputs, 0) if o == own[s] else 0))
+                for o, c in enumerate(row)
+                if c
+            ]
+            subset = [o for o, v in residual if v > 0]
+            if sum(v for _, v in residual if v > 0) > obj.get(outputs + 1 + budget_of[s], 0):
+                new.append(column(s, subset))
+        if not new:
+            break
+    den = dets[-1] * scale
+    return Fraction(obj.get(-1, 0), den), [Fraction(obj.get(i, 0), den) for i in range(outputs + 1)]
 
 
 def message_minimax(
     rows: Sequence[Sequence[int]], sizes: Sequence[int], messages: Sequence[int]
 ) -> Tuple[Fraction, List[Fraction]]:
-    """`same_minimax` with one group per message: rows[i] counts, out of
-    sizes[i] encodings, the outcomes of message messages[i] over the
-    outputs (the messages, then any further outcome such as decoder
-    failure); SAME explains only output messages[i].
-    Returns (t, [d_0, ..., d_{outputs-1}, d_same])."""
-    groups = [
-        [(o, 1, Fraction(c, size), o == s) for o, c in enumerate(row)]
-        for row, size, s in zip(rows, sizes, messages)
-    ]
-    return same_minimax(groups, len(rows[0]))
+    """Reference distribution d over the outputs plus SAME minimizing the
+    worst message's distance: rows[i] counts, out of its sum sizes[i], the
+    outcomes of message messages[i] over the outputs (the messages, then
+    any further outcome such as decoder failure), explained by d with
+    SAME standing for output messages[i]. One budget row for every message
+    (see `_same_dual`). Returns (t, [d_0, ..., d_{outputs-1}, d_same])."""
+    for row, size in zip(rows, sizes):
+        if sum(row) != size or not size:
+            raise ValueError(f"size {size} of row {list(row)} is not its positive sum")
+    return _same_dual(len(rows[0]), rows, messages, [0] * len(rows), [1])
 
 
 def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, Dict[object, Fraction]]:
@@ -250,22 +323,21 @@ def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, Dict[object, Fracti
 
     counts[a, b] counts the cells with output a and tampered output b;
     with p_a the share of output a, d explains the pair (a, b) by
-    p_a * (d[b] + [a == b] * d[SAME]). One `same_minimax` group holding
-    every cell of each output that occurs; exact for any output alphabet,
-    but meant for toy scales (the LP has O(outputs^2) variables).
+    p_a * (d[b] + [a == b] * d[SAME]), so the distance is the sum over
+    outputs a of p_a times the distance of row a, and each output that
+    occurs gets its own budget row (see `_same_dual`). Exact for any
+    output alphabet.
     """
     total = int(counts.sum())
+    if not total:
+        raise ValueError("min_copy_distance needs at least one cell")
+    own = [a for a, row in enumerate(counts.tolist()) if any(row)]
+    rows = counts[own].tolist()
     outputs = len(counts)
-    cells = [
-        (b, Fraction(ra, total), Fraction(c, total), a == b)
-        for a, (row, ra) in enumerate(zip(counts.tolist(), counts.sum(axis=1).tolist()))
-        if ra
-        for b, c in enumerate(row)
-    ]
-    value, x = same_minimax([cells], outputs)
+    value, x = _same_dual(outputs, rows, own, range(len(rows)), [sum(row) for row in rows])
     d: Dict[object, Fraction] = dict(enumerate(x[:outputs]))
     d[SAME] = x[outputs]
-    return value, d
+    return value / total, d
 
 
 def min_copy_distance_m1(c01, c11, r0, r1, total):

@@ -438,8 +438,10 @@ def verify_reduction(
     d1 = a - t, d0 = b - t with t = (a + b - 1)/2 attains it. That is
     max(0, c01*r1 + c10*r0 - r0*r1) / (2*r0*r1), the term whose sign
     decides the zero branch of `min_copy_distance_m1`. At m != 1 the
-    minimax is `lp.message_minimax`, one group per message, over d on
-    messages and SAME alone (see `_code_error`).
+    distance of message s is sum_b (C[s, b] / r_s - d_b - [b = s] d_SAME)+,
+    as both sides sum to 1, and `lp.message_minimax` minimizes the largest
+    of them over d on messages and SAME alone (see `_code_error`) through
+    the LP dual of that positive-part form.
     """
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream("nmext.reduction")
@@ -471,11 +473,10 @@ def _code_error(counts: List[List[int]], sizes: List[int]) -> Fraction:
     counts; see `verify_reduction`.
 
     The LP at m != 1 leaves out the decoder-failure output. Decoding never
-    fails, so every message puts mass 0 on failure and a reference mass
-    d_fail adds d_fail to each group's summed cell errors; moving it onto
-    d_SAME lowers that term by d_fail and changes message s's SAME cell by
-    at most d_fail, so no group's distance rises and the optimum over d
-    with d_fail = 0 is the optimum over all d."""
+    fails, so no message has mass on failure, and a reference mass d_fail
+    there lowers none of the positive parts that make up a message's
+    distance, while moving it onto d_SAME raises none of them; so the
+    optimum over d with d_fail = 0 is the optimum over all d."""
     if len(counts) == 2:
         (_, c01), (c10, _) = counts
         r0, r1 = sizes

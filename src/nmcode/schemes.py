@@ -249,12 +249,13 @@ class NmErrorReport:
     radius: float
     per_message: Dict[int, Fraction] = field(repr=False, default_factory=dict)
     samples: Optional[int] = None
+    reference: Optional[FiniteDist] = field(repr=False, default=None)
 
 
 def nm_error(
     scheme,
     f,
-    ref: FiniteDist,
+    ref: Optional[FiniteDist],
     messages: Optional[Iterable[int]] = None,
     samples: Optional[int] = None,
     rng: Optional[random.Random] = None,
@@ -271,26 +272,35 @@ def nm_error(
     counts once, in first-seen order. The rows are then counted by one
     `_counts` call per block of BATCH_ROWS >> k messages,
     so a block's sampled rows share passes and about BATCH_ROWS cells are
-    held at a time.
+    held at a time. In sampled mode ref may be None: the standard
+    sampler's reference row is then counted first in the first block's
+    call, so it draws what `reference_dist` would draw before the rows and
+    the scheme's fold is built once. The report carries the reference.
     """
     k = scheme.message_bits
-    length = ref.message_length()
+    length = None if ref is None else ref.message_length()
     if length is not None and length != k:
         raise ValueError(f"message length mismatch: {length} vs {k}")
-    den = math.lcm(*(p.denominator for _, p in ref.items()))
-    target = {_cell(sym, k): p.numerator * (den // p.denominator) for sym, p in ref.items()}
-    same = target.pop((1 << k) + 1, 0)
-    mass = sum(target.values()) + same
     messages = list(range(1 << k) if messages is None else messages)
     if not messages:
         raise ValueError("nm_error needs at least one message")
     _check_messages(scheme, messages, sampled=False)
     messages = list(dict.fromkeys(messages))
+    if ref is None and samples is None:
+        raise ValueError("exact nm_error needs a reference")
     per: Dict[int, Fraction] = {}
     step = max(1, BATCH_ROWS >> k)
     for lo in range(0, len(messages), step):
         block = messages[lo : lo + step]
-        for s, row in zip(block, _counts(scheme, f, block, samples, rng)):
+        rows = _counts(scheme, f, [None] * (ref is None) + block, samples, rng)
+        if ref is None:
+            ref, rows = _dist(rows[0], k), rows[1:]
+        if not lo:
+            den = math.lcm(*(p.denominator for _, p in ref.items()))
+            target = {_cell(sym, k): p.numerator * (den // p.denominator) for sym, p in ref.items()}
+            same = target.pop((1 << k) + 1, 0)
+            mass = sum(target.values()) + same
+        for s, row in zip(block, rows):
             total = int(row.sum())
             acc = covered = 0  # a cell where a is 0 adds b' * A: (mass - covered) * A in all
             for i in np.flatnonzero(row).tolist():
@@ -299,7 +309,8 @@ def nm_error(
                 covered += b
             per[s] = Fraction(acc + (mass - covered) * total, 2 * total * den)
     radius = 0.0 if samples is None else confidence_radius(samples, eta)
-    return NmErrorReport(value=max(per.values()), radius=radius, per_message=per, samples=samples)
+    return NmErrorReport(value=max(per.values()), radius=radius, per_message=per,
+                         samples=samples, reference=ref)
 
 
 def optimal_nm_error(

@@ -1,8 +1,9 @@
 """Per-index-set oracle for `core.worst_marginal`.
 
-One `np.bincount` and one `uniform_distance` per index set, in size, then
-`combinations`, order, keeping the first strict maximum: the definition
-that `worst_marginal` computes with one `bincount` per chunk of sets.
+One `np.bincount` and one `uniform_distance` per group and index set, in
+group, then size, then `combinations`, order, keeping the first strict
+maximum: the definition that `worst_marginal` computes with one
+`bincount` per chunk of sets.
 """
 
 from fractions import Fraction
@@ -29,3 +30,14 @@ def oracle_worst_marginal(words, n, ell):
                 worst = dist
                 witness = idxs
     return worst, witness
+
+
+def oracle_worst_group_marginal(groups, n, ell):
+    """(distance, group, index set) of the first strict maximum over the
+    groups of `oracle_worst_marginal`; (0, None, None) when all are 0."""
+    worst = (Fraction(0), None, None)
+    for g, words in enumerate(groups):
+        dist, idxs = oracle_worst_marginal(words, n, ell)
+        if dist > worst[0]:
+            worst = (dist, g, idxs)
+    return worst

@@ -1,10 +1,11 @@
 """The SAME-marker minimax LP in its two-inequality-rows-per-cell form.
 
-`lp.same_minimax` gives each cell one equality row with its error split
-into e+ and e-. This is the formulation it replaced, kept as an
-independent oracle: one shared error e per cell, bounded by two
-inequality rows. Both oracle modules solve their minimaxes with it, so a
-change to the shape of `same_minimax` cannot carry the oracles along.
+`lp.message_minimax` and `lp.min_copy_distance` solve the LP dual of the
+positive-part form of the distances. This module keeps the cell form as
+an independent oracle: one shared error e per cell, bounded by two
+inequality rows, solved by `lp.solve_lp`, and it accepts any weights and
+masses, not only count rows. Both oracle modules solve their minimaxes
+with it, so a change to the `lp` minimaxes cannot carry the oracles along.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ _ONE = Fraction(1)
 
 def two_row_minimax(groups, outputs):
     """Reference distribution over `outputs` values plus SAME minimizing the
-    worst group distance, as `lp.same_minimax`: minimize t subject to
+    worst group distance: minimize t subject to
     sum_group e <= 2t, |p - w * (d_o + [same] * d_same)| <= e as two rows,
     d >= 0 and sum d + d_same = 1. Returns (t, [d_0, ..., d_same])."""
     # Variables: d[0..outputs-1], d_same, t, then one error e per cell.

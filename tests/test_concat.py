@@ -182,6 +182,19 @@ class TestCodec:
             got = code._permute_many(fwd, np.array([z]), np.array([x], dtype=np.uint64))
             assert int(got[0]) == perm.apply_int(x)
 
+    @pytest.mark.parametrize("block_n", [8, 5])
+    def test_scatter_tables_equal_each_seeds_byte_tables(self, block_n):
+        # 5-bit blocks give a 20-bit payload, whose last byte table
+        # leaves the bytes that set a bit past the word at 0.
+        plan = ConcatPlan(gamma0=0.5, inner=InnerParams(n=block_n, k=4, t=2, delta=0.0),
+                          c1=InnerParams(n=8, k=2, t=2, delta=0.0),
+                          lecss=LecssParams(m=4, n=4, k=3, k0=1), ell=0)
+        code = build_concat(plan, RngSeed.from_int(4415))
+        tables = code._scatter_tables()
+        for z, row in enumerate(perm.seed_table(code._spec).tolist()):
+            for got, want in zip(tables, Permutation(row).scatter_tables()):
+                assert got[:, z << 8 : (z + 1) << 8].tolist() == want
+
     def test_batch_tables_read_the_memoised_seed_table(self):
         self.code()._scatter_tables()
         self.code(seed=99)._scatter_tables()

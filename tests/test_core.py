@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from marginal_oracle import oracle_worst_marginal
+from marginal_oracle import oracle_worst_group_marginal
 
 from nmcode import core
 from nmcode.core import (
@@ -247,13 +247,13 @@ class TestUniformDistance:
 
 class TestWorstMarginal:
     def test_full_cube_is_uniform_everywhere(self):
-        assert worst_marginal(list(range(8)), 3, 3) == (0, None)
+        assert worst_marginal([list(range(8))], 3, 3) == (0, None, None)
 
     def test_first_strict_maximum_wins(self):
         # Bits 0 and 1 are constant, bit 2 is uniform.
         words = [0b000, 0b100]
-        assert worst_marginal(words, 3, 1) == (Fraction(1, 2), (0,))
-        assert worst_marginal(words, 3, 2) == (Fraction(3, 4), (0, 1))
+        assert worst_marginal([words], 3, 1) == (Fraction(1, 2), 0, (0,))
+        assert worst_marginal([words], 3, 2) == (Fraction(3, 4), 0, (0, 1))
 
     def test_matches_restriction_counts(self):
         rng = random.Random(1)
@@ -265,7 +265,7 @@ class TestWorstMarginal:
                 key = sum(((w >> i) & 1) << j for j, i in enumerate(idxs))
                 counts[key] = counts.get(key, 0) + 1
             worst = max(worst, uniform_distance(counts.values(), len(words), 1 << len(idxs)))
-        assert worst_marginal(words, 5, 2)[0] == worst
+        assert worst_marginal([words], 5, 2)[0] == worst
 
     def test_words_wider_than_64_bits(self):
         rng = random.Random(2)
@@ -279,7 +279,7 @@ class TestWorstMarginal:
             dist = loop_uniform_distance(counts.values(), len(words), 1 << len(idxs))
             if dist > worst:
                 worst, witness = dist, idxs
-        assert worst_marginal(words, 80, 2) == (worst, witness)
+        assert worst_marginal([words], 80, 2) == (worst, 0, witness)
 
 
 def _marginal_cases(count, seed):
@@ -314,26 +314,41 @@ class TestWorstMarginalKernel:
         assert any(ell > n for _, n, ell in cases) and any(n == 80 for _, n, _ in cases)
         assert any(n % 8 for _, n, _ in cases) and any(len(w) == 1 for w, _, _ in cases)
         for words, n, ell in cases:
-            assert worst_marginal(words, n, ell) == oracle_worst_marginal(words, n, ell), (words, n, ell)
+            assert worst_marginal([words], n, ell) == oracle_worst_group_marginal([words], n, ell), (words, n, ell)
 
     def test_small_chunks_keep_the_first_tied_set(self, monkeypatch):
         # A chunk of 1 to 3 sets puts tied maxima in different passes.
         for cells in (1, 40, 100):
             monkeypatch.setattr(core, "_MARGINAL_CHUNK_CELLS", cells)
             for words, n, ell in _marginal_cases(40, cells):
-                assert worst_marginal(words, n, ell) == oracle_worst_marginal(words, n, ell), (words, n, ell)
+                assert worst_marginal([words], n, ell) == oracle_worst_group_marginal([words], n, ell), (words, n, ell)
 
     def test_exact_ties(self):
         # Every pair of the two complementary words is (0,0) or (1,1):
         # all pairs tie at 1/2, single bits are uniform.
-        assert worst_marginal([0, 0b11111], 5, 2) == (Fraction(1, 2), (0, 1))
+        assert worst_marginal([[0, 0b11111]], 5, 2) == (Fraction(1, 2), 0, (0, 1))
         # One word: every size-1 set ties at 1/2, the first one wins.
-        assert worst_marginal([0b1010], 4, 1) == (Fraction(1, 2), (0,))
-        assert worst_marginal([0b1010], 4, 6) == oracle_worst_marginal([0b1010], 4, 6)
+        assert worst_marginal([[0b1010]], 4, 1) == (Fraction(1, 2), 0, (0,))
+        assert worst_marginal([[0b1010]], 4, 6) == oracle_worst_group_marginal([[0b1010]], 4, 6)
 
     def test_int64_overflow_guarded(self):
         with pytest.raises(GuardExceeded):
-            worst_marginal([0, 1], 62, 62)
+            worst_marginal([[0, 1]], 62, 62)
+
+    @pytest.mark.parametrize("cells", [None, 40])
+    def test_groups_keep_the_first_worst_group(self, cells, monkeypatch):
+        # Each case split into equal groups; chunks of 40 cells put the
+        # groups' sets in different passes.
+        if cells:
+            monkeypatch.setattr(core, "_MARGINAL_CHUNK_CELLS", cells)
+        rng = random.Random(17)
+        for words, n, ell in _marginal_cases(100, 16):
+            count = rng.choice([g for g in range(1, len(words) + 1) if len(words) % g == 0])
+            per = len(words) // count
+            groups = [words[i * per : (i + 1) * per] for i in range(count)]
+            assert worst_marginal(groups, n, ell) == oracle_worst_group_marginal(groups, n, ell), (groups, n, ell)
+        with pytest.raises(ValueError, match="same number"):
+            worst_marginal([[0, 1], [2]], 2, 1)
 
 
 class TestFiniteDistValidation:

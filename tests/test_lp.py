@@ -188,10 +188,9 @@ def _row_scaled_lp(rng):
 
 
 def _reduction_lps(n, m, tables, adversaries):
-    """Every distinct solve_lp call of verify_reduction (its same_minimax
-    LPs at m >= 2) and of the oracle reduction on the same adversaries (the
+    """Every distinct solve_lp call of the oracle reduction: the
     two_row_minimax LPs of the dict optimal_nm_error, and of the dict
-    min_copy_distance at m >= 2)."""
+    min_copy_distance at m >= 2."""
     seen = []
     original = lp.solve_lp
 
@@ -204,9 +203,7 @@ def _reduction_lps(n, m, tables, adversaries):
     try:
         for i in range(tables):
             table = nmext.sample_random_extractor(n, m, RngSeed.from_int(300 + 10 * n + i))
-            seed = RngSeed.from_int(400 + 10 * m + i)
-            nmext.verify_reduction(table, adversaries, seed)
-            oracle.reduction_rows(table, adversaries, seed)
+            oracle.reduction_rows(table, adversaries, RngSeed.from_int(400 + 10 * m + i))
     finally:
         lp.solve_lp = original
     return seen
@@ -328,37 +325,91 @@ class TestOracle:
         assert got == want == (F(-3), [F(0), F(0), F(3)])
 
 
-def _random_groups(rng):
-    """1-5 groups of 1-16 cells over 2-6 outputs, with random weights,
-    masses and SAME flags."""
-    outputs = rng.randint(2, 6)
-    groups = [
-        [
-            (rng.randrange(outputs), F(rng.randint(1, 4), rng.randint(1, 4)),
-             F(rng.randint(0, 6), rng.randint(1, 6)), rng.random() < 0.3)
-            for _ in range(rng.randint(1, 16))
-        ]
-        for _ in range(rng.randint(1, 5))
-    ]
-    return groups, outputs
+def _random_count_rows(rng, square=False):
+    """1-5 count rows over 2-7 outputs (a square matrix of 2-7 rows when
+    `square`). Cells are 0 about half the time, so some rows have a small
+    support and, when square, some no mass at all; others have more than 4
+    support cells."""
+    outputs = rng.randint(2, 7)
+    while True:
+        rows = [[rng.randint(1, 9) if rng.random() < 0.5 else 0 for _ in range(outputs)]
+                for _ in range(outputs if square else rng.randint(1, 5))]
+        if square and any(map(any, rows)) or all(map(any, rows)):
+            return rows
+
+
+def _distance(row, d, own):
+    """Statistical distance of row's shares from d with SAME on `own`."""
+    size = sum(row)
+    return sum(abs(F(c, size) - d[o] - (d[-1] if o == own else 0)) for o, c in enumerate(row)) / 2
 
 
 class TestSameMinimax:
-    def test_matches_two_row_oracle(self):
-        """On random group sets `same_minimax` returns the optimum of the
-        two-inequality-rows LP, and its reference is a distribution whose
-        exact worst-group distance is that optimum."""
+    """The row-subset dual against the SAME-marker LP in its two-inequality-
+    rows form, on count rows (each row's shares sum to 1)."""
+
+    def test_message_minimax_matches_two_row_oracle(self):
         rng = random.Random(4170)
-        for _ in range(300):
-            groups, outputs = _random_groups(rng)
-            value, d = lp.same_minimax(groups, outputs)
-            assert value == two_row_minimax(groups, outputs)[0]
-            assert len(d) == outputs + 1 and min(d) >= 0 and sum(d) == 1
-            worst = max(
-                sum(abs(p - w * (d[o] + (d[outputs] if same else 0))) for o, w, p, same in g) / 2
-                for g in groups
-            )
-            assert worst == value
+        wide = 0
+        for _ in range(200):
+            rows = _random_count_rows(rng)
+            messages = [rng.randrange(len(rows[0])) for _ in rows]
+            groups = [[(o, 1, F(c, sum(row)), o == s) for o, c in enumerate(row)]
+                      for row, s in zip(rows, messages)]
+            value, d = lp.message_minimax(rows, [sum(row) for row in rows], messages)
+            assert value == two_row_minimax(groups, len(rows[0]))[0]
+            assert len(d) == len(rows[0]) + 1 and min(d) >= 0 and sum(d) == 1
+            assert max(_distance(row, d, s) for row, s in zip(rows, messages)) == value
+            wide += any(sum(map(bool, row)) > 4 for row in rows)
+        assert wide >= 10
+
+    def test_copy_distance_matches_two_row_oracle(self):
+        rng = random.Random(4171)
+        empty = wide = 0
+        for _ in range(100):
+            counts = np.array(_random_count_rows(rng, square=True))
+            outputs = list(range(len(counts)))
+            joint, marg = oracle_law(counts)
+            value, d = min_copy_distance(counts)
+            assert value == oracle.min_copy_distance(joint, marg, outputs)[0]
+            assert min(d.values()) >= 0 and sum(d.values()) == 1
+            assert oracle.copy_distance(joint, marg, d, outputs) == value
+            empty += not counts.sum(axis=1).all()
+            wide += ((counts > 0).sum(axis=1) > 4).any()
+        assert empty >= 10 and wide >= 10
+
+    def test_sizes_must_be_row_sums(self):
+        with pytest.raises(ValueError, match="is not its positive sum"):
+            lp.message_minimax([[1, 2], [3, 0]], [3, 4], [0, 1])
+        with pytest.raises(ValueError, match="at least one cell"):
+            min_copy_distance(np.zeros((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_identity_and_constant_adversaries_terminate(self, m):
+        # Fully degenerate LPs: every row is one point mass, so the optimum
+        # is 0 and most pivots make no progress.
+        table = nmext.sample_random_extractor(3, m, RngSeed.from_int(4172 + m))
+        full = nmext.FlatSourcePair.full(3)
+        for f1, f2 in [(list(range(8)), None), ([5] * 8, [2] * 8), ([0] * 8, [7] * 8)]:
+            counts = nmext.joint_output_dist(table, full, f1, f2)
+            value, d = min_copy_distance(counts)
+            joint, marg = oracle_law(counts)
+            assert value == 0 == oracle.copy_distance(joint, marg, d, list(range(1 << m)))
+            value, d = lp.message_minimax(counts.tolist(), counts.sum(axis=1).tolist(), range(1 << m))
+            assert value == 0
+            assert all(_distance(row, d, s) == 0 for s, row in enumerate(counts.tolist()))
+
+    @pytest.mark.parametrize("m, rows", [
+        (3, [("21614461/107659776", "109/406"), ("3942625/23814144", "93/476")]),
+        (4, [("6204157/16773120", "142/315"), ("1229583/3540992", "192917/444600")]),
+    ])
+    def test_reduction_rows_at_n4_pinned(self, m, rows):
+        # The values of the cell formulation that the dual replaced.
+        table = nmext.sample_random_extractor(4, m, RngSeed.from_int(4400 + m))
+        report = nmext.verify_reduction(table, 2, RngSeed.from_int(4410 + m))
+        assert [(r.extractor_error, r.code_error) for r in report.rows] == [
+            (Fraction(a), Fraction(b)) for a, b in rows
+        ]
 
 
 def random_counts(rng, m=1):

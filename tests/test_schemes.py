@@ -192,6 +192,30 @@ def test_repeated_messages_count_once():
     assert exact.per_message == schemes.nm_error(code, f, ref, messages=[9, 5]).per_message
 
 
+@pytest.mark.parametrize("block_rows", [None, 64])
+def test_reference_counted_with_the_message_rows(block_rows, monkeypatch):
+    """nm_error without a reference draws, in sampled mode, the stream of
+    reference_dist followed by nm_error, and builds the fold once; at
+    BATCH_ROWS 64 (one message per block) the reference row rides with the
+    first block. Exact mode needs a reference."""
+    code = CODES["concat"]
+    f = _adversaries(code, random.Random(4391))[-1]
+    if block_rows:
+        monkeypatch.setattr(schemes, "BATCH_ROWS", block_rows)
+    apart, together = random.Random(4392), random.Random(4392)
+    ref = schemes.reference_dist(code, f, samples=300, rng=apart)
+    expected = schemes.nm_error(code, f, ref, messages=[7, 2, 7, 40], samples=300, rng=apart)
+    folds = []
+    monkeypatch.setattr(code, "fold", lambda g: folds.append(g) or type(code).fold(code, g))
+    report = schemes.nm_error(code, f, None, messages=[7, 2, 7, 40], samples=300, rng=together)
+    assert len(folds) == (3 if block_rows else 1)
+    assert report.reference == ref
+    assert report.per_message == expected.per_message and report.value == expected.value
+    assert together.getstate() == apart.getstate()
+    with pytest.raises(ValueError, match="needs a reference"):
+        schemes.nm_error(code, f, None, messages=[3, 9])
+
+
 def test_bad_messages_raise_before_any_draw(monkeypatch):
     code = build_concat(toy_concat_plan(), RngSeed.from_int(1))
     f = BitTamperFn.identity(code.block_bits)
