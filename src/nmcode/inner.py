@@ -187,9 +187,15 @@ class InnerCode:
         self.seed = seed
         self.message_bits = params.k
         self.block_bits = params.n
+        if len(self.codebook) != 1 << params.k:
+            raise ValueError(f"codebook holds {len(self.codebook)} messages, not 2^{params.k}")
         decode: Dict[int, int] = {}
         for s, words in enumerate(self.codebook):
+            if len(words) != params.t:
+                raise ValueError(f"message {s} holds {len(words)} codewords, not t={params.t}")
             for w in words:
+                if not 0 <= w < 1 << params.n:
+                    raise ValueError(f"codeword {w} of message {s} lies outside [0, 2^{params.n})")
                 if w in decode:
                     raise ValueError("duplicate codeword in codebook")
                 decode[w] = s

@@ -22,6 +22,12 @@ at most SEED_TABLE_CELLS cells. The exhaustive l-wise test and
 `ConcatCode`'s scatter tables both read it, so every seed of a spec is
 derived in one place.
 
+`test_lwise_dependence` keys each image tuple by Horner's rule. When its
+index sets times n^l keys fit LWISE_PASS_CELLS (8 x 32^2 = 8,192 at n=32,
+l=2), one `bincount` per pass counts all sets into one dense array;
+otherwise one sorted tally of (set, key) pairs holds them. Both paths score
+every set in one step, with one Fraction built at the end.
+
 Applying a permutation moves input bit i to output position forward[i].
 Applications run through per-byte scatter tables, so a 64-bit word costs
 eight lookups instead of 64 bit moves.
@@ -42,12 +48,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    _INT64_MAX,
     GuardExceeded,
     InfeasibleParams,
     PropertyReport,
     RngSeed,
     confidence_radius,
-    uniform_distance,
 )
 
 PRF_SHUFFLE = "prf-shuffle"
@@ -316,8 +322,8 @@ def _unrank_combination(n: int, ell: int, rank: int) -> Tuple[int, ...]:
     out = []
     x = 0
     for left in range(ell, 0, -1):
-        while rank >= comb(n - x - 1, left - 1):
-            rank -= comb(n - x - 1, left - 1)
+        while rank >= (below := comb(n - x - 1, left - 1)):
+            rank -= below
             x += 1
         out.append(x)
         x += 1
@@ -335,17 +341,22 @@ def _choose_index_sets(n: int, ell: int, rng: random.Random) -> List[Tuple[int, 
     return [_unrank_combination(n, ell, r) for r in rng.sample(range(total), LWISE_INDEX_SETS)]
 
 
-def _add_counts(keys: np.ndarray, counts: np.ndarray, new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Add the occurrences of `new` to the sorted, distinct `keys` and
-    their `counts`."""
-    found, found_counts = np.unique(new, return_counts=True)
-    if not keys.size:
-        return found, found_counts
-    merged, where = np.unique(np.concatenate([keys, found]), return_inverse=True)
-    total = np.zeros(len(merged), dtype=np.int64)
-    total[where[: len(keys)]] = counts
-    total[where[len(keys) :]] += found_counts
-    return merged, total
+_Tally = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _merge_pairs(tally: _Tally, blocks: List[np.ndarray]) -> _Tally:
+    """Add the (seeds, index sets) key blocks to `tally`: the distinct
+    (index set, key) pairs sorted by set, then key, and their counts."""
+    keys = np.concatenate(blocks)
+    sets = np.concatenate([tally[0], np.tile(np.arange(keys.shape[1], dtype=np.int64), len(keys))])
+    flat = np.concatenate([tally[1], keys.ravel()])
+    counts = np.concatenate([tally[2], np.ones(keys.size, dtype=np.int64)])
+    order = np.lexsort((flat, sets))
+    sets, flat = sets[order], flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (sets[1:] != sets[:-1]) | (flat[1:] != flat[:-1])
+    starts = np.flatnonzero(first)
+    return sets[starts], flat[starts], np.add.reduceat(counts[order], starts)
 
 
 def test_lwise_dependence(
@@ -362,12 +373,25 @@ def test_lwise_dependence(
     space is at most `trials` the sweep enumerates it and the distance is
     exact; otherwise `trials` seeds are drawn and a confidence radius is
     attached. Either way the seeds' forward maps are tallied in passes of
-    at most LWISE_PASS_CELLS cells, and each image tuple is counted as the
-    mixed-radix key sum(forward[t_i] * n^(ell-1-i)). An exhaustive sweep
-    reads its passes from `seed_table(spec)` when the table fits
-    SEED_TABLE_CELLS; a sampled one derives each pass's seeds.
-    `derive_fn(spec, seeds)` substitutes a custom batch derivation
-    (degenerate controls in tests) and never reads the table.
+    at most LWISE_PASS_CELLS cells. An exhaustive sweep reads its passes
+    from `seed_table(spec)` when the table fits SEED_TABLE_CELLS; a sampled
+    one derives each pass's seeds. `derive_fn(spec, seeds)` substitutes a
+    custom batch derivation (degenerate controls in tests) and never reads
+    the table.
+
+    Each image tuple is keyed by Horner's rule, key = sum(forward[t_i] *
+    n^(ell-1-i)), below n^ell. When the index sets times n^ell fit
+    LWISE_PASS_CELLS, set s's keys are offset by s * n^ell and one
+    `bincount` per pass adds them to a dense count; otherwise one sorted
+    tally of the distinct (set, key) pairs holds every set (pairs rather
+    than offset keys, which can pass 2^63 while n^ell does not, as at
+    n=17, ell=15), and passes are merged into it once their keys outnumber
+    its pairs. Both paths score alike: set s's distance is 1/2 * sum
+    over the (n)_ell possible tuples of |c/total - 1/(n)_ell|, whose
+    numerator over 2 * total * (n)_ell is the sum over the present tuples
+    of |c * (n)_ell - total| plus total per absent one. The worst set is
+    the first with the largest numerator, with no witness when it is 0.
+    GuardExceeded is raised when n^ell or an int64 score could overflow.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -381,10 +405,14 @@ def test_lwise_dependence(
     total = space if exhaustive else trials
     cells = uniform_tuple_probability(n, ell).denominator  # ordered image tuples
     chosen = _choose_index_sets(n, ell, rng)
-    index = np.array(chosen, dtype=np.int64)  # (index sets, ell)
-    radix = n ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    tallies = [(empty, empty)] * len(chosen)  # (sorted keys, counts) per index set
+    nsets, span = len(chosen), n**ell
+    index = np.array(chosen, dtype=np.intp)  # (index sets, ell)
+    dense = nsets * span <= LWISE_PASS_CELLS
+    counts = np.zeros(nsets * span if dense else 0, dtype=np.int64)
+    tally: _Tally = (np.zeros(0, dtype=np.int64),) * 3  # the sorted path's (set, key) pairs and counts
+    pending: List[np.ndarray] = []  # its key blocks not yet merged
+    # Horner's rule from s folds the offset s * n^ell into set s's keys.
+    start = np.arange(nsets, dtype=np.int64) if dense else np.zeros(nsets, dtype=np.int64)
     table = None
     if exhaustive and derive_fn is None:
         with suppress(GuardExceeded):  # over SEED_TABLE_CELLS: derive each pass
@@ -396,15 +424,35 @@ def test_lwise_dependence(
             forwards = table[lo:hi]
         else:
             forwards = derive(spec, range(lo, hi) if exhaustive else [spec.sample_seed(rng) for _ in range(hi - lo)])
-        keys = forwards[:, index] @ radix  # (seeds, index sets)
-        tallies = [_add_counts(k, c, keys[:, s]) for s, (k, c) in enumerate(tallies)]
-    worst = Fraction(0)
-    witness: Optional[Tuple[int, ...]] = None
-    for (_, counts), t_set in zip(tallies, chosen):
-        dist = uniform_distance(counts, total, cells)
-        if dist > worst:
-            worst = dist
-            witness = t_set
+        keys = start
+        for column in index.T:
+            keys = keys * n + forwards[:, column]
+        keys = np.broadcast_to(keys, (hi - lo, nsets))  # (seeds, index sets), also at ell = 0
+        if dense:
+            counts += np.bincount(keys.ravel(), minlength=len(counts))
+            continue
+        pending.append(keys)
+        # Merging once the pending keys outnumber the tally's pairs re-sorts
+        # each pair O(log passes) times rather than once per pass.
+        if sum(block.size for block in pending) >= len(tally[0]):
+            tally, pending = _merge_pairs(tally, pending), []
+    if dense:
+        present_keys = (counts != 0).nonzero()[0]  # a bool mask's nonzero is several times faster
+        set_of, counts = present_keys // span, counts[present_keys]
+    else:
+        set_of, _, counts = _merge_pairs(tally, pending) if pending else tally
+    starts = np.searchsorted(set_of, np.arange(nsets))
+    ends = starts.tolist()[1:] + [len(set_of)]
+    present = [b - a for a, b in zip(starts.tolist(), ends)]
+    # Each term |c * cells - total| is at most c * cells + total, so a
+    # set's int64 sum stays below (cells + present) * total.
+    if (cells + max(present)) * total > _INT64_MAX:
+        raise GuardExceeded(f"{max(present)} tallies of {total} draws over {cells} tuples overflow int64")
+    sums = np.add.reduceat(np.abs(counts * cells - total), starts).tolist()
+    numerators = [a + (cells - p) * total for a, p in zip(sums, present)]
+    s = numerators.index(max(numerators))
+    worst = Fraction(numerators[s], 2 * total * cells)
+    witness = chosen[s] if numerators[s] else None
     radius = 0.0 if exhaustive else confidence_radius(trials)
     passed = float(worst) <= radius
     counterexample = None

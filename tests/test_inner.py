@@ -156,6 +156,16 @@ class TestSampling:
         assert back.params == code.params
         assert back.seed == code.seed
 
+    def test_malformed_codebook_rejected(self):
+        params = InnerParams(n=3, k=1, t=2)
+        for codebook, match in (
+            ([[0, 1], [2, 3], [4, 5]], r"3 messages, not 2\^1"),
+            ([[0, 1], [2]], "message 1 holds 1 codewords, not t=2"),
+            ([[0, 9], [2, 3]], r"codeword 9 of message 0 lies outside \[0, 2\^3\)"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                InnerCode(params, codebook)
+
 
 class TestCubeProperty:
     def test_total_decoder_fails(self):

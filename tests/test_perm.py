@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from itertools import combinations, islice, permutations
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -225,6 +225,8 @@ class TestLimitedIndependence:
         *[(PermSpec(n=32, ell=2, seed_bits=10), trials, seed) for seed in range(5) for trials in (1024, 300)],
         (PermSpec(n=9, ell=0, seed_bits=12), 100, 11),
         (PermSpec(n=12, ell=1, seed_bits=8), 256, 11),
+        # Sampled and dense over 4 passes of at most 5,461 seeds.
+        (PermSpec(n=12, ell=1, seed_bits=16), 20000, 11),
         (PermSpec(n=6, ell=3, seed_bits=10, backend=EXACT_TINY), 2000, 11),
         (PermSpec(n=40, ell=4, seed_bits=64), 500, 11),
     ])
@@ -234,6 +236,7 @@ class TestLimitedIndependence:
 
     def test_passes_are_bounded_and_match_oracle(self, monkeypatch):
         spec = PermSpec(n=32, ell=2, seed_bits=10)
+        # 8 index sets x 32^2 keys exceed 3,200 cells: the sorted tally runs.
         monkeypatch.setattr(perm, "LWISE_PASS_CELLS", 32 * 100)
         rows = []
 
@@ -246,6 +249,20 @@ class TestLimitedIndependence:
             rep = lwise_dependence_report(spec, trials=trials, seed=RngSeed.from_int(7), derive_fn=counting)
             assert len(rows) == passes and max(rows) == 100 and sum(rows) == trials
             assert report_triple(rep) == oracle_lwise(spec, trials, RngSeed.from_int(7))
+
+    @pytest.mark.parametrize("spec, trials, seeds", [
+        (PermSpec(n=32, ell=2, seed_bits=10), 1024, 3),  # exhaustive, 8 x 32^2 dense cells
+        # 4 sets x 4 dense cells; with 3 draws adjacent sets often share a key.
+        (PermSpec(n=4, ell=1, seed_bits=16), 3, 20),
+    ])
+    def test_dense_and_sorted_tallies_agree(self, monkeypatch, spec, trials, seeds):
+        def reports():
+            return [lwise_dependence_report(spec, trials=trials, seed=RngSeed.from_int(s)) for s in range(seeds)]
+
+        dense = reports()
+        sets = min(comb(spec.n, spec.ell), LWISE_INDEX_SETS)
+        monkeypatch.setattr(perm, "LWISE_PASS_CELLS", sets * spec.n**spec.ell - 1)
+        assert reports() == dense
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError, match="trials"):
@@ -276,6 +293,8 @@ class TestLimitedIndependence:
         )
         assert not rep.passed
         assert rep.worst_value == Fraction(3, 4)  # 1 - 1/n at n = 4
+        # All four singletons tie at 3/4; the first one is the witness.
+        assert rep.counterexample["indices"] == [0]
 
     def test_uniform_tuple_probability(self):
         assert uniform_tuple_probability(5, 0) == 1
