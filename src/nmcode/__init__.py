@@ -34,7 +34,7 @@ from .inner import (
     verify_cube_property,
     verify_error_detection,
 )
-from .lecss import LecssCode, LecssParams, build_lecss, build_lecss_bits, verify_lecss
+from .lecss import LecssCode, LecssParams, build_lecss, verify_lecss
 from .perm import PermSpec, Permutation, derive_permutation, test_lwise_dependence
 from .tamper import (
     BitTamperFn,

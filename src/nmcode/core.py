@@ -218,11 +218,6 @@ class FiniteDist:
             counts[sym] = counts.get(sym, 0) + 1
         return cls.from_counts(counts)
 
-    @classmethod
-    def uniform_messages(cls, k: int) -> "FiniteDist":
-        p = Fraction(1, 1 << k)
-        return cls({BitWord(v, k): p for v in range(1 << k)})
-
     @property
     def kind(self) -> str:
         return self._kind
@@ -334,6 +329,12 @@ def push_copy(d: FiniteDist, s: BitWord) -> FiniteDist:
 
 
 _INT64_MAX = (1 << 63) - 1
+#: Most cells one numpy pass holds, for every chunked sweep of the package:
+#: `worst_marginal`, `inner.verify_error_detection`,
+#: `nmext.relaxed_error_sweep`, `perm.test_lwise_dependence` and
+#: `perm.seed_table`. Each reads it as core.PASS_CELLS at call time, so the
+#: one value sets every chunk boundary.
+PASS_CELLS = 1 << 16
 
 
 def uniform_distance(counts: Iterable[int], total: int, outcomes: int) -> Fraction:
@@ -360,11 +361,6 @@ def uniform_distance(counts: Iterable[int], total: int, outcomes: int) -> Fracti
     return Fraction(acc, 2 * total * outcomes)
 
 
-#: Most cells of one worst_marginal pass: words x index sets of
-#: gathered keys, or index sets x groups x 2^size counts.
-_MARGINAL_CHUNK_CELLS = 1 << 16
-
-
 def worst_marginal(
     groups: Sequence[Sequence[int]], n: int, ell: int
 ) -> Tuple[Fraction, Optional[int], Optional[Tuple[int, ...]]]:
@@ -375,7 +371,7 @@ def worst_marginal(
     Returns (distance, group, index set); ties keep the first group, then
     the first set in size, then `combinations`, order, and (0, None, None)
     when every marginal is uniform. For each size the index sets go in
-    chunks of at most _MARGINAL_CHUNK_CELLS cells: set s's key of a word of
+    chunks of at most PASS_CELLS cells: set s's key of a word of
     group g (bit j is the word's bit idxs[j]) is offset by
     (s * len(groups) + g) << size, one `bincount` counts the chunk, and each
     (set, group) is scored by the int64 row sum of |c * 2^size - total|,
@@ -403,7 +399,7 @@ def worst_marginal(
     for size in range(1, top_size + 1):
         outcomes = 1 << size
         sets = np.array(list(combinations(range(n), size)), dtype=np.intp)
-        per_chunk = max(1, _MARGINAL_CHUNK_CELLS // max(len(words), ngroups * outcomes))
+        per_chunk = max(1, PASS_CELLS // max(len(words), ngroups * outcomes))
         top = np.full(ngroups, -1, dtype=np.int64)
         top_set = np.zeros(ngroups, dtype=np.intp)
         for lo in range(0, len(sets), per_chunk):
@@ -526,6 +522,8 @@ class RngSeed:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RngSeed":
+        if not isinstance(obj, dict) or not isinstance(obj.get("seed"), str):
+            raise ValueError('a seed needs a hex "seed" string')
         return cls(bytes.fromhex(obj["seed"]), obj.get("stream_id", 0))
 
 

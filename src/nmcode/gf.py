@@ -79,10 +79,6 @@ class GF2m:
         self._exp = exp
         self._log = log
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

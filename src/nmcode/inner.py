@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import (
     GuardExceeded,
     InfeasibleParams,
@@ -39,8 +40,6 @@ DEFAULT_DETECTION_GUARD = 1 << 26
 DEFAULT_INDEP_GUARD = 1 << 24
 DEFAULT_DECODE_TABLE_GUARD = 1 << 20
 _REMOVED_SET_GUARD = 1 << 26
-#: Most (adversary, codeword) cells one chunk of the detection sweep holds.
-_CHUNK_CELLS = 1 << 16
 
 
 def binary_entropy(p: float) -> float:
@@ -272,21 +271,33 @@ class InnerCode:
 
     @classmethod
     def load(cls, fp: io.BufferedIOBase) -> "InnerCode":
-        if fp.read(len(cls._MAGIC)) != cls._MAGIC:
+        """Read a file written by `save`; raises ValueError when the file
+        holds more or fewer bytes than its header implies."""
+
+        def read(size: int) -> bytes:
+            data = fp.read(size)
+            if len(data) != size:
+                raise ValueError(f"inner code file ends {size - len(data)} bytes short of its header")
+            return data
+
+        if read(len(cls._MAGIC)) != cls._MAGIC:
             raise ValueError("bad magic")
-        n, k, t = struct.unpack("<HHI", fp.read(8))
-        (num_len,) = struct.unpack("<H", fp.read(2))
-        num = int.from_bytes(fp.read(num_len), "little")
-        (den_len,) = struct.unpack("<H", fp.read(2))
-        den = int.from_bytes(fp.read(den_len), "little")
-        seed_bytes = fp.read(32)
-        (stream_id,) = struct.unpack("<Q", fp.read(8))
+        n, k, t = struct.unpack("<HHI", read(8))
+        (num_len,) = struct.unpack("<H", read(2))
+        num = int.from_bytes(read(num_len), "little")
+        (den_len,) = struct.unpack("<H", read(2))
+        den = int.from_bytes(read(den_len), "little")
+        seed_bytes = read(32)
+        (stream_id,) = struct.unpack("<Q", read(8))
         params = InnerParams(n=n, k=k, t=t, delta=num / den if den else 0.0)
         nbytes = (n + 7) // 8
-        codebook = []
-        for _ in range(1 << k):
-            words = [int.from_bytes(fp.read(nbytes), "little") for _ in range(t)]
-            codebook.append(words)
+        body = fp.read()  # to the end, so a size from a bad header allocates nothing
+        if len(body) != params.codeword_count * nbytes:
+            raise ValueError(
+                f"codebook holds {len(body)} bytes, not the {params.codeword_count} x {nbytes} of its header"
+            )
+        words = [int.from_bytes(body[i : i + nbytes], "little") for i in range(0, len(body), nbytes)]
+        codebook = [words[s * t : (s + 1) * t] for s in range(1 << k)]
         return cls(params, codebook, RngSeed(seed_bytes, stream_id))
 
 
@@ -462,8 +473,9 @@ def verify_error_detection(code: InnerCode, guard: int = DEFAULT_DETECTION_GUARD
     The probability is exact over the encoder's uniform codeword choice,
     and the sweep is exhaustive over all 4^n adversaries in base-4 counting
     order; it raises GuardExceeded when 4^n times the codeword count
-    exceeds `guard`. Adversaries run in chunks, as base-4 indices, through
-    the dense decode table; the witness is the first strict minimum in
+    exceeds `guard`. Adversaries run in chunks of at most core.PASS_CELLS
+    (adversary, codeword) cells, as base-4 indices, through the dense
+    decode table; the witness is the first strict minimum in
     (adversary, message) order.
     """
     p = code.params
@@ -471,7 +483,7 @@ def verify_error_detection(code: InnerCode, guard: int = DEFAULT_DETECTION_GUARD
     work = (4**p.n) * p.codeword_count
     if work > guard:
         raise GuardExceeded(f"exhaustive sweep size {work} exceeds guard {guard}")
-    per_chunk = max(1, _CHUNK_CELLS // p.codeword_count)
+    per_chunk = max(1, core.PASS_CELLS // p.codeword_count)
     fewest = p.t  # failure probability 1 until a tested pair falls below it
     witness = None
     tested = 0

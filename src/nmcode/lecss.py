@@ -259,11 +259,6 @@ def build_lecss(n: int, alpha: float) -> LecssCode:
     return LecssParams.for_rate(max(1, (n - 1).bit_length()), n, alpha).build()
 
 
-def build_lecss_bits(block_bits: int, alpha: float) -> LecssCode:
-    """The code of LecssParams.for_bits: n*m = block_bits, smallest m."""
-    return LecssParams.for_bits(block_bits, alpha).build()
-
-
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------

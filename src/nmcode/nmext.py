@@ -25,11 +25,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, log2
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import GuardExceeded, InfeasibleParams, RngSeed, uniform_distance
 from .lp import message_minimax, min_copy_distance, min_copy_distance_m1
 
@@ -37,8 +38,6 @@ EXTRACTION_GUARD_N = 8
 STRICT_GUARD_N = 6
 # Flat source pairs one relaxed_error_sweep may visit.
 DEFAULT_SWEEP_GUARD = 1 << 20
-# (x, y) cells per chunk of relaxed_error_sweep.
-_SWEEP_CHUNK_CELLS = 1 << 16
 
 PATTERNS = ("first-only", "second-only", "both")
 
@@ -100,10 +99,22 @@ class ExtractorTable:
 
     @classmethod
     def load(cls, fp) -> "ExtractorTable":
+        """Read a file written by `save`; raises ValueError on a header
+        without integer "n" and "m" or with a malformed seed, and on a
+        bitstream of another length than the header implies or with
+        padding bits set."""
         header = json.loads(fp.readline().decode())
+        if not isinstance(header, dict) or not all(isinstance(header.get(key), int) for key in ("n", "m")):
+            raise ValueError('extractor header needs integer "n" and "m"')
         n, m = header["n"], header["m"]
+        _check_widths(n, m)
         count = 1 << (2 * n)
-        raw = int.from_bytes(fp.read((count * m + 7) // 8), "little")
+        body, nbytes = fp.read(), (count * m + 7) // 8
+        if len(body) != nbytes:
+            raise ValueError(f"extractor bitstream holds {len(body)} bytes, not the {nbytes} of its header")
+        raw = int.from_bytes(body, "little")
+        if raw >> (count * m):
+            raise ValueError("extractor bitstream sets padding bits past its last entry")
         mask = (1 << m) - 1
         entries = [(raw >> (i * m)) & mask for i in range(count)]
         seed = RngSeed.from_json(header["seed"]) if "seed" in header else None
@@ -161,8 +172,22 @@ class FlatSourcePair:
         return len(self.xs) * len(self.ys)
 
 
-def _fixed_point_free_on(table: Sequence[int], support: Sequence[int]) -> bool:
-    return all(table[x] != x for x in support)
+def _check_tamperings(n: int, f1: Sequence[int], f2: Sequence[int], xs: Sequence[int],
+                      ys: Sequence[int], fixed_point_free: bool) -> None:
+    """Raise ValueError unless f1 and f2 are tables of 2^n entries in
+    [0, 2^n) and the supports xs and ys lie in [0, 2^n); with
+    `fixed_point_free`, also when f1 has a fixed point on xs or f2 one on
+    ys. Plain Python, which at 8 entries costs less than one numpy call."""
+    size = 1 << n
+    for name, table, support in (("first", f1, xs), ("second", f2, ys)):
+        if len(table) != size:
+            raise ValueError(f"{name} tampering has {len(table)} entries, not 2^{n} = {size}")
+        if not all(0 <= v < size for v in table):
+            raise ValueError(f"{name} tampering has an entry outside [0, {size})")
+        if not all(0 <= x < size for x in support):
+            raise ValueError(f"{name} support has an entry outside [0, {size})")
+        if fixed_point_free and any(table[x] == x for x in support):
+            raise ValueError(f"{name} tampering has a fixed point on the support")
 
 
 def repair_fixed_points(table: Sequence[int], size: int) -> List[int]:
@@ -232,12 +257,6 @@ class NmVerdict:
     witness: Optional[dict] = None
 
     @property
-    def overall(self) -> Fraction:
-        vals = [self.extraction_distance]
-        vals.extend(self.nm_distances.values())
-        return max(vals)
-
-    @property
     def overall_optimal(self) -> Fraction:
         vals = [self.extraction_distance]
         vals.extend(self.optimal_distances.values())
@@ -272,12 +291,10 @@ def check_relaxed_nm(
     the reported nm distance is the joint-vs-(uniform x tampered marginal)
     quantity; the distance-minimizing reference value is carried alongside
     since it is the one the strict comparison is stated against. Active
-    slots must be fixed-point-free on the relevant support.
+    slots must be fixed-point-free on the relevant support; out-of-range
+    tables and supports raise ValueError too.
     """
-    if not _fixed_point_free_on(f1, src.xs):
-        raise ValueError("first tampering has a fixed point on the support")
-    if not _fixed_point_free_on(f2, src.ys):
-        raise ValueError("second tampering has a fixed point on the support")
+    _check_tamperings(ext.n, f1, f2, src.xs, src.ys, fixed_point_free=True)
     nm: Dict[str, Fraction] = {}
     opt: Dict[str, Fraction] = {}
     worst = None
@@ -305,7 +322,9 @@ def check_strict_nm(
     """Strict non-malleability for arbitrary half-tamperings: the exact
     minimum, over reference distributions with a SAME marker, of the
     distance between (output, tampered output) and the explained joint.
-    The witness is the LP's minimizing reference, at every m."""
+    The witness is the LP's minimizing reference, at every m. Raises
+    ValueError on out-of-range tables and supports."""
+    _check_tamperings(ext.n, f1, f2, src.xs, src.ys, fixed_point_free=False)
     value, ref = min_copy_distance(joint_output_dist(ext, src, f1, f2))
     return NmVerdict(
         extraction_distance=check_extraction(ext, src),
@@ -484,40 +503,6 @@ def _code_error(counts: List[List[int]], sizes: List[int]) -> Fraction:
     return message_minimax(counts, sizes, range(len(counts)))[0]
 
 
-def rate_target_plan(n: int, alpha_prime: float, gamma: float = 0.01) -> dict:
-    """Parameter sheet for the near-1/5-rate split-state target.
-
-    No table of this size is constructible here; this only validates the
-    inequality chain a random table would need: with error 2^(-k(1+a'))
-    and full-entropy halves, the existence condition
-        2m <= k1 + k2 - 3 log(1/eps) - loglog(1/gamma)
-    pins k <= (2n - loglog(1/gamma)) / (5 + 3a'), giving rate k/(2n)
-    approaching 1/5 as a' shrinks.
-    """
-    if alpha_prime <= 0:
-        raise ValueError("alpha_prime must be positive")
-    loglog = log2(log2(1.0 / gamma)) if gamma < 0.5 else 0.0
-    k = int((2 * n - loglog) / (5 + 3 * alpha_prime))
-    if k < 1:
-        raise InfeasibleParams("no positive output length at this size")
-    eps_bits = k * (1 + alpha_prime)
-    lhs = 2 * k
-    rhs = 2 * n - 3 * eps_bits - loglog
-    return {
-        "n": n,
-        "k": k,
-        "rate": k / (2 * n),
-        "error_exponent_bits": eps_bits,
-        "existence_condition": {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs},
-        "min_entropy_condition": {
-            "required": log2(n) + loglog,
-            "available": n,
-            "holds": n >= log2(n) + loglog,
-        },
-        "note": "parameter computation only; additive constants taken as 0",
-    }
-
-
 # ---------------------------------------------------------------------------
 # Flat-source sweeps (vectorized, exact counts)
 # ---------------------------------------------------------------------------
@@ -559,12 +544,14 @@ def relaxed_error_sweep(
     `min_copy_distance_m1` runs on those int64 counts and values are
     compared by cross-multiplication (every product stays below 2^50 at
     n <= 6), so one Fraction is built, for the maximum. x-supports run in
-    chunks of rows, so memory does not grow with the support count. The
+    chunks of at most core.PASS_CELLS (x-support, y-support) cells, so
+    memory does not grow with the support count. The
     witness is the first pair in (x, y) order reaching the maximum, with
     the first kind reaching the pair's value in the order extraction,
     first-only, second-only, both; it is empty when the maximum is 0.
     Only m = 1 tables are supported, which keeps the per-pair
-    minimization in closed form.
+    minimization in closed form. Tables out of range or with a fixed
+    point raise ValueError.
     """
     if ext.m != 1:
         raise GuardExceeded("sweep supports single-bit outputs only")
@@ -573,6 +560,7 @@ def relaxed_error_sweep(
     if min_support < 1:
         raise ValueError("min_support must be at least 1")
     size = 1 << ext.n
+    _check_tamperings(ext.n, f1, f2, range(size), range(size), fixed_point_free=True)
     count = sum(comb(size, k) for k in range(min_support, size + 1))
     if count * count > DEFAULT_SWEEP_GUARD:
         raise GuardExceeded(
@@ -594,7 +582,7 @@ def relaxed_error_sweep(
         right += [((1 - table) * tampered) @ incidence.T, (table * tampered) @ incidence.T]
     sizes = incidence.sum(axis=1)
     kinds = ("extraction",) + PATTERNS
-    rows = max(1, _SWEEP_CHUNK_CELLS // len(supports))
+    rows = max(1, core.PASS_CELLS // len(supports))
     worst_num, worst_den = 0, 1
     witness: dict = {}
     for lo in range(0, len(supports), rows):

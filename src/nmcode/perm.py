@@ -23,7 +23,7 @@ at most SEED_TABLE_CELLS cells. The exhaustive l-wise test and
 derived in one place.
 
 `test_lwise_dependence` keys each image tuple by Horner's rule. When its
-index sets times n^l keys fit LWISE_PASS_CELLS (8 x 32^2 = 8,192 at n=32,
+index sets times n^l keys fit core.PASS_CELLS (8 x 32^2 = 8,192 at n=32,
 l=2), one `bincount` per pass counts all sets into one dense array;
 otherwise one sorted tally of (set, key) pairs holds them. Both paths score
 every set in one step, with one Fraction built at the end.
@@ -47,6 +47,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import (
     _INT64_MAX,
     GuardExceeded,
@@ -60,8 +61,6 @@ PRF_SHUFFLE = "prf-shuffle"
 EXACT_TINY = "exact-tiny"
 #: Index sets test_lwise_dependence checks when there are more to pick from.
 LWISE_INDEX_SETS = 8
-#: Most seeds x n forward-map cells derived or tallied in one pass.
-LWISE_PASS_CELLS = 1 << 16
 #: Most 2^seed_bits x n cells of a memoised seed table (4 MB of int32).
 SEED_TABLE_CELLS = 1 << 20
 
@@ -283,12 +282,12 @@ def derive_forwards(spec: PermSpec, seeds: Sequence[int]) -> np.ndarray:
 def seed_table(spec: PermSpec) -> np.ndarray:
     """Every seed's forward map, row z for seed z in [0, 2^seed_bits): a
     read-only int32 array derived by `derive_forwards` in passes of at most
-    LWISE_PASS_CELLS cells and memoised per spec. Raises GuardExceeded,
+    core.PASS_CELLS cells and memoised per spec. Raises GuardExceeded,
     and memoises nothing, when the table would exceed SEED_TABLE_CELLS."""
     seeds = 1 << spec.seed_bits
     if seeds * spec.n > SEED_TABLE_CELLS:
         raise GuardExceeded(f"{seeds} x {spec.n} seed-table cells exceed guard {SEED_TABLE_CELLS}")
-    rows = max(1, LWISE_PASS_CELLS // spec.n)
+    rows = max(1, core.PASS_CELLS // spec.n)
     table = np.concatenate([
         derive_forwards(spec, range(lo, min(seeds, lo + rows))) for lo in range(0, seeds, rows)
     ])
@@ -373,7 +372,7 @@ def test_lwise_dependence(
     space is at most `trials` the sweep enumerates it and the distance is
     exact; otherwise `trials` seeds are drawn and a confidence radius is
     attached. Either way the seeds' forward maps are tallied in passes of
-    at most LWISE_PASS_CELLS cells. An exhaustive sweep reads its passes
+    at most core.PASS_CELLS cells. An exhaustive sweep reads its passes
     from `seed_table(spec)` when the table fits SEED_TABLE_CELLS; a sampled
     one derives each pass's seeds. `derive_fn(spec, seeds)` substitutes a
     custom batch derivation (degenerate controls in tests) and never reads
@@ -381,7 +380,7 @@ def test_lwise_dependence(
 
     Each image tuple is keyed by Horner's rule, key = sum(forward[t_i] *
     n^(ell-1-i)), below n^ell. When the index sets times n^ell fit
-    LWISE_PASS_CELLS, set s's keys are offset by s * n^ell and one
+    core.PASS_CELLS, set s's keys are offset by s * n^ell and one
     `bincount` per pass adds them to a dense count; otherwise one sorted
     tally of the distinct (set, key) pairs holds every set (pairs rather
     than offset keys, which can pass 2^63 while n^ell does not, as at
@@ -407,7 +406,7 @@ def test_lwise_dependence(
     chosen = _choose_index_sets(n, ell, rng)
     nsets, span = len(chosen), n**ell
     index = np.array(chosen, dtype=np.intp)  # (index sets, ell)
-    dense = nsets * span <= LWISE_PASS_CELLS
+    dense = nsets * span <= core.PASS_CELLS
     counts = np.zeros(nsets * span if dense else 0, dtype=np.int64)
     tally: _Tally = (np.zeros(0, dtype=np.int64),) * 3  # the sorted path's (set, key) pairs and counts
     pending: List[np.ndarray] = []  # its key blocks not yet merged
@@ -417,7 +416,7 @@ def test_lwise_dependence(
     if exhaustive and derive_fn is None:
         with suppress(GuardExceeded):  # over SEED_TABLE_CELLS: derive each pass
             table = seed_table(spec)
-    rows = max(1, LWISE_PASS_CELLS // n)
+    rows = max(1, core.PASS_CELLS // n)
     for lo in range(0, total, rows):
         hi = min(total, lo + rows)
         if table is not None:

@@ -86,16 +86,6 @@ class BitTamperFn:
     def is_constant(self) -> bool:
         return all(a in (SET0, SET1) for a in self.actions)
 
-    def partition(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
-        """Disjoint cover of [n]: (frozen, flipped, kept) index sets."""
-        fr, fl, idn = [], [], []
-        for i, a in enumerate(self.actions):
-            (fr if a in (SET0, SET1) else fl if a == FLIP else idn).append(i)
-        return tuple(fr), tuple(fl), tuple(idn)
-
-    def restrict(self, indices: Sequence[int]) -> "BitTamperFn":
-        return BitTamperFn([self.actions[i] for i in indices])
-
     def to_json(self) -> dict:
         return {"type": "bits", "actions": self.to_str()}
 

@@ -69,7 +69,7 @@ class TestStatisticalDistance:
 
     def test_hand_computed_half_l1(self):
         p = dist({bw("0"): Fraction(3, 4), bw("1"): Fraction(1, 4)})
-        q = FiniteDist.uniform_messages(1)
+        q = dist({bw("0"): Fraction(1, 2), bw("1"): Fraction(1, 2)})
         assert statistical_distance(p, q) == Fraction(1, 4)
 
     def test_mismatched_universes_error(self):
@@ -172,7 +172,8 @@ class TestEmpiricalDist:
         rng = RngSeed.from_int(7).stream("coin")
         draws = [BitWord(rng.getrandbits(1), 1) for _ in range(100_000)]
         d = FiniteDist.from_samples(draws)
-        gap = statistical_distance(d, FiniteDist.uniform_messages(1))
+        uniform = dist({bw("0"): Fraction(1, 2), bw("1"): Fraction(1, 2)})
+        gap = statistical_distance(d, uniform)
         assert float(gap) < 0.01
         assert confidence_radius(100_000) < 0.01
 
@@ -319,7 +320,7 @@ class TestWorstMarginalKernel:
     def test_small_chunks_keep_the_first_tied_set(self, monkeypatch):
         # A chunk of 1 to 3 sets puts tied maxima in different passes.
         for cells in (1, 40, 100):
-            monkeypatch.setattr(core, "_MARGINAL_CHUNK_CELLS", cells)
+            monkeypatch.setattr(core, "PASS_CELLS", cells)
             for words, n, ell in _marginal_cases(40, cells):
                 assert worst_marginal([words], n, ell) == oracle_worst_group_marginal([words], n, ell), (words, n, ell)
 
@@ -340,7 +341,7 @@ class TestWorstMarginalKernel:
         # Each case split into equal groups; chunks of 40 cells put the
         # groups' sets in different passes.
         if cells:
-            monkeypatch.setattr(core, "_MARGINAL_CHUNK_CELLS", cells)
+            monkeypatch.setattr(core, "PASS_CELLS", cells)
         rng = random.Random(17)
         for words, n, ell in _marginal_cases(100, 16):
             count = rng.choice([g for g in range(1, len(words) + 1) if len(words) % g == 0])

@@ -17,7 +17,7 @@ from nmcode.core import (
     RngSeed,
     statistical_distance,
 )
-from nmcode import inner
+from nmcode import core, inner
 from nmcode.inner import (
     InnerCode,
     InnerParams,
@@ -155,6 +155,19 @@ class TestSampling:
         assert back.codebook == code.codebook
         assert back.params == code.params
         assert back.seed == code.seed
+
+    def test_load_rejects_files_the_header_does_not_describe(self):
+        buf = io.BytesIO()
+        sample_inner_code(InnerParams(8, 4, 4), RngSeed.from_int(2)).save(buf)
+        raw = buf.getvalue()
+        for data, match in (
+            (raw[:-1], r"codebook holds 63 bytes, not the 64 x 1"),
+            (raw + b"\0", r"codebook holds 65 bytes, not the 64 x 1"),
+            (raw[:12], "ends 2 bytes short of its header"),
+            (raw[:8], "ends 6 bytes short of its header"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                InnerCode.load(io.BytesIO(data))
 
     def test_malformed_codebook_rejected(self):
         params = InnerParams(n=3, k=1, t=2)
@@ -543,7 +556,7 @@ class TestSweepOracles:
         assert len({r.counterexample["adversary"] for r in reports}) > 5
 
     def test_chunks_of_one_adversary(self, monkeypatch):
-        monkeypatch.setattr(inner, "_CHUNK_CELLS", 1)
+        monkeypatch.setattr(core, "PASS_CELLS", 1)
         for code in list(_sweep_codes())[:4] + list(_sweep_codes())[-3:]:
             assert verify_error_detection(code) == oracle_error_detection(code), code.codebook
 

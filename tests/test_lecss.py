@@ -6,7 +6,7 @@ import pytest
 
 from nmcode.core import BOTTOM, GuardExceeded, InfeasibleParams, RngSeed
 from nmcode.gf import GF2m, IRREDUCIBLE_POLY, field, invert_matrix
-from nmcode.lecss import LecssCode, LecssParams, build_lecss, build_lecss_bits, verify_lecss
+from nmcode.lecss import LecssCode, LecssParams, build_lecss, verify_lecss
 
 
 class TestFieldAxioms:
@@ -82,11 +82,11 @@ class TestBuild:
             build_lecss(4, 0.3)  # k0 = floor(0.6) = 0
 
     def test_bit_target_factorization(self):
-        code = build_lecss_bits(16, 0.5)
+        code = LecssParams.for_bits(16, 0.5).build()
         assert (code.q, code.n, code.k, code.k0) == (16, 4, 3, 1)
         assert code.block_bits == 16 and code.message_bits == 8
         with pytest.raises(InfeasibleParams):
-            build_lecss_bits(7, 0.5)
+            LecssParams.for_bits(7, 0.5).build()
 
     # (k, k0) of build_lecss(n, alpha) for n = 2..19; None where infeasible.
     RATE_RULE = {
@@ -97,7 +97,7 @@ class TestBuild:
         0.75: [None, (2, 1), (3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (7, 4),
                (8, 4), (9, 4), (9, 5), (10, 5), (10, 6), (11, 6), (12, 6), (12, 7)],
     }
-    # (m, n, k, k0) of build_lecss_bits(bits, alpha) for bits = 4, 8, ..., 64.
+    # (m, n, k, k0) of LecssParams.for_bits(bits, alpha).build() for bits = 4, 8, ..., 64.
     BITS_RULE = {
         0.25: [None] * 5 + [(3, 8, 7, 1), None, (4, 8, 7, 1), (4, 9, 8, 1), (4, 10, 9, 1),
                             (4, 11, 10, 1), (4, 12, 11, 1), (4, 13, 12, 1), (4, 14, 13, 1),
@@ -122,9 +122,9 @@ class TestBuild:
         for bits, want in zip(range(4, 68, 4), self.BITS_RULE[alpha]):
             if want is None:
                 with pytest.raises(InfeasibleParams):
-                    build_lecss_bits(bits, alpha)
+                    LecssParams.for_bits(bits, alpha).build()
             else:
-                code = build_lecss_bits(bits, alpha)
+                code = LecssParams.for_bits(bits, alpha).build()
                 assert (code.m, code.n, code.k, code.k0) == want
                 assert code.params == LecssParams.for_bits(bits, alpha)
 
@@ -219,7 +219,7 @@ class TestVerify:
         assert rep.worst_value == code.symbol_distance  # MDS: met exactly
 
     def test_toy_concat_outer_code_passes(self):
-        rep = verify_lecss(build_lecss_bits(16, 0.5), trials=300, seed=RngSeed.from_int(6))
+        rep = verify_lecss(LecssParams.for_bits(16, 0.5).build(), trials=300, seed=RngSeed.from_int(6))
         assert rep.passed
 
     def test_independence_sweep_guarded(self):

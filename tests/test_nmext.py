@@ -35,7 +35,7 @@ from nmcode.nmext import (
     verify_reduction,
 )
 from nmcode.tamper import SplitStateTamperFn
-from nmcode import nmext as nmext_module
+from nmcode import core
 from nmcode import schemes
 
 
@@ -173,6 +173,29 @@ class TestTableMechanics:
         assert back.entries == table.entries
         assert back.seed == table.seed
 
+    def test_load_rejects_files_the_header_does_not_describe(self):
+        buf = io.BytesIO()
+        sample_random_extractor(3, 2, RngSeed.from_int(5)).save(buf)
+        raw = buf.getvalue()
+        body = raw.split(b"\n", 1)[1]
+        cases = [
+            (raw[:-3], "holds 13 bytes, not the 16"),
+            (raw + b"\0", "holds 17 bytes, not the 16"),
+            (b'{"n": 3}\n' + body, 'integer "n" and "m"'),
+            (b'{"n": 3, "m": "2"}\n' + body, 'integer "n" and "m"'),
+            (b"[3, 2]\n" + body, 'integer "n" and "m"'),
+            (b'{"n": 3, "m": 2, "seed": {}}\n' + body, 'hex "seed" string'),
+        ]
+        for data, match in cases:
+            with pytest.raises(ValueError, match=match):
+                ExtractorTable.load(io.BytesIO(data))
+        # n=1, m=1 packs 4 bits into one byte; its upper four must stay clear.
+        buf = io.BytesIO()
+        ExtractorTable(1, 1, [1, 0, 1, 1]).save(buf)
+        assert ExtractorTable.load(io.BytesIO(buf.getvalue())).entries == [1, 0, 1, 1]
+        with pytest.raises(ValueError, match="padding bits"):
+            ExtractorTable.load(io.BytesIO(buf.getvalue()[:-1] + bytes([0b11101101])))
+
     def test_guard_on_table_size(self):
         with pytest.raises(GuardExceeded):
             ExtractorTable(9, 1, [0] * (1 << 18))
@@ -193,6 +216,41 @@ class TestTableMechanics:
             FlatSourcePair((), (1,))
         with pytest.raises(ValueError):
             FlatSourcePair((1, 1), (0,))
+
+
+class TestOutOfDomainInputs:
+    """Tables of the wrong length, entries or support points outside
+    [0, 2^n), and (for the relaxed checks) fixed points raise ValueError
+    instead of wrapping through numpy's negative indexing."""
+
+    TABLE = sample_random_extractor(3, 1, RngSeed.from_int(5))
+    SHIFT = [(x + 1) % 8 for x in range(8)]
+
+    @pytest.mark.parametrize("f1, f2, src, match", [
+        ([-1] * 8, SHIFT, None, r"first tampering has an entry outside \[0, 8\)"),
+        (SHIFT, [8] * 8, None, r"second tampering has an entry outside \[0, 8\)"),
+        ([1] * 5, SHIFT, None, r"first tampering has 5 entries, not 2\^3 = 8"),
+        (SHIFT, SHIFT * 2, None, r"second tampering has 16 entries"),
+        (SHIFT, SHIFT, ((-1,), (0,)), r"first support has an entry outside \[0, 8\)"),
+        (SHIFT, SHIFT, ((0,), (3, 8)), r"second support has an entry outside \[0, 8\)"),
+    ])
+    @pytest.mark.parametrize("check", [check_relaxed_nm, check_strict_nm])
+    def test_checks_reject(self, check, f1, f2, src, match):
+        pair = FlatSourcePair(*src) if src else FlatSourcePair.full(3)
+        with pytest.raises(ValueError, match=match):
+            check(self.TABLE, pair, f1, f2)
+
+    @pytest.mark.parametrize("f1, f2, match", [
+        (list(range(8)), SHIFT, "first tampering has a fixed point"),
+        (SHIFT, [1, 0, 3, 2, 5, 4, 7, 7], "second tampering has a fixed point"),
+        ([-1] * 8, SHIFT, r"first tampering has an entry outside \[0, 8\)"),
+        ([1] * 5, SHIFT, r"first tampering has 5 entries"),
+    ])
+    def test_sweep_rejects(self, f1, f2, match):
+        # min_support 9 visits no pair, and still the inputs are checked.
+        for min_support in (7, 9):
+            with pytest.raises(ValueError, match=match):
+                relaxed_error_sweep(self.TABLE, f1, f2, min_support)
 
 
 class TestRelaxed:
@@ -297,7 +355,6 @@ class TestStrict:
         table = sample_random_extractor(3, 1, RngSeed.from_int(14))
         verdict = check_strict_nm(table, FlatSourcePair.full(3), [5] * 8, [2] * 8)
         assert verdict.nm_distances["both"] == 0
-        assert verdict.overall == verdict.extraction_distance
 
     def test_optimal_reference_beats_candidates(self):
         table = sample_random_extractor(3, 1, RngSeed.from_int(15))
@@ -474,25 +531,8 @@ class TestSweep:
         whole = relaxed_error_sweep(table, f1, f2, min_support=6)
         assert whole[1]
         for cells in (1, 7 * 37):
-            monkeypatch.setattr(nmext_module, "_SWEEP_CHUNK_CELLS", cells)
+            monkeypatch.setattr(core, "PASS_CELLS", cells)
             assert relaxed_error_sweep(table, f1, f2, min_support=6) == whole
-
-
-class TestRateTargetPlan:
-    def test_inequality_chain_validated(self):
-        from nmcode.nmext import rate_target_plan
-
-        plan = rate_target_plan(10_000, 0.05)
-        assert plan["existence_condition"]["holds"]
-        assert plan["min_entropy_condition"]["holds"]
-        assert plan["rate"] < 0.2
-
-    def test_rate_approaches_one_fifth(self):
-        from nmcode.nmext import rate_target_plan
-
-        rates = [rate_target_plan(10**6, a)["rate"] for a in (0.2, 0.05, 0.005)]
-        assert rates == sorted(rates)
-        assert abs(rates[-1] - 0.2) < 0.002
 
 
 class TestRandomTableBudget:

@@ -8,7 +8,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from nmcode import perm
+from nmcode import core, perm
 from nmcode.core import (
     GuardExceeded,
     InfeasibleParams,
@@ -237,7 +237,7 @@ class TestLimitedIndependence:
     def test_passes_are_bounded_and_match_oracle(self, monkeypatch):
         spec = PermSpec(n=32, ell=2, seed_bits=10)
         # 8 index sets x 32^2 keys exceed 3,200 cells: the sorted tally runs.
-        monkeypatch.setattr(perm, "LWISE_PASS_CELLS", 32 * 100)
+        monkeypatch.setattr(core, "PASS_CELLS", 32 * 100)
         rows = []
 
         def counting(spec, seeds):
@@ -261,7 +261,7 @@ class TestLimitedIndependence:
 
         dense = reports()
         sets = min(comb(spec.n, spec.ell), LWISE_INDEX_SETS)
-        monkeypatch.setattr(perm, "LWISE_PASS_CELLS", sets * spec.n**spec.ell - 1)
+        monkeypatch.setattr(core, "PASS_CELLS", sets * spec.n**spec.ell - 1)
         assert reports() == dense
 
     def test_bad_input_rejected(self):
@@ -316,7 +316,7 @@ class TestSeedTable:
         return calls
 
     def test_every_seed_in_bounded_passes(self, monkeypatch):
-        monkeypatch.setattr(perm, "LWISE_PASS_CELLS", 32 * 100)
+        monkeypatch.setattr(core, "PASS_CELLS", 32 * 100)
         calls = self.spy(monkeypatch)
         table = perm.seed_table(self.SPEC)
         assert calls == [100] * 10 + [24]

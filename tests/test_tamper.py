@@ -38,22 +38,6 @@ class TestBitTamperFn:
         assert f.to_str() == "KF01"
         assert f.to_json() == {"type": "bits", "actions": "KF01"}
 
-    @given(actions_strategy)
-    @settings(max_examples=50)
-    def test_partition_is_disjoint_cover(self, actions):
-        f = BitTamperFn(actions)
-        fr, fl, idn = f.partition()
-        combined = sorted(fr + fl + idn)
-        assert combined == list(range(f.n))
-        assert len(fr) + len(fl) + len(idn) == f.n
-
-    def test_partition_examples(self):
-        n = 6
-        fr, fl, idn = BitTamperFn.identity(n).partition()
-        assert fr == () and fl == () and idn == tuple(range(n))
-        fr, fl, idn = BitTamperFn([SET1] * n).partition()
-        assert fr == tuple(range(n))
-
     @given(actions_strategy, st.integers(0, 4095))
     @settings(max_examples=50)
     def test_freeze_only_idempotent(self, actions, raw):
