@@ -24,16 +24,13 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
+from . import core
 from .core import FiniteDist, GuardExceeded, InfeasibleParams, RngSeed
 from .inner import InnerCode, InnerParams, plan_inner_params, sample_inner_code
 from .lecss import LecssCode, LecssParams
-from .perm import EXACT_TINY, PRF_SHUFFLE, PermSpec, Permutation, derive_permutation, seed_table
+from .perm import PRF_SHUFFLE, PermSpec, Permutation, derive_permutation, seed_table
 from .tamper import KEEP, SET0, SET1, BitTamperFn
 from . import schemes
-
-#: Most entries of the per-seed tables the batch kernels hold: the
-#: byte-scatter tables, and the payload tables with one adversary's fold.
-DEFAULT_PERM_TABLE_GUARD = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,6 @@ class ConcatPlan:
     c1: InnerParams
     lecss: LecssParams
     ell: int
-    perm_backend: str = PRF_SHUFFLE
 
     def __post_init__(self):
         if self.lecss.block_bits % self.inner.k:
@@ -161,7 +157,6 @@ class ConcatPlan:
             n=self.payload_bits,
             ell=self.ell,
             seed_bits=self.seed_message_bits,
-            backend=self.perm_backend,
         )
 
     # -- the constraint ledger ------------------------------------------
@@ -169,7 +164,7 @@ class ConcatPlan:
     def constraints(self) -> List[ConstraintCheck]:
         b, big_b = self.block_in, self.block_out
         n, n2 = self.payload_bits, self.sharing_bits
-        checks = [
+        return [
             ConstraintCheck(
                 "block-divides-sharing",
                 "b | n2",
@@ -224,20 +219,11 @@ class ConcatPlan:
                 self.ell,
                 n / 2,
             ),
+            # The shuffle backend cannot certify the permutation closeness
+            # bound; it is an assumption surfaced in the ledger.
+            ConstraintCheck("perm-closeness", "delta <= gamma2''/2", "assumed", 0.0,
+                            float(self.gamma2_doubleprime / 2)),
         ]
-        # The permutation closeness bound cannot be certified for the
-        # shuffle backend; it is an assumption surfaced in the ledger.
-        target = float(self.gamma2_doubleprime / 2)
-        checks.append(
-            ConstraintCheck(
-                "perm-closeness",
-                "delta <= gamma2''/2",
-                "ok" if self.perm_backend == EXACT_TINY else "assumed",
-                0.0,
-                target,
-            )
-        )
-        return checks
 
     def violated(self) -> List[ConstraintCheck]:
         return [c for c in self.constraints() if c.status == "violated"]
@@ -287,7 +273,7 @@ class ConcatPlan:
                 "k0": self.lecss.k0,
             },
             "ell": self.ell,
-            "perm_backend": self.perm_backend,
+            "perm_backend": PRF_SHUFFLE,
             "layout": {
                 "N": self.total_bits,
                 "n": self.payload_bits,
@@ -306,8 +292,6 @@ def plan_concat(
     total_bits: int,
     gamma0: float,
     seed_code_rate: float = 0.25,
-    t_block: Optional[int] = None,
-    t_seed: int = 2,
     strict: bool = True,
 ) -> ConcatPlan:
     """Derive a full plan for a target total length and rate slack.
@@ -315,7 +299,7 @@ def plan_concat(
     Searches sharing lengths whose derived seed-segment slack stays inside
     [gamma0/2, gamma0] and whose ledger holds. `strict` raises on the first
     violated inequality; with strict=False the best structural candidate is
-    returned with violations recorded.
+    returned with violations recorded. The seed code has t = 2.
     """
     if not 0.0 < gamma0 <= 0.5:
         raise InfeasibleParams("gamma0 must lie in (0, 1/2]")
@@ -330,7 +314,7 @@ def plan_concat(
         if abs(b / big_b - (1.0 - gamma0)) > 1e-9:
             continue
         try:
-            inner_plan = plan_inner_params(gamma0, big_b, t_override=t_block)
+            inner_plan = plan_inner_params(gamma0, big_b)
             break
         except InfeasibleParams:
             continue
@@ -353,7 +337,7 @@ def plan_concat(
             continue
         k1 = max(1, int(seed_code_rate * n1))
         try:
-            c1 = InnerParams(n=n1, k=k1, t=t_seed, delta=0.0)
+            c1 = InnerParams(n=n1, k=k1, t=2, delta=0.0)
         except InfeasibleParams:
             continue
         ell_cap = int(
@@ -412,10 +396,10 @@ class ConcatCode:
         self.block_bits = plan.total_bits
         self._spec = plan.perm_spec()
         self._table_entries = (1 << plan.seed_message_bits) * ((plan.payload_bits + 7) // 8) * 256
-        # None when the seeds' byte-scatter tables exceed the guard: then
-        # permutations are not cached and the batch kernels refuse to run.
+        # None when the seeds' byte-scatter tables exceed core.TABLE_CELLS:
+        # then permutations are not cached.
         self._perms: Optional[Dict[int, Permutation]] = (
-            {} if self._table_entries <= DEFAULT_PERM_TABLE_GUARD else None
+            {} if self._table_entries <= core.TABLE_CELLS else None
         )
         self._seed_mask = (1 << plan.seed_bits) - 1
         self._block_mask = (1 << plan.block_out) - 1
@@ -428,7 +412,7 @@ class ConcatCode:
 
     def perm_for(self, z: int) -> Permutation:
         """Seed z's permutation, cached while every seed's scatter tables
-        fit DEFAULT_PERM_TABLE_GUARD and derived on each call otherwise."""
+        fit core.TABLE_CELLS and derived on each call otherwise."""
         if self._perms is None:
             return derive_permutation(self._spec, z)
         perm = self._perms.get(z)
@@ -483,9 +467,9 @@ class ConcatCode:
         entries are built by doubling: the bytes with top bit b are the
         bytes below 1 << b with bit b's image ORed in."""
         if self._scatter is None:
-            if self._perms is None:
+            if self._table_entries > core.TABLE_CELLS:
                 raise GuardExceeded(
-                    f"{self._table_entries} permutation-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}"
+                    f"{self._table_entries} permutation-table entries exceed guard {core.TABLE_CELLS}"
                 )
             forward = seed_table(self._spec)
             seeds, n = forward.shape
@@ -536,9 +520,9 @@ class ConcatCode:
         membership test, so a failed block fails the decode.
         """
         if self._payload is None:
-            if self._payload_entries() > DEFAULT_PERM_TABLE_GUARD:
+            if self._payload_entries() > core.TABLE_CELLS:
                 raise GuardExceeded(
-                    f"{self._payload_entries()} payload-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}"
+                    f"{self._payload_entries()} payload-table entries exceed guard {core.TABLE_CELLS}"
                 )
             plan = self.plan
             book, decode = self.block_code._batch_tables()
@@ -643,14 +627,14 @@ class ConcatCode:
         index digits, one `take` and one XOR per block to the payload, and
         `_decode_payload`. Raises GuardExceeded, before any table is built,
         on words over 64 bits or when the payload tables and the fold's
-        table exceed DEFAULT_PERM_TABLE_GUARD entries.
+        table exceed core.TABLE_CELLS entries.
         """
         schemes.check_word_bits(self)
         plan = self.plan
         segments = plan.c1.t << plan.seed_message_bits
         entries = self._payload_entries() + segments * plan.block_count * self._block_words
-        if entries > DEFAULT_PERM_TABLE_GUARD:
-            raise GuardExceeded(f"{entries} fold-table entries exceed guard {DEFAULT_PERM_TABLE_GUARD}")
+        if entries > core.TABLE_CELLS:
+            raise GuardExceeded(f"{entries} fold-table entries exceed guard {core.TABLE_CELLS}")
         images = self._payload_tables()[0]
         width = images.shape[1]
         # f(x) = (x & keep) ^ f(0), and the seed words carry f(0)'s payload.

@@ -335,6 +335,9 @@ _INT64_MAX = (1 << 63) - 1
 #: `perm.seed_table`. Each reads it as core.PASS_CELLS at call time, so the
 #: one value sets every chunk boundary.
 PASS_CELLS = 1 << 16
+#: Most entries one table or enumeration holds, for every size guard on a
+#: table; each reads it as core.TABLE_CELLS at call time.
+TABLE_CELLS = 1 << 20
 
 
 def uniform_distance(counts: Iterable[int], total: int, outcomes: int) -> Fraction:
@@ -424,11 +427,11 @@ def worst_marginal(
     return Fraction(int(worst[g]), (2 * total) << top_size), g, witness[g]
 
 
-def confidence_radius(samples: int, eta: float = 1e-6) -> float:
-    """Two-sided Hoeffding radius for an empirical distance at confidence 1-eta."""
+def confidence_radius(samples: int) -> float:
+    """Two-sided Hoeffding radius for an empirical distance at confidence 1 - 10^-6."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    return sqrt(log(2.0 / eta) / (2.0 * samples))
+    return sqrt(log(2.0 / 1e-6) / (2.0 * samples))
 
 
 # ---------------------------------------------------------------------------

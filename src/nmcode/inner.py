@@ -38,7 +38,6 @@ from .tamper import BitTamperFn
 REJECTION_BUDGET = 1 << 16
 DEFAULT_DETECTION_GUARD = 1 << 26
 DEFAULT_INDEP_GUARD = 1 << 24
-DEFAULT_DECODE_TABLE_GUARD = 1 << 20
 _REMOVED_SET_GUARD = 1 << 26
 
 
@@ -48,12 +47,12 @@ def binary_entropy(p: float) -> float:
     return -p * log2(p) - (1.0 - p) * log2(1.0 - p)
 
 
-def binary_entropy_inv(y: float, tol: float = 1e-12) -> float:
-    """Inverse of the binary entropy on [0, 1/2], by bisection."""
+def binary_entropy_inv(y: float) -> float:
+    """Inverse of the binary entropy on [0, 1/2], by bisection to 10^-12."""
     if not 0.0 <= y <= 1.0:
         raise ValueError("entropy value must lie in [0, 1]")
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if binary_entropy(mid) < y:
             lo = mid
@@ -228,9 +227,9 @@ class InnerCode:
         An intp gather is two to three times as fast as a uint64 one.
         """
         if self._tables is None:
-            if 1 << self.block_bits > DEFAULT_DECODE_TABLE_GUARD:
+            if 1 << self.block_bits > core.TABLE_CELLS:
                 raise GuardExceeded(
-                    f"2^{self.block_bits}-entry decode table exceeds guard {DEFAULT_DECODE_TABLE_GUARD}"
+                    f"2^{self.block_bits}-entry decode table exceeds guard {core.TABLE_CELLS}"
                 )
             book = np.array(self.codebook, dtype=np.uint64)
             decode = np.full(1 << self.block_bits, -1, dtype=np.int64)

@@ -24,12 +24,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import GuardExceeded, InfeasibleParams, PropertyReport, RngSeed, worst_marginal
 from .gf import GF2m, field, invert_matrix
 from .inner import DEFAULT_INDEP_GUARD
 
-DEFAULT_RANDOMNESS_GUARD = 1 << 20
-DEFAULT_CODEWORD_GUARD = 1 << 20
 #: Most coefficient vectors verify_lecss scans for the exact distance.
 EXHAUSTIVE_DISTANCE_GUARD = 1 << 16
 
@@ -183,8 +182,8 @@ class LecssCode:
         """
         if self._tables is None:
             total = self.q**self.k
-            if total > DEFAULT_CODEWORD_GUARD:
-                raise GuardExceeded(f"q^k = {total} codewords exceed guard {DEFAULT_CODEWORD_GUARD}")
+            if total > core.TABLE_CELLS:
+                raise GuardExceeded(f"q^k = {total} codewords exceed guard {core.TABLE_CELLS}")
             index = np.arange(total, dtype=np.int64)
             words = np.zeros(total, dtype=np.uint64)
             for i, row in enumerate(self.generator):
@@ -221,9 +220,9 @@ class LecssCode:
     def iter_encodings_int(self, s: int) -> Iterable[int]:
         """The words of encodings_many(s): randomness value r puts its
         base-q digit i (least significant first) in symbol i."""
-        if self.randomness_count > DEFAULT_RANDOMNESS_GUARD:
+        if self.randomness_count > core.TABLE_CELLS:
             raise GuardExceeded(
-                f"q^k0 = {self.randomness_count} randomness vectors exceed guard"
+                f"q^k0 = {self.randomness_count} randomness vectors exceed guard {core.TABLE_CELLS}"
             )
         for r in range(self.randomness_count):
             yield self.encode_with(s, [(r >> (i * self.m)) & (self.q - 1) for i in range(self.k0)])

@@ -172,20 +172,28 @@ class FlatSourcePair:
         return len(self.xs) * len(self.ys)
 
 
+def _check_supports(n: int, xs: Sequence[int], ys: Sequence[int]) -> None:
+    """Raise ValueError unless the supports xs and ys lie in [0, 2^n).
+    Plain Python, which at 8 entries costs less than one numpy call."""
+    size = 1 << n
+    for name, support in (("first", xs), ("second", ys)):
+        if not all(0 <= x < size for x in support):
+            raise ValueError(f"{name} support has an entry outside [0, {size})")
+
+
 def _check_tamperings(n: int, f1: Sequence[int], f2: Sequence[int], xs: Sequence[int],
                       ys: Sequence[int], fixed_point_free: bool) -> None:
     """Raise ValueError unless f1 and f2 are tables of 2^n entries in
-    [0, 2^n) and the supports xs and ys lie in [0, 2^n); with
+    [0, 2^n) and `_check_supports` accepts xs and ys; with
     `fixed_point_free`, also when f1 has a fixed point on xs or f2 one on
-    ys. Plain Python, which at 8 entries costs less than one numpy call."""
+    ys."""
+    _check_supports(n, xs, ys)
     size = 1 << n
     for name, table, support in (("first", f1, xs), ("second", f2, ys)):
         if len(table) != size:
             raise ValueError(f"{name} tampering has {len(table)} entries, not 2^{n} = {size}")
         if not all(0 <= v < size for v in table):
             raise ValueError(f"{name} tampering has an entry outside [0, {size})")
-        if not all(0 <= x < size for x in support):
-            raise ValueError(f"{name} support has an entry outside [0, {size})")
         if fixed_point_free and any(table[x] == x for x in support):
             raise ValueError(f"{name} tampering has a fixed point on the support")
 
@@ -205,7 +213,9 @@ def repair_fixed_points(table: Sequence[int], size: int) -> List[int]:
 
 
 def check_extraction(ext: ExtractorTable, src: FlatSourcePair) -> Fraction:
-    """Exact distance of the output distribution from uniform."""
+    """Exact distance of the output distribution from uniform. Raises
+    ValueError on supports outside [0, 2^n)."""
+    _check_supports(ext.n, src.xs, src.ys)
     outputs = ext.as_array()[np.ix_(src.xs, src.ys)].ravel()
     return uniform_distance(np.bincount(outputs, minlength=1 << ext.m), src.pairs, 1 << ext.m)
 

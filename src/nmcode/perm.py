@@ -18,7 +18,7 @@ runs that `shuffle` itself.
 
 `seed_table(spec)` holds every seed's forward map, derived once per
 process: a read-only (2^seed_bits, n) int32 array, memoised while it has
-at most SEED_TABLE_CELLS cells. The exhaustive l-wise test and
+at most core.TABLE_CELLS cells. The exhaustive l-wise test and
 `ConcatCode`'s scatter tables both read it, so every seed of a spec is
 derived in one place.
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +61,6 @@ PRF_SHUFFLE = "prf-shuffle"
 EXACT_TINY = "exact-tiny"
 #: Index sets test_lwise_dependence checks when there are more to pick from.
 LWISE_INDEX_SETS = 8
-#: Most 2^seed_bits x n cells of a memoised seed table (4 MB of int32).
-SEED_TABLE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -283,10 +281,10 @@ def seed_table(spec: PermSpec) -> np.ndarray:
     """Every seed's forward map, row z for seed z in [0, 2^seed_bits): a
     read-only int32 array derived by `derive_forwards` in passes of at most
     core.PASS_CELLS cells and memoised per spec. Raises GuardExceeded,
-    and memoises nothing, when the table would exceed SEED_TABLE_CELLS."""
+    and memoises nothing, when the table would exceed core.TABLE_CELLS."""
     seeds = 1 << spec.seed_bits
-    if seeds * spec.n > SEED_TABLE_CELLS:
-        raise GuardExceeded(f"{seeds} x {spec.n} seed-table cells exceed guard {SEED_TABLE_CELLS}")
+    if seeds * spec.n > core.TABLE_CELLS:
+        raise GuardExceeded(f"{seeds} x {spec.n} seed-table cells exceed guard {core.TABLE_CELLS}")
     rows = max(1, core.PASS_CELLS // spec.n)
     table = np.concatenate([
         derive_forwards(spec, range(lo, min(seeds, lo + rows))) for lo in range(0, seeds, rows)
@@ -297,9 +295,10 @@ def seed_table(spec: PermSpec) -> np.ndarray:
 
 def derive_permutation(spec: PermSpec, z: int) -> Permutation:
     """Deterministic permutation of seed value z: row z of
-    `derive_forwards`, derived by `random.Random.shuffle` itself."""
-    if not 0 <= z < (1 << spec.seed_bits):
-        raise ValueError("seed out of range")
+    `derive_forwards`, derived by `random.Random.shuffle` itself. Raises
+    ValueError unless z lies in [0, spec.seed_space())."""
+    if not 0 <= z < spec.seed_space():
+        raise ValueError(f"seed {z} outside [0, {spec.seed_space()})")
     if spec.backend == EXACT_TINY:
         return Permutation(_unrank(z % factorial(spec.n), spec.n))
     forward = list(range(spec.n))
@@ -362,7 +361,6 @@ def test_lwise_dependence(
     spec: PermSpec,
     trials: int = 10000,
     seed: Optional[RngSeed] = None,
-    derive_fn: Optional[Callable[[PermSpec, Sequence[int]], np.ndarray]] = None,
 ) -> PropertyReport:
     """Compare marginals of derived permutations against a uniform one.
 
@@ -373,10 +371,8 @@ def test_lwise_dependence(
     exact; otherwise `trials` seeds are drawn and a confidence radius is
     attached. Either way the seeds' forward maps are tallied in passes of
     at most core.PASS_CELLS cells. An exhaustive sweep reads its passes
-    from `seed_table(spec)` when the table fits SEED_TABLE_CELLS; a sampled
-    one derives each pass's seeds. `derive_fn(spec, seeds)` substitutes a
-    custom batch derivation (degenerate controls in tests) and never reads
-    the table.
+    from `seed_table(spec)` when the table fits core.TABLE_CELLS; a
+    sampled one derives each pass's seeds with `derive_forwards`.
 
     Each image tuple is keyed by Horner's rule, key = sum(forward[t_i] *
     n^(ell-1-i)), below n^ell. When the index sets times n^ell fit
@@ -398,7 +394,6 @@ def test_lwise_dependence(
     if n**ell > 1 << 63:  # keys run up to n^ell - 1
         raise GuardExceeded(f"{n}^{ell} image tuples exceed the 64-bit tally key")
     rng = (seed or RngSeed.from_int(0)).stream("perm.lwise")
-    derive = derive_fn or derive_forwards
     space = spec.seed_space()
     exhaustive = space <= trials
     total = space if exhaustive else trials
@@ -413,8 +408,8 @@ def test_lwise_dependence(
     # Horner's rule from s folds the offset s * n^ell into set s's keys.
     start = np.arange(nsets, dtype=np.int64) if dense else np.zeros(nsets, dtype=np.int64)
     table = None
-    if exhaustive and derive_fn is None:
-        with suppress(GuardExceeded):  # over SEED_TABLE_CELLS: derive each pass
+    if exhaustive:
+        with suppress(GuardExceeded):  # over core.TABLE_CELLS: derive each pass
             table = seed_table(spec)
     rows = max(1, core.PASS_CELLS // n)
     for lo in range(0, total, rows):
@@ -422,7 +417,7 @@ def test_lwise_dependence(
         if table is not None:
             forwards = table[lo:hi]
         else:
-            forwards = derive(spec, range(lo, hi) if exhaustive else [spec.sample_seed(rng) for _ in range(hi - lo)])
+            forwards = derive_forwards(spec, range(lo, hi) if exhaustive else [spec.sample_seed(rng) for _ in range(hi - lo)])
         keys = start
         for column in index.T:
             keys = keys * n + forwards[:, column]

@@ -65,6 +65,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import (
     BOTTOM,
     SAME,
@@ -82,8 +83,6 @@ MAX_WORD_BITS = 64
 #: Most runs encoded, tampered and decoded in one pass of the batch kernel,
 #: and the most runs of one sampled row drawn in one piece.
 BATCH_ROWS = 1 << 14
-#: Most encodings of one message that exact mode enumerates.
-MAX_EXACT_ENCODINGS = 1 << 20
 
 
 def check_word_bits(scheme) -> None:
@@ -151,9 +150,9 @@ def _counts(
     rows = np.zeros((len(messages), width), dtype=np.int64)
     if samples is None:
         sizes = [scheme.encoding_count(s) for s in messages]
-        if sizes and max(sizes) > MAX_EXACT_ENCODINGS:
+        if sizes and max(sizes) > core.TABLE_CELLS:
             raise GuardExceeded(
-                f"{max(sizes)} encodings of one message exceed guard {MAX_EXACT_ENCODINGS}"
+                f"{max(sizes)} encodings of one message exceed guard {core.TABLE_CELLS}"
             )
         for row, s, size in zip(rows, messages, sizes):
             words = scheme.encodings_many(s)
@@ -259,7 +258,6 @@ def nm_error(
     messages: Optional[Iterable[int]] = None,
     samples: Optional[int] = None,
     rng: Optional[random.Random] = None,
-    eta: float = 1e-6,
 ) -> NmErrorReport:
     """Worst-case distance between tampered decoding and the resolved reference.
 
@@ -267,9 +265,9 @@ def nm_error(
     s's count row a summing to A, the distance for s is
     sum |a*B - b'*A| / (2*A*B), b' being b with the SAME cell moved onto s.
     The returned radius separates sampling noise from the reported value:
-    0.0 in exact mode, the two-sided Hoeffding radius at confidence 1-eta
-    otherwise. Every message is checked before any draw; a repeated message
-    counts once, in first-seen order. The rows are then counted by one
+    0.0 in exact mode, the two-sided Hoeffding radius at confidence
+    1 - 10^-6 otherwise. Every message is checked before any draw; a
+    repeated message counts once, in first-seen order. The rows are then counted by one
     `_counts` call per block of BATCH_ROWS >> k messages,
     so a block's sampled rows share passes and about BATCH_ROWS cells are
     held at a time. In sampled mode ref may be None: the standard
@@ -308,7 +306,7 @@ def nm_error(
                 acc += abs(int(row[i]) * den - b * total)
                 covered += b
             per[s] = Fraction(acc + (mass - covered) * total, 2 * total * den)
-    radius = 0.0 if samples is None else confidence_radius(samples, eta)
+    radius = 0.0 if samples is None else confidence_radius(samples)
     return NmErrorReport(value=max(per.values()), radius=radius, per_message=per,
                          samples=samples, reference=ref)
 

@@ -13,14 +13,12 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import GuardExceeded
 
 KEEP, FLIP, SET0, SET1 = 0, 1, 2, 3
 _ACTION_CHARS = "KF01"
 _CHAR_TO_ACTION = {c: i for i, c in enumerate(_ACTION_CHARS)}
-
-#: Widest half a split-state adversary's lookup tables may index.
-MAX_SPLIT_HALF_BITS = 20
 
 
 class BitTamperFn:
@@ -99,11 +97,12 @@ class BitTamperFn:
         return f"BitTamperFn('{self.to_str()}')"
 
 
-def enumerate_bit_tampers(n: int, guard: int = 4**10) -> Iterator[BitTamperFn]:
-    """All 4^n per-bit adversaries in base-4 counting order."""
+def enumerate_bit_tampers(n: int) -> Iterator[BitTamperFn]:
+    """All 4^n per-bit adversaries in base-4 counting order; raises
+    GuardExceeded when there are more than core.TABLE_CELLS."""
     total = 4**n
-    if total > guard:
-        raise GuardExceeded(f"4^{n} = {total} exceeds guard {guard}")
+    if total > core.TABLE_CELLS:
+        raise GuardExceeded(f"4^{n} = {total} adversaries exceed guard {core.TABLE_CELLS}")
     for code in range(total):
         c = code
         actions = []
@@ -140,35 +139,26 @@ def random_tamper(
 
 class SplitStateTamperFn:
     """Two arbitrary lookup tables, one per half of the word, held as
-    uint64 arrays `f1` (low half) and `f2` (high half)."""
+    uint64 arrays `f1` (low half) and `f2` (high half) of at most
+    core.TABLE_CELLS entries each."""
 
-    __slots__ = ("n", "half", "f1", "f2", "fixed_point_free")
+    __slots__ = ("n", "half", "f1", "f2")
 
-    def __init__(
-        self,
-        f1: Sequence[int],
-        f2: Sequence[int],
-        fixed_point_free: Tuple[bool, bool] = (False, False),
-    ):
+    def __init__(self, f1: Sequence[int], f2: Sequence[int]):
         if len(f1) != len(f2):
             raise ValueError("halves must have equal table sizes")
         size = len(f1)
         half = size.bit_length() - 1
         if size != 1 << half:
             raise ValueError("table size must be a power of two")
-        if half > MAX_SPLIT_HALF_BITS:
-            raise GuardExceeded(f"half width {half} exceeds guard {MAX_SPLIT_HALF_BITS}")
+        if size > core.TABLE_CELLS:
+            raise GuardExceeded(f"2^{half}-entry half tables exceed guard {core.TABLE_CELLS}")
         tables = np.array([f1, f2], dtype=np.int64)
         if ((tables < 0) | (tables >= size)).any():
             raise ValueError("table entry out of range")
-        fixed = tables == np.arange(size)
-        for claimed, has_fixed, name in zip(fixed_point_free, fixed.any(axis=1), ("f1", "f2")):
-            if claimed and has_fixed:
-                raise ValueError(f"{name} claimed fixed-point-free but has a fixed point")
         self.n = 2 * half
         self.half = half
         self.f1, self.f2 = tables.astype(np.uint64)
-        self.fixed_point_free = fixed_point_free
 
     def apply_int(self, x: int) -> int:
         mask = (1 << self.half) - 1
@@ -219,9 +209,7 @@ def random_split_tamper(
                     v = rng.randrange(size)
             t.append(v)
         tables.append(t)
-    return SplitStateTamperFn(
-        tables[0], tables[1], (fixed_point_free, fixed_point_free)
-    )
+    return SplitStateTamperFn(tables[0], tables[1])
 
 
 # ---------------------------------------------------------------------------

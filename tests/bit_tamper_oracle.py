@@ -88,7 +88,7 @@ def tampered_output_dist(scheme, f, s, samples=None, rng=None):
     return sampled_dist(scheme, f, samples, rng, s)
 
 
-def nm_error(scheme, f, ref, messages=None, samples=None, rng=None, eta=1e-6):
+def nm_error(scheme, f, ref, messages=None, samples=None, rng=None):
     """(value, radius, per_message) of the push_copy + statistical_distance
     loop, over each distinct message once, in first-seen order."""
     k = scheme.message_bits
@@ -97,7 +97,7 @@ def nm_error(scheme, f, ref, messages=None, samples=None, rng=None, eta=1e-6):
     for s in messages:
         dist = tampered_output_dist(scheme, f, s, samples=samples, rng=rng)
         per[s] = statistical_distance(dist, push_copy(ref, BitWord(s, k)))
-    radius = 0.0 if samples is None else confidence_radius(samples, eta)
+    radius = 0.0 if samples is None else confidence_radius(samples)
     return max(per.values()), radius, per
 
 

@@ -14,7 +14,7 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
-from nmcode import schemes
+from nmcode import core, schemes
 from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
 from nmcode.core import BOTTOM, SAME, BitWord, FiniteDist, GuardExceeded, RngSeed
 from nmcode.inner import InnerCode, InnerParams, sample_inner_code
@@ -362,7 +362,7 @@ class TestExactOracle:
     def test_guards_raise_before_any_table_is_built(self, monkeypatch):
         code = build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4168))
         f = BitTamperFn.identity(code.block_bits)
-        monkeypatch.setattr(schemes, "MAX_EXACT_ENCODINGS", code.encoding_count(0) - 1)
+        monkeypatch.setattr(core, "TABLE_CELLS", code.encoding_count(0) - 1)
         for run in (
             lambda: schemes.reference_dist(code, f),
             lambda: schemes.tampered_output_dist(code, f, 3),

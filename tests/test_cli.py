@@ -448,6 +448,8 @@ class TestBadInput:
             ["inner", "sample", "--n", "0", "--k", "3", "--t", "4"],
             # The range check needs a narrow seed: 2^128 admits this z.
             ["perm", "derive", "--n", "8", "--seed-bits", "16", "--z", "99999999"],
+            # 2^3 seeds, of which the exact-tiny backend accepts 3! = 6.
+            ["perm", "derive", "--backend", "exact-tiny", "--n", "3", "--seed-bits", "3", "--z", "7"],
             ["inner", "verify", "--checks", "bogus"],
             ["inner", "verify", "--checks", ""],
             ["inner", "verify", "--seeds", "0"],

@@ -19,7 +19,7 @@ from nmcode.inner import InnerParams
 from nmcode.lecss import LecssCode, LecssParams
 from nmcode.perm import Permutation, derive_permutation
 from nmcode.tamper import BitTamperFn, canonical_adversaries, case1_family, random_tamper
-from nmcode import concat, perm, schemes
+from nmcode import core, perm, schemes
 
 from test_batch import oracle_exact_dist
 
@@ -342,7 +342,11 @@ class TestFold:
         # and 4 x 256 block-decode entries; the fold adds 8 seed segments x
         # 4 x 32 entries, 2,560 in all.
         assert code._payload_entries() == 1536
-        monkeypatch.setattr(concat, "DEFAULT_PERM_TABLE_GUARD", 2559)
+        # The exact rows below read LECSS's 4,096-entry table and the
+        # 4,096 byte-scatter entries, which the lowered limit would refuse.
+        code.lecss._codeword_tables()
+        code._scatter_tables()
+        monkeypatch.setattr(core, "TABLE_CELLS", 2559)
         rng = random.Random(4414)
         state = rng.getstate()
         with pytest.raises(GuardExceeded, match="fold-table entries"):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from marginal_oracle import oracle_worst_group_marginal
 
-from nmcode import core
+from nmcode import core, perm, schemes
+from nmcode.concat import build_concat, toy_concat_plan
 from nmcode.core import (
     BOTTOM,
     SAME,
@@ -23,6 +24,9 @@ from nmcode.core import (
     uniform_distance,
     worst_marginal,
 )
+from nmcode.inner import InnerCode, InnerParams
+from nmcode.lecss import LecssParams
+from nmcode.tamper import BitTamperFn, SplitStateTamperFn, enumerate_bit_tampers
 
 
 def bw(s):
@@ -422,3 +426,73 @@ class TestPropertyReport:
             PropertyReport("x", True, "none", 0.0, counterexample={"w": 1})
         with pytest.raises(ValueError):
             PropertyReport("x", False, "bad", 1.0)
+
+
+def _toy_code():
+    return build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4413))
+
+
+def _seed_table():
+    spec = perm.PermSpec(n=32, seed_bits=10)
+    return 32 << 10, lambda: perm.seed_table(spec), lambda: perm.seed_table.cache_info().currsize
+
+
+def _decode_table():
+    code = InnerCode(InnerParams(n=8, k=1, t=1), [[0], [255]])
+    return 1 << 8, code._batch_tables, lambda: code._tables
+
+
+def _codeword_table():
+    code = LecssParams(m=4, n=4, k=3, k0=1).build()
+    return 16**3, code._codeword_tables, lambda: code._tables
+
+
+def _randomness_vectors():
+    code = LecssParams(m=4, n=4, k=3, k0=1).build()
+    return 16, lambda: next(code.iter_encodings_int(0)), lambda: code._tables
+
+
+def _scatter_tables():
+    code = _toy_code()
+    return 4 * 4 * 256, code._scatter_tables, lambda: code._scatter
+
+
+def _payload_tables():
+    code = _toy_code()
+    return code._payload_entries(), code._payload_tables, lambda: code._payload
+
+
+def _fold_tables():
+    code = _toy_code()
+    return 2560, lambda: code.fold(BitTamperFn.complement(40)), lambda: code._payload
+
+
+def _exact_encodings():
+    code = _toy_code()
+    f = BitTamperFn.identity(40)
+    return code.encoding_count(3), lambda: schemes._counts(code, f, [3]), lambda: code.lecss._tables or code._scatter
+
+
+#: Each reader of core.TABLE_CELLS, built at the default limit: (entries
+#: it needs, the call that needs them, what it holds afterwards).
+TABLE_SITES = {
+    "seed-table cells": _seed_table,
+    "decode table": _decode_table,
+    "codewords": _codeword_table,
+    "randomness vectors": _randomness_vectors,
+    "permutation-table entries": _scatter_tables,
+    "payload-table entries": _payload_tables,
+    "fold-table entries": _fold_tables,
+    "encodings of one message": _exact_encodings,
+    "half tables": lambda: (4, lambda: SplitStateTamperFn([0] * 4, [0] * 4), lambda: None),
+    "adversaries": lambda: (16, lambda: next(enumerate_bit_tampers(2)), lambda: None),
+}
+
+
+@pytest.mark.parametrize("message", TABLE_SITES)
+def test_table_cells_bounds_every_table(monkeypatch, message):
+    entries, run, held = TABLE_SITES[message]()
+    monkeypatch.setattr(core, "TABLE_CELLS", entries - 1)
+    with pytest.raises(GuardExceeded, match=message):
+        run()
+    assert not held()

@@ -495,7 +495,7 @@ def oracle_error_detection(code):
     worst = Fraction(1)
     witness = None
     tested = 0
-    for f in enumerate_bit_tampers(p.n, guard=4**p.n):
+    for f in enumerate_bit_tampers(p.n):
         if f.is_identity() or f.is_constant():
             continue
         tested += 1

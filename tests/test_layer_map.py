@@ -3,17 +3,21 @@
 `perfbench/layers.py` lists the nmcode functions a traced benchmark run
 wraps, by module and qualified name. A rename in `src/` that it does not
 follow breaks `perfbench/run.py --trace 1` only when that mode runs, so
-this test resolves every entry on each tier-1 run. The file is loaded
-from its path and nothing in it is changed.
+this test resolves every entry on each tier-1 run. Likewise a removed
+parameter that a workload still passes breaks only a benchmark run, so
+every workload's first round runs here at its tiny size. The files are
+loaded from their paths and nothing in them is changed.
 """
 
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
-MAP = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MAP = runpy.run_path(str(PERFBENCH / "layers.py"))
 
 
 @pytest.mark.parametrize("layer", MAP["LAYERS"], ids=lambda layer: layer.name)
@@ -27,3 +31,20 @@ def test_layer_resolves_to_an_nmcode_callable(layer):
 def test_argument_counters_name_mapped_layers():
     names = {layer.name for layer in MAP["LAYERS"]}
     assert set(MAP["ARG_COUNTERS"]) <= names
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("name", MAP["WORKLOADS"])
+def test_tiny_workload_round_runs_and_checks(workloads, name):
+    verdicts = workloads.build(name, 1, "tiny").round(0)
+    assert verdicts
+    for verdict in verdicts:
+        verdict.check(verdict.run())

@@ -240,6 +240,15 @@ class TestOutOfDomainInputs:
         with pytest.raises(ValueError, match=match):
             check(self.TABLE, pair, f1, f2)
 
+    @pytest.mark.parametrize("xs, ys, match", [
+        ((-1,), (0,), r"first support has an entry outside \[0, 8\)"),
+        ((9,), (0,), r"first support has an entry outside \[0, 8\)"),
+        ((0,), (3, 8), r"second support has an entry outside \[0, 8\)"),
+    ])
+    def test_extraction_rejects(self, xs, ys, match):
+        with pytest.raises(ValueError, match=match):
+            check_extraction(self.TABLE, FlatSourcePair(xs, ys))
+
     @pytest.mark.parametrize("f1, f2, match", [
         (list(range(8)), SHIFT, "first tampering has a fixed point"),
         (SHIFT, [1, 0, 3, 2, 5, 4, 7, 7], "second tampering has a fixed point"),

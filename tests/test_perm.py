@@ -132,6 +132,14 @@ class TestDerivation:
         with pytest.raises(ValueError):
             derive_permutation(spec, 1 << 8)
 
+    def test_exact_tiny_seed_past_the_seed_space_rejected(self):
+        # Seeds 6 and 7 would alias seeds 0 and 1 through z mod 3!.
+        spec = PermSpec(n=3, seed_bits=3, backend=EXACT_TINY)
+        assert derive_permutation(spec, 5).forward == oracle_forward(spec, 5)
+        for z in (6, 7):
+            with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
+                derive_permutation(spec, z)
+
     @pytest.mark.parametrize("spec", [
         PermSpec(n=32, seed_bits=10),
         PermSpec(n=8, seed_bits=6),
@@ -244,9 +252,11 @@ class TestLimitedIndependence:
             rows.append(len(seeds))
             return derive_forwards(spec, seeds)
 
+        monkeypatch.setattr(perm, "derive_forwards", counting)
+        # The exhaustive sweep's passes are those of the seed table it builds.
         for trials, passes in ((500, 5), (1024, 11)):
             rows.clear()
-            rep = lwise_dependence_report(spec, trials=trials, seed=RngSeed.from_int(7), derive_fn=counting)
+            rep = lwise_dependence_report(spec, trials=trials, seed=RngSeed.from_int(7))
             assert len(rows) == passes and max(rows) == 100 and sum(rows) == trials
             assert report_triple(rep) == oracle_lwise(spec, trials, RngSeed.from_int(7))
 
@@ -283,14 +293,10 @@ class TestLimitedIndependence:
         assert float(rep.worst_value) < 0.01
         assert rep.details["uniformity"] == "assumed"
 
-    def test_constant_derivation_flagged_as_degenerate(self):
+    def test_constant_derivation_flagged_as_degenerate(self, monkeypatch):
         spec = PermSpec(n=4, ell=1, seed_bits=16)
-        rep = lwise_dependence_report(
-            spec,
-            trials=3000,
-            seed=RngSeed.from_int(3),
-            derive_fn=lambda sp, seeds: np.tile(np.arange(sp.n), (len(seeds), 1)),
-        )
+        monkeypatch.setattr(perm, "derive_forwards", lambda sp, seeds: np.tile(np.arange(sp.n), (len(seeds), 1)))
+        rep = lwise_dependence_report(spec, trials=3000, seed=RngSeed.from_int(3))
         assert not rep.passed
         assert rep.worst_value == Fraction(3, 4)  # 1 - 1/n at n = 4
         # All four singletons tie at 3/4; the first one is the witness.
@@ -345,7 +351,7 @@ class TestSeedTable:
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_spec_over_the_guard_is_not_memoised(self, monkeypatch):
-        monkeypatch.setattr(perm, "SEED_TABLE_CELLS", 32 * 1024 - 1)
+        monkeypatch.setattr(core, "TABLE_CELLS", 32 * 1024 - 1)
         with pytest.raises(GuardExceeded):
             perm.seed_table(self.SPEC)
         calls = self.spy(monkeypatch)
@@ -354,8 +360,7 @@ class TestSeedTable:
         assert calls == [1024]  # the sweep's own pass, no table
         assert perm.seed_table.cache_info().currsize == 0
 
-    def test_sampled_and_custom_derivations_never_read_the_memo(self):
+    def test_sampled_derivations_never_read_the_memo(self):
         lwise_dependence_report(self.SPEC, trials=300, seed=RngSeed.from_int(4))
-        lwise_dependence_report(self.SPEC, trials=1024, seed=RngSeed.from_int(4), derive_fn=derive_forwards)
         info = perm.seed_table.cache_info()
         assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
