@@ -7,14 +7,11 @@ assumption and is reported as such. "exact-tiny" (n <= 8) unranks the seed
 into the factorial table; over its accepted seed range every permutation
 is hit equally often, so uniformity is exact and testable by enumeration.
 
-`derive_forwards` is the batch derivation kernel: it maps a batch of
-seeds to their forward maps as one array. For the shuffle backend it seeds
-one Mersenne Twister per seed, pulls each seed's raw 32-bit outputs in one
-`getrandbits` call, and replays CPython's `randrange` rejection sampling
-and the Fisher-Yates swaps across all seeds at once in numpy, so its rows
-equal what `random.Random.shuffle` gives. `derive_permutation` derives one
-seed without numpy: it seeds `random.Random` from the same material and
-runs that `shuffle` itself.
+`derive_forwards` is the only code that turns a seed into a permutation:
+it maps a batch of seeds to their forward maps as one int32 array. The
+shuffle backend reseeds one `random.Random` from the SHA-256 of the spec
+and each seed and runs its `shuffle` on range(n). `derive_permutation` is
+its one-row case.
 
 `seed_table(spec)` holds every seed's forward map, derived once per
 process: a read-only (2^seed_bits, n) int32 array, memoised while it has
@@ -192,12 +189,6 @@ def _unrank(index: int, n: int) -> List[int]:
     return [pool.pop(d) for d in digits]
 
 
-def _word_budget(n: int) -> int:
-    """32-bit outputs drawn per seed before the shuffle replay; a seed that
-    needs more is drawn again with twice as many."""
-    return 3 * n // 2 + 16
-
-
 def _mt_seed(spec: PermSpec, z: int) -> int:
     """The shuffle backend's Mersenne Twister seed for seed z: the SHA-256
     of the spec and the seed."""
@@ -206,74 +197,24 @@ def _mt_seed(spec: PermSpec, z: int) -> int:
     return int.from_bytes(hashlib.sha256(material).digest(), "big")
 
 
-def _mt_words(spec: PermSpec, seeds: Sequence[int], budget: int) -> np.ndarray:
-    """Each seed's first `budget` Mersenne Twister outputs, one row per
-    seed, followed by n zero words.
-
-    `getrandbits(32 * budget)` returns the outputs with the first one in
-    the lowest 32 bits, so the little-endian bytes are the outputs in
-    order. A zero word is accepted by every randrange draw, so a row that
-    runs past its budget ends inside the padding instead of past the array.
-    """
-    row = 4 * (budget + spec.n)
-    raw = bytearray(row * len(seeds))
-    gen = random.Random()
-    for r, z in enumerate(seeds):
-        gen.seed(_mt_seed(spec, z))
-        raw[r * row : r * row + 4 * budget] = gen.getrandbits(32 * budget).to_bytes(4 * budget, "little")
-    return np.frombuffer(raw, dtype="<u4").reshape(len(seeds), budget + spec.n)
-
-
-def _replay_shuffle(words: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Fisher-Yates over every row of `words` at once.
-
-    For i = n-1 .. 1, CPython's randrange(i + 1) takes the top k bits of
-    the next output, k = (i + 1).bit_length(), and draws again while they
-    exceed i; then positions i and j swap. Returns the forward maps and
-    the number of outputs each row used.
-    """
-    count, width = words.shape
-    flat = words.ravel()
-    start = np.arange(count, dtype=np.int64) * width
-    pos = start.copy()  # each row's next output in `flat`
-    forward = np.tile(np.arange(n, dtype=np.int32), (count, 1))
-    cells = forward.ravel()
-    base = np.arange(count, dtype=np.int64) * n
-    for i in range(n - 1, 0, -1):
-        shift = 32 - (i + 1).bit_length()
-        j = flat[pos] >> shift
-        redo = (j > i).nonzero()[0]
-        while redo.size:
-            again = pos[redo] + 1
-            pos[redo] = again
-            drawn = flat[again] >> shift
-            j[redo] = drawn
-            redo = redo[drawn > i]
-        pos += 1
-        at = base + j
-        picked = cells[at]
-        cells[at] = forward[:, i]
-        forward[:, i] = picked
-    return forward, pos - start
-
-
-def _shuffle_forwards(spec: PermSpec, seeds: Sequence[int], budget: int) -> np.ndarray:
-    """The shuffle backend's rows, `budget` outputs per seed; rows that
-    ran past it are derived again with twice the budget."""
-    forward, used = _replay_shuffle(_mt_words(spec, seeds, budget), spec.n)
-    short = np.flatnonzero(used > budget)
-    if short.size:
-        forward[short] = _shuffle_forwards(spec, [seeds[r] for r in short], 2 * budget)
-    return forward
-
-
 def derive_forwards(spec: PermSpec, seeds: Sequence[int]) -> np.ndarray:
     """Forward maps of the seeds' permutations, one int32 row of length n
-    per seed; the seeds are Python ints in [0, 2^seed_bits)."""
-    if spec.backend == EXACT_TINY:
-        f = factorial(spec.n)
-        return np.array([_unrank(z % f, spec.n) for z in seeds], dtype=np.int32).reshape(len(seeds), spec.n)
-    return _shuffle_forwards(spec, seeds, _word_budget(spec.n))
+    per seed; the seeds are Python ints in [0, 2^seed_bits). This is the
+    only code that turns a seed into a permutation: the shuffle backend
+    reseeds one `random.Random` with `_mt_seed` and shuffles range(n), and
+    the factorial backend unranks z mod n!."""
+    n = spec.n
+    forwards = np.empty((len(seeds), n), dtype=np.int32)
+    gen = random.Random()
+    for r, z in enumerate(seeds):
+        if spec.backend == EXACT_TINY:
+            row = _unrank(z % factorial(n), n)
+        else:
+            gen.seed(_mt_seed(spec, z))
+            row = list(range(n))
+            gen.shuffle(row)
+        forwards[r] = row
+    return forwards
 
 
 @functools.lru_cache(maxsize=4)
@@ -295,15 +236,11 @@ def seed_table(spec: PermSpec) -> np.ndarray:
 
 def derive_permutation(spec: PermSpec, z: int) -> Permutation:
     """Deterministic permutation of seed value z: row z of
-    `derive_forwards`, derived by `random.Random.shuffle` itself. Raises
-    ValueError unless z lies in [0, spec.seed_space())."""
+    `derive_forwards`. Raises ValueError unless z lies in
+    [0, spec.seed_space())."""
     if not 0 <= z < spec.seed_space():
         raise ValueError(f"seed {z} outside [0, {spec.seed_space()})")
-    if spec.backend == EXACT_TINY:
-        return Permutation(_unrank(z % factorial(spec.n), spec.n))
-    forward = list(range(spec.n))
-    random.Random(_mt_seed(spec, z)).shuffle(forward)
-    return Permutation(forward)
+    return Permutation(derive_forwards(spec, [z])[0].tolist())
 
 
 def uniform_tuple_probability(n: int, size: int) -> Fraction:

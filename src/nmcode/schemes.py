@@ -274,6 +274,11 @@ def nm_error(
     sampler's reference row is then counted first in the first block's
     call, so it draws what `reference_dist` would draw before the rows and
     the scheme's fold is built once. The report carries the reference.
+
+    The canonical reference, `reference_dist`'s, is one feasible simulator,
+    so its value bounds `optimal_nm_error` from above, and the gap can be
+    total: a constant adversary onto a codeword of message 0 can score 1/2
+    against it where the optimal reference scores 0.
     """
     k = scheme.message_bits
     length = None if ref is None else ref.message_length()

@@ -198,6 +198,8 @@ def random_split_tamper(
         raise ValueError("split-state adversaries need an even length")
     half = n // 2
     size = 1 << half
+    if fixed_point_free and size < 2:
+        raise ValueError("a one-entry half table has no fixed-point-free value")
     tables = []
     for _ in range(2):
         t = []

@@ -178,11 +178,20 @@ class TestRunConfig:
          "3326175f54f91ce15efe31dbb74ff0692066050519f0ff820a8d4afb2ccb416c"),
         ("inner verify --n 6 --k 2 --t 8 --seeds 3 --checks detection",
          "b3154c2d7a9a48b900265a44ed4697367be251e30cd96d9446de84de1950edb6"),
+        ("perm derive --n 8 --z 3",
+         "fd1696f637f0d171364c0294b6ed63c2819861d68f0d6926be1a311354c96643"),
+        ("perm derive --n 5 --z 100 --backend exact-tiny --seed-bits 7",
+         "59ec4833ce24d2377170081cf2c00ba2a317fe53c07bf5c343aab786fddc9341"),
+        ("perm test --n 32 --ell 2 --seed-bits 10 --trials 1024",
+         "1857d52f225a361805474e66e5249a99446b33fb657ae7c9e780da86aabfe248"),
+        ("perm test --n 8 --ell 2 --trials 3000",
+         "bcf9c17078e12df75fb598f6fa62e863b51325bb430089fb2bcde439530f2775"),
     ])
     def test_results_pinned(self, line, digest):
-        """The `results` of the README encode/decode commands and of a
-        failing detection sweep (its witnesses included), pinned by the
-        SHA-256 of their JSON."""
+        """The `results` of the README encode/decode commands, of a failing
+        detection sweep (its witnesses included) and of the `perm` derive
+        and test operations (one exhaustive, one sampled l-wise test),
+        pinned by the SHA-256 of their JSON."""
         results = run_config(read_config(build_parser().parse_args(shlex.split(line))))["results"]
         assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
 

@@ -391,8 +391,21 @@ class TestNmError:
             with_ref = schemes.nm_error(code, f, ref).value
             optimal, _ = schemes.optimal_nm_error(code, f)
             assert optimal <= with_ref
-            # The standard sampler loses at most a small constant factor.
+            # On these three patterns the standard sampler's reference stays
+            # within a small constant factor of the optimum; in general the
+            # gap can be total (the next test).
             assert with_ref <= 3 * optimal + Fraction(1, 100)
+
+    def test_canonical_reference_gap_can_be_total(self):
+        # The constant adversary onto message 0's codeword: the canonical
+        # reference splits its mass between SAME and message 0, so message
+        # 1 sits 1/2 from it, while the point mass on message 0 is exact.
+        code = sample_inner_code(InnerParams(6, 1, 8), RngSeed.from_int(1))
+        f = BitTamperFn.constant(code.codebook[0][0], 6)
+        rep = schemes.nm_error(code, f, schemes.reference_dist(code, f))
+        assert rep.per_message == {0: 0, 1: Fraction(1, 2)}
+        optimal, _ = schemes.optimal_nm_error(code, f)
+        assert optimal == 0
 
     def test_optimal_reference_beats_random_candidates(self):
         code = self._code()

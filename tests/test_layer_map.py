@@ -5,8 +5,9 @@ wraps, by module and qualified name. A rename in `src/` that it does not
 follow breaks `perfbench/run.py --trace 1` only when that mode runs, so
 this test resolves every entry on each tier-1 run. Likewise a removed
 parameter that a workload still passes breaks only a benchmark run, so
-every workload's first round runs here at its tiny size. The files are
-loaded from their paths and nothing in them is changed.
+every workload's first round runs here at its tiny size, and so does the
+per-op table that `--trace 1` times. The files are loaded from their
+paths and nothing in them is changed.
 """
 
 import importlib
@@ -48,3 +49,15 @@ def test_tiny_workload_round_runs_and_checks(workloads, name):
     assert verdicts
     for verdict in verdicts:
         verdict.check(verdict.run())
+
+
+def test_op_table_times_every_op():
+    """`op_table` runs perm_for, apply_int, invert_int, encode_int(rng=)
+    and decode_int of each layer; five calls per op reach every one."""
+    table = runpy.run_path(str(PERFBENCH / "run.py"))["op_table"](1, 5)
+    ops = ["tamper.apply", "perm.apply", "perm.invert", "inner.encode", "inner.decode",
+           "lecss.encode", "lecss.decode", "concat.encode", "concat.decode"]
+    assert set(table) == {f"op.{op}.{m}" for op in ops for m in ("us", "loops")}
+    for op in ops:
+        assert table[f"op.{op}.loops"] == (5, "count")
+        assert table[f"op.{op}.us"][0] > 0

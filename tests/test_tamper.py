@@ -107,6 +107,13 @@ class TestSplitState:
         assert all(f.f1[x] != x for x in range(16))
         assert all(f.f2[x] != x for x in range(16))
 
+    def test_empty_halves_have_no_fixed_point_free_table(self):
+        # At n = 0 each half table has one entry, whose only value is 0.
+        with pytest.raises(ValueError):
+            random_split_tamper(0, True, random.Random(1))
+        f = random_split_tamper(0, False, random.Random(1))
+        assert f.n == 0 and f.f1.tolist() == f.f2.tolist() == [0]
+
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             SplitStateTamperFn([0] * (1 << 21), [0] * (1 << 21))
