@@ -186,12 +186,19 @@ class TestRunConfig:
          "1857d52f225a361805474e66e5249a99446b33fb657ae7c9e780da86aabfe248"),
         ("perm test --n 8 --ell 2 --trials 3000",
          "bcf9c17078e12df75fb598f6fa62e863b51325bb430089fb2bcde439530f2775"),
+        ("concat attack --adversaries 3 --messages 4 --samples 10000 --seed 3 --jobs 1",
+         "79db79cf00af5d838a338713b0dce26f089f1597f0a2a6ade166afb44114aac7"),
+        ("concat attack --adversaries 3 --messages 4 --samples 20000 --seed 3 --jobs 1",
+         "73664181236fbeddbb512d71314c0911b75615094d528a200c2a19e91fd89e12"),
     ])
     def test_results_pinned(self, line, digest):
         """The `results` of the README encode/decode commands, of a failing
-        detection sweep (its witnesses included) and of the `perm` derive
-        and test operations (one exhaustive, one sampled l-wise test),
-        pinned by the SHA-256 of their JSON."""
+        detection sweep (its witnesses included), of the `perm` derive
+        and test operations (one exhaustive, one sampled l-wise test) and of
+        two concat attacks, pinned by the SHA-256 of their JSON. The attacks'
+        reference rows are one piece of 10,000 runs (the CLI's default
+        sample count) and pieces of 16,384 and 3,616 runs, so a change to
+        `schemes.BATCH_ROWS` or to how pieces fill passes shows here."""
         results = run_config(read_config(build_parser().parse_args(shlex.split(line))))["results"]
         assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
 

@@ -10,7 +10,12 @@ encoding index per run, as the oracle's pieces do.
 import hashlib
 import json
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,31 +134,112 @@ def test_sampled_rows_pinned(name):
     assert digest == SAMPLED_PINS[name]
 
 
-@pytest.mark.parametrize("batch_rows", [64, 300, 2500])
+@pytest.mark.parametrize("batch_rows, pass_rows, samples", [
+    pytest.param(64, 64, 1000, id="64"),
+    pytest.param(300, 300, 1000, id="300"),
+    pytest.param(2500, 2500, 1000, id="2500"),
+    pytest.param(300, 128, 1000, id="300-128"),
+    pytest.param(2500, 1000, 3000, id="2500-1000"),
+])
 @pytest.mark.parametrize("name", ["concat", "extractor-4-2"])
-def test_stacked_passes_equal_oracle_across_pass_boundaries(name, batch_rows, monkeypatch):
+def test_stacked_passes_equal_oracle_across_pass_boundaries(name, batch_rows, pass_rows, samples,
+                                                            monkeypatch):
     """Rows of 1,000 runs cut into pieces of 64 or 300 runs, whose last
     piece does not fill a pass, and rows packed two to a pass of 2,500 runs;
-    the extractor code draws through an array `high`. Rows, reference and
-    report equal the oracle's one-row-at-a-time draws on the same seeds."""
+    then passes shorter than the pieces, which do not divide them: pieces of
+    300 runs in passes of 128, and rows of 3,000 runs cut into pieces of
+    2,500 and 500 in passes of 1,000. The extractor code draws through an
+    array `high`. Rows, reference, report and the final stream state equal
+    the oracle's one-row-at-a-time draws on the same seeds."""
     monkeypatch.setattr(schemes, "BATCH_ROWS", batch_rows)
+    monkeypatch.setattr(schemes, "_PASS_ROWS", pass_rows)
     code = CODES[name]
     k = code.message_bits
     nmsg = 1 << k
     f = _adversaries(code, random.Random(4380))[-1]
     ours, theirs = RngSeed.from_int(4381).stream(), RngSeed.from_int(4381).stream()
     entries = [1, None, nmsg - 1, 0, None]
-    rows = schemes._counts(code, f, entries, samples=1000, rng=ours)
-    assert rows.sum(axis=1).tolist() == [1000] * 5
+    rows = schemes._counts(code, f, entries, samples=samples, rng=ours)
+    assert rows.sum(axis=1).tolist() == [samples] * 5
     assert [schemes._dist(row, k) for row in rows] == [
-        oracle.sampled_dist(code, f, 1000, theirs, s) for s in entries
+        oracle.sampled_dist(code, f, samples, theirs, s) for s in entries
     ]
-    ref = schemes.reference_dist(code, f, samples=1000, rng=ours)
-    assert ref == oracle.reference_dist(code, f, samples=1000, rng=theirs)
+    ref = schemes.reference_dist(code, f, samples=samples, rng=ours)
+    assert ref == oracle.reference_dist(code, f, samples=samples, rng=theirs)
     messages = [(3 * i + 2) % nmsg for i in range(5)]
-    report = schemes.nm_error(code, f, ref, messages=messages, samples=1000, rng=ours)
-    _same_report(report, oracle.nm_error(code, f, ref, messages=messages, samples=1000, rng=theirs))
+    report = schemes.nm_error(code, f, ref, messages=messages, samples=samples, rng=ours)
+    _same_report(report, oracle.nm_error(code, f, ref, messages=messages, samples=samples, rng=theirs))
     assert ours.getstate() == theirs.getstate()
+
+
+def test_passes_pack_whole_pieces_up_to_the_pass_size(monkeypatch):
+    """The pieces of BATCH_ROWS runs fix the streams; passes pack whole
+    pieces up to _PASS_ROWS runs, a longer piece runs alone, and exact rows
+    run in passes of _PASS_ROWS encodings."""
+    assert (schemes.BATCH_ROWS, schemes._PASS_ROWS) == (1 << 14, 1 << 13)
+    code = build_concat(toy_concat_plan(), RngSeed.from_int(1))
+    f = random_tamper(code.block_bits, PROFILES[1], random.Random(4393))
+    lengths = []  # runs of each fold call, and words of each decode_many call
+
+    def fold(g):
+        run = type(code).fold(code, g)
+        return lambda msgs, index: lengths.append(len(msgs)) or run(msgs, index)
+
+    def decode_many(words):
+        lengths.append(len(words))
+        return type(code).decode_many(code, words)
+
+    monkeypatch.setattr(code, "fold", fold)
+    monkeypatch.setattr(code, "decode_many", decode_many)
+    rng = random.Random(4394)
+    schemes._counts(code, f, [None] + list(range(16)), samples=1000, rng=rng)
+    assert lengths == [8000, 8000, 1000]
+    lengths.clear()
+    schemes._counts(code, f, [None, 3, 7], samples=10000, rng=rng)
+    assert lengths == [10000] * 3
+    lengths.clear()
+    schemes._counts(code, f, [None, 3], samples=20000, rng=rng)
+    assert lengths == [16384, 3616] * 2
+    lengths.clear()
+    assert code.encoding_count(0) == 32768
+    assert schemes._counts(code, f, [0])[0].sum() == 32768
+    assert lengths == [8192] * 4
+
+
+# Twenty attack verdicts after five warm-up ones, in a fresh interpreter: the
+# minor page faults they take, from `ru_minflt`.
+_FAULT_PROBE = """
+import random, resource
+from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
+from nmcode.core import RngSeed
+from nmcode.tamper import random_tamper
+code = build_concat(toy_concat_plan(), RngSeed.from_int(1))
+rng = random.Random(4397)
+advs = [random_tamper(code.block_bits, (0.5, 0.25, 0.25), rng) for _ in range(25)]
+for i, f in enumerate(advs):
+    if i == 5:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    attack_experiment(code, f, messages=list(range(16)), samples=1000, seed=RngSeed.from_int(i))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the fault count is a property of glibc's allocator")
+def test_attack_verdicts_take_few_page_faults():
+    """Passes of at most 2^13 runs keep every int64 temporary under
+    glibc's 128 KiB mmap threshold, so a verdict reuses heap pages rather
+    than mapping and faulting in fresh ones. Passes of 2^14 runs took
+    hundreds of faults per verdict; the allocator's settings come from the
+    defaults, not from the environment."""
+    pytest.importorskip("resource")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 30 * 20
 
 
 @pytest.mark.parametrize("name", list(CODES))
