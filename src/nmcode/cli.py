@@ -352,8 +352,8 @@ def _concat_roundtrip(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) 
     gen = np.random.default_rng(seed.stream("cli.concat.roundtrip").getrandbits(128))
     msgs = np.repeat(np.arange(1 << code.message_bits, dtype=np.int64), draws)
     failures = 0
-    for lo in range(0, len(msgs), schemes._PASS_ROWS):
-        chunk = msgs[lo : lo + schemes._PASS_ROWS]
+    for lo in range(0, len(msgs), schemes.PASS_ROWS):
+        chunk = msgs[lo : lo + schemes.PASS_ROWS]
         index = gen.integers(0, code.encoding_count(0), size=len(chunk))
         failures += int(np.count_nonzero(code.decode_many(code.encode_many(chunk, index)) != chunk))
     return {

@@ -237,13 +237,6 @@ class LecssCode:
             "eval_points": self.points,
         }
 
-    @classmethod
-    def from_descriptor(cls, obj: dict) -> "LecssCode":
-        code = cls(obj["q"].bit_length() - 1, obj["n"], obj["k"], obj["k0"])
-        if code.field.poly != obj["modulus"]:
-            raise ValueError("modulus mismatch")
-        return code
-
     def __repr__(self):
         return f"LecssCode(q={self.q}, n={self.n}, k={self.k}, k0={self.k0})"
 

@@ -77,13 +77,6 @@ class ExtractorTable:
         """The table as a read-only (2^n, 2^n) int64 array, built once."""
         return self._array
 
-    def truncated(self, k: int) -> "ExtractorTable":
-        """Keep only the first k output bits."""
-        if not 0 <= k <= self.m:
-            raise ValueError("bad truncation width")
-        mask = (1 << k) - 1
-        return ExtractorTable(self.n, k, [e & mask for e in self.entries], self.seed)
-
     # -- serialization: one JSON header line, then a little-endian bitstream
 
     def save(self, fp) -> None:
@@ -266,12 +259,6 @@ class NmVerdict:
     optimal_distances: Dict[str, Fraction] = field(default_factory=dict)
     witness: Optional[dict] = None
 
-    @property
-    def overall_optimal(self) -> Fraction:
-        vals = [self.extraction_distance]
-        vals.extend(self.optimal_distances.values())
-        return max(vals)
-
     def to_json(self) -> dict:
         return {
             "extraction_distance": float(self.extraction_distance),
@@ -406,14 +393,6 @@ class ExtractorCode:
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         return self.by_word.take(words.astype(np.intp))
-
-    def encoding_bias(self) -> Fraction:
-        """Exact distance of the encoding of a uniform message from uniform.
-
-        Equals the extraction distance of the table on full-entropy
-        sources, coordinate for coordinate.
-        """
-        return uniform_distance(self.sizes, 1 << self.block_bits, 1 << self.message_bits)
 
 
 @dataclass

@@ -33,21 +33,21 @@ Every verdict reads the rows of one count kernel, `_counts`: per message s,
 decode(f(encode(s))) runs on numpy arrays (uint64 words, int64 messages)
 and `np.bincount` counts the outcomes into an int64 row of 2^k + 2 cells:
 0 decoder failure, 1 + m message m, 2^k + 1 SAME. An exact row counts
-every encoding of s; a sampled row counts `samples` runs drawn by its own
-numpy generator, seeded with 128 bits of the caller's stream. All sampling
-randomness is drawn there: per piece of a row (at most BATCH_ROWS runs),
-the messages (a row of uniform messages only), then one uniform encoding
-index per run. The pieces define the streams; the passes only bound the
-working set. Sampled rows share passes: whole pieces of consecutive rows
-run as one array of at most _PASS_ROWS = 2^13 runs, whose int64
-temporaries stay under glibc's 128 KiB mmap threshold, and a longer piece
-runs alone. So a row's runs do not depend on the rows it shares a pass
-with, nor a fixed-message row's on where its pieces split. A sampled
-pass under a `BitTamperFn` runs through `scheme.fold(f)`, built once per
-`_counts` call, when the scheme has that member: `ConcatCode` folds the
-adversary into per-block tables, so a run never forms its codeword
-(see `ConcatCode.fold`). Every other pass, and every exact row, runs the
-words through `decode_many(f.apply_many(...))`.
+every encoding of s; a sampled row counts `samples` runs. All sampling
+randomness is drawn there, from two numpy generators per `_counts` call,
+seeded with 128 bits each of the caller's stream: the first draws the
+uniform message of every run of an entry None, the second one uniform
+encoding index per run. The rows lie end to end in entry order, and each
+generator is read in run order. Passes of at most PASS_ROWS = 2^13 runs
+only bound the working set, keeping each int64 temporary under glibc's
+128 KiB mmap threshold; no run depends on where the passes cut. A
+sampled pass under a `BitTamperFn` runs through `scheme.fold(f)`, built
+once per `_counts` call, when the scheme has that member: `ConcatCode`
+folds the adversary into per-block tables, so a run never forms its
+codeword (see `ConcatCode.fold`). Every other pass, and every exact row,
+runs the words through `decode_many(f.apply_many(...))`. `nm_error`
+counts its messages in blocks of about `core.TABLE_CELLS` count cells,
+one `_counts` call (and one fold) per block.
 
 The reference distribution for an adversary is that of the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
@@ -83,15 +83,12 @@ from . import lp
 
 #: Widest word the batch kernels hold (one uint64 per word).
 MAX_WORD_BITS = 64
-#: Most runs of one sampled row drawn in one piece. The pieces fix every
-#: sampled stream, so changing this value changes every sampled report.
-BATCH_ROWS = 1 << 14
-#: Most runs encoded, tampered and decoded in one pass, unless one piece is
-#: longer. This bounds the working set and leaves the streams alone. At
-#: 2^13 runs an int64 temporary of a pass is 64 KiB, half of glibc's
-#: 128 KiB mmap threshold. At that size or above, each temporary gets its
-#: own mapping, and every pass faults the freed pages back in.
-_PASS_ROWS = 1 << 13
+#: Most runs or encodings decoded in one pass. This bounds the working set
+#: and leaves the streams alone. At 2^13 runs an int64 temporary of a pass
+#: is 64 KiB, half of glibc's 128 KiB mmap threshold. At that size or
+#: above, each temporary gets its own mapping, and every pass faults the
+#: freed pages back in.
+PASS_ROWS = 1 << 13
 
 
 def check_word_bits(scheme) -> None:
@@ -135,22 +132,18 @@ def _counts(
     Exact mode (samples=None) counts every encoding of s, so the row sums
     to encoding_count(s). Sampled mode counts `samples` runs per row; an
     entry None draws a uniform message per run and counts a decode to it as
-    SAME, the only rows with SAME counts. Each row draws from its own
-    generator, seeded with 128 bits of `rng` in row order, in pieces of at
-    most BATCH_ROWS runs: a piece of an entry None draws its messages, then
-    every piece draws one index in [0, encoding_count) per run, with a
-    scalar bound and `size` when the code's counts are uniform and a
-    per-message array otherwise. The pieces define the streams. Passes
-    bound the working set: whole consecutive pieces share a pass of at
-    most _PASS_ROWS runs (a longer piece runs alone), run by one call (the
-    scheme's `fold(f)` when it has one and f is a BitTamperFn, else
-    encode_many, f.apply_many and decode_many) and counted by one
-    `bincount` over row * (2^k + 2) + cell. Pieces are drawn in row order
-    and piece order, so each generator draws its pieces in order however
-    they fall into passes. Exact rows run in passes of _PASS_ROWS
-    encodings. Entries are checked and the fold is built before any draw:
-    a bad entry raises ValueError, and a fold over its guard
-    GuardExceeded, leaving `rng` as it was.
+    SAME, the only rows with SAME counts. The rows lie end to end in entry
+    order, and two generators, seeded with 128 bits each of `rng`, are read
+    in run order: the first draws the messages of the None rows' runs, the
+    second one index in [0, encoding_count) per run, with a scalar bound
+    when the code's counts are uniform and a per-message array otherwise.
+    Passes of at most PASS_ROWS runs or encodings bound the working set and
+    do not move a draw. A sampled pass runs by one call (the scheme's
+    `fold(f)` when it has one and f is a BitTamperFn, else encode_many,
+    f.apply_many and decode_many) and is counted by one `bincount` over
+    row * (2^k + 2) + cell. Entries are checked and the fold is built
+    before any draw: a bad entry raises ValueError, and a fold over its
+    guard GuardExceeded, leaving `rng` as it was.
     """
     nmsg = 1 << scheme.message_bits
     width = nmsg + 2
@@ -167,8 +160,8 @@ def _counts(
             )
         for row, s, size in zip(rows, messages, sizes):
             words = scheme.encodings_many(s)
-            for lo in range(0, size, _PASS_ROWS):
-                cells = scheme.decode_many(f.apply_many(words[lo : lo + _PASS_ROWS])) + 1
+            for lo in range(0, size, PASS_ROWS):
+                cells = scheme.decode_many(f.apply_many(words[lo : lo + PASS_ROWS])) + 1
                 row += np.bincount(cells, minlength=width)
         return rows
     if hasattr(scheme, "fold") and isinstance(f, BitTamperFn):
@@ -176,33 +169,18 @@ def _counts(
     else:
         def run(msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
             return scheme.decode_many(f.apply_many(scheme.encode_many(msgs, index)))
-    gens = [np.random.default_rng(rng.getrandbits(128)) for _ in messages]
-    passes, used = [], _PASS_ROWS  # each pass a list of (row, runs) pieces
-    for r in range(len(messages)):
-        for done in range(0, samples, BATCH_ROWS):
-            size = min(BATCH_ROWS, samples - done)
-            if used + size > _PASS_ROWS:
-                passes.append([])
-                used = 0
-            passes[-1].append((r, size))
-            used += size
-    for pieces in passes:
-        first = pieces[0][0]
-        msgs, index = [], []
-        for r, size in pieces:
-            gen, s = gens[r], messages[r]
-            drawn = gen.integers(0, nmsg, size=size) if s is None else np.full(size, s, dtype=np.int64)
-            msgs.append(drawn)
-            index.append(gen.integers(0, scheme.encoding_count(drawn), size=size))
-        cells = run(np.concatenate(msgs), np.concatenate(index))
-        lo = 0
-        for (r, size), drawn in zip(pieces, msgs):
-            piece = cells[lo : lo + size]
-            if messages[r] is None:
-                piece[piece == drawn] = nmsg  # the SAME cell, once shifted by 1
-            piece += (r - first) * width + 1
-            lo += size
-        span = pieces[-1][0] + 1 - first
+    fixed = np.array([-1 if s is None else s for s in messages], dtype=np.int64)
+    draw_msgs, draw_index = (np.random.default_rng(rng.getrandbits(128)) for _ in range(2))
+    total = len(messages) * samples
+    for lo in range(0, total, PASS_ROWS):
+        row = np.arange(lo, min(lo + PASS_ROWS, total)) // samples
+        msgs = fixed[row]
+        free = msgs < 0
+        msgs[free] = draw_msgs.integers(0, nmsg, size=np.count_nonzero(free))
+        cells = run(msgs, draw_index.integers(0, scheme.encoding_count(msgs), size=len(msgs)))
+        cells[free & (cells == msgs)] = nmsg  # the SAME cell, once shifted by 1
+        first, span = row[0], row[-1] + 1 - row[0]
+        cells += (row - first) * width + 1
         rows[first : first + span] += np.bincount(cells, minlength=span * width).reshape(span, width)
     return rows
 
@@ -282,15 +260,14 @@ def nm_error(
     0.0 in exact mode, the two-sided Hoeffding radius at confidence
     1 - 10^-6 otherwise. Every message is checked before any draw; a
     repeated message counts once, in first-seen order. The rows are then
-    counted by one `_counts` call per block of BATCH_ROWS >> k messages,
-    so about BATCH_ROWS count cells are held at a time and a block's
-    sampled rows share passes. Each row's stream is fixed by its pieces of
-    BATCH_ROWS runs; the passes of _PASS_ROWS runs only bound the working
-    set, so neither the blocks nor the passes move a stream. In sampled
-    mode ref may be None: the standard sampler's reference row is then
-    counted first in the first block's call, so it draws what
-    `reference_dist` would draw before the rows and the scheme's fold is
-    built once. The report carries the reference.
+    counted by one `_counts` call per block of TABLE_CELLS // (2^k + 2)
+    messages, so about `core.TABLE_CELLS` count cells are held at a time
+    and each block builds the scheme's fold once. Each call seeds its own
+    two generators, so a row's draws depend on the rows before it in its
+    block. In sampled mode ref may be None: the standard sampler's
+    reference row is then counted first in the first block's call, so it
+    equals `reference_dist` on the same seed. The report carries the
+    reference.
 
     The canonical reference, `reference_dist`'s, is one feasible simulator,
     so its value bounds `optimal_nm_error` from above, and the gap can be
@@ -309,7 +286,7 @@ def nm_error(
     if ref is None and samples is None:
         raise ValueError("exact nm_error needs a reference")
     per: Dict[int, Fraction] = {}
-    step = max(1, BATCH_ROWS >> k)
+    step = max(1, core.TABLE_CELLS // ((1 << k) + 2))
     for lo in range(0, len(messages), step):
         block = messages[lo : lo + step]
         rows = _counts(scheme, f, [None] * (ref is None) + block, samples, rng)

@@ -4,10 +4,11 @@ These are the definitions that `schemes._counts` and the verdicts reading
 its rows compute on integer cells: one `FiniteDist` per message, built
 from `np.bincount` counts of the batch kernels (exact counts kept per
 encoding count and combined over the lcm of the counts; sampled runs from
-one numpy generator per distribution, seeded with 128 bits of the caller's
-stream), each message's distance taken as `statistical_distance` to
-`push_copy` of the reference, and the minimax LP groups read back from the
-per-message distributions cell by cell and solved by `two_row_minimax`.
+two numpy generators per call, seeded with 128 bits each of the caller's
+stream and read a whole row at a time), each message's distance taken as
+`statistical_distance` to `push_copy` of the reference, and the minimax
+LP groups read back from the per-message distributions cell by cell and
+solved by `two_row_minimax`.
 """
 
 import math
@@ -24,29 +25,32 @@ def _symbol(cell, k):
     return BOTTOM if cell == 0 else SAME if cell > 1 << k else BitWord(cell - 1, k)
 
 
-def sampled_dist(scheme, f, samples, rng, message):
-    """`samples` runs of decode(f(encode(s))); with message=None s is drawn
-    uniformly per run and a decode to it counts as SAME. Each piece of runs
-    draws its messages (message=None only), then one encoding index per run."""
+def sampled_dists(scheme, f, samples, rng, entries):
+    """One distribution of `samples` runs of decode(f(encode(s))) per entry
+    s; an entry None draws s uniformly per run and counts a decode to it as
+    SAME. Two generators per call: the first draws the messages of the None
+    entries, the second one encoding index per run, a whole row at a time
+    in entry order."""
     if rng is None:
         raise ValueError("sampled mode needs an rng")
     schemes.check_word_bits(scheme)
     k = scheme.message_bits
     nmsg = 1 << k
-    gen = np.random.default_rng(rng.getrandbits(128))
-    counts = np.zeros(nmsg + 2, dtype=np.int64)
-    for done in range(0, samples, schemes.BATCH_ROWS):
-        rows = min(schemes.BATCH_ROWS, samples - done)
+    draw_msgs = np.random.default_rng(rng.getrandbits(128))
+    draw_index = np.random.default_rng(rng.getrandbits(128))
+    dists = []
+    for message in entries:
         if message is None:
-            msgs = gen.integers(0, nmsg, size=rows)
+            msgs = draw_msgs.integers(0, nmsg, size=samples)
         else:
-            msgs = np.full(rows, message, dtype=np.int64)
-        index = gen.integers(0, scheme.encoding_count(msgs), size=rows)
+            msgs = np.full(samples, message, dtype=np.int64)
+        index = draw_index.integers(0, scheme.encoding_count(msgs), size=samples)
         cells = scheme.decode_many(f.apply_many(scheme.encode_many(msgs, index))) + 1
         if message is None:
             cells[cells == msgs + 1] = nmsg + 1
-        counts += np.bincount(cells, minlength=nmsg + 2)
-    return FiniteDist.from_counts({_symbol(int(i), k): int(counts[i]) for i in np.flatnonzero(counts)})
+        counts = np.bincount(cells, minlength=nmsg + 2)
+        dists.append(FiniteDist.from_counts({_symbol(int(i), k): int(counts[i]) for i in np.flatnonzero(counts)}))
+    return dists
 
 
 def exact_dist(scheme, f, message):
@@ -79,24 +83,26 @@ def exact_dist(scheme, f, message):
 def reference_dist(scheme, f, samples=None, rng=None):
     if samples is None:
         return exact_dist(scheme, f, None)
-    return sampled_dist(scheme, f, samples, rng, None)
+    return sampled_dists(scheme, f, samples, rng, [None])[0]
 
 
 def tampered_output_dist(scheme, f, s, samples=None, rng=None):
     if samples is None:
         return exact_dist(scheme, f, s)
-    return sampled_dist(scheme, f, samples, rng, s)
+    return sampled_dists(scheme, f, samples, rng, [s])[0]
 
 
 def nm_error(scheme, f, ref, messages=None, samples=None, rng=None):
     """(value, radius, per_message) of the push_copy + statistical_distance
-    loop, over each distinct message once, in first-seen order."""
+    loop, over each distinct message once, in first-seen order; sampled
+    rows come from one `sampled_dists` call."""
     k = scheme.message_bits
-    messages = dict.fromkeys(range(1 << k) if messages is None else messages)
-    per = {}
-    for s in messages:
-        dist = tampered_output_dist(scheme, f, s, samples=samples, rng=rng)
-        per[s] = statistical_distance(dist, push_copy(ref, BitWord(s, k)))
+    messages = list(dict.fromkeys(range(1 << k) if messages is None else messages))
+    if samples is None:
+        dists = [exact_dist(scheme, f, s) for s in messages]
+    else:
+        dists = sampled_dists(scheme, f, samples, rng, messages)
+    per = {s: statistical_distance(dist, push_copy(ref, BitWord(s, k))) for s, dist in zip(messages, dists)}
     radius = 0.0 if samples is None else confidence_radius(samples)
     return max(per.values()), radius, per
 

@@ -271,7 +271,7 @@ class TestSampledMode:
     def test_samples_beyond_one_pass_are_chunked(self, monkeypatch):
         code = sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4150))
         f = BitTamperFn.from_str("KKF0KKK1")
-        monkeypatch.setattr(schemes, "BATCH_ROWS", 64)
+        monkeypatch.setattr(schemes, "PASS_ROWS", 64)
         dist = schemes.reference_dist(code, f, samples=1000, rng=RngSeed.from_int(4151).stream())
         assert dist.samples == 1000
         assert sum(p for _, p in dist.items()) == 1

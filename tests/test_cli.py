@@ -143,13 +143,14 @@ class TestRunConfig:
         """The rows of a sampled concat-attack report, pinned by the SHA-256
         of their JSON: every adversary's reference, per-message estimates and
         radius stay identical as long as no RNG stream changes. Re-pinned
-        when concat encoding became one encoding index per run and the
-        attacked messages became distinct."""
+        when concat encoding became one encoding index per run, when the
+        attacked messages became distinct, and when `schemes._counts` went
+        from one generator per row to two per call."""
         argv = ["concat", "attack", "--adversaries", "12", "--messages", "4",
                 "--samples", "1000", "--seed", "3", "--jobs", "1"]
         rows = run_config(read_config(build_parser().parse_args(argv)))["results"]["rows"]
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-        assert digest == "3cab6ed50eccaf2a7548fafba9c38b2b4f14013a68541d3d74ec959c813f9cf3"
+        assert digest == "0ecfd35d70e981fac990f653a6d4a38cc576922d4422036ee7bf041733d32f4a"
 
     def test_reduce_rows_pinned(self):
         """An m = 2 reduction report, pinned by SHA-256: the `results` that
@@ -187,18 +188,20 @@ class TestRunConfig:
         ("perm test --n 8 --ell 2 --trials 3000",
          "bcf9c17078e12df75fb598f6fa62e863b51325bb430089fb2bcde439530f2775"),
         ("concat attack --adversaries 3 --messages 4 --samples 10000 --seed 3 --jobs 1",
-         "79db79cf00af5d838a338713b0dce26f089f1597f0a2a6ade166afb44114aac7"),
+         "de8caa8a255303d7a6177574e6606b439e1f659f6d67a078cf4845fd0e85a902"),
         ("concat attack --adversaries 3 --messages 4 --samples 20000 --seed 3 --jobs 1",
-         "73664181236fbeddbb512d71314c0911b75615094d528a200c2a19e91fd89e12"),
+         "505b51f64103a735fa881a2d453494c594594fbfcec915fe063021c21d12c54b"),
     ])
     def test_results_pinned(self, line, digest):
         """The `results` of the README encode/decode commands, of a failing
         detection sweep (its witnesses included), of the `perm` derive
         and test operations (one exhaustive, one sampled l-wise test) and of
-        two concat attacks, pinned by the SHA-256 of their JSON. The attacks'
-        reference rows are one piece of 10,000 runs (the CLI's default
-        sample count) and pieces of 16,384 and 3,616 runs, so a change to
-        `schemes.BATCH_ROWS` or to how pieces fill passes shows here."""
+        two concat attacks, pinned by the SHA-256 of their JSON. The attacks
+        count 10,000 (the CLI's default sample count) and 20,000 runs per
+        row, rows that passes of `schemes.PASS_ROWS` runs cut mid-row, so a
+        change to a sampled stream shows here. The attacks were re-pinned
+        when `schemes._counts` went from one generator per row to two per
+        call."""
         results = run_config(read_config(build_parser().parse_args(shlex.split(line))))["results"]
         assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
 

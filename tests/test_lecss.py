@@ -136,11 +136,6 @@ class TestBuild:
             mat = [[code.generator[i][j] for j in cols] for i in range(2)]
             assert invert_matrix(fld, mat) is not None
 
-    def test_descriptor_round_trip(self):
-        code = build_lecss(8, 0.5)
-        back = LecssCode.from_descriptor(code.descriptor())
-        assert back.generator == code.generator
-
 
 class TestEncodeDecode:
     @staticmethod

@@ -2,9 +2,9 @@
 against the per-message Fraction-dict path of `bit_tamper_oracle`.
 
 Sampled verdicts must equal the oracle on the same seeds: the kernel seeds
-one generator per row from the caller's stream in the oracle's order, and
-each piece of a row draws its messages (a None row only) and then one
-encoding index per run, as the oracle's pieces do.
+two generators per call from the caller's stream, as the oracle does, and
+reads them in run order over rows laid end to end, where the oracle draws
+a whole row at a time.
 """
 
 import hashlib
@@ -17,12 +17,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bit_tamper_oracle as oracle
-from nmcode import schemes
+from nmcode import core, schemes
 from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
-from nmcode.core import BitWord, FiniteDist, RngSeed
+from nmcode.core import BitWord, FiniteDist, RngSeed, push_copy, statistical_distance
 from nmcode.inner import InnerParams, sample_inner_code
 from nmcode.lecss import LecssCode
 from nmcode.nmext import ExtractorCode, sample_random_extractor
@@ -101,18 +102,19 @@ def test_sampled_verdicts_equal_oracle_on_the_same_seeds(name):
         assert ours.getstate() == theirs.getstate()
 
 
-# SHA-256 of `_sampled_rows` for every code but concat, taken while the batch
-# encoders still drew their own randomness: these codes draw one integer in
-# [0, encoding_count(s)) per run either way, so their streams must not move.
+# SHA-256 of `_sampled_rows` for every code but concat (whose sampled stream
+# `test_cli.py` pins): references and per-message errors stay identical as
+# long as no sampled stream changes. Re-pinned when `_counts` went from one
+# generator per row to two per call.
 SAMPLED_PINS = {
-    "inner-8-3": "8a0bb89e92a5496f1d7294c5b85b166c10e3523658ca38dfb5cb2ee4d91177ba",
-    "inner-6-2": "4c2468668956e60d6686e5542b587f890da1ee88958e20e4b741fc371331a577",
-    "lecss-4": "bff435c9e97d0a9962140e174284c7f005b00747d4124e2e5f2195bb7eaa5627",
-    "lecss-3": "c34e4bbc7a8d98bf4f5e5b7e877445172074ae60c4d70230175f618abad5e187",
-    "extractor-3-1": "5e930413b6ae9e0713624f79458180de98318ff4dd6c677ad02e55003e9063f8",
-    "extractor-3-2": "f6430d49ede839a97892c8b4690b7e33aad43bb4ac2be8fec64ad925b5c9a4c7",
-    "extractor-4-1": "76f8aaf96231735010268235076c4d921961a9bb7f9769d1e42c3c66099a3988",
-    "extractor-4-2": "e6b0acfc3866ae8edee5e6d11e68300b07d0cb3cdade8438cd71992c45086c92",
+    "inner-8-3": "517de5d59483fa12f1d32af3d63303a4269293f79bec9b640750845a3c597087",
+    "inner-6-2": "7fde8048218d90048dea73f3c43122d8de5ea842fb6162b47f67a55072a27224",
+    "lecss-4": "ae469c638b791432300c03aa35a326d844818ceb354aa8dfc679b4a178b7353d",
+    "lecss-3": "659f5d5f3c6a3205e9aef9ad07eb4f3c5557aff95c5423f5c010a10ab271fb0b",
+    "extractor-3-1": "918ec6abc63a93072a527496d8fa2149a733e32946e6429548f7a2cf8a053269",
+    "extractor-3-2": "72501ed45e1311bf7fb93a7ae90a518f68c24e0914a215fcf47dcb838c4b58c9",
+    "extractor-4-1": "7fc73f52f2227b42bc79abb9770561f6af9654dd865859795fa2ae543082cdb4",
+    "extractor-4-2": "2373e437b06ae631471e1f582dc8cf405e44e67c75985f1d7e63a7fd8d70e61b",
 }
 
 
@@ -134,25 +136,22 @@ def test_sampled_rows_pinned(name):
     assert digest == SAMPLED_PINS[name]
 
 
-@pytest.mark.parametrize("batch_rows, pass_rows, samples", [
-    pytest.param(64, 64, 1000, id="64"),
-    pytest.param(300, 300, 1000, id="300"),
-    pytest.param(2500, 2500, 1000, id="2500"),
-    pytest.param(300, 128, 1000, id="300-128"),
-    pytest.param(2500, 1000, 3000, id="2500-1000"),
+@pytest.mark.parametrize("pass_rows, samples", [
+    pytest.param(64, 1000, id="64"),
+    pytest.param(300, 1000, id="300"),
+    pytest.param(2500, 1000, id="2500"),
+    pytest.param(128, 300, id="300-128"),
+    pytest.param(1000, 2500, id="2500-1000"),
 ])
 @pytest.mark.parametrize("name", ["concat", "extractor-4-2"])
-def test_stacked_passes_equal_oracle_across_pass_boundaries(name, batch_rows, pass_rows, samples,
-                                                            monkeypatch):
-    """Rows of 1,000 runs cut into pieces of 64 or 300 runs, whose last
-    piece does not fill a pass, and rows packed two to a pass of 2,500 runs;
-    then passes shorter than the pieces, which do not divide them: pieces of
-    300 runs in passes of 128, and rows of 3,000 runs cut into pieces of
-    2,500 and 500 in passes of 1,000. The extractor code draws through an
-    array `high`. Rows, reference, report and the final stream state equal
-    the oracle's one-row-at-a-time draws on the same seeds."""
-    monkeypatch.setattr(schemes, "BATCH_ROWS", batch_rows)
-    monkeypatch.setattr(schemes, "_PASS_ROWS", pass_rows)
+def test_stacked_passes_equal_oracle_across_pass_boundaries(name, pass_rows, samples, monkeypatch):
+    """Rows of 1,000 runs in passes of 64 or 300 runs, which do not divide
+    them, and in passes of 2,500 runs, which hold two and a half rows; then
+    rows of 300 runs in passes of 128 and rows of 2,500 in passes of 1,000
+    (the ids name rows-passes). The extractor code draws through an array
+    `high`. Rows, reference, report and the final stream state equal the
+    oracle's whole-row draws on the same seeds."""
+    monkeypatch.setattr(schemes, "PASS_ROWS", pass_rows)
     code = CODES[name]
     k = code.message_bits
     nmsg = 1 << k
@@ -161,9 +160,7 @@ def test_stacked_passes_equal_oracle_across_pass_boundaries(name, batch_rows, pa
     entries = [1, None, nmsg - 1, 0, None]
     rows = schemes._counts(code, f, entries, samples=samples, rng=ours)
     assert rows.sum(axis=1).tolist() == [samples] * 5
-    assert [schemes._dist(row, k) for row in rows] == [
-        oracle.sampled_dist(code, f, samples, theirs, s) for s in entries
-    ]
+    assert [schemes._dist(row, k) for row in rows] == oracle.sampled_dists(code, f, samples, theirs, entries)
     ref = schemes.reference_dist(code, f, samples=samples, rng=ours)
     assert ref == oracle.reference_dist(code, f, samples=samples, rng=theirs)
     messages = [(3 * i + 2) % nmsg for i in range(5)]
@@ -172,14 +169,39 @@ def test_stacked_passes_equal_oracle_across_pass_boundaries(name, batch_rows, pa
     assert ours.getstate() == theirs.getstate()
 
 
-def test_passes_pack_whole_pieces_up_to_the_pass_size(monkeypatch):
-    """The pieces of BATCH_ROWS runs fix the streams; passes pack whole
-    pieces up to _PASS_ROWS runs, a longer piece runs alone, and exact rows
-    run in passes of _PASS_ROWS encodings."""
-    assert (schemes.BATCH_ROWS, schemes._PASS_ROWS) == (1 << 14, 1 << 13)
+@pytest.mark.parametrize("name", list(CODES))
+def test_rows_do_not_depend_on_the_pass_size(name, monkeypatch):
+    """Rows of uniform and of fixed messages come out identical at passes of
+    7, 128, 1,000 and PASS_ROWS runs, whether a pass cuts a row or holds
+    several. The adversary freezes the first and last bits, so a row's
+    counts depend on the encodings drawn."""
+    code = CODES[name]
+    nmsg = 1 << code.message_bits
+    if isinstance(code, ExtractorCode):
+        f = _adversaries(code, random.Random(4385))[-1]
+    else:
+        f = BitTamperFn.from_str("0" + "K" * (code.block_bits - 2) + "1")
+    entries = [0, None, nmsg - 1, 1, None, 0]
+    default = schemes._counts(code, f, entries, samples=500, rng=random.Random(4386))
+    assert ((default > 0).sum(axis=1) > 1).all()
+    for pass_rows in (7, 128, 1000):
+        monkeypatch.setattr(schemes, "PASS_ROWS", pass_rows)
+        rows = schemes._counts(code, f, entries, samples=500, rng=random.Random(4386))
+        assert (rows == default).all(), pass_rows
+
+
+def test_two_generators_per_call_and_passes_of_pass_rows(monkeypatch):
+    """A sampled `_counts` call seeds two numpy generators however many rows
+    it counts, and runs them in passes of PASS_ROWS runs; exact rows run in
+    passes of PASS_ROWS encodings."""
+    assert schemes.PASS_ROWS == 1 << 13
     code = build_concat(toy_concat_plan(), RngSeed.from_int(1))
     f = random_tamper(code.block_bits, PROFILES[1], random.Random(4393))
-    lengths = []  # runs of each fold call, and words of each decode_many call
+    seeded, lengths = [], []  # one entry per default_rng call; runs of each pass
+
+    def default_rng(seed):
+        seeded.append(seed)
+        return default_rng.real(seed)
 
     def fold(g):
         run = type(code).fold(code, g)
@@ -189,17 +211,19 @@ def test_passes_pack_whole_pieces_up_to_the_pass_size(monkeypatch):
         lengths.append(len(words))
         return type(code).decode_many(code, words)
 
+    default_rng.real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
     monkeypatch.setattr(code, "fold", fold)
     monkeypatch.setattr(code, "decode_many", decode_many)
     rng = random.Random(4394)
-    schemes._counts(code, f, [None] + list(range(16)), samples=1000, rng=rng)
-    assert lengths == [8000, 8000, 1000]
-    lengths.clear()
-    schemes._counts(code, f, [None, 3, 7], samples=10000, rng=rng)
-    assert lengths == [10000] * 3
-    lengths.clear()
-    schemes._counts(code, f, [None, 3], samples=20000, rng=rng)
-    assert lengths == [16384, 3616] * 2
+    for entries, samples, passes in (([None] + list(range(16)), 1000, [8192, 8192, 616]),
+                                     ([None, 3], 20000, [8192] * 4 + [7232]),
+                                     ([5], 10, [10])):
+        seeded.clear()
+        lengths.clear()
+        schemes._counts(code, f, entries, samples=samples, rng=rng)
+        assert len(seeded) == 2
+        assert lengths == passes
     lengths.clear()
     assert code.encoding_count(0) == 32768
     assert schemes._counts(code, f, [0])[0].sum() == 32768
@@ -242,27 +266,8 @@ def test_attack_verdicts_take_few_page_faults():
     assert int(done.stdout) <= 30 * 20
 
 
-@pytest.mark.parametrize("name", list(CODES))
-def test_fixed_message_rows_do_not_depend_on_the_piece_size(name, monkeypatch):
-    """A fixed-message row draws one encoding index per run from its own
-    generator, so cutting it into pieces of 7 runs draws the same stream.
-    The adversary freezes the first and last bits, so a row's counts
-    depend on the encodings drawn."""
-    code = CODES[name]
-    nmsg = 1 << code.message_bits
-    if isinstance(code, ExtractorCode):
-        f = _adversaries(code, random.Random(4385))[-1]
-    else:
-        f = BitTamperFn.from_str("0" + "K" * (code.block_bits - 2) + "1")
-    entries = [0, nmsg - 1, 1, 0]
-    default = schemes._counts(code, f, entries, samples=200, rng=random.Random(4386))
-    assert ((default > 0).sum(axis=1) > 1).all()
-    monkeypatch.setattr(schemes, "BATCH_ROWS", 7)
-    assert (schemes._counts(code, f, entries, samples=200, rng=random.Random(4386)) == default).all()
-
-
 def test_repeated_messages_count_once():
-    """[s, s, t] gives the report of [s, t], from the same two row seeds."""
+    """[s, s, t] gives the report of [s, t], from the same two generator seeds."""
     code = CODES["concat"]
     f = _adversaries(code, random.Random(4387))[-1]
     ref = schemes.reference_dist(code, f, samples=300, rng=random.Random(4388))
@@ -278,26 +283,31 @@ def test_repeated_messages_count_once():
     assert exact.per_message == schemes.nm_error(code, f, ref, messages=[9, 5]).per_message
 
 
-@pytest.mark.parametrize("block_rows", [None, 64])
-def test_reference_counted_with_the_message_rows(block_rows, monkeypatch):
-    """nm_error without a reference draws, in sampled mode, the stream of
-    reference_dist followed by nm_error, and builds the fold once; at
-    BATCH_ROWS 64 (one message per block) the reference row rides with the
-    first block. Exact mode needs a reference."""
+@pytest.mark.parametrize("pass_rows", [None, 64])
+def test_reference_counted_with_the_message_rows(pass_rows, monkeypatch):
+    """nm_error without a reference counts, in sampled mode, the reference
+    row first in its one `_counts` call, so the reference equals
+    reference_dist on the same seed, also when passes of 64 runs mix it
+    with the message rows; the message rows equal the oracle's from one
+    call, and the fold is built once. All 256 messages of the concat code
+    fit one block of `core.TABLE_CELLS` cells, so they build one fold too.
+    Exact mode needs a reference."""
     code = CODES["concat"]
     f = _adversaries(code, random.Random(4391))[-1]
-    if block_rows:
-        monkeypatch.setattr(schemes, "BATCH_ROWS", block_rows)
-    apart, together = random.Random(4392), random.Random(4392)
-    ref = schemes.reference_dist(code, f, samples=300, rng=apart)
-    expected = schemes.nm_error(code, f, ref, messages=[7, 2, 7, 40], samples=300, rng=apart)
+    if pass_rows:
+        monkeypatch.setattr(schemes, "PASS_ROWS", pass_rows)
+    ref = schemes.reference_dist(code, f, samples=300, rng=random.Random(4392))
     folds = []
     monkeypatch.setattr(code, "fold", lambda g: folds.append(g) or type(code).fold(code, g))
-    report = schemes.nm_error(code, f, None, messages=[7, 2, 7, 40], samples=300, rng=together)
-    assert len(folds) == (3 if block_rows else 1)
+    report = schemes.nm_error(code, f, None, messages=[7, 2, 7, 40], samples=300, rng=random.Random(4392))
+    assert len(folds) == 1
     assert report.reference == ref
-    assert report.per_message == expected.per_message and report.value == expected.value
-    assert together.getstate() == apart.getstate()
+    ref_dist, *dists = oracle.sampled_dists(code, f, 300, random.Random(4392), [None, 7, 2, 40])
+    assert ref_dist == ref
+    assert report.per_message == {s: statistical_distance(d, push_copy(ref, BitWord(s, code.message_bits)))
+                                  for s, d in zip([7, 2, 40], dists)}
+    schemes.nm_error(code, f, ref, samples=20, rng=random.Random(4393))
+    assert len(folds) == 2
     with pytest.raises(ValueError, match="needs a reference"):
         schemes.nm_error(code, f, None, messages=[3, 9])
 
@@ -326,7 +336,7 @@ def test_bad_messages_raise_before_any_draw(monkeypatch):
     state = rng.getstate()
     with pytest.raises(ValueError, match="at least one message"):
         schemes.nm_error(code, f, ref, messages=[], samples=20, rng=rng)
-    monkeypatch.setattr(schemes, "BATCH_ROWS", 64)  # one message per _counts call
+    monkeypatch.setattr(core, "TABLE_CELLS", 258)  # one message per _counts call
     with pytest.raises(ValueError, match="message 256 is not in"):
         schemes.nm_error(code, f, ref, messages=[0, 256], samples=20, rng=rng)
     assert rng.getstate() == state
