@@ -21,8 +21,6 @@ import time
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .core import BitWord, GuardExceeded, NmcodeError, RngSeed, dumps_report
 from .inner import (
     InnerParams,
@@ -99,19 +97,20 @@ class Operation:
 
 
 def parse_seed(raw) -> RngSeed:
-    if isinstance(raw, int):
+    """A seed from an int or a string: decimal digits are an int, any other
+    string is hex, with or without a 0x prefix."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return RngSeed.from_int(raw)
-    if isinstance(raw, str):
-        s = raw.strip().removeprefix("0x")
-        if s.isdigit():
-            return RngSeed.from_int(int(s))
-        if len(s) % 2:
-            s = "0" + s
-        try:
-            return RngSeed.from_hex(s)
-        except ValueError as e:
-            raise ConfigError(f"bad seed {raw!r}: {e}") from None
-    raise ConfigError("seed must be an int or a hex string")
+    s = raw.strip() if isinstance(raw, str) else ""
+    digits = s.removeprefix("0x")
+    if not digits:
+        raise ConfigError(f"seed must be an int or a nonempty hex string, not {raw!r}")
+    if s.isdecimal():
+        return RngSeed.from_int(int(s))
+    try:
+        return RngSeed.from_hex("0" * (len(digits) % 2) + digits)
+    except ValueError as e:
+        raise ConfigError(f"bad seed {raw!r}: {e}") from None
 
 
 def _is(kind: type, value) -> bool:
@@ -348,20 +347,9 @@ def _concat_decode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> 
 def _concat_roundtrip(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
     """Encode and decode every message `samples` times."""
     code = build_concat(toy_concat_plan(t_block=p["t_block"], t_seed=p["t_seed"]), seed)
-    draws = p["samples"]
-    gen = np.random.default_rng(seed.stream("cli.concat.roundtrip").getrandbits(128))
-    msgs = np.repeat(np.arange(1 << code.message_bits, dtype=np.int64), draws)
-    failures = 0
-    for lo in range(0, len(msgs), schemes.PASS_ROWS):
-        chunk = msgs[lo : lo + schemes.PASS_ROWS]
-        index = gen.integers(0, code.encoding_count(0), size=len(chunk))
-        failures += int(np.count_nonzero(code.decode_many(code.encode_many(chunk, index)) != chunk))
-    return {
-        "messages": 1 << code.message_bits,
-        "draws_per_message": draws,
-        "failures": failures,
-        "pass": failures == 0,
-    }
+    failures = schemes.roundtrip_failures(code, p["samples"], seed.stream("cli.concat.roundtrip"))
+    return {"messages": 1 << code.message_bits, "draws_per_message": p["samples"],
+            "failures": failures, "pass": failures == 0}
 
 
 @lru_cache(maxsize=1)

@@ -307,10 +307,11 @@ def message_minimax(
 ) -> Tuple[Fraction, List[Fraction]]:
     """Reference distribution d over the outputs plus SAME minimizing the
     worst message's distance: rows[i] counts, out of its sum sizes[i], the
-    outcomes of message messages[i] over the outputs (the messages, then
-    any further outcome such as decoder failure), explained by d with
-    SAME standing for output messages[i]. One budget row for every message
-    (see `_same_dual`). Returns (t, [d_0, ..., d_{outputs-1}, d_same])."""
+    outcomes of one message over the outputs (for `schemes`, its count
+    cells: decoder failure, then the messages), explained by d with SAME
+    standing for output messages[i], the message's own. One budget row for
+    every message (see `_same_dual`). Returns (t, [d_0, ..., d_{outputs-1},
+    d_same])."""
     for row, size in zip(rows, sizes):
         if sum(row) != size or not size:
             raise ValueError(f"size {size} of row {list(row)} is not its positive sum")

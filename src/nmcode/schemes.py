@@ -29,25 +29,26 @@ choices and a uniform index gives the encoder's distribution.
 int at a time; the tests use it as the reference for `encodings_many`.
 A message becomes a `BitWord` only as an outcome symbol of a `FiniteDist`.
 
-Every verdict reads the rows of one count kernel, `_counts`: per message s,
-decode(f(encode(s))) runs on numpy arrays (uint64 words, int64 messages)
-and `np.bincount` counts the outcomes into an int64 row of 2^k + 2 cells:
-0 decoder failure, 1 + m message m, 2^k + 1 SAME. An exact row counts
-every encoding of s; a sampled row counts `samples` runs. All sampling
-randomness is drawn there, from two numpy generators per `_counts` call,
-seeded with 128 bits each of the caller's stream: the first draws the
-uniform message of every run of an entry None, the second one uniform
-encoding index per run. The rows lie end to end in entry order, and each
-generator is read in run order. Passes of at most PASS_ROWS = 2^13 runs
-only bound the working set, keeping each int64 temporary under glibc's
-128 KiB mmap threshold; no run depends on where the passes cut. A
-sampled pass under a `BitTamperFn` runs through `scheme.fold(f)`, built
-once per `_counts` call, when the scheme has that member: `ConcatCode`
-folds the adversary into per-block tables, so a run never forms its
-codeword (see `ConcatCode.fold`). Every other pass, and every exact row,
-runs the words through `decode_many(f.apply_many(...))`. `nm_error`
-counts its messages in blocks of about `core.TABLE_CELLS` count cells,
-one `_counts` call (and one fold) per block.
+Every verdict is one call, or for `nm_error` one call per block of about
+`core.TABLE_CELLS` count cells, of one count kernel, `_counts`, and reads
+its rows in the kernel's own cell layout. Per message s, decode(f(encode(s)))
+runs on numpy arrays (uint64 words, int64 messages) and `np.bincount`
+counts the outcomes into an int64 row of 2^k + 2 cells: 0 decoder failure,
+1 + m message m, 2^k + 1 SAME. An exact row counts every encoding of s; a
+sampled row counts `samples` runs. The exact reference, the optimal error
+and `roundtrip_failures` (runs that decode to anything but their own
+message, under the identity adversary) count all messages in one call.
+All sampling randomness is drawn in `_counts`, from two numpy generators
+per call, seeded with 128 bits each of the caller's stream: the first
+draws the uniform message of every run of an entry None, the second one
+uniform encoding index per run. The rows lie end to end in entry order,
+and each generator is read in run order. Passes of at most PASS_ROWS =
+2^13 runs only bound the working set; no run depends on where the passes
+cut. A sampled pass under a `BitTamperFn` runs through `scheme.fold(f)`,
+built once per `_counts` call, when the scheme has that member:
+`ConcatCode` folds the adversary into per-block tables, so a run never
+forms its codeword (see `ConcatCode.fold`). Every other pass, and every
+exact row, runs the words through `decode_many(f.apply_many(...))`.
 
 The reference distribution for an adversary is that of the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
@@ -85,10 +86,16 @@ from . import lp
 MAX_WORD_BITS = 64
 #: Most runs or encodings decoded in one pass. This bounds the working set
 #: and leaves the streams alone. At 2^13 runs an int64 temporary of a pass
-#: is 64 KiB, half of glibc's 128 KiB mmap threshold. At that size or
-#: above, each temporary gets its own mapping, and every pass faults the
+#: is 64 KiB, half of glibc's default 128 KiB mmap threshold. At that size
+#: or above, each temporary gets its own mapping, and every pass faults the
 #: freed pages back in.
 PASS_ROWS = 1 << 13
+
+# Freeing one 2 MiB array raises glibc's mmap and heap-trim thresholds to
+# 2 and 4 MiB, so the heap top is no longer trimmed between passes and
+# faulted back in, which otherwise hinged on incidental heap layout (47k or
+# 57k minor faults per attack-fuzz benchmark run, by checkout path alone).
+np.empty(1 << 18)
 
 
 def check_word_bits(scheme) -> None:
@@ -203,22 +210,22 @@ def reference_dist(
     """Message-independent outcome distribution for adversary f.
 
     Sampled mode draws `samples` runs of the experiment. Exact mode
-    (samples=None) moves each message's own-message cell to SAME and
-    weighs its row by 1/(2^k * encoding_count(s)): rows are summed per
-    encoding count, then combined over the lcm of the counts in Python
-    ints, as the lcm can pass 2^63 (the buckets of `ExtractorCode`).
+    (samples=None) counts every message in one `_counts` call, moves each
+    row's own-message cell to SAME and weighs the row by
+    1/(2^k * encoding_count(s)): rows are summed per row sum, then
+    combined over the lcm of the sums in Python ints, as the lcm can pass
+    2^63 (the unequal preimages of `ExtractorCode`).
     """
     k = scheme.message_bits
     if samples is not None:
         return _dist(_counts(scheme, f, [None], samples, rng)[0], k)
-    buckets: Dict[int, np.ndarray] = {}  # encoding count -> summed rows
-    for s in range(1 << k):
-        row = _counts(scheme, f, [s])[0]
-        row[-1], row[s + 1] = row[s + 1], 0
-        size = scheme.encoding_count(s)
-        buckets[size] = buckets.get(size, 0) + row
-    lcm = math.lcm(*buckets)
-    cells = sum(row.astype(object) * (lcm // size) for size, row in buckets.items())
+    rows = _counts(scheme, f, range(1 << k))
+    own = np.arange(1 << k)
+    rows[own, -1], rows[own, own + 1] = rows[own, own + 1], 0
+    sums = rows.sum(axis=1)
+    sizes = np.unique(sums).tolist()
+    lcm = math.lcm(*sizes)
+    cells = sum(rows[sums == size].sum(axis=0).astype(object) * (lcm // size) for size in sizes)
     return _dist(cells, k, lcm << k)
 
 
@@ -317,26 +324,28 @@ def optimal_nm_error(
 ) -> Tuple[Fraction, FiniteDist]:
     """Exact minimum, over reference distributions, of the worst-case distance.
 
-    Solves the minimax as a rational LP over the outcome alphabet
-    (all messages plus decoder failure) extended with SAME, one
-    `lp.message_minimax` group per message. Exact-mode enumeration of the
-    scheme is required; meant for toy scales.
+    Solves the minimax as a rational LP over the count cells of one exact
+    `_counts` call (decoder failure and every message) extended with SAME,
+    one `lp.message_minimax` group per message, whose own cell is s + 1.
+    Exact-mode enumeration of the scheme is required; meant for toy scales.
     """
     k = scheme.message_bits
     messages = list(range(1 << k) if messages is None else messages)
     rows = _counts(scheme, f, messages)
-    # LP outcome o < 2^k is message o; outcome 2^k is decoder failure.
-    outcomes = np.concatenate([rows[:, 1:-1], rows[:, :1]], axis=1)
-    value, x = lp.message_minimax(outcomes.tolist(), rows.sum(axis=1).tolist(), messages)
-    symbols = [BitWord(o, k) for o in range(1 << k)] + [BOTTOM, SAME]
-    return value, FiniteDist({sym: p for sym, p in zip(symbols, x) if p > 0})
+    own = [s + 1 for s in messages]
+    value, x = lp.message_minimax(rows[:, :-1].tolist(), rows.sum(axis=1).tolist(), own)
+    return value, FiniteDist({_symbol(cell, k): p for cell, p in enumerate(x) if p > 0})
+
+
+def roundtrip_failures(scheme, samples: Optional[int] = None, rng: Optional[random.Random] = None) -> int:
+    """Runs of decode(encode(s)) that miss s, over every message s, from one
+    `_counts` call under the identity adversary: every encoding of each
+    message in exact mode (samples=None), `samples` runs each otherwise."""
+    nmsg = 1 << scheme.message_bits
+    rows = _counts(scheme, BitTamperFn.identity(scheme.block_bits), range(nmsg), samples, rng)
+    return int(rows.sum() - np.trace(rows, offset=1))  # row s's own cell is s + 1
 
 
 def roundtrip_exhaustive(scheme) -> bool:
-    """decode(encode(s)) == s over every message and every encoder choice:
-    under the identity adversary each row's own-message cell holds it all."""
-    identity = BitTamperFn.identity(scheme.block_bits)
-    return all(
-        _counts(scheme, identity, [s])[0, s + 1] == scheme.encoding_count(s)
-        for s in range(1 << scheme.message_bits)
-    )
+    """decode(encode(s)) == s over every message and every encoder choice."""
+    return roundtrip_failures(scheme) == 0

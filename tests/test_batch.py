@@ -358,6 +358,11 @@ class TestExactOracle:
         # Encode with the swapped codebook, decode with the original table.
         swapped._tables = (np.array(book, dtype=np.uint64), code._batch_tables()[1])
         assert not schemes.roundtrip_exhaustive(swapped)
+        # Exactly the two swapped encodings miss; a sampled round trip of 200
+        # runs per message misses too, and the unswapped code never does.
+        assert schemes.roundtrip_failures(swapped) == 2
+        assert schemes.roundtrip_failures(swapped, samples=200, rng=random.Random(4169)) > 0
+        assert schemes.roundtrip_failures(code, samples=200, rng=random.Random(4169)) == 0
 
     def test_guards_raise_before_any_table_is_built(self, monkeypatch):
         code = build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4168))

@@ -60,6 +60,13 @@ class TestConfigValidation:
         assert parse_seed("0xabc") == parse_seed("abc")
         with pytest.raises(ConfigError):
             parse_seed("not hex!")
+        # A 0x prefix always reads hex, also before decimal digits.
+        assert parse_seed("0x10") == RngSeed.from_hex("10") != parse_seed("10")
+        assert parse_seed(" 0x7 ") == RngSeed.from_hex("07") != parse_seed("7")
+        # A bool is an int to Python, and an empty seed used to hash as empty hex.
+        for bad in (True, False, "", "0x", "  "):
+            with pytest.raises(ConfigError, match="seed"):
+                parse_seed(bad)
 
 
 class TestRunConfig:
@@ -455,6 +462,9 @@ BAD_CONFIGS = {
         "operation": "concat-plan", "seed": 1,
         "params": {"total_bits": 1024, "gamma0": 0.5, "t_seed": 2},
     },
+    "seed-true": {"operation": "concat-plan", "seed": True},
+    "seed-empty": {"operation": "concat-plan", "seed": ""},
+    "seed-0x": {"operation": "concat-plan", "seed": "0x"},
 }
 
 
@@ -493,6 +503,8 @@ class TestBadInput:
             ["inner"],
             [],
             ["--config", "experiment.json", "concat", "plan"],
+            ["--seed", "", "concat", "plan"],
+            ["concat", "plan", "--seed", "0x"],
             *(["--config", name] for name in BAD_CONFIGS),
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",

@@ -1,0 +1,49 @@
+"""Every CLI operation against its committed golden report.
+
+Each `tests/golden/<operation>.json` file holds one config with its report
+(less `wall_time_s`) and one bad config with its exit-2 message; see
+`update_golden.py`, which rewrites them. A failure names the first field
+that differs.
+"""
+
+import json
+
+import pytest
+
+from nmcode.cli import OPERATIONS
+from update_golden import CASES, GOLDEN, exit_2_message, first_difference, report
+
+
+def _golden(operation: str) -> dict:
+    return json.loads((GOLDEN / f"{operation}.json").read_text())
+
+
+def test_one_golden_file_per_operation():
+    assert sorted(CASES) == sorted(OPERATIONS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(OPERATIONS)
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATIONS))
+def test_report_matches_golden(operation):
+    golden = _golden(operation)
+    assert golden["config"]["operation"] == operation
+    got = report(golden["config"])
+    diff = first_difference(golden["report"], got)
+    assert diff is None, f"{operation}: first difference at {diff}"
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATIONS))
+def test_bad_config_exits_2_with_golden_message(operation):
+    golden = _golden(operation)
+    assert golden["bad_config"]["operation"] == operation
+    assert exit_2_message(golden["bad_config"]) == golden["exit_2_message"]
+
+
+def test_first_difference_names_the_path():
+    want = {"a": [1, {"b": 2.0}], "c": True}
+    assert first_difference(want, json.loads(json.dumps(want))) is None
+    assert first_difference(want, {"a": [1, {"b": 2.5}], "c": True}) == "$.a[1].b"
+    assert first_difference(want, {"a": [1, {"b": 2}], "c": True}) == "$.a[1].b"
+    assert first_difference(want, {"a": [1], "c": True}) == "$.a[1]"
+    assert first_difference(want, {"a": [1, {"b": 2.0}], "c": 1}) == "$.c"
+    assert first_difference(want, {"a": [1, {"b": 2.0}]}) == "$.c"

@@ -398,3 +398,34 @@ def test_count_rows_hold_every_run_in_the_cell_layout():
     assert sampled.sum(axis=1).tolist() == [400, 400]
     assert sampled[1, -1] == 0
 
+
+@pytest.mark.parametrize("name", ["inner-6-2", "lecss-4", "concat", "extractor-3-2"])
+def test_one_count_call_per_verdict(name, monkeypatch):
+    """The exact reference, both round trips and the optimal error each
+    count every message in one `_counts` call and read its rows as they
+    are; the exact reference of an ExtractorCode, whose row sums differ,
+    still equals the oracle."""
+    code = CODES[name]
+    calls = []
+    counts = schemes._counts
+    monkeypatch.setattr(schemes, "_counts", lambda *a, **kw: calls.append(a[2]) or counts(*a, **kw))
+    f = _adversaries(code, random.Random(4395))[-1]
+    nmsg = 1 << code.message_bits
+
+    def once(run):
+        calls.clear()
+        result = run()
+        assert [len(messages) for messages in calls] == [nmsg]
+        return result
+
+    assert once(lambda: schemes.reference_dist(code, f)) == oracle.reference_dist(code, f)
+    assert once(lambda: schemes.roundtrip_failures(code)) == 0
+    assert once(lambda: schemes.roundtrip_exhaustive(code))
+    rng = random.Random(4396)
+    assert once(lambda: schemes.roundtrip_failures(code, samples=30, rng=rng)) == 0
+    value, ref = once(lambda: schemes.optimal_nm_error(code, f))
+    assert schemes.nm_error(code, f, ref).value == value
+    if nmsg <= 16:  # the oracle's dense LP does not fit 256 messages
+        assert value == oracle.optimal_nm_error(code, f)[0]
+    if name.startswith("extractor"):
+        assert len({code.encoding_count(s) for s in range(nmsg)}) > 1
