@@ -29,26 +29,21 @@ choices and a uniform index gives the encoder's distribution.
 int at a time; the tests use it as the reference for `encodings_many`.
 A message becomes a `BitWord` only as an outcome symbol of a `FiniteDist`.
 
-Every verdict is one call, or for `nm_error` one call per block of about
-`core.TABLE_CELLS` count cells, of one count kernel, `_counts`, and reads
-its rows in the kernel's own cell layout. Per message s, decode(f(encode(s)))
-runs on numpy arrays (uint64 words, int64 messages) and `np.bincount`
-counts the outcomes into an int64 row of 2^k + 2 cells: 0 decoder failure,
-1 + m message m, 2^k + 1 SAME. An exact row counts every encoding of s; a
-sampled row counts `samples` runs. The exact reference, the optimal error
-and `roundtrip_failures` (runs that decode to anything but their own
-message, under the identity adversary) count all messages in one call.
-All sampling randomness is drawn in `_counts`, from two numpy generators
-per call, seeded with 128 bits each of the caller's stream: the first
-draws the uniform message of every run of an entry None, the second one
-uniform encoding index per run. The rows lie end to end in entry order,
-and each generator is read in run order. Passes of at most PASS_ROWS =
-2^13 runs only bound the working set; no run depends on where the passes
-cut. A sampled pass under a `BitTamperFn` runs through `scheme.fold(f)`,
-built once per `_counts` call, when the scheme has that member:
-`ConcatCode` folds the adversary into per-block tables, so a run never
-forms its codeword (see `ConcatCode.fold`). Every other pass, and every
-exact row, runs the words through `decode_many(f.apply_many(...))`.
+Every verdict reads the int64 rows of one count kernel, `_counts`, in its
+own cell layout. Per message s, decode(f(encode(s))) runs on numpy arrays
+(uint64 words, int64 messages) and `np.bincount` counts the outcomes into
+a row of 2^k + 2 cells: 0 decoder failure, 1 + m message m, 2^k + 1 SAME.
+An exact row counts every encoding of s; a sampled row counts `samples`
+runs, and all sampling randomness is drawn in `_counts`. One call holds
+at most TABLE_CELLS // (2^k + 2) rows, so a verdict over many messages
+(the exact reference, `nm_error`, and `roundtrip_failures`, the runs that
+decode to anything but their own message) makes one call per block of
+that many: one call in all up to k = 9. A sampled pass under a
+`BitTamperFn`, except a round trip's, runs through `scheme.fold(f)` when
+the scheme has that member: `ConcatCode` folds the adversary into
+per-block tables, so a run never forms its codeword. Every other pass
+runs encode_many (an exact row: encodings_many), f.apply_many and
+decode_many.
 
 The reference distribution for an adversary is that of the standard
 sampler: draw a uniform message, tamper its encoding, and emit SAME when
@@ -70,15 +65,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import (
-    BOTTOM,
-    SAME,
-    BitWord,
-    FiniteDist,
-    GuardExceeded,
-    Symbol,
-    confidence_radius,
-)
+from .core import BOTTOM, SAME, BitWord, FiniteDist, GuardExceeded, Symbol, confidence_radius
 from .tamper import BitTamperFn
 from . import lp
 
@@ -101,9 +88,7 @@ np.empty(1 << 18)
 def check_word_bits(scheme) -> None:
     """Raise GuardExceeded when the scheme's words do not fit one uint64."""
     if scheme.block_bits > MAX_WORD_BITS:
-        raise GuardExceeded(
-            f"{scheme.block_bits}-bit words exceed the {MAX_WORD_BITS}-bit batch kernels"
-        )
+        raise GuardExceeded(f"{scheme.block_bits}-bit words exceed the {MAX_WORD_BITS}-bit batch kernels")
 
 
 def _symbol(cell: int, k: int) -> Symbol:
@@ -133,6 +118,7 @@ def _counts(
     messages: Sequence[Optional[int]],
     samples: Optional[int] = None,
     rng: Optional[random.Random] = None,
+    fold: bool = True,
 ) -> np.ndarray:
     """One int64 count row of decode(f(encode(s))) per entry s of `messages`.
 
@@ -146,11 +132,12 @@ def _counts(
     when the code's counts are uniform and a per-message array otherwise.
     Passes of at most PASS_ROWS runs or encodings bound the working set and
     do not move a draw. A sampled pass runs by one call (the scheme's
-    `fold(f)` when it has one and f is a BitTamperFn, else encode_many,
-    f.apply_many and decode_many) and is counted by one `bincount` over
-    row * (2^k + 2) + cell. Entries are checked and the fold is built
-    before any draw: a bad entry raises ValueError, and a fold over its
-    guard GuardExceeded, leaving `rng` as it was.
+    `fold(f)` when `fold` is set, it has one and f is a BitTamperFn, else
+    encode_many, f.apply_many and decode_many) and is counted by one
+    `bincount` over row * (2^k + 2) + cell. Entries are checked and the
+    fold is built before any draw: a bad entry raises ValueError, and more
+    than `_block_rows` entries or a fold over its guard GuardExceeded,
+    leaving `rng` as it was.
     """
     nmsg = 1 << scheme.message_bits
     width = nmsg + 2
@@ -158,20 +145,20 @@ def _counts(
         raise ValueError("sampled mode needs an rng")
     _check_messages(scheme, messages, samples is not None)
     check_word_bits(scheme)
+    if len(messages) > _block_rows(scheme):
+        raise GuardExceeded(f"{len(messages)} rows of {width} count cells exceed guard {core.TABLE_CELLS}")
     rows = np.zeros((len(messages), width), dtype=np.int64)
     if samples is None:
         sizes = [scheme.encoding_count(s) for s in messages]
         if sizes and max(sizes) > core.TABLE_CELLS:
-            raise GuardExceeded(
-                f"{max(sizes)} encodings of one message exceed guard {core.TABLE_CELLS}"
-            )
+            raise GuardExceeded(f"{max(sizes)} encodings of one message exceed guard {core.TABLE_CELLS}")
         for row, s, size in zip(rows, messages, sizes):
             words = scheme.encodings_many(s)
             for lo in range(0, size, PASS_ROWS):
                 cells = scheme.decode_many(f.apply_many(words[lo : lo + PASS_ROWS])) + 1
                 row += np.bincount(cells, minlength=width)
         return rows
-    if hasattr(scheme, "fold") and isinstance(f, BitTamperFn):
+    if fold and hasattr(scheme, "fold") and isinstance(f, BitTamperFn):
         run = scheme.fold(f)
     else:
         def run(msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -192,6 +179,20 @@ def _counts(
     return rows
 
 
+def _block_rows(scheme) -> int:
+    """Most rows of one `_counts` call: about core.TABLE_CELLS count cells."""
+    return max(1, core.TABLE_CELLS // ((1 << scheme.message_bits) + 2))
+
+
+def _blocks(scheme, f, messages, samples=None, rng=None, fold=True):
+    """Yield each block of `_block_rows` entries of `messages` with its
+    rows from one `_counts` call."""
+    step = _block_rows(scheme)
+    for lo in range(0, len(messages), step):
+        block = messages[lo : lo + step]
+        yield block, _counts(scheme, f, block, samples, rng, fold)
+
+
 def _dist(row: Sequence[int], k: int, den: Optional[int] = None) -> FiniteDist:
     """The distribution of a count row: exact over `den`, or empirical over
     the row's sum when den is None."""
@@ -210,8 +211,8 @@ def reference_dist(
     """Message-independent outcome distribution for adversary f.
 
     Sampled mode draws `samples` runs of the experiment. Exact mode
-    (samples=None) counts every message in one `_counts` call, moves each
-    row's own-message cell to SAME and weighs the row by
+    (samples=None) counts every message, in the blocks of `_blocks`, moves
+    each row's own-message cell to SAME and weighs the row by
     1/(2^k * encoding_count(s)): rows are summed per row sum, then
     combined over the lcm of the sums in Python ints, as the lcm can pass
     2^63 (the unequal preimages of `ExtractorCode`).
@@ -219,13 +220,15 @@ def reference_dist(
     k = scheme.message_bits
     if samples is not None:
         return _dist(_counts(scheme, f, [None], samples, rng)[0], k)
-    rows = _counts(scheme, f, range(1 << k))
-    own = np.arange(1 << k)
-    rows[own, -1], rows[own, own + 1] = rows[own, own + 1], 0
-    sums = rows.sum(axis=1)
-    sizes = np.unique(sums).tolist()
-    lcm = math.lcm(*sizes)
-    cells = sum(rows[sums == size].sum(axis=0).astype(object) * (lcm // size) for size in sizes)
+    by_sum: Dict[int, np.ndarray] = {}  # row sum -> summed rows
+    for block, rows in _blocks(scheme, f, range(1 << k)):
+        row, own = np.arange(len(block)), np.asarray(block) + 1
+        rows[row, -1], rows[row, own] = rows[row, own], 0
+        sums = rows.sum(axis=1)
+        for size in np.unique(sums).tolist():
+            by_sum[size] = by_sum.get(size, 0) + rows[sums == size].sum(axis=0)
+    lcm = math.lcm(*by_sum)
+    cells = sum(row.astype(object) * (lcm // size) for size, row in by_sum.items())
     return _dist(cells, k, lcm << k)
 
 
@@ -267,14 +270,12 @@ def nm_error(
     0.0 in exact mode, the two-sided Hoeffding radius at confidence
     1 - 10^-6 otherwise. Every message is checked before any draw; a
     repeated message counts once, in first-seen order. The rows are then
-    counted by one `_counts` call per block of TABLE_CELLS // (2^k + 2)
-    messages, so about `core.TABLE_CELLS` count cells are held at a time
-    and each block builds the scheme's fold once. Each call seeds its own
-    two generators, so a row's draws depend on the rows before it in its
-    block. In sampled mode ref may be None: the standard sampler's
-    reference row is then counted first in the first block's call, so it
-    equals `reference_dist` on the same seed. The report carries the
-    reference.
+    counted by one `_counts` call, and one fold, per block of `_blocks`.
+    Each call seeds its own two generators, so a row's draws depend on the
+    rows before it in its block. In sampled mode ref may be None: the
+    standard sampler's reference row is then counted first in the first
+    block, so it equals `reference_dist` on the same seed. The report
+    carries the reference.
 
     The canonical reference, `reference_dist`'s, is one feasible simulator,
     so its value bounds `optimal_nm_error` from above, and the gap can be
@@ -293,13 +294,10 @@ def nm_error(
     if ref is None and samples is None:
         raise ValueError("exact nm_error needs a reference")
     per: Dict[int, Fraction] = {}
-    step = max(1, core.TABLE_CELLS // ((1 << k) + 2))
-    for lo in range(0, len(messages), step):
-        block = messages[lo : lo + step]
-        rows = _counts(scheme, f, [None] * (ref is None) + block, samples, rng)
+    for block, rows in _blocks(scheme, f, [None] * (ref is None) + messages, samples, rng):
         if ref is None:
-            ref, rows = _dist(rows[0], k), rows[1:]
-        if not lo:
+            ref, block, rows = _dist(rows[0], k), block[1:], rows[1:]
+        if not per:
             den = math.lcm(*(p.denominator for _, p in ref.items()))
             target = {_cell(sym, k): p.numerator * (den // p.denominator) for sym, p in ref.items()}
             same = target.pop((1 << k) + 1, 0)
@@ -327,7 +325,8 @@ def optimal_nm_error(
     Solves the minimax as a rational LP over the count cells of one exact
     `_counts` call (decoder failure and every message) extended with SAME,
     one `lp.message_minimax` group per message, whose own cell is s + 1.
-    Exact-mode enumeration of the scheme is required; meant for toy scales.
+    Meant for toy scales: more messages than one call holds raise
+    GuardExceeded.
     """
     k = scheme.message_bits
     messages = list(range(1 << k) if messages is None else messages)
@@ -338,12 +337,14 @@ def optimal_nm_error(
 
 
 def roundtrip_failures(scheme, samples: Optional[int] = None, rng: Optional[random.Random] = None) -> int:
-    """Runs of decode(encode(s)) that miss s, over every message s, from one
-    `_counts` call under the identity adversary: every encoding of each
-    message in exact mode (samples=None), `samples` runs each otherwise."""
-    nmsg = 1 << scheme.message_bits
-    rows = _counts(scheme, BitTamperFn.identity(scheme.block_bits), range(nmsg), samples, rng)
-    return int(rows.sum() - np.trace(rows, offset=1))  # row s's own cell is s + 1
+    """Runs that decode to anything but their message s, over every s:
+    `samples` runs of encode_many each, or every entry of encodings_many(s)
+    in exact mode (samples=None). Never through a fold, so a round trip
+    tests the encoder and decoder themselves."""
+    identity = BitTamperFn.identity(scheme.block_bits)
+    blocks = _blocks(scheme, identity, range(1 << scheme.message_bits), samples, rng, fold=False)
+    # Row i of the block from message m counts its own message in cell m + i + 1.
+    return sum(int(rows.sum() - np.trace(rows, offset=block.start + 1)) for block, rows in blocks)
 
 
 def roundtrip_exhaustive(scheme) -> bool:

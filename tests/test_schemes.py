@@ -429,3 +429,52 @@ def test_one_count_call_per_verdict(name, monkeypatch):
         assert value == oracle.optimal_nm_error(code, f)[0]
     if name.startswith("extractor"):
         assert len({code.encoding_count(s) for s in range(nmsg)}) > 1
+
+
+def test_verdicts_count_in_blocks_of_table_cells(monkeypatch):
+    """A verdict over every message makes one `_counts` call per block of
+    TABLE_CELLS // (2^k + 2) rows, so it holds about TABLE_CELLS count
+    cells whatever k, and its exact result does not depend on the blocks.
+    A direct call over more rows, the optimal error's, raises
+    GuardExceeded before it allocates or draws."""
+    code = CODES["lecss-4"]  # 256 messages, rows of 258 cells
+    f = _adversaries(code, random.Random(4397))[-1]
+    ref = schemes.reference_dist(code, f)
+    report = schemes.nm_error(code, f, None, samples=40, rng=random.Random(4398))
+    exact = schemes.nm_error(code, f, ref)
+    calls = []
+    counts = schemes._counts
+    monkeypatch.setattr(schemes, "_counts", lambda *a, **kw: calls.append(len(a[2])) or counts(*a, **kw))
+    monkeypatch.setattr(core, "TABLE_CELLS", 258 * 300)  # all 256 messages and the reference
+    assert schemes.nm_error(code, f, None, samples=40, rng=random.Random(4398)) == report
+    assert calls == [257]
+    monkeypatch.setattr(core, "TABLE_CELLS", 258 * 50 + 257)
+    calls.clear()
+    assert schemes.reference_dist(code, f) == ref
+    assert schemes.roundtrip_failures(code) == 0
+    assert schemes.roundtrip_failures(code, samples=3, rng=random.Random(4399)) == 0
+    assert calls == [50] * 5 + [6] + [50] * 5 + [6] + [50] * 5 + [6]
+    calls.clear()
+    assert schemes.nm_error(code, f, ref) == exact
+    assert calls == [50] * 5 + [6]
+    rng = random.Random(4400)
+    state = rng.getstate()
+    with pytest.raises(core.GuardExceeded, match="51 rows of 258 count cells"):
+        schemes._counts(code, f, range(51), samples=3, rng=rng)
+    with pytest.raises(core.GuardExceeded, match="256 rows"):
+        schemes.optimal_nm_error(code, f)
+    assert rng.getstate() == state
+
+
+def test_sampled_round_trip_runs_the_encoder_not_the_fold(monkeypatch):
+    """The concat code's fold never forms a codeword, so a round trip
+    through it would pass a broken `encode_many`; `roundtrip_failures`
+    runs the encoder and the decoder instead."""
+    code = CODES["concat"]
+    identity = BitTamperFn.identity(code.block_bits)
+    good = type(code).encode_many
+    payload_bit = np.uint64(1 << code.plan.seed_bits)  # one flipped payload bit
+    monkeypatch.setattr(code, "encode_many", lambda msgs, index: good(code, msgs, index) ^ payload_bit)
+    assert schemes.roundtrip_failures(code, samples=20, rng=random.Random(4401)) > 0
+    folded = schemes._counts(code, identity, range(256), samples=20, rng=random.Random(4401))
+    assert np.trace(folded, offset=1) == 256 * 20  # the fold alone misses the broken encoder
