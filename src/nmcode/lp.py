@@ -22,10 +22,10 @@ with a nonnegative rhs, so it starts from the slack basis with no phase
 1, prices by Dantzig's rule with Bland's rule after a run of degenerate
 pivots, generates its subset columns by pricing and reads the minimizing
 reference off the slack reduced costs. `min_copy_distance_m1` is the copy
-distance's closed form for one output bit, on int64 count arrays. The
-test suite checks the closed form against the simplex, a Fraction oracle
-and a brute-force grid, and both minimaxes against the SAME-marker LP in
-its two-inequality-rows form, solved by `solve_lp`.
+distance's closed form for one output bit, on Python int or int64 array
+counts alike. The test suite checks the closed form against the simplex,
+a Fraction oracle and a brute-force grid, and both minimaxes against the
+SAME-marker LP in its two-inequality-rows form, solved by `solve_lp`.
 """
 
 from __future__ import annotations
@@ -343,33 +343,29 @@ def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, Dict[object, Fracti
 
 def min_copy_distance_m1(c01, c11, r0, r1, total):
     """Closed form of `min_copy_distance` for one output bit, elementwise
-    on integer counts: returns (numerator, denominator) int64 arrays of the
-    exact distance.
+    on integer counts: returns (numerator, denominator) of the exact
+    distance, Python ints for int inputs and int64 arrays for int64 array
+    inputs, from one body of arithmetic that both kinds support.
 
     c01 and c11 count the cells whose tampered output is 1 under output 0
     and 1; r0 and r1 count output 0 and 1, out of `total` cells. The
     objective collapses to |J(0,1) - p0*d1| + |J(1,0) - p1*d0| over
-    d0, d1 >= 0 with d0 + d1 <= 1. It is 0 when either output is missing
-    or c10*r0 + c01*r1 <= r0*r1, where the unconstrained optimum fits in
-    the simplex; otherwise the optimum lies on the d_SAME = 0 face, at the
-    least of the four breakpoints v = d1 = 0, 1, c01/r0 and 1 - c10/r1.
-    Values compare by cross-multiplication: with total <= 2^16 (n <=
-    EXTRACTION_GUARD_N = 8 for full sources) every numerator is at most
-    r0*r1 <= 2^30, every denominator at most total^2 = 2^32, and every
-    product at most 2^62, so int64 inputs never overflow.
+    d0, d1 >= 0 with d0 + d1 <= 1. With c10 = r1 - c11 and the excess
+    e = c10*r0 + c01*r1 - r0*r1, it is 0 when e <= 0, where the
+    unconstrained optimum fits in the simplex (as when either output is
+    missing, since its cells then count 0). Otherwise the optimum lies on
+    the d_SAME = 0 face, where the objective is convex and piecewise
+    linear in v = d1 with slope -(p0 + p1) below both of its kinks
+    v = c01/r0 and v = 1 - c10/r1 and +(p0 + p1) above them. Both kinks lie
+    in [0, 1], so the least value is at one of them: e/(total*r0) or
+    e/(total*r1), the distance e / (total * max(r0, r1)). The larger row
+    is selected as r0 + wider * (r1 - r0) and the zero branch by a 0/1
+    factor. With total <= 2^16 (n <= EXTRACTION_GUARD_N = 8 for full
+    sources) the numerator is at most r0*r1 <= 2^30 and the denominator at
+    most total^2 = 2^32, so int64 inputs never overflow and callers may
+    compare two values by cross-multiplication below 2^62.
     """
-    c00 = r0 - c01
-    c10 = r1 - c11
-    cands = [
-        (c01 + c11, total),
-        (c00 + c10, total),
-        (np.abs(r1 * c01 - c11 * r0), total * r0),
-        (np.abs(r0 * c10 - c00 * r1), total * r1),
-    ]
-    num, den = cands[0]
-    for n, d in cands[1:]:
-        take = n * den < num * d
-        num = np.where(take, n, num)
-        den = np.where(take, d, den)
-    zero = (r0 == 0) | (r1 == 0) | (c10 * r0 + c01 * r1 <= r0 * r1)
-    return np.where(zero, 0, num), np.where(zero, 1, den)
+    excess = (r1 - c11) * r0 + c01 * r1 - r0 * r1
+    positive = excess > 0
+    wider = r1 > r0
+    return positive * excess, positive * (total * (r0 + wider * (r1 - r0)) - 1) + 1

@@ -11,11 +11,13 @@ Every split-state verdict reads integer counts. `joint_output_dist` is
 the one count kernel: the (2^m, 2^m) matrix of (output, tampered output)
 cells of a flat source pair, from one `np.bincount`. The relaxed and
 strict checks and the reduction read their distances off it, through
-`lp.min_copy_distance_m1` at one output bit and the `lp` minimax LPs
-otherwise. Source sweeps range over flat sources only; a flat pair is
-given by the two supports. The sweep over every support pair gets its
-counts from incidence-matrix products instead, and compares values by
-cross-multiplication, so reported distances stay exact Fractions.
+`lp.min_copy_distance_m1` on plain ints at one output bit and the `lp`
+minimax LPs otherwise. Source sweeps range over flat sources only; a flat
+pair is given by the two supports. The sweep over every support pair gets
+its counts from incidence-matrix products instead, runs the closed form on
+int64 arrays of them, and finds the largest value by cross-multiplication:
+a float quotient only proposes a candidate and integers decide, so
+reported distances stay exact Fractions.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -209,7 +211,7 @@ def check_extraction(ext: ExtractorTable, src: FlatSourcePair) -> Fraction:
     """Exact distance of the output distribution from uniform. Raises
     ValueError on supports outside [0, 2^n)."""
     _check_supports(ext.n, src.xs, src.ys)
-    outputs = ext.as_array()[np.ix_(src.xs, src.ys)].ravel()
+    outputs = ext.as_array()[np.asarray(src.xs)[:, None], src.ys].ravel()
     return uniform_distance(np.bincount(outputs, minlength=1 << ext.m), src.pairs, 1 << ext.m)
 
 
@@ -227,7 +229,7 @@ def joint_output_dist(
     tx = xs if f1 is None else np.asarray(f1)[xs]
     ty = ys if f2 is None else np.asarray(f2)[ys]
     size = 1 << ext.m
-    cells = table[np.ix_(xs, ys)] * size + table[np.ix_(tx, ty)]
+    cells = table[xs[:, None], ys] * size + table[tx[:, None], ty]
     return np.bincount(cells.ravel(), minlength=size * size).reshape(size, size)
 
 
@@ -247,9 +249,8 @@ def _copy_distance(counts: np.ndarray) -> Fraction:
     bit, the LP otherwise."""
     if len(counts) != 2:
         return min_copy_distance(counts)[0]
-    (c00, c01), (c10, c11) = counts
-    num, den = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, counts.sum())
-    return Fraction(int(num), int(den))
+    (c00, c01), (c10, c11) = counts.tolist()
+    return Fraction(*min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, c00 + c01 + c10 + c11))
 
 
 @dataclass
@@ -506,15 +507,14 @@ def _supports_of_min_size(n: int, min_size: int) -> List[Tuple[int, ...]]:
 
 
 def _max_fraction(num: np.ndarray, den: np.ndarray) -> Tuple[int, int]:
-    """Exact maximum of num/den (den > 0) over flat int64 arrays: a
-    pairwise tournament of cross-multiplied comparisons."""
-    while num.size > 1:
-        half = num.size // 2
-        a_n, a_d, b_n, b_d = num[:half], den[:half], num[half : 2 * half], den[half : 2 * half]
-        take = b_n * a_d > a_n * b_d
-        num = np.concatenate([np.where(take, b_n, a_n), num[2 * half :]])
-        den = np.concatenate([np.where(take, b_d, a_d), den[2 * half :]])
-    return int(num[0]), int(den[0])
+    """Exact maximum of num/den (den > 0) over flat int64 arrays. The float
+    quotient's argmax only proposes a candidate; cross-multiplied integer
+    comparisons against every entry decide, and an entry that beats the
+    candidate replaces it, so no float decides the result."""
+    i = int(np.argmax(num / den))
+    while (beats := num * den[i] > num[i] * den).any():
+        i = int(np.argmax(beats))
+    return int(num[i]), int(den[i])
 
 
 def relaxed_error_sweep(
@@ -529,15 +529,20 @@ def relaxed_error_sweep(
 
     Exhaustive over source pairs and exact. With S the 0/1 incidence
     matrix of the supports, every (x-support, y-support) cell count is an
-    entry of S @ M @ S.T for a 0/1 table M; the closed form of
-    `min_copy_distance_m1` runs on those int64 counts and values are
-    compared by cross-multiplication (every product stays below 2^50 at
-    n <= 6), so one Fraction is built, for the maximum. x-supports run in
-    chunks of at most core.PASS_CELLS (x-support, y-support) cells, so
-    memory does not grow with the support count. The
-    witness is the first pair in (x, y) order reaching the maximum, with
-    the first kind reaching the pair's value in the order extraction,
-    first-only, second-only, both; it is empty when the maximum is 0.
+    entry of S @ M @ S.T for a 0/1 table M: the seven tables M (the
+    output, then per pattern the cells tampering to 1 under output 0 and
+    under output 1) take one product with S.T and each chunk of S one
+    more, in float64, which sums 0/1 products of at most 4^n <= 2^12 terms
+    exactly. The closed form of `min_copy_distance_m1` runs once on the
+    three patterns' int64 counts, and `_max_fraction` finds the largest of
+    the four kinds' values: the float quotient's argmax only proposes it,
+    and cross-multiplied integer comparisons (every product below 2^50 at
+    n <= 6) decide, so one Fraction is built, for the maximum. x-supports
+    run in chunks of at most core.PASS_CELLS (x-support, y-support) cells,
+    so memory does not grow with the support count. The witness is the
+    first pair in (x, y) order reaching the maximum, with the first kind
+    reaching the pair's value in the order extraction, first-only,
+    second-only, both; it is empty when the maximum is 0.
     Only m = 1 tables are supported, which keeps the per-pair
     minimization in closed form. Tables out of range or with a fixed
     point raise ValueError.
@@ -558,44 +563,39 @@ def relaxed_error_sweep(
     if count == 0:
         return Fraction(0), {}
     supports = _supports_of_min_size(ext.n, min_support)
-    incidence = np.zeros((len(supports), size), dtype=np.int64)
-    for i, s in enumerate(supports):
-        incidence[i, list(s)] = 1
+    sizes = np.array([len(s) for s in supports])
+    # float64, so the products run in BLAS; exact, as the docstring shows.
+    incidence = np.zeros((len(supports), size))
+    incidence[np.repeat(np.arange(len(supports)), sizes),
+              np.fromiter(chain.from_iterable(supports), dtype=np.intp)] = 1
     table = ext.as_array()
     f1a = np.asarray(f1, dtype=np.int64)
     f2a = np.asarray(f2, dtype=np.int64)
     # Right factors M @ S.T: the output, then per pattern the cells with
-    # tampered output 1 under output 0 and under output 1.
-    right = [table @ incidence.T]
-    for tampered in (table[f1a, :], table[:, f2a], table[f1a, :][:, f2a]):
-        right += [((1 - table) * tampered) @ incidence.T, (table * tampered) @ incidence.T]
-    sizes = incidence.sum(axis=1)
+    # tampered output 1 under output 0, then those under output 1.
+    tampered = np.stack([table[f1a, :], table[:, f2a], table[f1a[:, None], f2a]])
+    right = np.concatenate([table[None], (1 - table) * tampered, table * tampered]) @ incidence.T
     kinds = ("extraction",) + PATTERNS
     rows = max(1, core.PASS_CELLS // len(supports))
     worst_num, worst_den = 0, 1
     witness: dict = {}
     for lo in range(0, len(supports), rows):
-        chunk = incidence[lo : lo + rows]
-        ones, *cells = (chunk @ r for r in right)
+        counts = (incidence[lo : lo + rows] @ right).astype(np.int64)
+        ones = counts[0]
         total = np.outer(sizes[lo : lo + rows], sizes)
-        r0 = total - ones
-        best_num, best_den = np.abs(2 * ones - total), 2 * total
-        best_kind = np.zeros(ones.shape, dtype=np.int64)
-        for k in range(len(PATTERNS)):
-            num, den = min_copy_distance_m1(cells[2 * k], cells[2 * k + 1], r0, ones, total)
-            better = num * best_den > best_num * den
-            best_num = np.where(better, num, best_num)
-            best_den = np.where(better, den, best_den)
-            best_kind = np.where(better, k + 1, best_kind)
-        best_num, best_den = best_num.ravel(), best_den.ravel()
-        num, den = _max_fraction(best_num, best_den)
-        if num * worst_den > worst_num * den:
-            worst_num, worst_den = num, den
-            first = int(np.argmax(best_num * den == num * best_den))
+        num, den = min_copy_distance_m1(counts[1:4], counts[4:7], total - ones, ones, total)
+        # Kinds in witness order: extraction, then the patterns.
+        nums = np.concatenate([abs(2 * ones - total)[None], num])
+        dens = np.concatenate([(2 * total)[None], den])
+        best_num, best_den = _max_fraction(nums.ravel(), dens.ravel())
+        if best_num * worst_den > worst_num * best_den:
+            worst_num, worst_den = best_num, best_den
+            hits = nums * best_den == best_num * dens
+            first = int(np.argmax(hits.any(axis=0)))
             xi, yi = divmod(first, len(supports))
             witness = {
                 "x_support": supports[lo + xi],
                 "y_support": supports[yi],
-                "pattern": kinds[int(best_kind.ravel()[first])],
+                "pattern": kinds[int(np.argmax(hits[:, xi, yi]))],
             }
     return Fraction(worst_num, worst_den), witness

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from minimax_oracle import two_row_minimax
+from minimax_oracle import check_groups, two_row_minimax
 
 from nmcode import schemes
 from nmcode.core import BOTTOM, SAME, BitWord, FiniteDist, confidence_radius, push_copy, statistical_distance
@@ -108,11 +108,14 @@ def nm_error(scheme, f, ref, messages=None, samples=None, rng=None):
 
 
 def optimal_nm_error(scheme, f, messages=None):
-    """The minimax LP with its groups read cell by cell off per-message dists."""
+    """The minimax LP with its groups read cell by cell off per-message
+    dists; raises ValueError past the oracle's MAX_GROUPS messages before
+    computing any of them."""
     k = scheme.message_bits
     nmsg = 1 << k
     if messages is None:
         messages = range(nmsg)
+    check_groups(len(messages))
     groups = []
     for s in messages:
         dist = exact_dist(scheme, f, s)

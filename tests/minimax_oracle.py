@@ -15,12 +15,26 @@ from nmcode import lp
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Groups (messages) the oracle takes. Its rows are dense over one error
+# variable per cell: 256 messages of 257 cells would take about 66k
+# variables and 131k rows of Fractions, more memory than a test may use.
+MAX_GROUPS = 16
+
+
+def check_groups(count):
+    """Raise ValueError for more than MAX_GROUPS groups, before the caller
+    builds any of them."""
+    if count > MAX_GROUPS:
+        raise ValueError(f"{count} groups exceed the oracle's limit of {MAX_GROUPS}")
+
 
 def two_row_minimax(groups, outputs):
     """Reference distribution over `outputs` values plus SAME minimizing the
     worst group distance: minimize t subject to
     sum_group e <= 2t, |p - w * (d_o + [same] * d_same)| <= e as two rows,
-    d >= 0 and sum d + d_same = 1. Returns (t, [d_0, ..., d_same])."""
+    d >= 0 and sum d + d_same = 1. Returns (t, [d_0, ..., d_same]); raises
+    ValueError past MAX_GROUPS groups."""
+    check_groups(len(groups))
     # Variables: d[0..outputs-1], d_same, t, then one error e per cell.
     nd = outputs + 1
     nvars = nd + 1 + sum(len(g) for g in groups)

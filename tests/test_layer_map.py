@@ -6,11 +6,13 @@ follow breaks `perfbench/run.py --trace 1` only when that mode runs, so
 this test resolves every entry on each tier-1 run. Likewise a removed
 parameter that a workload still passes breaks only a benchmark run, so
 every workload's first round runs here at its tiny size, and so does the
-per-op table that `--trace 1` times. The files are loaded from their
-paths and nothing in them is changed.
+per-op table that `--trace 1` times, and nmext-reduce's first 100
+verdicts at full size must give the exact results in `pins.json`. The
+files are loaded from their paths and nothing in them is changed.
 """
 
 import importlib
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -49,6 +51,22 @@ def test_tiny_workload_round_runs_and_checks(workloads, name):
     assert verdicts
     for verdict in verdicts:
         verdict.check(verdict.run())
+
+
+def test_nmext_reduce_reproduces_its_pins(workloads):
+    """The first 100 verdicts of nmext-reduce at seed 1 and full size give
+    the exact results pinned in pins.json, as every benchmark run checks."""
+    pins = json.loads((PERFBENCH / "pins.json").read_text())
+    assert (pins["seed"], pins["size"]) == (1, "full")
+    want = pins["nmext-reduce"]
+    assert len(want) == 100
+    workload = workloads.NmextReduce(1, "full")
+    got = []
+    r = 0
+    while len(got) < len(want):
+        got += [verdict.check(verdict.run()) for verdict in workload.round(r)]
+        r += 1
+    assert got[: len(want)] == want
 
 
 def test_op_table_times_every_op():

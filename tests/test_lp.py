@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -447,6 +448,20 @@ class TestCopyDistanceMinimizer:
             v, d = min_copy_distance(counts)
             assert Fraction(int(num), int(den)) == v == oracle.min_copy_distance_m1(joint, marg)[0]
             assert oracle.copy_distance(joint, marg, d, [0, 1]) == v
+
+    def test_closed_form_on_ints_equals_arrays_and_oracle(self):
+        # Every 2 x 2 count matrix of at most 12 cells, as Python ints one
+        # matrix at a time and as one batch of int64 arrays.
+        grid = [c for c in itertools.product(range(13), repeat=4) if sum(c) <= 12]
+        c00, c01, c10, c11 = np.array(grid, dtype=np.int64).T
+        nums, dens = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, c00 + c01 + c10 + c11)
+        assert nums.dtype == dens.dtype == np.int64
+        for (a, b, c, d), num_a, den_a in zip(grid, nums.tolist(), dens.tolist()):
+            num, den = min_copy_distance_m1(b, d, a + b, c + d, a + b + c + d)
+            assert type(num) is int and type(den) is int
+            assert (num, den) == (num_a, den_a)
+            joint, marg = oracle_law(np.array([[a, b], [c, d]]))
+            assert Fraction(num, den) == oracle.min_copy_distance_m1(joint, marg)[0]
 
     def test_brute_force_grid_validation_single_bit(self):
         # Dense grid over the reference simplex: the exact optimum must

@@ -19,6 +19,7 @@ import split_state_oracle as oracle
 from nmcode.lp import min_copy_distance
 from nmcode.nmext import (
     DEFAULT_SWEEP_GUARD,
+    _max_fraction,
     ExtractorCode,
     ExtractorTable,
     FlatSourcePair,
@@ -537,6 +538,15 @@ class TestSweep:
         for cells in (1, 7 * 37):
             monkeypatch.setattr(core, "PASS_CELLS", cells)
             assert relaxed_error_sweep(table, f1, f2, min_support=6) == whole
+
+    def test_max_fraction_decides_a_float_tie_exactly(self):
+        # Both quotients round to 0.5748904736595649, so the float argmax
+        # proposes the first; the second is larger exactly.
+        num = np.array([1234567891, 971389245], dtype=np.int64)
+        den = np.array([2147483647, 1689694454], dtype=np.int64)
+        assert num[0] / den[0] == num[1] / den[1]
+        assert Fraction(971389245, 1689694454) > Fraction(1234567891, 2147483647)
+        assert _max_fraction(num, den) == (971389245, 1689694454)
 
 
 class TestRandomTableBudget:

@@ -371,6 +371,15 @@ def test_optimal_nm_error_equals_oracle(name):
             assert oracle.nm_error(code, f, want_ref, messages=messages)[0] == value
 
 
+def test_minimax_oracle_refuses_past_16_messages():
+    """The oracle's dense LP on 256 messages would take gigabytes; it raises
+    before computing a single message's distribution."""
+    code = CODES["lecss-4"]
+    assert code.message_bits == 8
+    with pytest.raises(ValueError, match="256 groups exceed"):
+        oracle.optimal_nm_error(code, BitTamperFn.identity(code.block_bits))
+
+
 def test_reference_of_the_wrong_message_length_raises():
     code = CODES["inner-8-3"]
     f = BitTamperFn.identity(code.block_bits)
