@@ -17,7 +17,7 @@ toy plans are constructible but carry their violations on record.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import ceil
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -28,7 +28,7 @@ from . import core
 from .core import FiniteDist, GuardExceeded, InfeasibleParams, RngSeed
 from .inner import InnerCode, InnerParams, plan_inner_params, sample_inner_code
 from .lecss import LecssCode, LecssParams
-from .perm import PRF_SHUFFLE, PermSpec, Permutation, derive_permutation, seed_table
+from .perm import PRF_SHUFFLE, PermSpec, Permutation, derive_permutation, permute_many, scatter_tables, seed_table
 from .tamper import KEEP, SET0, SET1, BitTamperFn
 from . import schemes
 
@@ -40,15 +40,6 @@ class ConstraintCheck:
     status: str  # "ok" | "violated" | "assumed"
     lhs: float
     rhs: float
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "formula": self.formula,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
 
 
 @dataclass(frozen=True)
@@ -254,18 +245,8 @@ class ConcatPlan:
             "gamma1": float(self.gamma1),
             "gamma2": float(self.gamma2),
             "rate": float(self.rate),
-            "inner": {
-                "n": self.inner.n,
-                "k": self.inner.k,
-                "t": self.inner.t,
-                "delta": self.inner.delta,
-            },
-            "seed_code": {
-                "n": self.c1.n,
-                "k": self.c1.k,
-                "t": self.c1.t,
-                "delta": self.c1.delta,
-            },
+            "inner": asdict(self.inner),
+            "seed_code": asdict(self.c1),
             "lecss": {
                 "q": 1 << self.lecss.m,
                 "n": self.lecss.n,
@@ -284,7 +265,7 @@ class ConcatPlan:
                 "b": self.block_in,
                 "K": self.message_bits,
             },
-            "constraints": [c.to_json() for c in self.constraints()],
+            "constraints": [asdict(c) for c in self.constraints()],
         }
 
 
@@ -459,47 +440,20 @@ class ConcatCode:
     # -- batch kernels ------------------------------------------------------
 
     def _scatter_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Forward and inverse byte-scatter tables of every seed's
+        """Forward and inverse `perm.scatter_tables` of every seed's
         permutation (the rows of `perm.seed_table`), built on the first
-        batch call. Row j of each is byte j's table for every seed in
-        turn: entry (z << 8) | byte is the OR of 1 << map[8j + b] over the
-        set bits b of byte, 0 where byte sets a bit past the word. The
-        entries are built by doubling: the bytes with top bit b are the
-        bytes below 1 << b with bit b's image ORed in."""
+        batch call: entry (z << 8) | byte of row j is seed z's table for
+        byte j."""
         if self._scatter is None:
             if self._table_entries > core.TABLE_CELLS:
                 raise GuardExceeded(
                     f"{self._table_entries} permutation-table entries exceed guard {core.TABLE_CELLS}"
                 )
             forward = seed_table(self._spec)
-            seeds, n = forward.shape
             inverse = np.empty_like(forward)
-            np.put_along_axis(inverse, forward, np.arange(n, dtype=forward.dtype), axis=1)
-            nbytes = (n + 7) // 8
-            tables = []
-            for mapping in (forward, inverse):
-                bits = np.zeros((nbytes * 8, seeds), dtype=np.uint64)
-                bits[:n] = np.uint64(1) << mapping.T.astype(np.uint64)
-                bits = bits.reshape(nbytes, 8, seeds)
-                table = np.zeros((nbytes, 256, seeds), dtype=np.uint64)
-                for b in range(8):
-                    table[:, 1 << b : 2 << b] = table[:, : 1 << b] | bits[:, b, None]
-                if n % 8:
-                    table[-1, 1 << (n % 8) :] = 0
-                tables.append(table.transpose(0, 2, 1).reshape(nbytes, seeds * 256))
-            self._scatter = tuple(tables)
+            np.put_along_axis(inverse, forward, np.arange(forward.shape[1], dtype=forward.dtype), axis=1)
+            self._scatter = (scatter_tables(forward), scatter_tables(inverse))
         return self._scatter
-
-    @staticmethod
-    def _permute_many(tables: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Scatter the bytes of each uint64 word x through its seed z's
-        tables: byte j of x reads entry (z << 8) | byte of row j, a `take`
-        with np.intp indices (z intp, each byte cast after masking)."""
-        base = z << 8
-        acc = tables[0].take(base | (x & 0xFF).astype(np.intp))
-        for j in range(1, len(tables)):
-            acc |= tables[j].take(base | ((x >> (8 * j)) & 0xFF).astype(np.intp))
-        return acc
 
     def _payload_entries(self) -> int:
         """Entries of `_payload_tables`."""
@@ -530,7 +484,7 @@ class ConcatCode:
             shifts = np.arange(plan.block_count)[:, None]
             placed = (book.reshape(1, -1) << (shifts * plan.block_out).astype(np.uint64)).ravel()
             z = np.repeat(np.arange(seeds), placed.size)
-            images = self._permute_many(self._scatter_tables()[0], z, np.tile(placed, seeds))
+            images = permute_many(self._scatter_tables()[0], z, np.tile(placed, seeds))
             blocks = np.where(decode >= 0, decode << (shifts * plan.block_in), 1 << plan.sharing_bits)
             self._payload = (images.reshape(seeds, -1), blocks.astype(np.uint64).ravel())
         return self._payload
@@ -610,7 +564,7 @@ class ConcatCode:
         # Failed seed segments (-1) are identified with the zero seed.
         z = np.maximum(self.seed_code.decode_many(words & self._seed_mask), 0)
         return self._decode_payload(
-            self._permute_many(self._scatter_tables()[1], z, words >> self.plan.seed_bits)
+            permute_many(self._scatter_tables()[1], z, words >> self.plan.seed_bits)
         )
 
     def fold(self, f: BitTamperFn) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -644,8 +598,8 @@ class ConcatCode:
         z = np.maximum(self.seed_code.decode_many(tampered & self._seed_mask), 0)
         inverse = self._scatter_tables()[1]
         masked = np.repeat(images, plan.c1.t, axis=0) & keep
-        table = self._permute_many(inverse, np.repeat(z, width), masked.ravel()).reshape(segments, width)
-        constant = self._permute_many(inverse, z, tampered >> plan.seed_bits)
+        table = permute_many(inverse, np.repeat(z, width), masked.ravel()).reshape(segments, width)
+        constant = permute_many(inverse, z, tampered >> plan.seed_bits)
         table[:, : self._block_words] ^= constant[:, None]
         table = table.ravel()
 
@@ -762,15 +716,7 @@ class AttackReport:
     CSV_HEADER = "adversary_id,case_class,eps_hat,radius,samples"
 
     def to_json(self) -> dict:
-        return {
-            "adversary_id": self.adversary_id,
-            "case_class": self.case_class,
-            "eps_hat": self.eps_hat,
-            "radius": self.radius,
-            "samples": self.samples,
-            "per_message": {str(k): v for k, v in self.per_message.items()},
-            "reference": self.reference,
-        }
+        return asdict(self) | {"per_message": {str(k): v for k, v in self.per_message.items()}}
 
 
 def attack_experiment(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import log, sqrt
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -533,3 +533,43 @@ class RngSeed:
 def dumps_report(obj) -> str:
     """Canonical JSON used for golden-file report comparisons."""
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# Saved artifacts: one JSON header line, then a little-endian bitstream
+# ---------------------------------------------------------------------------
+
+
+def write_packed(fp, header: dict, values: Sequence[int], width: int) -> None:
+    """Write `header` as one JSON line, then `values` as a little-endian
+    bitstream: value i fills bits i * width up to (i + 1) * width, and zero
+    bits pad the stream to whole bytes. Each value lies in [0, 2^width)."""
+    fp.write(json.dumps(header).encode() + b"\n")
+    size = (width + 7) // 8  # bytes per value
+    raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in values), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(values), size), axis=1, bitorder="little")[:, :width]
+    fp.write(np.packbits(bits.ravel(), bitorder="little").tobytes())
+
+
+def read_packed(fp, name: str, layout: Callable[[dict], Tuple[int, int]]) -> Tuple[dict, List[int]]:
+    """Read a file written by `write_packed`: its header and its values.
+    `layout(header)` checks the header and returns the count and width of
+    the values. Raises ValueError, naming the file `name`, when the header
+    is not a JSON line, when the bitstream holds another number of bytes
+    than the header implies, or when it sets a padding bit."""
+    try:
+        header = json.loads(fp.readline().decode())
+    except ValueError as e:
+        raise ValueError(f"{name} header is not a JSON line: {e}") from None
+    count, width = layout(header)
+    body, nbytes = fp.read(), (count * width + 7) // 8  # to the end: a bad header allocates nothing
+    if len(body) != nbytes:
+        raise ValueError(f"{name} bitstream holds {len(body)} bytes, not the {nbytes} of its header")
+    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="little")
+    if bits[count * width :].any():
+        raise ValueError(f"{name} bitstream sets padding bits past its last entry")
+    size = (width + 7) // 8
+    fields = np.zeros((count, size * 8), dtype=np.uint8)
+    fields[:, :width] = bits[: count * width].reshape(count, width)
+    raw = np.packbits(fields, axis=1, bitorder="little").tobytes()
+    return header, [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(count)]

@@ -13,10 +13,8 @@ independence of encodings, and per-adversary error detection.
 
 from __future__ import annotations
 
-import io
 import random
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, log2
@@ -248,56 +246,32 @@ class InnerCode:
         pairs = combinations(words, 2)
         return min(((a ^ b).bit_count() for a, b in pairs), default=self.params.n + 1)
 
-    # -- serialization --------------------------------------------------
+    # -- serialization: `core.write_packed`, one n-bit field per codeword
 
-    _MAGIC = b"NMIC1\n"
+    def save(self, fp) -> None:
+        header = asdict(self.params)
+        if self.seed is not None:
+            header["seed"] = self.seed.to_json()
+        core.write_packed(fp, header, [w for words in self.codebook for w in words], self.params.n)
 
-    def save(self, fp: io.BufferedIOBase) -> None:
-        p = self.params
-        fp.write(self._MAGIC)
-        frac = Fraction(p.delta)
-        num = frac.numerator.to_bytes((frac.numerator.bit_length() + 7) // 8 or 1, "little")
-        den = frac.denominator.to_bytes((frac.denominator.bit_length() + 7) // 8 or 1, "little")
-        seed = self.seed or RngSeed(bytes(32), 0)
-        fp.write(struct.pack("<HHI", p.n, p.k, p.t))
-        fp.write(struct.pack("<H", len(num)) + num)
-        fp.write(struct.pack("<H", len(den)) + den)
-        fp.write(seed.seed + struct.pack("<Q", seed.stream_id))
-        nbytes = (p.n + 7) // 8
-        for words in self.codebook:
-            for w in words:
-                fp.write(w.to_bytes(nbytes, "little"))
+    @staticmethod
+    def _header_params(header) -> InnerParams:
+        try:
+            return InnerParams(**{key: header[key] for key in ("n", "k", "t", "delta")})
+        except (KeyError, TypeError):
+            raise ValueError('inner code header needs the fields "n", "k", "t" and "delta"') from None
 
     @classmethod
-    def load(cls, fp: io.BufferedIOBase) -> "InnerCode":
-        """Read a file written by `save`; raises ValueError when the file
-        holds more or fewer bytes than its header implies."""
-
-        def read(size: int) -> bytes:
-            data = fp.read(size)
-            if len(data) != size:
-                raise ValueError(f"inner code file ends {size - len(data)} bytes short of its header")
-            return data
-
-        if read(len(cls._MAGIC)) != cls._MAGIC:
-            raise ValueError("bad magic")
-        n, k, t = struct.unpack("<HHI", read(8))
-        (num_len,) = struct.unpack("<H", read(2))
-        num = int.from_bytes(read(num_len), "little")
-        (den_len,) = struct.unpack("<H", read(2))
-        den = int.from_bytes(read(den_len), "little")
-        seed_bytes = read(32)
-        (stream_id,) = struct.unpack("<Q", read(8))
-        params = InnerParams(n=n, k=k, t=t, delta=num / den if den else 0.0)
-        nbytes = (n + 7) // 8
-        body = fp.read()  # to the end, so a size from a bad header allocates nothing
-        if len(body) != params.codeword_count * nbytes:
-            raise ValueError(
-                f"codebook holds {len(body)} bytes, not the {params.codeword_count} x {nbytes} of its header"
-            )
-        words = [int.from_bytes(body[i : i + nbytes], "little") for i in range(0, len(body), nbytes)]
-        codebook = [words[s * t : (s + 1) * t] for s in range(1 << k)]
-        return cls(params, codebook, RngSeed(seed_bytes, stream_id))
+    def load(cls, fp) -> "InnerCode":
+        """Read a file written by `save`; raises ValueError on a header
+        without the fields of InnerParams or with a malformed seed, and
+        where `core.read_packed` does."""
+        header, words = core.read_packed(
+            fp, "inner code", lambda header: (cls._header_params(header).codeword_count, header["n"])
+        )
+        params, t = cls._header_params(header), header["t"]
+        seed = RngSeed.from_json(header["seed"]) if "seed" in header else None
+        return cls(params, [words[s * t : (s + 1) * t] for s in range(1 << params.k)], seed)
 
 
 def _ball_masks(n: int, radius: int) -> List[int]:

@@ -22,7 +22,6 @@ reported distances stay exact Fractions.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,41 +78,29 @@ class ExtractorTable:
         """The table as a read-only (2^n, 2^n) int64 array, built once."""
         return self._array
 
-    # -- serialization: one JSON header line, then a little-endian bitstream
+    # -- serialization: `core.write_packed`, one m-bit field per entry
 
     def save(self, fp) -> None:
         header = {"n": self.n, "m": self.m}
         if self.seed is not None:
             header["seed"] = self.seed.to_json()
-        fp.write(json.dumps(header).encode() + b"\n")
-        acc = 0
-        for i, e in enumerate(self.entries):
-            acc |= e << (i * self.m)
-        nbytes = (len(self.entries) * self.m + 7) // 8
-        fp.write(acc.to_bytes(nbytes, "little"))
+        core.write_packed(fp, header, self.entries, self.m)
 
     @classmethod
     def load(cls, fp) -> "ExtractorTable":
         """Read a file written by `save`; raises ValueError on a header
-        without integer "n" and "m" or with a malformed seed, and on a
-        bitstream of another length than the header implies or with
-        padding bits set."""
-        header = json.loads(fp.readline().decode())
-        if not isinstance(header, dict) or not all(isinstance(header.get(key), int) for key in ("n", "m")):
-            raise ValueError('extractor header needs integer "n" and "m"')
-        n, m = header["n"], header["m"]
-        _check_widths(n, m)
-        count = 1 << (2 * n)
-        body, nbytes = fp.read(), (count * m + 7) // 8
-        if len(body) != nbytes:
-            raise ValueError(f"extractor bitstream holds {len(body)} bytes, not the {nbytes} of its header")
-        raw = int.from_bytes(body, "little")
-        if raw >> (count * m):
-            raise ValueError("extractor bitstream sets padding bits past its last entry")
-        mask = (1 << m) - 1
-        entries = [(raw >> (i * m)) & mask for i in range(count)]
+        without integer "n" and "m" or with a malformed seed, and where
+        `core.read_packed` does."""
+
+        def layout(header) -> Tuple[int, int]:
+            if not isinstance(header, dict) or not all(isinstance(header.get(key), int) for key in ("n", "m")):
+                raise ValueError('extractor header needs integer "n" and "m"')
+            _check_widths(header["n"], header["m"])
+            return 1 << (2 * header["n"]), header["m"]
+
+        header, entries = core.read_packed(fp, "extractor", layout)
         seed = RngSeed.from_json(header["seed"]) if "seed" in header else None
-        return cls(n, m, entries, seed)
+        return cls(header["n"], header["m"], entries, seed)
 
     def __repr__(self):
         return f"ExtractorTable(n={self.n}, m={self.m})"

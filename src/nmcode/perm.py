@@ -27,7 +27,10 @@ every set in one step, with one Fraction built at the end.
 
 Applying a permutation moves input bit i to output position forward[i].
 Applications run through per-byte scatter tables, so a 64-bit word costs
-eight lookups instead of 64 bit moves.
+eight lookups instead of 64 bit moves. This module owns that layout:
+`scatter_tables` builds the tables of a batch of maps, and `permute_many`
+scatters a batch of words through them. A `Permutation` reads the one row
+of its own map; `ConcatCode` builds the rows of every seed of its spec.
 """
 
 from __future__ import annotations
@@ -121,24 +124,6 @@ class Permutation:
         self._inv_tables: Optional[List[List[int]]] = None
 
     @staticmethod
-    def _build_tables(mapping: Sequence[int]) -> List[List[int]]:
-        n = len(mapping)
-        tables = []
-        for base in range(0, n, 8):
-            width = min(8, n - base)
-            table = [0] * 256
-            for byte in range(1 << width):
-                acc = 0
-                b = byte
-                while b:
-                    low = b & -b
-                    acc |= 1 << mapping[base + low.bit_length() - 1]
-                    b ^= low
-                table[byte] = acc
-            tables.append(table)
-        return tables
-
-    @staticmethod
     def _apply_tables(tables: List[List[int]], x: int) -> int:
         acc = 0
         for table in tables:
@@ -146,23 +131,14 @@ class Permutation:
             x >>= 8
         return acc
 
-    def scatter_tables(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """The (forward, inverse) byte-scatter tables; table j maps byte j
-        of a word to the bits it lands on."""
-        if self._fwd_tables is None:
-            self._fwd_tables = self._build_tables(self.forward)
-        if self._inv_tables is None:
-            self._inv_tables = self._build_tables(self.inverse)
-        return self._fwd_tables, self._inv_tables
-
     def apply_int(self, x: int) -> int:
         if self._fwd_tables is None:
-            self._fwd_tables = self._build_tables(self.forward)
+            self._fwd_tables = scatter_tables(np.array([self.forward])).tolist()
         return self._apply_tables(self._fwd_tables, x)
 
     def invert_int(self, x: int) -> int:
         if self._inv_tables is None:
-            self._inv_tables = self._build_tables(self.inverse)
+            self._inv_tables = scatter_tables(np.array([self.inverse])).tolist()
         return self._apply_tables(self._inv_tables, x)
 
     def to_json(self) -> dict:
@@ -176,6 +152,41 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({list(self.forward)})"
+
+
+def scatter_tables(forwards: np.ndarray) -> np.ndarray:
+    """Byte-scatter tables of the maps in the rows of `forwards`, a
+    (rows, n) integer array of bijections on range(n). Row j of the result
+    is byte j's table for every map in turn: entry (r << 8) | byte is the
+    OR of 1 << forwards[r, 8j + b] over the set bits b of byte, 0 where
+    byte sets a bit past the word. Entries are uint64 up to n = 64 and
+    Python ints in an object array past it. They are built by doubling:
+    the bytes with top bit b are the bytes below 1 << b with bit b's image
+    ORed in."""
+    rows, n = forwards.shape
+    nbytes = (n + 7) // 8
+    one, maps = (np.uint64(1), forwards.T.astype(np.uint64)) if n <= 64 else (1, forwards.T.astype(object))
+    bits = np.zeros((nbytes * 8, rows), dtype=maps.dtype)
+    bits[:n] = one << maps
+    bits = bits.reshape(nbytes, 8, rows)
+    table = np.zeros((nbytes, 256, rows), dtype=maps.dtype)
+    for b in range(8):
+        table[:, 1 << b : 2 << b] = table[:, : 1 << b] | bits[:, b, None]
+    if n % 8:
+        table[-1, 1 << (n % 8) :] = 0
+    return table.transpose(0, 2, 1).reshape(nbytes, rows * 256)
+
+
+def permute_many(tables: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Scatter the bytes of each word x (uint64, or a Python int in an
+    object array past 64 bits) through the tables of its map r, rows of
+    `scatter_tables`: byte j of x reads entry (r << 8) | byte of row j, a
+    `take` with np.intp indices (r intp, each byte cast after masking)."""
+    base = r << 8
+    acc = tables[0].take(base | (x & 0xFF).astype(np.intp))
+    for j in range(1, len(tables)):
+        acc |= tables[j].take(base | ((x >> (8 * j)) & 0xFF).astype(np.intp))
+    return acc
 
 
 def _unrank(index: int, n: int) -> List[int]:

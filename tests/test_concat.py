@@ -22,6 +22,7 @@ from nmcode.tamper import BitTamperFn, canonical_adversaries, case1_family, rand
 from nmcode import core, perm, schemes
 
 from test_batch import oracle_exact_dist
+from test_perm import permute_bits
 
 
 class TestPlanArithmetic:
@@ -177,23 +178,30 @@ class TestCodec:
         spec = code.plan.perm_spec()
         x = 0x9E3779B9
         for z in range(1 << code.plan.seed_message_bits):
-            perm = derive_permutation(spec, z)
-            assert code.perm_for(z) == perm
-            got = code._permute_many(fwd, np.array([z]), np.array([x], dtype=np.uint64))
-            assert int(got[0]) == perm.apply_int(x)
+            want = derive_permutation(spec, z)
+            assert code.perm_for(z) == want
+            got = perm.permute_many(fwd, np.array([z]), np.array([x], dtype=np.uint64))
+            assert int(got[0]) == want.apply_int(x)
 
     @pytest.mark.parametrize("block_n", [8, 5])
-    def test_scatter_tables_equal_each_seeds_byte_tables(self, block_n):
+    def test_scatter_tables_permute_like_the_bit_oracle(self, block_n):
         # 5-bit blocks give a 20-bit payload, whose last byte table
         # leaves the bytes that set a bit past the word at 0.
         plan = ConcatPlan(gamma0=0.5, inner=InnerParams(n=block_n, k=4, t=2, delta=0.0),
                           c1=InnerParams(n=8, k=2, t=2, delta=0.0),
                           lecss=LecssParams(m=4, n=4, k=3, k0=1), ell=0)
         code = build_concat(plan, RngSeed.from_int(4415))
-        tables = code._scatter_tables()
+        n = plan.payload_bits
+        fwd, inv = code._scatter_tables()
+        if n % 8:
+            assert not np.concatenate([fwd[-1], inv[-1]]).reshape(-1, 256)[:, 1 << (n % 8) :].any()
+        words = np.random.default_rng(4416).integers(0, 1 << n, size=64, dtype=np.uint64)
         for z, row in enumerate(perm.seed_table(code._spec).tolist()):
-            for got, want in zip(tables, Permutation(row).scatter_tables()):
-                assert got[:, z << 8 : (z + 1) << 8].tolist() == want
+            seeds = np.full(len(words), z)
+            back = sorted(range(n), key=row.__getitem__)
+            for tables, mapping in ((fwd, row), (inv, back)):
+                got = perm.permute_many(tables, seeds, words).tolist()
+                assert got == [permute_bits(mapping, int(x)) for x in words]
 
     def test_batch_tables_read_the_memoised_seed_table(self):
         self.code()._scatter_tables()

@@ -156,15 +156,32 @@ class TestSampling:
         assert back.params == code.params
         assert back.seed == code.seed
 
+    @pytest.mark.parametrize("params, seed", [
+        (InnerParams(n=3, k=1, t=2), None),  # saved without a seed, loaded without one
+        (InnerParams(n=70, k=1, t=2), RngSeed.from_int(11)),  # codewords wider than 64 bits
+    ])
+    def test_round_trip_keeps_the_seed_and_wide_codewords(self, params, seed):
+        code = InnerCode(params, sample_inner_code(params, RngSeed.from_int(12)).codebook, seed)
+        buf = io.BytesIO()
+        code.save(buf)
+        back = InnerCode.load(io.BytesIO(buf.getvalue()))
+        assert (back.params, back.codebook, back.seed) == (params, code.codebook, seed)
+        assert max(w for words in back.codebook for w in words).bit_length() <= params.n
+
+    def test_load_rejects_headers_without_the_params_fields(self):
+        for header in (b'{"n": 3, "k": 1, "t": 2}', b"[3, 1, 2, 0.0]", b'{"n": "3", "k": 1, "t": 2, "delta": 0.0}'):
+            with pytest.raises(ValueError, match='needs the fields "n", "k", "t" and "delta"'):
+                InnerCode.load(io.BytesIO(header + b"\n\0"))
+
     def test_load_rejects_files_the_header_does_not_describe(self):
         buf = io.BytesIO()
         sample_inner_code(InnerParams(8, 4, 4), RngSeed.from_int(2)).save(buf)
         raw = buf.getvalue()
         for data, match in (
-            (raw[:-1], r"codebook holds 63 bytes, not the 64 x 1"),
-            (raw + b"\0", r"codebook holds 65 bytes, not the 64 x 1"),
-            (raw[:12], "ends 2 bytes short of its header"),
-            (raw[:8], "ends 6 bytes short of its header"),
+            (raw[:-1], "inner code bitstream holds 63 bytes, not the 64 of its header"),
+            (raw + b"\0", "inner code bitstream holds 65 bytes, not the 64 of its header"),
+            (raw[:12], "inner code header is not a JSON line"),
+            (raw[:8], "inner code header is not a JSON line"),
         ):
             with pytest.raises(ValueError, match=match):
                 InnerCode.load(io.BytesIO(data))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -165,6 +166,29 @@ class TestTableMechanics:
         back = ExtractorTable.load(buf)
         assert back.entries == table.entries
         assert back.seed == table.seed
+
+    @pytest.mark.parametrize("table, digest", [
+        (lambda: ExtractorTable(1, 1, [1, 0, 1, 1]),
+         "37563dcd1cb9cb907d53a26b9fbba7d916fb96b82b30b9e4433e623886e1efeb"),
+        (lambda: sample_random_extractor(3, 2, RngSeed.from_int(5)),
+         "606dc552a03b5d15f69924a612b4443eed754fd7ba0e2d08153862c85d7cc7d7"),
+        (lambda: sample_random_extractor(4, 5, RngSeed.from_int(7)),
+         "b9424352921321fc37a97369e070f3afc33d43981021fe8a8c56588bf102438a"),
+    ])
+    def test_saved_bytes_pinned(self, table, digest):
+        """The SHA-256 of three saved tables: no seed with padding bits,
+        byte-aligned 2-bit entries, and 5-bit entries across bytes."""
+        buf = io.BytesIO()
+        table().save(buf)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
+
+    def test_round_trip_at_the_largest_table(self):
+        table = sample_random_extractor(8, 16, RngSeed.from_int(13))
+        buf = io.BytesIO()
+        table.save(buf)
+        assert len(buf.getvalue().split(b"\n", 1)[1]) == (1 << 16) * 2
+        back = ExtractorTable.load(io.BytesIO(buf.getvalue()))
+        assert (back.n, back.m, back.entries, back.seed) == (8, 16, table.entries, table.seed)
 
     def test_load_rejects_files_the_header_does_not_describe(self):
         buf = io.BytesIO()

@@ -69,6 +69,11 @@ def oracle_lwise(spec, trials, seed):
     return worst, None if passed else chosen[dists.index(worst)], passed
 
 
+def permute_bits(mapping, x):
+    """x with bit i moved to position mapping[i], one bit at a time."""
+    return sum(((x >> i) & 1) << j for i, j in enumerate(mapping))
+
+
 def report_triple(rep):
     witness = tuple(rep.counterexample["indices"]) if rep.counterexample else None
     return rep.worst_value, witness, rep.passed
@@ -103,6 +108,28 @@ class TestPermutation:
 
     def test_json(self):
         assert Permutation([2, 0, 1]).to_json() == {"forward": [2, 0, 1]}
+
+    @pytest.mark.parametrize("n", [5, 8, 20, 64, 70, 130])
+    def test_scatter_tables_match_the_bit_oracle(self, n):
+        # Word widths below, at and past one byte and 64 bits; 5, 20, 70 and
+        # 130 leave the last byte table partial, with 0 for the bytes that
+        # set a bit past the word, and past 64 bits the entries are Python
+        # ints.
+        rng = random.Random(n)
+        spec = PermSpec(n=n, seed_bits=32)
+        perms = [derive_permutation(spec, rng.getrandbits(32)) for _ in range(3)]
+        words = [rng.getrandbits(n) for _ in range(40)] + [0, (1 << n) - 1]
+        for p in perms:
+            for x in words:
+                assert p.apply_int(x) == permute_bits(p.forward, x)
+                assert p.invert_int(x) == permute_bits(p.inverse, x)
+        tables = perm.scatter_tables(np.array([p.forward for p in perms]))
+        assert tables.dtype == (np.uint64 if n <= 64 else object)
+        assert not n % 8 or not tables[-1].reshape(-1, 256)[:, 1 << (n % 8) :].any()
+        r = np.repeat(np.arange(len(perms)), len(words))
+        x = np.array(words * len(perms), dtype=np.uint64 if n <= 64 else object)
+        want = [permute_bits(perms[i].forward, int(w)) for i, w in zip(r, x)]
+        assert perm.permute_many(tables, r, x).tolist() == want
 
 
 class TestDerivation:
