@@ -41,7 +41,6 @@ from .tamper import (
     SplitStateTamperFn,
     canonical_adversaries,
     enumerate_bit_tampers,
-    random_split_tamper,
     random_tamper,
 )
 from .concat import (

@@ -484,7 +484,7 @@ class ConcatCode:
             shifts = np.arange(plan.block_count)[:, None]
             placed = (book.reshape(1, -1) << (shifts * plan.block_out).astype(np.uint64)).ravel()
             z = np.repeat(np.arange(seeds), placed.size)
-            images = permute_many(self._scatter_tables()[0], z, np.tile(placed, seeds))
+            images = permute_many(self._scatter_tables()[0], z, np.tile(placed, seeds), plan.payload_bits)
             blocks = np.where(decode >= 0, decode << (shifts * plan.block_in), 1 << plan.sharing_bits)
             self._payload = (images.reshape(seeds, -1), blocks.astype(np.uint64).ravel())
         return self._payload
@@ -560,11 +560,12 @@ class ConcatCode:
         return self.seed_code._batch_tables()[0].take(seg) | (permuted << self.plan.seed_bits)
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
+        """Raises ValueError on a word with a bit at or past block_bits."""
         schemes.check_word_bits(self)
         # Failed seed segments (-1) are identified with the zero seed.
         z = np.maximum(self.seed_code.decode_many(words & self._seed_mask), 0)
         return self._decode_payload(
-            permute_many(self._scatter_tables()[1], z, words >> self.plan.seed_bits)
+            permute_many(self._scatter_tables()[1], z, words >> self.plan.seed_bits, self.plan.payload_bits)
         )
 
     def fold(self, f: BitTamperFn) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -598,8 +599,8 @@ class ConcatCode:
         z = np.maximum(self.seed_code.decode_many(tampered & self._seed_mask), 0)
         inverse = self._scatter_tables()[1]
         masked = np.repeat(images, plan.c1.t, axis=0) & keep
-        table = permute_many(inverse, np.repeat(z, width), masked.ravel()).reshape(segments, width)
-        constant = permute_many(inverse, z, tampered >> plan.seed_bits)
+        table = permute_many(inverse, np.repeat(z, width), masked.ravel(), plan.payload_bits).reshape(segments, width)
+        constant = permute_many(inverse, z, tampered >> plan.seed_bits, plan.payload_bits)
         table[:, : self._block_words] ^= constant[:, None]
         table = table.ravel()
 

@@ -241,9 +241,6 @@ class FiniteDist:
                 return len(sym)
         return None
 
-    def total(self) -> Fraction:
-        return sum(self._probs.values(), Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteDist) and self._probs == other._probs
 
@@ -278,25 +275,6 @@ class FiniteDist:
         if self._samples is not None:
             out["samples"] = self._samples
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FiniteDist":
-        probs = {}
-        samples = obj.get("samples")
-        for entry in obj["support"]:
-            raw = entry["sym"]
-            if raw == "bottom":
-                sym: Symbol = BOTTOM
-            elif raw == "same":
-                sym = SAME
-            else:
-                sym = BitWord(int(raw, 16), entry["bits"])
-            p = entry["p"]
-            if samples is not None:
-                probs[sym] = Fraction(round(p * samples), samples)
-            else:
-                probs[sym] = p
-        return cls(probs, kind=obj["kind"], samples=samples)
 
 
 def _check_compatible(p: FiniteDist, q: FiniteDist) -> None:
@@ -484,8 +462,8 @@ class RngSeed:
     """32-byte root seed plus a stream id.
 
     Equal (seed, stream_id) pairs reproduce identical streams on every
-    platform; parallel workers take distinct stream ids so they never share
-    a stream.
+    platform. `child` picks a stream id; parallel workers take distinct
+    ones so they never share a stream.
     """
 
     seed: bytes
@@ -498,16 +476,15 @@ class RngSeed:
             raise ValueError("stream_id must be nonnegative")
 
     @classmethod
-    def from_int(cls, n: int, stream_id: int = 0) -> "RngSeed":
-        digest = hashlib.sha256(b"nmcode.seed:" + str(n).encode()).digest()
-        return cls(digest, stream_id)
+    def from_int(cls, n: int) -> "RngSeed":
+        return cls(hashlib.sha256(b"nmcode.seed:" + str(n).encode()).digest())
 
     @classmethod
-    def from_hex(cls, s: str, stream_id: int = 0) -> "RngSeed":
+    def from_hex(cls, s: str) -> "RngSeed":
         raw = bytes.fromhex(s)
         if len(raw) < 32:
             raw = hashlib.sha256(b"nmcode.hexseed:" + raw).digest()
-        return cls(raw[:32], stream_id)
+        return cls(raw[:32])
 
     def child(self, stream_id: int) -> "RngSeed":
         return RngSeed(self.seed, stream_id)

@@ -241,11 +241,6 @@ class InnerCode:
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         return self._batch_tables()[1].take(words.astype(np.intp))
 
-    def min_pairwise_distance(self) -> int:
-        words = [w for ws in self.codebook for w in ws]
-        pairs = combinations(words, 2)
-        return min(((a ^ b).bit_count() for a, b in pairs), default=self.params.n + 1)
-
     # -- serialization: `core.write_packed`, one n-bit field per codeword
 
     def save(self, fp) -> None:

@@ -28,6 +28,7 @@ from . import core
 from .core import GuardExceeded, InfeasibleParams, PropertyReport, RngSeed, worst_marginal
 from .gf import GF2m, field, invert_matrix
 from .inner import DEFAULT_INDEP_GUARD
+from . import schemes
 
 #: Most coefficient vectors verify_lecss scans for the exact distance.
 EXHAUSTIVE_DISTANCE_GUARD = 1 << 16
@@ -178,9 +179,12 @@ class LecssCode:
         XOR over rows i of row i scaled by digit i. The code is MDS, so its
         first k symbols determine a codeword, as in decode_int. The batch
         kernels read both through `take` with np.intp indices, words cast
-        only after masking to their first k symbols.
+        only after masking to their first k symbols. Raises GuardExceeded,
+        before any table is built, on words over 64 bits or past
+        core.TABLE_CELLS codewords.
         """
         if self._tables is None:
+            schemes.check_word_bits(self)
             total = self.q**self.k
             if total > core.TABLE_CELLS:
                 raise GuardExceeded(f"q^k = {total} codewords exceed guard {core.TABLE_CELLS}")

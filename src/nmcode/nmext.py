@@ -22,12 +22,11 @@ reported distances stay exact Fractions.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,9 +69,6 @@ class ExtractorTable:
         self.seed = seed
         self._array = np.asarray(ent, dtype=np.int64).reshape(1 << n, 1 << n)
         self._array.flags.writeable = False
-
-    def lookup(self, x: int, y: int) -> int:
-        return self.entries[(x << self.n) | y]
 
     def as_array(self) -> np.ndarray:
         """The table as a read-only (2^n, 2^n) int64 array, built once."""
@@ -247,14 +243,6 @@ class NmVerdict:
     optimal_distances: Dict[str, Fraction] = field(default_factory=dict)
     witness: Optional[dict] = None
 
-    def to_json(self) -> dict:
-        return {
-            "extraction_distance": float(self.extraction_distance),
-            "nm_distances": {k: float(v) for k, v in self.nm_distances.items()},
-            "optimal_distances": {k: float(v) for k, v in self.optimal_distances.items()},
-            "witness": self.witness,
-        }
-
 
 def _patterns(f1, f2, active: str):
     if active == "first-only":
@@ -320,14 +308,8 @@ def check_strict_nm(
 
 
 # ---------------------------------------------------------------------------
-# Extractor-defined coding scheme
+# The extractor-to-code reduction
 # ---------------------------------------------------------------------------
-
-
-def _swap_halves(t, n: int):
-    """Table index (x << n) | y to word x | (y << n), and back; works on
-    ints and integer arrays alike."""
-    return ((t & ((1 << n) - 1)) << n) | (t >> n)
 
 
 def _preimage_sizes(ext: ExtractorTable) -> np.ndarray:
@@ -337,50 +319,6 @@ def _preimage_sizes(ext: ExtractorTable) -> np.ndarray:
     if not sizes.all():
         raise InfeasibleParams(f"output {int(np.argmin(sizes))} has an empty preimage")
     return sizes
-
-
-class ExtractorCode:
-    """Split-state scheme whose decoder is the extractor table.
-
-    Codeword layout: first source in the low half, so word x | (y << n)
-    decodes to entries[(x << n) | y]. The encodings of every output lie
-    end to end in `flat`, output s at `starts[s]` with `sizes[s]` words in
-    table order; `by_word` is the output of every word.
-    """
-
-    def __init__(self, ext: ExtractorTable):
-        self.ext = ext
-        self.message_bits = ext.m
-        self.block_bits = 2 * ext.n
-        n = ext.n
-        entries = ext.as_array().ravel()
-        self.sizes = _preimage_sizes(ext)
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.flat = _swap_halves(np.argsort(entries, kind="stable"), n).astype(np.uint64)
-        self.by_word = entries[_swap_halves(np.arange(1 << self.block_bits, dtype=np.int64), n)]
-
-    def encode_int(self, s: int, rng: random.Random) -> int:
-        return int(self.flat[self.starts[s] + rng.randrange(int(self.sizes[s]))])
-
-    def decode_int(self, w: int) -> Optional[int]:
-        return int(self.ext.as_array().flat[_swap_halves(w, self.ext.n)])
-
-    def iter_encodings_int(self, s: int) -> Iterable[int]:
-        for t in np.flatnonzero(self.ext.as_array() == s).tolist():
-            yield _swap_halves(t, self.ext.n)
-
-    def encoding_count(self, s):
-        """Encodings of s; for an int64 array of messages, one count per entry."""
-        return self.sizes[s] if np.ndim(s) else int(self.sizes[s])
-
-    def encodings_many(self, s: int) -> np.ndarray:
-        return self.flat[self.starts[s] : self.starts[s] + self.sizes[s]]
-
-    def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return self.flat[self.starts[msgs] + index]
-
-    def decode_many(self, words: np.ndarray) -> np.ndarray:
-        return self.by_word.take(words.astype(np.intp))
 
 
 @dataclass

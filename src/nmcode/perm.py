@@ -123,8 +123,9 @@ class Permutation:
         self._fwd_tables: Optional[List[List[int]]] = None
         self._inv_tables: Optional[List[List[int]]] = None
 
-    @staticmethod
-    def _apply_tables(tables: List[List[int]], x: int) -> int:
+    def _apply_tables(self, tables: List[List[int]], x: int) -> int:
+        if x >> self.n:  # -1 for a negative x
+            raise ValueError(f"{x} is not a word of {self.n} bits")
         acc = 0
         for table in tables:
             acc |= table[x & 0xFF]
@@ -132,11 +133,14 @@ class Permutation:
         return acc
 
     def apply_int(self, x: int) -> int:
+        """Move bit i of the n-bit word x to bit forward[i]; raises
+        ValueError on a negative x or one with a bit at or past n."""
         if self._fwd_tables is None:
             self._fwd_tables = scatter_tables(np.array([self.forward])).tolist()
         return self._apply_tables(self._fwd_tables, x)
 
     def invert_int(self, x: int) -> int:
+        """The inverse of apply_int, with its ValueError."""
         if self._inv_tables is None:
             self._inv_tables = scatter_tables(np.array([self.inverse])).tolist()
         return self._apply_tables(self._inv_tables, x)
@@ -177,11 +181,15 @@ def scatter_tables(forwards: np.ndarray) -> np.ndarray:
     return table.transpose(0, 2, 1).reshape(nbytes, rows * 256)
 
 
-def permute_many(tables: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Scatter the bytes of each word x (uint64, or a Python int in an
-    object array past 64 bits) through the tables of its map r, rows of
+def permute_many(tables: np.ndarray, r: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Scatter the bytes of each n-bit word x (uint64, or a Python int in
+    an object array past 64 bits) through the tables of its map r, rows of
     `scatter_tables`: byte j of x reads entry (r << 8) | byte of row j, a
-    `take` with np.intp indices (r intp, each byte cast after masking)."""
+    `take` with np.intp indices (r intp, each byte cast after masking).
+    Raises ValueError when a word is negative or sets a bit at or past n,
+    checked by one OR-reduction of x."""
+    if np.bitwise_or.reduce(x) >> n:  # -1 for a negative word
+        raise ValueError(f"a word is negative or sets a bit at or past bit {n}")
     base = r << 8
     acc = tables[0].take(base | (x & 0xFF).astype(np.intp))
     for j in range(1, len(tables)):

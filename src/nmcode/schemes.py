@@ -214,8 +214,9 @@ def reference_dist(
     (samples=None) counts every message, in the blocks of `_blocks`, moves
     each row's own-message cell to SAME and weighs the row by
     1/(2^k * encoding_count(s)): rows are summed per row sum, then
-    combined over the lcm of the sums in Python ints, as the lcm can pass
-    2^63 (the unequal preimages of `ExtractorCode`).
+    combined over the lcm of the sums in Python ints. The interface lets
+    encoding_count differ between messages, and the lcm of unequal counts
+    can pass 2^63.
     """
     k = scheme.message_bits
     if samples is not None:

@@ -81,9 +81,6 @@ class BitTamperFn:
     def is_identity(self) -> bool:
         return all(a == KEEP for a in self.actions)
 
-    def is_constant(self) -> bool:
-        return all(a in (SET0, SET1) for a in self.actions)
-
     def to_json(self) -> dict:
         return {"type": "bits", "actions": self.to_str()}
 
@@ -187,31 +184,6 @@ class SplitStateTamperFn:
 
     def __repr__(self):
         return f"SplitStateTamperFn(half={self.half})"
-
-
-def random_split_tamper(
-    n: int,
-    fixed_point_free: bool,
-    rng: random.Random,
-) -> SplitStateTamperFn:
-    if n % 2:
-        raise ValueError("split-state adversaries need an even length")
-    half = n // 2
-    size = 1 << half
-    if fixed_point_free and size < 2:
-        raise ValueError("a one-entry half table has no fixed-point-free value")
-    tables = []
-    for _ in range(2):
-        t = []
-        for x in range(size):
-            v = rng.randrange(size)
-            if fixed_point_free:
-                # Resample the single forbidden value away (derangement-style repair).
-                while v == x:
-                    v = rng.randrange(size)
-            t.append(v)
-        tables.append(t)
-    return SplitStateTamperFn(tables[0], tables[1])
 
 
 # ---------------------------------------------------------------------------

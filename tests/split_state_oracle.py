@@ -10,18 +10,101 @@ SAME-marker LP in its two-inequality-rows form, `two_row_minimax`,
 otherwise), and the reduction rows through the dict `optimal_nm_error` of
 `bit_tamper_oracle` on the extractor code, which solves its minimax with
 `two_row_minimax` too.
+
+It also holds the scheme-shaped side of the reduction, which
+`nmext.verify_reduction` never builds: `ExtractorCode`, the split-state
+code whose decoder is the extractor table, with the batch interface of
+`schemes`, and `random_split_tamper`, the random split-state adversaries
+of the batch and scheme tests.
 """
 
+import random
 from fractions import Fraction
+from typing import Iterable, Optional
+
+import numpy as np
 
 import bit_tamper_oracle
 from minimax_oracle import two_row_minimax
 from nmcode.core import SAME, RngSeed
-from nmcode.nmext import ExtractorCode, FlatSourcePair, check_extraction
+from nmcode.nmext import ExtractorTable, FlatSourcePair, _preimage_sizes, check_extraction
 from nmcode.tamper import SplitStateTamperFn
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _swap_halves(t, n: int):
+    """Table index (x << n) | y to word x | (y << n), and back; works on
+    ints and integer arrays alike."""
+    return ((t & ((1 << n) - 1)) << n) | (t >> n)
+
+
+class ExtractorCode:
+    """Split-state scheme whose decoder is the extractor table.
+
+    Codeword layout: first source in the low half, so word x | (y << n)
+    decodes to entries[(x << n) | y]. The encodings of every output lie
+    end to end in `flat`, output s at `starts[s]` with `sizes[s]` words in
+    table order; `by_word` is the output of every word. Raises
+    InfeasibleParams when an output has no encoding.
+    """
+
+    def __init__(self, ext: ExtractorTable):
+        self.ext = ext
+        self.message_bits = ext.m
+        self.block_bits = 2 * ext.n
+        n = ext.n
+        entries = ext.as_array().ravel()
+        self.sizes = _preimage_sizes(ext)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.flat = _swap_halves(np.argsort(entries, kind="stable"), n).astype(np.uint64)
+        self.by_word = entries[_swap_halves(np.arange(1 << self.block_bits, dtype=np.int64), n)]
+
+    def encode_int(self, s: int, rng: random.Random) -> int:
+        return int(self.flat[self.starts[s] + rng.randrange(int(self.sizes[s]))])
+
+    def decode_int(self, w: int) -> Optional[int]:
+        return int(self.ext.as_array().flat[_swap_halves(w, self.ext.n)])
+
+    def iter_encodings_int(self, s: int) -> Iterable[int]:
+        for t in np.flatnonzero(self.ext.as_array() == s).tolist():
+            yield _swap_halves(t, self.ext.n)
+
+    def encoding_count(self, s):
+        """Encodings of s; for an int64 array of messages, one count per entry."""
+        return self.sizes[s] if np.ndim(s) else int(self.sizes[s])
+
+    def encodings_many(self, s: int) -> np.ndarray:
+        return self.flat[self.starts[s] : self.starts[s] + self.sizes[s]]
+
+    def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return self.flat[self.starts[msgs] + index]
+
+    def decode_many(self, words: np.ndarray) -> np.ndarray:
+        return self.by_word.take(words.astype(np.intp))
+
+
+def random_split_tamper(n: int, fixed_point_free: bool, rng: random.Random) -> SplitStateTamperFn:
+    """Uniform random half tables of an n-bit split-state adversary; with
+    `fixed_point_free`, each entry equal to its index is redrawn until it
+    differs. Raises ValueError on odd n, and on n = 0 with
+    `fixed_point_free`, where a one-entry half has no other value."""
+    if n % 2:
+        raise ValueError("split-state adversaries need an even length")
+    size = 1 << (n // 2)
+    if fixed_point_free and size < 2:
+        raise ValueError("a one-entry half table has no fixed-point-free value")
+    tables = []
+    for _ in range(2):
+        t = []
+        for x in range(size):
+            v = rng.randrange(size)
+            while fixed_point_free and v == x:
+                v = rng.randrange(size)
+            t.append(v)
+        tables.append(t)
+    return SplitStateTamperFn(tables[0], tables[1])
 
 
 def joint_output_dist(ext, src, f1, f2):

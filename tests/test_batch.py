@@ -19,13 +19,9 @@ from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
 from nmcode.core import BOTTOM, SAME, BitWord, FiniteDist, GuardExceeded, RngSeed
 from nmcode.inner import InnerCode, InnerParams, sample_inner_code
 from nmcode.lecss import LecssCode
-from nmcode.nmext import ExtractorCode, sample_random_extractor
-from nmcode.tamper import (
-    BitTamperFn,
-    case1_family,
-    random_split_tamper,
-    random_tamper,
-)
+from nmcode.nmext import sample_random_extractor
+from nmcode.tamper import BitTamperFn, case1_family, random_tamper
+from split_state_oracle import ExtractorCode, random_split_tamper
 
 KEEP_HEAVY = (0.92, 0.0, 0.08)
 
@@ -267,6 +263,14 @@ class TestSampledMode:
         big_lecss = LecssCode(m=5, n=6, k=5, k0=1)  # 32^5 = 2^25 codewords
         with pytest.raises(GuardExceeded):
             big_lecss.decode_many(np.zeros(1, dtype=np.uint64))
+
+    def test_lecss_batch_kernels_refuse_words_over_64_bits(self):
+        wide = LecssCode(m=8, n=16, k=2, k0=1)  # 128-bit words, 2^16 codewords
+        with pytest.raises(GuardExceeded, match="64-bit"):
+            wide.decode_many(np.zeros(1, dtype=np.uint64))
+        with pytest.raises(GuardExceeded, match="64-bit"):
+            wide.encode_many(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        assert wide._tables is None
 
     def test_samples_beyond_one_pass_are_chunked(self, monkeypatch):
         code = sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4150))

@@ -180,7 +180,7 @@ class TestCodec:
         for z in range(1 << code.plan.seed_message_bits):
             want = derive_permutation(spec, z)
             assert code.perm_for(z) == want
-            got = perm.permute_many(fwd, np.array([z]), np.array([x], dtype=np.uint64))
+            got = perm.permute_many(fwd, np.array([z]), np.array([x], dtype=np.uint64), code.plan.payload_bits)
             assert int(got[0]) == want.apply_int(x)
 
     @pytest.mark.parametrize("block_n", [8, 5])
@@ -200,7 +200,7 @@ class TestCodec:
             seeds = np.full(len(words), z)
             back = sorted(range(n), key=row.__getitem__)
             for tables, mapping in ((fwd, row), (inv, back)):
-                got = perm.permute_many(tables, seeds, words).tolist()
+                got = perm.permute_many(tables, seeds, words, n).tolist()
                 assert got == [permute_bits(mapping, int(x)) for x in words]
 
     def test_batch_tables_read_the_memoised_seed_table(self):
@@ -224,6 +224,15 @@ class TestCodec:
             big.encodings_many(0)
         with pytest.raises(GuardExceeded, match="64-bit"):
             big.fold(BitTamperFn.identity(big.block_bits))
+
+    def test_decode_many_refuses_a_bit_past_the_word(self):
+        # Bit 40 of a 40-bit word is bit 32 of its 32-bit payload.
+        code = self.code()
+        assert code.block_bits == 40
+        word = code.encode_many(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        assert code.decode_many(word).tolist() == [0]
+        with pytest.raises(ValueError, match="past bit 32"):
+            code.decode_many(word | np.uint64(1 << 40))
 
     def test_tampered_block_fails(self):
         code = self.code()

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -131,7 +130,7 @@ class TestPushCopy:
     def test_total_mass_preserved_and_no_same(self, w):
         d = TestStatisticalDistance._random_dist(w)
         out = push_copy(d, bw("01"))
-        assert out.total() == 1
+        assert sum(p for _, p in out.items()) == 1
         assert out.prob(SAME) == 0
 
     @given(st.lists(st.integers(0, 10), min_size=5, max_size=5))
@@ -373,20 +372,25 @@ class TestFiniteDistValidation:
         with pytest.raises(ValueError):
             FiniteDist({BOTTOM: Fraction(1, 3), SAME: Fraction(2, 3)}, kind="empirical", samples=4)
 
-    def test_json_round_trip(self):
+    def test_json(self):
         d = FiniteDist(
             {bw("0110"): Fraction(1, 4), BOTTOM: Fraction(1, 2), SAME: Fraction(1, 4)}
         )
         obj = d.to_json()
         assert obj["kind"] == "exact"
         assert {e["sym"] for e in obj["support"]} == {"bottom", "same", "6"}
-        back = FiniteDist.from_json(json.loads(json.dumps(obj)))
-        assert set(back.support()) == set(d.support())
 
-    def test_empirical_json_round_trip_exact(self):
+    def test_empirical_json_carries_the_sample_count(self):
         d = FiniteDist.from_samples([BOTTOM, SAME, BOTTOM, bw("01")])
-        back = FiniteDist.from_json(d.to_json())
-        assert back == d and back.samples == 4
+        assert d.to_json() == {
+            "kind": "empirical",
+            "support": [
+                {"sym": "bottom", "p": 0.5},
+                {"sym": "same", "p": 0.25},
+                {"sym": "2", "bits": 2, "p": 0.25},
+            ],
+            "samples": 4,
+        }
 
 
 class TestRngSeed:
@@ -414,7 +418,7 @@ class TestRngSeed:
             RngSeed(b"short")
 
     def test_json_round_trip(self):
-        s = RngSeed.from_int(9, 3)
+        s = RngSeed.from_int(9).child(3)
         assert RngSeed.from_json(s.to_json()) == s
 
 

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from nmcode.core import (
-    BOTTOM,
     SAME,
-    FiniteDist,
     GuardExceeded,
     InfeasibleParams,
     RngSeed,
@@ -21,7 +19,6 @@ from nmcode.lp import min_copy_distance
 from nmcode.nmext import (
     DEFAULT_SWEEP_GUARD,
     _max_fraction,
-    ExtractorCode,
     ExtractorTable,
     FlatSourcePair,
     check_extraction,
@@ -38,6 +35,7 @@ from nmcode.nmext import (
 )
 from nmcode.tamper import SplitStateTamperFn
 from nmcode import core
+from split_state_oracle import ExtractorCode
 from nmcode import schemes
 
 
@@ -87,7 +85,7 @@ def oracle_extraction_distance(table, src):
     counts = {}
     for x in src.xs:
         for y in src.ys:
-            v = table.lookup(x, y)
+            v = table.as_array()[x, y]
             counts[v] = counts.get(v, 0) + 1
     total = len(src.xs) * len(src.ys)
     unif = Fraction(1, 1 << table.m)
@@ -101,7 +99,7 @@ class TestExtraction:
         # Oracle-enumerated over all 16 pairs: 6 ones, 10 zeros.
         table = inner_product_table(2)
         src = FlatSourcePair.full(2)
-        ones = sum(table.lookup(x, y) for x in range(4) for y in range(4))
+        ones = sum(table.as_array()[x, y] for x in range(4) for y in range(4))
         assert ones == 6
         expected = Fraction(abs(10 - 8), 16)  # half-L1 of (10/16, 6/16) vs uniform
         assert check_extraction(table, src) == expected == Fraction(1, 8)
@@ -139,7 +137,7 @@ class TestTableMechanics:
         arr = table.as_array()
         for x in range(4):
             for y in range(4):
-                assert arr[x, y] == table.lookup(x, y) == table.entries[(x << 2) | y]
+                assert arr[x, y] == table.entries[(x << 2) | y]
 
     def test_as_array_is_built_once_and_read_only(self):
         table = sample_random_extractor(3, 2, RngSeed.from_int(10))
@@ -299,7 +297,7 @@ class TestRelaxed:
         joint = {}
         for x in range(4):
             for y in range(4):
-                key = (table.lookup(x, y), table.lookup(f1[x], f2[y]))
+                key = (table.as_array()[x, y], table.as_array()[f1[x], f2[y]])
                 joint[key] = joint.get(key, Fraction(0)) + Fraction(1, 16)
         second = {}
         for (a, b), p in joint.items():

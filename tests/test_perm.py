@@ -129,7 +129,29 @@ class TestPermutation:
         r = np.repeat(np.arange(len(perms)), len(words))
         x = np.array(words * len(perms), dtype=np.uint64 if n <= 64 else object)
         want = [permute_bits(perms[i].forward, int(w)) for i, w in zip(r, x)]
-        assert perm.permute_many(tables, r, x).tolist() == want
+        assert perm.permute_many(tables, r, x, n).tolist() == want
+
+    def test_words_past_n_bits_raise(self):
+        # Bit 5 fell off the one byte table, and bit 8 had no table to read:
+        # both words permuted to a 5-bit word without an error.
+        p = Permutation([1, 0, 2, 3, 4])
+        for x in (0b100001, 0b100000001, -1):
+            with pytest.raises(ValueError, match="of 5 bits"):
+                p.apply_int(x)
+            with pytest.raises(ValueError, match="of 5 bits"):
+                p.invert_int(x)
+        assert p.apply_int(0b11110) == p.invert_int(0b11110) == 0b11101
+
+    @pytest.mark.parametrize("n, dtype", [(5, np.uint64), (64, np.uint64), (70, object)])
+    def test_permute_many_refuses_words_past_n_bits(self, n, dtype):
+        tables = perm.scatter_tables(np.array([list(range(n))]))
+        r = np.zeros(2, dtype=np.intp)
+        top = (1 << n) - 1
+        assert perm.permute_many(tables, r, np.array([1, top], dtype=dtype), n).tolist() == [1, top]
+        bad = ([1 << n] if n < 64 else []) + ([-1] if dtype is object else [])
+        for word in bad:
+            with pytest.raises(ValueError, match=f"past bit {n}"):
+                perm.permute_many(tables, r, np.array([1, word], dtype=dtype), n)
 
 
 class TestDerivation:

@@ -26,8 +26,9 @@ from nmcode.concat import attack_experiment, build_concat, toy_concat_plan
 from nmcode.core import BitWord, FiniteDist, RngSeed, push_copy, statistical_distance
 from nmcode.inner import InnerParams, sample_inner_code
 from nmcode.lecss import LecssCode
-from nmcode.nmext import ExtractorCode, sample_random_extractor
-from nmcode.tamper import BitTamperFn, random_split_tamper, random_tamper
+from nmcode.nmext import sample_random_extractor
+from nmcode.tamper import BitTamperFn, random_tamper
+from split_state_oracle import ExtractorCode, random_split_tamper
 
 PROFILES = ((0.92, 0.0, 0.08), (0.5, 0.25, 0.25), (0.0, 0.5, 0.5))
 

@@ -9,6 +9,11 @@ attribute, an imported name, or a dotted-name string such as a layer-map
 entry. `__init__.py` does not count, since re-exporting a name reaches
 nothing, and neither do tests: a name that only tests call stays in
 `src/` only with a reason in ALLOWED.
+
+Two references name nothing of the package: one that goes through a name
+imported from another module (`json.load`, `np.take`, or `load` after
+`from json import load`), and `ClassName.attr` for every class but
+ClassName, so `RngSeed.from_json` does not reach `FiniteDist.from_json`.
 """
 
 import ast
@@ -22,16 +27,13 @@ PACKAGE = ROOT / "src" / "nmcode"
 ALLOWED = {
     "concat.ConcatPlan.predicted_error": "ROADMAP item 8 reports it along the plan frontier",
     "core.FiniteDist.point_mass": "ROADMAP item 13 moves FiniteDist into tests/ as the oracle's representation",
-    "inner.InnerCode.min_pairwise_distance": "test oracle of the exclusion radius; ROADMAP item 16 moves it into tests/",
+    "inner.InnerCode.load": "reads inner_code.bin, the artifact that `nmcode inner sample --out` writes",
     "inner.InnerParams.sampling_headroom": "states the paper's sampling bound t*2^k*Vol(radius) <= 2^(n-1) (ROADMAP item 16)",
     "inner.InnerPlan.k_bound": "states the paper's message-length bound (ROADMAP item 16)",
-    "nmext.ExtractorCode": "test oracle of the reduction; ROADMAP item 16 moves it into tests/",
-    "nmext.ExtractorTable.lookup": "test oracle: the one-entry read that the table tests hold as_array to",
+    "nmext.ExtractorTable.load": "reads extractor.bin, the artifact that `nmcode nmext sample --out` writes",
     "nmext.check_relaxed_nm": "the paper's relaxed condition on one source pair, which ROADMAP item 3 sweeps",
     "nmext.inner_product_table": "ROADMAP item 3 sweeps the reduction on it",
     "nmext.parity_table": "ROADMAP item 3 sweeps the reduction on it",
-    "tamper.BitTamperFn.is_constant": "test oracle of the adversaries verify_error_detection skips; ROADMAP item 16",
-    "tamper.random_split_tamper": "test oracle: the random split-state adversaries of the batch and scheme tests",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -49,20 +51,50 @@ def _defined(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
-def _referenced(node: ast.AST, skip: ast.AST = None):
-    """Every identifier named in `node` outside the subtree `skip`."""
+def _foreign(tree: ast.Module) -> set:
+    """Names a module binds by importing from outside the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] != "nmcode"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] != "nmcode":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _chain(parts, foreign: set, classes: set):
+    """The references of a dotted name: each part, or "Class.part" after
+    a class name, and none when it starts at a foreign name."""
+    if parts[0] in foreign:
+        return
+    yield parts[0]
+    for before, part in zip(parts, parts[1:]):
+        yield f"{before}.{part}" if before in classes else part
+
+
+def _referenced(node: ast.AST, foreign: set, classes: set, skip: ast.AST = None):
+    """Every reference in `node` outside the subtree `skip`."""
     if node is skip:
         return
-    if isinstance(node, ast.Name):
-        yield node.id
-    elif isinstance(node, ast.Attribute):
-        yield node.attr
-    elif isinstance(node, ast.alias):
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            yield from _chain([node.id] + parts, foreign, classes)
+            return
+        yield from parts  # the attributes of a call, subscript or literal
+    elif isinstance(node, ast.alias) and (node.asname or node.name.split(".")[0]) not in foreign:
         yield from node.name.split(".")
     elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
-        yield from node.value.split(".")
+        yield from _chain(node.value.split("."), foreign, classes)
     for child in ast.iter_child_nodes(node):
-        yield from _referenced(child, skip)
+        yield from _referenced(child, foreign, classes, skip)
 
 
 def _unreached():
@@ -70,16 +102,22 @@ def _unreached():
     that names no public definition)."""
     trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     scripts = [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    names = {path: set(_referenced(tree)) for path, tree in trees.items() if path.name != "__init__.py"}
-    names.update({i: set(_referenced(tree)) for i, tree in enumerate(scripts)})
+    classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def refs(tree, skip=None):
+        return set(_referenced(tree, _foreign(tree), classes, skip))
+
+    names = {path: refs(tree) for path, tree in trees.items() if path.name != "__init__.py"}
+    names.update({i: refs(tree) for i, tree in enumerate(scripts)})
     unreached, defined = set(), set()
     for path, tree in trees.items():
         for qualname, node in _defined(tree):
             name, leaf = f"{path.stem}.{qualname}", qualname.rsplit(".", 1)[-1]
+            keys = {leaf, qualname}
             defined.add(name)
-            if any(leaf in refs for other, refs in names.items() if other != path):
+            if any(keys & found for other, found in names.items() if other != path):
                 continue
-            if path.name == "__init__.py" or leaf not in _referenced(tree, skip=node):
+            if path.name == "__init__.py" or not keys & refs(tree, skip=node):
                 unreached.add(name)
     return unreached, set(ALLOWED) - defined
 
