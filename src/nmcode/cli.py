@@ -21,7 +21,7 @@ import time
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import BitWord, GuardExceeded, NmcodeError, RngSeed, dumps_report
+from .core import BitWord, GuardExceeded, NmcodeError, PropertyReport, RngSeed, dumps_report
 from .inner import (
     InnerParams,
     plan_inner_params,
@@ -224,8 +224,7 @@ def _inner_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> d
 
 
 def _verify_one_inner(args) -> dict:
-    inner, seed_json, checks, ell, eps, guards = args
-    seed = RngSeed.from_json(seed_json)
+    inner, seed, checks, ell, eps, guards = args
     code = sample_inner_code(InnerParams(*inner), seed)
     sweeps = {
         "cube": lambda kw: verify_cube_property(code),
@@ -240,10 +239,8 @@ def _verify_one_inner(args) -> dict:
             hint = "raise --guard or " if name in GUARDED_CHECKS else ""
             raise GuardExceeded(f"{name}: {e}; {hint}leave {name} out of --checks") from None
     if "roundtrip" in checks:
-        ok = schemes.roundtrip_exhaustive(code)
-        reports["roundtrip"] = {"name": "roundtrip", "passed": ok, "worst_case": "exhaustive", "worst_value": 0.0}
-        if not ok:
-            reports["roundtrip"]["counterexample"] = {"note": "decode(encode(s)) != s"}
+        failed = None if schemes.roundtrip_exhaustive(code) else {"note": "decode(encode(s)) != s"}
+        reports["roundtrip"] = PropertyReport("roundtrip", "exhaustive", 0.0, failed).to_json()
     return {"stream_id": seed.stream_id, "reports": reports}
 
 
@@ -256,7 +253,7 @@ def _inner_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> d
         raise ConfigError(f"guards apply only to {', '.join(GUARDED_CHECKS)}")
     inner = (p["n"], p["k"], p["t"], p["delta"])
     work = [
-        (inner, seed.child(i).to_json(), checks, p["ell"], p["eps"], guards)
+        (inner, seed.child(i), checks, p["ell"], p["eps"], guards)
         for i in range(p["seeds"])
     ]
     rows = _map(_verify_one_inner, work, jobs)
@@ -360,10 +357,9 @@ def _attack_code(seed: RngSeed) -> ConcatCode:
 
 
 def _attack_one(args) -> dict:
-    adv_json, samples, seed_json, adv_id, messages = args
-    seed = RngSeed.from_json(seed_json)
+    actions, samples, seed, adv_id, messages = args
     code = _attack_code(seed.child(0))
-    f = BitTamperFn.from_str(adv_json["actions"])
+    f = BitTamperFn.from_str(actions)
     rng = seed.stream(f"cli.attack.pick.{adv_id}")
     msgs = rng.sample(range(1 << code.message_bits), messages) if messages else None
     report = attack_experiment(
@@ -389,7 +385,7 @@ def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> 
         i += 1
     advs = advs[:count]
     work = [
-        (f.to_json(), samples, seed.child(1000 + j).to_json(), name, p["messages"])
+        (f.to_str(), samples, seed.child(1000 + j), name, p["messages"])
         for j, (name, f) in enumerate(advs)
     ]
     rows = _map(_attack_one, work, jobs)

@@ -553,7 +553,7 @@ class ConcatCode:
     def encode_many(self, msgs: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Encoding `index` of each message, in the order of encodings_many:
         the seed codeword beside the XOR of the blocks' permuted images."""
-        schemes.check_word_bits(self)
+        core.check_word_bits(self.block_bits)
         seg, blocks = self._digits(msgs, index)
         images = self._payload_tables()[0]
         permuted = self._xor_blocks(images.ravel(), seg // self.plan.c1.t * images.shape[1], blocks)
@@ -561,7 +561,7 @@ class ConcatCode:
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
         """Raises ValueError on a word with a bit at or past block_bits."""
-        schemes.check_word_bits(self)
+        core.check_word_bits(self.block_bits)
         # Failed seed segments (-1) are identified with the zero seed.
         z = np.maximum(self.seed_code.decode_many(words & self._seed_mask), 0)
         return self._decode_payload(
@@ -584,7 +584,7 @@ class ConcatCode:
         on words over 64 bits or when the payload tables and the fold's
         table exceed core.TABLE_CELLS entries.
         """
-        schemes.check_word_bits(self)
+        core.check_word_bits(self.block_bits)
         plan = self.plan
         segments = plan.c1.t << plan.seed_message_bits
         entries = self._payload_entries() + segments * plan.block_count * self._block_words
@@ -624,7 +624,7 @@ class ConcatCode:
         """Every encoding of s in iter_encodings_int order (seeds, seed
         codewords, sharings, then block-codeword choices with the first
         block slowest), from the seed codebook and the payload images."""
-        schemes.check_word_bits(self)
+        core.check_word_bits(self.block_bits)
         plan = self.plan
         t = plan.inner.t
         images = self._payload_tables()[0]

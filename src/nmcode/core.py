@@ -149,24 +149,19 @@ def _to_fraction(p) -> Fraction:
 class FiniteDist:
     """Probability distribution over message words, BOTTOM, and SAME.
 
-    kind is "exact" or "empirical"; empirical distributions carry their
-    sample count and hold exact frequency fractions count/samples.
+    A distribution with a sample count is empirical and holds exact
+    frequency fractions count/samples; one without is exact.
     """
 
-    __slots__ = ("_probs", "_kind", "_samples")
+    __slots__ = ("_probs", "_samples")
 
     def __init__(
         self,
         probs: Mapping[Symbol, Union[int, float, Fraction]],
-        kind: str = "exact",
         samples: Optional[int] = None,
     ):
-        if kind not in ("exact", "empirical"):
-            raise ValueError(f"unknown kind {kind!r}")
-        if kind == "empirical" and not samples:
-            raise ValueError("empirical distribution requires a sample count")
-        if kind == "exact" and samples is not None:
-            raise ValueError("exact distribution takes no sample count")
+        if samples is not None and samples < 1:
+            raise ValueError(f"sample count {samples} is below 1")
         cleaned = {}
         msg_len = None
         for sym, p in probs.items():
@@ -186,12 +181,11 @@ class FiniteDist:
         total = sum(cleaned.values(), Fraction(0))
         if abs(total - 1) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {float(total)}, not 1")
-        if kind == "empirical":
+        if samples is not None:
             for sym, f in cleaned.items():
                 if (f * samples).denominator != 1:
                     raise ValueError("empirical probabilities must be counts/samples")
         self._probs = cleaned
-        self._kind = kind
         self._samples = samples
 
     @classmethod
@@ -205,11 +199,7 @@ class FiniteDist:
         n = sum(counts.values())
         if n <= 0:
             raise ValueError("no samples counted")
-        return cls(
-            {sym: Fraction(c, n) for sym, c in counts.items()},
-            kind="empirical",
-            samples=n,
-        )
+        return cls({sym: Fraction(c, n) for sym, c in counts.items()}, samples=n)
 
     @classmethod
     def from_samples(cls, samples: Sequence[Symbol]) -> "FiniteDist":
@@ -220,7 +210,7 @@ class FiniteDist:
 
     @property
     def kind(self) -> str:
-        return self._kind
+        return "exact" if self._samples is None else "empirical"
 
     @property
     def samples(self) -> Optional[int]:
@@ -249,7 +239,7 @@ class FiniteDist:
 
     def __repr__(self) -> str:
         body = ", ".join(f"{s!r}: {float(p):.4g}" for s, p in self._probs.items())
-        return f"FiniteDist({{{body}}}, kind={self._kind!r})"
+        return f"FiniteDist({{{body}}}, kind={self.kind!r})"
 
     # -- serialization ------------------------------------------------------
 
@@ -271,7 +261,7 @@ class FiniteDist:
             else:
                 entry = {"sym": sym.to_hex(), "bits": len(sym), "p": float(p)}
             support.append(entry)
-        out = {"kind": self._kind, "support": support}
+        out = {"kind": self.kind, "support": support}
         if self._samples is not None:
             out["samples"] = self._samples
         return out
@@ -303,7 +293,7 @@ def push_copy(d: FiniteDist, s: BitWord) -> FiniteDist:
         return d
     probs = {sym: p for sym, p in d.items() if sym is not SAME}
     probs[s] = probs.get(s, Fraction(0)) + same_mass
-    return FiniteDist(probs, kind=d.kind, samples=d.samples)
+    return FiniteDist(probs, samples=d.samples)
 
 
 _INT64_MAX = (1 << 63) - 1
@@ -316,6 +306,14 @@ PASS_CELLS = 1 << 16
 #: Most entries one table or enumeration holds, for every size guard on a
 #: table; each reads it as core.TABLE_CELLS at call time.
 TABLE_CELLS = 1 << 20
+#: Widest word the batch kernels hold (one uint64 per word).
+MAX_WORD_BITS = 64
+
+
+def check_word_bits(bits: int) -> None:
+    """Raise GuardExceeded when words of `bits` bits do not fit one uint64."""
+    if bits > MAX_WORD_BITS:
+        raise GuardExceeded(f"{bits}-bit words exceed the {MAX_WORD_BITS}-bit batch kernels")
 
 
 def uniform_distance(counts: Iterable[int], total: int, outcomes: int) -> Fraction:
@@ -421,22 +419,19 @@ def confidence_radius(samples: int) -> float:
 class PropertyReport:
     """Outcome of an exhaustive or sampled property sweep.
 
-    `worst_value` is the extremal quantity the property bounds;
-    `counterexample` is present exactly when the sweep failed.
+    `worst_value` is the extremal quantity the property bounds; the sweep
+    passed exactly when it found no `counterexample`.
     """
 
     name: str
-    passed: bool
     worst_case: str
     worst_value: Union[Fraction, float]
     counterexample: Optional[dict] = None
     details: Optional[dict] = None
 
-    def __post_init__(self):
-        if self.passed and self.counterexample is not None:
-            raise ValueError("passing report must not carry a counterexample")
-        if not self.passed and self.counterexample is None:
-            raise ValueError("failing report must carry a counterexample")
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_json(self) -> dict:
         out = {

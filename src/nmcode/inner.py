@@ -239,7 +239,12 @@ class InnerCode:
         return self._batch_tables()[0].take(msgs * self.params.t + index)
 
     def decode_many(self, words: np.ndarray) -> np.ndarray:
-        return self._batch_tables()[1].take(words.astype(np.intp))
+        """decode_int on a uint64 array of words: -1 off the code, as for
+        every word with a bit at or past n, found by one OR-reduction."""
+        decode, n = self._batch_tables()[1], self.block_bits
+        if np.bitwise_or.reduce(words) >> n:
+            return np.where(words >> n, -1, decode.take((words & ((1 << n) - 1)).astype(np.intp)))
+        return decode.take(words.astype(np.intp))
 
     # -- serialization: `core.write_packed`, one n-bit field per codeword
 
@@ -336,10 +341,9 @@ def verify_cube_property(code: InnerCode) -> PropertyReport:
     words = book.reshape(-1).astype(np.intp)
     bits = 1 << np.arange(n, dtype=np.intp)
     paired = (decode.take(words[:, None] ^ bits) >= 0).any(axis=1)
-    passed = not paired.any()
-    worst = Fraction(1, 2) if passed else Fraction(0)
-    counterexample = None
-    if not passed:
+    worst, counterexample = Fraction(1, 2), None
+    if paired.any():
+        worst = Fraction(0)
         w = int(words[paired.argmax()])
         cube, mask = np.array([w], dtype=np.intp), (1 << n) - 1
         for bit in bits[::-1]:
@@ -349,7 +353,6 @@ def verify_cube_property(code: InnerCode) -> PropertyReport:
         counterexample = {"frozen_mask": mask, "frozen_values": w & mask, "bottom_fraction": 0.0}
     return PropertyReport(
         name="cube-property",
-        passed=passed,
         worst_case=f"min over sub-cubes of failure fraction = {worst}",
         worst_value=worst,
         counterexample=counterexample,
@@ -378,13 +381,11 @@ def verify_bounded_independence(
         raise GuardExceeded(f"sweep size {work} exceeds guard {guard}")
     eps_frac = Fraction(eps).limit_denominator(10**9) if isinstance(eps, float) else Fraction(eps)
     worst, message, idxs = worst_marginal(code.codebook, n, ell)
-    passed = worst <= eps_frac
     counterexample = None
-    if not passed:
+    if worst > eps_frac:
         counterexample = {"message": message, "indices": list(idxs), "distance": float(worst)}
     return PropertyReport(
         name="bounded-independence",
-        passed=passed,
         worst_case=f"max over (message, index set) of marginal distance = {float(worst):.6g}",
         worst_value=worst,
         counterexample=counterexample,
@@ -465,9 +466,8 @@ def verify_error_detection(code: InnerCode, guard: int = DEFAULT_DETECTION_GUARD
             fewest = int(misses[row, s])
             witness = (int(advs[row]), s)
     worst = Fraction(fewest, p.t)
-    passed = worst >= threshold
     counterexample = None
-    if not passed:
+    if worst < threshold:
         adv, s = witness
         counterexample = {
             "adversary": BitTamperFn([(adv >> 2 * b) & 3 for b in range(p.n)]).to_str(),
@@ -476,7 +476,6 @@ def verify_error_detection(code: InnerCode, guard: int = DEFAULT_DETECTION_GUARD
         }
     return PropertyReport(
         name="error-detection",
-        passed=passed,
         worst_case=f"min over (adversary, message) of failure probability = {worst}",
         worst_value=worst,
         counterexample=counterexample,

@@ -28,7 +28,6 @@ from . import core
 from .core import GuardExceeded, InfeasibleParams, PropertyReport, RngSeed, worst_marginal
 from .gf import GF2m, field, invert_matrix
 from .inner import DEFAULT_INDEP_GUARD
-from . import schemes
 
 #: Most coefficient vectors verify_lecss scans for the exact distance.
 EXHAUSTIVE_DISTANCE_GUARD = 1 << 16
@@ -152,6 +151,8 @@ class LecssCode:
         return self.encode_with(s, randomness)
 
     def decode_int(self, w: int) -> Optional[int]:
+        if w >> self.block_bits:  # a stray bit, or a negative w
+            return None
         symbols = self.unpack(w)
         fld = self.field
         coeffs = [0] * self.k
@@ -184,7 +185,7 @@ class LecssCode:
         core.TABLE_CELLS codewords.
         """
         if self._tables is None:
-            schemes.check_word_bits(self)
+            core.check_word_bits(self.block_bits)
             total = self.q**self.k
             if total > core.TABLE_CELLS:
                 raise GuardExceeded(f"q^k = {total} codewords exceed guard {core.TABLE_CELLS}")
@@ -334,16 +335,14 @@ def verify_lecss(
     if violations:
         failures.append({"check": "linearity", "violations": violations})
 
-    passed = not failures
     return PropertyReport(
         name="lecss-properties",
-        passed=passed,
         worst_case=(
             f"min symbol weight {min_weight} ({mode}), "
             f"max marginal distance {float(worst_indep):.3g}, "
             f"linearity violations {violations}"
         ),
         worst_value=Fraction(min_weight),
-        counterexample=None if passed else {"failures": failures},
+        counterexample={"failures": failures} if failures else None,
         details={"distance_mode": mode, "trials": trials},
     )

@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import SAME, NmcodeError
+from .core import NmcodeError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -318,13 +318,14 @@ def message_minimax(
     return _same_dual(len(rows[0]), rows, messages, [0] * len(rows), [1])
 
 
-def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, Dict[object, Fraction]]:
+def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, List[Fraction]]:
     """Reference distribution d over the outputs plus SAME closest to the
-    law of (output, tampered output); returns (distance, d).
+    law of (output, tampered output); returns (distance, [d_0, ...,
+    d_{outputs-1}, d_same]), as `message_minimax` does.
 
     counts[a, b] counts the cells with output a and tampered output b;
     with p_a the share of output a, d explains the pair (a, b) by
-    p_a * (d[b] + [a == b] * d[SAME]), so the distance is the sum over
+    p_a * (d_b + [a == b] * d_same), so the distance is the sum over
     outputs a of p_a times the distance of row a, and each output that
     occurs gets its own budget row (see `_same_dual`). Exact for any
     output alphabet.
@@ -334,10 +335,7 @@ def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, Dict[object, Fracti
         raise ValueError("min_copy_distance needs at least one cell")
     own = [a for a, row in enumerate(counts.tolist()) if any(row)]
     rows = counts[own].tolist()
-    outputs = len(counts)
-    value, x = _same_dual(outputs, rows, own, range(len(rows)), [sum(row) for row in rows])
-    d: Dict[object, Fraction] = dict(enumerate(x[:outputs]))
-    d[SAME] = x[outputs]
+    value, d = _same_dual(len(counts), rows, own, range(len(rows)), [sum(row) for row in rows])
     return value / total, d
 
 

@@ -299,11 +299,12 @@ def check_strict_nm(
     ValueError on out-of-range tables and supports."""
     _check_tamperings(ext.n, f1, f2, src.xs, src.ys, fixed_point_free=False)
     value, ref = min_copy_distance(joint_output_dist(ext, src, f1, f2))
+    keys = [str(b) for b in range(len(ref) - 1)] + ["SAME"]
     return NmVerdict(
         extraction_distance=check_extraction(ext, src),
         nm_distances={"both": value},
         optimal_distances={"both": value},
-        witness={"reference": {str(k): float(v) for k, v in ref.items()}},
+        witness={"reference": {k: float(v) for k, v in zip(keys, ref)}},
     )
 
 

@@ -1,12 +1,11 @@
 """Scheme-generic tamper experiments.
 
-Any coding scheme exposing the small interface below can be run through
-these experiments. Messages and words are ints, one Python int per word
-or one numpy array entry per word; no base class is involved:
+Any coding scheme exposing the small interface below, the members that
+the count kernel `_counts` reads, can be run through these experiments.
+Messages and words are ints, one numpy array entry per word; no base
+class is involved:
 
     message_bits, block_bits : int
-    encode_int(s, rng) -> int
-    decode_int(w) -> int | None        (None encodes decoder failure)
     encoding_count(s) -> int           (encoder choices of s; for an int64
                                         array of messages, one int shared
                                         by all or one int64 count each)
@@ -20,6 +19,12 @@ or one numpy array entry per word; no base class is involved:
                                         run(msgs, index) returns
                                         decode_many(f.apply_many(
                                         encode_many(msgs, index))))
+
+The schemes also offer the per-word `encode_int(s, rng)` and
+`decode_int(w)` (None for decoder failure) on Python ints. Nothing here
+calls them: they serve one-word calls, such as the CLI's encode and
+decode and `lecss.verify_lecss`'s linearity check, and the tests'
+oracles.
 
 Encoding i of message s, for i in [0, encoding_count(s)), is entry i of
 `encodings_many(s)`, and `encode_many` returns encoding `index` of each
@@ -69,8 +74,6 @@ from .core import BOTTOM, SAME, BitWord, FiniteDist, GuardExceeded, Symbol, conf
 from .tamper import BitTamperFn
 from . import lp
 
-#: Widest word the batch kernels hold (one uint64 per word).
-MAX_WORD_BITS = 64
 #: Most runs or encodings decoded in one pass. This bounds the working set
 #: and leaves the streams alone. At 2^13 runs an int64 temporary of a pass
 #: is 64 KiB, half of glibc's default 128 KiB mmap threshold. At that size
@@ -83,12 +86,6 @@ PASS_ROWS = 1 << 13
 # faulted back in, which otherwise hinged on incidental heap layout (47k or
 # 57k minor faults per attack-fuzz benchmark run, by checkout path alone).
 np.empty(1 << 18)
-
-
-def check_word_bits(scheme) -> None:
-    """Raise GuardExceeded when the scheme's words do not fit one uint64."""
-    if scheme.block_bits > MAX_WORD_BITS:
-        raise GuardExceeded(f"{scheme.block_bits}-bit words exceed the {MAX_WORD_BITS}-bit batch kernels")
 
 
 def _symbol(cell: int, k: int) -> Symbol:
@@ -144,7 +141,7 @@ def _counts(
     if samples is not None and rng is None:
         raise ValueError("sampled mode needs an rng")
     _check_messages(scheme, messages, samples is not None)
-    check_word_bits(scheme)
+    core.check_word_bits(scheme.block_bits)
     if len(messages) > _block_rows(scheme):
         raise GuardExceeded(f"{len(messages)} rows of {width} count cells exceed guard {core.TABLE_CELLS}")
     rows = np.zeros((len(messages), width), dtype=np.int64)

@@ -24,7 +24,7 @@ _CHAR_TO_ACTION = {c: i for i, c in enumerate(_ACTION_CHARS)}
 class BitTamperFn:
     """Per-bit adversary; precomputes masks so application is three int ops."""
 
-    __slots__ = ("actions", "n", "_flip", "_set0", "_set1", "_keepflip")
+    __slots__ = ("actions", "n", "_flip", "_set1", "_keepflip")
 
     def __init__(self, actions: Sequence[int]):
         acts = tuple(actions)
@@ -43,9 +43,8 @@ class BitTamperFn:
             elif a == SET1:
                 set1 |= 1 << i
         self._flip = flip
-        self._set0 = set0
         self._set1 = set1
-        self._keepflip = ~(set0 | set1)
+        self._keepflip = ((1 << self.n) - 1) & ~(set0 | set1)  # drops every bit at or past n
 
     @classmethod
     def from_str(cls, s: str) -> "BitTamperFn":
@@ -74,15 +73,13 @@ class BitTamperFn:
         return ((x ^ self._flip) & self._keepflip) | self._set1
 
     def apply_many(self, words: np.ndarray) -> np.ndarray:
-        """apply_int on a uint64 array of words (n <= 64)."""
-        keepflip = np.uint64(self._keepflip & ((1 << self.n) - 1))
-        return ((words ^ np.uint64(self._flip)) & keepflip) | np.uint64(self._set1)
+        """apply_int on a uint64 array of words; raises GuardExceeded past
+        n = 64."""
+        core.check_word_bits(self.n)
+        return ((words ^ np.uint64(self._flip)) & np.uint64(self._keepflip)) | np.uint64(self._set1)
 
     def is_identity(self) -> bool:
         return all(a == KEEP for a in self.actions)
-
-    def to_json(self) -> dict:
-        return {"type": "bits", "actions": self.to_str()}
 
     def __eq__(self, other):
         return isinstance(other, BitTamperFn) and self.actions == other.actions
@@ -178,9 +175,6 @@ class SplitStateTamperFn:
         hi <<= shift
         out |= hi
         return out
-
-    def to_json(self) -> dict:
-        return {"type": "split", "f1": self.f1.tolist(), "f2": self.f2.tolist()}
 
     def __repr__(self):
         return f"SplitStateTamperFn(half={self.half})"

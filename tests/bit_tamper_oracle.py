@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from minimax_oracle import check_groups, two_row_minimax
 
-from nmcode import schemes
+from nmcode import core
 from nmcode.core import BOTTOM, SAME, BitWord, FiniteDist, confidence_radius, push_copy, statistical_distance
 
 
@@ -33,7 +33,7 @@ def sampled_dists(scheme, f, samples, rng, entries):
     in entry order."""
     if rng is None:
         raise ValueError("sampled mode needs an rng")
-    schemes.check_word_bits(scheme)
+    core.check_word_bits(scheme.block_bits)
     k = scheme.message_bits
     nmsg = 1 << k
     draw_msgs = np.random.default_rng(rng.getrandbits(128))
@@ -56,7 +56,7 @@ def sampled_dists(scheme, f, samples, rng, entries):
 def exact_dist(scheme, f, message):
     """Exact distribution over every encoder choice; with message=None every
     message at weight 1/2^k and a decode to it counted as SAME."""
-    schemes.check_word_bits(scheme)
+    core.check_word_bits(scheme.block_bits)
     k = scheme.message_bits
     nmsg = 1 << k
     messages = range(nmsg) if message is None else (message,)

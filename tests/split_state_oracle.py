@@ -154,6 +154,12 @@ def product_with_uniform_distance(joint, m):
     return acc / 2
 
 
+def as_reference(d):
+    """`lp.min_copy_distance`'s reference [d_0, ..., d_same] as the
+    {output: mass, SAME: mass} dict that `copy_distance` reads."""
+    return {**dict(enumerate(d[:-1])), SAME: d[-1]}
+
+
 def copy_distance(joint, marginal, d, outputs):
     """Statistical distance between `joint` and the explanation induced by d.
 

@@ -217,6 +217,53 @@ class TestComponentKernels:
         assert got.tolist() == [f.apply_int(w) for w in words]
 
 
+def _stray_bit_case(name):
+    """A per-word call, its batch twin, the width of their words and words
+    with a bit at or past it, for one codec or adversary."""
+    if name == "inner":
+        code = sample_inner_code(InnerParams(n=8, k=3, t=4, delta=0.13), RngSeed.from_int(4118))
+        w = code.codebook[5][0]
+        return code.decode_int, code.decode_many, 8, [w | 1 << 8, w | 1 << 63, 1 << 8]
+    if name == "lecss":
+        code = LecssCode(m=4, n=4, k=3, k0=1)
+        w = code.encode_int(5, random.Random(4119))
+        return code.decode_int, code.decode_many, 16, [w | 1 << 16, w | 1 << 63]
+    if name == "concat":
+        code = build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4116))
+        w = code.encode_int(3, random.Random(4120))
+        return code.decode_int, code.decode_many, code.block_bits, [w | 1 << code.block_bits]
+    f = {"constant": BitTamperFn.constant(5, 4), "identity": BitTamperFn.identity(8),
+         "mixed": BitTamperFn.from_str("KF01KF01")}[name]
+    return f.apply_int, f.apply_many, f.n, [0b10010, 1 << 8 | 7, 1 << 63 | 3]
+
+
+class TestStrayBits:
+    @pytest.mark.parametrize("name", ["inner", "lecss", "concat", "constant", "identity", "mixed"])
+    def test_per_word_and_batch_paths_agree_on_a_stray_high_bit(self, name):
+        """Both decoders fail a word with a bit at or past their width, both
+        adversary paths give the same in-width output, and the concatenated
+        code's paths both raise ValueError."""
+        one, many, width, words = _stray_bit_case(name)
+        batch = np.array(words, dtype=np.uint64)
+        if name == "concat":
+            for w in words:
+                with pytest.raises(ValueError):
+                    one(w)
+            with pytest.raises(ValueError):
+                many(batch)
+            return
+        got = [one(w) for w in words]
+        assert many(batch).tolist() == _as_ints(got)
+        if name in ("inner", "lecss"):
+            assert got == [None] * len(words)
+        else:
+            assert all(0 <= g < 1 << width for g in got)
+
+    def test_bit_tamper_apply_many_refuses_words_over_64_bits(self):
+        with pytest.raises(GuardExceeded, match="64-bit"):
+            BitTamperFn.identity(80).apply_many(np.zeros(1, dtype=np.uint64))
+
+
 class TestSampledMode:
     def test_sampled_reference_within_hoeffding_union_bound(self, concat_code, adversaries):
         samples, eta = 20_000, 1e-6

@@ -369,8 +369,12 @@ class TestFiniteDistValidation:
             FiniteDist({bw("0"): Fraction(1, 2), bw("00"): Fraction(1, 2)})
 
     def test_empirical_requires_counts(self):
-        with pytest.raises(ValueError):
-            FiniteDist({BOTTOM: Fraction(1, 3), SAME: Fraction(2, 3)}, kind="empirical", samples=4)
+        with pytest.raises(ValueError, match="counts/samples"):
+            FiniteDist({BOTTOM: Fraction(1, 3), SAME: Fraction(2, 3)}, samples=4)
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="below 1"):
+                FiniteDist({BOTTOM: 1}, samples=samples)
+        assert FiniteDist({BOTTOM: Fraction(1, 4), SAME: Fraction(3, 4)}, samples=4).kind == "empirical"
 
     def test_json(self):
         d = FiniteDist(
@@ -424,12 +428,8 @@ class TestRngSeed:
 
 class TestPropertyReport:
     def test_counterexample_iff_failed(self):
-        PropertyReport("x", True, "none", 0.0)
-        PropertyReport("x", False, "bad", 1.0, counterexample={"w": 1})
-        with pytest.raises(ValueError):
-            PropertyReport("x", True, "none", 0.0, counterexample={"w": 1})
-        with pytest.raises(ValueError):
-            PropertyReport("x", False, "bad", 1.0)
+        assert PropertyReport("x", "none", 0.0).passed
+        assert not PropertyReport("x", "bad", 1.0, counterexample={"w": 1}).passed
 
 
 def _toy_code():

@@ -507,9 +507,8 @@ def oracle_cube_property(code):
         if bottom_frac < worst:
             worst = bottom_frac
             witness = (mask, vals)
-    passed = worst >= Fraction(1, 2)
     counterexample = None
-    if not passed and witness is not None:
+    if worst < Fraction(1, 2):
         counterexample = {
             "frozen_mask": witness[0],
             "frozen_values": witness[1],
@@ -517,7 +516,6 @@ def oracle_cube_property(code):
         }
     return PropertyReport(
         name="cube-property",
-        passed=passed,
         worst_case=f"min over sub-cubes of failure fraction = {worst}",
         worst_value=worst,
         counterexample=counterexample,
@@ -541,9 +539,8 @@ def oracle_error_detection(code):
             if frac < worst:
                 worst = frac
                 witness = (f.to_str(), s)
-    passed = worst >= Fraction(1, 3)
     counterexample = None
-    if not passed and witness is not None:
+    if worst < Fraction(1, 3):
         counterexample = {
             "adversary": witness[0],
             "message": witness[1],
@@ -551,7 +548,6 @@ def oracle_error_detection(code):
         }
     return PropertyReport(
         name="error-detection",
-        passed=passed,
         worst_case=f"min over (adversary, message) of failure probability = {worst}",
         worst_value=worst,
         counterexample=counterexample,

@@ -373,8 +373,8 @@ class TestSameMinimax:
             joint, marg = oracle_law(counts)
             value, d = min_copy_distance(counts)
             assert value == oracle.min_copy_distance(joint, marg, outputs)[0]
-            assert min(d.values()) >= 0 and sum(d.values()) == 1
-            assert oracle.copy_distance(joint, marg, d, outputs) == value
+            assert min(d) >= 0 and sum(d) == 1
+            assert oracle.copy_distance(joint, marg, oracle.as_reference(d), outputs) == value
             empty += not counts.sum(axis=1).all()
             wide += ((counts > 0).sum(axis=1) > 4).any()
         assert empty >= 10 and wide >= 10
@@ -395,7 +395,7 @@ class TestSameMinimax:
             counts = nmext.joint_output_dist(table, full, f1, f2)
             value, d = min_copy_distance(counts)
             joint, marg = oracle_law(counts)
-            assert value == 0 == oracle.copy_distance(joint, marg, d, list(range(1 << m)))
+            assert value == 0 == oracle.copy_distance(joint, marg, oracle.as_reference(d), list(range(1 << m)))
             value, d = lp.message_minimax(counts.tolist(), counts.sum(axis=1).tolist(), range(1 << m))
             assert value == 0
             assert all(_distance(row, d, s) == 0 for s, row in enumerate(counts.tolist()))
@@ -447,7 +447,7 @@ class TestCopyDistanceMinimizer:
             joint, marg = oracle_law(counts)
             v, d = min_copy_distance(counts)
             assert Fraction(int(num), int(den)) == v == oracle.min_copy_distance_m1(joint, marg)[0]
-            assert oracle.copy_distance(joint, marg, d, [0, 1]) == v
+            assert oracle.copy_distance(joint, marg, oracle.as_reference(d), [0, 1]) == v
 
     def test_closed_form_on_ints_equals_arrays_and_oracle(self):
         # Every 2 x 2 count matrix of at most 12 cells, as Python ints one
@@ -495,7 +495,7 @@ class TestCopyDistanceMinimizer:
             joint, marg = oracle_law(counts)
             v, d = min_copy_distance(counts)
             assert v == oracle.min_copy_distance(joint, marg, outputs)[0]
-            assert oracle.copy_distance(joint, marg, d, outputs) == v
+            assert oracle.copy_distance(joint, marg, oracle.as_reference(d), outputs) == v
             for _ in range(25):
                 raw = [rng.randint(0, 9) for _ in range(5)]
                 tot = sum(raw) or 1
@@ -509,7 +509,7 @@ class TestCopyDistanceMinimizer:
         assert closed_form(product) == min_copy_distance(product)[0] == 0
         diag = np.array([[1, 0], [0, 2]])
         v, d = min_copy_distance(diag)
-        assert v == closed_form(diag) == 0 and d[SAME] == 1
+        assert v == closed_form(diag) == 0 and d[-1] == 1
 
     def test_anticorrelated_joint_is_inexplicable(self):
         # Output always flips: the best reference still misses by 1/2.

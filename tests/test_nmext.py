@@ -636,4 +636,4 @@ class TestPinnedOptima:
         v, d = min_copy_distance(joint_output_dist(table, src, f1, f2))
         assert v == value
         joint = oracle.joint_output_dist(table, src, f1, f2)
-        assert oracle.copy_distance(joint, oracle.first_marginal(joint), d, [0, 1, 2, 3]) == value
+        assert oracle.copy_distance(joint, oracle.first_marginal(joint), oracle.as_reference(d), [0, 1, 2, 3]) == value

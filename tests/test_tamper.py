@@ -36,7 +36,6 @@ class TestBitTamperFn:
         f = BitTamperFn.from_str("KF01")
         assert f.actions == (KEEP, FLIP, SET0, SET1)
         assert f.to_str() == "KF01"
-        assert f.to_json() == {"type": "bits", "actions": "KF01"}
 
     @given(actions_strategy, st.integers(0, 4095))
     @settings(max_examples=50)
@@ -118,7 +117,3 @@ class TestSplitState:
         with pytest.raises(GuardExceeded):
             SplitStateTamperFn([0] * (1 << 21), [0] * (1 << 21))
 
-    def test_json(self):
-        f = random_split_tamper(4, False, random.Random(3))
-        obj = f.to_json()
-        assert obj["type"] == "split" and len(obj["f1"]) == 4
