@@ -18,9 +18,9 @@ from .core import (
     GuardExceeded,
     InfeasibleParams,
     NmcodeError,
-    PropertyReport,
     RngSeed,
     Symbol,
+    Verdict,
     confidence_radius,
     push_copy,
     statistical_distance,

@@ -1,10 +1,13 @@
 """Batch front door: seeded, config-driven experiments with JSON reports.
 
 One table, OPERATIONS, builds the subcommands and their flags, validates
-configs and gives `run_config`, the only executor, its handlers. Every
-run is deterministic given (config, seed): reports from two runs of the
-same config differ only in wall time. Exit codes: 0 all asserted
-properties hold, 1 a property failed (witness in the report), 2 invalid
+configs and gives `run_config`, the only executor, its handlers. A
+handler returns its results and its verdicts (`core.Verdict`) and decides
+nothing: `run_config` writes each verdict once, and a report passes
+exactly when all its verdicts pass, so an operation with none passes.
+Every run is deterministic given (config, seed): reports from two runs of
+the same config differ only in wall time. Exit codes: 0 every verdict
+passed, 1 a verdict failed (its witness in the report), 2 invalid
 configuration or usage.
 """
 
@@ -18,10 +21,11 @@ import multiprocessing
 import os
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import BitWord, GuardExceeded, NmcodeError, PropertyReport, RngSeed, dumps_report
+from .core import BitWord, GuardExceeded, NmcodeError, RngSeed, Verdict, dumps_report
 from .inner import (
     InnerParams,
     plan_inner_params,
@@ -56,6 +60,10 @@ class ConfigError(NmcodeError):
     pass
 
 
+#: What a handler returns: its results and its verdicts.
+Outcome = Tuple[dict, List[Verdict]]
+
+
 #: Default of a param that every run must give.
 REQUIRED = object()
 
@@ -88,7 +96,7 @@ class Param:
 class Operation:
     command: str
     verb: str
-    handler: Callable[[dict, RngSeed, int, Optional[str]], dict]
+    handler: Callable[[dict, RngSeed, int, Optional[str]], Outcome]
     params: Tuple[Param, ...]
 
     @property
@@ -187,23 +195,23 @@ def _save_artifact(obj, outdir: str, name: str) -> dict:
         return {"path": path, "sha256": hashlib.sha256(fp.read()).hexdigest()}
 
 
-def _encode(code, message: str, rng) -> dict:
+def _encode(code, message: str, rng) -> Outcome:
     """The hex word of a hex message; BitWord raises ValueError, as in
     `_decode`, when the input is wider than the code's."""
     s = BitWord(int(message, 16), code.message_bits).value
     word = BitWord(code.encode_int(s, rng), code.block_bits)
-    return {"word": word.to_hex(), "pass": True}
+    return {"word": word.to_hex()}, []
 
 
-def _decode(code, word: str) -> dict:
+def _decode(code, word: str) -> Outcome:
     d = code.decode_int(BitWord(int(word, 16), code.block_bits).value)
-    return {"decoded": "bottom" if d is None else BitWord(d, code.message_bits).to_hex(), "pass": True}
+    return {"decoded": "bottom" if d is None else BitWord(d, code.message_bits).to_hex()}, []
 
 
-# -- handlers: (params by name, seed, jobs, outdir) -> results --------------
+# -- handlers: (params by name, seed, jobs, outdir) -> (results, verdicts) ---
 
 
-def _inner_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _inner_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Sample a block code from n, k, t (and delta), or plan it from alpha."""
     if p["alpha"] is not None:
         if p["k"] is not None or p["delta"] is not None:
@@ -217,34 +225,35 @@ def _inner_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> d
         delta = {} if p["delta"] is None else {"delta": p["delta"]}
         code = sample_inner_code(InnerParams(p["n"], p["k"], p["t"], **delta), seed)
         planning = None
-    result = {"params": dataclasses.asdict(code.params), "planning": planning, "pass": True}
+    result = {"params": dataclasses.asdict(code.params), "planning": planning}
     if outdir:
         result["artifact"] = _save_artifact(code, outdir, "inner_code.bin")
-    return result
+    return result, []
 
 
-def _verify_one_inner(args) -> dict:
+def _verify_one_inner(args) -> List[Verdict]:
+    """The verdicts of one seed's code, each named with the seed's stream id."""
     inner, seed, checks, ell, eps, guards = args
     code = sample_inner_code(InnerParams(*inner), seed)
     sweeps = {
+        "roundtrip": lambda kw: Verdict(
+            "roundtrip", Fraction(schemes.roundtrip_failures(code), code.params.codeword_count), 0),
         "cube": lambda kw: verify_cube_property(code),
         "independence": lambda kw: verify_bounded_independence(code, ell, eps, **kw),
         "detection": lambda kw: verify_error_detection(code, **kw),
     }
-    reports: Dict[str, dict] = {}
+    verdicts = []
     for name in [c for c in sweeps if c in checks]:
         try:
-            reports[name] = sweeps[name]({"guard": guards[name]} if name in guards else {}).to_json()
+            verdict = sweeps[name]({"guard": guards[name]} if name in guards else {})
         except GuardExceeded as e:
             hint = "raise --guard or " if name in GUARDED_CHECKS else ""
             raise GuardExceeded(f"{name}: {e}; {hint}leave {name} out of --checks") from None
-    if "roundtrip" in checks:
-        failed = None if schemes.roundtrip_exhaustive(code) else {"note": "decode(encode(s)) != s"}
-        reports["roundtrip"] = PropertyReport("roundtrip", "exhaustive", 0.0, failed).to_json()
-    return {"stream_id": seed.stream_id, "reports": reports}
+        verdicts.append(dataclasses.replace(verdict, name=f"{verdict.name}.{seed.stream_id}"))
+    return verdicts
 
 
-def _inner_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _inner_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Verify sampled block codes exhaustively, one code per seed."""
     checks, guards = p["checks"], p["guards"] or {}
     if not checks or not set(checks) <= set(INNER_CHECKS):
@@ -256,66 +265,54 @@ def _inner_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> d
         (inner, seed.child(i), checks, p["ell"], p["eps"], guards)
         for i in range(p["seeds"])
     ]
-    rows = _map(_verify_one_inner, work, jobs)
-    per_check_pass: Dict[str, int] = {}
-    for row in rows:
-        for name, rep in row["reports"].items():
-            per_check_pass[name] = per_check_pass.get(name, 0) + bool(rep["passed"])
-    return {
-        "seeds": p["seeds"],
-        "per_check_pass_counts": per_check_pass,
-        "rows": rows,
-        "pass": all(count == len(rows) for count in per_check_pass.values()),
-    }
+    return {"seeds": p["seeds"]}, [v for row in _map(_verify_one_inner, work, jobs) for v in row]
 
 
-def _lecss_build(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _lecss_build(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Instantiate the secret-sharing code for n symbols and rate slack alpha."""
     code = build_lecss(p["n"], p["alpha"])
     result = {"descriptor": code.descriptor(), "message_bits": code.message_bits,
-              "block_bits": code.block_bits, "pass": True}
+              "block_bits": code.block_bits}
     if outdir:
         path = os.path.join(outdir, "lecss.json")
         with open(path, "w") as fp:
             json.dump(code.descriptor(), fp, indent=2)
         result["artifact"] = {"path": path}
-    return result
+    return result, []
 
 
-def _lecss_encode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _lecss_encode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Encode a hex message."""
     code = build_lecss(p["n"], p["alpha"])
     return _encode(code, p["message"], seed.stream("cli.lecss.encode"))
 
 
-def _lecss_decode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _lecss_decode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Decode a hex word."""
     return _decode(build_lecss(p["n"], p["alpha"]), p["word"])
 
 
-def _lecss_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _lecss_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Check distance, secrecy and linearity of the secret-sharing code."""
-    report = verify_lecss(build_lecss(p["n"], p["alpha"]), trials=p["samples"], seed=seed)
-    return {"report": report.to_json(), "pass": report.passed}
+    return {}, verify_lecss(build_lecss(p["n"], p["alpha"]), trials=p["samples"], seed=seed)
 
 
 def _perm_spec(p: dict) -> PermSpec:
     return PermSpec(n=p["n"], ell=p["ell"], seed_bits=p["seed_bits"], backend=p["backend"])
 
 
-def _perm_derive(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _perm_derive(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Derive the permutation of seed value z."""
     perm = derive_permutation(_perm_spec(p), p["z"])
-    return {"forward": list(perm.forward), "pass": True}
+    return {"forward": list(perm.forward)}, []
 
 
-def _perm_test(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _perm_test(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Test ell-wise independence of the derived permutations."""
-    report = test_lwise_dependence(_perm_spec(p), trials=p["samples"], seed=seed)
-    return {"report": report.to_json(), "pass": report.passed}
+    return {}, [test_lwise_dependence(_perm_spec(p), trials=p["samples"], seed=seed)]
 
 
-def _concat_plan(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _concat_plan(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Plan the scheme for total_bits and gamma0, or give the toy plan."""
     toy = p["total_bits"] is None
     if toy != (p["gamma0"] is None) or (p["toy"] and not toy):
@@ -326,27 +323,30 @@ def _concat_plan(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> di
     if foreign:
         raise ConfigError(f"key(s) {', '.join(foreign)} do not apply to the {'toy' if toy else 'planned'} plan")
     plan = toy_concat_plan(**given) if toy else plan_concat(p["total_bits"], p["gamma0"], **given)
+    if toy:  # its ledger records the inequalities the toy sizes violate
+        return {"plan": plan.to_json()}, []
     violated = [c.name for c in plan.violated()]
-    return {"plan": plan.to_json(), "violated": violated, "pass": not violated or toy}
+    return {"plan": plan.to_json()}, [
+        Verdict("plan-inequalities", len(violated), 0, witness={"violated": violated} if violated else None)]
 
 
-def _concat_encode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _concat_encode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Encode a hex message under the toy-plan code of the seed."""
     code = build_concat(toy_concat_plan(), seed)
     return _encode(code, p["message"], seed.stream("cli.concat.encode"))
 
 
-def _concat_decode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _concat_decode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Decode a hex word under the toy-plan code of the seed."""
     return _decode(build_concat(toy_concat_plan(), seed), p["word"])
 
 
-def _concat_roundtrip(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _concat_roundtrip(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Encode and decode every message `samples` times."""
     code = build_concat(toy_concat_plan(t_block=p["t_block"], t_seed=p["t_seed"]), seed)
     failures = schemes.roundtrip_failures(code, p["samples"], seed.stream("cli.concat.roundtrip"))
-    return {"messages": 1 << code.message_bits, "draws_per_message": p["samples"],
-            "failures": failures, "pass": failures == 0}
+    return {"messages": 1 << code.message_bits, "draws_per_message": p["samples"]}, [
+        Verdict("roundtrip", failures, 0)]
 
 
 @lru_cache(maxsize=1)
@@ -368,9 +368,9 @@ def _attack_one(args) -> dict:
     return report.to_json() | {"csv": report.csv_row()}
 
 
-def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Fuzz the toy-plan code with canonical and random bit adversaries."""
-    samples, count, threshold = p["samples"], p["adversaries"], p["eps_threshold"]
+    samples, count = p["samples"], p["adversaries"]
     code = _attack_code(seed.child(0))
     if p["messages"] > 1 << code.message_bits:
         raise ConfigError(f"messages must be at most {1 << code.message_bits}, the code's message count")
@@ -389,17 +389,10 @@ def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> 
         for j, (name, f) in enumerate(advs)
     ]
     rows = _map(_attack_one, work, jobs)
-    radius = rows[0]["radius"]
-    worst = max(r["eps_hat"] for r in rows)
-    result = {
-        "adversaries": len(rows),
-        "samples": samples,
-        "worst_eps_hat": worst,
-        "threshold": threshold,
-        "radius": radius,
-        "rows": rows,
-        "pass": worst <= threshold + radius,
-    }
+    worst = max(rows, key=lambda r: r["eps_hat"])
+    verdict = Verdict("attack", worst["eps_hat"], p["eps_threshold"], radius=worst["radius"],
+                      witness={"adversary_id": worst["adversary_id"]})
+    result = {"adversaries": len(rows), "samples": samples, "rows": rows}
     if outdir:
         path = os.path.join(outdir, "attack.csv")
         with open(path, "w") as fp:
@@ -407,42 +400,30 @@ def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> 
             for r in rows:
                 fp.write(r["csv"] + "\n")
         result["csv_path"] = path
-    return result
+    return result, [verdict]
 
 
-def _nmext_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _nmext_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Sample a random two-source extractor table."""
     table = sample_random_extractor(p["n"], p["m"], seed)
-    result = {"n": table.n, "m": table.m, "pass": True}
+    result = {"n": table.n, "m": table.m}
     if outdir:
         result["artifact"] = _save_artifact(table, outdir, "extractor.bin")
-    return result
+    return result, []
 
 
-def _nmext_check(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _nmext_check(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Exact extraction distance of a sampled table on the full sources."""
     table = sample_random_extractor(p["n"], p["m"], seed)
-    return {"extraction_distance": float(check_extraction(table, FlatSourcePair.full(p["n"]))),
-            "pass": True}
+    return {"extraction_distance": str(check_extraction(table, FlatSourcePair.full(p["n"])))}, []
 
 
-def _nmext_reduce(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> dict:
+def _nmext_reduce(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Check the extractor-to-code reduction against split-state adversaries."""
     table = sample_random_extractor(p["n"], p["m"], seed.child(1))
     report = verify_reduction(table, adversaries=p["adversaries"], seed=seed.child(2))
-    worst = report.worst
-    return {
-        "extraction_distance": float(report.extraction_distance),
-        "adversaries": len(report.rows),
-        "worst": None
-        if worst is None
-        else {
-            "adversary_id": worst.adversary_id,
-            "code_error": float(worst.code_error),
-            "bound": float(worst.bound),
-        },
-        "pass": report.passed,
-    }
+    return {"extraction_distance": str(report.extraction_distance), "adversaries": len(report.rows)}, [
+        report.verdict]
 
 
 # -- the table ----------------------------------------------------------------
@@ -547,7 +528,7 @@ def run_config(config: dict, outdir: Optional[str] = None) -> dict:
         os.makedirs(outdir, exist_ok=True)
     start = time.monotonic()
     try:
-        result = op.handler(values, seed, config.get("jobs", DEFAULT_JOBS), outdir)
+        result, verdicts = op.handler(values, seed, config.get("jobs", DEFAULT_JOBS), outdir)
     except ValueError as e:
         # The library's constructors reject out-of-range inputs this way.
         raise ConfigError(str(e)) from e
@@ -556,7 +537,8 @@ def run_config(config: dict, outdir: Optional[str] = None) -> dict:
         "config": config,
         "operation": op.name,
         "results": result,
-        "pass": bool(result["pass"]),
+        "verdicts": [v.to_json() for v in verdicts],
+        "pass": all(v.passed for v in verdicts),
         "wall_time_s": round(wall, 3),
     }
     if outdir:

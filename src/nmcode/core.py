@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import log, sqrt
@@ -411,40 +411,55 @@ def confidence_radius(samples: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Verifier reports
+# Verdicts
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class PropertyReport:
-    """Outcome of an exhaustive or sampled property sweep.
+class Verdict:
+    """One checked quantity against its gate; `passed` is the one PASS/FAIL
+    rule of the package.
 
-    `worst_value` is the extremal quantity the property bounds; the sweep
-    passed exactly when it found no `counterexample`.
+    `worst_value` is the extremal quantity a check measured: exact when
+    `radius` is 0.0, else a sampled estimate with that confidence radius.
+    It must stay at most `gate`, or at least `gate` when `at_least` (as a
+    failure probability must). `witness` says where the worst value
+    occurs; it is None when no one place stands out, as when every
+    marginal is exactly uniform.
     """
 
     name: str
-    worst_case: str
-    worst_value: Union[Fraction, float]
-    counterexample: Optional[dict] = None
-    details: Optional[dict] = None
+    worst_value: Union[Fraction, int, float]
+    gate: Union[Fraction, int, float]
+    at_least: bool = False
+    radius: float = 0.0
+    witness: Optional[dict] = None
+    details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return self.counterexample is None
+        """Whether the value, moved by the radius towards the gate, meets
+        it. Exact: Python compares ints, Fractions and floats by value, and
+        a radius moves the value in Fraction arithmetic."""
+        value = self.worst_value
+        if self.radius:
+            value = Fraction(value) + Fraction(self.radius) * (1 if self.at_least else -1)
+        return value >= self.gate if self.at_least else value <= self.gate
 
     def to_json(self) -> dict:
-        out = {
+        """The fields, with the value and the gate as exact Fraction
+        strings and the value's float beside them."""
+        return {
             "name": self.name,
             "passed": self.passed,
-            "worst_case": self.worst_case,
-            "worst_value": float(self.worst_value),
+            "worst_value": str(Fraction(self.worst_value)),
+            "worst_value_float": float(self.worst_value),
+            "gate": str(Fraction(self.gate)),
+            "at_least": self.at_least,
+            "radius": self.radius,
+            "witness": self.witness,
+            "details": self.details,
         }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.details:
-            out["details"] = self.details
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from . import core
 from .core import (
     GuardExceeded,
     InfeasibleParams,
-    PropertyReport,
     RngSeed,
+    Verdict,
     hamming_ball_volume,
     worst_marginal,
 )
@@ -321,7 +321,7 @@ def sample_inner_code(params: InnerParams, seed: RngSeed) -> InnerCode:
 # ---------------------------------------------------------------------------
 
 
-def verify_cube_property(code: InnerCode) -> PropertyReport:
+def verify_cube_property(code: InnerCode) -> Verdict:
     """Every sub-cube of size >= 2 decodes to failure with probability >= 1/2.
 
     A sub-cube freezes some coordinates and leaves the rest uniform. The
@@ -330,32 +330,32 @@ def verify_cube_property(code: InnerCode) -> PropertyReport:
     any free bit; a cube more than half codewords holds a codeword pair,
     which is a size-2 cube with failure 0. And every codeword lies in a
     size-2 cube with failure at most 1/2. So n decode-table lookups per
-    codeword decide the check. The witness is the least-index codeword
+    codeword decide the check. At 0 the witness is the least-index codeword
     with a codeword neighbour and the least frozen mask whose cube around
     it is all codewords. Freezing a bit keeps a cube all codewords, so
     freeing each bit, top bit first, whose doubled cube stays all
-    codewords gives that least mask.
+    codewords gives that least mask. At 1/2 it is the size-2 cube of the
+    first codeword across bit 0.
     """
     n = code.params.n
     book, decode = code._batch_tables()
     words = book.reshape(-1).astype(np.intp)
     bits = 1 << np.arange(n, dtype=np.intp)
     paired = (decode.take(words[:, None] ^ bits) >= 0).any(axis=1)
-    worst, counterexample = Fraction(1, 2), None
+    worst, w, mask = Fraction(1, 2), int(words[0]), ((1 << n) - 1) ^ 1
     if paired.any():
-        worst = Fraction(0)
-        w = int(words[paired.argmax()])
+        worst, w = Fraction(0), int(words[paired.argmax()])
         cube, mask = np.array([w], dtype=np.intp), (1 << n) - 1
         for bit in bits[::-1]:
             doubled = cube ^ bit
             if (decode.take(doubled) >= 0).all():
                 cube, mask = np.concatenate([cube, doubled]), mask ^ int(bit)
-        counterexample = {"frozen_mask": mask, "frozen_values": w & mask, "bottom_fraction": 0.0}
-    return PropertyReport(
+    return Verdict(
         name="cube-property",
-        worst_case=f"min over sub-cubes of failure fraction = {worst}",
         worst_value=worst,
-        counterexample=counterexample,
+        gate=Fraction(1, 2),
+        at_least=True,
+        witness={"frozen_mask": mask, "frozen_values": w & mask},
     )
 
 
@@ -364,7 +364,7 @@ def verify_bounded_independence(
     ell: int,
     eps: float,
     guard: int = DEFAULT_INDEP_GUARD,
-) -> PropertyReport:
+) -> Verdict:
     """Marginals of every encoding on every index set of size <= ell are
     within eps of uniform; distances are exact frequency arithmetic, every
     message scored in one `worst_marginal` pass. The witness is the
@@ -379,17 +379,13 @@ def verify_bounded_independence(
     )
     if work > guard:
         raise GuardExceeded(f"sweep size {work} exceeds guard {guard}")
-    eps_frac = Fraction(eps).limit_denominator(10**9) if isinstance(eps, float) else Fraction(eps)
     worst, message, idxs = worst_marginal(code.codebook, n, ell)
-    counterexample = None
-    if worst > eps_frac:
-        counterexample = {"message": message, "indices": list(idxs), "distance": float(worst)}
-    return PropertyReport(
+    return Verdict(
         name="bounded-independence",
-        worst_case=f"max over (message, index set) of marginal distance = {float(worst):.6g}",
         worst_value=worst,
-        counterexample=counterexample,
-        details={"ell": ell, "eps": float(eps_frac), "vacuous": ell == 0},
+        gate=Fraction(eps).limit_denominator(10**9) if isinstance(eps, float) else Fraction(eps),
+        witness=None if idxs is None else {"message": message, "indices": list(idxs)},
+        details={"ell": ell, "vacuous": ell == 0},
     )
 
 
@@ -435,7 +431,7 @@ def _detection_misses(code: InnerCode, advs: np.ndarray) -> Tuple[np.ndarray, np
     return misses, tested
 
 
-def verify_error_detection(code: InnerCode, guard: int = DEFAULT_DETECTION_GUARD) -> PropertyReport:
+def verify_error_detection(code: InnerCode, guard: int = DEFAULT_DETECTION_GUARD) -> Verdict:
     """Every non-identity, non-constant per-bit adversary sends every
     message to decoder failure with probability >= 1/3.
 
@@ -444,40 +440,32 @@ def verify_error_detection(code: InnerCode, guard: int = DEFAULT_DETECTION_GUARD
     order; it raises GuardExceeded when 4^n times the codeword count
     exceeds `guard`. Adversaries run in chunks of at most core.PASS_CELLS
     (adversary, codeword) cells, as base-4 indices, through the dense
-    decode table; the witness is the first strict minimum in
-    (adversary, message) order.
+    decode table; the witness is the first minimum in (adversary, message)
+    order.
     """
     p = code.params
-    threshold = Fraction(1, 3)
     work = (4**p.n) * p.codeword_count
     if work > guard:
         raise GuardExceeded(f"exhaustive sweep size {work} exceeds guard {guard}")
     per_chunk = max(1, core.PASS_CELLS // p.codeword_count)
-    fewest = p.t  # failure probability 1 until a tested pair falls below it
+    fewest = p.t + 1  # above every count, so the first tested pair is taken
     witness = None
     tested = 0
     for lo in range(0, 4**p.n, per_chunk):
         advs = np.arange(lo, min(lo + per_chunk, 4**p.n), dtype=np.int64)
         misses, ok = _detection_misses(code, advs)
         tested += int(ok.sum())
-        misses[~ok] = p.t
+        misses[~ok] = p.t + 1
         row, s = divmod(int(misses.argmin()), misses.shape[1])
         if misses[row, s] < fewest:
             fewest = int(misses[row, s])
             witness = (int(advs[row]), s)
-    worst = Fraction(fewest, p.t)
-    counterexample = None
-    if worst < threshold:
-        adv, s = witness
-        counterexample = {
-            "adversary": BitTamperFn([(adv >> 2 * b) & 3 for b in range(p.n)]).to_str(),
-            "message": s,
-            "bottom_probability": float(worst),
-        }
-    return PropertyReport(
+    adv, s = witness  # n >= 1, so some adversary is tested
+    return Verdict(
         name="error-detection",
-        worst_case=f"min over (adversary, message) of failure probability = {worst}",
-        worst_value=worst,
-        counterexample=counterexample,
+        worst_value=Fraction(fewest, p.t),
+        gate=Fraction(1, 3),
+        at_least=True,
+        witness={"adversary": BitTamperFn([(adv >> 2 * b) & 3 for b in range(p.n)]).to_str(), "message": s},
         details={"adversaries_tested": tested, "mode": "exhaustive"},
     )

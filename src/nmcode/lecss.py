@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -25,7 +24,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import GuardExceeded, InfeasibleParams, PropertyReport, RngSeed, worst_marginal
+from .core import GuardExceeded, InfeasibleParams, RngSeed, Verdict, worst_marginal
 from .gf import GF2m, field, invert_matrix
 from .inner import DEFAULT_INDEP_GUARD
 
@@ -269,16 +268,20 @@ def verify_lecss(
     code: LecssCode,
     trials: int = 1000,
     seed: Optional[RngSeed] = None,
-) -> PropertyReport:
-    """Distance, bounded independence, and linearity checks.
+) -> List[Verdict]:
+    """Distance, bounded independence, and linearity checks, one verdict
+    each, in that order.
 
     Distance scans all q^k coefficient vectors when that count is under
     EXHAUSTIVE_DISTANCE_GUARD, else `trials` random nonzero vectors (a
-    one-sided check). Independence enumerates all q^k0 randomness vectors
-    of two messages and asserts exactly uniform marginals on every
-    bit-index set of size <= k0; raises GuardExceeded when that sweep
-    exceeds DEFAULT_INDEP_GUARD. Linearity checks
-    decode(w + w') = decode(w) + decode(w') on sampled codeword pairs.
+    one-sided check); its value is the least symbol weight, at least
+    n - k + 1 to pass, and its witness the first lightest vector.
+    Independence enumerates all q^k0 randomness vectors of two messages
+    and asks for exactly uniform marginals on every bit-index set of size
+    <= k0; raises GuardExceeded when that sweep exceeds
+    DEFAULT_INDEP_GUARD. Linearity counts the sampled codeword pairs that
+    break decode(w + w') = decode(w) + decode(w'), with the first as
+    witness.
     """
     ell = code.params.independent_bits
     work = 2 * code.randomness_count * sum(comb(code.block_bits, j) for j in range(1, ell + 1))
@@ -286,18 +289,17 @@ def verify_lecss(
         raise GuardExceeded(f"independence sweep size {work} exceeds guard {DEFAULT_INDEP_GUARD}")
     rng = (seed or RngSeed.from_int(0)).stream("lecss.verify")
     fld = code.field
-    failures = []
 
     # (a) distance
     total = code.q**code.k
-    min_weight = code.n + 1
+    min_weight, lightest = code.n + 1, None
     if total <= EXHAUSTIVE_DISTANCE_GUARD:
         for coeffs in product(range(code.q), repeat=code.k):
             if not any(coeffs):
                 continue
             w = _symbol_weight([fld.eval_poly(coeffs, x) for x in code.points])
             if w < min_weight:
-                min_weight = w
+                min_weight, lightest = w, list(coeffs)
         mode = "exhaustive"
     else:
         for _ in range(trials):
@@ -306,24 +308,18 @@ def verify_lecss(
                 coeffs[0] = 1 + rng.randrange(code.q - 1)
             w = _symbol_weight([fld.eval_poly(coeffs, x) for x in code.points])
             if w < min_weight:
-                min_weight = w
+                min_weight, lightest = w, coeffs
         mode = "sampled"
-    if min_weight < code.symbol_distance:
-        failures.append(
-            {"check": "distance", "observed": min_weight, "required": code.symbol_distance}
-        )
 
     # (b) bounded independence: every bit-index set of size <= k0 exactly uniform
     msgs = [0]
     if code.message_bits:
         msgs.append(rng.getrandbits(code.message_bits))
     encodings = [list(code.iter_encodings_int(s)) for s in msgs]
-    worst_indep = worst_marginal(encodings, code.block_bits, ell)[0]
-    if worst_indep != 0:
-        failures.append({"check": "independence", "distance": float(worst_indep)})
+    worst_indep, g, idxs = worst_marginal(encodings, code.block_bits, ell)
 
     # (c) linearity on sampled decodable pairs
-    violations = 0
+    violations, broken = 0, None
     for _ in range(trials):
         s1 = rng.getrandbits(code.message_bits)
         s2 = rng.getrandbits(code.message_bits)
@@ -332,17 +328,12 @@ def verify_lecss(
         d = code.decode_int(w1 ^ w2)
         if d is None or d != s1 ^ s2:
             violations += 1
-    if violations:
-        failures.append({"check": "linearity", "violations": violations})
+            broken = broken or {"words": [w1, w2]}
 
-    return PropertyReport(
-        name="lecss-properties",
-        worst_case=(
-            f"min symbol weight {min_weight} ({mode}), "
-            f"max marginal distance {float(worst_indep):.3g}, "
-            f"linearity violations {violations}"
-        ),
-        worst_value=Fraction(min_weight),
-        counterexample={"failures": failures} if failures else None,
-        details={"distance_mode": mode, "trials": trials},
-    )
+    return [
+        Verdict("lecss-distance", min_weight, code.symbol_distance, at_least=True,
+                witness={"coefficients": lightest}, details={"mode": mode}),
+        Verdict("lecss-independence", worst_indep, 0,
+                witness=None if idxs is None else {"message": msgs[g], "indices": list(idxs)}),
+        Verdict("lecss-linearity", violations, 0, witness=broken, details={"trials": trials}),
+    ]

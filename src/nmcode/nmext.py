@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import GuardExceeded, InfeasibleParams, RngSeed, uniform_distance
+from .core import GuardExceeded, InfeasibleParams, RngSeed, Verdict, uniform_distance
 from .lp import message_minimax, min_copy_distance, min_copy_distance_m1
 
 EXTRACTION_GUARD_N = 8
@@ -237,7 +237,9 @@ def _copy_distance(counts: np.ndarray) -> Fraction:
 
 
 @dataclass
-class NmVerdict:
+class NmDistances:
+    """The exact distances of one relaxed or strict check, with no gate."""
+
     extraction_distance: Fraction
     nm_distances: Dict[str, Fraction]
     optimal_distances: Dict[str, Fraction] = field(default_factory=dict)
@@ -257,7 +259,7 @@ def check_relaxed_nm(
     src: FlatSourcePair,
     f1: Sequence[int],
     f2: Sequence[int],
-) -> NmVerdict:
+) -> NmDistances:
     """Relaxed non-malleability for fixed-point-free half-tamperings.
 
     For each of the three patterns (first tampered, second tampered, both)
@@ -278,7 +280,7 @@ def check_relaxed_nm(
         opt[name] = _copy_distance(counts)
         if worst is None or nm[name] > nm[worst]:
             worst = name
-    return NmVerdict(
+    return NmDistances(
         extraction_distance=check_extraction(ext, src),
         nm_distances=nm,
         optimal_distances=opt,
@@ -291,7 +293,7 @@ def check_strict_nm(
     src: FlatSourcePair,
     f1: Sequence[int],
     f2: Sequence[int],
-) -> NmVerdict:
+) -> NmDistances:
     """Strict non-malleability for arbitrary half-tamperings: the exact
     minimum, over reference distributions with a SAME marker, of the
     distance between (output, tampered output) and the explained joint.
@@ -300,7 +302,7 @@ def check_strict_nm(
     _check_tamperings(ext.n, f1, f2, src.xs, src.ys, fixed_point_free=False)
     value, ref = min_copy_distance(joint_output_dist(ext, src, f1, f2))
     keys = [str(b) for b in range(len(ref) - 1)] + ["SAME"]
-    return NmVerdict(
+    return NmDistances(
         extraction_distance=check_extraction(ext, src),
         nm_distances={"both": value},
         optimal_distances={"both": value},
@@ -329,10 +331,6 @@ class ReductionRow:
     code_error: Fraction
     bound: Fraction
 
-    @property
-    def ok(self) -> bool:
-        return self.code_error <= self.bound
-
 
 @dataclass
 class ReductionReport:
@@ -340,15 +338,15 @@ class ReductionReport:
     rows: List[ReductionRow]
 
     @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    @property
-    def worst(self) -> Optional[ReductionRow]:
-        bad = [r for r in self.rows if not r.ok]
-        if bad:
-            return max(bad, key=lambda r: r.code_error - r.bound)
-        return max(self.rows, key=lambda r: r.code_error) if self.rows else None
+    def verdict(self) -> Verdict:
+        """The largest code_error - bound over the rows, at most 0 to pass,
+        built when read. The witness is the first row with that least
+        slack; with no rows the value is 0 and there is no witness."""
+        tight = max(self.rows, key=lambda r: r.code_error - r.bound, default=None)
+        if tight is None:
+            return Verdict("reduction", Fraction(0), 0)
+        witness = {"adversary_id": tight.adversary_id, "code_error": str(tight.code_error), "bound": str(tight.bound)}
+        return Verdict("reduction", tight.code_error - tight.bound, 0, witness=witness)
 
 
 def verify_reduction(

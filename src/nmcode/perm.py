@@ -52,8 +52,8 @@ from .core import (
     _INT64_MAX,
     GuardExceeded,
     InfeasibleParams,
-    PropertyReport,
     RngSeed,
+    Verdict,
     confidence_radius,
 )
 
@@ -305,7 +305,7 @@ def test_lwise_dependence(
     spec: PermSpec,
     trials: int = 10000,
     seed: Optional[RngSeed] = None,
-) -> PropertyReport:
+) -> Verdict:
     """Compare marginals of derived permutations against a uniform one.
 
     For each sampled index set T of size spec.ell, the distribution of the
@@ -389,21 +389,15 @@ def test_lwise_dependence(
     sums = np.add.reduceat(np.abs(counts * cells - total), starts).tolist()
     numerators = [a + (cells - p) * total for a, p in zip(sums, present)]
     s = numerators.index(max(numerators))
-    worst = Fraction(numerators[s], 2 * total * cells)
-    witness = chosen[s] if numerators[s] else None
-    radius = 0.0 if exhaustive else confidence_radius(trials)
-    counterexample = None
-    if float(worst) > radius:
-        counterexample = {"indices": list(witness or ()), "distance": float(worst)}
-    return PropertyReport(
+    return Verdict(
         name="permutation-limited-independence",
-        worst_case=f"max marginal distance {float(worst):.6g} over {len(chosen)} index sets",
-        worst_value=worst,
-        counterexample=counterexample,
+        worst_value=Fraction(numerators[s], 2 * total * cells),
+        gate=0,
+        radius=0.0 if exhaustive else confidence_radius(trials),
+        witness={"indices": list(chosen[s])} if numerators[s] else None,
         details={
             "ell": ell,
             "mode": "exhaustive" if exhaustive else "sampled",
-            "radius": radius,
             "uniformity": "exact" if spec.backend == EXACT_TINY else "assumed",
         },
     )

@@ -134,7 +134,7 @@ def test_criterion_03_error_detection_sweep():
     detail = f"{detections}/{len(qualified)} seeds in {elapsed:.1f}s"
     failed = next((rep for rep in reports if not rep.passed), None)
     if failed is not None:
-        cex = failed.counterexample
+        cex = failed.witness
         detail += (
             f"; first failing code: adversary {cex['adversary']} on message "
             f"{cex['message']} fails with probability {failed.worst_value}"
@@ -328,11 +328,9 @@ def test_criterion_09_extractor_reduction():
     worst_margin = None
     for i in range(20):
         table = sample_random_extractor(4, 1, RngSeed.from_int(9000 + i))
-        report = verify_reduction(table, adversaries=100, seed=RngSeed.from_int(9100 + i))
-        if not report.passed:
-            all_within = False
-        w = report.worst
-        margin = float(w.bound - w.code_error)
+        verdict = verify_reduction(table, adversaries=100, seed=RngSeed.from_int(9100 + i)).verdict
+        all_within = all_within and verdict.passed
+        margin = float(-verdict.worst_value)  # the least slack, bound - code_error, of the rows
         if worst_margin is None or margin < worst_margin:
             worst_margin = margin
     elapsed = time.monotonic() - start

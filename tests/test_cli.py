@@ -69,6 +69,34 @@ class TestConfigValidation:
                 parse_seed(bad)
 
 
+#: Command line -> SHA-256 of the `results` and verdicts it reports; see
+#: `TestRunConfig.test_results_pinned`.
+PINNED_RESULTS = {
+    "lecss encode --n 8 --alpha 0.5 --message abc --seed 9":
+        "ec2ed3d4d5206527bbfbae9b835c430aee59ab5858829c34f4e92436d3403ba4",
+    "lecss decode --n 8 --alpha 0.5 --word b798a4":
+        "a79bfc5a9576863fb5240efc7399f7571da2c2d92ed5b474f2f4b15cf363fb1e",
+    "concat encode --message 5a --seed 4":
+        "70d680969b6ee57bd87811d4c6185af154dfcb1d6e28403729cea50fe5f17ffb",
+    "concat decode --word ffcde345fc --seed 4":
+        "ebd457a15696fe34cc79061e2da9b5d9c18b65a2557c3891d742181772895366",
+    "inner verify --n 6 --k 2 --t 8 --seeds 3 --checks detection":
+        "c3ced3ba1cc14a09e08fa8f1c51c002159607dda9624a0304743667b588d8701",
+    "perm derive --n 8 --z 3":
+        "e65a39e13275552c6eb87e102461c29473be982e67c99c91cb5a6a015aff8ccd",
+    "perm derive --n 5 --z 100 --backend exact-tiny --seed-bits 7":
+        "3223fd35729aa242e6cbd09c8e9b18974c4cef2814a8fa9f358cd251eafdf3aa",
+    "perm test --n 32 --ell 2 --seed-bits 10 --trials 1024":
+        "7dfd0f48f5d2fe3f37ffe709b278a822c3ae1d2df5df4d2336111f579e6a9f95",
+    "perm test --n 8 --ell 2 --trials 3000":
+        "6b8a14b7df94fe80c14c45c73a34dcbc20049b66c159efd57692ad7f1c5a76b7",
+    "concat attack --adversaries 3 --messages 4 --samples 10000 --seed 3 --jobs 1":
+        "252f20e87534ca5d5e8e7bcbdb87f3751fea3d6be17766191d1ffc84e468516d",
+    "concat attack --adversaries 3 --messages 4 --samples 20000 --seed 3 --jobs 1":
+        "ee5aa367074f8b45b777ae6fa827a535ada0623c7fa25e752946ddf4ef21295f",
+}
+
+
 class TestRunConfig:
     def test_roundtrip_report_schema(self, tmp_path):
         config = {
@@ -78,11 +106,12 @@ class TestRunConfig:
             "samples": 5,
         }
         report = run_config(config, outdir=str(tmp_path))
-        assert set(report) == {"config", "operation", "results", "pass", "wall_time_s"}
+        assert set(report) == {"config", "operation", "results", "verdicts", "pass", "wall_time_s"}
         assert report["pass"] is True
-        assert report["results"]["failures"] == 0
+        (verdict,) = report["verdicts"]
+        assert verdict["name"] == "roundtrip" and verdict["worst_value"] == "0"
         on_disk = json.loads((tmp_path / "report.json").read_text())
-        assert on_disk["results"] == report["results"]
+        assert on_disk["results"] == report["results"] and on_disk["verdicts"] == report["verdicts"]
 
     def test_determinism_modulo_wall_time(self):
         config = {
@@ -160,14 +189,17 @@ class TestRunConfig:
         assert digest == "0ecfd35d70e981fac990f653a6d4a38cc576922d4422036ee7bf041733d32f4a"
 
     def test_reduce_rows_pinned(self):
-        """An m = 2 reduction report, pinned by SHA-256: the `results` that
-        `nmext reduce` prints, and the exact rows of the `verify_reduction`
-        call behind them (the report keeps only the worst), so every
-        adversary's extractor error, code error and bound stays identical."""
+        """An m = 2 reduction report, pinned by SHA-256: the `results` and
+        the verdict that `nmext reduce` prints, and the exact rows of the
+        `verify_reduction` call behind them (the verdict keeps only the
+        tightest), so every adversary's extractor error, code error and
+        bound stays identical. Re-pinned when the verdict replaced the
+        report's own pass and worst row."""
         argv = ["nmext", "reduce", "--n", "4", "--m", "2", "--adversaries", "20", "--seed", "5"]
-        results = run_config(read_config(build_parser().parse_args(argv)))["results"]
-        digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
-        assert digest == "547e7b3d28c473bf17d2246bea25185f63442f704e27ba34a2d7890ffa98639f"
+        report = run_config(read_config(build_parser().parse_args(argv)))
+        pinned = {k: report[k] for k in ("results", "verdicts")}
+        digest = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+        assert digest == "8abf87ce9be19aa16759996c42ab65ba650b71d727f67cd098e82df30930bf5c"
         seed = RngSeed.from_int(5)
         table = sample_random_extractor(4, 2, seed.child(1))
         rows = [[r.adversary_id, str(r.extractor_error), str(r.code_error), str(r.bound)]
@@ -175,42 +207,21 @@ class TestRunConfig:
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "8aa208c804ecba592d80e1c89bb5d429abf004c00ab78a17e044e4a1cb96dc2d"
 
-    @pytest.mark.parametrize("line, digest", [
-        ("lecss encode --n 8 --alpha 0.5 --message abc --seed 9",
-         "acd97e6696720b75f9503f77ff7a207fc347140c9b0b2a7904b621194bec930a"),
-        ("lecss decode --n 8 --alpha 0.5 --word b798a4",
-         "3e976fc8732a00f4e6fd7c0abacee26c92669a8e1315baf9970ef87c405813de"),
-        ("concat encode --message 5a --seed 4",
-         "8369bf78dc5cb67a26f2857914c81576ec30b7104bfe3e84fc18891051550196"),
-        ("concat decode --word ffcde345fc --seed 4",
-         "3326175f54f91ce15efe31dbb74ff0692066050519f0ff820a8d4afb2ccb416c"),
-        ("inner verify --n 6 --k 2 --t 8 --seeds 3 --checks detection",
-         "b3154c2d7a9a48b900265a44ed4697367be251e30cd96d9446de84de1950edb6"),
-        ("perm derive --n 8 --z 3",
-         "fd1696f637f0d171364c0294b6ed63c2819861d68f0d6926be1a311354c96643"),
-        ("perm derive --n 5 --z 100 --backend exact-tiny --seed-bits 7",
-         "59ec4833ce24d2377170081cf2c00ba2a317fe53c07bf5c343aab786fddc9341"),
-        ("perm test --n 32 --ell 2 --seed-bits 10 --trials 1024",
-         "1857d52f225a361805474e66e5249a99446b33fb657ae7c9e780da86aabfe248"),
-        ("perm test --n 8 --ell 2 --trials 3000",
-         "bcf9c17078e12df75fb598f6fa62e863b51325bb430089fb2bcde439530f2775"),
-        ("concat attack --adversaries 3 --messages 4 --samples 10000 --seed 3 --jobs 1",
-         "de8caa8a255303d7a6177574e6606b439e1f659f6d67a078cf4845fd0e85a902"),
-        ("concat attack --adversaries 3 --messages 4 --samples 20000 --seed 3 --jobs 1",
-         "505b51f64103a735fa881a2d453494c594594fbfcec915fe063021c21d12c54b"),
-    ])
-    def test_results_pinned(self, line, digest):
-        """The `results` of the README encode/decode commands, of a failing
-        detection sweep (its witnesses included), of the `perm` derive
-        and test operations (one exhaustive, one sampled l-wise test) and of
-        two concat attacks, pinned by the SHA-256 of their JSON. The attacks
-        count 10,000 (the CLI's default sample count) and 20,000 runs per
-        row, rows that passes of `schemes.PASS_ROWS` runs cut mid-row, so a
-        change to a sampled stream shows here. The attacks were re-pinned
-        when `schemes._counts` went from one generator per row to two per
-        call."""
-        results = run_config(read_config(build_parser().parse_args(shlex.split(line))))["results"]
-        assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
+    @pytest.mark.parametrize("line", PINNED_RESULTS)
+    def test_results_pinned(self, line):
+        """The `results` and verdicts of the README encode/decode commands,
+        of a failing detection sweep (its witnesses included), of the `perm`
+        derive and test operations (one exhaustive, one sampled l-wise test)
+        and of two concat attacks, pinned by the SHA-256 of their JSON. The
+        attacks count 10,000 (the CLI's default sample count) and 20,000
+        runs per row, rows that passes of `schemes.PASS_ROWS` runs cut
+        mid-row, so a change to a sampled stream shows here. The attacks
+        were re-pinned when `schemes._counts` went from one generator per
+        row to two per call, and every line when verdicts replaced the
+        results' own pass fields."""
+        report = run_config(read_config(build_parser().parse_args(shlex.split(line))))
+        pinned = {k: report[k] for k in ("results", "verdicts")}
+        assert hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest() == PINNED_RESULTS[line]
 
     def test_parallel_jobs_agree_with_serial(self):
         config = {
@@ -222,7 +233,7 @@ class TestRunConfig:
         }
         serial = run_config(dict(config))
         parallel = run_config(dict(config) | {"jobs": 2})
-        assert serial["results"]["rows"] == parallel["results"]["rows"]
+        assert serial["verdicts"] == parallel["verdicts"]
 
 
 class TestMainEntry:

@@ -14,8 +14,8 @@ from nmcode.core import (
     BitWord,
     FiniteDist,
     GuardExceeded,
-    PropertyReport,
     RngSeed,
+    Verdict,
     confidence_radius,
     hamming_ball_volume,
     push_copy,
@@ -426,10 +426,33 @@ class TestRngSeed:
         assert RngSeed.from_json(s.to_json()) == s
 
 
-class TestPropertyReport:
-    def test_counterexample_iff_failed(self):
-        assert PropertyReport("x", "none", 0.0).passed
-        assert not PropertyReport("x", "bad", 1.0, counterexample={"w": 1}).passed
+class TestVerdict:
+    @pytest.mark.parametrize("at_least", [False, True])
+    @pytest.mark.parametrize("radius", [0.0, 0.125])
+    def test_rule_at_just_inside_and_just_past_the_gate(self, at_least, radius):
+        gate, step = Fraction(1, 3), Fraction(1, 10**12)
+        # The value that meets the gate exactly once the radius is granted.
+        edge = gate - Fraction(radius) if at_least else gate + Fraction(radius)
+        inside, past = (edge + step, edge - step) if at_least else (edge - step, edge + step)
+        assert Verdict("x", edge, gate, at_least, radius).passed
+        assert Verdict("x", inside, gate, at_least, radius).passed
+        assert not Verdict("x", past, gate, at_least, radius).passed
+
+    def test_floats_compare_exactly(self):
+        assert Verdict("x", 0.25, Fraction(1, 4)).passed
+        assert not Verdict("x", np.nextafter(0.25, 1.0).item(), Fraction(1, 4)).passed
+        assert not Verdict("x", np.nextafter(0.25, 0.0).item(), Fraction(1, 4), at_least=True).passed
+        # An estimate one radius past the gate still passes, and a hair more fails.
+        assert Verdict("x", 0.5, 0.25, radius=0.25).passed
+        assert not Verdict("x", np.nextafter(0.5, 1.0).item(), 0.25, radius=0.25).passed
+
+    @pytest.mark.parametrize("value", [Fraction(2, 3), Fraction(-297, 3248), 7, 0.1, 0.09], ids=str)
+    def test_json_float_is_the_float_of_the_exact_string(self, value):
+        out = Verdict("x", value, Fraction(1, 3), witness={"at": 1}).to_json()
+        assert Fraction(out["worst_value"]) == value
+        assert float(Fraction(out["worst_value"])) == out["worst_value_float"] == float(value)
+        assert out["gate"] == "1/3" and out["witness"] == {"at": 1}
+        assert out["passed"] is Verdict("x", value, Fraction(1, 3)).passed
 
 
 def _toy_code():

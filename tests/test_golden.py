@@ -7,6 +7,7 @@ that differs.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,31 @@ def test_bad_config_exits_2_with_golden_message(operation):
     golden = _golden(operation)
     assert golden["bad_config"]["operation"] == operation
     assert exit_2_message(golden["bad_config"]) == golden["exit_2_message"]
+
+
+def _keys(obj) -> set:
+    """Every key of every object nested in a JSON value."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_keys, obj))
+    return set()
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATIONS))
+def test_only_the_verdicts_decide(operation):
+    """No result holds a decision of its own: a report passes exactly when
+    all its verdicts pass, and each verdict's float is its exact value's."""
+    report = _golden(operation)["report"]
+    assert "pass" not in _keys(report["results"])
+    assert report["pass"] is all(v["passed"] for v in report["verdicts"])
+    for verdict in report["verdicts"]:
+        assert float(Fraction(verdict["worst_value"])) == verdict["worst_value_float"]
+
+
+def test_golden_exit_codes():
+    failing = {op for op in OPERATIONS if not _golden(op)["report"]["pass"]}
+    assert failing == {"inner-verify", "perm-test"}
 
 
 def test_first_difference_names_the_path():

@@ -8,13 +8,13 @@ import pytest
 
 from nmcode.core import (
     BOTTOM,
-    PropertyReport,
     SAME,
     BitWord,
     FiniteDist,
     GuardExceeded,
     InfeasibleParams,
     RngSeed,
+    Verdict,
     statistical_distance,
 )
 from nmcode import core, inner
@@ -209,16 +209,16 @@ class TestCubeProperty:
         rep = verify_cube_property(code)
         assert not rep.passed
         assert rep.worst_value == 0
-        assert {"frozen_mask", "frozen_values", "bottom_fraction"} <= set(
-            rep.counterexample
-        )
+        assert set(rep.witness) == {"frozen_mask", "frozen_values"}
 
     def test_sparse_spread_code_passes(self):
         params = InnerParams(n=10, k=4, t=8, delta=0.1)
         code = sample_inner_code(params, RngSeed.from_int(11))
         rep = verify_cube_property(code)
-        assert rep.passed and rep.counterexample is None
-        assert rep.worst_value >= Fraction(1, 2)
+        assert rep.passed and rep.worst_value == Fraction(1, 2)
+        # The first codeword's size-2 cube across bit 0.
+        mask = (1 << 10) - 2
+        assert rep.witness == {"frozen_mask": mask, "frozen_values": code.codebook[0][0] & mask}
 
     def test_exact_fraction_on_handmade_code(self):
         # Codewords 000 and 011: the cube freezing bit0=0 holds both of
@@ -267,7 +267,7 @@ class TestBoundedIndependence:
         rep = verify_bounded_independence(code, ell=1, eps=0.1)
         assert not rep.passed
         assert rep.worst_value == Fraction(1, 2)
-        assert rep.counterexample["indices"] in ([0], [1])
+        assert rep.witness in ({"message": 0, "indices": [0]}, {"message": 0, "indices": [1]})
 
     def test_correlated_code_fails_at_acceptance_size(self):
         # Control for acceptance criterion 4's size: every codeword repeats
@@ -281,13 +281,12 @@ class TestBoundedIndependence:
         rep = verify_bounded_independence(code, ell=2, eps=0.15)
         assert not rep.passed
         assert rep.worst_value == Fraction(1, 2)
-        assert rep.counterexample["indices"] == [0, 1]
+        assert rep.witness["indices"] == [0, 1]
 
     def test_distance_matches_direct_enumeration(self):
         params = InnerParams(n=8, k=2, t=8, delta=0.0)
         code = sample_inner_code(params, RngSeed.from_int(12))
         rep = verify_bounded_independence(code, ell=2, eps=1.0)
-        s, idxs = rep.counterexample if rep.counterexample else (0, [0, 1])
         # Recompute the reported worst marginal independently.
         worst = Fraction(0)
         for msg, words in enumerate(code.codebook):
@@ -332,13 +331,12 @@ class TestErrorDetection:
         code = sample_inner_code(params, RngSeed.from_int(15))
         rep = verify_error_detection(code)
         # Recompute the witness pair's failure probability independently.
-        if rep.counterexample:
-            f = BitTamperFn.from_str(rep.counterexample["adversary"])
-            s = rep.counterexample["message"]
-            misses = sum(
-                code.decode_int(f.apply_int(w)) is None for w in code.codebook[s]
-            )
-            assert Fraction(misses, 4) == rep.worst_value
+        f = BitTamperFn.from_str(rep.witness["adversary"])
+        s = rep.witness["message"]
+        misses = sum(
+            code.decode_int(f.apply_int(w)) is None for w in code.codebook[s]
+        )
+        assert Fraction(misses, 4) == rep.worst_value
 
     def test_guard(self):
         params = InnerParams(n=8, k=2, t=4, delta=0.0)
@@ -489,7 +487,9 @@ class TestSanityAnchors:
 def oracle_cube_property(code):
     """The dict loop: count codewords per (frozen mask, frozen values) cube
     in (codeword, mask) order, then take the first strict minimum of the
-    failure fraction in insertion order."""
+    failure fraction in insertion order. At 1/2, the least possible value
+    with no codeword pair (the verifier's proof), the witness is the first
+    codeword's cube across bit 0, which must reach it."""
     n = code.params.n
     counts = {}
     for w in (w for ws in code.codebook for w in ws):
@@ -507,27 +507,23 @@ def oracle_cube_property(code):
         if bottom_frac < worst:
             worst = bottom_frac
             witness = (mask, vals)
-    counterexample = None
-    if worst < Fraction(1, 2):
-        counterexample = {
-            "frozen_mask": witness[0],
-            "frozen_values": witness[1],
-            "bottom_fraction": float(worst),
-        }
-    return PropertyReport(
+    if worst == Fraction(1, 2):
+        witness = (full ^ 1, code.codebook[0][0] & (full ^ 1))
+        assert counts[witness] == 1
+    return Verdict(
         name="cube-property",
-        worst_case=f"min over sub-cubes of failure fraction = {worst}",
         worst_value=worst,
-        counterexample=counterexample,
+        gate=Fraction(1, 2),
+        at_least=True,
+        witness={"frozen_mask": witness[0], "frozen_values": witness[1]},
     )
 
 
 def oracle_error_detection(code):
     """The per-adversary loop through apply_int and decode_int; the first
-    strict minimum in (adversary, message) order is the witness."""
+    minimum in (adversary, message) order is the witness."""
     p = code.params
-    worst = Fraction(1)
-    witness = None
+    worst = witness = None
     tested = 0
     for f in enumerate_bit_tampers(p.n):
         if f.is_identity() or set(f.actions) <= {SET0, SET1}:
@@ -536,21 +532,15 @@ def oracle_error_detection(code):
         for s, words in enumerate(code.codebook):
             misses = sum(code.decode_int(f.apply_int(w)) is None for w in words)
             frac = Fraction(misses, p.t)
-            if frac < worst:
+            if worst is None or frac < worst:
                 worst = frac
                 witness = (f.to_str(), s)
-    counterexample = None
-    if worst < Fraction(1, 3):
-        counterexample = {
-            "adversary": witness[0],
-            "message": witness[1],
-            "bottom_probability": float(worst),
-        }
-    return PropertyReport(
+    return Verdict(
         name="error-detection",
-        worst_case=f"min over (adversary, message) of failure probability = {worst}",
         worst_value=worst,
-        counterexample=counterexample,
+        gate=Fraction(1, 3),
+        at_least=True,
+        witness={"adversary": witness[0], "message": witness[1]},
         details={"adversaries_tested": tested, "mode": "exhaustive"},
     )
 
@@ -585,7 +575,7 @@ class TestSweepOracles:
             assert rep == oracle_error_detection(code), code.codebook
             reports.append(rep)
         # Every code has a zero-failure pair, so the tie-break decides the witness.
-        assert len({r.counterexample["adversary"] for r in reports}) > 5
+        assert len({r.witness["adversary"] for r in reports}) > 5
 
     def test_chunks_of_one_adversary(self, monkeypatch):
         monkeypatch.setattr(core, "PASS_CELLS", 1)

@@ -202,20 +202,34 @@ class TestEncodeDecode:
 
 class TestVerify:
     def test_reference_code_passes(self):
-        rep = verify_lecss(build_lecss(8, 0.5), trials=400, seed=RngSeed.from_int(4))
-        assert rep.passed
-        assert rep.details["distance_mode"] == "sampled"  # 8^6 vectors > guard
+        verdicts = verify_lecss(build_lecss(8, 0.5), trials=400, seed=RngSeed.from_int(4))
+        assert [v.name for v in verdicts] == ["lecss-distance", "lecss-independence", "lecss-linearity"]
+        assert all(v.passed for v in verdicts)
+        distance, independence, linearity = verdicts
+        assert distance.details["mode"] == "sampled"  # 8^6 vectors > guard
+        assert (independence.worst_value, linearity.worst_value) == (0, 0)
 
     def test_small_code_exhaustive_distance(self):
         code = LecssCode(3, 8, 4, 2)
-        rep = verify_lecss(code, trials=100, seed=RngSeed.from_int(5))
-        assert rep.passed
-        assert rep.details["distance_mode"] == "exhaustive"
-        assert rep.worst_value == code.symbol_distance  # MDS: met exactly
+        distance, independence, linearity = verify_lecss(code, trials=100, seed=RngSeed.from_int(5))
+        assert distance.passed and independence.passed and linearity.passed
+        assert distance.details["mode"] == "exhaustive"
+        assert distance.worst_value == distance.gate == code.symbol_distance  # MDS: met exactly
+        # The witness is a coefficient vector whose codeword has that weight.
+        coeffs = distance.witness["coefficients"]
+        assert sum(code.field.eval_poly(coeffs, x) != 0 for x in code.points) == code.symbol_distance
 
     def test_toy_concat_outer_code_passes(self):
-        rep = verify_lecss(LecssParams.for_bits(16, 0.5).build(), trials=300, seed=RngSeed.from_int(6))
-        assert rep.passed
+        verdicts = verify_lecss(LecssParams.for_bits(16, 0.5).build(), trials=300, seed=RngSeed.from_int(6))
+        assert all(v.passed for v in verdicts)
+
+    def test_broken_decoder_fails_linearity_with_a_witness(self, monkeypatch):
+        code = LecssCode(3, 8, 4, 2)
+        monkeypatch.setattr(code, "decode_int", lambda w: None)
+        distance, independence, linearity = verify_lecss(code, trials=20, seed=RngSeed.from_int(5))
+        assert distance.passed and independence.passed
+        assert not linearity.passed and linearity.worst_value == 20
+        assert len(linearity.witness["words"]) == 2
 
     def test_independence_sweep_guarded(self):
         # 16^4 encodings per message over C(64, <=4) index sets.

@@ -21,6 +21,8 @@ from nmcode.nmext import (
     _max_fraction,
     ExtractorTable,
     FlatSourcePair,
+    ReductionReport,
+    ReductionRow,
     check_extraction,
     check_relaxed_nm,
     check_strict_nm,
@@ -474,8 +476,24 @@ class TestCodeReduction:
         table = sample_random_extractor(3, 1, RngSeed.from_int(41))
         report = verify_reduction(table, adversaries=25, seed=RngSeed.from_int(42))
         assert len(report.rows) == 25
-        assert report.passed
-        assert report.worst is not None
+        verdict = report.verdict
+        assert verdict.passed and verdict.gate == 0
+        assert verdict.worst_value == max(r.code_error - r.bound for r in report.rows)
+
+    def test_verdict_witness_is_the_tightest_row(self):
+        # Row 1 has the largest code error and row 2 the least slack.
+        rows = [ReductionRow(0, Fraction(1, 8), Fraction(1, 10), Fraction(3, 8)),
+                ReductionRow(1, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
+                ReductionRow(2, Fraction(1, 24), Fraction(1, 9), Fraction(1, 8)),
+                ReductionRow(3, Fraction(1, 24), Fraction(1, 9), Fraction(1, 8))]
+        verdict = ReductionReport(Fraction(1, 24), rows).verdict
+        assert verdict.worst_value == Fraction(1, 9) - Fraction(1, 8) and verdict.passed
+        assert verdict.witness == {"adversary_id": 2, "code_error": "1/9", "bound": "1/8"}
+        rows[3].code_error = Fraction(1, 4)  # past its bound: it fails and becomes the witness
+        verdict = ReductionReport(Fraction(1, 24), rows).verdict
+        assert not verdict.passed and verdict.witness["adversary_id"] == 3
+        empty = ReductionReport(Fraction(0), []).verdict
+        assert empty.passed and empty.worst_value == 0 and empty.witness is None
 
 
 class TestSweep:

@@ -48,8 +48,9 @@ def oracle_forward(spec, z):
 
 
 def oracle_lwise(spec, trials, seed):
-    """(worst distance, witness index set or None if passed, passed) of the
-    l-wise test, derived and tallied one seed and one index set at a time."""
+    """(worst distance, first worst index set or None at distance 0,
+    passed) of the l-wise test, derived and tallied one seed and one index
+    set at a time."""
     rng = seed.stream("perm.lwise")
     chosen = _choose_index_sets(spec.n, spec.ell, rng)
     space = spec.seed_space()
@@ -65,7 +66,7 @@ def oracle_lwise(spec, trials, seed):
     worst = max(dists)
     radius = 0.0 if exhaustive else confidence_radius(trials)
     passed = float(worst) <= radius
-    return worst, None if passed else chosen[dists.index(worst)], passed
+    return worst, chosen[dists.index(worst)] if worst else None, passed
 
 
 def permute_bits(mapping, x):
@@ -74,7 +75,7 @@ def permute_bits(mapping, x):
 
 
 def report_triple(rep):
-    witness = tuple(rep.counterexample["indices"]) if rep.counterexample else None
+    witness = tuple(rep.witness["indices"]) if rep.witness else None
     return rep.worst_value, witness, rep.passed
 
 
@@ -313,7 +314,7 @@ class TestLimitedIndependence:
         assert not rep.passed
         assert rep.worst_value == Fraction(3, 4)  # 1 - 1/n at n = 4
         # All four singletons tie at 3/4; the first one is the witness.
-        assert rep.counterexample["indices"] == [0]
+        assert rep.witness["indices"] == [0]
 
 
 
