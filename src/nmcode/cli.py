@@ -294,7 +294,7 @@ def _lecss_decode(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> O
 
 def _lecss_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Check distance, secrecy and linearity of the secret-sharing code."""
-    return {}, verify_lecss(build_lecss(p["n"], p["alpha"]), trials=p["samples"], seed=seed)
+    return {}, verify_lecss(build_lecss(p["n"], p["alpha"]))
 
 
 def _perm_spec(p: dict) -> PermSpec:
@@ -315,7 +315,7 @@ def _perm_test(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outc
 def _concat_plan(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Plan the scheme for total_bits and gamma0, or give the toy plan."""
     toy = p["total_bits"] is None
-    if toy != (p["gamma0"] is None) or (p["toy"] and not toy):
+    if toy != (p["gamma0"] is None):
         raise ConfigError("give total_bits and gamma0 for a planned layout, or neither (toy)")
     # strict belongs to a planned layout, t_block and t_seed to the toy plan.
     given = {k: p[k] for k in ("strict", "t_block", "t_seed") if p[k] is not None}
@@ -356,16 +356,13 @@ def _attack_code(seed: RngSeed) -> ConcatCode:
     return build_concat(toy_concat_plan(), seed)
 
 
-def _attack_one(args) -> dict:
+def _attack_one(args) -> AttackReport:
     actions, samples, seed, adv_id, messages = args
     code = _attack_code(seed.child(0))
     f = BitTamperFn.from_str(actions)
     rng = seed.stream(f"cli.attack.pick.{adv_id}")
     msgs = rng.sample(range(1 << code.message_bits), messages) if messages else None
-    report = attack_experiment(
-        code, f, messages=msgs, samples=samples, seed=seed, adversary_id=adv_id
-    )
-    return report.to_json() | {"csv": report.csv_row()}
+    return attack_experiment(code, f, messages=msgs, samples=samples, seed=seed, adversary_id=adv_id)
 
 
 def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
@@ -388,10 +385,11 @@ def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> 
         (f.to_str(), samples, seed.child(1000 + j), name, p["messages"])
         for j, (name, f) in enumerate(advs)
     ]
-    rows = _map(_attack_one, work, jobs)
-    worst = max(rows, key=lambda r: r["eps_hat"])
-    verdict = Verdict("attack", worst["eps_hat"], p["eps_threshold"], radius=worst["radius"],
-                      witness={"adversary_id": worst["adversary_id"]})
+    reports = _map(_attack_one, work, jobs)
+    worst = max(reports, key=lambda r: r.eps_hat)
+    verdict = Verdict("attack", worst.eps_hat, p["eps_threshold"], radius=worst.radius,
+                      witness={"adversary_id": worst.adversary_id})
+    rows = [r.to_json() | {"csv": r.csv_row()} for r in reports]
     result = {"adversaries": len(rows), "samples": samples, "rows": rows}
     if outdir:
         path = os.path.join(outdir, "attack.csv")
@@ -483,13 +481,11 @@ OPERATIONS: Dict[str, Operation] = {
         Operation("lecss", "build", _lecss_build, _LECSS),
         Operation("lecss", "encode", _lecss_encode, _LECSS + (_MESSAGE,)),
         Operation("lecss", "decode", _lecss_decode, _LECSS + (_WORD,)),
-        Operation("lecss", "verify", _lecss_verify,
-                  _LECSS + (_flagged("samples", int, 1000, "--trials", minimum=1),)),
+        Operation("lecss", "verify", _lecss_verify, _LECSS),
         Operation("perm", "derive", _perm_derive, _PERM + (_flagged("params.z", int, 0),)),
         Operation("perm", "test", _perm_test,
                   _PERM + (_flagged("samples", int, 10000, "--trials", minimum=1),)),
         Operation("concat", "plan", _concat_plan, (
-            _flagged("params.toy", bool, False),
             _flagged("params.total_bits", int, None, "--bits"),
             _flagged("params.gamma0", float, None),
             # Config-only keys of one mode each; absent unless given, so
@@ -595,18 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
         for p in op.params:
             if p.flag is None:
                 continue
-            text = f"{p.help}; key {p.key}" if p.help else f"key {p.key}"
-            if p.type is bool:
-                sub.add_argument(p.flag, dest=p.name, action="store_true", help=text)
-            else:
-                sub.add_argument(
-                    p.flag,
-                    dest=p.name,
-                    type=p.parse or p.type,
-                    default=None if p.default is REQUIRED else p.default,
-                    required=p.default is REQUIRED,
-                    help=text,
-                )
+            sub.add_argument(
+                p.flag,
+                dest=p.name,
+                type=p.parse or p.type,
+                default=None if p.default is REQUIRED else p.default,
+                required=p.default is REQUIRED,
+                help=f"{p.help}; key {p.key}" if p.help else f"key {p.key}",
+            )
     return parser
 
 

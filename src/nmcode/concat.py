@@ -703,21 +703,28 @@ def classify_adversary(plan: ConcatPlan, f: BitTamperFn) -> str:
 
 @dataclass
 class AttackReport:
+    """One adversary's sampled tampering error: eps_hat, the worst of the
+    per-message distances, is exact on the drawn counts, and `radius` is
+    its sampling radius."""
+
     adversary_id: str
     case_class: str
-    eps_hat: float
+    eps_hat: Fraction
     radius: float
     samples: int
-    per_message: Dict[int, float] = field(default_factory=dict)
+    per_message: Dict[int, Fraction] = field(default_factory=dict)
     reference: Optional[dict] = None
 
     def csv_row(self) -> str:
-        return f"{self.adversary_id},{self.case_class},{self.eps_hat:.6f},{self.radius:.6f},{self.samples}"
+        return f"{self.adversary_id},{self.case_class},{float(self.eps_hat):.6f},{self.radius:.6f},{self.samples}"
 
     CSV_HEADER = "adversary_id,case_class,eps_hat,radius,samples"
 
     def to_json(self) -> dict:
-        return asdict(self) | {"per_message": {str(k): v for k, v in self.per_message.items()}}
+        """The fields, with eps_hat and the per-message distances as exact
+        Fraction strings."""
+        return asdict(self) | {"eps_hat": str(self.eps_hat),
+                               "per_message": {str(k): str(v) for k, v in self.per_message.items()}}
 
 
 def attack_experiment(
@@ -741,10 +748,10 @@ def attack_experiment(
     return AttackReport(
         adversary_id=adversary_id,
         case_class=classify_adversary(code.plan, f),
-        eps_hat=float(report.value),
+        eps_hat=report.value,
         radius=report.radius,
         samples=samples,
-        per_message={s: float(v) for s, v in report.per_message.items()},
+        per_message=report.per_message,
         reference=report.reference.to_json(),
     )
 

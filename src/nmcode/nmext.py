@@ -52,26 +52,29 @@ def _check_widths(n: int, m: int) -> None:
 
 
 class ExtractorTable:
-    """Explicit function of two n-bit inputs to an m-bit output."""
+    """Explicit function of two n-bit inputs to an m-bit output; entry
+    (x << n) | y is the output at (x, y). Raises ValueError on entries that
+    are not integers in [0, 2^m)."""
 
     def __init__(self, n: int, m: int, entries: Sequence[int], seed: Optional[RngSeed] = None):
         _check_widths(n, m)
         size = 1 << (2 * n)
         if len(entries) != size:
             raise ValueError(f"need {size} entries, got {len(entries)}")
-        top = 1 << m
-        ent = list(entries)
-        if any(not 0 <= e < top for e in ent):
+        array = np.array(entries)
+        if array.dtype.kind not in "iub":
+            raise ValueError(f"entries must be integers, not {array.dtype}")
+        if array.min() < 0 or array.max() >= 1 << m:
             raise ValueError("entry out of range")
         self.n = n
         self.m = m
-        self.entries = ent
         self.seed = seed
-        self._array = np.asarray(ent, dtype=np.int64).reshape(1 << n, 1 << n)
+        self._array = array.astype(np.int64, copy=False).reshape(1 << n, 1 << n)
         self._array.flags.writeable = False
 
     def as_array(self) -> np.ndarray:
-        """The table as a read-only (2^n, 2^n) int64 array, built once."""
+        """The table as a read-only (2^n, 2^n) int64 array, the one copy of
+        its entries."""
         return self._array
 
     # -- serialization: `core.write_packed`, one m-bit field per entry
@@ -80,7 +83,7 @@ class ExtractorTable:
         header = {"n": self.n, "m": self.m}
         if self.seed is not None:
             header["seed"] = self.seed.to_json()
-        core.write_packed(fp, header, self.entries, self.m)
+        core.write_packed(fp, header, self._array.ravel().tolist(), self.m)
 
     @classmethod
     def load(cls, fp) -> "ExtractorTable":

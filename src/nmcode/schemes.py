@@ -23,8 +23,7 @@ class is involved:
 The schemes also offer the per-word `encode_int(s, rng)` and
 `decode_int(w)` (None for decoder failure) on Python ints. Nothing here
 calls them: they serve one-word calls, such as the CLI's encode and
-decode and `lecss.verify_lecss`'s linearity check, and the tests'
-oracles.
+decode, and the tests' oracles.
 
 Encoding i of message s, for i in [0, encoding_count(s)), is entry i of
 `encodings_many(s)`, and `encode_many` returns encoding `index` of each

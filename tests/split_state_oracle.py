@@ -112,11 +112,12 @@ def joint_output_dist(ext, src, f1, f2):
     given as None is the identity."""
     counts = {}
     n = ext.n
+    entries = ext.as_array().ravel().tolist()
     for x in src.xs:
         tx = f1[x] if f1 is not None else x
         for y in src.ys:
             ty = f2[y] if f2 is not None else y
-            key = (ext.entries[(x << n) | y], ext.entries[(tx << n) | ty])
+            key = (entries[(x << n) | y], entries[(tx << n) | ty])
             counts[key] = counts.get(key, 0) + 1
     total = src.pairs
     return {k: Fraction(c, total) for k, c in counts.items()}

@@ -289,7 +289,7 @@ def test_criterion_08_tampering_fuzz():
         8,
         "200 random adversaries: worst per-message error within 0.25 + radius",
         worst <= 0.25 + radius and elapsed < 900,
-        f"worst {worst:.4f}, radius {radius:.4f}, {elapsed:.0f}s",
+        f"worst {float(worst):.4f}, radius {radius:.4f}, {elapsed:.0f}s",
     )
 
 

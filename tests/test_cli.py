@@ -91,9 +91,9 @@ PINNED_RESULTS = {
     "perm test --n 8 --ell 2 --trials 3000":
         "6b8a14b7df94fe80c14c45c73a34dcbc20049b66c159efd57692ad7f1c5a76b7",
     "concat attack --adversaries 3 --messages 4 --samples 10000 --seed 3 --jobs 1":
-        "252f20e87534ca5d5e8e7bcbdb87f3751fea3d6be17766191d1ffc84e468516d",
+        "8ae8ef659821d356fac801cc8a9d011dcffd6368fe6f593b0eafe0562933fa39",
     "concat attack --adversaries 3 --messages 4 --samples 20000 --seed 3 --jobs 1":
-        "ee5aa367074f8b45b777ae6fa827a535ada0623c7fa25e752946ddf4ef21295f",
+        "3a6f9d3bc0a8d56408c1523f601a8fe27c2bdde8cfe064c8230c6a49b0dc8431",
 }
 
 
@@ -180,13 +180,14 @@ class TestRunConfig:
         of their JSON: every adversary's reference, per-message estimates and
         radius stay identical as long as no RNG stream changes. Re-pinned
         when concat encoding became one encoding index per run, when the
-        attacked messages became distinct, and when `schemes._counts` went
-        from one generator per row to two per call."""
+        attacked messages became distinct, when `schemes._counts` went
+        from one generator per row to two per call, and when ε̂ and the
+        per-message estimates became exact Fraction strings."""
         argv = ["concat", "attack", "--adversaries", "12", "--messages", "4",
                 "--samples", "1000", "--seed", "3", "--jobs", "1"]
         rows = run_config(read_config(build_parser().parse_args(argv)))["results"]["rows"]
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-        assert digest == "0ecfd35d70e981fac990f653a6d4a38cc576922d4422036ee7bf041733d32f4a"
+        assert digest == "d76183644585ae70ad809fd3455ec8248e2f84c1879d604184ad7a97f69ecd0f"
 
     def test_reduce_rows_pinned(self):
         """An m = 2 reduction report, pinned by SHA-256: the `results` and
@@ -217,8 +218,8 @@ class TestRunConfig:
         runs per row, rows that passes of `schemes.PASS_ROWS` runs cut
         mid-row, so a change to a sampled stream shows here. The attacks
         were re-pinned when `schemes._counts` went from one generator per
-        row to two per call, and every line when verdicts replaced the
-        results' own pass fields."""
+        row to two per call, every line when verdicts replaced the results'
+        own pass fields, and the attacks when ε̂ became an exact Fraction."""
         report = run_config(read_config(build_parser().parse_args(shlex.split(line))))
         pinned = {k: report[k] for k in ("results", "verdicts")}
         assert hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest() == PINNED_RESULTS[line]
@@ -299,7 +300,7 @@ class TestMainEntry:
 
     def test_explicit_seed_one_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12, "params": {"toy": True}}))
+        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12}))
         assert main(["--config", str(cfg), "--seed", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == "1"
         assert main(["--config", str(cfg)]) == 0
@@ -307,23 +308,22 @@ class TestMainEntry:
 
     def test_explicit_jobs_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12, "jobs": 2,
-                                   "params": {"toy": True}}))
+        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12, "jobs": 2}))
         assert main(["--config", str(cfg), "--jobs", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 1
         assert main(["--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["jobs"] == min(2, os.cpu_count() or 1)
-        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12, "params": {"toy": True}}))
+        cfg.write_text(json.dumps({"operation": "concat-plan", "seed": 12}))
         assert main(["--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 1
 
     def test_guard_override_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--guard-override", "concat", "plan", "--toy"])
+            main(["--guard-override", "concat", "plan"])
         assert exc.value.code == 2
 
     def test_subcommand_plan(self, capsys):
-        assert main(["concat", "plan", "--toy"]) == 0
+        assert main(["concat", "plan"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["plan"]["layout"]["N"] == 40
 
@@ -388,10 +388,10 @@ FLAG_RUNS = {
     "lecss-build": ["lecss", "build"],
     "lecss-encode": ["lecss", "encode", "--message", "abc", "--seed", "9"],
     "lecss-decode": ["lecss", "decode", "--word", "b798a4"],
-    "lecss-verify": ["lecss", "verify", "--trials", "50"],
+    "lecss-verify": ["lecss", "verify"],
     "perm-derive": ["perm", "derive", "--z", "3"],
     "perm-test": ["perm", "test", "--n", "5", "--trials", "200"],
-    "concat-plan": ["concat", "plan", "--toy"],
+    "concat-plan": ["concat", "plan"],
     "concat-encode": ["concat", "encode", "--message", "5a", "--seed", "4"],
     "concat-decode": ["concat", "decode", "--word", "ffcde345fc", "--seed", "4"],
     "concat-roundtrip": ["concat", "roundtrip", "--samples", "2"],
@@ -465,6 +465,8 @@ BAD_CONFIGS = {
     "cube-guard": {"operation": "inner-verify", "seed": 1, "guards": {"cube": 10}},
     "required-word-missing": {"operation": "lecss-decode", "seed": 1},
     "strict-on-toy-plan": {"operation": "concat-plan", "seed": 1, "params": {"strict": False}},
+    "toy-key": {"operation": "concat-plan", "seed": 1, "params": {"toy": True}},
+    "lecss-samples-key": {"operation": "lecss-verify", "seed": 1, "samples": 10},
     "t-block-on-planned-layout": {
         "operation": "concat-plan", "seed": 1,
         "params": {"total_bits": 1024, "gamma0": 0.5, "t_block": 2},
@@ -507,7 +509,10 @@ class TestBadInput:
             ["inner", "sample", "--n", "16"],
             ["concat", "plan", "--bits", "64"],
             ["concat", "plan", "--gamma0", "0.3"],
-            ["concat", "plan", "--toy", "--bits", "64", "--gamma0", "0.5"],
+            # Removed flags: every lecss verdict is exact, and a plan with
+            # neither --bits nor --gamma0 is the toy plan.
+            ["lecss", "verify", "--trials", "10"],
+            ["concat", "plan", "--toy"],
             ["lecss", "verify", "--n", "16", "--alpha", "0.5"],
             ["perm", "test", "--z", "3"],
             ["lecss", "encode"],

@@ -52,12 +52,14 @@ def _keys(obj) -> set:
 @pytest.mark.parametrize("operation", sorted(OPERATIONS))
 def test_only_the_verdicts_decide(operation):
     """No result holds a decision of its own: a report passes exactly when
-    all its verdicts pass, and each verdict's float is its exact value's."""
+    all its verdicts pass, each verdict's float is its exact value's, and a
+    sampled verdict reports its radius."""
     report = _golden(operation)["report"]
     assert "pass" not in _keys(report["results"])
     assert report["pass"] is all(v["passed"] for v in report["verdicts"])
     for verdict in report["verdicts"]:
         assert float(Fraction(verdict["worst_value"])) == verdict["worst_value_float"]
+        assert not (verdict["radius"] == 0 and verdict["details"].get("mode") == "sampled"), verdict["name"]
 
 
 def test_golden_exit_codes():

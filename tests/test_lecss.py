@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from nmcode.core import BOTTOM, GuardExceeded, InfeasibleParams, RngSeed
+from nmcode.core import GuardExceeded, InfeasibleParams
 from nmcode.gf import GF2m, IRREDUCIBLE_POLY, field, invert_matrix
 from nmcode.lecss import LecssCode, LecssParams, build_lecss, verify_lecss
 
@@ -200,36 +200,100 @@ class TestEncodeDecode:
         assert abs(hits - draws / 64) < 25
 
 
+def scan_distance(code):
+    """The least symbol weight of a nonzero codeword, by brute force over
+    all q^k coefficient vectors: the oracle for verify_lecss's closed form."""
+    return min(
+        sum(code.field.eval_poly(coeffs, x) != 0 for x in code.points)
+        for coeffs in product(range(code.q), repeat=code.k)
+        if any(coeffs)
+    )
+
+
+def witness_weight(code, distance):
+    """The symbol weight of the codeword of a distance verdict's witness,
+    through encode_symbols: randomness symbols first, then the message."""
+    coeffs = distance.witness["coefficients"]
+    assert len(coeffs) == code.k
+    s = sum(c << (j * code.m) for j, c in enumerate(coeffs[code.k0:]))
+    return sum(sym != 0 for sym in code.encode_symbols(s, coeffs[: code.k0]))
+
+
+#: Every (m, n, k, k0) with m <= 4 and q^k <= 2^12: 88 codes.
+SMALL_CODES = [
+    (m, n, k, k0)
+    for m in range(1, 5)
+    for n in range(2, (1 << m) + 1)
+    for k in range(2, n + 1)
+    if (1 << m) ** k <= 1 << 12
+    for k0 in range(1, k)
+]
+
+
 class TestVerify:
     def test_reference_code_passes(self):
-        verdicts = verify_lecss(build_lecss(8, 0.5), trials=400, seed=RngSeed.from_int(4))
+        verdicts = verify_lecss(build_lecss(8, 0.5))
         assert [v.name for v in verdicts] == ["lecss-distance", "lecss-independence", "lecss-linearity"]
         assert all(v.passed for v in verdicts)
         distance, independence, linearity = verdicts
-        assert distance.details["mode"] == "sampled"  # 8^6 vectors > guard
         assert (independence.worst_value, linearity.worst_value) == (0, 0)
+        assert all(v.radius == 0.0 and "mode" not in v.details for v in verdicts)
+
+    def test_default_code_distance_is_n_minus_k_plus_1(self):
+        """A sampled scan once reported 4 here: 1,000 random coefficient
+        vectors of 8^6 missed every weight-3 codeword."""
+        for (n, alpha), want in (((8, 0.5), 3), ((16, 0.125), 2), ((9, 0.25), 2)):
+            code = build_lecss(n, alpha)
+            distance = verify_lecss(code)[0]
+            assert distance.worst_value == want == code.symbol_distance
+            assert witness_weight(code, distance) == want
 
     def test_small_code_exhaustive_distance(self):
         code = LecssCode(3, 8, 4, 2)
-        distance, independence, linearity = verify_lecss(code, trials=100, seed=RngSeed.from_int(5))
+        distance, independence, linearity = verify_lecss(code)
         assert distance.passed and independence.passed and linearity.passed
-        assert distance.details["mode"] == "exhaustive"
-        assert distance.worst_value == distance.gate == code.symbol_distance  # MDS: met exactly
-        # The witness is a coefficient vector whose codeword has that weight.
-        coeffs = distance.witness["coefficients"]
-        assert sum(code.field.eval_poly(coeffs, x) != 0 for x in code.points) == code.symbol_distance
+        assert distance.worst_value == distance.gate == code.symbol_distance == scan_distance(code)
+        assert witness_weight(code, distance) == code.symbol_distance
+        # The golden code's witness: x(x + 1), the product over points 0 and 1.
+        assert verify_lecss(LecssCode(2, 4, 3, 1))[0].witness == {"coefficients": [0, 1, 1]}
+
+    def test_closed_form_distance_equals_the_scan_on_every_small_code(self):
+        assert len(SMALL_CODES) == 88
+        for m, n, k, k0 in SMALL_CODES:
+            code = LecssCode(m, n, k, k0)
+            distance = verify_lecss(code)[0]
+            assert distance.worst_value == scan_distance(code) == code.symbol_distance, (m, n, k, k0)
+            assert witness_weight(code, distance) == distance.worst_value, (m, n, k, k0)
+
+    def test_closed_form_distance_equals_the_scan_with_repeated_points(self):
+        """Points with repeats: the lightest codeword vanishes on the k - 1
+        most frequent of them, so the distance falls below n - k + 1, to 0
+        when k - 1 distinct points cover them all."""
+        rng = random.Random(7)
+        seen = set()
+        for m, n, k, k0 in SMALL_CODES:
+            code = LecssCode(m, n, k, k0)
+            distinct = rng.randint(1, n - 1)  # so some point repeats
+            code.points = [rng.randrange(distinct) for _ in range(n)]
+            distance = verify_lecss(code)[0]
+            assert distance.worst_value == scan_distance(code), (m, n, k, k0, code.points)
+            assert witness_weight(code, distance) == distance.worst_value
+            assert distance.worst_value < code.symbol_distance
+            seen.add(distance.worst_value > 0)
+        assert seen == {False, True}
 
     def test_toy_concat_outer_code_passes(self):
-        verdicts = verify_lecss(LecssParams.for_bits(16, 0.5).build(), trials=300, seed=RngSeed.from_int(6))
+        verdicts = verify_lecss(LecssParams.for_bits(16, 0.5).build())
         assert all(v.passed for v in verdicts)
 
-    def test_broken_decoder_fails_linearity_with_a_witness(self, monkeypatch):
-        code = LecssCode(3, 8, 4, 2)
-        monkeypatch.setattr(code, "decode_int", lambda w: None)
-        distance, independence, linearity = verify_lecss(code, trials=20, seed=RngSeed.from_int(5))
-        assert distance.passed and independence.passed
-        assert not linearity.passed and linearity.worst_value == 20
-        assert len(linearity.witness["words"]) == 2
+    def test_broken_interpolation_fails_linearity_at_its_column(self):
+        for col in range(4):
+            code = LecssCode(3, 8, 4, 2)
+            code._vinv[2][col] ^= 5
+            distance, independence, linearity = verify_lecss(code)
+            assert distance.passed and independence.passed
+            assert not linearity.passed
+            assert (linearity.worst_value, linearity.witness) == (1, {"column": col})
 
     def test_independence_sweep_guarded(self):
         # 16^4 encodings per message over C(64, <=4) index sets.

@@ -130,16 +130,15 @@ class TestTableMechanics:
     def test_sampling_deterministic(self):
         a = sample_random_extractor(3, 2, RngSeed.from_int(5))
         b = sample_random_extractor(3, 2, RngSeed.from_int(5))
-        assert a.entries == b.entries
-        assert a.entries != sample_random_extractor(3, 2, RngSeed.from_int(6)).entries
+        assert (a.as_array() == b.as_array()).all()
+        assert (a.as_array() != sample_random_extractor(3, 2, RngSeed.from_int(6)).as_array()).any()
 
     def test_size_and_lookup_layout(self):
-        table = sample_random_extractor(2, 2, RngSeed.from_int(7))
-        assert len(table.entries) == 16
-        arr = table.as_array()
+        arr = ExtractorTable(2, 4, list(range(16))).as_array()
+        assert arr.shape == (4, 4)
         for x in range(4):
             for y in range(4):
-                assert arr[x, y] == table.entries[(x << 2) | y]
+                assert arr[x, y] == (x << 2) | y
 
     def test_as_array_is_built_once_and_read_only(self):
         table = sample_random_extractor(3, 2, RngSeed.from_int(10))
@@ -147,14 +146,13 @@ class TestTableMechanics:
         assert table.as_array() is arr
         assert not arr.flags.writeable
         assert arr.dtype == np.int64 and arr.shape == (8, 8)
-        assert arr.ravel().tolist() == table.entries
         with pytest.raises(ValueError):
             arr[0, 0] = 1
 
     def test_entry_histogram_roughly_uniform(self):
         table = sample_random_extractor(4, 2, RngSeed.from_int(8))
         counts = [0] * 4
-        for e in table.entries:
+        for e in table.as_array().ravel():
             counts[e] += 1
         assert all(40 <= c <= 90 for c in counts)  # 256 entries over 4 values
 
@@ -164,7 +162,7 @@ class TestTableMechanics:
         table.save(buf)
         buf.seek(0)
         back = ExtractorTable.load(buf)
-        assert back.entries == table.entries
+        assert (back.as_array() == table.as_array()).all()
         assert back.seed == table.seed
 
     @pytest.mark.parametrize("table, digest", [
@@ -188,7 +186,8 @@ class TestTableMechanics:
         table.save(buf)
         assert len(buf.getvalue().split(b"\n", 1)[1]) == (1 << 16) * 2
         back = ExtractorTable.load(io.BytesIO(buf.getvalue()))
-        assert (back.n, back.m, back.entries, back.seed) == (8, 16, table.entries, table.seed)
+        assert (back.n, back.m, back.seed) == (8, 16, table.seed)
+        assert (back.as_array() == table.as_array()).all()
 
     def test_load_rejects_files_the_header_does_not_describe(self):
         buf = io.BytesIO()
@@ -209,7 +208,7 @@ class TestTableMechanics:
         # n=1, m=1 packs 4 bits into one byte; its upper four must stay clear.
         buf = io.BytesIO()
         ExtractorTable(1, 1, [1, 0, 1, 1]).save(buf)
-        assert ExtractorTable.load(io.BytesIO(buf.getvalue())).entries == [1, 0, 1, 1]
+        assert ExtractorTable.load(io.BytesIO(buf.getvalue())).as_array().ravel().tolist() == [1, 0, 1, 1]
         with pytest.raises(ValueError, match="padding bits"):
             ExtractorTable.load(io.BytesIO(buf.getvalue()[:-1] + bytes([0b11101101])))
 
@@ -227,6 +226,15 @@ class TestTableMechanics:
             ExtractorTable(2, 64, [0] * 16)
         with pytest.raises(ValueError):
             sample_random_extractor(4, 30, RngSeed.from_int(0))
+
+    def test_entries_must_be_integers_in_range(self):
+        """A float entry once built a table whose array held its floor and
+        whose save failed with an AttributeError."""
+        ExtractorTable(1, 1, [0, 1, True, False])
+        for entries, match in (([0.5, 1, 0, True], "integers"), ([0, 1, None, 1], "integers"),
+                               ([0, 1, 2, 1], "range"), ([0, -1, 0, 1], "range")):
+            with pytest.raises(ValueError, match=match):
+                ExtractorTable(1, 1, entries)
 
     def test_source_validation(self):
         with pytest.raises(ValueError):

@@ -46,8 +46,8 @@ CASES = {
                      _config("lecss-encode", {"n": 4, "alpha": 0.5, "message": "fffff"})),
     "lecss-decode": (_config("lecss-decode", {"n": 4, "alpha": 0.5, "word": "05"}),
                      _config("lecss-decode", {"n": 4, "alpha": 0.5, "word": "1ff"})),
-    "lecss-verify": (_config("lecss-verify", {"n": 4, "alpha": 0.5}, samples=50),
-                     _config("lecss-verify", {"n": 4, "alpha": 0.5}, samples=0)),
+    "lecss-verify": (_config("lecss-verify", {"n": 8, "alpha": 0.5}),
+                     _config("lecss-verify", {"n": 8, "alpha": 1.5})),
     "perm-derive": (_config("perm-derive", {"n": 8, "z": 5}),
                     _config("perm-derive", {"n": 8, "backend": "sort"})),
     "perm-test": (_config("perm-test", {"n": 8, "ell": 2}, samples=500),
