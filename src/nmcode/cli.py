@@ -7,8 +7,9 @@ nothing: `run_config` writes each verdict once, and a report passes
 exactly when all its verdicts pass, so an operation with none passes.
 Every run is deterministic given (config, seed): reports from two runs of
 the same config differ only in wall time. Exit codes: 0 every verdict
-passed, 1 a verdict failed (its witness in the report), 2 invalid
-configuration or usage.
+passed, 1 a verdict failed (its witness in the report, as for a planned
+layout that violates an inequality), 2 invalid configuration or usage,
+or values that admit no object at all (no layout, a guard exceeded).
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ DEFAULT_JOBS = 1
 #: The checks `inner verify` knows, and those that take a sweep guard.
 INNER_CHECKS = ("roundtrip", "cube", "independence", "detection")
 GUARDED_CHECKS = ("independence", "detection")
+
+#: Criterion 8's gate on the worst attack error ε̂ of `concat attack`.
+ATTACK_GATE = Fraction(1, 4)
 
 
 class ConfigError(NmcodeError):
@@ -123,15 +127,13 @@ def parse_seed(raw) -> RngSeed:
 
 def _is(kind: type, value) -> bool:
     """Whether a JSON value has a param's type: ints count as floats, bools
-    only as bools, lists hold strings and objects map to integers."""
+    only as bools and lists hold strings."""
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
         return isinstance(value, (int, float))
     if kind is list:
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    if kind is dict:
-        return isinstance(value, dict) and all(_is(int, v) for v in value.values())
     return isinstance(value, kind)
 
 
@@ -233,19 +235,20 @@ def _inner_sample(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> O
 
 def _verify_one_inner(args) -> List[Verdict]:
     """The verdicts of one seed's code, each named with the seed's stream id."""
-    inner, seed, checks, ell, eps, guards = args
+    inner, seed, checks, ell, eps, guard = args
     code = sample_inner_code(InnerParams(*inner), seed)
+    kw = {} if guard is None else {"guard": guard}
     sweeps = {
-        "roundtrip": lambda kw: Verdict(
+        "roundtrip": lambda: Verdict(
             "roundtrip", Fraction(schemes.roundtrip_failures(code), code.params.codeword_count), 0),
-        "cube": lambda kw: verify_cube_property(code),
-        "independence": lambda kw: verify_bounded_independence(code, ell, eps, **kw),
-        "detection": lambda kw: verify_error_detection(code, **kw),
+        "cube": lambda: verify_cube_property(code),
+        "independence": lambda: verify_bounded_independence(code, ell, eps, **kw),
+        "detection": lambda: verify_error_detection(code, **kw),
     }
     verdicts = []
     for name in [c for c in sweeps if c in checks]:
         try:
-            verdict = sweeps[name]({"guard": guards[name]} if name in guards else {})
+            verdict = sweeps[name]()
         except GuardExceeded as e:
             hint = "raise --guard or " if name in GUARDED_CHECKS else ""
             raise GuardExceeded(f"{name}: {e}; {hint}leave {name} out of --checks") from None
@@ -255,14 +258,12 @@ def _verify_one_inner(args) -> List[Verdict]:
 
 def _inner_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Verify sampled block codes exhaustively, one code per seed."""
-    checks, guards = p["checks"], p["guards"] or {}
+    checks = p["checks"]
     if not checks or not set(checks) <= set(INNER_CHECKS):
         raise ConfigError(f"checks must be a nonempty subset of {', '.join(INNER_CHECKS)}")
-    if not set(guards) <= set(GUARDED_CHECKS):
-        raise ConfigError(f"guards apply only to {', '.join(GUARDED_CHECKS)}")
     inner = (p["n"], p["k"], p["t"], p["delta"])
     work = [
-        (inner, seed.child(i), checks, p["ell"], p["eps"], guards)
+        (inner, seed.child(i), checks, p["ell"], p["eps"], p["guard"])
         for i in range(p["seeds"])
     ]
     return {"seeds": p["seeds"]}, [v for row in _map(_verify_one_inner, work, jobs) for v in row]
@@ -297,8 +298,8 @@ def _lecss_verify(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> O
     return {}, verify_lecss(build_lecss(p["n"], p["alpha"]))
 
 
-def _perm_spec(p: dict) -> PermSpec:
-    return PermSpec(n=p["n"], ell=p["ell"], seed_bits=p["seed_bits"], backend=p["backend"])
+def _perm_spec(p: dict, **ell) -> PermSpec:
+    return PermSpec(n=p["n"], seed_bits=p["seed_bits"], backend=p["backend"], **ell)
 
 
 def _perm_derive(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
@@ -309,7 +310,7 @@ def _perm_derive(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Ou
 
 def _perm_test(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
     """Test ell-wise independence of the derived permutations."""
-    return {}, [test_lwise_dependence(_perm_spec(p), trials=p["samples"], seed=seed)]
+    return {}, [test_lwise_dependence(_perm_spec(p, ell=p["ell"]), trials=p["samples"], seed=seed)]
 
 
 def _concat_plan(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Outcome:
@@ -317,14 +318,12 @@ def _concat_plan(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> Ou
     toy = p["total_bits"] is None
     if toy != (p["gamma0"] is None):
         raise ConfigError("give total_bits and gamma0 for a planned layout, or neither (toy)")
-    # strict belongs to a planned layout, t_block and t_seed to the toy plan.
-    given = {k: p[k] for k in ("strict", "t_block", "t_seed") if p[k] is not None}
-    foreign = [k for k in given if (k == "strict") == toy]
-    if foreign:
-        raise ConfigError(f"key(s) {', '.join(foreign)} do not apply to the {'toy' if toy else 'planned'} plan")
-    plan = toy_concat_plan(**given) if toy else plan_concat(p["total_bits"], p["gamma0"], **given)
+    given = {k: p[k] for k in ("t_block", "t_seed") if p[k] is not None}
     if toy:  # its ledger records the inequalities the toy sizes violate
-        return {"plan": plan.to_json()}, []
+        return {"plan": toy_concat_plan(**given).to_json()}, []
+    if given:
+        raise ConfigError(f"key(s) {', '.join(given)} apply only to the toy plan")
+    plan = plan_concat(p["total_bits"], p["gamma0"])
     violated = [c.name for c in plan.violated()]
     return {"plan": plan.to_json()}, [
         Verdict("plan-inequalities", len(violated), 0, witness={"violated": violated} if violated else None)]
@@ -387,7 +386,7 @@ def _concat_attack(p: dict, seed: RngSeed, jobs: int, outdir: Optional[str]) -> 
     ]
     reports = _map(_attack_one, work, jobs)
     worst = max(reports, key=lambda r: r.eps_hat)
-    verdict = Verdict("attack", worst.eps_hat, p["eps_threshold"], radius=worst.radius,
+    verdict = Verdict("attack", worst.eps_hat, ATTACK_GATE, radius=worst.radius,
                       witness={"adversary_id": worst.adversary_id})
     rows = [r.to_json() | {"csv": r.csv_row()} for r in reports]
     result = {"adversaries": len(rows), "samples": samples, "rows": rows}
@@ -432,14 +431,9 @@ def _flagged(key: str, kind: type, default, flag: Optional[str] = None, **kw) ->
     return Param(key, kind, default, flag or "--" + key.rpartition(".")[2], **kw)
 
 
-def _all_guards(text: str) -> dict:
-    return dict.fromkeys(GUARDED_CHECKS, int(text))
-
-
 _LECSS = (_flagged("params.n", int, 8), _flagged("params.alpha", float, 0.5))
 _PERM = (
     _flagged("params.n", int, 8),
-    _flagged("params.ell", int, 1),
     _flagged("params.seed_bits", int, 128, "--seed-bits"),
     _flagged("params.backend", str, "prf-shuffle"),
 )
@@ -475,7 +469,7 @@ OPERATIONS: Dict[str, Operation] = {
             _flagged("ell", int, 2),
             _flagged("eps", float, 0.15),
             _flagged("seeds", int, 1, minimum=1),
-            _flagged("guards", dict, None, "--guard", parse=_all_guards,
+            _flagged("guard", int, None, minimum=1,
                      help="sweep size limit for the independence and detection checks"),
         )),
         Operation("lecss", "build", _lecss_build, _LECSS),
@@ -483,14 +477,15 @@ OPERATIONS: Dict[str, Operation] = {
         Operation("lecss", "decode", _lecss_decode, _LECSS + (_WORD,)),
         Operation("lecss", "verify", _lecss_verify, _LECSS),
         Operation("perm", "derive", _perm_derive, _PERM + (_flagged("params.z", int, 0),)),
-        Operation("perm", "test", _perm_test,
-                  _PERM + (_flagged("samples", int, 10000, "--trials", minimum=1),)),
+        Operation("perm", "test", _perm_test, _PERM + (
+            _flagged("params.ell", int, 1),
+            _flagged("samples", int, 10000, "--trials", minimum=1),
+        )),
         Operation("concat", "plan", _concat_plan, (
             _flagged("params.total_bits", int, None, "--bits"),
             _flagged("params.gamma0", float, None),
-            # Config-only keys of one mode each; absent unless given, so
-            # that a key given in the other mode is rejected.
-            Param("params.strict", bool),
+            # Config-only keys of the toy plan; absent unless given, so
+            # that a planned layout rejects them.
             Param("params.t_block", int),
             Param("params.t_seed", int),
         )),
@@ -502,7 +497,6 @@ OPERATIONS: Dict[str, Operation] = {
             _flagged("params.adversaries", int, 20, minimum=1),
             _flagged("params.messages", int, 16, minimum=0,
                      help="distinct messages attacked per adversary, at most 256; 0 for all"),
-            Param("params.eps_threshold", float, 0.25),
             _flagged("samples", int, 10000, minimum=1),
         )),
         Operation("nmext", "sample", _nmext_sample, _NMEXT),

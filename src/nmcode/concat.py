@@ -11,7 +11,8 @@ segment that fails to decode is identified with the all-zero seed.
 
 A plan object carries the parameter ledger: every inequality the error
 analysis leans on is evaluated and reported individually, so infeasible
-toy plans are constructible but carry their violations on record.
+plans, toy or planned, are constructible but carry their violations on
+record.
 """
 
 from __future__ import annotations
@@ -273,17 +274,18 @@ def plan_concat(
     total_bits: int,
     gamma0: float,
     seed_code_rate: float = 0.25,
-    strict: bool = True,
 ) -> ConcatPlan:
     """Derive a full plan for a target total length and rate slack.
 
-    Searches sharing lengths whose derived seed-segment slack stays inside
-    [gamma0/2, gamma0] and whose ledger holds. `strict` raises on the first
-    violated inequality; with strict=False the best structural candidate is
-    returned with violations recorded. The seed code has t = 2.
+    Scans sharing lengths from the top, keeping the derived seed-segment
+    slack inside [gamma0/2, gamma0], and returns the first layout whose
+    ledger holds; failing that, the first layout scanned, its violated
+    inequalities on record for `violated()`. The seed code has t = 2.
+    Raises ValueError for gamma0 outside (0, 1/2] and InfeasibleParams
+    only when no layout exists.
     """
     if not 0.0 < gamma0 <= 0.5:
-        raise InfeasibleParams("gamma0 must lie in (0, 1/2]")
+        raise ValueError("gamma0 must lie in (0, 1/2]")
     if total_bits < 8:
         raise InfeasibleParams("total length too small")
 
@@ -304,7 +306,7 @@ def plan_concat(
     inner = inner_plan.params
     b, big_b = inner.k, inner.n
 
-    candidates: List[ConcatPlan] = []
+    first: Optional[ConcatPlan] = None
     lo = int(total_bits / (1 + gamma0))
     hi = int(total_bits / (1 + gamma0 / 2))
     for n in range(hi // big_b * big_b, lo - 1, -big_b):  # multiples of B, from the top
@@ -330,18 +332,11 @@ def plan_concat(
         )
         if not plan.violated():
             return plan
-        candidates.append(plan)
-    if strict:
-        if candidates:
-            worst = candidates[0].violated()[0]
-            raise InfeasibleParams(
-                f"constraint {worst.name} violated: {worst.formula} "
-                f"(lhs={worst.lhs}, rhs={worst.rhs})"
-            )
+        if first is None:
+            first = plan
+    if first is None:
         raise InfeasibleParams(f"no layout realizes {total_bits} bits at gamma0={gamma0}")
-    if not candidates:
-        raise InfeasibleParams(f"no layout realizes {total_bits} bits at gamma0={gamma0}")
-    return candidates[0]
+    return first
 
 
 def toy_concat_plan(t_block: int = 4, t_seed: int = 2) -> ConcatPlan:

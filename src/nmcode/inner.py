@@ -91,14 +91,6 @@ class InnerParams:
     def ball_volume(self) -> int:
         return hamming_ball_volume(self.n, self.radius)
 
-    def sampling_headroom(self) -> Fraction:
-        """t*2^k*Vol(radius) over 2^(n-1); above 1 rejection may run hot.
-
-        The planner refuses such parameters; direct construction is still
-        allowed and relies on the rejection budget to fail honestly.
-        """
-        return Fraction(self.codeword_count * self.ball_volume(), 1 << (self.n - 1))
-
 
 @dataclass(frozen=True)
 class InnerPlan:
@@ -109,17 +101,6 @@ class InnerPlan:
     delta_effective: float
     t_raw: int
     t_cap: int
-
-    @property
-    def k_bound(self) -> float:
-        """Message-length ceiling n(1-h(delta)) - log t - 3 log(1/eps); the
-        additive constant is unknowable at desk scale and taken as 0."""
-        p = self.params
-        return (
-            p.n * (1.0 - binary_entropy(self.delta))
-            - log2(p.t)
-            - 3.0 * log2(1.0 / self.epsilon)
-        )
 
 
 def plan_inner_params(
@@ -133,9 +114,9 @@ def plan_inner_params(
     trustworthy at desk scale, so t may be overridden.
     """
     if not 0.0 < alpha < 1.0:
-        raise InfeasibleParams("alpha must lie in (0, 1)")
+        raise ValueError("alpha must lie in (0, 1)")
     if n < 1:
-        raise InfeasibleParams("n must be positive")
+        raise ValueError("n must be positive")
     k = int(n * (1.0 - alpha))
     if k < 1:
         raise InfeasibleParams(f"k = floor(n*(1-alpha)) = {k}; no message bits")
@@ -288,11 +269,10 @@ def sample_inner_code(params: InnerParams, seed: RngSeed) -> InnerCode:
     construction and flags the parameters as infeasible.
     """
     n, k, t = params.n, params.k, params.t
+    crowd = params.codeword_count * params.ball_volume()
+    if crowd > _REMOVED_SET_GUARD:
+        raise GuardExceeded(f"exclusion set would hold up to {crowd} words")
     ball = _ball_masks(n, params.radius)
-    if params.codeword_count * len(ball) > _REMOVED_SET_GUARD:
-        raise GuardExceeded(
-            f"exclusion set would hold up to {params.codeword_count * len(ball)} words"
-        )
     rng = seed.stream("inner.sample")
     removed = set()
     codebook: List[List[int]] = []
@@ -306,7 +286,7 @@ def sample_inner_code(params: InnerParams, seed: RngSeed) -> InnerCode:
             else:
                 raise InfeasibleParams(
                     f"rejection budget exhausted at message {s}; "
-                    f"t*2^k*Vol = {params.codeword_count * len(ball)} "
+                    f"t*2^k*Vol = {crowd} "
                     f"crowds 2^n = {1 << n}"
                 )
             words.append(w)

@@ -251,9 +251,9 @@ def build_lecss(n: int, alpha: float) -> LecssCode:
     """Standard instantiation: q the least power of two >= n and the rate
     rule of LecssParams.for_rate."""
     if not 0.0 < alpha < 1.0:
-        raise InfeasibleParams("alpha must lie in (0, 1)")
+        raise ValueError("alpha must lie in (0, 1)")
     if n < 2:
-        raise InfeasibleParams("need n >= 2")
+        raise ValueError("need n >= 2")
     return LecssParams.for_rate(max(1, (n - 1).bit_length()), n, alpha).build()
 
 

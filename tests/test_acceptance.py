@@ -4,7 +4,8 @@ Criterion 4 runs at n=12, k=1, t=1024 with radius 0, where each message's
 codewords are a uniform 1024-subset of the cube. A Hoeffding union bound
 over every marginal cell, computed in the test from its own parameters,
 puts the chance that one code misses the 0.15 budget at about 0.0105, and
-the test asserts that this bound and the sampler's headroom still hold.
+the test asserts that this bound and the sampling bound
+t*2^k*Vol(radius) <= 2^(n-1) still hold.
 At t=64 the sampling noise of the codeword sets alone exceeds 0.15.
 
 Criterion 3 is expected to FAIL and runs as stated (n=6, k=2, t=4,
@@ -159,7 +160,7 @@ def test_criterion_04_bounded_independence():
     # caps each cell's chance of straying at 2 exp(-2 t a^2). The union
     # over messages, index sets and cells bounds the chance that a code
     # fails; the asserts keep the size where that bound is small and the
-    # planner's headroom rule holds.
+    # planner's sampling rule t*2^k*Vol(radius) <= 2^(n-1) holds.
     fail_bound = (1 << params.k) * sum(
         math.comb(params.n, j)
         * (1 << j)
@@ -167,7 +168,7 @@ def test_criterion_04_bounded_independence():
         * math.exp(-2 * params.t * (eps / (1 << (j - 1))) ** 2)
         for j in range(1, ell + 1)
     )
-    assert params.sampling_headroom() <= 1
+    assert params.codeword_count * params.ball_volume() <= 1 << (params.n - 1)
     assert fail_bound <= 1 / 50, fail_bound
     passes = 0
     for i in range(10):

@@ -327,6 +327,16 @@ class TestMainEntry:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["plan"]["layout"]["N"] == 40
 
+    def test_infeasible_planned_layout_fails_its_verdict(self, capsys):
+        assert main(["concat", "plan", "--bits", "100", "--gamma0", "0.5"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        [verdict] = report["verdicts"]
+        assert verdict["name"] == "plan-inequalities" and not verdict["passed"]
+        assert verdict["witness"] == {"violated": ["payload-dominates-block"]}
+        ledger = {c["name"]: c["status"] for c in report["results"]["plan"]["constraints"]}
+        assert ledger["payload-dominates-block"] == "violated"
+        assert len(ledger) == 8
+
     def test_direct_encode_decode_round_trip(self, capsys):
         assert main(["lecss", "encode", "--n", "8", "--alpha", "0.5", "--message", "abc", "--seed", "9"]) == 0
         word = json.loads(capsys.readouterr().out)["results"]["word"]
@@ -352,15 +362,17 @@ class TestMainEntry:
 
 class TestGuardsConfig:
     def test_guard_values_forwarded(self):
-        config = {
-            "operation": "inner-verify",
-            "seed": 8,
-            "params": {"n": 8, "k": 3, "t": 4, "delta": 0.13},
-            "checks": ["detection"],
-            "guards": {"detection": 10},
-        }
-        with pytest.raises(GuardExceeded, match="raise --guard"):
-            run_config(config)
+        # One guard bounds both sweeps.
+        for check in ("detection", "independence"):
+            config = {
+                "operation": "inner-verify",
+                "seed": 8,
+                "params": {"n": 8, "k": 3, "t": 4, "delta": 0.13},
+                "checks": [check],
+                "guard": 10,
+            }
+            with pytest.raises(GuardExceeded, match=f"{check}: .*raise --guard"):
+                run_config(config)
 
     def test_cube_past_the_decode_table_names_no_guard(self):
         config = {
@@ -373,11 +385,11 @@ class TestGuardsConfig:
             run_config(config)
         assert "--guard" not in str(info.value)
 
-    def test_guards_must_be_integer_map(self):
-        with pytest.raises(ConfigError):
-            validate_config(
-                {"operation": "concat-roundtrip", "seed": 1, "guards": {"cube": "x"}}
-            )
+    def test_guard_must_be_a_positive_integer(self):
+        for guard, message in [("x", "of type int"), ({"detection": 10}, "of type int"),
+                               (0, "at least 1")]:
+            with pytest.raises(ConfigError, match=message):
+                validate_config({"operation": "inner-verify", "seed": 1, "guard": guard})
 
 
 # A flag run for every operation in the table, at small sizes.
@@ -460,11 +472,15 @@ BAD_CONFIGS = {
     "seeds-mistyped": {"operation": "inner-verify", "seed": 1, "seeds": "2"},
     "top-level-array": [{"operation": "concat-plan", "seed": 1}],
     "unknown-key": {"operation": "concat-roundtrip", "seed": 1, "sample": 5},
-    "guards-mistyped": {"operation": "inner-verify", "seed": 1, "guards": {"detection": "x"}},
-    "unknown-guard": {"operation": "inner-verify", "seed": 1, "guards": {"cubes": 10}},
-    "cube-guard": {"operation": "inner-verify", "seed": 1, "guards": {"cube": 10}},
+    "guards-mistyped": {"operation": "inner-verify", "seed": 1, "guard": "x"},
     "required-word-missing": {"operation": "lecss-decode", "seed": 1},
-    "strict-on-toy-plan": {"operation": "concat-plan", "seed": 1, "params": {"strict": False}},
+    # Keys no operation takes: the plan's verdict decides, the attack gate
+    # is fixed, derivation reads no ell and one guard bounds both sweeps.
+    "strict-key": {"operation": "concat-plan", "seed": 1,
+                   "params": {"total_bits": 100, "gamma0": 0.5, "strict": False}},
+    "eps-threshold-key": {"operation": "concat-attack", "seed": 1, "params": {"eps_threshold": 0.5}},
+    "perm-derive-ell-key": {"operation": "perm-derive", "seed": 1, "params": {"ell": 2}},
+    "guards-key": {"operation": "inner-verify", "seed": 1, "guards": {"detection": 10}},
     "toy-key": {"operation": "concat-plan", "seed": 1, "params": {"toy": True}},
     "lecss-samples-key": {"operation": "lecss-verify", "seed": 1, "samples": 10},
     "t-block-on-planned-layout": {
@@ -509,10 +525,15 @@ class TestBadInput:
             ["inner", "sample", "--n", "16"],
             ["concat", "plan", "--bits", "64"],
             ["concat", "plan", "--gamma0", "0.3"],
-            # Removed flags: every lecss verdict is exact, and a plan with
-            # neither --bits nor --gamma0 is the toy plan.
+            # Out of range, and in range with no layout at all.
+            ["concat", "plan", "--bits", "100", "--gamma0", "0.7"],
+            ["concat", "plan", "--bits", "16", "--gamma0", "0.5"],
+            # Removed flags: every lecss verdict is exact, a plan with
+            # neither --bits nor --gamma0 is the toy plan, and derivation
+            # reads no ell.
             ["lecss", "verify", "--trials", "10"],
             ["concat", "plan", "--toy"],
+            ["perm", "derive", "--ell", "2"],
             ["lecss", "verify", "--n", "16", "--alpha", "0.5"],
             ["perm", "test", "--z", "3"],
             ["lecss", "encode"],
@@ -532,6 +553,11 @@ class TestBadInput:
             (tmp_path / name).write_text(json.dumps(config))
         assert _exit_code(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name", ["strict-key", "eps-threshold-key", "perm-derive-ell-key", "guards-key"])
+    def test_removed_keys_are_unknown(self, name):
+        with pytest.raises(ConfigError, match="unknown key"):
+            validate_config(BAD_CONFIGS[name])
 
     @pytest.mark.parametrize("checks", [["bogus"], [""], []])
     def test_unknown_or_empty_checks_rejected(self, checks):

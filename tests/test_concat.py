@@ -69,8 +69,9 @@ class TestPlanArithmetic:
             )
 
     def test_degenerate_slack_rejected(self):
-        with pytest.raises(InfeasibleParams):
-            plan_concat(4096, 0.0)
+        for gamma0 in (0.0, -0.1, 0.6):
+            with pytest.raises(ValueError, match="gamma0 must lie in"):
+                plan_concat(4096, gamma0)
 
     def test_full_ledger_satisfiable_at_scale(self):
         plan = plan_concat(5200, 0.5)
@@ -81,9 +82,14 @@ class TestPlanArithmetic:
         assert statuses["perm-closeness"] == "assumed"
 
     def test_infeasible_total_names_a_constraint(self):
-        with pytest.raises(InfeasibleParams) as err:
-            plan_concat(100, 0.5)
-        assert "constraint" in str(err.value) or "layout" in str(err.value)
+        # The first layout scanned comes back with its violations on record.
+        plan = plan_concat(100, 0.5)
+        assert [c.name for c in plan.violated()] == ["payload-dominates-block"]
+        assert (plan.total_bits, plan.payload_bits) == (100, 80)
+
+    def test_no_layout_raises(self):
+        with pytest.raises(InfeasibleParams, match="no layout realizes 16 bits"):
+            plan_concat(16, 0.5)
 
     def test_predicted_error_fields(self):
         pred = plan_concat(5200, 0.5).predicted_error(eps1=0.01)

@@ -59,8 +59,10 @@ class TestPlanner:
         assert plan.delta_effective == 0.0  # radius floor(delta*n) = 0
 
     def test_alpha_one_rejected(self):
-        with pytest.raises(InfeasibleParams):
+        with pytest.raises(ValueError, match="alpha must lie in"):
             plan_inner_params(1.0, 10)
+        with pytest.raises(ValueError, match="n must be positive"):
+            plan_inner_params(0.5, 0)
 
     def test_degenerate_message_length_rejected(self):
         with pytest.raises(InfeasibleParams):
@@ -120,6 +122,15 @@ class TestSampling:
         params = InnerParams(n=10, k=4, t=8, delta=0.1)
         code = sample_inner_code(params, RngSeed.from_int(4))
         assert min_pairwise_distance(code) > params.radius
+
+    def test_crowd_guard_refuses_before_enumerating_the_ball(self, monkeypatch):
+        # Radius 8 at n = 40: a ball of 100,146,724 masks, never listed.
+        def refuse(n, radius):
+            raise AssertionError("the exclusion ball was enumerated")
+
+        monkeypatch.setattr(inner, "_ball_masks", refuse)
+        with pytest.raises(GuardExceeded, match="up to 200293448 words"):
+            sample_inner_code(InnerParams(n=40, k=1, t=1, delta=0.2), RngSeed.from_int(0))
 
     def test_overcrowded_params_fail_honestly(self):
         # Radius-2 balls cannot pack 16 codewords into 6-bit space.
@@ -462,14 +473,6 @@ class TestSanityAnchors:
         rep = verify_error_detection(code)
         assert not rep.passed
         assert rep.worst_value == 0
-
-    def test_planner_reports_message_length_ceiling(self):
-        plan = plan_inner_params(0.5, 12)
-        assert plan.k_bound == pytest.approx(
-            12 * (1 - binary_entropy(plan.delta))
-            - __import__("math").log2(plan.params.t)
-            - 3 * __import__("math").log2(1 / plan.epsilon)
-        )
 
     def test_single_codeword_encoder_is_deterministic(self):
         params = InnerParams(n=4, k=2, t=1, delta=0.0)

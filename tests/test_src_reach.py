@@ -14,6 +14,9 @@ Two references name nothing of the package: one that goes through a name
 imported from another module (`json.load`, `np.take`, or `load` after
 `from json import load`), and `ClassName.attr` for every class but
 ClassName, so `RngSeed.from_json` does not reach `FiniteDist.from_json`.
+
+A reason that cites a ROADMAP item may not cite one that ROADMAP.md marks
+retired: a retired item schedules nothing.
 """
 
 import ast
@@ -28,8 +31,6 @@ ALLOWED = {
     "concat.ConcatPlan.predicted_error": "ROADMAP item 8 reports it along the plan frontier",
     "core.FiniteDist.point_mass": "ROADMAP item 13 moves FiniteDist into tests/ as the oracle's representation",
     "inner.InnerCode.load": "reads inner_code.bin, the artifact that `nmcode inner sample --out` writes",
-    "inner.InnerParams.sampling_headroom": "states the paper's sampling bound t*2^k*Vol(radius) <= 2^(n-1) (ROADMAP item 16)",
-    "inner.InnerPlan.k_bound": "states the paper's message-length bound (ROADMAP item 16)",
     "nmext.ExtractorTable.load": "reads extractor.bin, the artifact that `nmcode nmext sample --out` writes",
     "nmext.check_relaxed_nm": "the paper's relaxed condition on one source pair, which ROADMAP item 3 sweeps",
     "nmext.inner_product_table": "ROADMAP item 3 sweeps the reduction on it",
@@ -132,3 +133,20 @@ def test_allowlist_names_only_unreached_definitions():
     assert sorted(undefined) == []
     assert sorted(set(ALLOWED) - unreached) == []
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def _retired_items() -> set:
+    """The item numbers ROADMAP.md marks "*(Retired"."""
+    text = (ROOT / "ROADMAP.md").read_text()
+    return {int(n) for n in re.findall(r"^(\d+)\. \*\(Retired", text, flags=re.M)}
+
+
+def test_allowlist_cites_no_retired_item():
+    retired = _retired_items()
+    assert retired
+    stale = {
+        name: reason
+        for name, reason in ALLOWED.items()
+        if retired & {int(n) for n in re.findall(r"ROADMAP item (\d+)", reason)}
+    }
+    assert stale == {}
