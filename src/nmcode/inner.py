@@ -95,11 +95,9 @@ class InnerParams:
 @dataclass(frozen=True)
 class InnerPlan:
     params: InnerParams
-    alpha: float
     epsilon: float
     delta: float
     delta_effective: float
-    t_raw: int
     t_cap: int
 
 
@@ -139,11 +137,9 @@ def plan_inner_params(
     params = InnerParams(n=n, k=k, t=t, delta=delta)
     return InnerPlan(
         params=params,
-        alpha=alpha,
         epsilon=epsilon,
         delta=delta,
         delta_effective=delta_effective,
-        t_raw=t_raw,
         t_cap=t_cap,
     )
 

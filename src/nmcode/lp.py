@@ -23,15 +23,25 @@ with a nonnegative rhs, so it starts from the slack basis with no phase
 pivots, generates its subset columns by pricing and reads the minimizing
 reference off the slack reduced costs. `min_copy_distance_m1` is the copy
 distance's closed form for one output bit, on Python int or int64 array
-counts alike. The test suite checks the closed form against the simplex,
-a Fraction oracle and a brute-force grid, and both minimaxes against the
-SAME-marker LP in its two-inequality-rows form, solved by `solve_lp`.
+counts alike.
+
+Both simplex loops keep per-row determinants, in two tableau shapes.
+`solve_lp` serves the test oracles' cell-form LPs, up to about 600 rows
+of mostly zero cells, where sparse rows rewrite only their nonzeros.
+`_same_dual`'s master has a row per output and per budget, half of a
+pivot row is nonzero after a few pivots, and a list of ints per row
+rewritten by one comprehension beats dict lookups there; the oracle that
+checks the minimaxes so shares no pivot code with them. The test suite
+checks the closed form against the simplex, a Fraction oracle and a
+brute-force grid, and both minimaxes against the SAME-marker LP in its
+two-inequality-rows form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +49,6 @@ import numpy as np
 from .core import NmcodeError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Row = Dict[int, int]  # a tableau row: column -> nonzero integer entry
 
@@ -77,27 +86,19 @@ def _pivot(tab: List[Row], basis: List[int], row: int, col: int, det: int, dets:
     return p
 
 
-def _simplex(
-    tab: List[Row], basis: List[int], rhs: int, det: int, dets: List[int], patience: int = 0
-) -> int:
-    """Pivot to optimality; returns the basis determinant.
+def _simplex(tab: List[Row], basis: List[int], rhs: int, det: int, dets: List[int]) -> int:
+    """Pivot to optimality by Bland's rule; returns the basis determinant.
 
     Column `rhs` is the right-hand side; every other column may enter. The
-    entering column has the most negative reduced cost (Dantzig's rule),
-    or, once `patience` pivots in a row have been degenerate, the lowest
-    index with a negative one (Bland's rule) until a pivot makes progress;
-    patience 0 is Bland's rule throughout. A degenerate run therefore ends
-    in Bland's rule, which cannot cycle, and progress never revisits a
-    basis, so the solve terminates. The leaving row has the least ratio,
-    ties to the lowest basic column. Each row's positive determinant
-    cancels from its sign tests and ratios.
+    entering column is the lowest index with a negative reduced cost and
+    the leaving row has the least ratio, ties to the lowest basic column,
+    so the solve cannot cycle. Each row's positive determinant cancels
+    from its sign tests and ratios.
     """
-    degenerate = 0
     while True:
-        entering = [(v, j) for j, v in tab[-1].items() if v < 0 and j != rhs]
-        if not entering:
+        col = min((j for j, v in tab[-1].items() if v < 0 and j != rhs), default=None)
+        if col is None:
             return det
-        col = min(entering)[1] if degenerate < patience else min(j for _, j in entering)
         best_row = None
         for r in range(len(tab) - 1):
             a = tab[r].get(col, 0)
@@ -112,7 +113,6 @@ def _simplex(
                     best_row = r
         if best_row is None:
             raise LpInfeasible("objective unbounded below")
-        degenerate = degenerate + 1 if not tab[best_row].get(rhs, 0) else 0
         det = _pivot(tab, basis, best_row, col, det, dets)
 
 
@@ -203,19 +203,6 @@ def solve_lp(
 # ---------------------------------------------------------------------------
 
 
-def _add_column(tab: List[Row], dets: List[int], col: int, cells: Sequence[int], cost: int) -> None:
-    """Append column `col`, with entry 1 in the constraint rows `cells` and
-    objective coefficient -cost, to the current tableau. Row i's slack is
-    column i and started as the identity, so row r holds dets[r] * B^-1 in
-    its slack entries and the new column's entry is their sum over `cells`:
-    the integer that Bareiss pivots would have kept there had the column
-    been present from the start."""
-    for r, line in enumerate(tab):
-        v = sum(line.get(i, 0) for i in cells) - (cost * dets[r] if r == len(tab) - 1 else 0)
-        if v:
-            line[col] = v
-
-
 def _same_dual(
     outputs: int,
     rows: Sequence[Sequence[int]],
@@ -241,6 +228,14 @@ def _same_dual(
     of 1 gives min_d max_s dist_s; a budget of sum(row) per row gives
     sum(counts) times min_d sum_s sum(row_s) / sum(counts) * dist_s.
 
+    The tableau is dense, one list of ints per row: column 0 the rhs, 1 + i
+    row i's slack, then w and the lambda, the objective row last. A pivot
+    applies `_pivot`'s Edmonds/Bareiss update to the rows that meet its
+    column. The entering column has the most negative reduced cost, or the
+    lowest negative one (Bland's rule, which cannot cycle) after len(tab)
+    degenerate pivots in a row; the leaving row has the least ratio, ties
+    to the lowest basic column, and exists as the dual is bounded.
+
     Columns are generated, not listed (a row has 2^|support| - 1 of them).
     The pool starts with each row's own-output singleton; every subset of
     a support of at most 4 cells up front measured slower. After each
@@ -248,8 +243,10 @@ def _same_dual(
     objective row's determinant and L, are the prices d, and the budget
     rows' are the t; row s's positive residuals P_s - Q_s form the column
     that prices in when their sum exceeds t_{budget_of[s]}. The solve ends
-    when no column prices in, the columns entering through the slack block
-    (see `_add_column`) so each master solve starts from the last basis.
+    when no column prices in. A new column's entry in row r is the sum of
+    its slack entries, dets[r] * B^-1, over the rows the column meets, less
+    cost * dets[r] in the objective row: what the pivots would have kept
+    there, so each master solve starts from the last basis.
     Costs are scaled to integers by the lcm L of the row sums. Returns
     (optimum, [d_0, ..., d_SAME]), and d sums to 1: at a positive optimum
     some lambda and hence w is positive, so its primal constraint
@@ -258,48 +255,77 @@ def _same_dual(
     """
     nrows = outputs + 1 + len(budgets)
     scale = lcm(*(sum(row) for row in rows))
-    # Column i is row i's slack, column nrows is w, the lambda follow it;
-    # column -1 is the right-hand side.
-    tab: List[Row] = [{i: 1} for i in range(nrows)]
-    for b, rhs in enumerate(budgets):
-        tab[outputs + 1 + b][-1] = rhs
+    tab = [[0] * (nrows + 2) for _ in range(nrows + 1)]
+    for i in range(nrows):
+        tab[i][1 + i] = 1
     for i in range(outputs + 1):
-        tab[i][nrows] = -1
-    tab.append({nrows: scale})
-    basis = list(range(nrows))
+        tab[i][nrows + 1] = -1
+    for b, rhs in enumerate(budgets):
+        tab[outputs + 1 + b][0] = rhs
+    tab[-1][nrows + 1] = scale
+    basis = list(range(1, nrows + 1))
     dets = [1] * len(tab)
     weights = [scale // sum(row) for row in rows]
 
-    def column(s: int, subset: Sequence[int]) -> Tuple[List[int], int]:
-        """Row s's column for `subset`: its constraint rows and its cost."""
-        cells = [*subset, outputs + 1 + budget_of[s]]
+    def column(s: int, subset: Sequence[int]) -> Tuple[itemgetter, int]:
+        """Row s's column for `subset`: a getter of its rows' slacks, and its cost."""
+        cells = [1 + o for o in subset] + [2 + outputs + budget_of[s]]
         if own[s] in subset:
-            cells.append(outputs)
-        return cells, weights[s] * sum(rows[s][o] for o in subset)
+            cells.append(1 + outputs)
+        return itemgetter(*cells), weights[s] * sum(rows[s][o] for o in subset)
 
-    col = nrows + 1
     new = [column(s, [own[s]]) for s, row in enumerate(rows) if row[own[s]]]
     det = 1
     while True:
-        for cells, cost in new:
-            _add_column(tab, dets, col, cells, cost)
-            col += 1
-        det = _simplex(tab, basis, -1, det, dets, patience=len(tab))
+        for line in tab:
+            line.extend([sum(get(line)) for get, _ in new])
+        obj = tab[-1]
+        for j, (_, cost) in enumerate(new, len(obj) - len(new)):
+            obj[j] -= cost * dets[-1]
+        degenerate = 0
+        while True:
+            obj = tab[-1]
+            least = min(obj[1:])
+            if least >= 0:
+                break
+            if degenerate < len(tab):
+                col = obj.index(least, 1)
+            else:
+                col = next(j for j in range(1, len(obj)) if obj[j] < 0)
+            best = None
+            for r in range(nrows):
+                line = tab[r]
+                a = line[col]
+                # The least ratio line[0] / a against the best's rhs / top, cross-multiplied.
+                if a > 0 and (best is None or (q := line[0] * top - rhs * a) < 0
+                              or not q and basis[r] < basis[best]):
+                    best, top, rhs = r, a, line[0]
+            prow = tab[best]
+            degenerate = 0 if prow[0] else degenerate + 1
+            if dets[best] != det:
+                prow = tab[best] = [v * det // dets[best] for v in prow]
+            det = prow[col]
+            for r, line in enumerate(tab):
+                f = line[col]
+                if f and r != best:
+                    d = dets[r]
+                    tab[r] = [(det * a - f * b) // d for a, b in zip(line, prow)]
+                    dets[r] = det
+            dets[best] = det
+            basis[best] = col
         obj, d = tab[-1], dets[-1]
+        same = obj[1 + outputs]
         new = []
         for s, row in enumerate(rows):
-            residual = [
-                (o, c * weights[s] * d - obj.get(o, 0) - (obj.get(outputs, 0) if o == own[s] else 0))
-                for o, c in enumerate(row)
-                if c
-            ]
-            subset = [o for o, v in residual if v > 0]
-            if sum(v for _, v in residual if v > 0) > obj.get(outputs + 1 + budget_of[s], 0):
-                new.append(column(s, subset))
+            w = weights[s] * d
+            residual = {o: v for o, c in enumerate(row)
+                        if c and (v := c * w - obj[1 + o] - (same if o == own[s] else 0)) > 0}
+            if sum(residual.values()) > obj[2 + outputs + budget_of[s]]:
+                new.append(column(s, list(residual)))
         if not new:
             break
-    den = dets[-1] * scale
-    return Fraction(obj.get(-1, 0), den), [Fraction(obj.get(i, 0), den) for i in range(outputs + 1)]
+    den = d * scale
+    return Fraction(obj[0], den), [Fraction(v, den) for v in obj[1 : outputs + 2]]
 
 
 def message_minimax(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,6 +77,23 @@ class ExtractorTable:
         """The table as a read-only (2^n, 2^n) int64 array, the one copy of
         its entries."""
         return self._array
+
+    @cached_property
+    def preimage_sizes(self) -> np.ndarray:
+        """Table cells per output, a read-only int64 array of length 2^m
+        counted on first use; raises InfeasibleParams when an output has
+        none, as no code can encode it."""
+        sizes = np.bincount(self._array.ravel(), minlength=1 << self.m)
+        if not sizes.all():
+            raise InfeasibleParams(f"output {int(np.argmin(sizes))} has an empty preimage")
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
+    def encoding_bias(self) -> Fraction:
+        """The output's distance from uniform on uniform inputs: the bias of
+        the extractor code's encodings, counted on first use."""
+        return uniform_distance(self.preimage_sizes, 1 << (2 * self.n), 1 << self.m)
 
     # -- serialization: `core.write_packed`, one m-bit field per entry
 
@@ -318,15 +336,6 @@ def check_strict_nm(
 # ---------------------------------------------------------------------------
 
 
-def _preimage_sizes(ext: ExtractorTable) -> np.ndarray:
-    """Table cells per output, an int64 array of length 2^m; raises
-    InfeasibleParams when an output has none, as no code can encode it."""
-    sizes = np.bincount(ext.as_array().ravel(), minlength=1 << ext.m)
-    if not sizes.all():
-        raise InfeasibleParams(f"output {int(np.argmin(sizes))} has an empty preimage")
-    return sizes
-
-
 @dataclass
 class ReductionRow:
     adversary_id: int
@@ -373,7 +382,14 @@ def verify_reduction(
     max(0, (a + b - 1)/2), as the two sum to at least a + b - 1 and
     d1 = a - t, d0 = b - t with t = (a + b - 1)/2 attains it. That is
     max(0, c01*r1 + c10*r0 - r0*r1) / (2*r0*r1), the term whose sign
-    decides the zero branch of `min_copy_distance_m1`. At m != 1 the
+    decides the zero branch of `min_copy_distance_m1`. So at m = 1,
+    code_error * 2*r0*r1 = copy * total * max(r0, r1) for C's strict copy
+    distance copy and total = r0 + r1: with rho = max(r0, r1) / min(r0,
+    r1), code_error = (1 + rho)/2 * copy, and the bound code_error <= 3 *
+    max(eps_ext, copy) cannot fail. At rho <= 5 the factor is at most 3;
+    at rho > 5 the bias eps_ext = (rho - 1)/(2(rho + 1)) exceeds 1/3 while
+    code_error <= 1/2, as c01 <= r0 and c10 <= r1. An m = 1 row catches a
+    wrong count, never a counterexample. At m != 1 the
     distance of message s is sum_b (C[s, b] / r_s - d_b - [b = s] d_SAME)+,
     as both sides sum to 1, and `lp.message_minimax` minimizes the largest
     of them over d on messages and SAME alone (see `_code_error`) through
@@ -381,9 +397,8 @@ def verify_reduction(
     """
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream("nmext.reduction")
-    sizes = _preimage_sizes(ext)
-    eps_ext = uniform_distance(sizes, 1 << (2 * ext.n), 1 << ext.m)  # the code's encoding bias
-    sizes = sizes.tolist()
+    eps_ext = ext.encoding_bias
+    sizes = ext.preimage_sizes.tolist()
     full = FlatSourcePair.full(ext.n)
     size = 1 << ext.n
     blowup = (1 << ext.m) + 1

@@ -27,7 +27,7 @@ import numpy as np
 import bit_tamper_oracle
 from minimax_oracle import two_row_minimax
 from nmcode.core import SAME, RngSeed
-from nmcode.nmext import ExtractorTable, FlatSourcePair, _preimage_sizes, check_extraction
+from nmcode.nmext import ExtractorTable, FlatSourcePair, check_extraction
 from nmcode.tamper import SplitStateTamperFn
 
 _ZERO = Fraction(0)
@@ -56,7 +56,7 @@ class ExtractorCode:
         self.block_bits = 2 * ext.n
         n = ext.n
         entries = ext.as_array().ravel()
-        self.sizes = _preimage_sizes(ext)
+        self.sizes = ext.preimage_sizes
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.flat = _swap_halves(np.argsort(entries, kind="stable"), n).astype(np.uint64)
         self.by_word = entries[_swap_halves(np.arange(1 << self.block_bits, dtype=np.int64), n)]

@@ -1,14 +1,18 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import split_state_oracle as oracle
 from minimax_oracle import two_row_minimax
-from nmcode import lp, nmext
+from nmcode import lp, nmext, schemes
+from nmcode.concat import build_concat, toy_concat_plan
 from nmcode.core import SAME, RngSeed
+from nmcode.tamper import random_tamper
 from nmcode.lp import LpInfeasible, min_copy_distance, min_copy_distance_m1, solve_lp
 
 
@@ -411,6 +415,82 @@ class TestSameMinimax:
         assert [(r.extractor_error, r.code_error) for r in report.rows] == [
             (Fraction(a), Fraction(b)) for a, b in rows
         ]
+
+
+def _pinned_count_matrices():
+    """(output, tampered output) counts of 200 seeded (table, adversary)
+    pairs at n=4, m=2 and 50 at n=4, m=3."""
+    full = nmext.FlatSourcePair.full(4)
+    for m, tables, per_table in ((2, 10, 20), (3, 5, 10)):
+        for t in range(tables):
+            table = nmext.sample_random_extractor(4, m, RngSeed.from_int(4700 + 10 * m + t))
+            rng = random.Random(4800 + 10 * m + t)
+            for _ in range(per_table):
+                f1 = [rng.randrange(16) for _ in range(16)]
+                f2 = [rng.randrange(16) for _ in range(16)]
+                yield nmext.joint_output_dist(table, full, f1, f2)
+
+
+class TestPivotPath:
+    """SHA-256 digests of (value, d), taken from the sparse-row master that
+    the dense one replaced. Where the optimal d is not unique, d names the
+    vertex that the pivot path ends at, so a changed pivot rule fails a
+    digest even when it keeps every value."""
+
+    def test_split_state_minimaxes_pinned(self):
+        digest = hashlib.sha256()
+        for counts in _pinned_count_matrices():
+            copy = min_copy_distance(counts)
+            code = lp.message_minimax(counts.tolist(), counts.sum(axis=1).tolist(), range(len(counts)))
+            for value, d in (copy, code):
+                digest.update(" ".join(map(str, (value, *d))).encode() + b"\n")
+        assert digest.hexdigest() == "ef32ee4c49199208b3a1ca5653ce2577492283778a3ef82515c59fad09405a90"
+
+    def test_optimal_nm_error_on_the_toy_plan_pinned(self):
+        code = build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4302))
+        profiles = ((0.92, 0.0, 0.08), (0.5, 0.25, 0.25), (0.0, 0.5, 0.5))
+        rng = random.Random(4810)
+        digest = hashlib.sha256()
+        for i in range(4):
+            value, ref = schemes.optimal_nm_error(code, random_tamper(code.block_bits, profiles[i % 3], rng))
+            cells = sorted(ref.items(), key=lambda item: str(item[0]))
+            digest.update(" ".join([str(value), *(f"{sym}:{p}" for sym, p in cells)]).encode() + b"\n")
+        assert digest.hexdigest() == "6f9caa651de4e5087bb93c06c69da657a69e418b3764187462866e5c46363d82"
+
+
+@st.composite
+def _count_rows(draw):
+    """1-6 nonzero count rows over 2-8 outputs, each with its own output."""
+    outputs = draw(st.integers(2, 8))
+    cell = st.one_of(st.just(0), st.integers(1, 9))
+    rows = draw(st.lists(st.lists(cell, min_size=outputs, max_size=outputs).filter(any), min_size=1, max_size=6))
+    own = draw(st.lists(st.integers(0, outputs - 1), min_size=len(rows), max_size=len(rows)))
+    return outputs, rows, own
+
+
+@given(_count_rows(), st.booleans())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_dense_master_matches_two_row_oracle(instance, per_row):
+    """Both budget shapes of the dense master against the two-row oracle:
+    one budget (the worst row) and one budget per row (the rows' weighted
+    sum, as in `min_copy_distance`). d sums to 1 and attains the value."""
+    outputs, rows, own = instance
+    sizes = [sum(row) for row in rows]
+    if per_row:
+        total = sum(sizes)
+        value, d = lp._same_dual(outputs, rows, own, range(len(rows)), sizes)
+        value /= total
+        group = [(o, F(size, total), F(c, total), o == s)
+                 for row, size, s in zip(rows, sizes, own) for o, c in enumerate(row)]
+        assert value == two_row_minimax([group], outputs)[0]
+        attained = sum(F(size, total) * _distance(row, d, s) for row, size, s in zip(rows, sizes, own))
+    else:
+        value, d = lp.message_minimax(rows, sizes, own)
+        groups = [[(o, 1, F(c, size), o == s) for o, c in enumerate(row)] for row, size, s in zip(rows, sizes, own)]
+        assert value == two_row_minimax(groups, outputs)[0]
+        attained = max(_distance(row, d, s) for row, s in zip(rows, own))
+    assert len(d) == outputs + 1 and min(d) >= 0 and sum(d) == 1
+    assert attained == value
 
 
 def random_counts(rng, m=1):

@@ -38,7 +38,7 @@ from nmcode.nmext import (
 from nmcode.tamper import SplitStateTamperFn
 from nmcode import core
 from split_state_oracle import ExtractorCode
-from nmcode import schemes
+from nmcode import nmext, schemes
 
 
 def oracle_relaxed_error_sweep(ext, f1, f2, min_support):
@@ -479,6 +479,44 @@ class TestCodeReduction:
         rows = [(r.extractor_error, r.code_error, r.bound) for r in report.rows]
         assert rows == oracle.reduction_rows(table, adversaries, seed)
         assert report.extraction_distance == check_extraction(table, FlatSourcePair.full(n))
+
+    def test_table_constants_counted_once(self, monkeypatch):
+        # Nothing is counted when the table is built; the first reduction
+        # counts the preimage sizes and the bias, and later ones reuse them.
+        table = sample_random_extractor(4, 2, RngSeed.from_int(45))
+        assert not {"preimage_sizes", "encoding_bias"} & vars(table).keys()
+        calls = []
+        monkeypatch.setattr(nmext, "uniform_distance", lambda *a: calls.append(a) or uniform_distance(*a))
+        first = verify_reduction(table, 2, RngSeed.from_int(46))
+        assert verify_reduction(table, 2, RngSeed.from_int(46)) == first and len(calls) == 1
+        sizes = table.preimage_sizes
+        assert sizes is table.preimage_sizes and not sizes.flags.writeable
+        assert sizes.tolist() == np.bincount(table.as_array().ravel(), minlength=4).tolist()
+        assert table.encoding_bias == first.extraction_distance == check_extraction(table, FlatSourcePair.full(4))
+
+    def test_one_bit_bound_cannot_fail(self):
+        # At m=1, code_error * 2*r0*r1 = copy * total * max(r0, r1), so with
+        # rho = max(r0, r1) / min(r0, r1) the bound code_error <= 3 *
+        # max(eps_ext, copy) holds by the factor (1 + rho)/2 <= 3 at
+        # rho <= 5, and at rho > 5 because eps_ext > 1/3 and code_error <= 1/2.
+        rng = random.Random(4470)
+        branches = {True: 0, False: 0}
+        for _ in range(2000):
+            r0, r1 = rng.randint(1, 60), rng.randint(1, 60)
+            c01, c10 = rng.randint(0, r0), rng.randint(0, r1)
+            counts = [[r0 - c01, c01], [c10, r1 - c10]]
+            code_error = nmext._code_error(counts, [r0, r1])
+            copy = nmext._copy_distance(np.array(counts))
+            assert code_error * 2 * r0 * r1 == copy * (r0 + r1) * max(r0, r1)
+            eps_ext = uniform_distance([r0, r1], r0 + r1, 2)
+            rho = Fraction(max(r0, r1), min(r0, r1))
+            if rho <= 5:
+                assert code_error == (1 + rho) / 2 * copy <= 3 * copy
+            else:
+                assert eps_ext > Fraction(1, 3) and code_error <= Fraction(1, 2)
+            assert code_error <= 3 * max(eps_ext, copy)
+            branches[rho <= 5] += 1
+        assert min(branches.values()) >= 100
 
     def test_reduction_report(self):
         table = sample_random_extractor(3, 1, RngSeed.from_int(41))
