@@ -5,36 +5,25 @@ distribution over outputs plus a SAME marker. That minimization is a small
 linear program; solving it in exact arithmetic keeps every reported error
 an exact Fraction, which the factor-4 and reduction inequalities rely on.
 
-`solve_lp` runs the two-phase simplex with Bland's rule on sparse
-{column: int} rows with fraction-free (Edmonds/Bareiss) pivots. Each row
-is scaled by the lcm of its own denominators, not by one lcm of the whole
-matrix, so the determinant grows only by the scales of the rows pivoted
-on; phase 1 weights row i by L / s_i to keep Bland's path. Each row also
-keeps the determinant of its own last rewrite, so a pivot rewrites only
-the rows that have an entry in the pivot column.
+One fraction-free simplex serves every LP here: `_simplex`, on a dense
+tableau of Python-int lists with `_pivot`'s Edmonds/Bareiss update and
+one determinant per row. `solve_lp` runs its two phases under Bland's
+rule, each row scaled by the lcm of its own denominators. Nothing in the
+package calls it: it serves the test oracles' cell-form LPs (1,703 calls
+in the test suite, the largest of 153 rows and 83 variables; no
+benchmark workload makes one).
 
 `message_minimax` (one budget for every message's row: the minimax over
 messages of `schemes.optimal_nm_error` and of the extractor code's error)
 and `min_copy_distance` (one budget per output: the strict distance of a
 (2^m, 2^m) count matrix of (output, tampered output) cells) solve the
-SAME-marker LP through its row-subset dual, `_same_dual`: every row is <=
-with a nonnegative rhs, so it starts from the slack basis with no phase
-1, prices by Dantzig's rule with Bland's rule after a run of degenerate
-pivots, generates its subset columns by pricing and reads the minimizing
-reference off the slack reduced costs. `min_copy_distance_m1` is the copy
-distance's closed form for one output bit, on Python int or int64 array
-counts alike.
-
-Both simplex loops keep per-row determinants, in two tableau shapes.
-`solve_lp` serves the test oracles' cell-form LPs, up to about 600 rows
-of mostly zero cells, where sparse rows rewrite only their nonzeros.
-`_same_dual`'s master has a row per output and per budget, half of a
-pivot row is nonzero after a few pivots, and a list of ints per row
-rewritten by one comprehension beats dict lookups there; the oracle that
-checks the minimaxes so shares no pivot code with them. The test suite
-checks the closed form against the simplex, a Fraction oracle and a
-brute-force grid, and both minimaxes against the SAME-marker LP in its
-two-inequality-rows form.
+SAME-marker LP through its row-subset dual, `_same_dual`, which starts
+from the slack basis, generates its subset columns by pricing and reads
+the minimizing reference off the slack reduced costs. The tests check
+both against the LP's two-inequality-rows form, solved by `solve_lp` and
+by a Fraction simplex that shares no code with this module.
+`min_copy_distance_m1` is the copy distance's closed form for one output
+bit, on Python int or int64 array counts alike.
 """
 
 from __future__ import annotations
@@ -42,22 +31,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .core import NmcodeError
 
-_ZERO = Fraction(0)
-
-Row = Dict[int, int]  # a tableau row: column -> nonzero integer entry
-
-
 class LpInfeasible(NmcodeError):
     pass
 
 
-def _pivot(tab: List[Row], basis: List[int], row: int, col: int, det: int, dets: List[int]) -> int:
+def _pivot(tab: List[List[int]], basis: List[int], row: int, col: int, det: int, dets: List[int]) -> int:
     """Integer-preserving pivot; returns the new basis determinant.
 
     Row r stands for the rational row tab[r] / dets[r], where dets[r] is
@@ -72,48 +56,54 @@ def _pivot(tab: List[Row], basis: List[int], row: int, col: int, det: int, dets:
     """
     prow = tab[row]
     if dets[row] != det:
-        prow = tab[row] = {j: v * det // dets[row] for j, v in prow.items()}
+        prow = tab[row] = [v * det // dets[row] for v in prow]
     p = prow[col]
     for r, line in enumerate(tab):
-        f = line.get(col)
+        f = line[col]
         if f and r != row:
             d = dets[r]
-            tab[r] = {j: v // d for j in line.keys() | prow.keys()
-                      if (v := p * line.get(j, 0) - f * prow.get(j, 0))}
+            tab[r] = [(p * a - f * b) // d for a, b in zip(line, prow)]
             dets[r] = p
     dets[row] = p
     basis[row] = col
     return p
 
 
-def _simplex(tab: List[Row], basis: List[int], rhs: int, det: int, dets: List[int]) -> int:
-    """Pivot to optimality by Bland's rule; returns the basis determinant.
+def _simplex(tab: List[List[int]], basis: List[int], det: int, dets: List[int], patience: int) -> int:
+    """Pivot to optimality; returns the basis determinant.
 
-    Column `rhs` is the right-hand side; every other column may enter. The
-    entering column is the lowest index with a negative reduced cost and
-    the leaving row has the least ratio, ties to the lowest basic column,
-    so the solve cannot cycle. Each row's positive determinant cancels
-    from its sign tests and ratios.
+    Column 0 is the rhs and the last row the objective; every other
+    column may enter. It enters by the most negative reduced cost
+    (Dantzig's rule), or by the lowest negative one (Bland's rule, which
+    cannot cycle) after `patience` degenerate pivots in a row, from the
+    first pivot when patience is 0. The leaving row has the least ratio,
+    ties to the lowest basic column; each row's positive determinant
+    cancels from its sign tests and ratios. Raises LpInfeasible when the
+    objective is unbounded below.
     """
+    degenerate = 0
     while True:
-        col = min((j for j, v in tab[-1].items() if v < 0 and j != rhs), default=None)
-        if col is None:
+        obj = tab[-1]
+        least = min(obj[1:], default=0)
+        if least >= 0:
             return det
-        best_row = None
+        if degenerate < patience:
+            col = obj.index(least, 1)
+        else:
+            col = next(j for j in range(1, len(obj)) if obj[j] < 0)
+        best = None
         for r in range(len(tab) - 1):
-            a = tab[r].get(col, 0)
-            if a > 0:
-                if best_row is None:
-                    best_row = r
-                    continue
-                # ratio rhs_r / a against the best, cross-multiplied.
-                lhs = tab[r].get(rhs, 0) * tab[best_row][col]
-                rhs_best = tab[best_row].get(rhs, 0) * a
-                if lhs < rhs_best or (lhs == rhs_best and basis[r] < basis[best_row]):
-                    best_row = r
-        if best_row is None:
+            line = tab[r]
+            a = line[col]
+            # The least ratio line[0] / a against the best's rhs / top, cross-multiplied.
+            if a > 0 and (best is None or (q := line[0] * top - rhs * a) < 0
+                          or not q and basis[r] < basis[best]):
+                best, top, rhs = r, a, line[0]
+        if best is None:
             raise LpInfeasible("objective unbounded below")
-        det = _pivot(tab, basis, best_row, col, det, dets)
+        degenerate = 0 if rhs else degenerate + 1
+        # A module-global lookup, so that a patched `_pivot` sees every pivot.
+        det = _pivot(tab, basis, best, col, det, dets)
 
 
 def solve_lp(
@@ -125,77 +115,72 @@ def solve_lp(
 ) -> Tuple[Fraction, List[Fraction]]:
     """Minimize c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
 
-    Two-phase simplex with Bland's rule on sparse integer rows. Row i and
-    its rhs are scaled by s_i > 0, the lcm of their denominators; its slack
-    and artificial entries stay 1, which scales those variables instead.
-    That leaves every ratio test and every structural-basic row of B^-1 A
-    as they were, and multiplies a row whose basic variable is a slack or
-    an artificial by s_i, keeping its zeros and signs. Phase 1 weights row
-    i by L / s_i (L = lcm of the s_i), so its objective row is L times the
-    unscaled -sum of rows and Bland's rule picks the same columns; a plain
-    -sum of the scaled rows would not. Artificial columns start as the
-    identity, so the basis determinant starts at 1, and are not stored, as
-    none may enter. Returns (optimal value, solution) as exact Fractions.
+    Two-phase simplex with Bland's rule (`_simplex` with patience 0) on a
+    dense integer tableau: column 0 the rhs, 1..n the variables, then the
+    slacks. Row i and its rhs are scaled by s_i > 0, the lcm of their
+    denominators; its slack and artificial entries stay 1, which scales
+    those variables instead. That leaves every ratio test and every
+    structural-basic row of B^-1 A as they were, and multiplies a row
+    whose basic variable is a slack or an artificial by s_i, keeping its
+    zeros and signs. Phase 1 weights row i by L / s_i (L = lcm of the
+    s_i), so its objective row is L times the unscaled -sum of rows and
+    Bland's rule picks the same columns; a plain -sum of the scaled rows
+    would not. Artificial columns start as the identity, so the basis
+    determinant starts at 1, and are not stored, as none may enter; their
+    basis labels sort after every stored column. Returns (optimal value,
+    solution) as exact Fractions.
     """
     n, nslack = len(c), len(a_ub)
-    total = n + nslack  # columns that may enter; column `total` is the rhs
-    tab: List[Row] = []
+    total = n + nslack  # columns 1..total may enter
+    tab: List[List[int]] = []
     scales: List[int] = []
     for i, (row, b) in enumerate([*zip(a_ub, b_ub), *zip(a_eq, b_eq)]):
-        cells = {j: v for j, v in enumerate(row) if v}
-        if b:
-            cells[total] = b
-        s = lcm(*(v.denominator for v in cells.values()))
-        line = {j: v.numerator * (s // v.denominator) for j, v in cells.items()}
+        s = lcm(*(v.denominator for v in (b, *row)))
+        line = [v.numerator * (s // v.denominator) for v in (b, *row)] + [0] * nslack
         if i < nslack:
-            line[n + i] = 1
+            line[1 + n + i] = 1
         # Normalize to a nonnegative rhs; the artificial keeps entry 1.
-        if line.get(total, 0) < 0:
-            line = {j: -v for j, v in line.items()}
+        if line[0] < 0:
+            line = [-v for v in line]
         tab.append(line)
         scales.append(s)
-    basis = list(range(total, total + len(tab)))
+    basis = list(range(total + 1, total + 1 + len(tab)))
     # Phase-1 cost L / s_i per artificial, reduced against the artificial basis.
     big = lcm(*scales)
-    phase1: Row = {}
+    phase1 = [0] * (total + 1)
     for line, s in zip(tab, scales):
-        for j, v in line.items():
-            phase1[j] = phase1.get(j, 0) - big // s * v
-    tab.append({j: v for j, v in phase1.items() if v})
+        phase1 = [p - big // s * v for p, v in zip(phase1, line)]
+    tab.append(phase1)
     dets = [1] * len(tab)
-    det = _simplex(tab, basis, total, 1, dets)
+    det = _simplex(tab, basis, 1, dets, 0)
     dets.pop()
     # Objective-row invariant: the rhs entry holds minus the current value.
-    if tab.pop().get(total, 0) < 0:
+    if tab.pop()[0] < 0:
         raise LpInfeasible("no feasible point")
     # Drive any artificial variables remaining in the basis out of it.
     for r, b in enumerate(basis):
-        if b >= total:
-            col = min((j for j in tab[r] if j < total), default=None)
-            if col is not None:
-                if tab[r][col] < 0:
-                    # Negating the row keeps the determinant positive; the
-                    # pivot divides the row by its pivot entry either way.
-                    tab[r] = {j: -v for j, v in tab[r].items()}
-                det = _pivot(tab, basis, r, col, det, dets)
+        if b > total and (col := next((j for j in range(1, total + 1) if tab[r][j]), None)):
+            if tab[r][col] < 0:
+                # Negating the row keeps the determinant positive; the
+                # pivot divides the row by its pivot entry either way.
+                tab[r] = [-v for v in tab[r]]
+            det = _pivot(tab, basis, r, col, det, dets)
     cost_scale = lcm(*(v.denominator for v in c))
-    cost = {j: v.numerator * (cost_scale // v.denominator) for j, v in enumerate(c) if v}
+    cost = [0] + [v.numerator * (cost_scale // v.denominator) for v in c]
     # Express the objective in terms of the nonbasic variables, over det:
     # row r brought to det is line * det / dets[r], an exact division.
-    obj = {j: det * v for j, v in cost.items()}
+    obj = [det * v for v in cost] + [0] * nslack
     for line, b, d in zip(tab, basis, dets):
-        f = cost.get(b)
-        if f:
-            for j, v in line.items():
-                obj[j] = obj.get(j, 0) - f * (v * det // d)
-    tab.append({j: v for j, v in obj.items() if v})
+        if b <= n and (f := cost[b]):
+            obj = [o - f * (v * det // d) for o, v in zip(obj, line)]
+    tab.append(obj)
     dets.append(det)
-    _simplex(tab, basis, total, det, dets)
-    solution = [_ZERO] * n
+    _simplex(tab, basis, det, dets, 0)
+    solution = [Fraction(0)] * n
     for line, b, d in zip(tab, basis, dets):
-        if b < n:
-            solution[b] = Fraction(line.get(total, 0), d)
-    return Fraction(-tab[-1].get(total, 0), dets[-1] * cost_scale), solution
+        if b <= n:
+            solution[b - 1] = Fraction(line[0], d)
+    return Fraction(-tab[-1][0], dets[-1] * cost_scale), solution
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +213,10 @@ def _same_dual(
     of 1 gives min_d max_s dist_s; a budget of sum(row) per row gives
     sum(counts) times min_d sum_s sum(row_s) / sum(counts) * dist_s.
 
-    The tableau is dense, one list of ints per row: column 0 the rhs, 1 + i
-    row i's slack, then w and the lambda, the objective row last. A pivot
-    applies `_pivot`'s Edmonds/Bareiss update to the rows that meet its
-    column. The entering column has the most negative reduced cost, or the
-    lowest negative one (Bland's rule, which cannot cycle) after len(tab)
-    degenerate pivots in a row; the leaving row has the least ratio, ties
-    to the lowest basic column, and exists as the dual is bounded.
+    The tableau is `_simplex`'s: column 0 the rhs, 1 + i row i's slack,
+    then w and the lambda, the objective row last. Each master round runs
+    `_simplex` with a patience of len(tab) degenerate pivots before
+    Bland's rule; its leaving row always exists, as the dual is bounded.
 
     Columns are generated, not listed (a row has 2^|support| - 1 of them).
     The pool starts with each row's own-output singleton; every subset of
@@ -279,40 +261,9 @@ def _same_dual(
     while True:
         for line in tab:
             line.extend([sum(get(line)) for get, _ in new])
-        obj = tab[-1]
-        for j, (_, cost) in enumerate(new, len(obj) - len(new)):
-            obj[j] -= cost * dets[-1]
-        degenerate = 0
-        while True:
-            obj = tab[-1]
-            least = min(obj[1:])
-            if least >= 0:
-                break
-            if degenerate < len(tab):
-                col = obj.index(least, 1)
-            else:
-                col = next(j for j in range(1, len(obj)) if obj[j] < 0)
-            best = None
-            for r in range(nrows):
-                line = tab[r]
-                a = line[col]
-                # The least ratio line[0] / a against the best's rhs / top, cross-multiplied.
-                if a > 0 and (best is None or (q := line[0] * top - rhs * a) < 0
-                              or not q and basis[r] < basis[best]):
-                    best, top, rhs = r, a, line[0]
-            prow = tab[best]
-            degenerate = 0 if prow[0] else degenerate + 1
-            if dets[best] != det:
-                prow = tab[best] = [v * det // dets[best] for v in prow]
-            det = prow[col]
-            for r, line in enumerate(tab):
-                f = line[col]
-                if f and r != best:
-                    d = dets[r]
-                    tab[r] = [(det * a - f * b) // d for a, b in zip(line, prow)]
-                    dets[r] = det
-            dets[best] = det
-            basis[best] = col
+        for j, (_, cost) in enumerate(new, len(tab[-1]) - len(new)):
+            tab[-1][j] -= cost * dets[-1]
+        det = _simplex(tab, basis, det, dets, len(tab))
         obj, d = tab[-1], dets[-1]
         same = obj[1 + outputs]
         new = []
@@ -337,7 +288,9 @@ def message_minimax(
     cells: decoder failure, then the messages), explained by d with SAME
     standing for output messages[i], the message's own. One budget row for
     every message (see `_same_dual`). Returns (t, [d_0, ..., d_{outputs-1},
-    d_same])."""
+    d_same]). Raises ValueError for no rows."""
+    if not rows:
+        raise ValueError("message_minimax needs at least one row")
     for row, size in zip(rows, sizes):
         if sum(row) != size or not size:
             raise ValueError(f"size {size} of row {list(row)} is not its positive sum")

@@ -327,6 +327,8 @@ def optimal_nm_error(
     """
     k = scheme.message_bits
     messages = list(range(1 << k) if messages is None else messages)
+    if not messages:
+        raise ValueError("optimal_nm_error needs at least one message")
     rows = _counts(scheme, f, messages)
     own = [s + 1 for s in messages]
     value, x = lp.message_minimax(rows[:, :-1].tolist(), rows.sum(axis=1).tolist(), own)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minimax_oracle
 import split_state_oracle as oracle
-from minimax_oracle import two_row_minimax
+from minimax_oracle import oracle_solve_lp, two_row_minimax
 from nmcode import lp, nmext, schemes
 from nmcode.concat import build_concat, toy_concat_plan
 from nmcode.core import SAME, RngSeed
@@ -18,97 +19,6 @@ from nmcode.lp import LpInfeasible, min_copy_distance, min_copy_distance_m1, sol
 
 def F(a, b=1):
     return Fraction(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Reference oracle: the two-phase Fraction simplex that solve_lp replaced.
-# Same tableau layout, phases, drive-out step and Bland's rule, one
-# Fraction per cell; solve_lp must return identical (value, solution).
-# ---------------------------------------------------------------------------
-
-
-def _oracle_pivot(tab, basis, row, col):
-    inv = 1 / tab[row][col]
-    tab[row] = [v * inv for v in tab[row]]
-    prow = tab[row]
-    for r, line in enumerate(tab):
-        if r != row and line[col] != 0:
-            f = line[col]
-            tab[r] = [a - f * b for a, b in zip(line, prow)]
-    basis[row] = col
-
-
-def _oracle_simplex(tab, basis, ncols):
-    while True:
-        obj = tab[-1]
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
-        if col is None:
-            return
-        best_row = best_ratio = None
-        for r in range(len(tab) - 1):
-            a = tab[r][col]
-            if a > 0:
-                ratio = tab[r][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[best_row])
-                ):
-                    best_ratio, best_row = ratio, r
-        if best_row is None:
-            raise LpInfeasible("objective unbounded below")
-        _oracle_pivot(tab, basis, best_row, col)
-
-
-def oracle_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    n, nslack = len(c), len(a_ub)
-    rows, rhs = [], []
-    for i, row in enumerate(a_ub):
-        line = [F(v) for v in row] + [F(0)] * nslack
-        line[n + i] = F(1)
-        rows.append(line)
-        rhs.append(F(b_ub[i]))
-    for i, row in enumerate(a_eq):
-        rows.append([F(v) for v in row] + [F(0)] * nslack)
-        rhs.append(F(b_eq[i]))
-    m, total = len(rows), n + nslack
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    tab, basis = [], []
-    for i in range(m):
-        line = rows[i] + [F(0)] * m + [rhs[i]]
-        line[total + i] = F(1)
-        tab.append(line)
-        basis.append(total + i)
-    phase1 = [F(0)] * (total + m + 1)
-    for i in range(m):
-        phase1 = [a - b for a, b in zip(phase1, tab[i])]
-    for i in range(m):
-        phase1[total + i] += 1
-    tab.append(phase1)
-    _oracle_simplex(tab, basis, total)
-    if tab[-1][-1] < 0:
-        raise LpInfeasible("no feasible point")
-    for r in range(m):
-        if basis[r] >= total:
-            col = next((j for j in range(total) if tab[r][j] != 0), None)
-            if col is not None:
-                _oracle_pivot(tab, basis, r, col)
-    tab.pop()
-    obj = [F(v) for v in c] + [F(0)] * (nslack + m + 1)
-    for r in range(m):
-        f = obj[basis[r]]
-        if f != 0:
-            obj = [a - f * b for a, b in zip(obj, tab[r])]
-    tab.append(obj)
-    _oracle_simplex(tab, basis, total)
-    solution = [F(0)] * n
-    for r in range(m):
-        if basis[r] < n:
-            solution[basis[r]] = tab[r][-1]
-    return -tab[-1][-1], solution
 
 
 def _solve_both(args):
@@ -280,11 +190,12 @@ class TestOracle:
         # Beyond equal results, both solvers must pivot on the same
         # (row, column) sequence. The oracle pivots on a negative entry
         # only in its drive-out step.
-        lp_pivot, oracle_pivot = lp._pivot, _oracle_pivot
+        lp_pivot, oracle_pivot = lp._pivot, minimax_oracle._oracle_pivot
         paths, negative = ([], []), []
 
         def record_lp(tab, basis, row, col, *dets):
-            paths[0].append((row, col))
+            # lp's column 0 is the rhs, so its column c is the oracle's c - 1.
+            paths[0].append((row, col - 1))
             return lp_pivot(tab, basis, row, col, *dets)
 
         def record_oracle(tab, basis, row, col):
@@ -293,7 +204,7 @@ class TestOracle:
             oracle_pivot(tab, basis, row, col)
 
         monkeypatch.setattr(lp, "_pivot", record_lp)
-        monkeypatch.setitem(globals(), "_oracle_pivot", record_oracle)
+        monkeypatch.setattr(minimax_oracle, "_oracle_pivot", record_oracle)
         rng = random.Random(11)
         outcomes, negative_rhs = [], 0
         for _ in range(300):
@@ -330,12 +241,12 @@ class TestOracle:
         assert got == want == (F(-3), [F(0), F(0), F(3)])
 
 
-def _random_count_rows(rng, square=False):
-    """1-5 count rows over 2-7 outputs (a square matrix of 2-7 rows when
+def _random_count_rows(rng, square=False, widest=7):
+    """1-5 count rows over 2-`widest` outputs (a square matrix when
     `square`). Cells are 0 about half the time, so some rows have a small
-    support and, when square, some no mass at all; others have more than 4
-    support cells."""
-    outputs = rng.randint(2, 7)
+    support and, when square, some no mass at all; past 4 outputs, others
+    have more than 4 support cells."""
+    outputs = rng.randint(2, widest)
     while True:
         rows = [[rng.randint(1, 9) if rng.random() < 0.5 else 0 for _ in range(outputs)]
                 for _ in range(outputs if square else rng.randint(1, 5))]
@@ -382,6 +293,32 @@ class TestSameMinimax:
             empty += not counts.sum(axis=1).all()
             wide += ((counts > 0).sum(axis=1) > 4).any()
         assert empty >= 10 and wide >= 10
+
+    @pytest.mark.parametrize("minimax", ["message", "copy"])
+    def test_minimaxes_match_the_fraction_simplex(self, monkeypatch, minimax):
+        # two_row_minimax through oracle_solve_lp, which shares no pivot or
+        # simplex code with lp, in place of lp.solve_lp.
+        calls = []
+        monkeypatch.setattr(lp, "solve_lp", lambda *args: calls.append(args) or oracle_solve_lp(*args))
+        rng = random.Random(4910)
+        for _ in range(30):
+            if minimax == "message":
+                rows = _random_count_rows(rng, widest=4)
+                messages = [rng.randrange(len(rows[0])) for _ in rows]
+                groups = [[(o, 1, F(c, sum(row)), o == s) for o, c in enumerate(row)]
+                          for row, s in zip(rows, messages)]
+                value, _ = lp.message_minimax(rows, [sum(row) for row in rows], messages)
+                assert value == two_row_minimax(groups, len(rows[0]))[0]
+            else:
+                counts = np.array(_random_count_rows(rng, square=True, widest=4))
+                joint, marg = oracle_law(counts)
+                value, _ = min_copy_distance(counts)
+                assert value == oracle.min_copy_distance(joint, marg, range(len(counts)))[0]
+        assert len(calls) == 30
+
+    def test_message_minimax_needs_a_row(self):
+        with pytest.raises(ValueError, match="needs at least one row"):
+            lp.message_minimax([], [], [])
 
     def test_sizes_must_be_row_sums(self):
         with pytest.raises(ValueError, match="is not its positive sum"):
@@ -445,6 +382,26 @@ class TestPivotPath:
             for value, d in (copy, code):
                 digest.update(" ".join(map(str, (value, *d))).encode() + b"\n")
         assert digest.hexdigest() == "ef32ee4c49199208b3a1ca5653ce2577492283778a3ef82515c59fad09405a90"
+
+    def test_bland_rule_from_the_first_pivot_keeps_every_value(self, monkeypatch):
+        # The 200 m=2 instances above under Bland's rule throughout: the
+        # values must hold, though the vertex d may move.
+        instances = list(itertools.islice(_pinned_count_matrices(), 200))
+
+        def values():
+            return [(min_copy_distance(counts)[0],
+                     lp.message_minimax(counts.tolist(), counts.sum(axis=1).tolist(), range(len(counts)))[0])
+                    for counts in instances]
+
+        default, simplex, patience = values(), lp._simplex, []
+
+        def bland(tab, basis, det, dets, given):
+            patience.append(given)
+            return simplex(tab, basis, det, dets, 0)
+
+        monkeypatch.setattr(lp, "_simplex", bland)
+        assert values() == default
+        assert len(patience) >= 400 and min(patience) > 0
 
     def test_optimal_nm_error_on_the_toy_plan_pinned(self):
         code = build_concat(toy_concat_plan(t_block=2), RngSeed.from_int(4302))

@@ -372,6 +372,12 @@ def test_optimal_nm_error_equals_oracle(name):
             assert oracle.nm_error(code, f, want_ref, messages=messages)[0] == value
 
 
+def test_optimal_nm_error_needs_a_message():
+    code = CODES["inner-6-2"]
+    with pytest.raises(ValueError, match="optimal_nm_error needs at least one message"):
+        schemes.optimal_nm_error(code, BitTamperFn.identity(code.block_bits), messages=[])
+
+
 def test_minimax_oracle_refuses_past_16_messages():
     """The oracle's dense LP on 256 messages would take gigabytes; it raises
     before computing a single message's distribution."""
