@@ -14,16 +14,17 @@ in the test suite, the largest of 153 rows and 83 variables; no
 benchmark workload makes one).
 
 `message_minimax` (one budget for every message's row: the minimax over
-messages of `schemes.optimal_nm_error` and of the extractor code's error)
-and `min_copy_distance` (one budget per output: the strict distance of a
-(2^m, 2^m) count matrix of (output, tampered output) cells) solve the
-SAME-marker LP through its row-subset dual, `_same_dual`, which starts
-from the slack basis, generates its subset columns by pricing and reads
-the minimizing reference off the slack reduced costs. The tests check
-both against the LP's two-inequality-rows form, solved by `solve_lp` and
-by a Fraction simplex that shares no code with this module.
-`min_copy_distance_m1` is the copy distance's closed form for one output
-bit, on Python int or int64 array counts alike.
+messages of `schemes.optimal_nm_error` and of the extractor code's error
+at m != 1) and `min_copy_distance` (one budget per output: the strict
+distance of a (2^m, 2^m) count matrix of (output, tampered output)
+cells) solve the SAME-marker LP through its row-subset dual, `_same_dual`,
+which starts from the slack basis, generates its subset columns by
+pricing and reads the minimizing reference off the slack reduced costs.
+The tests check both against the LP's two-inequality-rows form, solved
+by `solve_lp` and by a Fraction simplex that shares no code with this
+module. `min_copy_distance_m1` is the copy distance's closed form for
+one output bit, on Python int or int64 array counts alike. Each kernel
+takes only its counts: row sums and totals are summed here, never passed.
 """
 
 from __future__ import annotations
@@ -189,7 +190,6 @@ def solve_lp(
 
 
 def _same_dual(
-    outputs: int,
     rows: Sequence[Sequence[int]],
     own: Sequence[int],
     budget_of: Sequence[int],
@@ -197,7 +197,7 @@ def _same_dual(
 ) -> Tuple[Fraction, List[Fraction]]:
     """The SAME-marker LP through its row-subset dual.
 
-    Row s holds counts over `outputs` outputs, with shares P_s = row / sum(row),
+    Row s holds counts over len(rows[0]) outputs, shares P_s = row / sum(row),
     and SAME explains its output own[s]. For a reference d over the outputs
     plus SAME, with Q_s(o) = d_o + [o = own[s]] * d_SAME, both P_s and Q_s
     sum to 1, so the distance of row s is dist_s(d) = sum_o (P_s(o) -
@@ -235,6 +235,7 @@ def _same_dual(
     sum d <= 1 is tight, and at optimum 0 every row has Q_s >= P_s, so
     sum d >= 1.
     """
+    outputs = len(rows[0])
     nrows = outputs + 1 + len(budgets)
     scale = lcm(*(sum(row) for row in rows))
     tab = [[0] * (nrows + 2) for _ in range(nrows + 1)]
@@ -279,22 +280,23 @@ def _same_dual(
     return Fraction(obj[0], den), [Fraction(v, den) for v in obj[1 : outputs + 2]]
 
 
-def message_minimax(
-    rows: Sequence[Sequence[int]], sizes: Sequence[int], messages: Sequence[int]
-) -> Tuple[Fraction, List[Fraction]]:
+def message_minimax(rows: Sequence[Sequence[int]], messages: Sequence[int]) -> Tuple[Fraction, List[Fraction]]:
     """Reference distribution d over the outputs plus SAME minimizing the
-    worst message's distance: rows[i] counts, out of its sum sizes[i], the
-    outcomes of one message over the outputs (for `schemes`, its count
-    cells: decoder failure, then the messages), explained by d with SAME
-    standing for output messages[i], the message's own. One budget row for
-    every message (see `_same_dual`). Returns (t, [d_0, ..., d_{outputs-1},
-    d_same]). Raises ValueError for no rows."""
+    worst message's distance: rows[i] counts the outcomes of one message
+    over the outputs (for `schemes`, its count cells: decoder failure, then
+    the messages), explained by d with SAME standing for output
+    messages[i], the message's own. One budget row for every message (see
+    `_same_dual`). Returns (t, [d_0, ..., d_{outputs-1}, d_same]). Raises
+    ValueError for no rows, rows of unequal lengths, a row without a
+    positive sum, and messages other than one output per row."""
     if not rows:
         raise ValueError("message_minimax needs at least one row")
-    for row, size in zip(rows, sizes):
-        if sum(row) != size or not size:
-            raise ValueError(f"size {size} of row {list(row)} is not its positive sum")
-    return _same_dual(len(rows[0]), rows, messages, [0] * len(rows), [1])
+    if len(messages) != len(rows) or not all(0 <= s < len(rows[0]) for s in messages):
+        raise ValueError(f"need one output in [0, {len(rows[0])}) per row, not {list(messages)}")
+    for row in rows:
+        if len(row) != len(rows[0]) or sum(row) <= 0:
+            raise ValueError(f"row {list(row)} is not {len(rows[0])} counts with a positive sum")
+    return _same_dual(rows, messages, [0] * len(rows), [1])
 
 
 def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, List[Fraction]]:
@@ -314,19 +316,19 @@ def min_copy_distance(counts: np.ndarray) -> Tuple[Fraction, List[Fraction]]:
         raise ValueError("min_copy_distance needs at least one cell")
     own = [a for a, row in enumerate(counts.tolist()) if any(row)]
     rows = counts[own].tolist()
-    value, d = _same_dual(len(counts), rows, own, range(len(rows)), [sum(row) for row in rows])
+    value, d = _same_dual(rows, own, range(len(rows)), [sum(row) for row in rows])
     return value / total, d
 
 
-def min_copy_distance_m1(c01, c11, r0, r1, total):
+def min_copy_distance_m1(c01, c11, r0, r1):
     """Closed form of `min_copy_distance` for one output bit, elementwise
     on integer counts: returns (numerator, denominator) of the exact
     distance, Python ints for int inputs and int64 arrays for int64 array
     inputs, from one body of arithmetic that both kinds support.
 
     c01 and c11 count the cells whose tampered output is 1 under output 0
-    and 1; r0 and r1 count output 0 and 1, out of `total` cells. The
-    objective collapses to |J(0,1) - p0*d1| + |J(1,0) - p1*d0| over
+    and 1; r0 and r1 count output 0 and 1, out of total = r0 + r1 cells.
+    The objective collapses to |J(0,1) - p0*d1| + |J(1,0) - p1*d0| over
     d0, d1 >= 0 with d0 + d1 <= 1. With c10 = r1 - c11 and the excess
     e = c10*r0 + c01*r1 - r0*r1, it is 0 when e <= 0, where the
     unconstrained optimum fits in the simplex (as when either output is
@@ -345,4 +347,4 @@ def min_copy_distance_m1(c01, c11, r0, r1, total):
     excess = (r1 - c11) * r0 + c01 * r1 - r0 * r1
     positive = excess > 0
     wider = r1 > r0
-    return positive * excess, positive * (total * (r0 + wider * (r1 - r0)) - 1) + 1
+    return positive * excess, positive * ((r0 + r1) * (r0 + wider * (r1 - r0)) - 1) + 1

@@ -9,15 +9,15 @@ and the extractor-to-code reduction with its (2^k + 1) error blowup.
 
 Every split-state verdict reads integer counts. `joint_output_dist` is
 the one count kernel: the (2^m, 2^m) matrix of (output, tampered output)
-cells of a flat source pair, from one `np.bincount`. The relaxed and
-strict checks and the reduction read their distances off it, through
-`lp.min_copy_distance_m1` on plain ints at one output bit and the `lp`
-minimax LPs otherwise. Source sweeps range over flat sources only; a flat
-pair is given by the two supports. The sweep over every support pair gets
-its counts from incidence-matrix products instead, runs the closed form on
-int64 arrays of them, and finds the largest value by cross-multiplication:
-a float quotient only proposes a candidate and integers decide, so
-reported distances stay exact Fractions.
+cells of a flat source pair, from one `np.bincount`. Every check and
+reduction row reads its distances off it through the `lp` minimax LPs,
+except a reduction row at one output bit: it evaluates the closed form
+`lp.min_copy_distance_m1` once, on plain ints. Source sweeps range over
+flat sources only; a flat pair is given by the two supports. The sweep
+over every support pair gets its counts from incidence-matrix products
+instead, runs the closed form on int64 arrays of them, and finds the
+largest value by cross-multiplication: a float quotient only proposes a
+candidate and integers decide, so reported distances stay exact Fractions.
 """
 
 from __future__ import annotations
@@ -247,16 +247,6 @@ def product_with_uniform_distance(counts: np.ndarray) -> Fraction:
     return Fraction(acc, 2 * size * int(counts.sum()))
 
 
-def _copy_distance(counts: np.ndarray) -> Fraction:
-    """Exact minimum distance to an explanation by an independent
-    reference output plus a SAME marker: the closed form at one output
-    bit, the LP otherwise."""
-    if len(counts) != 2:
-        return min_copy_distance(counts)[0]
-    (c00, c01), (c10, c11) = counts.tolist()
-    return Fraction(*min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, c00 + c01 + c10 + c11))
-
-
 @dataclass
 class NmDistances:
     """The exact distances of one relaxed or strict check, with no gate."""
@@ -298,7 +288,7 @@ def check_relaxed_nm(
         g1, g2 = _patterns(f1, f2, name)
         counts = joint_output_dist(ext, src, g1, g2)
         nm[name] = product_with_uniform_distance(counts)
-        opt[name] = _copy_distance(counts)
+        opt[name] = min_copy_distance(counts)[0]
         if worst is None or nm[name] > nm[worst]:
             worst = name
     return NmDistances(
@@ -381,24 +371,23 @@ def verify_reduction(
     |b - d0|; the optimum over d0 + d1 <= 1 of max(|a - d1|, |b - d0|) is
     max(0, (a + b - 1)/2), as the two sum to at least a + b - 1 and
     d1 = a - t, d0 = b - t with t = (a + b - 1)/2 attains it. That is
-    max(0, c01*r1 + c10*r0 - r0*r1) / (2*r0*r1), the term whose sign
-    decides the zero branch of `min_copy_distance_m1`. So at m = 1,
-    code_error * 2*r0*r1 = copy * total * max(r0, r1) for C's strict copy
-    distance copy and total = r0 + r1: with rho = max(r0, r1) / min(r0,
-    r1), code_error = (1 + rho)/2 * copy, and the bound code_error <= 3 *
-    max(eps_ext, copy) cannot fail. At rho <= 5 the factor is at most 3;
-    at rho > 5 the bias eps_ext = (rho - 1)/(2(rho + 1)) exceeds 1/3 while
-    code_error <= 1/2, as c01 <= r0 and c10 <= r1. An m = 1 row catches a
-    wrong count, never a counterexample. At m != 1 the
-    distance of message s is sum_b (C[s, b] / r_s - d_b - [b = s] d_SAME)+,
-    as both sides sum to 1, and `lp.message_minimax` minimizes the largest
-    of them over d on messages and SAME alone (see `_code_error`) through
-    the LP dual of that positive-part form.
+    max(0, c01*r1 + c10*r0 - r0*r1) / (2*r0*r1), over the numerator of
+    `min_copy_distance_m1`, so an m = 1 row evaluates that closed form
+    once for both errors, and code_error * 2*r0*r1 = copy * total *
+    max(r0, r1) for C's strict copy distance copy and total = r0 + r1:
+    with rho = max(r0, r1) / min(r0, r1), code_error = (1 + rho)/2 * copy,
+    and the bound code_error <= 3 * max(eps_ext, copy) cannot fail. At
+    rho <= 5 the factor is at most 3; at rho > 5 the bias eps_ext =
+    (rho - 1)/(2(rho + 1)) exceeds 1/3 while code_error <= 1/2, as
+    c01 <= r0 and c10 <= r1. An m = 1 row catches a wrong count, never a
+    counterexample. At m != 1 the distance of message s is
+    sum_b (C[s, b] / r_s - d_b - [b = s] d_SAME)+, as both sides sum to
+    1, and `lp.message_minimax` minimizes the largest of them over d on
+    messages and SAME alone through the LP dual of that positive-part form.
     """
     seed = seed or RngSeed.from_int(0)
     rng = seed.stream("nmext.reduction")
     eps_ext = ext.encoding_bias
-    sizes = ext.preimage_sizes.tolist()
     full = FlatSourcePair.full(ext.n)
     size = 1 << ext.n
     blowup = (1 << ext.m) + 1
@@ -407,32 +396,21 @@ def verify_reduction(
         f1 = [rng.randrange(size) for _ in range(size)]
         f2 = [rng.randrange(size) for _ in range(size)]
         counts = joint_output_dist(ext, full, f1, f2)
-        eps_f = max(eps_ext, _copy_distance(counts))
-        rows.append(
-            ReductionRow(
-                adversary_id=i,
-                extractor_error=eps_f,
-                code_error=_code_error(counts.tolist(), sizes),
-                bound=eps_f * blowup,
-            )
-        )
+        if ext.m == 1:
+            (c00, c01), (c10, c11) = counts.tolist()
+            r0, r1 = c00 + c01, c10 + c11
+            num, den = min_copy_distance_m1(c01, c11, r0, r1)
+            copy, code_error = Fraction(num, den), Fraction(num, 2 * r0 * r1)
+        else:
+            copy = min_copy_distance(counts)[0]
+            # The LP leaves out the decoder-failure output: decoding never fails, so
+            # no message has mass there, a reference mass d_fail lowers no positive
+            # part of a message's distance, and moving it onto d_SAME raises none;
+            # so the optimum over d with d_fail = 0 is the optimum over all d.
+            code_error = message_minimax(counts.tolist(), range(len(counts)))[0]
+        eps_f = max(eps_ext, copy)
+        rows.append(ReductionRow(i, eps_f, code_error, eps_f * blowup))
     return ReductionReport(extraction_distance=eps_ext, rows=rows)
-
-
-def _code_error(counts: List[List[int]], sizes: List[int]) -> Fraction:
-    """Exact error of the extractor code against the adversary behind the
-    counts; see `verify_reduction`.
-
-    The LP at m != 1 leaves out the decoder-failure output. Decoding never
-    fails, so no message has mass on failure, and a reference mass d_fail
-    there lowers none of the positive parts that make up a message's
-    distance, while moving it onto d_SAME raises none of them; so the
-    optimum over d with d_fail = 0 is the optimum over all d."""
-    if len(counts) == 2:
-        (_, c01), (c10, _) = counts
-        r0, r1 = sizes
-        return Fraction(max(0, c01 * r1 + c10 * r0 - r0 * r1), 2 * r0 * r1)
-    return message_minimax(counts, sizes, range(len(counts)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +503,7 @@ def relaxed_error_sweep(
         counts = (incidence[lo : lo + rows] @ right).astype(np.int64)
         ones = counts[0]
         total = np.outer(sizes[lo : lo + rows], sizes)
-        num, den = min_copy_distance_m1(counts[1:4], counts[4:7], total - ones, ones, total)
+        num, den = min_copy_distance_m1(counts[1:4], counts[4:7], total - ones, ones)
         # Kinds in witness order: extraction, then the patterns.
         nums = np.concatenate([abs(2 * ones - total)[None], num])
         dens = np.concatenate([(2 * total)[None], den])

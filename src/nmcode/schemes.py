@@ -331,7 +331,7 @@ def optimal_nm_error(
         raise ValueError("optimal_nm_error needs at least one message")
     rows = _counts(scheme, f, messages)
     own = [s + 1 for s in messages]
-    value, x = lp.message_minimax(rows[:, :-1].tolist(), rows.sum(axis=1).tolist(), own)
+    value, x = lp.message_minimax(rows[:, :-1].tolist(), own)
     return value, FiniteDist({_symbol(cell, k): p for cell, p in enumerate(x) if p > 0})
 
 

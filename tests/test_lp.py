@@ -272,7 +272,7 @@ class TestSameMinimax:
             messages = [rng.randrange(len(rows[0])) for _ in rows]
             groups = [[(o, 1, F(c, sum(row)), o == s) for o, c in enumerate(row)]
                       for row, s in zip(rows, messages)]
-            value, d = lp.message_minimax(rows, [sum(row) for row in rows], messages)
+            value, d = lp.message_minimax(rows, messages)
             assert value == two_row_minimax(groups, len(rows[0]))[0]
             assert len(d) == len(rows[0]) + 1 and min(d) >= 0 and sum(d) == 1
             assert max(_distance(row, d, s) for row, s in zip(rows, messages)) == value
@@ -307,7 +307,7 @@ class TestSameMinimax:
                 messages = [rng.randrange(len(rows[0])) for _ in rows]
                 groups = [[(o, 1, F(c, sum(row)), o == s) for o, c in enumerate(row)]
                           for row, s in zip(rows, messages)]
-                value, _ = lp.message_minimax(rows, [sum(row) for row in rows], messages)
+                value, _ = lp.message_minimax(rows, messages)
                 assert value == two_row_minimax(groups, len(rows[0]))[0]
             else:
                 counts = np.array(_random_count_rows(rng, square=True, widest=4))
@@ -318,11 +318,23 @@ class TestSameMinimax:
 
     def test_message_minimax_needs_a_row(self):
         with pytest.raises(ValueError, match="needs at least one row"):
-            lp.message_minimax([], [], [])
+            lp.message_minimax([], [])
 
-    def test_sizes_must_be_row_sums(self):
-        with pytest.raises(ValueError, match="is not its positive sum"):
-            lp.message_minimax([[1, 2], [3, 0]], [3, 4], [0, 1])
+    @pytest.mark.parametrize("rows, messages, match", [
+        ([[1, 0], [0, 0]], [0, 0], "with a positive sum"),  # a zero row
+        ([[1, 0], [0, 2]], [0], r"per row, not \[0\]$"),  # one message for two rows
+        ([[1, 0], [0, 2]], [0, 1, 0], r"per row, not \[0, 1, 0\]$"),
+        ([[1, 0], [0, 2]], [0, 2], r"need one output in \[0, 2\) per row"),
+        ([[1, 0], [0, 2]], [-1, 1], r"need one output in \[0, 2\) per row"),
+        ([[1, 0], [0, 2, 1]], [0, 1], "not 2 counts"),
+        ([[1, 0, 3], [0, 2]], [0, 1], "not 3 counts"),
+    ])
+    def test_message_minimax_rejects_rows_it_cannot_read(self, rows, messages, match):
+        # Rejected before any LP is built, as no ZeroDivisionError or IndexError.
+        with pytest.raises(ValueError, match=match):
+            lp.message_minimax(rows, messages)
+
+    def test_copy_distance_needs_a_cell(self):
         with pytest.raises(ValueError, match="at least one cell"):
             min_copy_distance(np.zeros((2, 2), dtype=np.int64))
 
@@ -337,7 +349,7 @@ class TestSameMinimax:
             value, d = min_copy_distance(counts)
             joint, marg = oracle_law(counts)
             assert value == 0 == oracle.copy_distance(joint, marg, oracle.as_reference(d), list(range(1 << m)))
-            value, d = lp.message_minimax(counts.tolist(), counts.sum(axis=1).tolist(), range(1 << m))
+            value, d = lp.message_minimax(counts.tolist(), range(1 << m))
             assert value == 0
             assert all(_distance(row, d, s) == 0 for s, row in enumerate(counts.tolist()))
 
@@ -378,7 +390,7 @@ class TestPivotPath:
         digest = hashlib.sha256()
         for counts in _pinned_count_matrices():
             copy = min_copy_distance(counts)
-            code = lp.message_minimax(counts.tolist(), counts.sum(axis=1).tolist(), range(len(counts)))
+            code = lp.message_minimax(counts.tolist(), range(len(counts)))
             for value, d in (copy, code):
                 digest.update(" ".join(map(str, (value, *d))).encode() + b"\n")
         assert digest.hexdigest() == "ef32ee4c49199208b3a1ca5653ce2577492283778a3ef82515c59fad09405a90"
@@ -390,7 +402,7 @@ class TestPivotPath:
 
         def values():
             return [(min_copy_distance(counts)[0],
-                     lp.message_minimax(counts.tolist(), counts.sum(axis=1).tolist(), range(len(counts)))[0])
+                     lp.message_minimax(counts.tolist(), range(len(counts)))[0])
                     for counts in instances]
 
         default, simplex, patience = values(), lp._simplex, []
@@ -435,14 +447,14 @@ def test_dense_master_matches_two_row_oracle(instance, per_row):
     sizes = [sum(row) for row in rows]
     if per_row:
         total = sum(sizes)
-        value, d = lp._same_dual(outputs, rows, own, range(len(rows)), sizes)
+        value, d = lp._same_dual(rows, own, range(len(rows)), sizes)
         value /= total
         group = [(o, F(size, total), F(c, total), o == s)
                  for row, size, s in zip(rows, sizes, own) for o, c in enumerate(row)]
         assert value == two_row_minimax([group], outputs)[0]
         attained = sum(F(size, total) * _distance(row, d, s) for row, size, s in zip(rows, sizes, own))
     else:
-        value, d = lp.message_minimax(rows, sizes, own)
+        value, d = lp.message_minimax(rows, own)
         groups = [[(o, 1, F(c, size), o == s) for o, c in enumerate(row)] for row, size, s in zip(rows, sizes, own)]
         assert value == two_row_minimax(groups, outputs)[0]
         attained = max(_distance(row, d, s) for row, s in zip(rows, own))
@@ -467,7 +479,7 @@ def oracle_law(counts):
 def closed_form(counts):
     """`min_copy_distance_m1` on one 2 x 2 count matrix, as a Fraction."""
     (c00, c01), (c10, c11) = counts
-    num, den = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, counts.sum())
+    num, den = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11)
     return Fraction(int(num), int(den))
 
 
@@ -479,7 +491,7 @@ class TestCopyDistanceMinimizer:
         batch = np.array([random_counts(rng, 1) for _ in range(120)])
         c01, c11 = batch[:, 0, 1], batch[:, 1, 1]
         r0, r1 = batch[:, 0].sum(axis=1), batch[:, 1].sum(axis=1)
-        nums, dens = min_copy_distance_m1(c01, c11, r0, r1, r0 + r1)
+        nums, dens = min_copy_distance_m1(c01, c11, r0, r1)
         for counts, num, den in zip(batch, nums, dens):
             joint, marg = oracle_law(counts)
             v, d = min_copy_distance(counts)
@@ -491,10 +503,10 @@ class TestCopyDistanceMinimizer:
         # matrix at a time and as one batch of int64 arrays.
         grid = [c for c in itertools.product(range(13), repeat=4) if sum(c) <= 12]
         c00, c01, c10, c11 = np.array(grid, dtype=np.int64).T
-        nums, dens = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11, c00 + c01 + c10 + c11)
+        nums, dens = min_copy_distance_m1(c01, c11, c00 + c01, c10 + c11)
         assert nums.dtype == dens.dtype == np.int64
         for (a, b, c, d), num_a, den_a in zip(grid, nums.tolist(), dens.tolist()):
-            num, den = min_copy_distance_m1(b, d, a + b, c + d, a + b + c + d)
+            num, den = min_copy_distance_m1(b, d, a + b, c + d)
             assert type(num) is int and type(den) is int
             assert (num, den) == (num_a, den_a)
             joint, marg = oracle_law(np.array([[a, b], [c, d]]))

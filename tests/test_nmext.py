@@ -15,7 +15,7 @@ from nmcode.core import (
     uniform_distance,
 )
 import split_state_oracle as oracle
-from nmcode.lp import min_copy_distance
+from nmcode.lp import message_minimax, min_copy_distance, min_copy_distance_m1
 from nmcode.nmext import (
     DEFAULT_SWEEP_GUARD,
     _max_fraction,
@@ -495,7 +495,9 @@ class TestCodeReduction:
         assert table.encoding_bias == first.extraction_distance == check_extraction(table, FlatSourcePair.full(4))
 
     def test_one_bit_bound_cannot_fail(self):
-        # At m=1, code_error * 2*r0*r1 = copy * total * max(r0, r1), so with
+        # At m=1 the code error, here the LP's, is the closed form's
+        # numerator over 2*r0*r1: verify_reduction reads it that way. So
+        # code_error * 2*r0*r1 = copy * total * max(r0, r1), and with
         # rho = max(r0, r1) / min(r0, r1) the bound code_error <= 3 *
         # max(eps_ext, copy) holds by the factor (1 + rho)/2 <= 3 at
         # rho <= 5, and at rho > 5 because eps_ext > 1/3 and code_error <= 1/2.
@@ -504,9 +506,10 @@ class TestCodeReduction:
         for _ in range(2000):
             r0, r1 = rng.randint(1, 60), rng.randint(1, 60)
             c01, c10 = rng.randint(0, r0), rng.randint(0, r1)
-            counts = [[r0 - c01, c01], [c10, r1 - c10]]
-            code_error = nmext._code_error(counts, [r0, r1])
-            copy = nmext._copy_distance(np.array(counts))
+            code_error = message_minimax([[r0 - c01, c01], [c10, r1 - c10]], [0, 1])[0]
+            num, den = min_copy_distance_m1(c01, r1 - c10, r0, r1)
+            copy = Fraction(num, den)
+            assert code_error == Fraction(num, 2 * r0 * r1)
             assert code_error * 2 * r0 * r1 == copy * (r0 + r1) * max(r0, r1)
             eps_ext = uniform_distance([r0, r1], r0 + r1, 2)
             rho = Fraction(max(r0, r1), min(r0, r1))

@@ -1,5 +1,6 @@
 """Every public function, class and method of `nmcode` is reached from
-code other than its own definition.
+code other than its own definition, and every public dataclass field is
+read.
 
 Each `src/nmcode/*.py` module is parsed with `ast`. A public name (no
 leading underscore) defined at module level, or as a method of a
@@ -15,6 +16,14 @@ imported from another module (`json.load`, `np.take`, or `load` after
 `from json import load`), and `ClassName.attr` for every class but
 ClassName, so `RngSeed.from_json` does not reach `FiniteDist.from_json`.
 
+A public field of a module-level dataclass counts as read when a package
+module other than `__init__.py` or a `perfbench/*.py` script names it as
+an attribute (`row.bound`) or in a dotted-name string (a `getattr` key),
+or when a method of its class passes `self` to `asdict`, which serialises
+every field. A bare name is no read, so a local variable that happens to
+share a field's name reads nothing. `asdict` on anything but `self` does
+not say which class it serialises; its fields need a reason in ALLOWED.
+
 A reason that cites a ROADMAP item may not cite one that ROADMAP.md marks
 retired: a retired item schedules nothing.
 """
@@ -29,9 +38,15 @@ PACKAGE = ROOT / "src" / "nmcode"
 #: Unreached names that stay, as "module.qualname": why.
 ALLOWED = {
     "concat.ConcatPlan.predicted_error": "ROADMAP item 8 reports it along the plan frontier",
+    "concat.ConstraintCheck.formula": "ConcatPlan.to_json serialises each constraint with asdict",
+    "concat.ConstraintCheck.lhs": "ConcatPlan.to_json serialises each constraint with asdict",
+    "concat.ConstraintCheck.rhs": "ConcatPlan.to_json serialises each constraint with asdict",
     "core.FiniteDist.point_mass": "ROADMAP item 13 moves FiniteDist into tests/ as the oracle's representation",
     "inner.InnerCode.load": "reads inner_code.bin, the artifact that `nmcode inner sample --out` writes",
     "nmext.ExtractorTable.load": "reads extractor.bin, the artifact that `nmcode nmext sample --out` writes",
+    "nmext.NmDistances.nm_distances": "the check's result, the relaxed or strict distance per pattern",
+    "nmext.NmDistances.optimal_distances": "the check's copy distance per pattern, which criterion 10 gates",
+    "nmext.ReductionRow.extractor_error": "the row's measured extractor error, which ROADMAP item 3 reports at m >= 2",
     "nmext.check_relaxed_nm": "the paper's relaxed condition on one source pair, which ROADMAP item 3 sweeps",
     "nmext.inner_product_table": "ROADMAP item 3 sweeps the reduction on it",
     "nmext.parity_table": "ROADMAP item 3 sweeps the reduction on it",
@@ -40,9 +55,19 @@ ALLOWED = {
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a `dataclass` decorator, called or bare, dotted or not, marks the class."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
 def _defined(tree: ast.Module):
     """(qualname, node) of the public module-level functions and classes of
-    a module, and of the public methods of its classes."""
+    a module, of the public methods of its classes, and of the public
+    fields (annotated class attributes) of its dataclasses."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
@@ -50,6 +75,35 @@ def _defined(tree: ast.Module):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield f"{node.name}.{item.name}", item
+                    elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                          and _is_dataclass(node) and not item.target.id.startswith("_")):
+                        yield f"{node.name}.{item.target.id}", item
+
+
+def _field_reads(tree: ast.Module) -> set:
+    """The names a module can read a field by: every attribute, and every
+    part of a dotted-name string such as a `getattr` key."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            reads.update(node.value.split("."))
+    return reads
+
+
+def _serialised(tree: ast.Module) -> set:
+    """The classes of a module with a method that passes `self` to `asdict`,
+    which reads every field."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", getattr(call.func, "id", None)) == "asdict"
+        and [getattr(arg, "id", None) for arg in call.args] == ["self"]
+    }
 
 
 def _foreign(tree: ast.Module) -> set:
@@ -110,12 +164,19 @@ def _unreached():
 
     names = {path: refs(tree) for path, tree in trees.items() if path.name != "__init__.py"}
     names.update({i: refs(tree) for i, tree in enumerate(scripts)})
+    reads = set().union(*(_field_reads(tree) for path, tree in trees.items() if path.name != "__init__.py"),
+                        *map(_field_reads, scripts))
     unreached, defined = set(), set()
     for path, tree in trees.items():
+        serialised = _serialised(tree)
         for qualname, node in _defined(tree):
             name, leaf = f"{path.stem}.{qualname}", qualname.rsplit(".", 1)[-1]
             keys = {leaf, qualname}
             defined.add(name)
+            if isinstance(node, ast.AnnAssign):
+                if leaf not in reads and qualname.split(".")[0] not in serialised:
+                    unreached.add(name)
+                continue
             if any(keys & found for other, found in names.items() if other != path):
                 continue
             if path.name == "__init__.py" or not keys & refs(tree, skip=node):
@@ -150,3 +211,16 @@ def test_allowlist_cites_no_retired_item():
         if retired & {int(n) for n in re.findall(r"ROADMAP item (\d+)", reason)}
     }
     assert stale == {}
+
+
+def test_fields_are_read_by_attribute_string_or_asdict_of_self():
+    tree = ast.parse(
+        "@dataclasses.dataclass(frozen=True)\nclass Row:\n    value: int\n    _hidden: int\n"
+        "    def to_json(self):\n        return asdict(self)\n\n"
+        "@dataclass\nclass Plain:\n    n: int\n\n"
+        "n = 1\nx = row.kept\ny = getattr(row, 'a.b')\nz = asdict(row)\n"
+    )
+    assert [qualname for qualname, _ in _defined(tree)] == ["Row", "Row.value", "Row.to_json", "Plain", "Plain.n"]
+    assert _serialised(tree) == {"Row"}
+    reads = _field_reads(tree)
+    assert {"kept", "a", "b"} <= reads and not {"n", "value"} & reads
